@@ -228,16 +228,36 @@ func serveDebug(addr string) {
 	}
 	fmt.Printf("simd: pprof on %s\n", ln.Addr())
 	go func() {
-		if err := http.Serve(ln, nil); err != nil {
+		if err := newServer(http.DefaultServeMux).Serve(ln); err != nil {
 			fmt.Fprintf(os.Stderr, "simd: debug listener: %v\n", err)
 		}
 	}()
 }
 
+// Connection-level timeouts of every listener simd opens. A peer gets
+// readHeaderTimeout to send its request headers and an idle keep-alive
+// connection is dropped after idleTimeout, so slow or abandoned
+// clients cannot pin connections forever. idleTimeout stays above the
+// 90 s after which Go's default transport — what the router reaches
+// its workers with — closes an idle connection itself, so a worker
+// never closes one the router is about to post on. There is
+// deliberately no ReadTimeout or WriteTimeout: /sweep streams for as
+// long as its grid simulates and a profile download runs as long as it
+// was asked to.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newServer returns an http.Server for handler with those timeouts.
+func newServer(handler http.Handler) *http.Server {
+	return &http.Server{Handler: handler, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 // serve runs an HTTP server over ln until SIGINT/SIGTERM, then drains
 // it gracefully and runs shutdown hooks (pool close, supervisor stop).
 func serve(ln net.Listener, handler http.Handler, onShutdown func()) {
-	server := &http.Server{Handler: handler}
+	server := newServer(handler)
 	errs := make(chan error, 1)
 	go func() { errs <- server.Serve(ln) }()
 	sig := make(chan os.Signal, 1)

@@ -89,7 +89,7 @@ func (s *Server) analyzeGrid(w http.ResponseWriter, r *http.Request, req Analyze
 	inputs := make([]agg.Input, 0, min(total, sweepChunkSize))
 	distinct, complete := s.collectGrid(r.Context(), grid, -1, model, compare, aid, func(row SweepRow) {
 		inputs = append(inputs, AnalyzeInput(compare, row))
-	})
+	}, func() {})
 	if !complete {
 		return // client gone; in-flight jobs still fill the cache
 	}

@@ -103,6 +103,41 @@ type SweepSummary struct {
 	Errors int  `json:"errors"`
 }
 
+// RowWriter streams NDJSON lines over an HTTP response and coalesces
+// their flushes. Write buffers a line; Flush pushes what is buffered to
+// the client. Both sweep tiers flush whenever no further row is
+// immediately ready and after the terminal line — never per row — so
+// a burst of ready rows costs one write to the socket, and no row ever
+// waits on a row that is not there yet.
+type RowWriter struct {
+	enc     *json.Encoder
+	flusher http.Flusher
+	dirty   bool
+}
+
+// NewRowWriter wraps a response whose status line is already written.
+// The headers count as unflushed: the first Flush pushes them out even
+// before any row exists.
+func NewRowWriter(w http.ResponseWriter) *RowWriter {
+	flusher, _ := w.(http.Flusher)
+	return &RowWriter{enc: json.NewEncoder(w), flusher: flusher, dirty: true}
+}
+
+// Write encodes one line. A client that hung up makes the encode fail;
+// the stream's owner learns that from its request context, not here.
+func (rw *RowWriter) Write(line any) {
+	_ = rw.enc.Encode(line)
+	rw.dirty = true
+}
+
+// Flush pushes the lines written since the last Flush to the client.
+func (rw *RowWriter) Flush() {
+	if rw.dirty && rw.flusher != nil {
+		rw.flusher.Flush()
+	}
+	rw.dirty = false
+}
+
 // resolveSweepBase picks the base workload: an inline spec or a
 // library-scenario name looked up in byName, exactly one of them.
 func resolveSweepBase(req SweepRequest, byName map[string]spec.Spec) (spec.Spec, error) {
@@ -251,20 +286,14 @@ func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, req SweepRe
 	w.Header().Set("X-Sweep-Variants", strconv.Itoa(total))
 	w.Header().Set(SweepIDHeader, id)
 	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
+	out := NewRowWriter(w)
 	// Push the headers out now: on an all-miss grid no row may flush
 	// for a while, and a client (or the shard router) pacing itself on
 	// X-Sweep-Variants must not block on a header buffered server-side.
-	if flusher != nil {
-		flusher.Flush()
-	}
-	enc := json.NewEncoder(w)
+	out.Flush()
 	emitted, errored, sinceCheckpoint := 0, 0, 0
 	emit := func(row SweepRow) {
-		enc.Encode(row)
-		if flusher != nil {
-			flusher.Flush()
-		}
+		out.Write(row)
 		s.sweepRows.Inc()
 		emitted++
 		if row.Error != "" {
@@ -276,6 +305,7 @@ func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, req SweepRe
 		}
 		if sinceCheckpoint++; sinceCheckpoint >= manifestCheckpointRows {
 			sinceCheckpoint = 0
+			out.Flush() // about to wait on the store: written rows go first
 			s.checkpointManifest(man)
 		}
 	}
@@ -284,68 +314,44 @@ func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, req SweepRe
 	// truncated, and saying otherwise to a half-closed socket helps
 	// nobody. The final checkpoint still runs: progress made before
 	// the disconnect is exactly what a resume wants to skip.
-	distinct, complete := s.collectGrid(r.Context(), grid, after, model, compare, rid, emit)
+	distinct, complete := s.collectGrid(r.Context(), grid, after, model, compare, rid, emit, out.Flush)
 	if complete {
 		// The terminal summary row runs only when every variant
 		// produced a row — nothing here fakes completion.
-		enc.Encode(SweepSummary{Done: true, Rows: emitted, Errors: errored})
-		if flusher != nil {
-			flusher.Flush()
-		}
+		out.Write(SweepSummary{Done: true, Rows: emitted, Errors: errored})
 		// A completed walk knows the deduplicated variant count even
 		// when it only EMITTED a suffix — the walk itself always
 		// enumerates from index 0 — so a resume that reaches the end
 		// can mark the sweep complete just like the initial stream.
 		man.Variants = distinct
 	}
+	out.Flush()
 	s.checkpointManifest(man)
 }
 
-// collectGrid walks the grid lazily and resolves it in bounded
-// chunks: at most sweepChunkSize expanded variants exist at a time,
-// so grid memory stays O(chunk) while the emit contract matches the
-// old fully-materialized path row for row. Variants with Index <=
-// after are skipped (their rows streamed before a disconnect); build
-// failures on individual grid points become error rows, not stream
-// deaths. Returns the deduplicated variant count of the FULL walk
-// (valid only when complete) and whether the walk finished before
-// ctx ended.
-func (s *Server) collectGrid(ctx context.Context, grid sweep.Grid, after int, model core.Model, compare bool, id ident, emit func(SweepRow)) (distinct int, complete bool) {
-	chunk := make([]sweep.Variant, 0, sweepChunkSize)
-	flush := func() bool {
-		if len(chunk) == 0 {
-			return true
+// collectGrid resolves the grid in bounded chunks while the grid
+// engine expands the next chunk in the background (sweep.WalkChunks):
+// at most two chunks of sweepChunkSize expanded variants exist at a
+// time, so grid memory stays O(chunk) and the workers never idle
+// behind a serial walk. Variants with Index <= after are skipped (their
+// rows streamed before a disconnect); build failures on individual
+// grid points become error rows, not stream deaths. idle runs whenever
+// no further row is immediately ready — before waiting on a
+// simulation, and at the end of every chunk. Returns the deduplicated
+// variant count of the FULL walk (valid only when complete) and whether
+// the walk finished before ctx ended.
+func (s *Server) collectGrid(ctx context.Context, grid sweep.Grid, after int, model core.Model, compare bool, id ident, emit func(SweepRow), idle func()) (distinct int, complete bool) {
+	distinct, err := grid.WalkChunks(ctx, after, sweepChunkSize, func(c sweep.Chunk) error {
+		for _, f := range c.Failed {
+			emit(SweepRow{Index: f.Variant.Index, Name: f.Variant.Spec.Name, Params: f.Variant.Params, Error: f.Err.Error()})
 		}
-		ok := s.collectRows(ctx, chunk, model, compare, id, emit)
-		chunk = chunk[:0]
-		return ok
-	}
-	err := grid.Walk(func(v sweep.Variant, verr error) error {
-		if ctx.Err() != nil {
-			return ctx.Err()
+		if !s.collectRows(ctx, c.Variants, model, compare, id, emit, idle) {
+			return context.Canceled
 		}
-		if verr != nil {
-			if v.Index > after {
-				emit(SweepRow{Index: v.Index, Name: v.Spec.Name, Params: v.Params, Error: verr.Error()})
-			}
-			return nil
-		}
-		distinct++
-		if v.Index <= after {
-			return nil
-		}
-		chunk = append(chunk, v)
-		if len(chunk) >= sweepChunkSize {
-			if !flush() {
-				return context.Canceled
-			}
-		}
+		idle()
 		return nil
 	})
-	if err != nil {
-		return distinct, false
-	}
-	return distinct, flush()
+	return distinct, err == nil
 }
 
 // collectRows resolves one chunk of variants through the shared
@@ -356,7 +362,7 @@ func (s *Server) collectGrid(ctx context.Context, grid sweep.Grid, after int, mo
 // on caching, backpressure or failure semantics. Returns false when
 // ctx ended first — the row set is then a subset and must not be
 // read as the whole chunk.
-func (s *Server) collectRows(ctx context.Context, variants []sweep.Variant, model core.Model, compare bool, id ident, emit func(SweepRow)) bool {
+func (s *Server) collectRows(ctx context.Context, variants []sweep.Variant, model core.Model, compare bool, id ident, emit func(SweepRow), idle func()) bool {
 	// First pass: serve every memory-cached variant immediately, so a
 	// warm sweep streams at memory speed no matter how busy the pool
 	// is, and collect the rest for the workers. Disk-held variants
@@ -378,9 +384,12 @@ func (s *Server) collectRows(ctx context.Context, variants []sweep.Variant, mode
 	if len(pending) == 0 {
 		return true
 	}
-	rows := make(chan SweepRow)
-	work := make(chan sweep.Variant)
 	workersN := min(s.workers, len(pending))
+	// One slot per worker: a finished row never blocks its worker while
+	// the previous one is being written, and len(rows) tells the loop
+	// below whether another row is ready right now.
+	rows := make(chan SweepRow, workersN)
+	work := make(chan sweep.Variant)
 	for i := 0; i < workersN; i++ {
 		go func() {
 			for v := range work {
@@ -407,6 +416,9 @@ func (s *Server) collectRows(ctx context.Context, variants []sweep.Variant, mode
 		}
 	}()
 	for n := 0; n < len(pending); n++ {
+		if len(rows) == 0 {
+			idle() // about to wait on a simulation
+		}
 		select {
 		case row := <-rows:
 			emit(row)

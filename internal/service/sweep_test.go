@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -642,5 +643,31 @@ func TestSweepClientDisconnectStopsRetriesAndFreesPool(t *testing.T) {
 	status, _, body := post(t, ts.URL+"/run", map[string]any{"spec": testSpec(27), "model": "tl"})
 	if status != http.StatusOK {
 		t.Fatalf("post-disconnect run: %d %s", status, body)
+	}
+}
+
+// flushCounter is a response recorder that counts Flush calls.
+type flushCounter struct {
+	*httptest.ResponseRecorder
+	flushes int
+}
+
+func (f *flushCounter) Flush() { f.flushes++ }
+
+// TestSweepCoalescesFlushes pins the flush rule: rows that are ready
+// together leave in one flush, not one each. A warm grid's rows are all
+// ready at once, so the whole stream costs the header flush, the flush
+// at the end of the chunk and nothing for the terminal row behind it.
+func TestSweepCoalescesFlushes(t *testing.T) {
+	srv, ts := newTestServer(t, Options{Workers: 2, Queue: 64})
+	sweepBody(t, ts.URL, gridRequest(24)) // fill the memory cache
+	buf, _ := json.Marshal(gridRequest(24))
+	rec := &flushCounter{ResponseRecorder: httptest.NewRecorder()}
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/sweep", bytes.NewReader(buf)))
+	if lines := bytes.Count(rec.Body.Bytes(), []byte("\n")); lines != 9 {
+		t.Fatalf("%d lines, want 8 rows and the summary:\n%s", lines, rec.Body)
+	}
+	if rec.flushes > 3 {
+		t.Fatalf("%d flushes for 8 ready rows, want at most 3 (headers, chunk, terminal)", rec.flushes)
 	}
 }

@@ -355,7 +355,6 @@ func TestRouterSweepClientDisconnectAbortsFailover(t *testing.T) {
 	transport := &http.Transport{}
 	t.Cleanup(transport.CloseIdleConnections)
 	client := &http.Client{Transport: transport}
-	baseline := runtime.NumGoroutine()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, front.URL+"/sweep", strings.NewReader(mustJSON(t, gridRequest(53))))
@@ -367,18 +366,39 @@ func TestRouterSweepClientDisconnectAbortsFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Sweep goroutines are counted by stack, not by runtime.NumGoroutine
+	// against a baseline: the dead shard's breaker prober and net/http's
+	// idle keep-alive connections come and go on their own schedule.
+	sweepGoroutines := func() (n int, stacks []byte) {
+		stacks = make([]byte, 1<<20)
+		stacks = stacks[:runtime.Stack(stacks, true)]
+		for _, g := range strings.Split(string(stacks), "\n\n") {
+			if strings.Contains(g, "shard.(*Router).streamSweep") || strings.Contains(g, "shard.(*Router).collectChunk") ||
+				strings.Contains(g, "sweep.Grid.Walk") {
+				n++
+			}
+		}
+		return n, stacks
+	}
 	// Give the fan-out a moment to park every worker inside a hung
 	// fallback attempt, then vanish.
 	time.Sleep(100 * time.Millisecond)
+	if n, _ := sweepGoroutines(); n < 2 {
+		t.Fatalf("%d sweep goroutines mid-sweep, want the handler and its workers", n)
+	}
 	cancel()
 	resp.Body.Close()
 
 	// Every goroutine the sweep spawned must drain: the hung attempts
 	// are cut by the request context, not leaked behind it.
 	deadline := time.Now().Add(10 * time.Second)
-	for runtime.NumGoroutine() > baseline+2 {
+	for {
+		n, stacks := sweepGoroutines()
+		if n == 0 {
+			break
+		}
 		if time.Now().After(deadline) {
-			t.Fatalf("goroutines %d, baseline %d — sweep leaked", runtime.NumGoroutine(), baseline)
+			t.Fatalf("%d sweep goroutines still alive — sweep leaked\n%s", n, stacks)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

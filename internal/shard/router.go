@@ -1018,18 +1018,12 @@ func (rt *Router) streamSweep(w http.ResponseWriter, r *http.Request, req servic
 	w.Header().Set("X-Sweep-Variants", strconv.Itoa(total))
 	w.Header().Set(service.SweepIDHeader, id)
 	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	if flusher != nil {
-		flusher.Flush()
-	}
-	enc := json.NewEncoder(w)
+	out := service.NewRowWriter(w)
+	out.Flush() // the headers, before the first row exists
 
 	emitted, errored, sinceCheckpoint := 0, 0, 0
 	emit := func(row Row) {
-		enc.Encode(row)
-		if flusher != nil {
-			flusher.Flush()
-		}
+		out.Write(row)
 		rt.sweepRows.Inc()
 		emitted++
 		if row.Error != "" {
@@ -1041,71 +1035,48 @@ func (rt *Router) streamSweep(w http.ResponseWriter, r *http.Request, req servic
 		}
 		if sinceCheckpoint++; sinceCheckpoint >= manifestCheckpointRows {
 			sinceCheckpoint = 0
+			out.Flush() // about to wait on a backend: written rows go first
 			rt.checkpointManifest(man)
 		}
 	}
-	distinct, complete := rt.collectGrid(r.Context(), grid, after, path, runModel, schedHdr, emit)
+	distinct, complete := rt.collectGrid(r.Context(), grid, after, path, runModel, schedHdr, emit, out.Flush)
 	if complete {
-		enc.Encode(service.SweepSummary{Done: true, Rows: emitted, Errors: errored})
-		if flusher != nil {
-			flusher.Flush()
-		}
+		out.Write(service.SweepSummary{Done: true, Rows: emitted, Errors: errored})
 		// A completed walk knows the deduplicated variant count even
 		// when it only EMITTED a suffix — the walk itself always
 		// enumerates from index 0 — so a resume that reaches the end
 		// can mark the sweep complete just like the initial stream.
 		man.Variants = distinct
 	}
+	out.Flush()
 	// The final checkpoint runs even when the client vanished: the
 	// progress made before the disconnect is exactly what its resume
 	// wants to skip.
 	rt.checkpointManifest(man)
 }
 
-// collectGrid walks the grid lazily and resolves it in bounded,
-// work-stolen chunks — the router twin of the backend's collectGrid:
+// collectGrid resolves the grid in bounded, work-stolen chunks while
+// the grid engine expands the next chunk in the background
+// (sweep.WalkChunks) — the router twin of the backend's collectGrid:
 // same chunk size, same skip-at-or-below-after replay semantics, same
-// build-errors-become-rows rule. Each chunk routes against a fresh
-// topology snapshot, so a sweep spanning an admin resize starts using
-// the new membership at the next chunk boundary. Returns the
-// deduplicated variant count of the FULL walk (valid only when
-// complete) and whether the walk finished before ctx ended.
-func (rt *Router) collectGrid(ctx context.Context, grid sweep.Grid, after int, path, runModel string, schedHdr http.Header, emit func(Row)) (distinct int, complete bool) {
-	chunk := make([]sweep.Variant, 0, sweepChunkSize)
-	flush := func() bool {
-		if len(chunk) == 0 {
-			return true
+// build-errors-become-rows rule, same idle-means-flush rule. Each
+// chunk routes against a fresh topology snapshot, so a sweep spanning
+// an admin resize starts using the new membership at the next chunk
+// boundary. Returns the deduplicated variant count of the FULL walk
+// (valid only when complete) and whether the walk finished before ctx
+// ended.
+func (rt *Router) collectGrid(ctx context.Context, grid sweep.Grid, after int, path, runModel string, schedHdr http.Header, emit func(Row), idle func()) (distinct int, complete bool) {
+	distinct, err := grid.WalkChunks(ctx, after, sweepChunkSize, func(c sweep.Chunk) error {
+		for _, f := range c.Failed {
+			emit(Row{SweepRow: service.SweepRow{Index: f.Variant.Index, Name: f.Variant.Spec.Name, Params: f.Variant.Params, Error: f.Err.Error()}, Shard: -1})
 		}
-		ok := rt.collectChunk(ctx, rt.view(), chunk, path, runModel, schedHdr, emit)
-		chunk = chunk[:0]
-		return ok
-	}
-	err := grid.Walk(func(v sweep.Variant, verr error) error {
-		if ctx.Err() != nil {
-			return ctx.Err()
+		if len(c.Variants) > 0 && !rt.collectChunk(ctx, rt.view(), c.Variants, path, runModel, schedHdr, emit, idle) {
+			return context.Canceled
 		}
-		if verr != nil {
-			if v.Index > after {
-				emit(Row{SweepRow: service.SweepRow{Index: v.Index, Name: v.Spec.Name, Params: v.Params, Error: verr.Error()}, Shard: -1})
-			}
-			return nil
-		}
-		distinct++
-		if v.Index <= after {
-			return nil
-		}
-		chunk = append(chunk, v)
-		if len(chunk) >= sweepChunkSize {
-			if !flush() {
-				return context.Canceled
-			}
-		}
+		idle()
 		return nil
 	})
-	if err != nil {
-		return distinct, false
-	}
-	return distinct, flush()
+	return distinct, err == nil
 }
 
 // collectChunk resolves one chunk of variants across the cluster and
@@ -1122,7 +1093,7 @@ func (rt *Router) collectGrid(ctx context.Context, grid sweep.Grid, after int, p
 // about to clear anyway is left alone (ownership still decides cache
 // placement), while a skewed chunk stops being wall-clock-bounded by
 // its hottest shard. The two ends never contend for the same variant.
-func (rt *Router) collectChunk(ctx context.Context, vw *view, variants []sweep.Variant, path, runModel string, schedHdr http.Header, emit func(Row)) bool {
+func (rt *Router) collectChunk(ctx context.Context, vw *view, variants []sweep.Variant, path, runModel string, schedHdr http.Header, emit func(Row), idle func()) bool {
 	pos := make(map[int]int, len(vw.shards))
 	for i, sh := range vw.shards {
 		pos[sh.id] = i
@@ -1157,8 +1128,15 @@ func (rt *Router) collectChunk(ctx context.Context, vw *view, variants []sweep.V
 		return q[len(q)-1], victim, true
 	}
 
-	rows := make(chan Row)
 	var wg sync.WaitGroup
+	workersN := 0
+	for _, sh := range vw.shards {
+		workersN += min(sh.conc, len(variants))
+	}
+	// One slot per worker: a finished row never blocks its worker while
+	// the previous one is being written, and len(rows) tells the emit
+	// loop whether another row is ready right now.
+	rows := make(chan Row, workersN)
 	for i, sh := range vw.shards {
 		workers := min(sh.conc, len(variants))
 		for k := 0; k < workers; k++ {
@@ -1197,10 +1175,16 @@ func (rt *Router) collectChunk(ctx context.Context, vw *view, variants []sweep.V
 		close(rows)
 	}()
 
-	for row := range rows {
+	for {
+		if len(rows) == 0 {
+			idle() // about to wait on a backend
+		}
+		row, ok := <-rows
+		if !ok {
+			return ctx.Err() == nil
+		}
 		emit(row)
 	}
-	return ctx.Err() == nil
 }
 
 // handleAnalyze serves POST /sweep/analyze: walk the grid exactly
@@ -1269,7 +1253,7 @@ func (rt *Router) analyzeGrid(w http.ResponseWriter, r *http.Request, req servic
 	inputs := make([]agg.Input, 0, min(total, sweepChunkSize))
 	distinct, complete := rt.collectGrid(r.Context(), grid, -1, path, runModel, schedHdr, func(row Row) {
 		inputs = append(inputs, service.AnalyzeInput(compare, row.SweepRow))
-	})
+	}, func() {})
 	if !complete {
 		return // client gone
 	}
@@ -1288,6 +1272,19 @@ func (rt *Router) analyzeGrid(w http.ResponseWriter, r *http.Request, req servic
 	w.Header().Set(service.SweepIDHeader, id)
 	w.WriteHeader(http.StatusOK)
 	w.Write(body)
+}
+
+// variantRequest renders the service.RunRequest that runs one variant:
+// the grid walk's canonical spec bytes, forwarded as they are instead
+// of encoding the spec a second time. runModel is one of the plain
+// selectors sweepEndpoint lets through.
+func variantRequest(v sweep.Variant, runModel string) []byte {
+	body := make([]byte, 0, len(v.Canonical)+len(runModel)+len(`{"spec":,"model":""}`))
+	body = append(append(body, `{"spec":`...), v.Canonical...)
+	if runModel != "" {
+		body = append(append(append(body, `,"model":"`...), runModel...), '"')
+	}
+	return append(body, '}')
 }
 
 // resolveVariant runs one variant against the cluster: the router
@@ -1317,11 +1314,7 @@ func (rt *Router) resolveVariant(ctx context.Context, vw *view, v sweep.Variant,
 		row.Result = json.RawMessage(cached)
 		return row, true
 	}
-	reqBody, err := json.Marshal(service.RunRequest{Spec: &v.Spec, Model: runModel})
-	if err != nil {
-		row.Error = err.Error()
-		return row, true
-	}
+	reqBody := variantRequest(v, runModel)
 	lastErr := ""
 	for _, id := range ranks {
 		if ctx.Err() != nil {
@@ -1436,11 +1429,7 @@ func (rt *Router) resolveStolen(ctx context.Context, vw *view, v sweep.Variant, 
 		Hash:   v.Hash,
 		Params: v.Params,
 	}, Shard: thief}
-	reqBody, err := json.Marshal(service.RunRequest{Spec: &v.Spec, Model: runModel})
-	if err != nil {
-		row.Error = err.Error()
-		return row, true
-	}
+	reqBody := variantRequest(v, runModel)
 	for {
 		status, hdr, body, err := rt.post(ctx, sh, path, reqBody, schedHdr)
 		if err != nil {

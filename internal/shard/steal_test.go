@@ -333,3 +333,23 @@ func TestRouterResumeSkewedOffsetsMatchByteForByte(t *testing.T) {
 		}
 	}
 }
+
+// TestVariantRequestIsTheRunRequest pins the per-variant backend body
+// the router assembles around the walk's canonical bytes to what
+// encoding the request struct produced: same bytes, one encode fewer.
+func TestVariantRequestIsTheRunRequest(t *testing.T) {
+	vs := sweep.MustExpand(sweep.Grid{Base: testSpec(71), Axes: []sweep.Axis{
+		{Param: sweep.ParamWriteBufferDepth, Values: []sweep.Value{{V: 0}, {V: 8}}},
+	}})
+	for _, v := range vs {
+		for _, model := range []string{"", "tl", "rtl"} {
+			want, err := json.Marshal(service.RunRequest{Spec: &v.Spec, Model: model})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := variantRequest(v, model); !bytes.Equal(got, want) {
+				t.Fatalf("model %q:\n got %s\nwant %s", model, got, want)
+			}
+		}
+	}
+}

@@ -21,12 +21,14 @@ package spec
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"math"
+	"slices"
 
 	"repro/internal/check"
 	"repro/internal/config"
@@ -226,8 +228,43 @@ func (s Spec) Hash() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:]), nil
+	return hashCanonical(b), nil
+}
+
+func hashCanonical(canonical []byte) string {
+	sum := sha256.Sum256(canonical)
+	return hex.EncodeToString(sum[:])
+}
+
+// Digests encodes the spec once and returns everything a grid engine
+// derives from the encoding: the canonical bytes, the content hash
+// (what Hash returns), and the workload digest — the SHA-256 of the
+// canonical encoding the spec would have with its name cleared, which
+// is equal for two specs that differ in name alone. The digest is
+// taken over the same bytes with the encoded name cut out, not over a
+// second encoding.
+func (s Spec) Digests() (canonical []byte, hash string, workload [sha256.Size]byte, err error) {
+	canonical, err = s.Canonical()
+	if err != nil {
+		return nil, "", workload, err
+	}
+	// The name is the second member, after the integer version, so the
+	// first `,"name":` is its key; the string literal after it ends at
+	// the first quote no backslash escapes.
+	const key = `,"name":"`
+	start := bytes.Index(canonical, []byte(key)) + len(key)
+	end := start
+	for canonical[end] != '"' {
+		if canonical[end] == '\\' {
+			end++
+		}
+		end++
+	}
+	h := sha256.New()
+	h.Write(canonical[:start])
+	h.Write(canonical[end:])
+	h.Sum(workload[:0])
+	return canonical, hashCanonical(canonical), workload, nil
 }
 
 // MarshalIndent renders the spec as indented JSON for files and docs.
@@ -359,46 +396,39 @@ func (g GenSpec) validate(errs *check.Errors, m int) {
 // changing the workload, silently aliasing identical results under
 // different cache keys, so validation rejects it.
 func (g GenSpec) strayFields() []string {
-	allowed := map[string]bool{}
+	// Clear what the kind consumes (g is a copy); what is still set is
+	// stray.
 	switch g.Kind {
 	case KindSequential:
-		for _, f := range []string{"base", "beats", "count", "gap", "write_every", "wrap_bytes", "stride_bytes", "beat_bytes"} {
-			allowed[f] = true
-		}
+		g.Base, g.Beats, g.Count, g.Gap, g.WriteEvery, g.WrapBytes, g.StrideBytes, g.BeatBytes = 0, 0, 0, 0, 0, 0, 0, 0
 	case KindRandom:
-		for _, f := range []string{"base", "count", "seed", "window_bytes", "max_beats", "write_frac", "mean_gap"} {
-			allowed[f] = true
-		}
+		g.Base, g.Count, g.Seed, g.WindowBytes, g.MaxBeats, g.WriteFrac, g.MeanGap = 0, 0, 0, 0, 0, 0, 0
 	case KindBursty:
-		for _, f := range []string{"base", "beats", "count", "burst_txns", "idle_gap", "write"} {
-			allowed[f] = true
-		}
+		g.Base, g.Beats, g.Count, g.BurstTxns, g.IdleGap, g.Write = 0, 0, 0, 0, 0, false
 	case KindStream:
-		for _, f := range []string{"base", "beats", "count", "period", "write", "wrap_bytes"} {
-			allowed[f] = true
-		}
+		g.Base, g.Beats, g.Count, g.Period, g.Write, g.WrapBytes = 0, 0, 0, 0, false, 0
 	case KindScript:
-		allowed["reqs"] = true
+		g.Reqs = nil
 	default:
 		return nil // the kind itself is already rejected
 	}
-	set := map[string]bool{
-		"base": g.Base != 0, "beats": g.Beats != 0, "count": g.Count != 0,
-		"gap": g.Gap != 0, "write_every": g.WriteEvery != 0,
-		"wrap_bytes": g.WrapBytes != 0, "stride_bytes": g.StrideBytes != 0,
-		"beat_bytes": g.BeatBytes != 0, "seed": g.Seed != 0,
-		"window_bytes": g.WindowBytes != 0, "max_beats": g.MaxBeats != 0,
-		"write_frac": g.WriteFrac != 0, "mean_gap": g.MeanGap != 0,
-		"burst_txns": g.BurstTxns != 0, "idle_gap": g.IdleGap != 0,
-		"period": g.Period != 0, "write": g.Write, "reqs": len(g.Reqs) != 0,
-	}
 	var stray []string
-	for name, isSet := range set {
-		if isSet && !allowed[name] {
-			stray = append(stray, name)
+	for _, f := range [...]struct {
+		name string
+		set  bool
+	}{ // in sorted order
+		{"base", g.Base != 0}, {"beat_bytes", g.BeatBytes != 0}, {"beats", g.Beats != 0},
+		{"burst_txns", g.BurstTxns != 0}, {"count", g.Count != 0}, {"gap", g.Gap != 0},
+		{"idle_gap", g.IdleGap != 0}, {"max_beats", g.MaxBeats != 0}, {"mean_gap", g.MeanGap != 0},
+		{"period", g.Period != 0}, {"reqs", len(g.Reqs) != 0}, {"seed", g.Seed != 0},
+		{"stride_bytes", g.StrideBytes != 0}, {"window_bytes", g.WindowBytes != 0},
+		{"wrap_bytes", g.WrapBytes != 0}, {"write", g.Write}, {"write_every", g.WriteEvery != 0},
+		{"write_frac", g.WriteFrac != 0},
+	} {
+		if f.set {
+			stray = append(stray, f.name)
 		}
 	}
-	sort.Strings(stray)
 	return stray
 }
 
@@ -484,7 +514,7 @@ type interval struct {
 // overlapping address ranges. Two ports writing the same bytes make
 // the memory image depend on arbitration order, which breaks the
 // cross-model reproducibility contract every spec promises; the check
-// enumerates the deterministic address sequences (windows for random
+// derives the deterministic address sequences (windows for random
 // generators), so bank-interleaved layouts whose spans interleave
 // without sharing a byte pass. Every overlapping master pair is
 // reported, not just the first.
@@ -493,24 +523,24 @@ func (s Spec) validateFootprints(errs *check.Errors) {
 	if bus <= 0 {
 		bus = 4
 	}
-	var ivs []interval
+	// A contiguous walk is one interval, so the usual spec fits the
+	// stack buffers and the check allocates nothing.
+	var ivBuf, activeBuf [config.MaxMasters]interval
+	ivs := ivBuf[:0]
 	for m, g := range s.Masters {
-		ivs = append(ivs, g.footprint(m, bus)...)
+		ivs = g.footprint(ivs, m, bus)
 	}
-	if len(ivs) == 0 {
-		return
-	}
-	sort.Slice(ivs, func(i, j int) bool {
-		if ivs[i].lo != ivs[j].lo {
-			return ivs[i].lo < ivs[j].lo
+	slices.SortFunc(ivs, func(a, b interval) int {
+		if a.lo != b.lo {
+			return cmp.Compare(a.lo, b.lo)
 		}
-		return ivs[i].master < ivs[j].master
+		return cmp.Compare(a.master, b.master)
 	})
 	// Sweep with the full active set (at most one live interval per
 	// master, since each master's own intervals are merged and
 	// disjoint) so pairs nested inside a wider interval still report.
-	seen := map[[2]int]bool{}
-	var active []interval
+	var seen map[[2]int]bool
+	active := activeBuf[:0]
 	for _, cur := range ivs {
 		live := active[:0]
 		for _, a := range active {
@@ -528,6 +558,9 @@ func (s Spec) validateFootprints(errs *check.Errors) {
 				pair[0], pair[1] = pair[1], pair[0]
 			}
 			if !seen[pair] {
+				if seen == nil {
+					seen = map[[2]int]bool{}
+				}
 				seen[pair] = true
 				errs.Addf("spec: masters %d and %d touch overlapping address ranges near %#x",
 					pair[0], pair[1], cur.lo)
@@ -537,23 +570,31 @@ func (s Spec) validateFootprints(errs *check.Errors) {
 	}
 }
 
-// footprint returns the merged address intervals the descriptor's
-// generator will touch, tagged with the master index. busBytes is the
-// platform beat width: each beat of a burst moves that many bytes, so
-// a request at addr spans [addr, addr+beats*busBytes).
-func (g GenSpec) footprint(m int, busBytes int) []interval {
-	var ivs []interval
-	add := func(lo uint32, span uint64) {
-		if span == 0 {
-			return
-		}
-		hi64 := uint64(lo) + span
-		hi := uint32(hi64)
-		if hi64 > uint64(^uint32(0)) { // clamp past the 32-bit address space
-			hi = ^uint32(0)
-		}
-		ivs = append(ivs, interval{lo: lo, hi: hi, master: m})
+// appendInterval appends master m's range [lo, lo+span) to ivs, clamped
+// at the top of the 32-bit address space, extending m's previous range
+// instead when the new one starts inside or right at the end of it.
+func appendInterval(ivs []interval, m int, lo uint32, span uint64) []interval {
+	if span == 0 {
+		return ivs
 	}
+	hi := uint32(math.MaxUint32)
+	if hi64 := uint64(lo) + span; hi64 < math.MaxUint32 {
+		hi = uint32(hi64)
+	}
+	if n := len(ivs); n > 0 && ivs[n-1].master == m && ivs[n-1].lo <= lo && lo <= ivs[n-1].hi {
+		ivs[n-1].hi = max(ivs[n-1].hi, hi)
+		return ivs
+	}
+	return append(ivs, interval{lo: lo, hi: hi, master: m})
+}
+
+// footprint appends to ivs the merged address intervals the
+// descriptor's generator will touch, tagged with the master index m.
+// busBytes is the platform beat width: each beat of a burst moves that
+// many bytes, so a request at addr spans [addr, addr+beats*busBytes).
+// The descriptor must have passed validation.
+func (g GenSpec) footprint(ivs []interval, m int, busBytes int) []interval {
+	start := len(ivs)
 	switch g.Kind {
 	case KindRandom:
 		// Uniform over the window — but the generator aligns bursts in
@@ -564,38 +605,81 @@ func (g GenSpec) footprint(m int, busBytes int) []interval {
 		if busBytes > 4 {
 			span += uint64(largestBurstUpTo(g.MaxBeats)) * uint64(busBytes-4)
 		}
-		add(g.Base, span)
+		ivs = appendInterval(ivs, m, g.Base, span)
 	case KindScript:
 		for _, r := range g.Reqs {
-			add(r.Addr, uint64(r.Beats*busBytes))
+			ivs = appendInterval(ivs, m, r.Addr, uint64(r.Beats*busBytes))
 		}
-	default:
-		// Sequential, bursty and stream address walks are deterministic
-		// and independent of bus timing: replay the walk.
-		gen, err := g.Build()
-		if err != nil {
-			return nil
-		}
-		span := uint64(g.Beats * busBytes)
-		if g.Kind == KindSequential && g.BeatBytes > 0 && g.BeatBytes > busBytes {
+	case KindSequential, KindBursty, KindStream:
+		ivs = g.walkFootprint(ivs, m, busBytes)
+	}
+	return mergeIntervals(ivs, start)
+}
+
+// walkFootprint appends the footprint of a sequential, bursty or stream
+// address walk. The walk is deterministic and independent of bus
+// timing: transaction n starts at Base + n*step, back at Base whenever
+// the address reaches Base+WrapBytes, all in 32-bit arithmetic. Its
+// footprint therefore needs no generator: a walk whose step does not
+// exceed one transaction's span covers one contiguous range, in closed
+// form; a sparser one costs one range per distinct address. Past
+// footprintCap transactions the walk's conservative extent stands in
+// for the rest.
+func (g GenSpec) walkFootprint(ivs []interval, m int, busBytes int) []interval {
+	span := uint64(g.Beats * busBytes)
+	step, wrap := uint32(g.Beats*4), g.WrapBytes
+	switch g.Kind {
+	case KindSequential:
+		if g.BeatBytes > busBytes {
 			span = uint64(g.Beats * g.BeatBytes)
 		}
-		exhausted := false
-		for n := 0; n < footprintCap; n++ {
-			req, ok := gen.Next(0)
-			if !ok {
-				exhausted = true
+		switch {
+		case g.StrideBytes != 0:
+			step = g.StrideBytes
+		case g.BeatBytes != 0:
+			step = uint32(g.Beats * g.BeatBytes)
+		}
+	case KindBursty:
+		wrap = 0
+	}
+	n := g.Count
+	capped := n >= footprintCap
+	if capped {
+		n = footprintCap
+		ivs = appendInterval(ivs, m, g.Base, g.walkExtent(span))
+	}
+
+	// The walk is ascending when no address computation wraps around
+	// 2^32 before the walk is back at Base; it then visits Base + j*step
+	// for j below the wrap period.
+	const top = 1 << 32
+	base, step64, distinct := uint64(g.Base), uint64(step), uint64(n)
+	ascending := base+(distinct-1)*step64 < top
+	if wrap > 0 {
+		ascending = base+uint64(wrap)+step64 <= top
+		distinct = min(distinct, (uint64(wrap)+step64-1)/step64)
+	}
+	switch {
+	case ascending && capped:
+		// The extent interval already covers every enumerated address.
+	case ascending && step64 <= span:
+		ivs = appendInterval(ivs, m, g.Base, (distinct-1)*step64+span)
+	default:
+		// One range per distinct address: the walk repeats itself once
+		// it is back at Base.
+		addr, limit := g.Base, g.Base+wrap
+		for i := 0; i < n; i++ {
+			ivs = appendInterval(ivs, m, addr, span)
+			addr += step
+			if wrap > 0 && addr >= limit {
+				addr = g.Base
+			}
+			if addr == g.Base {
 				break
 			}
-			add(req.Addr, span)
-		}
-		if !exhausted {
-			// The walk outruns the enumeration budget: cover its whole
-			// analytic extent with one conservative interval.
-			add(g.Base, g.walkExtent(span))
 		}
 	}
-	return mergeIntervals(ivs)
+	return ivs
 }
 
 // walkExtent returns a conservative upper bound, in bytes from Base,
@@ -624,22 +708,25 @@ func (g GenSpec) walkExtent(span uint64) uint64 {
 	return uint64(g.Count-1)*step + span
 }
 
-// mergeIntervals sorts and coalesces the intervals of one master.
-func mergeIntervals(ivs []interval) []interval {
-	if len(ivs) <= 1 {
+// mergeIntervals coalesces ivs[start:], one master's intervals, in
+// place, sorting them first unless they already ascend.
+func mergeIntervals(ivs []interval, start int) []interval {
+	tail := ivs[start:]
+	if len(tail) <= 1 {
 		return ivs
 	}
-	sort.Slice(ivs, func(i, j int) bool { return ivs[i].lo < ivs[j].lo })
-	out := ivs[:1]
-	for _, iv := range ivs[1:] {
+	byLo := func(a, b interval) int { return cmp.Compare(a.lo, b.lo) }
+	if !slices.IsSortedFunc(tail, byLo) {
+		slices.SortFunc(tail, byLo)
+	}
+	out := tail[:1]
+	for _, iv := range tail[1:] {
 		last := &out[len(out)-1]
 		if iv.lo <= last.hi {
-			if iv.hi > last.hi {
-				last.hi = iv.hi
-			}
+			last.hi = max(last.hi, iv.hi)
 			continue
 		}
 		out = append(out, iv)
 	}
-	return out
+	return ivs[:start+len(out)]
 }

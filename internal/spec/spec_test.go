@@ -2,6 +2,7 @@ package spec
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -402,5 +403,41 @@ func TestCanonicalIsCompactJSON(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), b) {
 		t.Fatal("canonical form is not compact")
+	}
+}
+
+// checkDigests holds Digests to the two separate encodings it replaces.
+func checkDigests(t *testing.T, s Spec) {
+	t.Helper()
+	canonical, hash, workload, err := s.Digests()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantCanonical, _ := s.Canonical()
+	wantHash, _ := s.Hash()
+	if !bytes.Equal(canonical, wantCanonical) || hash != wantHash {
+		t.Fatalf("Digests of %q: canonical/hash differ from Canonical/Hash", s.Name)
+	}
+	s.Name = ""
+	unnamed, err := s.Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if workload != sha256.Sum256(unnamed) {
+		t.Fatalf("workload digest is not the hash of the unnamed encoding:\n%s\n%s", canonical, unnamed)
+	}
+}
+
+func TestDigestsCutTheNameOut(t *testing.T) {
+	for _, s := range Scenarios() {
+		checkDigests(t, s)
+	}
+	s := specOf()
+	for _, name := range []string{
+		"", `"`, `\`, `\"`, `a"b\\"c\`, `,"name":"x","params":{}`, "<tag>&amp;", "line\nbreak\ttab",
+		"café/  ", "bad\xffutf8", `ends with \\`, `{"version":1,"name":"nested"}`,
+	} {
+		s.Name = name
+		checkDigests(t, s)
 	}
 }

@@ -14,6 +14,8 @@
 package sweep
 
 import (
+	"context"
+	"crypto/sha256"
 	"fmt"
 	"math"
 	"math/bits"
@@ -105,6 +107,10 @@ type Variant struct {
 	Spec spec.Spec
 	// Hash is the spec's content hash.
 	Hash string
+	// Canonical is the spec's canonical encoding, the bytes Hash is the
+	// SHA-256 of, ready to forward without re-encoding the spec. Read
+	// only.
+	Canonical []byte
 }
 
 // Total validates the grid's axis structure and returns the size of
@@ -137,7 +143,7 @@ func (g Grid) Total() (int, error) {
 // fn returning a non-nil error aborts the walk and Walk returns it.
 //
 // Deduplication is on the workload alone: the spec name (which embeds
-// the axis slugs and participates in the content hash) is cleared for
+// the axis slugs and participates in the content hash) is left out of
 // the dedup key, so two axis combinations that label the same
 // workload differently still collapse into one simulation. The walk
 // always starts at index 0 even when the caller only wants a suffix —
@@ -148,22 +154,14 @@ func (g Grid) Walk(fn func(v Variant, err error) error) error {
 	if err != nil {
 		return err
 	}
-	prefix := g.Name
-	if prefix == "" {
-		prefix = g.Base.Name
-	}
-
-	seen := make(map[string]bool)
-	idx := make([]int, len(g.Axes))
-	for n := 0; n < total; n++ {
-		s := g.Base.Clone()
-		labels := make([]string, len(g.Axes))
-		slugs := make([]string, 0, len(g.Axes)+1)
-		slugs = append(slugs, prefix)
-		params := make(map[string]any, len(g.Axes))
-		var buildErr error
-		for a, ax := range g.Axes {
-			v := ax.Values[idx[a]]
+	// Render every axis value's label and slug once, not once per
+	// variant that uses it.
+	labels := make([][]string, len(g.Axes))
+	slugs := make([][]string, len(g.Axes))
+	for a, ax := range g.Axes {
+		labels[a] = make([]string, len(ax.Values))
+		slugs[a] = make([]string, len(ax.Values))
+		for i, v := range ax.Values {
 			label, slug := v.Label, v.Slug
 			if label == "" {
 				label = fmt.Sprintf("%v", v.V)
@@ -171,44 +169,59 @@ func (g Grid) Walk(fn func(v Variant, err error) error) error {
 			if slug == "" {
 				slug = strings.ReplaceAll(label, "/", "-")
 			}
-			labels[a] = label
-			slugs = append(slugs, slug)
-			params[ax.Param] = v.V
+			labels[a][i], slugs[a][i] = label, slug
+		}
+	}
+	name := make([]string, len(g.Axes)+1) // prefix, then one slug per axis
+	name[0] = g.Name
+	if name[0] == "" {
+		name[0] = g.Base.Name
+	}
+
+	seen := make(map[[sha256.Size]byte]struct{})
+	idx := make([]int, len(g.Axes))
+	for n := 0; n < total; n++ {
+		s := g.Base.Clone()
+		variant := Variant{
+			Index:  n,
+			Labels: make([]string, len(g.Axes)),
+			Params: make(map[string]any, len(g.Axes)),
+		}
+		var buildErr error
+		for a, ax := range g.Axes {
+			v := ax.Values[idx[a]]
+			variant.Labels[a] = labels[a][idx[a]]
+			name[a+1] = slugs[a][idx[a]]
+			variant.Params[ax.Param] = v.V
 			if buildErr == nil {
 				if err := Apply(&s, ax.Param, v.V); err != nil {
 					buildErr = fmt.Errorf("sweep: axis %q value %v: %w", ax.Param, v.V, err)
 				}
 			}
 		}
-		s.Name = strings.Join(slugs, "/")
-		variant := Variant{Index: n, Labels: labels, Params: params}
+		s.Name = strings.Join(name, "/")
+		variant.Spec = s
 		if buildErr == nil {
 			if err := s.Validate(); err != nil {
 				buildErr = fmt.Errorf("sweep: variant %s: %w", s.Name, err)
 			}
 		}
-		var hash, workload string
+		// One encoding serves the forwarded bytes, the content hash and
+		// the dedup key.
+		var workload [sha256.Size]byte
 		if buildErr == nil {
-			if hash, err = s.Hash(); err != nil {
+			if variant.Canonical, variant.Hash, workload, err = s.Digests(); err != nil {
 				buildErr = fmt.Errorf("sweep: variant %s: %w", s.Name, err)
 			}
 		}
-		if buildErr == nil {
-			unnamed := s
-			unnamed.Name = ""
-			if workload, err = unnamed.Hash(); err != nil {
-				buildErr = fmt.Errorf("sweep: variant %s: %w", s.Name, err)
-			}
-		}
+		_, dup := seen[workload]
 		switch {
 		case buildErr != nil:
-			variant.Spec = s
 			if err := fn(variant, buildErr); err != nil {
 				return err
 			}
-		case !seen[workload]:
-			seen[workload] = true
-			variant.Spec, variant.Hash = s, hash
+		case !dup:
+			seen[workload] = struct{}{}
 			if err := fn(variant, nil); err != nil {
 				return err
 			}
@@ -222,6 +235,93 @@ func (g Grid) Walk(fn func(v Variant, err error) error) error {
 		}
 	}
 	return nil
+}
+
+// Chunk is one batch of a chunked walk: up to the chunk size of grid
+// points in walk order, split into the deduplicated survivors to
+// simulate and the points whose spec failed to build.
+type Chunk struct {
+	// Variants are the surviving grid points.
+	Variants []Variant
+	// Failed are the points Walk reports with an error.
+	Failed []Failed
+}
+
+// Failed is one grid point that could not be built: the partial
+// variant (Index, Labels, Params and the spec's name are set) and why.
+type Failed struct {
+	Variant Variant
+	Err     error
+}
+
+// WalkChunks walks the grid in a goroutine of its own and hands it to
+// fn, on the calling goroutine, in chunks of at most size grid points
+// — so the walk runs one chunk ahead of fn: while fn resolves a chunk
+// the next one is being expanded, and at most two chunks are alive.
+// Points with Index <= after are walked (dedup survivors are defined
+// by full-grid history) but not delivered. It returns the number of
+// deduplicated variants of the whole walk — valid only when err is nil
+// — and the first of: the grid's own error, ctx's error once ctx ends,
+// or the error fn returned. The walking goroutine has exited by the
+// time WalkChunks returns.
+func (g Grid) WalkChunks(ctx context.Context, after, size int, fn func(Chunk) error) (distinct int, err error) {
+	total, err := g.Total()
+	if err != nil {
+		return 0, err
+	}
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	chunks := make(chan Chunk)
+	var walkErr error
+	go func() {
+		defer close(chunks)
+		var next Chunk
+		send := func() error {
+			select {
+			case chunks <- next:
+				next = Chunk{}
+				return nil
+			case <-ctx.Done():
+				return ctx.Err()
+			}
+		}
+		walkErr = g.Walk(func(v Variant, verr error) error {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			if verr == nil {
+				distinct++
+			}
+			if v.Index <= after {
+				return nil
+			}
+			if verr != nil {
+				next.Failed = append(next.Failed, Failed{Variant: v, Err: verr})
+			} else {
+				if next.Variants == nil {
+					next.Variants = make([]Variant, 0, min(size, total-v.Index))
+				}
+				next.Variants = append(next.Variants, v)
+			}
+			if len(next.Variants)+len(next.Failed) >= size {
+				return send()
+			}
+			return nil
+		})
+		if walkErr == nil && len(next.Variants)+len(next.Failed) > 0 {
+			walkErr = send()
+		}
+	}()
+	for c := range chunks {
+		if err = fn(c); err != nil {
+			cancel()
+			for range chunks {
+				// Unblock the walker; it stops at its next grid point.
+			}
+			return distinct, err
+		}
+	}
+	return distinct, walkErr
 }
 
 // Expand produces the deduplicated variant list: the Cartesian
