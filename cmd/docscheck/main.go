@@ -108,18 +108,28 @@ func checkLinks(report func(string, ...any)) {
 
 // checkRoutes diffs the api.md inventory against the registered muxes.
 func checkRoutes(report func(string, ...any)) {
+	// Every non-test source file of the two serving packages is
+	// scanned, so moving a mux (or splitting its file) cannot silently
+	// empty the inventory.
 	code := map[string]bool{}
-	for _, src := range []string{
-		"internal/service/service.go",
-		"internal/shard/router.go",
-	} {
-		body, err := os.ReadFile(src)
-		if err != nil {
-			report("reading %s: %v", src, err)
+	for _, pkg := range []string{"internal/service", "internal/shard"} {
+		srcs, err := filepath.Glob(filepath.Join(pkg, "*.go"))
+		if err != nil || len(srcs) == 0 {
+			report("no Go sources under %s (err %v)", pkg, err)
 			return
 		}
-		for _, m := range routeReg.FindAllStringSubmatch(string(body), -1) {
-			code[m[1]] = true
+		for _, src := range srcs {
+			if strings.HasSuffix(src, "_test.go") {
+				continue
+			}
+			body, err := os.ReadFile(src)
+			if err != nil {
+				report("reading %s: %v", src, err)
+				return
+			}
+			for _, m := range routeReg.FindAllStringSubmatch(string(body), -1) {
+				code[m[1]] = true
+			}
 		}
 	}
 	if len(code) == 0 {

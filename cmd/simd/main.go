@@ -16,9 +16,8 @@
 // inside each class, so one tenant's 100k-variant sweep can no
 // longer starve another tenant's interactive /run. Each class has
 // its own bounded queue (-queue is PER CLASS) and its own honest
-// Retry-After. -fair=false collapses everything back to one FIFO
-// queue for A/B comparison. Scheduling changes only WHEN a variant
-// runs, never its bytes — responses stay byte-identical.
+// Retry-After. Scheduling changes only WHEN a variant runs, never its
+// bytes — responses stay byte-identical.
 //
 // With -store DIR the result cache is two-tier: an in-memory LRU in
 // front of a disk-backed store, so a restarted simd serves previously
@@ -84,7 +83,7 @@
 //
 //	simd [-addr :8080] [-workers N] [-queue N] [-cache N] [-store DIR] [-store-max-bytes N]
 //	     [-request-timeout D] [-max-cycles N] [-max-sweep-variants N] [-attempt-timeout D]
-//	     [-router-cache-bytes N] [-debug-addr ADDR] [-fair] [-class-weights interactive=4,batch=1]
+//	     [-router-cache-bytes N] [-debug-addr ADDR] [-class-weights interactive=4,batch=1]
 //	     [-tenant-header X-Tenant] [-shards N | -backends URL,URL,...]
 //
 // Every mode also serves GET /metrics (Prometheus text; the router
@@ -126,7 +125,6 @@ func main() {
 	attemptTimeout := flag.Duration("attempt-timeout", 0, "router-side timeout per backend attempt (0 = none); a hung shard is failed over")
 	routerCache := flag.Int64("router-cache-bytes", 64<<20, "router-side result-cache budget in bytes (<= 0 disables); repeat /run and /compare hits answer at the router with zero backend round trips")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof on this separate address (empty = off); NOT inherited by -shards workers")
-	fair := flag.Bool("fair", true, "weighted-fair tenant scheduling; false collapses every request into one FIFO queue")
 	classWeights := flag.String("class-weights", "", "per-class worker shares as name=weight pairs, e.g. interactive=4,batch=1 (empty = those defaults)")
 	tenantHeader := flag.String("tenant-header", service.DefaultTenantHeader, "request header carrying the caller's tenant for fair-share accounting")
 	shards := flag.Int("shards", 0, "spawn N local worker processes and serve the sharded router")
@@ -140,7 +138,7 @@ func main() {
 	if err != nil {
 		fatal("%v", err)
 	}
-	fopt := fairOpts{fair: *fair, weights: weights, weightsArg: *classWeights, tenantHeader: *tenantHeader}
+	fopt := fairOpts{weights: weights, weightsArg: *classWeights, tenantHeader: *tenantHeader}
 	serveDebug(*debugAddr)
 	ropt := shard.Options{
 		AttemptTimeout:   *attemptTimeout,
@@ -173,7 +171,6 @@ func main() {
 // the in-process service, the raw -class-weights argument for worker
 // inheritance, and the tenant header name shared by every tier.
 type fairOpts struct {
-	fair         bool
 	weights      map[string]int
 	weightsArg   string
 	tenantHeader string
@@ -305,7 +302,6 @@ func runSingle(addr string, workers, queue, cache int, storeDir string, storeMax
 		MaxSweepVariants: maxSweep,
 		ClassWeights:     fopt.weights,
 		TenantHeader:     fopt.tenantHeader,
-		DisableFairness:  !fopt.fair,
 	})
 	if err != nil {
 		fatal("%v", err)
@@ -376,7 +372,6 @@ func runSupervised(addr string, n, workers, queue, cache int, storeDir string, s
 			"-request-timeout", reqTimeout.String(),
 			"-max-cycles", strconv.FormatUint(ropt.MaxCycles, 10),
 			"-max-sweep-variants", strconv.Itoa(ropt.MaxSweepVariants),
-			"-fair=" + strconv.FormatBool(fopt.fair),
 			"-tenant-header", fopt.tenantHeader,
 		}
 		if fopt.weightsArg != "" {

@@ -39,21 +39,20 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"syscall"
 	"time"
 
 	"repro/internal/agg"
-	"repro/internal/config"
+	"repro/internal/clustertest"
 	"repro/internal/service"
 	"repro/internal/shard"
-	"repro/internal/spec"
 	"repro/internal/sweep"
 )
 
@@ -63,67 +62,18 @@ const (
 	hangUpAfter   = 3_000
 )
 
-func fail(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "bigsweep_service: "+format+"\n", args...)
-	os.Exit(1)
-}
+var fail = clustertest.Fail
 
-// bigBase is deliberately tiny — two short generators on the 2-master
-// platform — so ten thousand RTL simulations stay a smoke test, not a
-// benchmark.
-func bigBase() spec.Spec {
-	return spec.Spec{
-		SpecVersion: spec.Version,
-		Name:        "bigsweep/base",
-		Params:      config.Default(2),
-		Masters: []spec.GenSpec{
-			{Kind: spec.KindSequential, Base: 0, Beats: 2, Count: 4, Gap: 1},
-			{Kind: spec.KindStream, Base: 0x80000, Beats: 2, Period: 8, Count: 2},
-		},
-	}
-}
-
-// gridAxes is the 25 x 20 x 20 = 10,000-variant product in both the
-// local (expansion) and wire forms; every value produces a distinct
-// workload, so dedup collapses nothing and the variant count IS the
-// Cartesian product.
-func gridAxes() ([]sweep.Axis, []service.SweepAxis) {
-	ints := func(n, from int) ([]sweep.Value, []any) {
-		lv := make([]sweep.Value, n)
-		wv := make([]any, n)
-		for i := 0; i < n; i++ {
-			lv[i] = sweep.Value{V: from + i}
-			wv[i] = from + i
-		}
-		return lv, wv
-	}
-	u, uw := ints(25, 0)
-	c, cw := ints(20, 1)
-	w, ww := ints(20, 0)
-	local := []sweep.Axis{
-		{Param: sweep.ParamUrgencyThreshold, Values: u},
-		{Param: sweep.ParamCount, Values: c},
-		{Param: sweep.ParamWriteBufferDepth, Values: w},
-	}
-	wire := []service.SweepAxis{
-		{Param: "urgency_threshold", Values: uw},
-		{Param: "count", Values: cw},
-		{Param: "write_buffer_depth", Values: ww},
-	}
-	return local, wire
-}
-
+// sweepRequest is the 25 x 20 x 20 = 10,000-variant product; every
+// value produces a distinct workload, so dedup collapses nothing and
+// the variant count IS the Cartesian product.
 func sweepRequest() service.SweepRequest {
-	base := bigBase()
-	_, wire := gridAxes()
-	return service.SweepRequest{Base: &base, Name: "bigsweep/grid", Model: "rtl", Axes: wire}
-}
-
-func analyzeSelector() agg.Request {
-	return agg.Request{
-		Metric: "cycles", TopK: 5,
-		Frontier: &agg.FrontierSpec{X: "cycles", Y: "throughput", YObjective: agg.ObjectiveMax},
-	}
+	base := clustertest.TinyWorkload("bigsweep/base")
+	return service.SweepRequest{Base: &base, Name: "bigsweep/grid", Model: "rtl", Axes: []service.SweepAxis{
+		{Param: sweep.ParamUrgencyThreshold, Values: clustertest.Ints(25, 0)},
+		{Param: sweep.ParamCount, Values: clustertest.Ints(20, 1)},
+		{Param: sweep.ParamWriteBufferDepth, Values: clustertest.Ints(20, 0)},
+	}}
 }
 
 // streamLine is one NDJSON line of a router sweep stream: a data row
@@ -136,22 +86,10 @@ type streamLine struct {
 }
 
 func main() {
-	bin := ""
-	if len(os.Args) > 2 && os.Args[1] == "-simd" {
-		bin = os.Args[2]
-	}
-	tmp, err := os.MkdirTemp("", "bigsweep")
-	if err != nil {
-		fail("%v", err)
-	}
+	simd := clustertest.SimdFlag()
+	flag.Parse()
+	tmp, bin := clustertest.Workspace("bigsweep", *simd)
 	defer os.RemoveAll(tmp)
-	if bin == "" {
-		bin = filepath.Join(tmp, "simd")
-		out, err := exec.Command("go", "build", "-o", bin, "./cmd/simd").CombinedOutput()
-		if err != nil {
-			fail("building simd: %v\n%s", err, out)
-		}
-	}
 
 	// 1. Fault-free reference, in-process.
 	ref, err := service.New(service.Options{Workers: 8, StoreDir: filepath.Join(tmp, "ref")})
@@ -161,21 +99,13 @@ func main() {
 	refTS := httptest.NewServer(ref.Handler())
 	defer refTS.Close()
 	defer ref.Close()
-	refReq, err := json.Marshal(service.AnalyzeRequest{SweepRequest: sweepRequest(), Request: analyzeSelector()})
-	if err != nil {
-		fail("%v", err)
-	}
 	start := time.Now()
-	resp, err := http.Post(refTS.URL+"/sweep/analyze", "application/json", bytes.NewReader(refReq))
-	if err != nil {
-		fail("reference analyze: %v", err)
+	refStatus, refHdr, refBody := clustertest.Post(refTS.URL+"/sweep/analyze",
+		service.AnalyzeRequest{SweepRequest: sweepRequest(), Request: clustertest.Analysis(5)})
+	if refStatus != http.StatusOK {
+		fail("reference analyze status %d: %s", refStatus, refBody)
 	}
-	refBody, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		fail("reference analyze status %d: %s", resp.StatusCode, refBody)
-	}
-	refID := resp.Header.Get(service.SweepIDHeader)
+	refID := refHdr.Get(service.SweepIDHeader)
 	var refDoc agg.Analysis
 	if err := json.Unmarshal(refBody, &refDoc); err != nil {
 		fail("reference analyze body: %v", err)
@@ -209,8 +139,7 @@ func main() {
 	defer front.Close()
 
 	// Local routing table: variant spec and owner by grid index.
-	local, _ := gridAxes()
-	variants := sweep.MustExpand(sweep.Grid{Name: "bigsweep/grid", Base: bigBase(), Axes: local})
+	variants := clustertest.Variants(sweepRequest())
 	if len(variants) != totalVariants {
 		fail("grid expanded to %d variants, want %d — adjust the axes", len(variants), totalVariants)
 	}
@@ -218,7 +147,7 @@ func main() {
 	perShard := make([]int, 4)
 	for _, v := range variants {
 		byIndex[v.Index] = v
-		perShard[shard.Owner(v.Hash, 4)]++
+		perShard[shard.OwnerID(v.Hash, []int{0, 1, 2, 3})]++ // the boot-time ID set
 	}
 	// The SIGKILL victim: the busiest shard that is NOT the slow one
 	// (stolen write-backs to shard 0 must survive to be checked).
@@ -231,12 +160,8 @@ func main() {
 
 	// 2. Stream the grid; SIGKILL the victim after 1,000 rows; hang up
 	// after 3,000.
-	sweepBuf, err := json.Marshal(sweepRequest())
-	if err != nil {
-		fail("%v", err)
-	}
 	start = time.Now()
-	resp, err = http.Post(front.URL+"/sweep", "application/json", bytes.NewReader(sweepBuf))
+	resp, err := http.Post(front.URL+"/sweep", "application/json", bytes.NewReader(clustertest.Marshal(sweepRequest())))
 	if err != nil {
 		fail("sweep: %v", err)
 	}
@@ -302,13 +227,8 @@ func main() {
 	// for the manifest to become visible.
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		r, err := http.Get(front.URL + "/sweep/" + id)
-		if err == nil {
-			io.Copy(io.Discard, r.Body)
-			r.Body.Close()
-			if r.StatusCode == http.StatusOK {
-				break
-			}
+		if status, _, _ := clustertest.Get(front.URL + "/sweep/" + id); status == http.StatusOK {
+			break
 		}
 		if time.Now().After(deadline) {
 			fail("manifest for %s never became visible after the disconnect", id)
@@ -416,19 +336,13 @@ func main() {
 			}
 			checked++
 			v := byIndex[row.Index]
-			runBuf, _ := json.Marshal(map[string]any{"spec": v.Spec, "model": "rtl"})
-			r, err := http.Post(sup.URLs()[owner]+"/run", "application/json", bytes.NewReader(runBuf))
-			if err != nil {
-				fail("owner %d replay: %v", owner, err)
+			status, hdr, body := clustertest.Post(sup.URLs()[owner]+"/run", map[string]any{"spec": v.Spec, "model": "rtl"})
+			if status != http.StatusOK {
+				fail("owner %d replay status %d: %s", owner, status, body)
 			}
-			body, _ := io.ReadAll(r.Body)
-			r.Body.Close()
-			if r.StatusCode != http.StatusOK {
-				fail("owner %d replay status %d: %s", owner, r.StatusCode, body)
-			}
-			if r.Header.Get("X-Cache") != "hit" {
+			if hdr.Get("X-Cache") != "hit" {
 				fail("stolen index %d absent from owner %d's store (X-Cache %q) — write-back lost",
-					row.Index, owner, r.Header.Get("X-Cache"))
+					row.Index, owner, hdr.Get("X-Cache"))
 			}
 			if !bytes.Equal(body, row.Result) {
 				fail("stolen index %d: owner %d's stored envelope differs from the streamed row", row.Index, owner)
@@ -444,14 +358,9 @@ func main() {
 
 	// 5. The manifest says complete, and the stored analyze reproduces
 	// the fault-free reference byte for byte with zero re-simulation.
-	r, err := http.Get(front.URL + "/sweep/" + id)
-	if err != nil {
-		fail("status: %v", err)
-	}
-	statusBody, _ := io.ReadAll(r.Body)
-	r.Body.Close()
-	if r.StatusCode != http.StatusOK {
-		fail("status %d: %s", r.StatusCode, statusBody)
+	status, _, statusBody := clustertest.Get(front.URL + "/sweep/" + id)
+	if status != http.StatusOK {
+		fail("status %d: %s", status, statusBody)
 	}
 	var st service.SweepStatus
 	if err := json.Unmarshal(statusBody, &st); err != nil {
@@ -463,19 +372,13 @@ func main() {
 			st.Total, st.Variants, st.DoneCount, st.FailedCount, st.Complete)
 	}
 
-	selBuf, _ := json.Marshal(analyzeSelector())
 	start = time.Now()
-	r, err = http.Post(front.URL+"/sweep/"+id+"/analyze", "application/json", bytes.NewReader(selBuf))
-	if err != nil {
-		fail("stored analyze: %v", err)
+	status, gotHdr, gotBody := clustertest.Post(front.URL+"/sweep/"+id+"/analyze", clustertest.Analysis(5))
+	if status != http.StatusOK {
+		fail("stored analyze status %d: %s", status, gotBody)
 	}
-	gotBody, _ := io.ReadAll(r.Body)
-	r.Body.Close()
-	if r.StatusCode != http.StatusOK {
-		fail("stored analyze status %d: %s", r.StatusCode, gotBody)
-	}
-	if r.Header.Get(service.SweepIDHeader) != id {
-		fail("stored analyze id header %q", r.Header.Get(service.SweepIDHeader))
+	if gotHdr.Get(service.SweepIDHeader) != id {
+		fail("stored analyze id header %q", gotHdr.Get(service.SweepIDHeader))
 	}
 	if !bytes.Equal(gotBody, refBody) {
 		fail("stored analyze differs from the fault-free reference:\n%.300s\n%.300s", gotBody, refBody)

@@ -48,143 +48,44 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
+	"flag"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
-	"repro/internal/agg"
 	"repro/internal/chaos"
-	"repro/internal/config"
+	"repro/internal/clustertest"
 	"repro/internal/obs"
 	"repro/internal/service"
 	"repro/internal/shard"
 	"repro/internal/spec"
-	"repro/internal/sweep"
 )
 
-func fail(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "chaos_service: "+format+"\n", args...)
-	os.Exit(1)
-}
+var (
+	fail          = clustertest.Fail
+	postAnalyze   = clustertest.PostAnalyze
+	clusterHealth = clustertest.ClusterHealth
+	sumCounter    = clustertest.SumCounter
+)
 
-// chaosBase is the drill workload: RTL-model heavy enough that a
-// 64-variant sweep gives the faults a real window to land in, light
-// enough that the whole drill stays a smoke test.
-func chaosBase() spec.Spec {
-	return spec.Spec{
-		SpecVersion: spec.Version,
-		Name:        "chaos/base",
-		Params:      config.Default(2),
-		MaxCycles:   50_000_000,
-		Masters: []spec.GenSpec{
-			{Kind: spec.KindSequential, Base: 0, Beats: 8, Count: 12_000, Gap: 2, WrapBytes: 0x40000},
-			{Kind: spec.KindStream, Base: 0x80000, Beats: 4, Period: 40, Count: 6_000, WrapBytes: 0x20000},
-		},
-	}
-}
-
-// gridAxes is the 64-variant product, in both the local (expansion)
-// and wire forms — they MUST stay in lockstep or the locally computed
-// owners would not match what the router actually routes.
-func gridAxes() ([]sweep.Axis, []service.SweepAxis) {
-	local := []sweep.Axis{
-		{Param: sweep.ParamWriteBufferDepth, Values: []sweep.Value{{V: 0}, {V: 2}, {V: 4}, {V: 8}}},
-		{Param: sweep.ParamBIEnabled, Values: []sweep.Value{{V: true}, {V: false}}},
-		{Param: sweep.ParamClosedPage, Values: []sweep.Value{{V: true}, {V: false}}},
-		{Param: sweep.ParamFilters, Values: []sweep.Value{{V: "all"}, {V: "rr-only"}}},
-		{Param: sweep.ParamPipelining, Values: []sweep.Value{{V: true}, {V: false}}},
-	}
-	wire := []service.SweepAxis{
-		{Param: "write_buffer_depth", Values: []any{0, 2, 4, 8}},
-		{Param: "bi_enabled", Values: []any{true, false}},
-		{Param: "closed_page", Values: []any{true, false}},
-		{Param: "filters", Values: []any{"all", "rr-only"}},
-		{Param: "pipelining", Values: []any{true, false}},
-	}
-	return local, wire
+// sweepRequest is the drill grid: 64 variants of an RTL workload heavy
+// enough that the sweep gives the faults a real window to land in,
+// light enough that the whole drill stays a smoke test.
+func sweepRequest() service.SweepRequest {
+	base := clustertest.Workload("chaos/base", 12_000)
+	base.MaxCycles = 50_000_000
+	return clustertest.Grid64(base, "chaos/grid", "rtl")
 }
 
 func analyzeRequest() service.AnalyzeRequest {
-	base := chaosBase()
-	_, wire := gridAxes()
-	return service.AnalyzeRequest{
-		SweepRequest: service.SweepRequest{
-			Base: &base, Name: "chaos/grid", Model: "rtl", Axes: wire,
-		},
-		Request: agg.Request{
-			Metric: "cycles", TopK: 5,
-			Frontier: &agg.FrontierSpec{X: "cycles", Y: "throughput", YObjective: agg.ObjectiveMax},
-		},
-	}
-}
-
-// runSweep streams the grid and invokes onRow per data row as it
-// arrives (the kill hook); it fails the drill on any truncation or a
-// summary that disagrees with the stream.
-func runSweep(url string, req []byte, onRow func(r shard.Row)) (rows []shard.Row, summary service.SweepSummary, hdr http.Header) {
-	resp, err := http.Post(url+"/sweep", "application/json", bytes.NewReader(req))
-	if err != nil {
-		fail("sweep: %v", err)
-	}
-	defer resp.Body.Close()
-	hdr = resp.Header
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(resp.Body)
-		fail("sweep status %d: %s", resp.StatusCode, body)
-	}
-	summary, done, err := service.DecodeSweepStream(resp.Body, func(line []byte) error {
-		var r shard.Row
-		if err := json.Unmarshal(line, &r); err != nil {
-			return err
-		}
-		rows = append(rows, r)
-		if onRow != nil {
-			onRow(r)
-		}
-		return nil
-	})
-	if err != nil {
-		fail("sweep stream: %v", err)
-	}
-	if !done {
-		fail("sweep stream ended without a terminal summary (%d rows) — TRUNCATED", len(rows))
-	}
-	if summary.Rows != len(rows) {
-		fail("summary says %d rows, stream carried %d", summary.Rows, len(rows))
-	}
-	return rows, summary, hdr
-}
-
-func clusterHealth(url string) (shard.ClusterHealth, error) {
-	resp, err := http.Get(url + "/healthz")
-	if err != nil {
-		return shard.ClusterHealth{}, err
-	}
-	defer resp.Body.Close()
-	var h shard.ClusterHealth
-	return h, json.NewDecoder(resp.Body).Decode(&h)
-}
-
-// postAnalyze submits a /sweep/analyze request through the typed
-// client, returning the decoded document plus the raw bytes for
-// byte-identity checks.
-func postAnalyze(url string, req service.AnalyzeRequest) (agg.Analysis, []byte) {
-	client := &service.Client{Base: url}
-	doc, body, err := client.AnalyzeSweep(context.Background(), req)
-	if err != nil {
-		fail("analyze against %s: %v (%s)", url, err, body)
-	}
-	return *doc, body
+	return service.AnalyzeRequest{SweepRequest: sweepRequest(), Request: clustertest.Analysis(5)}
 }
 
 // waitShard polls the cluster healthz until cond accepts the shard's
@@ -204,22 +105,10 @@ func waitShard(front string, i int, what string, cond func(shard.ShardHealth) bo
 }
 
 func main() {
-	bin := ""
-	if len(os.Args) > 2 && os.Args[1] == "-simd" {
-		bin = os.Args[2]
-	}
-	tmp, err := os.MkdirTemp("", "chaossmoke")
-	if err != nil {
-		fail("%v", err)
-	}
+	simd := clustertest.SimdFlag()
+	flag.Parse()
+	tmp, bin := clustertest.Workspace("chaossmoke", *simd)
 	defer os.RemoveAll(tmp)
-	if bin == "" {
-		bin = filepath.Join(tmp, "simd")
-		out, err := exec.Command("go", "build", "-o", bin, "./cmd/simd").CombinedOutput()
-		if err != nil {
-			fail("building simd: %v\n%s", err, out)
-		}
-	}
 
 	// 1. The fault-free reference analysis, computed in-process.
 	ref, err := service.New(service.Options{Workers: 4, StoreDir: filepath.Join(tmp, "ref")})
@@ -267,8 +156,8 @@ func main() {
 	defer front.Close()
 
 	// Local routing table: owner and full rendezvous rank per variant.
-	local, _ := gridAxes()
-	variants := sweep.MustExpand(sweep.Grid{Name: "chaos/grid", Base: chaosBase(), Axes: local})
+	sweepReq := sweepRequest()
+	variants := clustertest.Variants(sweepReq)
 	if len(variants) != 64 {
 		fail("grid expanded to %d variants, want 64 — adjust the axes", len(variants))
 	}
@@ -276,18 +165,13 @@ func main() {
 	ranks := map[string][]int{}
 	perShard := []int{0, 0, 0}
 	for _, v := range variants {
-		owners[v.Hash] = shard.Owner(v.Hash, 3)
-		ranks[v.Hash] = shard.Rank(v.Hash, 3)
+		ranks[v.Hash] = shard.RankIDs(v.Hash, []int{0, 1, 2}) // the boot-time ID set
+		owners[v.Hash] = ranks[v.Hash][0]
 		perShard[owners[v.Hash]]++
 	}
 	if perShard[0] == 0 || perShard[1] == 0 || perShard[2] == 0 {
 		fail("degenerate 3-way partition %v", perShard)
 	}
-
-	sweepReq, _ := json.Marshal(service.SweepRequest{
-		Base: func() *spec.Spec { b := chaosBase(); return &b }(),
-		Name: "chaos/grid", Model: "rtl", Axes: func() []service.SweepAxis { _, w := gridAxes(); return w }(),
-	})
 
 	// 2. SIGKILL the busiest shard mid-sweep; failover must keep the
 	// stream error-free.
@@ -301,7 +185,7 @@ func main() {
 	fmt.Printf("cold 64-variant RTL sweep (split %v); killing shard %d (pid %d) after its first row\n",
 		perShard, victim, victimPid)
 	killed := false
-	rows, summary, sweepHdr := runSweep(front.URL, sweepReq, func(r shard.Row) {
+	rows, summary, sweepHdr := clustertest.RunSweep(front.URL, sweepReq, func(r shard.Row) {
 		if !killed && r.Shard == victim && r.Error == "" {
 			syscall.Kill(victimPid, syscall.SIGKILL)
 			killed = true
@@ -389,14 +273,9 @@ func main() {
 	if sweepID == "" {
 		fail("round-2 sweep carried no %s header", service.SweepIDHeader)
 	}
-	resp, err := http.Get(front.URL + "/sweep/" + sweepID)
-	if err != nil {
-		fail("manifest status: %v", err)
-	}
-	stBody, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		fail("manifest status %d after SIGKILL: %s", resp.StatusCode, stBody)
+	status, _, stBody := clustertest.Get(front.URL + "/sweep/" + sweepID)
+	if status != http.StatusOK {
+		fail("manifest status %d after SIGKILL: %s", status, stBody)
 	}
 	var st service.SweepStatus
 	if err := json.Unmarshal(stBody, &st); err != nil {
@@ -406,7 +285,7 @@ func main() {
 		fail("manifest after SIGKILL: total %d done %d failed %d complete %v, want complete 64",
 			st.Total, st.DoneCount, st.FailedCount, st.Complete)
 	}
-	resp, err = http.Get(front.URL + "/sweep/" + sweepID + "/resume?after=31")
+	resp, err := http.Get(front.URL + "/sweep/" + sweepID + "/resume?after=31")
 	if err != nil {
 		fail("resume: %v", err)
 	}
@@ -429,15 +308,9 @@ func main() {
 	if err != nil || !rdone || resumed != 32 || rsum.Errors != 0 {
 		fail("resume after SIGKILL: %d rows done=%v errors=%d (err %v), want 32 clean rows", resumed, rdone, rsum.Errors, err)
 	}
-	selBuf, _ := json.Marshal(analyzeRequest().Request)
-	resp, err = http.Post(front.URL+"/sweep/"+sweepID+"/analyze", "application/json", bytes.NewReader(selBuf))
-	if err != nil {
-		fail("stored analyze: %v", err)
-	}
-	storedBody, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		fail("stored analyze status %d: %s", resp.StatusCode, storedBody)
+	status, _, storedBody := clustertest.Post(front.URL+"/sweep/"+sweepID+"/analyze", clustertest.Analysis(5))
+	if status != http.StatusOK {
+		fail("stored analyze status %d: %s", status, storedBody)
 	}
 	if !bytes.Equal(storedBody, refBody) {
 		fail("stored analyze differs from the fault-free reference:\n%s\n%s", storedBody, refBody)
@@ -480,17 +353,11 @@ func main() {
 			break
 		}
 	}
-	runBuf, _ := json.Marshal(map[string]any{"spec": crashOwned, "model": "rtl"})
-	resp, err = http.Post(front.URL+"/run", "application/json", bytes.NewReader(runBuf))
-	if err != nil {
-		fail("dead-owned /run: %v", err)
+	status, runHdr, runBody := clustertest.Post(front.URL+"/run", map[string]any{"spec": crashOwned, "model": "rtl"})
+	if status != http.StatusOK {
+		fail("dead-owned /run: %d %s", status, runBody)
 	}
-	runBody, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		fail("dead-owned /run: %d %s", resp.StatusCode, runBody)
-	}
-	if fo := resp.Header.Get("X-Failover"); !strings.HasPrefix(fo, fmt.Sprintf("%d->", crash)) {
+	if fo := runHdr.Get("X-Failover"); !strings.HasPrefix(fo, fmt.Sprintf("%d->", crash)) {
 		fail("dead-owned /run X-Failover %q, want a path out of shard %d", fo, crash)
 	}
 	doc, body = postAnalyze(front.URL, analyzeRequest())
@@ -501,7 +368,7 @@ func main() {
 		fail("dead-shard analysis differs from the fault-free reference:\n%s\n%s", body, refBody)
 	}
 	fmt.Printf("shard %d dead after exhausting its budget; healthz truthful; /run fails over (X-Failover %s); analysis still byte-identical\n",
-		crash, resp.Header.Get("X-Failover"))
+		crash, runHdr.Get("X-Failover"))
 
 	// 5. Corrupt the first victim's store on disk, kill it once more,
 	// and require the revived worker to confess the damage — then
@@ -522,7 +389,7 @@ func main() {
 	})
 	fmt.Printf("shard %d revived over a corrupted store: healthz reports corrupt_at_open=4 (deleted at open)\n", victim)
 
-	final, finalSummary, _ := runSweep(front.URL, sweepReq, nil)
+	final, finalSummary, _ := clustertest.RunSweep[shard.Row](front.URL, sweepReq, nil)
 	if len(final) != 64 || finalSummary.Errors != 0 {
 		fail("final sweep: %d rows, %d errors", len(final), finalSummary.Errors)
 	}
@@ -555,7 +422,7 @@ func main() {
 	// supervisor's fast respawns. The dead shard's own series are
 	// absent from the aggregated scrape (nothing answers), and
 	// simd_shard_up says so explicitly.
-	fams := scrapeMetrics(front.URL)
+	fams := clustertest.ScrapeMetrics(front.URL)
 	if n := sumCounter(fams, "simd_router_failovers_total"); n == 0 {
 		fail("simd_router_failovers_total is zero after the kill drills")
 	}
@@ -577,34 +444,4 @@ func main() {
 		sumCounter(fams, "simd_router_shard_restarts_total"))
 
 	fmt.Println("chaos smoke OK: kill mid-sweep, crash loop to give-up, and store corruption all absorbed — zero error rows, byte-identical analyses, truthful healthz and metrics")
-}
-
-// scrapeMetrics fetches and parses the router's aggregated /metrics.
-func scrapeMetrics(url string) []obs.Family {
-	resp, err := http.Get(url + "/metrics")
-	if err != nil {
-		fail("metrics: %v", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		fail("metrics status %d", resp.StatusCode)
-	}
-	fams, err := obs.ParseText(resp.Body)
-	if err != nil {
-		fail("parsing metrics: %v", err)
-	}
-	return fams
-}
-
-// sumCounter totals a counter family across all its label sets.
-func sumCounter(fams []obs.Family, name string) int {
-	total := 0
-	for _, v := range obs.Find(fams, name) {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			fail("counter %s value %q: %v", name, v, err)
-		}
-		total += n
-	}
-	return total
 }

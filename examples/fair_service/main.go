@@ -46,17 +46,17 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"sort"
-	"strings"
 	"time"
 
-	"repro/internal/config"
+	"repro/internal/clustertest"
+	"repro/internal/obs"
 	"repro/internal/sched"
 	"repro/internal/service"
 	"repro/internal/shard"
 	"repro/internal/spec"
+	"repro/internal/sweep"
 )
 
 const (
@@ -81,49 +81,20 @@ const (
 	idleFloor = 100 * time.Millisecond
 )
 
-func fail(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "fair_service: "+format+"\n", args...)
-	os.Exit(1)
-}
-
-// fairBase is deliberately tiny — two short generators on the
-// 2-master platform — so ten thousand RTL simulations stay a smoke
-// test. The count axis below starts at 10 to keep each variant
-// expensive enough that the sweep outlives the probing phase.
-func fairBase() spec.Spec {
-	return spec.Spec{
-		SpecVersion: spec.Version,
-		Name:        "fair/base",
-		Params:      config.Default(2),
-		Masters: []spec.GenSpec{
-			{Kind: spec.KindSequential, Base: 0, Beats: 2, Count: 4, Gap: 1},
-			{Kind: spec.KindStream, Base: 0x80000, Beats: 2, Period: 8, Count: 2},
-		},
-	}
-}
+var fail = clustertest.Fail
 
 // sweepRequest is the saturating grid: 25 x 20 x 20 = 10,000 distinct
 // workloads by default, truncated along the first axis when -variants
-// asks for a smaller drill.
+// asks for a smaller drill. The count axis starts at 10 to keep each
+// variant expensive enough that the sweep outlives the probing phase.
 func sweepRequest(variants int) service.SweepRequest {
-	base := fairBase()
-	u := variants / 400 // 20 x 20 inner product
-	if u < 1 {
-		u = 1
-	}
-	ints := func(n, from int) []any {
-		vals := make([]any, n)
-		for i := 0; i < n; i++ {
-			vals[i] = from + i
-		}
-		return vals
-	}
+	base := clustertest.TinyWorkload("fair/base")
 	return service.SweepRequest{
 		Base: &base, Name: "fair/grid", Model: "rtl",
 		Axes: []service.SweepAxis{
-			{Param: "urgency_threshold", Values: ints(u, 0)},
-			{Param: "count", Values: ints(20, 10)},
-			{Param: "write_buffer_depth", Values: ints(20, 0)},
+			{Param: sweep.ParamUrgencyThreshold, Values: clustertest.Ints(max(variants/400, 1), 0)}, // 20 x 20 inner product
+			{Param: sweep.ParamCount, Values: clustertest.Ints(20, 10)},
+			{Param: sweep.ParamWriteBufferDepth, Values: clustertest.Ints(20, 0)},
 		},
 	}
 }
@@ -133,8 +104,7 @@ func sweepRequest(variants int) service.SweepRequest {
 // simulation (a cached answer would measure the LRU, not the
 // scheduler) in a key space disjoint from the sweep's.
 func probeSpec(i int) spec.Spec {
-	sp := fairBase()
-	sp.Name = fmt.Sprintf("fair/probe-%d", i)
+	sp := clustertest.TinyWorkload(fmt.Sprintf("fair/probe-%d", i))
 	sp.Masters[1].Base = 0x100000 + uint32(i)*0x1000
 	return sp
 }
@@ -142,32 +112,17 @@ func probeSpec(i int) spec.Spec {
 // probe posts one interactive /run as the given tenant and returns
 // the request latency.
 func probe(front string, i int, tenant string) time.Duration {
-	body, err := json.Marshal(service.RunRequest{Spec: ptr(probeSpec(i)), Model: "rtl"})
-	if err != nil {
-		fail("%v", err)
-	}
-	req, err := http.NewRequest(http.MethodPost, front+"/run", bytes.NewReader(body))
-	if err != nil {
-		fail("%v", err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(service.DefaultTenantHeader, tenant)
+	sp := probeSpec(i)
 	start := time.Now()
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		fail("probe %d: %v", i, err)
-	}
+	status, _, respBody := clustertest.Do(http.MethodPost, front+"/run",
+		service.RunRequest{Spec: &sp, Model: "rtl"}, http.Header{service.DefaultTenantHeader: {tenant}})
 	elapsed := time.Since(start)
-	respBody, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
+	if status != http.StatusOK {
 		fail("probe %d status %d (interactive traffic must never be rejected for the sweep's backlog): %s",
-			i, resp.StatusCode, respBody)
+			i, status, respBody)
 	}
 	return elapsed
 }
-
-func ptr[T any](v T) *T { return &v }
 
 // p99 returns the 99th-percentile of the samples (the max for small
 // sample sizes — conservative, never flattering).
@@ -185,14 +140,8 @@ func p99(durs []time.Duration) time.Duration {
 // batch class's cluster-wide queue depth (and whether the sched
 // block was present at all).
 func clusterBatchQueued(front string) (int, bool) {
-	resp, err := http.Get(front + "/healthz")
+	ch, err := clustertest.ClusterHealth(front)
 	if err != nil {
-		return 0, false
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	var ch shard.ClusterHealth
-	if json.Unmarshal(body, &ch) != nil {
 		return 0, false
 	}
 	for _, cs := range ch.Sched {
@@ -204,23 +153,11 @@ func clusterBatchQueued(front string) (int, bool) {
 }
 
 func main() {
-	bin := flag.String("simd", "", "prebuilt simd binary (empty = go build it)")
+	bin := clustertest.SimdFlag()
 	variants := flag.Int("variants", 10_000, "sweep grid size (rounded to the axes product)")
 	flag.Parse()
-
-	tmp, err := os.MkdirTemp("", "fairsvc")
-	if err != nil {
-		fail("%v", err)
-	}
+	tmp, simd := clustertest.Workspace("fairsvc", *bin)
 	defer os.RemoveAll(tmp)
-	simd := *bin
-	if simd == "" {
-		simd = filepath.Join(tmp, "simd")
-		out, err := exec.Command("go", "build", "-o", simd, "./cmd/simd").CombinedOutput()
-		if err != nil {
-			fail("building simd: %v\n%s", err, out)
-		}
-	}
 
 	// The cluster: 2 shards x 3 workers, weighted-fair scheduling on
 	// (the default), small enough that a 10k-variant sweep saturates.
@@ -253,10 +190,7 @@ func main() {
 		idleProbes, idleP99.Round(time.Millisecond), bound.Round(time.Millisecond))
 
 	// 2. The sweeper's saturating sweep, drained in the background.
-	sweepBuf, err := json.Marshal(sweepRequest(*variants))
-	if err != nil {
-		fail("%v", err)
-	}
+	sweepBuf := clustertest.Marshal(sweepRequest(*variants))
 	total := (max(*variants/400, 1)) * 400
 	type sweepResult struct {
 		rows    int
@@ -321,12 +255,7 @@ func main() {
 	checkedWorker := false
 	for attempt := 0; attempt < 100 && !checkedWorker; attempt++ {
 		for _, url := range sup.URLs() {
-			resp, err := http.Get(url + "/healthz")
-			if err != nil {
-				continue
-			}
-			body, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
+			_, _, body := clustertest.Get(url + "/healthz")
 			var h service.Health
 			if json.Unmarshal(body, &h) != nil || h.Sched == nil {
 				fail("worker %s healthz lacks the sched block: %s", url, body)
@@ -426,28 +355,17 @@ func main() {
 
 	// The sched metric families are on the worker scrape, keyed like
 	// the healthz blocks the drill just read.
-	resp, err := http.Get(sup.URLs()[0] + "/metrics")
-	if err != nil {
-		fail("metrics: %v", err)
+	fams := clustertest.ScrapeMetrics(sup.URLs()[0])
+	if len(obs.Find(fams, "simd_sched_queue_depth", "tenant", "sweeper", "class", "batch")) == 0 {
+		fail(`worker metrics missing simd_sched_queue_depth{tenant="sweeper",class="batch"}`)
 	}
-	metrics, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	for _, want := range []string{
-		"simd_sched_queue_depth", `tenant="sweeper"`, `class="batch"`,
-		"simd_sched_wait_seconds", "simd_sched_rejections_total", "simd_sched_dispatched_total",
-	} {
-		if !strings.Contains(string(metrics), want) {
+	for _, want := range []string{"simd_sched_wait_seconds_count", "simd_sched_rejections_total", "simd_sched_dispatched_total"} {
+		if len(obs.Find(fams, want)) == 0 {
 			fail("worker metrics missing %s", want)
 		}
 	}
 	// And the aggregated router scrape re-exposes them per shard.
-	resp, err = http.Get(front.URL + "/metrics")
-	if err != nil {
-		fail("router metrics: %v", err)
-	}
-	routerMetrics, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if !strings.Contains(string(routerMetrics), "simd_sched_queue_depth") {
+	if len(obs.Find(clustertest.ScrapeMetrics(front.URL), "simd_sched_queue_depth")) == 0 {
 		fail("aggregated router metrics missing simd_sched_queue_depth")
 	}
 

@@ -42,114 +42,43 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/agg"
-	"repro/internal/config"
+	"repro/internal/clustertest"
 	"repro/internal/service"
 	"repro/internal/shard"
 	"repro/internal/spec"
 )
 
-func fail(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "resize_service: "+format+"\n", args...)
-	os.Exit(1)
-}
+var fail = clustertest.Fail
 
-// resizeBase is the drill workload: TL-model and small, so the whole
-// drill — two full sweeps, a grow, a drain under load — stays a smoke.
-func resizeBase() spec.Spec {
-	return spec.Spec{
-		SpecVersion: spec.Version,
-		Name:        "resize/base",
-		Params:      config.Default(2),
-		Masters: []spec.GenSpec{
-			{Kind: spec.KindSequential, Base: 0, Beats: 8, Count: 600, Gap: 2, WrapBytes: 0x40000},
-			{Kind: spec.KindStream, Base: 0x80000, Beats: 4, Period: 40, Count: 300, WrapBytes: 0x20000},
-		},
-	}
-}
-
+// sweepRequest is the drill grid: 64 TL-model variants of a small
+// workload, so the whole drill — two full sweeps, a grow, a drain under
+// load — stays a smoke.
 func sweepRequest() service.SweepRequest {
-	base := resizeBase()
-	return service.SweepRequest{
-		Base: &base, Name: "resize/grid", Model: "tl",
-		Axes: []service.SweepAxis{
-			{Param: "write_buffer_depth", Values: []any{0, 2, 4, 8}},
-			{Param: "bi_enabled", Values: []any{true, false}},
-			{Param: "closed_page", Values: []any{true, false}},
-			{Param: "pipelining", Values: []any{true, false}},
-			{Param: "filters", Values: []any{"all", "rr-only"}},
-		},
-	}
+	return clustertest.Grid64(clustertest.Workload("resize/base", 600), "resize/grid", "tl")
 }
 
-func analyzeRequest() service.AnalyzeRequest {
-	return service.AnalyzeRequest{
-		SweepRequest: sweepRequest(),
-		Request: agg.Request{
-			Metric: "cycles", TopK: 5,
-			Frontier: &agg.FrontierSpec{X: "cycles", Y: "throughput", YObjective: agg.ObjectiveMax},
-		},
-	}
-}
-
-// runSweep streams the grid, invoking onRow per data row as it
-// arrives; fails the drill on truncation or a lying summary.
-func runSweep(url string, onRow func(r shard.Row)) (rows []shard.Row, summary service.SweepSummary) {
-	req, err := json.Marshal(sweepRequest())
-	if err != nil {
-		fail("%v", err)
-	}
-	resp, err := http.Post(url+"/sweep", "application/json", bytes.NewReader(req))
-	if err != nil {
-		fail("sweep: %v", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(resp.Body)
-		fail("sweep status %d: %s", resp.StatusCode, body)
-	}
-	summary, done, err := service.DecodeSweepStream(resp.Body, func(line []byte) error {
-		var r shard.Row
-		if err := json.Unmarshal(line, &r); err != nil {
-			return err
-		}
-		rows = append(rows, r)
-		if onRow != nil {
-			onRow(r)
-		}
-		return nil
-	})
-	if err != nil {
-		fail("sweep stream: %v", err)
-	}
-	if !done {
-		fail("sweep stream ended without a terminal summary (%d rows) — TRUNCATED", len(rows))
-	}
-	if summary.Rows != len(rows) {
-		fail("summary says %d rows, stream carried %d", summary.Rows, len(rows))
-	}
+// runSweep streams the drill grid, invoking onRow per data row as it
+// arrives.
+func runSweep(url string, onRow func(r shard.Row)) ([]shard.Row, service.SweepSummary) {
+	rows, summary, _ := clustertest.RunSweep(url, sweepRequest(), onRow)
 	return rows, summary
 }
 
+// postAnalyze analyzes the drill grid and requires a complete document.
 func postAnalyze(url string) []byte {
-	client := &service.Client{Base: url}
-	doc, body, err := client.AnalyzeSweep(context.Background(), analyzeRequest())
-	if err != nil {
-		fail("analyze against %s: %v (%s)", url, err, body)
-	}
+	doc, body := clustertest.PostAnalyze(url, service.AnalyzeRequest{SweepRequest: sweepRequest(), Request: clustertest.Analysis(5)})
 	if doc.Incomplete {
 		fail("analysis incomplete: %s", body)
 	}
@@ -157,53 +86,24 @@ func postAnalyze(url string) []byte {
 }
 
 func topology(front string) shard.Topology {
-	resp, err := http.Get(front + "/admin/shards")
-	if err != nil {
-		fail("topology: %v", err)
-	}
-	defer resp.Body.Close()
+	_, _, body := clustertest.Get(front + "/admin/shards")
 	var top shard.Topology
-	if err := json.NewDecoder(resp.Body).Decode(&top); err != nil {
+	if err := json.Unmarshal(body, &top); err != nil {
 		fail("topology: %v", err)
 	}
 	return top
 }
 
 func postAdmin(front, path string, body any) (int, []byte) {
-	var rd io.Reader
-	if body != nil {
-		buf, err := json.Marshal(body)
-		if err != nil {
-			fail("%v", err)
-		}
-		rd = bytes.NewReader(buf)
-	}
-	resp, err := http.Post(front+path, "application/json", rd)
-	if err != nil {
-		fail("POST %s: %v", path, err)
-	}
-	defer resp.Body.Close()
-	out, _ := io.ReadAll(resp.Body)
-	return resp.StatusCode, out
+	status, _, out := clustertest.Post(front+path, body)
+	return status, out
 }
 
 func main() {
-	bin := ""
-	if len(os.Args) > 2 && os.Args[1] == "-simd" {
-		bin = os.Args[2]
-	}
-	tmp, err := os.MkdirTemp("", "resizesmoke")
-	if err != nil {
-		fail("%v", err)
-	}
+	simd := clustertest.SimdFlag()
+	flag.Parse()
+	tmp, bin := clustertest.Workspace("resizesmoke", *simd)
 	defer os.RemoveAll(tmp)
-	if bin == "" {
-		bin = filepath.Join(tmp, "simd")
-		out, err := exec.Command("go", "build", "-o", bin, "./cmd/simd").CombinedOutput()
-		if err != nil {
-			fail("building simd: %v\n%s", err, out)
-		}
-	}
 
 	// 1. The fault-free reference analysis, computed in-process.
 	ref, err := service.New(service.Options{Workers: 4, StoreDir: filepath.Join(tmp, "ref")})
@@ -218,10 +118,7 @@ func main() {
 
 	// The same grid, expanded locally: the row-count truth and the
 	// source of warm /run bodies for the drain-under-load phase.
-	variants, err := service.ExpandSweepRequest(sweepRequest(), nil, 0)
-	if err != nil {
-		fail("expanding grid locally: %v", err)
-	}
+	variants := clustertest.Variants(sweepRequest())
 	specByName := make(map[string]spec.Spec, len(variants))
 	for _, v := range variants {
 		specByName[v.Spec.Name] = v.Spec
@@ -310,11 +207,7 @@ func main() {
 		if !ok {
 			fail("row %s has no local grid counterpart", r.Name)
 		}
-		req, err := json.Marshal(service.RunRequest{Spec: &sp, Model: "tl"})
-		if err != nil {
-			fail("%v", err)
-		}
-		warm = append(warm, req)
+		warm = append(warm, clustertest.Marshal(service.RunRequest{Spec: &sp, Model: "tl"}))
 	}
 	if len(warm) == 0 {
 		fail("shard 1 served nothing — degenerate drill")

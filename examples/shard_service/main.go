@@ -48,10 +48,9 @@ package main
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"encoding/json"
+	"flag"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"os/exec"
@@ -62,19 +61,25 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/agg"
+	"repro/internal/clustertest"
 	"repro/internal/config"
 	"repro/internal/obs"
 	"repro/internal/service"
 	"repro/internal/shard"
 	"repro/internal/spec"
-	"repro/internal/sweep"
 )
 
-func fail(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "shard_service: "+format+"\n", args...)
-	os.Exit(1)
-}
+var (
+	fail          = clustertest.Fail
+	postAnalyze   = clustertest.PostAnalyze
+	clusterHealth = clustertest.ClusterHealth
+	scrapeMetrics = clustertest.ScrapeMetrics
+	sumCounter    = clustertest.SumCounter
+)
+
+// ids2 is the stable ID set of the 2-shard boot-time cluster: what
+// rendezvous placement is computed against.
+var ids2 = []int{0, 1}
 
 // proc is one spawned simd process (single or supervised cluster).
 type proc struct {
@@ -163,55 +168,13 @@ func (p *proc) stop() {
 
 // postRun submits one /run request and returns status, headers, body.
 func postRun(url string, req any) (int, http.Header, []byte) {
-	buf, err := json.Marshal(req)
-	if err != nil {
-		fail("%v", err)
-	}
-	resp, err := http.Post(url+"/run", "application/json", bytes.NewReader(buf))
-	if err != nil {
-		fail("POST /run: %v", err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		fail("reading /run response: %v", err)
-	}
-	return resp.StatusCode, resp.Header, body
+	return clustertest.Post(url+"/run", req)
 }
 
-// runSweep streams the grid and invokes onRow per data row as it
-// arrives (the kill hook); it returns the data rows and the terminal
-// summary, failing the drill if the summary line is missing.
-func runSweep(url string, req []byte, onRow func(r shard.Row)) (rows []shard.Row, summary service.SweepSummary) {
-	resp, err := http.Post(url+"/sweep", "application/json", bytes.NewReader(req))
-	if err != nil {
-		fail("sweep: %v", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(resp.Body)
-		fail("sweep status %d: %s", resp.StatusCode, body)
-	}
-	summary, done, err := service.DecodeSweepStream(resp.Body, func(line []byte) error {
-		var r shard.Row
-		if err := json.Unmarshal(line, &r); err != nil {
-			return err
-		}
-		rows = append(rows, r)
-		if onRow != nil {
-			onRow(r)
-		}
-		return nil
-	})
-	if err != nil {
-		fail("sweep stream: %v", err)
-	}
-	if !done {
-		fail("sweep stream ended without a terminal summary (%d rows) — TRUNCATED", len(rows))
-	}
-	if summary.Rows != len(rows) {
-		fail("summary says %d rows, stream carried %d", summary.Rows, len(rows))
-	}
+// runSweep streams the grid through the cluster and invokes onRow per
+// data row as it arrives (the kill hook).
+func runSweep(url string, req service.SweepRequest, onRow func(r shard.Row)) ([]shard.Row, service.SweepSummary) {
+	rows, summary, _ := clustertest.RunSweep(url, req, onRow)
 	return rows, summary
 }
 
@@ -219,33 +182,9 @@ func runSweep(url string, req []byte, onRow func(r shard.Row)) (rows []shard.Row
 // model) that a worker is reliably mid-simulation when the drill
 // pulls the trigger.
 func slowBase() spec.Spec {
-	return spec.Spec{
-		SpecVersion: spec.Version,
-		Name:        "smoke/slow",
-		Params:      config.Default(2),
-		MaxCycles:   50_000_000,
-		Masters: []spec.GenSpec{
-			{Kind: spec.KindSequential, Base: 0, Beats: 8, Count: 120_000, Gap: 2, WrapBytes: 0x40000},
-			{Kind: spec.KindStream, Base: 0x80000, Beats: 4, Period: 40, Count: 60_000, WrapBytes: 0x20000},
-		},
-	}
-}
-
-// scrapeMetrics fetches and parses an aggregated GET /metrics.
-func scrapeMetrics(url string) []obs.Family {
-	resp, err := http.Get(url + "/metrics")
-	if err != nil {
-		fail("metrics: %v", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		fail("metrics status %d", resp.StatusCode)
-	}
-	fams, err := obs.ParseText(resp.Body)
-	if err != nil {
-		fail("parsing metrics: %v", err)
-	}
-	return fams
+	sp := clustertest.Workload("smoke/slow", 120_000)
+	sp.MaxCycles = 50_000_000
+	return sp
 }
 
 // findSeries returns the one matching sample value, or "".
@@ -257,47 +196,11 @@ func findSeries(fams []obs.Family, name string, labels ...string) string {
 	return vals[0]
 }
 
-// sumCounter totals a counter family across all its label sets.
-func sumCounter(fams []obs.Family, name string) int {
-	total := 0
-	for _, v := range obs.Find(fams, name) {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			fail("counter %s value %q: %v", name, v, err)
-		}
-		total += n
-	}
-	return total
-}
-
-// clusterHealth polls the router's aggregated healthz.
-func clusterHealth(url string) (shard.ClusterHealth, error) {
-	resp, err := http.Get(url + "/healthz")
-	if err != nil {
-		return shard.ClusterHealth{}, err
-	}
-	defer resp.Body.Close()
-	var h shard.ClusterHealth
-	return h, json.NewDecoder(resp.Body).Decode(&h)
-}
-
 func main() {
-	bin := ""
-	if len(os.Args) > 2 && os.Args[1] == "-simd" {
-		bin = os.Args[2]
-	}
-	tmp, err := os.MkdirTemp("", "shardsmoke")
-	if err != nil {
-		fail("%v", err)
-	}
+	simd := clustertest.SimdFlag()
+	flag.Parse()
+	tmp, bin := clustertest.Workspace("shardsmoke", *simd)
 	defer os.RemoveAll(tmp)
-	if bin == "" {
-		bin = filepath.Join(tmp, "simd")
-		out, err := exec.Command("go", "build", "-o", bin, "./cmd/simd").CombinedOutput()
-		if err != nil {
-			fail("building simd: %v\n%s", err, out)
-		}
-	}
 
 	// 1. Single-process reference vs the 2-shard cluster, every
 	// library scenario, byte-for-byte.
@@ -335,7 +238,7 @@ func main() {
 			fail("scenario %s: hash headers differ", name)
 		}
 		hash, _ := sp.Hash()
-		if want := strconv.Itoa(shard.Owner(hash, 2)); h2.Get("X-Shard") != want {
+		if want := strconv.Itoa(shard.OwnerID(hash, ids2)); h2.Get("X-Shard") != want {
 			fail("scenario %s placed on shard %s, rendezvous owner is %s", name, h2.Get("X-Shard"), want)
 		}
 		checked++
@@ -349,20 +252,12 @@ func main() {
 	// router's routing checks (it hashes fine) but fails the backend's
 	// strict validation, so the 400 below is authored by the worker.
 	invalid := spec.Spec{SpecVersion: spec.Version, Name: "smoke/invalid", Params: config.Default(2)}
-	ridBody, _ := json.Marshal(map[string]any{"spec": invalid, "model": "tl"})
-	ridReq, _ := http.NewRequest(http.MethodPost, cluster.url+"/run", bytes.NewReader(ridBody))
-	ridReq.Header.Set("Content-Type", "application/json")
-	ridReq.Header.Set("X-Request-ID", "shard-smoke-rid-1")
-	ridResp, err := http.DefaultClient.Do(ridReq)
-	if err != nil {
-		fail("traced request: %v", err)
+	ridStatus, ridHdr, ridRespBody := clustertest.Do(http.MethodPost, cluster.url+"/run",
+		map[string]any{"spec": invalid, "model": "tl"}, http.Header{obs.RequestIDHeader: {"shard-smoke-rid-1"}})
+	if ridStatus != http.StatusBadRequest {
+		fail("traced request status %d: %s", ridStatus, ridRespBody)
 	}
-	ridRespBody, _ := io.ReadAll(ridResp.Body)
-	ridResp.Body.Close()
-	if ridResp.StatusCode != http.StatusBadRequest {
-		fail("traced request status %d: %s", ridResp.StatusCode, ridRespBody)
-	}
-	if got := ridResp.Header.Get("X-Request-ID"); got != "shard-smoke-rid-1" {
+	if got := ridHdr.Get(obs.RequestIDHeader); got != "shard-smoke-rid-1" {
 		fail("router did not echo the request ID: %q", got)
 	}
 	var ridErr struct {
@@ -421,19 +316,9 @@ func main() {
 	// — the tentpole contract of router-side aggregation. A fast TL
 	// grid keeps this step cheap; it is cold on both deployments, so
 	// the equality also covers completion-order independence.
-	fastSpec := fastBase()
 	analyzeReq := service.AnalyzeRequest{
-		SweepRequest: service.SweepRequest{
-			Base: &fastSpec, Name: "smoke/analyze", Model: "tl",
-			Axes: []service.SweepAxis{
-				{Param: "write_buffer_depth", Values: []any{0, 2, 8, 16}},
-				{Param: "bi_enabled", Values: []any{true, false}},
-			},
-		},
-		Request: agg.Request{
-			Metric: "cycles", TopK: 3,
-			Frontier: &agg.FrontierSpec{X: "cycles", Y: "throughput", YObjective: agg.ObjectiveMax},
-		},
+		SweepRequest: clustertest.Grid8(fastBase(), "smoke/analyze", "tl"),
+		Request:      clustertest.Analysis(3),
 	}
 	_, body1 := postAnalyze(single.url, analyzeReq)
 	doc2, body2 := postAnalyze(cluster.url, analyzeReq)
@@ -465,17 +350,11 @@ func main() {
 
 	// Verify the analysis grid actually spans both shards, and keep a
 	// spec the doomed shard owns for the direct-/run failover probe.
-	analyzeVariants := sweep.MustExpand(sweep.Grid{
-		Name: "smoke/analyze", Base: fastBase(),
-		Axes: []sweep.Axis{
-			{Param: sweep.ParamWriteBufferDepth, Values: []sweep.Value{{V: 0}, {V: 2}, {V: 8}, {V: 16}}},
-			{Param: sweep.ParamBIEnabled, Values: []sweep.Value{{V: true}, {V: false}}},
-		},
-	})
+	analyzeVariants := clustertest.Variants(analyzeReq.SweepRequest)
 	deadOwned := 0
 	var deadSpec *spec.Spec
 	for _, v := range analyzeVariants {
-		if shard.Owner(v.Hash, 2) == 1 {
+		if shard.OwnerID(v.Hash, ids2) == 1 {
 			deadOwned++
 			if deadSpec == nil {
 				sp := v.Spec
@@ -545,17 +424,11 @@ func killDrill(cluster *proc, round int) {
 	// New hashes each round: same shape, one extra beat of work.
 	base.Masters[0].Count += round
 
-	variants := sweep.MustExpand(sweep.Grid{
-		Name: "smoke/grid", Base: base,
-		Axes: []sweep.Axis{
-			{Param: sweep.ParamWriteBufferDepth, Values: []sweep.Value{{V: 0}, {V: 2}, {V: 8}, {V: 16}}},
-			{Param: sweep.ParamBIEnabled, Values: []sweep.Value{{V: true}, {V: false}}},
-		},
-	})
+	gridReq := clustertest.Grid8(base, "smoke/grid", "rtl")
 	owners := map[string]int{}
 	perShard := []int{0, 0}
-	for _, v := range variants {
-		o := shard.Owner(v.Hash, 2)
+	for _, v := range clustertest.Variants(gridReq) {
+		o := shard.OwnerID(v.Hash, ids2)
 		owners[v.Hash] = o
 		perShard[o]++
 	}
@@ -582,13 +455,6 @@ func killDrill(cluster *proc, round int) {
 	fmt.Printf("kill drill %d: sweeping 8 RTL variants (shard split %v); killing shard %d (pid %d) after its first row\n",
 		round, perShard, victim, victimPid)
 
-	gridReq, _ := json.Marshal(map[string]any{
-		"base": base, "name": "smoke/grid", "model": "rtl",
-		"axes": []map[string]any{
-			{"param": "write_buffer_depth", "values": []int{0, 2, 8, 16}},
-			{"param": "bi_enabled", "values": []bool{true, false}},
-		},
-	})
 	killed := false
 	rows, summary := runSweep(cluster.url, gridReq, func(r shard.Row) {
 		if !killed && r.Shard == victim && r.Error == "" {
@@ -715,26 +581,4 @@ func killDrill(cluster *proc, round int) {
 
 // fastBase is the analysis-drill workload: the same shape as slowBase
 // but light enough that an 8-variant TL grid is near-instant.
-func fastBase() spec.Spec {
-	return spec.Spec{
-		SpecVersion: spec.Version,
-		Name:        "smoke/fast",
-		Params:      config.Default(2),
-		Masters: []spec.GenSpec{
-			{Kind: spec.KindSequential, Base: 0, Beats: 8, Count: 300, Gap: 2, WrapBytes: 0x40000},
-			{Kind: spec.KindStream, Base: 0x80000, Beats: 4, Period: 40, Count: 150, WrapBytes: 0x20000},
-		},
-	}
-}
-
-// postAnalyze submits a /sweep/analyze request through the typed
-// client — the same exported API frontends use — returning the
-// decoded document plus the raw bytes for byte-identity checks.
-func postAnalyze(url string, req service.AnalyzeRequest) (agg.Analysis, []byte) {
-	client := &service.Client{Base: url}
-	doc, body, err := client.AnalyzeSweep(context.Background(), req)
-	if err != nil {
-		fail("analyze against %s: %v (%s)", url, err, body)
-	}
-	return *doc, body
-}
+func fastBase() spec.Spec { return clustertest.Workload("smoke/fast", 300) }

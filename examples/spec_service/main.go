@@ -18,92 +18,42 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-
-	"strconv"
 	"strings"
 
 	"repro/internal/agg"
+	"repro/internal/clustertest"
 	"repro/internal/obs"
 	"repro/internal/service"
 	"repro/internal/spec"
 )
 
-// fail aborts the walkthrough; CI treats any nonzero exit as a smoke
-// failure.
-func fail(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "spec_service: "+format+"\n", args...)
-	os.Exit(1)
-}
+var fail = clustertest.Fail
 
 // post submits body to url and returns the status, X-Cache header and
 // response body.
-func post(url string, body []byte) (int, string, []byte, error) {
-	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
-	if err != nil {
-		return 0, "", nil, err
-	}
-	defer resp.Body.Close()
-	out, err := io.ReadAll(resp.Body)
-	return resp.StatusCode, resp.Header.Get("X-Cache"), out, err
-}
-
-// sweepGrid is the small demonstration grid: write-buffer depth ×
-// bank interleaving over the spec.json workload, 8 variants.
-func sweepGrid(sp spec.Spec) []byte {
-	req, err := json.Marshal(map[string]any{
-		"base":  sp,
-		"name":  "demo/grid",
-		"model": "tl",
-		"axes": []map[string]any{
-			{"param": "write_buffer_depth", "values": []int{0, 2, 8, 16}},
-			{"param": "bi_enabled", "values": []bool{true, false}},
-		},
-	})
-	if err != nil {
-		fail("%v", err)
-	}
-	return req
+func post(url string, body any) (int, string, []byte) {
+	status, hdr, out := clustertest.Post(url, body)
+	return status, hdr.Get("X-Cache"), out
 }
 
 // runSweep posts the grid and returns every streamed NDJSON data row
-// plus the per-disposition counts. The stream must end with the
-// terminal summary row ({"done":true,...}) — its absence means the
-// stream was truncated mid-grid, which the smoke treats as a failure.
-func runSweep(url string, req []byte) (rows []service.SweepRow, byCache map[string]int) {
-	resp, err := http.Post(url+"/sweep", "application/json", bytes.NewReader(req))
-	if err != nil {
-		fail("sweep: %v", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(resp.Body)
-		fail("sweep: status %d: %s", resp.StatusCode, body)
-	}
+// plus the per-disposition counts. A truncated stream (no terminal
+// summary row) already failed the smoke inside RunSweep; an error row
+// fails it here.
+func runSweep(url string, req service.SweepRequest) (rows []service.SweepRow, byCache map[string]int) {
+	rows, summary, _ := clustertest.RunSweep[service.SweepRow](url, req, nil)
 	byCache = map[string]int{}
-	summary, done, err := service.DecodeSweepStream(resp.Body, func(line []byte) error {
-		var row service.SweepRow
-		if err := json.Unmarshal(line, &row); err != nil {
-			return err
-		}
+	for _, row := range rows {
 		if row.Error != "" {
 			fail("sweep row %s: %s", row.Name, row.Error)
 		}
-		rows = append(rows, row)
 		byCache[row.Cache]++
-		return nil
-	})
-	if err != nil {
-		fail("sweep stream: %v", err)
 	}
-	if !done {
-		fail("sweep stream ended without a terminal summary (%d rows) — truncated", len(rows))
-	}
-	if summary.Rows != len(rows) || summary.Errors != 0 {
+	if summary.Errors != 0 {
 		fail("sweep summary %+v does not match %d clean rows", summary, len(rows))
 	}
 	return rows, byCache
@@ -142,10 +92,10 @@ func main() {
 	ts := httptest.NewServer(srv.Handler())
 
 	// 3. Compare the spec on both models. First submission simulates.
-	req, _ := json.Marshal(map[string]any{"spec": sp})
-	status, cache, body, err := post(ts.URL+"/compare", req)
-	if err != nil || status != http.StatusOK {
-		fail("compare: status %d err %v: %s", status, err, body)
+	req := map[string]any{"spec": sp}
+	status, cache, body := post(ts.URL+"/compare", req)
+	if status != http.StatusOK {
+		fail("compare: status %d: %s", status, body)
 	}
 	var row service.CompareResponse
 	json.Unmarshal(body, &row)
@@ -157,7 +107,7 @@ func main() {
 
 	// 4. Submit the identical spec again: served from the cache,
 	// byte-identical, no second simulation.
-	_, cache2, body2, _ := post(ts.URL+"/compare", req)
+	_, cache2, body2 := post(ts.URL+"/compare", req)
 	fmt.Printf("second /compare: X-Cache=%-5s byte-identical=%v\n", cache2, bytes.Equal(body, body2))
 	if cache2 != "hit" || !bytes.Equal(body, body2) {
 		fail("cached replay broken: X-Cache=%q identical=%v", cache2, bytes.Equal(body, body2))
@@ -166,17 +116,12 @@ func main() {
 	fmt.Printf("service counters: jobs=%d cache_hits=%d coalesced=%d\n", c.Jobs, c.CacheHits, c.Coalesced)
 
 	// 5. The built-in scenario library is served by name.
-	resp, err := http.Get(ts.URL + "/scenarios")
-	if err != nil {
-		fail("%v", err)
-	}
+	_, _, scenarios := clustertest.Get(ts.URL + "/scenarios")
 	var infos []service.ScenarioInfo
-	json.NewDecoder(resp.Body).Decode(&infos)
-	resp.Body.Close()
+	json.Unmarshal(scenarios, &infos)
 	fmt.Printf("%d library scenarios; e.g. %s (%s)\n", len(infos), infos[0].Name, infos[0].Hash[:16])
 
-	nameReq, _ := json.Marshal(map[string]any{"scenario": infos[0].Name, "model": "tl"})
-	_, _, body3, _ := post(ts.URL+"/run", nameReq)
+	_, _, body3 := post(ts.URL+"/run", map[string]any{"scenario": infos[0].Name, "model": "tl"})
 	var run service.RunResponse
 	json.Unmarshal(body3, &run)
 	fmt.Printf("ran %q by name on %s: %d cycles, completed=%v\n", run.Name, run.Model, run.Cycles, run.Completed)
@@ -187,7 +132,7 @@ func main() {
 	// 6. Sweep a 4×2 parameter grid (write-buffer depth × bank
 	// interleaving). Rows stream back as NDJSON while the grid
 	// simulates on the farm.
-	gridReq := sweepGrid(sp)
+	gridReq := clustertest.Grid8(sp, "demo/grid", "tl")
 	rows, byCache := runSweep(ts.URL, gridReq)
 	fmt.Printf("swept %d variants: dispositions %v\n", len(rows), byCache)
 	if len(rows) != 8 {
@@ -211,7 +156,7 @@ func main() {
 	defer ts2.Close()
 
 	rows2, byCache2 := runSweep(ts2.URL, gridReq)
-	_, cache3, body4, _ := post(ts2.URL+"/compare", req)
+	_, cache3, body4 := post(ts2.URL+"/compare", req)
 	fmt.Printf("after restart: sweep dispositions %v, /compare X-Cache=%s\n", byCache2, cache3)
 	if len(rows2) != 8 || byCache2["hit"] != 8 {
 		fail("restarted sweep dispositions %v, want 8 hits", byCache2)
@@ -239,21 +184,10 @@ func main() {
 	// frontier — computed from the same cached results (still zero new
 	// simulations), with the best variant agreeing with an argmin
 	// computed by hand from the raw sweep rows.
-	analyzeReq, _ := json.Marshal(map[string]any{
-		"base":  sp,
-		"name":  "demo/grid",
-		"model": "tl",
-		"axes": []map[string]any{
-			{"param": "write_buffer_depth", "values": []int{0, 2, 8, 16}},
-			{"param": "bi_enabled", "values": []bool{true, false}},
-		},
-		"metric":   "cycles",
-		"top_k":    3,
-		"frontier": map[string]any{"x": "cycles", "y": "throughput", "y_objective": "max"},
-	})
-	status, _, analysisBody, err := post(ts2.URL+"/sweep/analyze", analyzeReq)
-	if err != nil || status != http.StatusOK {
-		fail("analyze: status %d err %v: %s", status, err, analysisBody)
+	status, _, analysisBody := post(ts2.URL+"/sweep/analyze",
+		service.AnalyzeRequest{SweepRequest: gridReq, Request: clustertest.Analysis(3)})
+	if status != http.StatusOK {
+		fail("analyze: status %d: %s", status, analysisBody)
 	}
 	var doc agg.Analysis
 	if err := json.Unmarshal(analysisBody, &doc); err != nil {
@@ -289,46 +223,22 @@ func main() {
 	// X-Timing breakdown and echoes the caller's X-Request-ID; the
 	// /metrics scrape shows the restart-replay as disk_hit tier counts
 	// (8 sweep rows + the compare), not re-simulations.
-	missReq, _ := json.Marshal(map[string]any{"scenario": infos[0].Name, "model": "rtl"})
-	hreq, _ := http.NewRequest(http.MethodPost, ts2.URL+"/run", bytes.NewReader(missReq))
-	hreq.Header.Set("Content-Type", "application/json")
-	hreq.Header.Set(obs.RequestIDHeader, "smoke-trace-1")
-	hresp, err := http.DefaultClient.Do(hreq)
-	if err != nil {
-		fail("traced run: %v", err)
+	hstatus, hhdr, _ := clustertest.Do(http.MethodPost, ts2.URL+"/run",
+		map[string]any{"scenario": infos[0].Name, "model": "rtl"}, http.Header{obs.RequestIDHeader: {"smoke-trace-1"}})
+	if hstatus != http.StatusOK || hhdr.Get("X-Cache") != "miss" {
+		fail("traced run: status %d X-Cache %q, want a 200 miss", hstatus, hhdr.Get("X-Cache"))
 	}
-	io.Copy(io.Discard, hresp.Body)
-	hresp.Body.Close()
-	if hresp.StatusCode != http.StatusOK || hresp.Header.Get("X-Cache") != "miss" {
-		fail("traced run: status %d X-Cache %q, want a 200 miss", hresp.StatusCode, hresp.Header.Get("X-Cache"))
-	}
-	if rid := hresp.Header.Get(obs.RequestIDHeader); rid != "smoke-trace-1" {
+	if rid := hhdr.Get(obs.RequestIDHeader); rid != "smoke-trace-1" {
 		fail("request ID not echoed: %q", rid)
 	}
-	timing := hresp.Header.Get(service.TimingHeader)
+	timing := hhdr.Get(service.TimingHeader)
 	if !strings.Contains(timing, "queue=") || !strings.Contains(timing, "simulate=") || !strings.Contains(timing, "encode=") {
 		fail("miss response X-Timing %q lacks the per-stage breakdown", timing)
 	}
 
-	mresp, err := http.Get(ts2.URL + "/metrics")
-	if err != nil {
-		fail("metrics: %v", err)
-	}
-	fams, err := obs.ParseText(mresp.Body)
-	mresp.Body.Close()
-	if err != nil {
-		fail("parsing metrics: %v", err)
-	}
+	fams := clustertest.ScrapeMetrics(ts2.URL)
 	tier := func(name string) int {
-		vals := obs.Find(fams, "simd_cache_requests_total", "tier", name)
-		if len(vals) != 1 {
-			fail("tier %s: %v", name, vals)
-		}
-		n, err := strconv.Atoi(vals[0])
-		if err != nil {
-			fail("tier %s: %v", name, err)
-		}
-		return n
+		return clustertest.SumCounter(fams, "simd_cache_requests_total", "tier", name)
 	}
 	diskHits := tier("disk_hit")
 	if diskHits < 8 {

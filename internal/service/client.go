@@ -260,24 +260,16 @@ func DecodeSweepStream(body io.Reader, onRow func(line []byte) error) (summary S
 
 // FetchHealth reads and decodes the backend's GET /healthz.
 func (c *Client) FetchHealth(ctx context.Context) (Health, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+"/healthz", nil)
+	status, _, body, err := c.Do(ctx, http.MethodGet, "/healthz", nil, nil)
 	if err != nil {
 		return Health{}, err
 	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return Health{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return Health{}, fmt.Errorf("healthz status %d: %s", resp.StatusCode, body)
+	if status != http.StatusOK {
+		return Health{}, fmt.Errorf("healthz status %d: %.4096s", status, body)
 	}
 	var h Health
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxClientBodyBytes)).Decode(&h); err != nil {
-		return Health{}, err
-	}
-	return h, nil
+	err = json.Unmarshal(body, &h)
+	return h, err
 }
 
 // EnumerateResults lists every store key the backend holds under

@@ -19,11 +19,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
 
-	"repro/internal/agg"
-	"repro/internal/sched"
 	"repro/internal/spec"
 	"repro/internal/sweep"
 )
@@ -55,12 +52,12 @@ func SweepID(req SweepRequest, byName map[string]spec.Spec) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	model, compare, err := sweepModel(req.Model)
+	model, err := sweepModel(req.Model)
 	if err != nil {
 		return "", err
 	}
-	canon := strings.ToLower(model.String())
-	if compare {
+	canon := strings.ToLower(model.core.String())
+	if model.Compare {
 		canon = "compare"
 	}
 	doc, err := json.Marshal(struct {
@@ -104,19 +101,25 @@ type SweepManifest struct {
 	Failed *sweep.Bitset `json:"failed"`
 }
 
-// Normalize resets bitmaps that disagree with the manifest's own
-// grid size: a shape mismatch means the bits describe some other
-// grid, and claiming zero progress is honest where claiming theirs
-// is not. Every reader of an externally-sourced manifest — the store
-// tiers, a PUT body, the router's cluster fetch — runs it before
-// trusting the bits.
-func (m *SweepManifest) Normalize() {
+// Accept reports whether m is a well-formed manifest of sweep id —
+// the one validity check behind every reader of an externally-sourced
+// manifest: the store tiers, a PUT body, the router's cluster fetch.
+// The Total bound comes first because the bitmaps are sized from it: a
+// manifest claiming a 10^11-point grid must be refused, not allocated.
+// Bitmaps that disagree with the manifest's own grid size are reset: a
+// shape mismatch means the bits describe some other grid, and claiming
+// zero progress is honest where claiming theirs is not.
+func (m *SweepManifest) Accept(id string) bool {
+	if m.Version != 1 || m.ID != id || m.Total <= 0 || m.Total > sweep.MaxVariants {
+		return false
+	}
 	if m.Done.Len() != m.Total {
 		m.Done = sweep.NewBitset(m.Total)
 	}
 	if m.Failed.Len() != m.Total {
 		m.Failed = sweep.NewBitset(m.Total)
 	}
+	return true
 }
 
 // SweepStatus is the body of GET /sweep/{id}: the manifest plus
@@ -158,26 +161,10 @@ func (s *Server) loadManifest(id string) (*SweepManifest, bool) {
 		return nil, false
 	}
 	var m SweepManifest
-	if err := json.Unmarshal(body, &m); err != nil {
+	if json.Unmarshal(body, &m) != nil || !m.Accept(id) {
 		return nil, false
 	}
-	if m.Version != 1 || m.ID != id || m.Total <= 0 || m.Total > sweep.MaxVariants {
-		return nil, false
-	}
-	m.Normalize()
 	return &m, true
-}
-
-// loadOrNewManifest resumes the stored manifest when its grid size
-// still matches, otherwise starts a fresh one.
-func (s *Server) loadOrNewManifest(id string, req SweepRequest, total int) *SweepManifest {
-	if m, ok := s.loadManifest(id); ok && m.Total == total {
-		return m
-	}
-	return &SweepManifest{
-		Version: 1, ID: id, Request: req, Total: total,
-		Done: sweep.NewBitset(total), Failed: sweep.NewBitset(total),
-	}
 }
 
 // checkpointManifest persists m, first merging the stored copy's
@@ -207,117 +194,34 @@ func (s *Server) checkpointManifest(m *SweepManifest) {
 	s.sweepCheckpoints.Inc()
 }
 
-// handleSweepStatus serves /sweep/{id}: GET returns the manifest with
-// derived progress counts; PUT (the router's checkpoint write-through)
-// merge-persists a manifest into this shard's store.
+// handleSweepStatus serves /sweep/{id}: GET is the engine's status
+// document; PUT (the router's checkpoint write-through) merge-persists
+// a manifest into this shard's store.
 func (s *Server) handleSweepStatus(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
 	switch r.Method {
 	case http.MethodGet:
-		m, ok := s.loadManifest(id)
-		if !ok {
-			s.writeError(w, r, http.StatusNotFound, "unknown sweep %q (re-POST the grid to /sweep to rebuild it)", id)
-			return
-		}
-		body, err := json.Marshal(m.Status())
-		if err != nil {
-			s.writeError(w, r, http.StatusInternalServerError, "%v", err)
-			return
-		}
-		w.Header().Set(SweepIDHeader, id)
-		s.writeBody(w, http.StatusOK, body, "", "")
+		s.sweeps.HandleStatus(w, r)
 	case http.MethodPut:
+		id := r.PathValue("id")
 		raw, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
 		if err != nil {
-			s.writeError(w, r, http.StatusBadRequest, "reading body: %v", err)
+			WriteError(w, r, http.StatusBadRequest, "reading body: %v", err)
 			return
 		}
 		var m SweepManifest
 		if err := json.Unmarshal(raw, &m); err != nil {
-			s.writeError(w, r, http.StatusBadRequest, "parsing manifest: %v", err)
+			WriteError(w, r, http.StatusBadRequest, "parsing manifest: %v", err)
 			return
 		}
-		if m.Version != 1 || m.ID != id || m.Total <= 0 || m.Total > sweep.MaxVariants {
-			s.writeError(w, r, http.StatusBadRequest, "manifest does not describe sweep %q", id)
+		if !m.Accept(id) {
+			WriteError(w, r, http.StatusBadRequest, "manifest does not describe sweep %q", id)
 			return
 		}
-		m.Normalize()
 		s.checkpointManifest(&m)
 		w.WriteHeader(http.StatusNoContent)
 	default:
-		s.writeError(w, r, http.StatusMethodNotAllowed, "GET or PUT required")
+		WriteError(w, r, http.StatusMethodNotAllowed, "GET or PUT required")
 	}
-}
-
-// handleSweepResume serves GET /sweep/{id}/resume?after=N: the stored
-// sweep's NDJSON stream restricted to variants with Index > N. The
-// semantics are replay, not delta — every variant past the offset
-// streams again regardless of manifest bits (done ones at cache
-// speed), so duplicate offsets are idempotent and a lost checkpoint
-// can never turn into a silent gap. after defaults to -1 (the whole
-// grid).
-func (s *Server) handleSweepResume(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.writeError(w, r, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	after := -1
-	if q := r.URL.Query().Get("after"); q != "" {
-		n, err := strconv.Atoi(q)
-		if err != nil {
-			s.writeError(w, r, http.StatusBadRequest, "after=%q is not an integer", q)
-			return
-		}
-		after = n
-	}
-	if after < -1 {
-		after = -1
-	}
-	id := r.PathValue("id")
-	m, ok := s.loadManifest(id)
-	if !ok {
-		s.writeError(w, r, http.StatusNotFound, "unknown sweep %q (re-POST the grid to /sweep to rebuild it)", id)
-		return
-	}
-	s.sweepResumes.Inc()
-	rid, err := s.requestIdent(r, sched.Batch)
-	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, "%v", err)
-		return
-	}
-	s.streamSweep(w, r, m.Request, after, rid)
-}
-
-// handleSweepStoredAnalyze serves POST /sweep/{id}/analyze: the
-// analysis selector in the body is applied to the STORED sweep's
-// grid. A completed sweep re-analyzes with zero simulations — every
-// variant is a cache tier hit — and the document is byte-identical
-// to POST /sweep/analyze with the full grid inlined, because both
-// run the same collect-and-aggregate path.
-func (s *Server) handleSweepStoredAnalyze(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.writeError(w, r, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	var sel agg.Request
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&sel); err != nil {
-		s.writeError(w, r, http.StatusBadRequest, "parsing analysis selector: %v", err)
-		return
-	}
-	id := r.PathValue("id")
-	m, ok := s.loadManifest(id)
-	if !ok {
-		s.writeError(w, r, http.StatusNotFound, "unknown sweep %q (re-POST the grid to /sweep to rebuild it)", id)
-		return
-	}
-	aid, err := s.requestIdent(r, sched.Batch)
-	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, "%v", err)
-		return
-	}
-	s.analyzeGrid(w, r, AnalyzeRequest{SweepRequest: m.Request, Request: sel}, aid)
 }
 
 // handleResults serves the router's stolen-variant side channel.
@@ -340,44 +244,43 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 			Keys []string `json:"keys"`
 		}{Keys: s.enumerateKeys(r.URL.Query().Get("prefix"))})
 		if err != nil {
-			s.writeError(w, r, http.StatusInternalServerError, "%v", err)
+			WriteError(w, r, http.StatusInternalServerError, "%v", err)
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		w.Write(body)
+		writeJSON(w, http.StatusOK, body)
 		return
 	}
 	if r.Method == http.MethodGet {
 		key := r.URL.Query().Get("key")
 		if !ValidResultKey(key) {
-			s.writeError(w, r, http.StatusBadRequest, "key %q is not a result key", key)
+			WriteError(w, r, http.StatusBadRequest, "key %q is not a result key", key)
 			return
 		}
 		body, ok := s.lookup(key)
 		if !ok {
-			s.writeError(w, r, http.StatusNotFound, "no stored result under %q", key)
+			WriteError(w, r, http.StatusNotFound, "no stored result under %q", key)
 			return
 		}
-		s.writeBody(w, http.StatusOK, body, "hit", "")
+		w.Header().Set("X-Cache", "hit")
+		writeJSON(w, http.StatusOK, body)
 		return
 	}
 	if r.Method != http.MethodPost {
-		s.writeError(w, r, http.StatusMethodNotAllowed, "GET or POST required")
+		WriteError(w, r, http.StatusMethodNotAllowed, "GET or POST required")
 		return
 	}
 	key := r.Header.Get(ResultKeyHeader)
 	if !ValidResultKey(key) {
-		s.writeError(w, r, http.StatusBadRequest, "%s %q is not a result key", ResultKeyHeader, key)
+		WriteError(w, r, http.StatusBadRequest, "%s %q is not a result key", ResultKeyHeader, key)
 		return
 	}
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
 	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, "reading body: %v", err)
+		WriteError(w, r, http.StatusBadRequest, "reading body: %v", err)
 		return
 	}
 	if len(body) == 0 || !json.Valid(body) {
-		s.writeError(w, r, http.StatusBadRequest, "body is not a JSON result")
+		WriteError(w, r, http.StatusBadRequest, "body is not a JSON result")
 		return
 	}
 	s.persist(key, body)
@@ -419,14 +322,11 @@ func ResultKey(model string, hash string) (string, error) {
 	if !validSpecHash(hash) {
 		return "", fmt.Errorf("%q is not a spec content hash", hash)
 	}
-	m, compare, err := sweepModel(model)
+	m, err := sweepModel(model)
 	if err != nil {
 		return "", err
 	}
-	if compare {
-		return compareKey(hash), nil
-	}
-	return runKey(m, hash), nil
+	return m.key(hash), nil
 }
 
 // ValidResultKey reports whether key names a result slot /results

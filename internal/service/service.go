@@ -99,11 +99,6 @@ type Options struct {
 	// with an invalid value — rejected 400) queues as
 	// sched.DefaultTenant.
 	TenantHeader string
-	// DisableFairness collapses scheduling to one tenant and one
-	// class — a single FIFO queue with a single cap, the pre-fairness
-	// behavior. An operational escape hatch (-fair=false), not a
-	// recommended mode.
-	DisableFairness bool
 }
 
 // DefaultCacheEntries is the default result-cache capacity.
@@ -143,9 +138,11 @@ type Server struct {
 	workers, queue                                       int
 	requestTimeout                                       time.Duration
 	maxSpecCycles                                        uint64
-	maxSweepVariants                                     int
 	tenantHeader                                         string
-	fairnessOff                                          bool
+
+	// sweeps is the sweep engine behind the /sweep endpoints, bound to
+	// this server through workerTier (sweep.go).
+	sweeps *SweepEngine
 
 	// manifestMu serializes sweep-manifest read-merge-write
 	// checkpoints, so two streams of the same sweep id never lose
@@ -228,26 +225,22 @@ func New(opt Options) (*Server, error) {
 	if maxSpecCycles == 0 {
 		maxSpecCycles = spec.MaxRunCycles
 	}
-	if opt.MaxSweepVariants <= 0 {
-		opt.MaxSweepVariants = DefaultMaxSweepVariants
-	}
 	scheduler := sched.New(sched.Options{Workers: opt.Workers, Queue: opt.Queue, Weights: weights})
 	s := &Server{
-		sched:            scheduler,
-		cache:            newLRU(opt.CacheEntries),
-		disk:             disk,
-		flights:          make(map[string]*flight),
-		workers:          scheduler.Workers(),
-		queue:            scheduler.QueueCap(),
-		requestTimeout:   opt.RequestTimeout,
-		maxSpecCycles:    maxSpecCycles,
-		maxSweepVariants: opt.MaxSweepVariants,
-		tenantHeader:     opt.TenantHeader,
-		fairnessOff:      opt.DisableFairness,
-		since:            time.Now(),
+		sched:          scheduler,
+		cache:          newLRU(opt.CacheEntries),
+		disk:           disk,
+		flights:        make(map[string]*flight),
+		workers:        scheduler.Workers(),
+		queue:          scheduler.QueueCap(),
+		requestTimeout: opt.RequestTimeout,
+		maxSpecCycles:  maxSpecCycles,
+		tenantHeader:   opt.TenantHeader,
+		since:          time.Now(),
 	}
-	s.buildScenarioLibrary()
+	s.scenariosBody, s.scenarioByName = ScenarioLibrary()
 	s.initMetrics()
+	s.sweeps = NewSweepEngine(workerTier{s}, s.scenarioByName, opt.MaxSweepVariants, s.sweepRows, s.sweepResumes)
 	s.mux = http.NewServeMux()
 	// Every endpoint goes through the instrumentation middleware: the
 	// request-ID contract and the per-endpoint series cover the whole
@@ -258,23 +251,17 @@ func New(opt Options) (*Server, error) {
 	}
 	handle("/run", http.HandlerFunc(s.handleRun))
 	handle("/compare", http.HandlerFunc(s.handleCompare))
-	handle("/sweep", http.HandlerFunc(s.handleSweep))
-	handle("/sweep/analyze", http.HandlerFunc(s.handleAnalyze))
+	handle("/sweep", http.HandlerFunc(s.sweeps.HandleSweep))
+	handle("/sweep/analyze", http.HandlerFunc(s.sweeps.HandleAnalyze))
 	handle("/sweep/{id}", http.HandlerFunc(s.handleSweepStatus))
-	handle("/sweep/{id}/resume", http.HandlerFunc(s.handleSweepResume))
-	handle("/sweep/{id}/analyze", http.HandlerFunc(s.handleSweepStoredAnalyze))
+	handle("/sweep/{id}/resume", http.HandlerFunc(s.sweeps.HandleResume))
+	handle("/sweep/{id}/analyze", http.HandlerFunc(s.sweeps.HandleStoredAnalyze))
 	handle("/results", http.HandlerFunc(s.handleResults))
 	handle("/scenarios", http.HandlerFunc(s.handleScenarios))
 	handle("/healthz", http.HandlerFunc(s.handleHealthz))
 	handle("/metrics", s.reg.Handler())
 	handle("/version", VersionHandler(s.since))
 	return s, nil
-}
-
-// buildScenarioLibrary hashes and indexes the built-in scenario set
-// once.
-func (s *Server) buildScenarioLibrary() {
-	s.scenariosBody, s.scenarioByName = ScenarioLibrary()
 }
 
 // ScenarioLibrary builds the wire form of the built-in scenario set:
@@ -392,31 +379,41 @@ type errorResponse struct {
 // maxBodyBytes bounds a request body; a spec is small.
 const maxBodyBytes = 1 << 20
 
+// ResolveRunRequest parses a /run-shaped body and selects the workload
+// it names — the inline spec or the library scenario, exactly one. It
+// is the one reading of the RunRequest contract: the worker goes on to
+// validate and compile the spec, the shard router only hashes it to
+// route, then forwards the original bytes.
+func ResolveRunRequest(body io.Reader, byName map[string]spec.Spec) (RunRequest, spec.Spec, error) {
+	var req RunRequest
+	dec := json.NewDecoder(io.LimitReader(body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return req, spec.Spec{}, fmt.Errorf("parsing request: %w", err)
+	}
+	switch {
+	case req.Spec != nil && req.Scenario != "":
+		return req, spec.Spec{}, errors.New("request has both spec and scenario; send one")
+	case req.Spec != nil:
+		return req, *req.Spec, nil
+	case req.Scenario != "":
+		found, ok := byName[req.Scenario]
+		if !ok {
+			return req, spec.Spec{}, fmt.Errorf("unknown scenario %q", req.Scenario)
+		}
+		return req, found, nil
+	}
+	return req, spec.Spec{}, errors.New("request needs a spec or a scenario name")
+}
+
 // decodeRequest parses and validates the request, resolving a library
 // scenario name if used. It returns the decoded request (for the
 // model selector), the workload spec, its content hash and the
 // compiled workload.
 func (s *Server) decodeRequest(r *http.Request) (RunRequest, spec.Spec, string, core.Workload, error) {
-	var req RunRequest
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return req, spec.Spec{}, "", core.Workload{}, fmt.Errorf("parsing request: %w", err)
-	}
-	var sp spec.Spec
-	switch {
-	case req.Spec != nil && req.Scenario != "":
-		return req, sp, "", core.Workload{}, fmt.Errorf("request has both spec and scenario; send one")
-	case req.Spec != nil:
-		sp = *req.Spec
-	case req.Scenario != "":
-		found, ok := s.scenarioByName[req.Scenario]
-		if !ok {
-			return req, sp, "", core.Workload{}, fmt.Errorf("unknown scenario %q", req.Scenario)
-		}
-		sp = found
-	default:
-		return req, sp, "", core.Workload{}, fmt.Errorf("request needs a spec or a scenario name")
+	req, sp, err := ResolveRunRequest(r.Body, s.scenarioByName)
+	if err != nil {
+		return req, sp, "", core.Workload{}, err
 	}
 	if err := s.checkCycleCap(sp); err != nil {
 		return req, sp, "", core.Workload{}, err
@@ -444,15 +441,15 @@ func (s *Server) checkCycleCap(sp spec.Spec) error {
 	return nil
 }
 
-// CheckGridCycleCaps runs check against every distinct max_cycles
+// checkGridCycleCaps runs check against every distinct max_cycles
 // value the grid can produce WITHOUT expanding it: a variant's
 // effective budget is either the last max_cycles axis value applied
 // or the base spec's, so checking the base (or each value of the
 // last max_cycles axis against a base clone) is exact at O(axis
 // values) cost — a 100k-variant grid's cycle cap costs a handful of
-// clones, not 100k spec builds. Shared with the shard router, whose
-// check carries the cluster-cap message.
-func CheckGridCycleCaps(grid sweep.Grid, check func(spec.Spec) error) error {
+// clones, not 100k spec builds. check is the serving tier's own cap
+// (SweepTier.CheckCycleCap), so the message names the right limit.
+func checkGridCycleCaps(grid sweep.Grid, check func(spec.Spec) error) error {
 	var last *sweep.Axis
 	for i := range grid.Axes {
 		if grid.Axes[i].Param == sweep.ParamMaxCycles {
@@ -477,12 +474,12 @@ func CheckGridCycleCaps(grid sweep.Grid, check func(spec.Spec) error) error {
 // handleRun serves POST /run: one workload through one model.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		s.writeError(w, r, http.StatusMethodNotAllowed, "POST required")
+		WriteError(w, r, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
 	req, sp, hash, wl, err := s.decodeRequest(r)
 	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, "%v", err)
+		WriteError(w, r, http.StatusBadRequest, "%v", err)
 		return
 	}
 	model := core.TLM
@@ -491,12 +488,12 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	case "rtl":
 		model = core.RTL
 	default:
-		s.writeError(w, r, http.StatusBadRequest, "unknown model %q (want tl or rtl)", req.Model)
+		WriteError(w, r, http.StatusBadRequest, "unknown model %q (want tl or rtl)", req.Model)
 		return
 	}
 	id, err := s.requestIdent(r, sched.Interactive)
 	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, "%v", err)
+		WriteError(w, r, http.StatusBadRequest, "%v", err)
 		return
 	}
 	s.serveCached(w, r, runKey(model, hash), hash, id, computeRun(sp, hash, model, wl))
@@ -514,8 +511,7 @@ type ident struct {
 // sched.DefaultTenant bucket; invalid: a 400-worthy error, so bad
 // identifiers can't pollute metric label space), class from X-Class
 // (absent: def — Interactive for /run and /compare, Batch for sweep
-// and analyze paths). With fairness disabled everything collapses to
-// one queue after validation.
+// and analyze paths).
 func (s *Server) requestIdent(r *http.Request, def sched.Class) (ident, error) {
 	tenant := r.Header.Get(s.tenantHeader)
 	switch {
@@ -532,9 +528,6 @@ func (s *Server) requestIdent(r *http.Request, def sched.Class) (ident, error) {
 			return ident{}, fmt.Errorf("%s %q is not a scheduling class (want interactive or batch)", ClassHeader, v)
 		}
 		class = c
-	}
-	if s.fairnessOff {
-		return ident{tenant: sched.DefaultTenant, class: sched.Interactive}, nil
 	}
 	return ident{tenant: tenant, class: class}, nil
 }
@@ -588,17 +581,17 @@ func computeRun(sp spec.Spec, hash string, model core.Model, wl core.Workload) f
 // handleCompare serves POST /compare: both models, one accuracy row.
 func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		s.writeError(w, r, http.StatusMethodNotAllowed, "POST required")
+		WriteError(w, r, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
 	_, sp, hash, wl, err := s.decodeRequest(r)
 	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, "%v", err)
+		WriteError(w, r, http.StatusBadRequest, "%v", err)
 		return
 	}
 	id, err := s.requestIdent(r, sched.Interactive)
 	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, "%v", err)
+		WriteError(w, r, http.StatusBadRequest, "%v", err)
 		return
 	}
 	s.serveCached(w, r, compareKey(hash), hash, id, computeCompare(sp, hash, wl))
@@ -884,7 +877,7 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key, hash s
 		// each response gets its own request ID stamped at write time.
 		body = injectRequestID(body, obs.RequestIDFrom(r.Context()))
 	}
-	s.writeBodyClass(w, status, body, disposition, hash, id.class)
+	s.writeBody(w, status, body, disposition, hash, id.class)
 }
 
 // injectRequestID stamps rid into an errorResponse body. Unparseable
@@ -909,10 +902,10 @@ func injectRequestID(body []byte, rid string) []byte {
 // prebuilt in New.
 func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		s.writeError(w, r, http.StatusMethodNotAllowed, "GET required")
+		WriteError(w, r, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
-	s.writeBody(w, http.StatusOK, s.scenariosBody, "", "")
+	writeJSON(w, http.StatusOK, s.scenariosBody)
 }
 
 // Health is the body of GET /healthz: liveness, pool occupancy, load
@@ -979,15 +972,15 @@ func (s *Server) HealthSnapshot() Health {
 // handleHealthz serves GET /healthz: liveness plus load counters.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		s.writeError(w, r, http.StatusMethodNotAllowed, "GET required")
+		WriteError(w, r, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
 	body, err := json.Marshal(s.HealthSnapshot())
 	if err != nil {
-		s.writeError(w, r, http.StatusInternalServerError, "%v", err)
+		WriteError(w, r, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	s.writeBody(w, http.StatusOK, body, "", "")
+	writeJSON(w, http.StatusOK, body)
 }
 
 // retryAfterSeconds is the worst per-class backoff — what healthz
@@ -1006,20 +999,12 @@ func (s *Server) retryAfterSeconds() int {
 	return worst
 }
 
-// writeBody sends a JSON body with the cache-disposition and
-// spec-hash headers; 503s here carry the interactive class's backoff
-// (non-execution endpoints — health, scenarios, manifests — never
-// produce saturation 503s, so the distinction is moot for them).
-func (s *Server) writeBody(w http.ResponseWriter, status int, body []byte, cache, hash string) {
-	s.writeBodyClass(w, status, body, cache, hash, sched.Interactive)
-}
-
-// writeBodyClass is writeBody for execution endpoints, which know the
+// writeBody sends an execution endpoint's JSON body with its
+// cache-disposition and spec-hash headers. The endpoint knows the
 // request's scheduling class: a backpressure response (503) carries
 // the Retry-After of THAT class — the honest per-class backoff,
 // whether the 503 was served directly or through a coalesced flight.
-func (s *Server) writeBodyClass(w http.ResponseWriter, status int, body []byte, cache, hash string, class sched.Class) {
-	w.Header().Set("Content-Type", "application/json")
+func (s *Server) writeBody(w http.ResponseWriter, status int, body []byte, cache, hash string, class sched.Class) {
 	if cache != "" {
 		w.Header().Set("X-Cache", cache)
 	}
@@ -1029,18 +1014,25 @@ func (s *Server) writeBodyClass(w http.ResponseWriter, status int, body []byte, 
 	if status == http.StatusServiceUnavailable {
 		w.Header().Set("Retry-After", strconv.Itoa(s.sched.RetryAfterSeconds(class)))
 	}
-	w.WriteHeader(status)
-	w.Write(body)
+	writeJSON(w, status, body)
 }
 
-// writeError sends a JSON error body stamped with the request's ID,
-// so a client-side error report names the exact request in the logs.
-func (s *Server) writeError(w http.ResponseWriter, r *http.Request, status int, format string, args ...any) {
+// WriteError sends a JSON error body stamped with the request's ID, so
+// a client-side error report names the exact request in the logs. Both
+// tiers answer every non-2xx through it.
+func WriteError(w http.ResponseWriter, r *http.Request, status int, format string, args ...any) {
 	body, _ := json.Marshal(errorResponse{
 		Error:     fmt.Sprintf(format, args...),
 		RequestID: obs.RequestIDFrom(r.Context()),
 	})
-	s.writeBody(w, status, body, "", "")
+	writeJSON(w, status, body)
+}
+
+// writeJSON sends an encoded JSON body.
+func writeJSON(w http.ResponseWriter, status int, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	w.Write(body)
 }
 
 // lru is a mutex-guarded LRU byte cache: spec hash key -> response

@@ -21,9 +21,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/sched"
@@ -38,17 +36,6 @@ import (
 // chunks (sweepChunkSize variants in memory at a time), so the cap
 // protects simulation budget, not process memory.
 const DefaultMaxSweepVariants = 100_000
-
-// sweepChunkSize is how many expanded variants a sweep holds in
-// memory at once: the grid is walked lazily and resolved chunk by
-// chunk, so a 100k-variant sweep costs O(chunk), not O(grid).
-const sweepChunkSize = 2048
-
-// manifestCheckpointRows is how many emitted rows ride between
-// manifest checkpoints. Small enough that a killed stream loses
-// little progress, large enough that checkpoint writes stay noise
-// next to simulation cost.
-const manifestCheckpointRows = 256
 
 // SweepRequest is the body of POST /sweep — the wire contract shared
 // with frontends (the shard router decodes one to partition its grid).
@@ -103,35 +90,35 @@ type SweepSummary struct {
 	Errors int  `json:"errors"`
 }
 
-// RowWriter streams NDJSON lines over an HTTP response and coalesces
+// rowWriter streams NDJSON lines over an HTTP response and coalesces
 // their flushes. Write buffers a line; Flush pushes what is buffered to
-// the client. Both sweep tiers flush whenever no further row is
+// the client. The sweep engine flushes whenever no further row is
 // immediately ready and after the terminal line — never per row — so
 // a burst of ready rows costs one write to the socket, and no row ever
 // waits on a row that is not there yet.
-type RowWriter struct {
+type rowWriter struct {
 	enc     *json.Encoder
 	flusher http.Flusher
 	dirty   bool
 }
 
-// NewRowWriter wraps a response whose status line is already written.
+// newRowWriter wraps a response whose status line is already written.
 // The headers count as unflushed: the first Flush pushes them out even
 // before any row exists.
-func NewRowWriter(w http.ResponseWriter) *RowWriter {
+func newRowWriter(w http.ResponseWriter) *rowWriter {
 	flusher, _ := w.(http.Flusher)
-	return &RowWriter{enc: json.NewEncoder(w), flusher: flusher, dirty: true}
+	return &rowWriter{enc: json.NewEncoder(w), flusher: flusher, dirty: true}
 }
 
 // Write encodes one line. A client that hung up makes the encode fail;
 // the stream's owner learns that from its request context, not here.
-func (rw *RowWriter) Write(line any) {
+func (rw *rowWriter) Write(line any) {
 	_ = rw.enc.Encode(line)
 	rw.dirty = true
 }
 
 // Flush pushes the lines written since the last Flush to the client.
-func (rw *RowWriter) Flush() {
+func (rw *rowWriter) Flush() {
 	if rw.dirty && rw.flusher != nil {
 		rw.flusher.Flush()
 	}
@@ -217,232 +204,101 @@ func ExpandSweepRequest(req SweepRequest, byName map[string]spec.Spec, max int) 
 	return grid.Expand()
 }
 
+// SweepModel is a validated /sweep model selector — what every variant
+// of the grid runs.
+type SweepModel struct {
+	// Name is the selector as the request spelled it: "", "tl", "tlm",
+	// "rtl" or "compare".
+	Name string
+	// Compare selects both models and one accuracy row per variant
+	// (the /compare endpoint) instead of a single-model /run.
+	Compare bool
+	// core is the model a single-model run executes.
+	core core.Model
+}
+
 // sweepModel resolves the request's model selector.
-func sweepModel(name string) (model core.Model, compare bool, err error) {
+func sweepModel(name string) (SweepModel, error) {
 	switch name {
 	case "", "tl", "tlm":
-		return core.TLM, false, nil
+		return SweepModel{Name: name, core: core.TLM}, nil
 	case "rtl":
-		return core.RTL, false, nil
+		return SweepModel{Name: name, core: core.RTL}, nil
 	case "compare":
-		return core.TLM, true, nil
+		return SweepModel{Name: name, Compare: true, core: core.TLM}, nil
 	}
-	return 0, false, fmt.Errorf("unknown model %q (want tl, rtl or compare)", name)
+	return SweepModel{}, fmt.Errorf("unknown model %q (want tl, rtl or compare)", name)
 }
 
-// handleSweep serves POST /sweep.
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.writeError(w, r, http.StatusMethodNotAllowed, "POST required")
-		return
+// key is the cache key a variant's result lives under — the same key a
+// direct /run or /compare of that spec uses, so sweeps and single
+// requests share one result space.
+func (m SweepModel) key(hash string) string {
+	if m.Compare {
+		return compareKey(hash)
 	}
-	var req SweepRequest
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.writeError(w, r, http.StatusBadRequest, "parsing request: %v", err)
-		return
-	}
+	return runKey(m.core, hash)
+}
+
+// workerTier is the sweep engine's seam onto one worker process: every
+// chunk runs on a single lane of the server's own workers (so nothing
+// is ever stolen), a variant resolves through the same
+// cache/singleflight/scheduler path as /run and /compare, and
+// manifests live in the server's own cache tiers.
+type workerTier struct{ s *Server }
+
+func (t workerTier) CheckCycleCap(sp spec.Spec) error { return t.s.checkCycleCap(sp) }
+
+func (t workerTier) GridError(row SweepRow) SweepLine { return row }
+
+func (t workerTier) LoadManifest(_ context.Context, id string) (*SweepManifest, bool) {
+	return t.s.loadManifest(id)
+}
+
+func (t workerTier) SaveManifest(m *SweepManifest) { t.s.checkpointManifest(m) }
+
+// Begin binds the request's tenant and class (batch unless X-Class says
+// otherwise) to the planner its variants execute under.
+func (t workerTier) Begin(r *http.Request) (SweepPlanner, error) {
+	s := t.s
 	id, err := s.requestIdent(r, sched.Batch)
 	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, "%v", err)
-		return
+		return nil, err
 	}
-	s.streamSweep(w, r, req, -1, id)
-}
-
-// streamSweep validates the grid and streams its NDJSON rows — the
-// shared engine of POST /sweep (after = -1: the whole grid) and GET
-// /sweep/{id}/resume (after = the client's high-water mark). Variants
-// execute under rid (normally the caller's tenant in the Batch
-// class). It checkpoints a sweep manifest as rows complete, so the
-// sweep's identity and per-variant progress survive this stream's
-// death.
-func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, req SweepRequest, after int, rid ident) {
-	grid, total, err := ResolveSweepGrid(req, s.scenarioByName, s.maxSweepVariants)
-	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if err := CheckGridCycleCaps(grid, s.checkCycleCap); err != nil {
-		s.writeError(w, r, http.StatusBadRequest, "%v", err)
-		return
-	}
-	model, compare, err := sweepModel(req.Model)
-	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, "%v", err)
-		return
-	}
-	id, err := SweepID(req, s.scenarioByName)
-	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, "%v", err)
-		return
-	}
-	man := s.loadOrNewManifest(id, req, total)
-
-	// The stream is committed: from here, per-variant failures are
-	// rows with an error field, not HTTP errors.
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Sweep-Variants", strconv.Itoa(total))
-	w.Header().Set(SweepIDHeader, id)
-	w.WriteHeader(http.StatusOK)
-	out := NewRowWriter(w)
-	// Push the headers out now: on an all-miss grid no row may flush
-	// for a while, and a client (or the shard router) pacing itself on
-	// X-Sweep-Variants must not block on a header buffered server-side.
-	out.Flush()
-	emitted, errored, sinceCheckpoint := 0, 0, 0
-	emit := func(row SweepRow) {
-		out.Write(row)
-		s.sweepRows.Inc()
-		emitted++
-		if row.Error != "" {
-			errored++
-			man.Failed.Set(row.Index)
-		} else {
-			man.Done.Set(row.Index)
-			man.Failed.Clear(row.Index)
-		}
-		if sinceCheckpoint++; sinceCheckpoint >= manifestCheckpointRows {
-			sinceCheckpoint = 0
-			out.Flush() // about to wait on the store: written rows go first
-			s.checkpointManifest(man)
-		}
-	}
-
-	// Client gone mid-grid: no terminal row — a truncated stream IS
-	// truncated, and saying otherwise to a half-closed socket helps
-	// nobody. The final checkpoint still runs: progress made before
-	// the disconnect is exactly what a resume wants to skip.
-	distinct, complete := s.collectGrid(r.Context(), grid, after, model, compare, rid, emit, out.Flush)
-	if complete {
-		// The terminal summary row runs only when every variant
-		// produced a row — nothing here fakes completion.
-		out.Write(SweepSummary{Done: true, Rows: emitted, Errors: errored})
-		// A completed walk knows the deduplicated variant count even
-		// when it only EMITTED a suffix — the walk itself always
-		// enumerates from index 0 — so a resume that reaches the end
-		// can mark the sweep complete just like the initial stream.
-		man.Variants = distinct
-	}
-	out.Flush()
-	s.checkpointManifest(man)
-}
-
-// collectGrid resolves the grid in bounded chunks while the grid
-// engine expands the next chunk in the background (sweep.WalkChunks):
-// at most two chunks of sweepChunkSize expanded variants exist at a
-// time, so grid memory stays O(chunk) and the workers never idle
-// behind a serial walk. Variants with Index <= after are skipped (their
-// rows streamed before a disconnect); build failures on individual
-// grid points become error rows, not stream deaths. idle runs whenever
-// no further row is immediately ready — before waiting on a
-// simulation, and at the end of every chunk. Returns the deduplicated
-// variant count of the FULL walk (valid only when complete) and whether
-// the walk finished before ctx ended.
-func (s *Server) collectGrid(ctx context.Context, grid sweep.Grid, after int, model core.Model, compare bool, id ident, emit func(SweepRow), idle func()) (distinct int, complete bool) {
-	distinct, err := grid.WalkChunks(ctx, after, sweepChunkSize, func(c sweep.Chunk) error {
-		for _, f := range c.Failed {
-			emit(SweepRow{Index: f.Variant.Index, Name: f.Variant.Spec.Name, Params: f.Variant.Params, Error: f.Err.Error()})
-		}
-		if !s.collectRows(ctx, c.Variants, model, compare, id, emit, idle) {
-			return context.Canceled
-		}
-		idle()
-		return nil
-	})
-	return distinct, err == nil
-}
-
-// collectRows resolves one chunk of variants through the shared
-// cache/singleflight/pool path and invokes emit — always from this
-// goroutine — once per variant in completion order. It is the one
-// chunk-resolution engine behind /sweep, /sweep/{id}/resume and both
-// analyze endpoints (via collectGrid), so none of them can diverge
-// on caching, backpressure or failure semantics. Returns false when
-// ctx ended first — the row set is then a subset and must not be
-// read as the whole chunk.
-func (s *Server) collectRows(ctx context.Context, variants []sweep.Variant, model core.Model, compare bool, id ident, emit func(SweepRow), idle func()) bool {
-	// First pass: serve every memory-cached variant immediately, so a
-	// warm sweep streams at memory speed no matter how busy the pool
-	// is, and collect the rest for the workers. Disk-held variants
-	// resolve in the worker pass — executeOnce's lookup finds them
-	// without touching the pool, so they also stream while it is
-	// saturated, and the disk tier is probed exactly once per variant.
-	var pending []sweep.Variant
-	for _, v := range variants {
-		if body, ok := s.lookupMemory(s.sweepKey(v, model, compare)); ok {
-			emit(sweepRow(v, "hit", http.StatusOK, body))
-			continue
-		}
-		pending = append(pending, v)
-	}
-
-	// Second pass: resolve the misses concurrently (bounded by the
-	// worker count — the pool's queue bound stays the real limiter)
-	// and hand rows over in completion order.
-	if len(pending) == 0 {
-		return true
-	}
-	workersN := min(s.workers, len(pending))
-	// One slot per worker: a finished row never blocks its worker while
-	// the previous one is being written, and len(rows) tells the loop
-	// below whether another row is ready right now.
-	rows := make(chan SweepRow, workersN)
-	work := make(chan sweep.Variant)
-	for i := 0; i < workersN; i++ {
-		go func() {
-			for v := range work {
-				row, ok := s.resolveVariant(ctx, v, model, compare, id)
-				if !ok {
-					return // client gone; in-flight jobs still fill the cache
-				}
-				select {
-				case rows <- row:
-				case <-ctx.Done():
-					return
-				}
+	return func(m SweepModel, variants []sweep.Variant) SweepPlan {
+		// Serve every memory-cached variant immediately, so a warm sweep
+		// streams at memory speed no matter how busy the pool is, and
+		// leave the rest to the lane. Disk-held variants resolve on the
+		// lane — executeOnce's lookup finds them without touching the
+		// pool, so they also stream while it is saturated, and the disk
+		// tier is probed exactly once per variant.
+		var ready []SweepLine
+		var pending []sweep.Variant
+		for _, v := range variants {
+			if body, ok := s.lookupMemory(m.key(v.Hash)); ok {
+				row := NewSweepRow(v)
+				row.Settle("hit", http.StatusOK, body)
+				ready = append(ready, row)
+				continue
 			}
-		}()
-	}
-	go func() {
-		defer close(work)
-		for _, v := range pending {
-			select {
-			case work <- v:
-			case <-ctx.Done():
-				return
-			}
+			pending = append(pending, v)
 		}
-	}()
-	for n := 0; n < len(pending); n++ {
-		if len(rows) == 0 {
-			idle() // about to wait on a simulation
+		// The lane is bounded by the worker count; the scheduler's
+		// per-class queue bound stays the real limiter.
+		return SweepPlan{
+			Ready: ready,
+			Lanes: []SweepLane{{Conc: s.workers, Queue: pending}},
+			Resolve: func(ctx context.Context, v sweep.Variant, _, _ int) (SweepLine, bool) {
+				return s.resolveVariant(ctx, v, m, id)
+			},
 		}
-		select {
-		case row := <-rows:
-			emit(row)
-		case <-ctx.Done():
-			return false
-		}
-	}
-	return true
-}
-
-// sweepKey is the cache key a variant's result lives under — the same
-// key a direct /run or /compare of that spec uses, so sweeps and
-// single requests share one result space.
-func (s *Server) sweepKey(v sweep.Variant, model core.Model, compare bool) string {
-	if compare {
-		return compareKey(v.Hash)
-	}
-	return runKey(model, v.Hash)
+	}, nil
 }
 
 // resolveVariant computes (or replays) one variant through the shared
 // execute path, retrying with backoff while its class queue is
 // saturated. ok=false means the request context ended first.
-func (s *Server) resolveVariant(ctx context.Context, v sweep.Variant, model core.Model, compare bool, id ident) (SweepRow, bool) {
+func (s *Server) resolveVariant(ctx context.Context, v sweep.Variant, m SweepModel, id ident) (SweepRow, bool) {
 	// Compile the spec inside the job, not here: a warm variant is
 	// answered from a cache tier or a coalesced flight without paying
 	// generator compilation (a restarted server replaying a big grid
@@ -454,24 +310,26 @@ func (s *Server) resolveVariant(ctx context.Context, v sweep.Variant, model core
 		if err != nil {
 			return nil, err
 		}
-		if compare {
+		if m.Compare {
 			return computeCompare(v.Spec, v.Hash, wl)(jobCtx, tm)
 		}
-		return computeRun(v.Spec, v.Hash, model, wl)(jobCtx, tm)
+		return computeRun(v.Spec, v.Hash, m.core, wl)(jobCtx, tm)
 	}
-	key := s.sweepKey(v, model, compare)
+	row := NewSweepRow(v)
 	for attempt := 0; ; attempt++ {
-		status, body, disposition, _, err := s.executeOnce(ctx, key, id, compute, attempt > 0)
+		status, body, disposition, _, err := s.executeOnce(ctx, m.key(v.Hash), id, compute, attempt > 0)
 		if err != nil {
 			return SweepRow{}, false
 		}
 		if status != http.StatusServiceUnavailable {
-			return sweepRow(v, disposition, status, body), true
+			row.Settle(disposition, status, body)
+			return row, true
 		}
 		if disposition == dispositionClosed {
 			// The scheduler is shut down, not busy: emit the failure as
 			// the row instead of retrying against a terminal condition.
-			return sweepRow(v, "", status, body), true
+			row.Settle("", status, body)
+			return row, true
 		}
 		// Saturated: the sweep absorbs its own backpressure instead of
 		// surfacing a mid-stream 503 row. The wait honors the SAME
@@ -487,19 +345,21 @@ func (s *Server) resolveVariant(ctx context.Context, v sweep.Variant, model core
 	}
 }
 
-// sweepRow renders one emitted row. Non-200 statuses surface the
-// body's error message in the row's error field.
-func sweepRow(v sweep.Variant, disposition string, status int, body []byte) SweepRow {
-	row := SweepRow{
-		Index:  v.Index,
-		Name:   v.Spec.Name,
-		Hash:   v.Hash,
-		Params: v.Params,
-	}
+// NewSweepRow starts variant v's row: identity fields set, outcome not
+// yet.
+func NewSweepRow(v sweep.Variant) SweepRow {
+	return SweepRow{Index: v.Index, Name: v.Spec.Name, Hash: v.Hash, Params: v.Params}
+}
+
+// Settle records the variant's outcome from the /run or /compare
+// response that produced it: a 200 body is the result, served with the
+// given cache disposition; any other status surfaces the error body's
+// message in the row's error field.
+func (row *SweepRow) Settle(disposition string, status int, body []byte) {
 	if status == http.StatusOK {
 		row.Cache = disposition
 		row.Result = json.RawMessage(body)
-		return row
+		return
 	}
 	var e errorResponse
 	if json.Unmarshal(body, &e) == nil && e.Error != "" {
@@ -507,5 +367,4 @@ func sweepRow(v sweep.Variant, disposition string, status int, body []byte) Swee
 	} else {
 		row.Error = fmt.Sprintf("status %d", status)
 	}
-	return row
 }

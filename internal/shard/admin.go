@@ -72,7 +72,7 @@ func (rt *Router) handleAdminShards(w http.ResponseWriter, r *http.Request) {
 	case http.MethodPost:
 		rt.handleGrow(w, r)
 	default:
-		writeError(w, r, http.StatusMethodNotAllowed, "GET or POST required")
+		service.WriteError(w, r, http.StatusMethodNotAllowed, "GET or POST required")
 	}
 }
 
@@ -83,11 +83,11 @@ func (rt *Router) handleGrow(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, r, http.StatusBadRequest, "parsing request: %v", err)
+		service.WriteError(w, r, http.StatusBadRequest, "parsing request: %v", err)
 		return
 	}
 	if (req.Count > 0) == (len(req.Backends) > 0) {
-		writeError(w, r, http.StatusBadRequest, "send exactly one of count or backends")
+		service.WriteError(w, r, http.StatusBadRequest, "send exactly one of count or backends")
 		return
 	}
 	rt.adminMu.Lock()
@@ -95,7 +95,7 @@ func (rt *Router) handleGrow(w http.ResponseWriter, r *http.Request) {
 	var shs []*shardState
 	if req.Count > 0 {
 		if rt.sup == nil {
-			writeError(w, r, http.StatusBadRequest, "count requires a supervised cluster; this router fronts external backends (send backends instead)")
+			service.WriteError(w, r, http.StatusBadRequest, "count requires a supervised cluster; this router fronts external backends (send backends instead)")
 			return
 		}
 		ids := rt.allocIDs(req.Count)
@@ -108,7 +108,7 @@ func (rt *Router) handleGrow(w http.ResponseWriter, r *http.Request) {
 				for _, sh := range shs {
 					rt.sup.Retire(sh.id)
 				}
-				writeError(w, r, http.StatusBadGateway, "spawning shard %d: %v", id, err)
+				service.WriteError(w, r, http.StatusBadGateway, "spawning shard %d: %v", id, err)
 				return
 			}
 			sh, err := rt.newShardState(id, p.URL)
@@ -117,7 +117,7 @@ func (rt *Router) handleGrow(w http.ResponseWriter, r *http.Request) {
 					rt.sup.Retire(prev.id)
 				}
 				rt.sup.Retire(id)
-				writeError(w, r, http.StatusInternalServerError, "shard %d: %v", id, err)
+				service.WriteError(w, r, http.StatusInternalServerError, "shard %d: %v", id, err)
 				return
 			}
 			shs = append(shs, sh)
@@ -127,7 +127,7 @@ func (rt *Router) handleGrow(w http.ResponseWriter, r *http.Request) {
 		for i, base := range req.Backends {
 			sh, err := rt.newShardState(ids[i], base)
 			if err != nil {
-				writeError(w, r, http.StatusBadRequest, "%v", err)
+				service.WriteError(w, r, http.StatusBadRequest, "%v", err)
 				return
 			}
 			shs = append(shs, sh)
@@ -148,12 +148,12 @@ func (rt *Router) handleGrow(w http.ResponseWriter, r *http.Request) {
 // process for good).
 func (rt *Router) handleAdminDrain(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, r, http.StatusMethodNotAllowed, "POST required")
+		service.WriteError(w, r, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
 	id, err := strconv.Atoi(r.PathValue("id"))
 	if err != nil {
-		writeError(w, r, http.StatusBadRequest, "shard id %q is not an integer", r.PathValue("id"))
+		service.WriteError(w, r, http.StatusBadRequest, "shard id %q is not an integer", r.PathValue("id"))
 		return
 	}
 	rt.adminMu.Lock()
@@ -161,11 +161,11 @@ func (rt *Router) handleAdminDrain(w http.ResponseWriter, r *http.Request) {
 	vw := rt.view()
 	src, ok := vw.byID[id]
 	if !ok {
-		writeError(w, r, http.StatusNotFound, "no shard %d in the current topology", id)
+		service.WriteError(w, r, http.StatusNotFound, "no shard %d in the current topology", id)
 		return
 	}
 	if len(vw.shards) == 1 {
-		writeError(w, r, http.StatusBadRequest, "cannot drain the last shard")
+		service.WriteError(w, r, http.StatusBadRequest, "cannot drain the last shard")
 		return
 	}
 	remaining := make([]int, 0, len(vw.ids)-1)
@@ -180,7 +180,7 @@ func (rt *Router) handleAdminDrain(w http.ResponseWriter, r *http.Request) {
 	// membership untouched.
 	moved, seen, err := rt.migrate(r.Context(), vw, src, remaining, nil)
 	if err != nil {
-		writeError(w, r, http.StatusBadGateway, "draining shard %d: %v (topology unchanged)", id, err)
+		service.WriteError(w, r, http.StatusBadGateway, "draining shard %d: %v (topology unchanged)", id, err)
 		return
 	}
 	top := rt.remove(id)

@@ -29,34 +29,34 @@ func TestRankHeadsWithOwnerAndPermutes(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, n := range []int{1, 2, 3, 5, 8} {
-			ranks := Rank(hash, n)
+			ranks := RankIDs(hash, ids(n))
 			if len(ranks) != n {
-				t.Fatalf("Rank(%q, %d) has %d entries", hash, n, len(ranks))
+				t.Fatalf("RankIDs(%q, 0..%d-1) has %d entries", hash, n, len(ranks))
 			}
-			if ranks[0] != Owner(hash, n) {
-				t.Fatalf("Rank(%q, %d)[0] = %d, Owner = %d", hash, n, ranks[0], Owner(hash, n))
+			if ranks[0] != OwnerID(hash, ids(n)) {
+				t.Fatalf("RankIDs(%q, 0..%d-1)[0] = %d, OwnerID = %d", hash, n, ranks[0], OwnerID(hash, ids(n)))
 			}
 			seen := make([]bool, n)
 			for _, idx := range ranks {
 				if idx < 0 || idx >= n || seen[idx] {
-					t.Fatalf("Rank(%q, %d) = %v is not a permutation", hash, n, ranks)
+					t.Fatalf("RankIDs(%q, 0..%d-1) = %v is not a permutation", hash, n, ranks)
 				}
 				seen[idx] = true
 			}
 			// Determinism: the failover order must be the same on every
 			// router replica, or replicas would place failover traffic on
 			// different shards and shred the cache.
-			again := Rank(hash, n)
+			again := RankIDs(hash, ids(n))
 			for i := range ranks {
 				if ranks[i] != again[i] {
-					t.Fatalf("Rank(%q, %d) unstable: %v vs %v", hash, n, ranks, again)
+					t.Fatalf("RankIDs(%q, 0..%d-1) unstable: %v vs %v", hash, n, ranks, again)
 				}
 			}
 		}
 	}
 	// Degenerate single-shard cluster: rank is trivially [0].
-	if r := Rank("anything", 1); len(r) != 1 || r[0] != 0 {
-		t.Fatalf("Rank(_, 1) = %v", r)
+	if r := RankIDs("anything", ids(1)); len(r) != 1 || r[0] != 0 {
+		t.Fatalf("RankIDs(_, ids(1)) = %v", r)
 	}
 }
 
@@ -176,7 +176,7 @@ func specOwnedBy(t *testing.T, n, want int) (map[string]any, string) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if Owner(hash, n) == want {
+		if OwnerID(hash, ids(n)) == want {
 			return map[string]any{"spec": sp, "model": "tl"}, hash
 		}
 	}
@@ -276,7 +276,7 @@ func TestRouterSweepKillThenRecover(t *testing.T) {
 	variants := expandGrid(t, 47)
 	bOwned := 0
 	for _, v := range variants {
-		if Owner(v.Hash, 2) == 1 {
+		if OwnerID(v.Hash, ids(2)) == 1 {
 			bOwned++
 		}
 	}
@@ -373,7 +373,7 @@ func TestRouterSweepClientDisconnectAbortsFailover(t *testing.T) {
 		stacks = make([]byte, 1<<20)
 		stacks = stacks[:runtime.Stack(stacks, true)]
 		for _, g := range strings.Split(string(stacks), "\n\n") {
-			if strings.Contains(g, "shard.(*Router).streamSweep") || strings.Contains(g, "shard.(*Router).collectChunk") ||
+			if strings.Contains(g, "service.(*SweepEngine).stream") || strings.Contains(g, "service.runChunk") ||
 				strings.Contains(g, "sweep.Grid.Walk") {
 				n++
 			}

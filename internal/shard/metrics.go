@@ -22,6 +22,7 @@
 package shard
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net/http"
@@ -30,6 +31,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/service"
 )
 
 // scrapeTimeout bounds one backend /metrics fetch inside the router's
@@ -99,10 +101,6 @@ func (rt *Router) bindShardMetrics(sh *shardState) {
 	}
 }
 
-// Metrics returns the router's own metric registry (cluster
-// aggregation happens per scrape in handleMetrics, not here).
-func (rt *Router) Metrics() *obs.Registry { return rt.reg }
-
 // handleMetrics serves the aggregated GET /metrics: the router's own
 // families merged with every reachable backend's, the backend series
 // relabeled shard="<id>" (stable ID). A shard whose scrape fails is
@@ -112,7 +110,7 @@ func (rt *Router) Metrics() *obs.Registry { return rt.reg }
 // explicitly for the current membership.
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, r, http.StatusMethodNotAllowed, "GET required")
+		service.WriteError(w, r, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
 	vw := rt.view()
@@ -154,26 +152,12 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // scrapeBackend fetches and parses one backend's /metrics.
 func scrapeBackend(ctx context.Context, sh *shardState) ([]obs.Family, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, sh.client.Base+"/metrics", nil)
+	status, _, body, err := sh.client.Do(ctx, http.MethodGet, "/metrics", nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	httpc := sh.client.HTTP
-	if httpc == nil {
-		httpc = http.DefaultClient
+	if status != http.StatusOK {
+		return nil, fmt.Errorf("metrics status %d", status)
 	}
-	resp, err := httpc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, &scrapeError{status: resp.StatusCode}
-	}
-	return obs.ParseText(resp.Body)
+	return obs.ParseText(bytes.NewReader(body))
 }
-
-// scrapeError is a non-200 backend /metrics answer.
-type scrapeError struct{ status int }
-
-func (e *scrapeError) Error() string { return fmt.Sprintf("metrics status %d", e.status) }

@@ -1,0 +1,294 @@
+// The proxy plane: POST /run and /compare forwarded to the spec's
+// owner, and the backend attempt loop every per-spec hop of the router
+// — a client's own /run, a sweep variant's rank walk, a thief's stolen
+// variant — goes through.
+package shard
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"io"
+	"log"
+	"net/http"
+	"strconv"
+	"time"
+
+	"repro/internal/obs"
+	"repro/internal/sched"
+	"repro/internal/service"
+	"repro/internal/spec"
+)
+
+// maxBodyBytes is the backend's request-body bound, applied at the
+// front door too.
+const maxBodyBytes = 1 << 20
+
+// checkCycleCap enforces the router's configured max_cycles cap — the
+// same bound the backends enforce via -max-cycles, applied here so a
+// pathological budget is rejected before it costs a forward.
+func (rt *Router) checkCycleCap(sp spec.Spec) error {
+	if rt.maxCycles > 0 && sp.MaxCycles > rt.maxCycles {
+		return fmt.Errorf("spec %s: max_cycles %d exceeds the cluster cap %d", sp.Name, sp.MaxCycles, rt.maxCycles)
+	}
+	return nil
+}
+
+// post sends one backend call, bounded by the per-attempt timeout
+// when configured. The attempt context is derived from the caller's,
+// so a vanished client still cancels the forward immediately. extra
+// (may be nil) carries per-request scheduling identity — the
+// tenant/class headers the backend's weighted-fair scheduler queues
+// by.
+func (rt *Router) post(ctx context.Context, sh *shardState, path string, body []byte, extra http.Header) (int, http.Header, []byte, error) {
+	if rt.attemptTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, rt.attemptTimeout)
+		defer cancel()
+	}
+	hdr := http.Header{"Content-Type": {"application/json"}}
+	for name, vals := range extra {
+		hdr[name] = vals
+	}
+	start := time.Now()
+	status, respHdr, respBody, err := sh.client.Do(ctx, http.MethodPost, path, body, hdr)
+	sh.attempts.Observe(time.Since(start).Seconds())
+	return status, respHdr, respBody, err
+}
+
+// identHeader extracts the scheduling identity a frontend request
+// carries — the tenant header (Options.TenantHeader) and X-Class —
+// as the header block every backend hop for that request forwards.
+// defClass is stamped when the client named no class ("" leaves the
+// choice to the backend endpoint's own default); the sweep fan-out
+// passes "batch" so a grid's variants are explicitly batch-class on
+// every /run they become, even through failover and work-stealing.
+// Validation happens here, with the scheduler's own rules, so a bad
+// identity is one clean 400 at the front door rather than a
+// per-variant error row storm.
+func (rt *Router) identHeader(r *http.Request, defClass string) (http.Header, error) {
+	hdr := http.Header{}
+	if tenant := r.Header.Get(rt.tenantHeader); tenant != "" {
+		if !sched.ValidTenant(tenant) {
+			return nil, fmt.Errorf("invalid tenant %q in %s (want 1-%d chars of [A-Za-z0-9._-])", tenant, rt.tenantHeader, sched.MaxTenantLen)
+		}
+		hdr.Set(rt.tenantHeader, tenant)
+	}
+	class := r.Header.Get(service.ClassHeader)
+	if class != "" {
+		if _, ok := sched.ParseClass(class); !ok {
+			return nil, fmt.Errorf("unknown scheduling class %q in %s (want interactive or batch)", class, service.ClassHeader)
+		}
+	} else {
+		class = defClass
+	}
+	if class != "" {
+		hdr.Set(service.ClassHeader, class)
+	}
+	return hdr, nil
+}
+
+// resultKeyFor maps a variant's endpoint and model selector onto the
+// content-addressed store key its result lives under — the shared
+// vocabulary of the backend store, the owner probe, the write-back
+// and the router cache. Empty when the hash is malformed.
+func resultKeyFor(path, runModel, hash string) string {
+	model := runModel
+	if path == "/compare" {
+		model = "compare"
+	}
+	key, err := service.ResultKey(model, hash)
+	if err != nil {
+		return ""
+	}
+	return key
+}
+
+// cacheLookup probes the router result cache, counting the hit or
+// miss. Always a miss when the cache is disabled or the key is
+// unusable (then uncounted: no probe happened).
+func (rt *Router) cacheLookup(key string) ([]byte, bool) {
+	if rt.cache == nil || key == "" {
+		return nil, false
+	}
+	if body, ok := rt.cache.get(key); ok {
+		rt.cacheHits.Inc()
+		return body, true
+	}
+	rt.cacheMisses.Inc()
+	return nil, false
+}
+
+// cacheFill stores a relayed 200 body in the router cache.
+func (rt *Router) cacheFill(key string, body []byte) {
+	if rt.cache != nil && key != "" {
+		rt.cache.put(key, body)
+	}
+}
+
+// proxyHeaders is the response-header allowlist forwarded from a
+// backend: the cache/replay contract, backpressure, and the per-stage
+// timing breakdown.
+var proxyHeaders = []string{"Content-Type", "X-Cache", "X-Spec-Hash", "Retry-After", "X-Terminal", "X-Timing"}
+
+// handleProxy serves POST /run and /compare: hash, probe the router
+// cache, then offer the body verbatim down the spec's rendezvous rank
+// order starting at its owner and relay the first answer. The router
+// adds X-Shard (the stable ID of the shard that served — the current
+// owner for router-cache hits, which are placement-neutral) and, when
+// the server isn't the owner, X-Failover ("owner->served") so
+// operators can see both placement and degradation. A saturation 503
+// is relayed with its Retry-After — backpressure is the client's to
+// honor. 502 only when every shard refused.
+func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request, path string) {
+	if r.Method != http.MethodPost {
+		service.WriteError(w, r, http.StatusMethodNotAllowed, "POST required")
+		return
+	}
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
+	if err != nil {
+		service.WriteError(w, r, http.StatusBadRequest, "reading request: %v", err)
+		return
+	}
+	// Decode only far enough to route: validation beyond the router's
+	// own max_cycles cap stays on the backend, which gets the original
+	// bytes and so strict-decodes exactly what the client sent.
+	req, sp, err := service.ResolveRunRequest(bytes.NewReader(body), rt.scenarioByName)
+	if err != nil {
+		service.WriteError(w, r, http.StatusBadRequest, "%v", err)
+		return
+	}
+	hash, err := sp.Hash()
+	if err != nil {
+		service.WriteError(w, r, http.StatusBadRequest, "%v", err)
+		return
+	}
+	if err := rt.checkCycleCap(sp); err != nil {
+		service.WriteError(w, r, http.StatusBadRequest, "%v", err)
+		return
+	}
+	schedHdr, err := rt.identHeader(r, "")
+	if err != nil {
+		service.WriteError(w, r, http.StatusBadRequest, "%v", err)
+		return
+	}
+	vw := rt.view()
+	ranks := RankIDs(hash, vw.ids)
+	owner := ranks[0]
+	key := resultKeyFor(path, req.Model, hash)
+	if cached, ok := rt.cacheLookup(key); ok {
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("X-Cache", routerHit)
+		w.Header().Set("X-Spec-Hash", hash)
+		w.Header().Set("X-Shard", strconv.Itoa(owner))
+		w.WriteHeader(http.StatusOK)
+		w.Write(cached)
+		return
+	}
+	ans, refused, alive := rt.attempt(r.Context(), vw, ranks, path, body, schedHdr, false)
+	if !alive {
+		return // client gone; nothing to say and no one to say it to
+	}
+	if ans.status == 0 {
+		service.WriteError(w, r, http.StatusBadGateway, "no live shard for spec (owner %d): %s", owner, refused)
+		return
+	}
+	for _, name := range proxyHeaders {
+		if v := ans.hdr.Get(name); v != "" {
+			w.Header().Set(name, v)
+		}
+	}
+	w.Header().Set("X-Shard", strconv.Itoa(ans.shard))
+	if ans.shard != owner {
+		w.Header().Set("X-Failover", fmt.Sprintf("%d->%d", owner, ans.shard))
+		vw.byID[owner].failovers.Inc()
+		log.Printf("failover endpoint=%s owner=%d served=%d rid=%s reason=%q",
+			path, owner, ans.shard, obs.RequestIDFrom(r.Context()), refused)
+	}
+	if ans.status == http.StatusOK {
+		rt.cacheFill(key, ans.body)
+	}
+	w.WriteHeader(ans.status)
+	w.Write(ans.body)
+}
+
+// answer is the backend response an attempt walk settled on; status 0
+// means every candidate refused.
+type answer struct {
+	shard  int // stable ID of the shard that answered
+	status int
+	hdr    http.Header
+	body   []byte
+}
+
+// attempt is the router's one backend attempt loop: it offers a request
+// to candidates (stable shard IDs, in preference order) until one
+// answers. A candidate whose circuit is open is skipped; a transport
+// error or a terminal 503 (X-Terminal: the backend is shutting down)
+// charges its breaker and costs one step down the list. Anything else
+// is the answer — including a deterministic error (bad spec, simulation
+// failure): every shard computes the same one, so failing over would
+// just repeat it more expensively.
+//
+// A saturation 503 comes from a LIVE backend asking for patience. With
+// patient set (sweep variants) the loop honors the advertised
+// Retry-After — through service.SleepRetryAfter, the clamp the backend's
+// own in-process sweep retries share — and stays on that shard: its
+// queue drains, and failing over a mere burst would shed the owner's
+// warm cache for nothing. Without it (a client's own /run) the 503 is
+// the answer.
+//
+// refused is the last refusal reason seen, whoever answered in the end;
+// alive=false means ctx ended first.
+func (rt *Router) attempt(ctx context.Context, vw *view, candidates []int, path string, body []byte, hdr http.Header, patient bool) (ans answer, refused string, alive bool) {
+candidates:
+	for _, id := range candidates {
+		sh := vw.byID[id]
+		if !sh.breaker.allow() {
+			refused = fmt.Sprintf("shard %d (%s): circuit open", id, sh.client.Base)
+			continue
+		}
+		for {
+			if ctx.Err() != nil {
+				return answer{}, refused, false
+			}
+			status, respHdr, respBody, err := rt.post(ctx, sh, path, body, hdr)
+			saturated := status == http.StatusServiceUnavailable
+			switch {
+			case err != nil:
+				if ctx.Err() != nil {
+					return answer{}, refused, false
+				}
+				sh.breaker.failure()
+				refused = fmt.Sprintf("shard %d (%s) unreachable: %v", id, sh.client.Base, err)
+				continue candidates
+			case saturated && respHdr.Get("X-Terminal") != "":
+				sh.breaker.failure()
+				refused = fmt.Sprintf("shard %d (%s) shutting down", id, sh.client.Base)
+				continue candidates
+			case saturated && patient:
+				sh.breaker.success()
+				sh.retries.Inc()
+				if !service.SleepRetryAfter(ctx, respHdr.Get("Retry-After")) {
+					return answer{}, refused, false
+				}
+			default:
+				sh.breaker.success()
+				return answer{shard: id, status: status, hdr: respHdr, body: respBody}, refused, true
+			}
+		}
+	}
+	return answer{}, refused, true
+}
+
+// handleScenarios serves GET /scenarios — the same library every
+// backend derives from the same spec data.
+func (rt *Router) handleScenarios(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodGet {
+		service.WriteError(w, r, http.StatusMethodNotAllowed, "GET required")
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(rt.scenariosBody)
+}

@@ -20,71 +20,13 @@
 // processes for `simd -shards N`.
 package shard
 
-import (
-	"sort"
-	"strconv"
-)
+import "strconv"
 
-// Owner returns the shard index in [0, n) that owns the given spec
-// content hash, by rendezvous (highest-random-weight) hashing: score
-// every shard against the hash, pick the maximum. Properties the
-// deployment leans on:
-//
-//   - Deterministic: a pure function of (hash, n), so the assignment
-//     survives router restarts and is computable by any client — the
-//     smoke harness predicts which store directory a variant lands in.
-//   - Minimal disruption: growing n from k to k+1 only moves the keys
-//     the new shard wins; everything else keeps its owner (and its
-//     warm store).
-//
-// n <= 1 trivially owns everything.
-func Owner(hash string, n int) int {
-	if n <= 1 {
-		return 0
-	}
-	best, bestScore := 0, uint64(0)
-	for i := 0; i < n; i++ {
-		score := rendezvousScore(hash, i)
-		if i == 0 || score > bestScore {
-			best, bestScore = i, score
-		}
-	}
-	return best
-}
-
-// Rank returns every shard index ordered by descending rendezvous
-// score for the given hash: Rank(h, n)[0] == Owner(h, n), and the
-// rest is the deterministic failover order. Because the scores are a
-// pure function of (hash, n), every router replica computes the same
-// preference list, so "the next-ranked live shard" is a well-defined
-// cluster-wide notion without any coordination. Results are
-// content-addressed and bit-reproducible, which is what makes walking
-// this list semantically free: any live shard computes the
-// byte-identical answer, the owner merely holds the warm cache.
-func Rank(hash string, n int) []int {
-	if n <= 1 {
-		return []int{0}
-	}
-	scores := make([]uint64, n)
-	order := make([]int, n)
-	for i := 0; i < n; i++ {
-		scores[i] = rendezvousScore(hash, i)
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		sa, sb := scores[order[a]], scores[order[b]]
-		if sa != sb {
-			return sa > sb
-		}
-		return order[a] < order[b] // deterministic on (improbable) ties
-	})
-	return order
-}
-
-// rendezvousScore is FNV-1a over "hash/shard-index". FNV is not
-// cryptographic, but the inputs are already SHA-256 hex — uniform by
-// construction — so the 64-bit mix only has to break ties between
-// shards, not resist adversaries.
+// rendezvousScore is FNV-1a over "hash/shard-id" — the score OwnerID
+// and RankIDs (topology.go) place by. FNV is not cryptographic, but the
+// inputs are already SHA-256 hex — uniform by construction — so the
+// 64-bit mix only has to break ties between shards, not resist
+// adversaries.
 func rendezvousScore(hash string, index int) uint64 {
 	const (
 		offset64 = 14695981039346656037

@@ -152,16 +152,16 @@ func TestOwnerDeterministicAndBalanced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := Owner(hash, 4)
+	first := OwnerID(hash, ids(4))
 	for i := 0; i < 10; i++ {
-		if got := Owner(hash, 4); got != first {
+		if got := OwnerID(hash, ids(4)); got != first {
 			t.Fatalf("owner flapped: %d then %d", first, got)
 		}
 	}
 	if first < 0 || first >= 4 {
 		t.Fatalf("owner %d out of range", first)
 	}
-	if got := Owner(hash, 1); got != 0 {
+	if got := OwnerID(hash, ids(1)); got != 0 {
 		t.Fatalf("single shard owner %d", got)
 	}
 
@@ -175,7 +175,7 @@ func TestOwnerDeterministicAndBalanced(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		counts[Owner(h, 4)]++
+		counts[OwnerID(h, ids(4))]++
 	}
 	for i, c := range counts {
 		if c < 40 || c > 160 {
@@ -187,7 +187,7 @@ func TestOwnerDeterministicAndBalanced(t *testing.T) {
 	// new shard; nothing migrates between surviving shards.
 	for salt := 0; salt < 100; salt++ {
 		h, _ := testSpec(salt).Hash()
-		before, after := Owner(h, 3), Owner(h, 4)
+		before, after := OwnerID(h, ids(3)), OwnerID(h, ids(4))
 		if before != after && after != 3 {
 			t.Fatalf("key moved %d -> %d when shard 3 joined", before, after)
 		}
@@ -257,7 +257,7 @@ func TestRouterSweepMergesShardsWithTerminalRow(t *testing.T) {
 	wantOwner := map[string]int{}
 	perShard := []int{0, 0}
 	for _, v := range variants {
-		o := Owner(v.Hash, 2)
+		o := OwnerID(v.Hash, ids(2))
 		wantOwner[v.Hash] = o
 		perShard[o]++
 	}
@@ -332,7 +332,7 @@ func TestRouterSweepDeadShardFailsOverToSurvivor(t *testing.T) {
 	variants := expandGrid(t, 7)
 	deadOwned := 0
 	for _, v := range variants {
-		if Owner(v.Hash, 2) == 1 {
+		if OwnerID(v.Hash, ids(2)) == 1 {
 			deadOwned++
 		}
 	}
@@ -352,7 +352,7 @@ func TestRouterSweepDeadShardFailsOverToSurvivor(t *testing.T) {
 		if row.Error != "" {
 			t.Fatalf("row %s errored despite a live shard: %q", row.Name, row.Error)
 		}
-		owner := Owner(row.Hash, 2)
+		owner := OwnerID(row.Hash, ids(2))
 		switch owner {
 		case 0:
 			if row.Shard != 0 || row.Failover != "" {
@@ -388,7 +388,7 @@ func TestRouterSweepDeadShardFailsOverToSurvivor(t *testing.T) {
 
 	// Direct /run of a dead-shard spec: 200 via failover, tagged.
 	for _, v := range variants {
-		if Owner(v.Hash, 2) != 1 {
+		if OwnerID(v.Hash, ids(2)) != 1 {
 			continue
 		}
 		status, hdr, body := post(t, front.URL+"/run", map[string]any{"spec": v.Spec, "model": "tl"})

@@ -175,7 +175,7 @@ func TestSweepWorkStealingWritesBackToOwner(t *testing.T) {
 		if row.Cache != "hit" {
 			t.Fatalf("warm row %d disposition %q, want hit", row.Index, row.Cache)
 		}
-		if want := Owner(row.Hash, 2); row.Shard != want {
+		if want := OwnerID(row.Hash, ids(2)); row.Shard != want {
 			t.Fatalf("warm row %d served by shard %d, owner %d", row.Index, row.Shard, want)
 		}
 	}
@@ -351,5 +351,36 @@ func TestVariantRequestIsTheRunRequest(t *testing.T) {
 				t.Fatalf("model %q:\n got %s\nwant %s", model, got, want)
 			}
 		}
+	}
+}
+
+func TestRouterRejectsManifestBeyondTheVariantBound(t *testing.T) {
+	// A backend (an adopted external URL, say) answering GET /sweep/{id}
+	// with a grid size past sweep.MaxVariants must be walked past like
+	// any other corrupt copy: the bitmaps are sized from total, so
+	// trusting it means allocating whatever the backend names.
+	id := strings.Repeat("ab", 32)
+	for _, total := range []int{sweep.MaxVariants + 1, 100_000_000_000} {
+		stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != "/sweep/"+id {
+				http.NotFound(w, r)
+				return
+			}
+			w.Header().Set("Content-Type", "application/json")
+			fmt.Fprintf(w, `{"version":1,"id":%q,"request":{"scenario":"seq/read-dominant","axes":[]},"total":%d,"done":null,"failed":null}`, id, total)
+		}))
+		rt, err := New(Options{Backends: []string{stub.URL}, SweepConcurrency: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		front := httptest.NewServer(rt.Handler())
+		for _, path := range []string{"/sweep/" + id, "/sweep/" + id + "/resume"} {
+			if status, _, body := get(t, front.URL+path); status != http.StatusNotFound {
+				t.Fatalf("GET %s with a stored total of %d: status %d, want the manifest refused (404): %.200s", path, total, status, body)
+			}
+		}
+		front.Close()
+		rt.Close()
+		stub.Close()
 	}
 }

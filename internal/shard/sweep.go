@@ -1,0 +1,318 @@
+// The router's sweep transport: what the cluster tier supplies to the
+// sweep engine (service.SweepEngine), which owns the orchestration.
+//
+// A chunk runs on one lane per shard of a fresh topology snapshot, each
+// variant queued on the lane of its rendezvous owner. The owner's lane
+// resolves a variant by walking its rank order (failover); any other
+// lane that takes it from the owner's queue is a thief: it probes the
+// owner's store first (stealing is for MISSES only — a warm replay
+// stuck behind a backlog stays an owner cache hit, untagged), computes
+// a genuine miss locally, and writes the body back to the owner's
+// store, so ownership keeps deciding cache placement, never who
+// simulates. Manifests are written through to a backend store in the
+// sweep id's rank order, so a sweep's identity and progress survive
+// the death of the client, the router AND any single shard.
+package shard
+
+import (
+	"context"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/url"
+
+	"repro/internal/sched"
+	"repro/internal/service"
+	"repro/internal/spec"
+	"repro/internal/sweep"
+)
+
+// Row is one NDJSON data line of the router's /sweep stream: the
+// backend's row plus the stable ID of the shard that served the
+// variant. Shard is always present (0 is a real shard; -1 marks a
+// grid-level build error no shard served), which is why this is a
+// distinct wire type rather than an omitempty field on the backend
+// row. Failover is set ("owner->served") when the serving shard is
+// not the owner — the stream-level form of the X-Failover header.
+// Stolen ("owner->thief") marks a work-stolen row: an idle shard
+// computed it past the owner's deep queue and the result was written
+// back to the owner's store. A row served from the router's own
+// result cache carries Cache "router_hit" with Shard naming the
+// current owner (placement, not work).
+type Row struct {
+	service.SweepRow
+	Shard    int    `json:"shard"`
+	Failover string `json:"failover,omitempty"`
+	Stolen   string `json:"stolen,omitempty"`
+}
+
+// clusterTier is the sweep engine's seam onto the cluster.
+type clusterTier struct{ rt *Router }
+
+func (t clusterTier) CheckCycleCap(sp spec.Spec) error { return t.rt.checkCycleCap(sp) }
+
+func (t clusterTier) GridError(row service.SweepRow) service.SweepLine {
+	return Row{SweepRow: row, Shard: -1}
+}
+
+// Begin validates the caller's scheduling identity at the front door —
+// one clean 400, not a per-variant error row storm — and stamps it
+// (class batch unless the client said otherwise) on every backend call
+// the sweep's variants become, through failover and work-stealing.
+// Each chunk is planned against a fresh topology snapshot, so a sweep
+// spanning an admin resize starts using the new membership at the next
+// chunk boundary, and one chunk never routes across two views.
+func (t clusterTier) Begin(r *http.Request) (service.SweepPlanner, error) {
+	hdr, err := t.rt.identHeader(r, sched.Batch.String())
+	if err != nil {
+		return nil, err
+	}
+	return func(m service.SweepModel, variants []sweep.Variant) service.SweepPlan {
+		// Per-variant forwarding as individual /run (or /compare) calls —
+		// rather than forwarding sub-grids — is what lets every variant
+		// share the backend's full cache/coalescing path with direct
+		// requests, and what makes failover per-variant.
+		vw := t.rt.view()
+		call := sweepCall{rt: t.rt, vw: vw, hdr: hdr, path: "/run", runModel: m.Name}
+		if m.Compare {
+			call.path, call.runModel = "/compare", ""
+		}
+		pos := make(map[int]int, len(vw.shards))
+		lanes := make([]service.SweepLane, len(vw.shards))
+		for i, sh := range vw.shards {
+			pos[sh.id] = i
+			// conc is also the steal threshold: a backlog within the
+			// shard's own primed pipeline is left alone.
+			lanes[i].Conc = sh.conc
+		}
+		for _, v := range variants {
+			owner := pos[OwnerID(v.Hash, vw.ids)]
+			lanes[owner].Queue = append(lanes[owner].Queue, v)
+		}
+		return service.SweepPlan{Lanes: lanes, Resolve: call.resolve}
+	}, nil
+}
+
+// sweepCall is what every backend hop of one sweep chunk shares: the
+// membership snapshot it routes against, the caller's scheduling
+// identity, and the per-variant endpoint the model selects.
+type sweepCall struct {
+	rt             *Router
+	vw             *view
+	hdr            http.Header
+	path, runModel string
+}
+
+// resolve runs v on the shard at position lane of the chunk's view:
+// the owner's rank walk when the lane took it from its own queue, the
+// thief's path when it stole it from the queue at position from.
+func (c sweepCall) resolve(ctx context.Context, v sweep.Variant, lane, from int) (service.SweepLine, bool) {
+	if lane == from {
+		return c.resolveOwned(ctx, v)
+	}
+	return c.resolveStolen(ctx, v, c.vw.shards[from].id, c.vw.shards[lane].id)
+}
+
+// variantRequest renders the service.RunRequest that runs one variant:
+// the grid walk's canonical spec bytes, forwarded as they are instead
+// of encoding the spec a second time. runModel is "" or one of the
+// plain /run selectors.
+func variantRequest(v sweep.Variant, runModel string) []byte {
+	body := make([]byte, 0, len(v.Canonical)+len(runModel)+len(`{"spec":,"model":""}`))
+	body = append(append(body, `{"spec":`...), v.Canonical...)
+	if runModel != "" {
+		body = append(append(append(body, `,"model":"`...), runModel...), '"')
+	}
+	return append(body, '}')
+}
+
+// resolveOwned runs one variant against the cluster: the router cache
+// first, then the shards in the variant's rendezvous rank order,
+// starting at its owner, through the attempt loop — saturation waited
+// out on the live shard, a dead shard costing one step down the order,
+// a deterministic error final. A row served by a non-owner carries the
+// Failover tag; the error row exists only when every shard refused.
+// ok=false means the client's context ended.
+func (c sweepCall) resolveOwned(ctx context.Context, v sweep.Variant) (Row, bool) {
+	ranks := RankIDs(v.Hash, c.vw.ids)
+	owner := ranks[0]
+	row := Row{SweepRow: service.NewSweepRow(v), Shard: owner}
+	key := resultKeyFor(c.path, c.runModel, v.Hash)
+	if cached, ok := c.rt.cacheLookup(key); ok {
+		row.Settle(routerHit, http.StatusOK, cached)
+		return row, true
+	}
+	ans, refused, alive := c.rt.attempt(ctx, c.vw, ranks, c.path, variantRequest(v, c.runModel), c.hdr, true)
+	switch {
+	case !alive:
+		return Row{}, false
+	case ans.status == 0:
+		row.Error = fmt.Sprintf("no live shard for variant (owner %d): %s", owner, refused)
+		return row, true
+	}
+	row.Shard = ans.shard
+	row.Settle(ans.hdr.Get("X-Cache"), ans.status, ans.body)
+	if ans.status == http.StatusOK {
+		if ans.shard != owner {
+			row.Failover = fmt.Sprintf("%d->%d", owner, ans.shard)
+			c.vw.byID[owner].failovers.Inc()
+		}
+		c.rt.cacheFill(key, ans.body)
+	}
+	return row, true
+}
+
+// resolveStolen computes one variant on a shard that is NOT its owner.
+// Before the thief spends a worker, the router cache and then the
+// owner's store are probed: a queued variant already held is answered
+// from the held bytes as a cache hit, untagged, because nothing was
+// stolen. Only a genuine miss is simulated on the thief, driven
+// exactly like an owner would be (the same attempt loop, with the
+// thief as its only candidate); on success the row is tagged Stolen
+// and the result body is written back to the owner's store. A dead or
+// terminal thief sends the variant down the ordinary rank walk —
+// stealing may change who computes, never whether the row appears.
+func (c sweepCall) resolveStolen(ctx context.Context, v sweep.Variant, owner, thief int) (Row, bool) {
+	row := Row{SweepRow: service.NewSweepRow(v), Shard: owner}
+	key := resultKeyFor(c.path, c.runModel, v.Hash)
+	if cached, ok := c.rt.cacheLookup(key); ok {
+		row.Settle(routerHit, http.StatusOK, cached)
+		return row, true
+	}
+	if held, hit, alive := c.probeOwner(ctx, owner, key); !alive {
+		return Row{}, false
+	} else if hit {
+		row.Settle("hit", http.StatusOK, held)
+		return row, true
+	}
+	ans, _, alive := c.rt.attempt(ctx, c.vw, []int{thief}, c.path, variantRequest(v, c.runModel), c.hdr, true)
+	switch {
+	case !alive:
+		return Row{}, false
+	case ans.status == 0:
+		return c.resolveOwned(ctx, v)
+	}
+	row.Shard = thief
+	row.Settle(ans.hdr.Get("X-Cache"), ans.status, ans.body)
+	if ans.status == http.StatusOK {
+		row.Stolen = fmt.Sprintf("%d->%d", owner, thief)
+		c.vw.byID[thief].steals.Inc()
+		c.rt.cacheFill(key, ans.body)
+		c.writeBack(ctx, owner, thief, key, ans.body)
+	}
+	return row, true
+}
+
+// storeCall makes one store side-channel call to sh — a result probe,
+// a manifest read or write — bounded by healthTimeout, with the
+// breaker bookkeeping every backend call owes. ok=false means the call
+// was not answered: circuit open, or a transport error (charged to the
+// breaker unless it was ctx ending).
+func (sh *shardState) storeCall(ctx context.Context, method, path string, body []byte) (status int, resp []byte, ok bool) {
+	if !sh.breaker.allow() {
+		return 0, nil, false
+	}
+	call, cancel := context.WithTimeout(ctx, healthTimeout)
+	defer cancel()
+	var hdr http.Header
+	if body != nil {
+		hdr = http.Header{"Content-Type": {"application/json"}}
+	}
+	status, _, resp, err := sh.client.Do(call, method, path, body, hdr)
+	if err != nil {
+		if ctx.Err() == nil {
+			sh.breaker.failure()
+		}
+		return 0, nil, false
+	}
+	sh.breaker.success()
+	return status, resp, true
+}
+
+// probeOwner asks a variant's owner whether it already holds the
+// stored result (GET /results?key=...) before a thief re-simulates it.
+// hit=true carries the held body; alive=false means the client's
+// context ended mid-probe. Any owner trouble — open circuit, transport
+// error, 404, anything unexpected — is a clean miss: the probe is an
+// optimization, never a gate, so the steal proceeds and correctness
+// rests on the thief as before.
+func (c sweepCall) probeOwner(ctx context.Context, owner int, key string) (body []byte, hit, alive bool) {
+	if key == "" {
+		return nil, false, true
+	}
+	status, body, ok := c.vw.byID[owner].storeCall(ctx, http.MethodGet, "/results?key="+url.QueryEscape(key), nil)
+	if !ok || status != http.StatusOK {
+		return nil, false, ctx.Err() == nil
+	}
+	c.rt.cacheFill(key, body)
+	return body, true, true
+}
+
+// writeBack posts a stolen result to the owner's POST /results under
+// the content-addressed key the owner's own simulation would have
+// persisted it under. Failure is dropped silently: the write-back is
+// cache placement, not correctness — a dead owner repopulates from
+// replay when it returns.
+func (c sweepCall) writeBack(ctx context.Context, owner, thief int, key string, body []byte) {
+	if key == "" {
+		return
+	}
+	if c.rt.attemptTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, c.rt.attemptTimeout)
+		defer cancel()
+	}
+	c.vw.byID[owner].client.Do(ctx, http.MethodPost, "/results", body, http.Header{
+		"Content-Type":          {"application/json"},
+		service.ResultKeyHeader: {key},
+		service.StolenHeader:    {fmt.Sprintf("%d->%d", owner, thief)},
+	})
+}
+
+// LoadManifest walks the sweep id's rendezvous rank order (under the
+// current topology) for a stored manifest: any live shard holding a
+// valid copy answers, 404s and dead shards are walked past, and a
+// corrupt copy is skipped the same way — the caller's fallback (404:
+// re-POST the grid) is the honest one, never a guess.
+func (t clusterTier) LoadManifest(ctx context.Context, id string) (*service.SweepManifest, bool) {
+	vw := t.rt.view()
+	for _, sid := range RankIDs(id, vw.ids) {
+		status, body, ok := vw.byID[sid].storeCall(ctx, http.MethodGet, "/sweep/"+id, nil)
+		if ctx.Err() != nil {
+			return nil, false
+		}
+		if !ok || status != http.StatusOK {
+			continue
+		}
+		// The status document is the manifest plus derived counts; the
+		// counts are recomputed from the bits, never trusted.
+		var m service.SweepManifest
+		if json.Unmarshal(body, &m) == nil && m.Accept(id) {
+			return &m, true
+		}
+	}
+	return nil, false
+}
+
+// SaveManifest writes the manifest through to the first live shard in
+// the sweep id's rank order (PUT /sweep/{id} merge-persists shard-side,
+// so concurrent streams and routers union their progress instead of
+// clobbering). The context is detached from the request: the final
+// checkpoint after a client disconnect is precisely the one its resume
+// needs. Total failure leaves the previous checkpoint standing —
+// bookkeeping lost, correctness untouched.
+func (t clusterTier) SaveManifest(m *service.SweepManifest) {
+	body, err := json.Marshal(m)
+	if err != nil {
+		return
+	}
+	vw := t.rt.view()
+	for _, sid := range RankIDs(m.ID, vw.ids) {
+		// 204 is stored; any 4xx is deterministic and would repeat on
+		// every shard — either way an answered PUT settles this
+		// checkpoint.
+		if _, _, ok := vw.byID[sid].storeCall(context.Background(), http.MethodPut, "/sweep/"+m.ID, body); ok {
+			return
+		}
+	}
+}

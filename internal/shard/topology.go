@@ -52,13 +52,20 @@ func (t Topology) IDs() []int {
 }
 
 // OwnerID returns the stable shard ID among ids that owns the given
-// spec content hash, by the same rendezvous scoring as Owner. Because
-// scores hash against the stable ID, the result is independent of the
-// order of ids, and removing one member moves only the keys that
-// member owned — everything else keeps its owner and its warm store.
-// For the contiguous ID set 0..n-1 (a boot-time cluster that has
-// never resized), OwnerID agrees with Owner(hash, n). An empty ids
-// returns -1.
+// spec content hash, by rendezvous (highest-random-weight) hashing:
+// score every member against the hash, pick the maximum. Properties
+// the deployment leans on:
+//
+//   - Deterministic: a pure function of (hash, ids), so the assignment
+//     survives router restarts and is computable by any client — the
+//     smoke harness predicts which store directory a variant lands in.
+//   - Order-free: scores hash against the stable ID, so the result is
+//     independent of the order of ids.
+//   - Minimal disruption: admitting a member only moves the keys the
+//     new member wins, and removing one moves only the keys it owned —
+//     everything else keeps its owner (and its warm store).
+//
+// An empty ids returns -1.
 func OwnerID(hash string, ids []int) int {
 	if len(ids) == 0 {
 		return -1
@@ -75,8 +82,14 @@ func OwnerID(hash string, ids []int) int {
 
 // RankIDs returns ids ordered by descending rendezvous score for the
 // given hash: RankIDs(h, ids)[0] == OwnerID(h, ids), and the rest is
-// the deterministic failover order under the current membership —
-// the generalization of Rank to non-contiguous stable ID sets.
+// the deterministic failover order under the current membership.
+// Because the scores are a pure function of (hash, id), every router
+// replica computes the same preference list, so "the next-ranked live
+// shard" is a well-defined cluster-wide notion without any
+// coordination. Results are content-addressed and bit-reproducible,
+// which is what makes walking this list semantically free: any live
+// shard computes the byte-identical answer, the owner merely holds the
+// warm cache.
 func RankIDs(hash string, ids []int) []int {
 	order := make([]int, len(ids))
 	copy(order, ids)
