@@ -26,6 +26,7 @@ import (
 // documents; their godoc is part of the product surface.
 var auditedPackages = []string{
 	"internal/agg",
+	"internal/lru",
 	"internal/obs",
 	"internal/sched",
 	"internal/service",

@@ -123,7 +123,7 @@ func main() {
 	maxCycles := flag.Uint64("max-cycles", 0, "reject specs whose max_cycles exceeds this at validation time (0 = the global bound)")
 	maxSweep := flag.Int("max-sweep-variants", service.DefaultMaxSweepVariants, "reject sweep grids whose Cartesian product exceeds this (every tier enforces the same cap)")
 	attemptTimeout := flag.Duration("attempt-timeout", 0, "router-side timeout per backend attempt (0 = none); a hung shard is failed over")
-	routerCache := flag.Int64("router-cache-bytes", 64<<20, "router-side result-cache budget in bytes (<= 0 disables); repeat /run and /compare hits answer at the router with zero backend round trips")
+	routerCache := flag.Int64("router-cache-bytes", service.DefaultCacheBytes, "router-side result-cache budget in bytes (<= 0 disables); repeat /run and /compare hits answer at the router with zero backend round trips")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof on this separate address (empty = off); NOT inherited by -shards workers")
 	classWeights := flag.String("class-weights", "", "per-class worker shares as name=weight pairs, e.g. interactive=4,batch=1 (empty = those defaults)")
 	tenantHeader := flag.String("tenant-header", service.DefaultTenantHeader, "request header carrying the caller's tenant for fair-share accounting")

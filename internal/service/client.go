@@ -12,16 +12,17 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"time"
 
 	"repro/internal/agg"
 	"repro/internal/obs"
-	"repro/internal/spec"
 )
 
 // The one retry/backoff vocabulary for every client of a saturated
@@ -121,6 +122,21 @@ type Client struct {
 // not a result.
 const maxClientBodyBytes = 16 << 20
 
+// unreachableError marks an error of the transport: the backend never
+// answered the request.
+type unreachableError struct{ error }
+
+func (e unreachableError) Unwrap() error { return e.error }
+
+// Unreachable reports whether err, from any Client call, means the
+// backend did not answer — a transport failure, or the context ending
+// first — as opposed to an answer the call could not use (an unexpected
+// status, an undecodable body). It is the line a caller's circuit
+// breaker draws: only an unanswered call counts against the backend.
+func Unreachable(err error) bool {
+	return errors.As(err, new(unreachableError))
+}
+
 func (c *Client) httpClient() *http.Client {
 	if c.HTTP != nil {
 		return c.HTTP
@@ -132,9 +148,9 @@ func (c *Client) httpClient() *http.Client {
 // non-2xx status is NOT an error — the caller routes on it (503 means
 // back off, 400 means the request was bad); err is reserved for
 // transport failure, the signal that the backend itself is
-// unreachable. header entries (may be nil) are copied onto the
-// request — the write-back and manifest paths ride their protocol
-// headers through here.
+// unreachable (Unreachable reports it). header entries (may be nil)
+// are copied onto the request — the write-back and manifest paths ride
+// their protocol headers through here.
 func (c *Client) Do(ctx context.Context, method, path string, body []byte, header http.Header) (int, http.Header, []byte, error) {
 	var rd io.Reader
 	if body != nil {
@@ -157,38 +173,32 @@ func (c *Client) Do(ctx context.Context, method, path string, body []byte, heade
 	}
 	resp, err := c.httpClient().Do(req)
 	if err != nil {
-		return 0, nil, nil, err
+		return 0, nil, nil, unreachableError{err}
 	}
 	defer resp.Body.Close()
 	out, err := io.ReadAll(io.LimitReader(resp.Body, maxClientBodyBytes))
 	if err != nil {
-		return 0, nil, nil, err
+		return 0, nil, nil, unreachableError{err}
 	}
 	return resp.StatusCode, resp.Header, out, nil
 }
 
-// PostJSON posts raw JSON to path (e.g. "/run"); same contract as Do.
-func (c *Client) PostJSON(ctx context.Context, path string, body []byte) (int, http.Header, []byte, error) {
-	return c.Do(ctx, http.MethodPost, path, body, http.Header{"Content-Type": {"application/json"}})
-}
+// jsonBody is the header block of a request with a JSON body.
+var jsonBody = http.Header{"Content-Type": {"application/json"}}
 
-// RunSpec submits one inline spec to POST /run (model "tl", "rtl" or
-// "" for the default).
-func (c *Client) RunSpec(ctx context.Context, sp spec.Spec, model string) (int, http.Header, []byte, error) {
-	body, err := json.Marshal(RunRequest{Spec: &sp, Model: model})
+// call is Do for the typed calls below: it returns the answer when its
+// status is one of want and turns any other status into an error
+// naming what was being done — the backend answered, so the error is
+// not Unreachable.
+func (c *Client) call(ctx context.Context, what, method, path string, body []byte, header http.Header, want ...int) (int, []byte, error) {
+	status, _, resp, err := c.Do(ctx, method, path, body, header)
 	if err != nil {
-		return 0, nil, nil, err
+		return 0, nil, err
 	}
-	return c.PostJSON(ctx, "/run", body)
-}
-
-// CompareSpec submits one inline spec to POST /compare.
-func (c *Client) CompareSpec(ctx context.Context, sp spec.Spec) (int, http.Header, []byte, error) {
-	body, err := json.Marshal(RunRequest{Spec: &sp})
-	if err != nil {
-		return 0, nil, nil, err
+	if !slices.Contains(want, status) {
+		return status, resp, fmt.Errorf("%s status %d: %.4096s", what, status, resp)
 	}
-	return c.PostJSON(ctx, "/compare", body)
+	return status, resp, nil
 }
 
 // AnalyzeSweep submits a grid to POST /sweep/analyze and decodes the
@@ -201,7 +211,7 @@ func (c *Client) AnalyzeSweep(ctx context.Context, req AnalyzeRequest) (*agg.Ana
 	if err != nil {
 		return nil, nil, err
 	}
-	status, _, respBody, err := c.PostJSON(ctx, "/sweep/analyze", body)
+	status, _, respBody, err := c.Do(ctx, http.MethodPost, "/sweep/analyze", body, jsonBody)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -259,16 +269,11 @@ func DecodeSweepStream(body io.Reader, onRow func(line []byte) error) (summary S
 }
 
 // FetchHealth reads and decodes the backend's GET /healthz.
-func (c *Client) FetchHealth(ctx context.Context) (Health, error) {
-	status, _, body, err := c.Do(ctx, http.MethodGet, "/healthz", nil, nil)
-	if err != nil {
-		return Health{}, err
+func (c *Client) FetchHealth(ctx context.Context) (h Health, err error) {
+	_, body, err := c.call(ctx, "healthz", http.MethodGet, "/healthz", nil, nil, http.StatusOK)
+	if err == nil {
+		err = json.Unmarshal(body, &h)
 	}
-	if status != http.StatusOK {
-		return Health{}, fmt.Errorf("healthz status %d: %.4096s", status, body)
-	}
-	var h Health
-	err = json.Unmarshal(body, &h)
 	return h, err
 }
 
@@ -276,12 +281,9 @@ func (c *Client) FetchHealth(ctx context.Context) (Health, error) {
 // prefix (GET /results?prefix=...) — the drain path's work list. An
 // empty prefix lists everything.
 func (c *Client) EnumerateResults(ctx context.Context, prefix string) ([]string, error) {
-	status, _, body, err := c.Do(ctx, http.MethodGet, "/results?prefix="+url.QueryEscape(prefix), nil, nil)
+	_, body, err := c.call(ctx, "enumerate", http.MethodGet, "/results?prefix="+url.QueryEscape(prefix), nil, nil, http.StatusOK)
 	if err != nil {
 		return nil, err
-	}
-	if status != http.StatusOK {
-		return nil, fmt.Errorf("enumerate status %d: %s", status, body)
 	}
 	var out struct {
 		Keys []string `json:"keys"`
@@ -297,15 +299,50 @@ func (c *Client) EnumerateResults(ctx context.Context, prefix string) ([]string,
 // answered 404 — the key is genuinely absent, which enumeration races
 // (a concurrent GC) make an ordinary outcome, not a failure.
 func (c *Client) FetchResult(ctx context.Context, key string) (body []byte, ok bool, err error) {
-	status, _, respBody, err := c.Do(ctx, http.MethodGet, "/results?key="+url.QueryEscape(key), nil, nil)
-	if err != nil {
+	status, body, err := c.call(ctx, "fetch "+key, http.MethodGet, "/results?key="+url.QueryEscape(key), nil, nil,
+		http.StatusOK, http.StatusNotFound)
+	if err != nil || status == http.StatusNotFound {
 		return nil, false, err
 	}
-	switch status {
-	case http.StatusOK:
-		return respBody, true, nil
-	case http.StatusNotFound:
-		return nil, false, nil
+	return body, true, nil
+}
+
+// StoreResult stores body under its result key in the backend's cache
+// tiers (POST /results) — a thief's write-back to the variant's owner,
+// or a drain's copy to the key's new owner. stolen, when set, is the
+// write-back's "owner->thief" audit tag.
+func (c *Client) StoreResult(ctx context.Context, key string, body []byte, stolen string) error {
+	hdr := jsonBody.Clone()
+	hdr.Set(ResultKeyHeader, key)
+	if stolen != "" {
+		hdr.Set(StolenHeader, stolen)
 	}
-	return nil, false, fmt.Errorf("fetch %q status %d: %s", key, status, respBody)
+	_, _, err := c.call(ctx, "store "+key, http.MethodPost, "/results", body, hdr, http.StatusNoContent)
+	return err
+}
+
+// FetchManifest reads sweep id's manifest from the backend (GET
+// /sweep/{id}). ok=false with a nil error means the backend answered
+// 404: it holds no manifest for the id. A copy that is not a
+// well-formed manifest of id is an error, not a manifest.
+func (c *Client) FetchManifest(ctx context.Context, id string) (m *SweepManifest, ok bool, err error) {
+	status, body, err := c.call(ctx, "fetch manifest "+id, http.MethodGet, "/sweep/"+url.PathEscape(id), nil, nil,
+		http.StatusOK, http.StatusNotFound)
+	if err != nil || status == http.StatusNotFound {
+		return nil, false, err
+	}
+	m, err = decodeManifest(body, id)
+	return m, err == nil, err
+}
+
+// PutManifest merge-persists m into the backend's store (PUT
+// /sweep/{id}): the backend unions the progress bits with any copy it
+// already holds, so concurrent writers never clobber each other.
+func (c *Client) PutManifest(ctx context.Context, m *SweepManifest) error {
+	body, err := json.Marshal(m)
+	if err != nil {
+		return err
+	}
+	_, _, err = c.call(ctx, "put manifest "+m.ID, http.MethodPut, "/sweep/"+url.PathEscape(m.ID), body, jsonBody, http.StatusNoContent)
+	return err
 }

@@ -101,9 +101,22 @@ type SweepManifest struct {
 	Failed *sweep.Bitset `json:"failed"`
 }
 
-// Accept reports whether m is a well-formed manifest of sweep id —
-// the one validity check behind every reader of an externally-sourced
-// manifest: the store tiers, a PUT body, the router's cluster fetch.
+// decodeManifest parses body as the manifest of sweep id — the one
+// reader of an externally-sourced manifest: the store tiers, a PUT
+// body, a cluster fetch (Client.FetchManifest). A status document
+// decodes too; its derived counts are dropped, never trusted.
+func decodeManifest(body []byte, id string) (*SweepManifest, error) {
+	m := new(SweepManifest)
+	if err := json.Unmarshal(body, m); err != nil {
+		return nil, fmt.Errorf("parsing manifest: %w", err)
+	}
+	if !m.Accept(id) {
+		return nil, fmt.Errorf("manifest does not describe sweep %q", id)
+	}
+	return m, nil
+}
+
+// Accept reports whether m is a well-formed manifest of sweep id.
 // The Total bound comes first because the bitmaps are sized from it: a
 // manifest claiming a 10^11-point grid must be refused, not allocated.
 // Bitmaps that disagree with the manifest's own grid size are reset: a
@@ -146,9 +159,6 @@ func (m *SweepManifest) Status() SweepStatus {
 	}
 }
 
-// manifestKey is the store key a sweep's manifest lives under.
-func manifestKey(id string) string { return "sweep:" + id }
-
 // loadManifest reads and validates the manifest for id from the
 // cache tiers. Corruption at any layer — store checksum, JSON shape,
 // id mismatch, bitmap size — degrades to (nil, false), which the
@@ -160,11 +170,8 @@ func (s *Server) loadManifest(id string) (*SweepManifest, bool) {
 	if !ok {
 		return nil, false
 	}
-	var m SweepManifest
-	if json.Unmarshal(body, &m) != nil || !m.Accept(id) {
-		return nil, false
-	}
-	return &m, true
+	m, err := decodeManifest(body, id)
+	return m, err == nil
 }
 
 // checkpointManifest persists m, first merging the stored copy's
@@ -208,16 +215,12 @@ func (s *Server) handleSweepStatus(w http.ResponseWriter, r *http.Request) {
 			WriteError(w, r, http.StatusBadRequest, "reading body: %v", err)
 			return
 		}
-		var m SweepManifest
-		if err := json.Unmarshal(raw, &m); err != nil {
-			WriteError(w, r, http.StatusBadRequest, "parsing manifest: %v", err)
+		m, err := decodeManifest(raw, id)
+		if err != nil {
+			WriteError(w, r, http.StatusBadRequest, "%v", err)
 			return
 		}
-		if !m.Accept(id) {
-			WriteError(w, r, http.StatusBadRequest, "manifest does not describe sweep %q", id)
-			return
-		}
-		s.checkpointManifest(&m)
+		s.checkpointManifest(m)
 		w.WriteHeader(http.StatusNoContent)
 	default:
 		WriteError(w, r, http.StatusMethodNotAllowed, "GET or PUT required")
@@ -302,7 +305,7 @@ func (s *Server) enumerateKeys(prefix string) []string {
 			seen[k] = struct{}{}
 		}
 	}
-	for _, k := range s.cache.keys() {
+	for _, k := range s.cache.Keys() {
 		if !strings.HasPrefix(k, prefix) {
 			continue
 		}
@@ -311,45 +314,4 @@ func (s *Server) enumerateKeys(prefix string) []string {
 		}
 	}
 	return keys
-}
-
-// ResultKey maps a model selector ("", "tl", "tlm", "rtl",
-// "compare") and a spec content hash to the content-addressed key
-// that result is cached and persisted under. It is the export the
-// shard router's write-back uses, so a stolen result lands under
-// exactly the key the owner's own simulation would have written.
-func ResultKey(model string, hash string) (string, error) {
-	if !validSpecHash(hash) {
-		return "", fmt.Errorf("%q is not a spec content hash", hash)
-	}
-	m, err := sweepModel(model)
-	if err != nil {
-		return "", err
-	}
-	return m.key(hash), nil
-}
-
-// ValidResultKey reports whether key names a result slot /results
-// accepts: run:TL:<hash>, run:RTL:<hash> or compare:<hash>.
-func ValidResultKey(key string) bool {
-	for _, prefix := range []string{"run:TL:", "run:RTL:", "compare:"} {
-		if rest, ok := strings.CutPrefix(key, prefix); ok {
-			return validSpecHash(rest)
-		}
-	}
-	return false
-}
-
-// validSpecHash reports whether s looks like a SHA-256 content hash.
-func validSpecHash(s string) bool {
-	if len(s) != 64 {
-		return false
-	}
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
 }

@@ -462,42 +462,6 @@ func TestResultsRejectsBadKeyAndBody(t *testing.T) {
 	}
 }
 
-func TestResultKeyShapes(t *testing.T) {
-	hash := strings.Repeat("0f", 32)
-	cases := []struct {
-		model, want string
-	}{
-		{"", "run:TL:" + hash},
-		{"tl", "run:TL:" + hash},
-		{"tlm", "run:TL:" + hash},
-		{"rtl", "run:RTL:" + hash},
-		{"compare", "compare:" + hash},
-	}
-	for _, c := range cases {
-		got, err := ResultKey(c.model, hash)
-		if err != nil {
-			t.Fatalf("ResultKey(%q): %v", c.model, err)
-		}
-		if got != c.want {
-			t.Fatalf("ResultKey(%q) = %q, want %q", c.model, got, c.want)
-		}
-		if !ValidResultKey(got) {
-			t.Fatalf("ValidResultKey(%q) = false", got)
-		}
-	}
-	if _, err := ResultKey("tl", "short"); err == nil {
-		t.Fatal("ResultKey accepted a bogus hash")
-	}
-	if _, err := ResultKey("warp", hash); err == nil {
-		t.Fatal("ResultKey accepted a bogus model")
-	}
-	for _, bad := range []string{"", "run:TL:", "sweep:" + hash, "run:tl:" + hash, "run:TL:" + hash + "ff"} {
-		if ValidResultKey(bad) {
-			t.Fatalf("ValidResultKey(%q) = true", bad)
-		}
-	}
-}
-
 func TestStoredAnalyzeMatchesInlineAnalyze(t *testing.T) {
 	// POST /sweep/{id}/analyze with a bare selector must produce the
 	// byte-identical document to POST /sweep/analyze with the full
@@ -536,5 +500,49 @@ func TestStoredAnalyzeMatchesInlineAnalyze(t *testing.T) {
 	status, _, body = post(t, ts.URL+"/sweep/"+id+"/analyze", map[string]any{"metric": "cycles", "axes": []string{"x"}, "bogus": 1})
 	if status != http.StatusBadRequest || !strings.Contains(string(body), "analysis selector") {
 		t.Fatalf("bad selector: %d %s", status, body)
+	}
+}
+
+func TestMemoryTierIsBoundedInBytes(t *testing.T) {
+	// POST /results takes bodies of up to 1 MiB, so the entry cap alone
+	// (default 1024) would let the memory tier grow to 1 GiB. It also has
+	// a byte budget: what stays resident fits it. (The budget is
+	// DefaultCacheBytes; the literal keeps the test meaningful against a
+	// build that has no such bound.)
+	const budget = 64 << 20
+	_, ts := newTestServer(t, Options{Workers: 1})
+	const bodyBytes = 1<<20 - 64
+	body := append(append([]byte(`{"pad":"`), bytes.Repeat([]byte("x"), bodyBytes-len(`{"pad":""}`))...), `"}`...)
+	const posted = budget/bodyBytes + 8
+	for i := 0; i < posted; i++ {
+		key, err := ResultKey("tl", fmt.Sprintf("%064x", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		httpReq, err := http.NewRequest(http.MethodPost, ts.URL+"/results", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		httpReq.Header.Set(ResultKeyHeader, key)
+		resp, err := http.DefaultClient.Do(httpReq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNoContent {
+			t.Fatalf("write-back %d: status %d", i, resp.StatusCode)
+		}
+	}
+	var health Health
+	status, _, raw := getJSON(t, ts.URL+"/healthz")
+	if status != http.StatusOK || json.Unmarshal(raw, &health) != nil {
+		t.Fatalf("healthz: status %d: %s", status, raw)
+	}
+	if resident := int64(health.CacheEntries) * bodyBytes; resident > budget {
+		t.Fatalf("%d bodies of %d bytes resident in memory (%d bytes) after %d write-backs, over the %d byte budget",
+			health.CacheEntries, bodyBytes, resident, posted, budget)
+	}
+	if health.CacheEntries == 0 {
+		t.Fatal("nothing resident: the budget evicted everything")
 	}
 }

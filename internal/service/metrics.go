@@ -101,7 +101,7 @@ func (s *Server) initMetrics() {
 		},
 	})
 
-	reg.GaugeFunc("simd_cache_memory_entries", "Results held in the memory LRU.", func() float64 { return float64(s.cache.len()) })
+	reg.GaugeFunc("simd_cache_memory_entries", "Results held in the memory LRU.", func() float64 { return float64(s.cache.Len()) })
 	reg.GaugeFunc("simd_process_start_time_seconds", "Unix time the process started serving.", func() float64 { return float64(s.since.Unix()) })
 
 	s.sweepRows = reg.Counter("simd_sweep_rows_total", "Sweep data rows streamed to clients.")

@@ -34,7 +34,6 @@
 package service
 
 import (
-	"container/list"
 	"context"
 	"encoding/json"
 	"errors"
@@ -49,6 +48,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/lru"
 	"repro/internal/obs"
 	"repro/internal/sched"
 	"repro/internal/spec"
@@ -104,6 +104,16 @@ type Options struct {
 // DefaultCacheEntries is the default result-cache capacity.
 const DefaultCacheEntries = 1024
 
+// DefaultCacheBytes is the byte budget of an in-memory result cache:
+// the worker's memory tier holds at most this many body bytes whatever
+// its entry cap says (a body larger than the budget is persisted to
+// disk but not held in memory), and it is the router cache's default
+// budget (-router-cache-bytes). Response bodies are a few hundred
+// bytes, but the memory tier also holds sweep manifests and whatever
+// POST /results is sent — up to 1 MiB each — so the entry cap alone
+// bounds nothing an operator chose.
+const DefaultCacheBytes = 64 << 20
+
 // Counters is a snapshot of the server's load counters.
 type Counters struct {
 	// Jobs is the number of simulation jobs executed (a /compare
@@ -126,7 +136,7 @@ type Counters struct {
 type Server struct {
 	sched *sched.Scheduler
 	mux   *http.ServeMux
-	cache *lru
+	cache *lru.Cache
 	// disk is the persistent result tier behind the memory LRU; nil
 	// when the server runs memory-only.
 	disk *store.Store
@@ -228,7 +238,7 @@ func New(opt Options) (*Server, error) {
 	scheduler := sched.New(sched.Options{Workers: opt.Workers, Queue: opt.Queue, Weights: weights})
 	s := &Server{
 		sched:          scheduler,
-		cache:          newLRU(opt.CacheEntries),
+		cache:          lru.NewCache(DefaultCacheBytes, opt.CacheEntries),
 		disk:           disk,
 		flights:        make(map[string]*flight),
 		workers:        scheduler.Workers(),
@@ -249,8 +259,8 @@ func New(opt Options) (*Server, error) {
 	handle := func(pattern string, h http.Handler) {
 		s.mux.Handle(pattern, s.httpMetrics.Wrap(pattern, h))
 	}
-	handle("/run", http.HandlerFunc(s.handleRun))
-	handle("/compare", http.HandlerFunc(s.handleCompare))
+	handle("/run", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { s.handleExec(w, r, false) }))
+	handle("/compare", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { s.handleExec(w, r, true) }))
 	handle("/sweep", http.HandlerFunc(s.sweeps.HandleSweep))
 	handle("/sweep/analyze", http.HandlerFunc(s.sweeps.HandleAnalyze))
 	handle("/sweep/{id}", http.HandlerFunc(s.handleSweepStatus))
@@ -471,8 +481,10 @@ func checkGridCycleCaps(grid sweep.Grid, check func(spec.Spec) error) error {
 	return nil
 }
 
-// handleRun serves POST /run: one workload through one model.
-func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
+// handleExec serves POST /run — one workload through the model the
+// request selects — and, with compare set, POST /compare: both models,
+// one accuracy row, whatever selector the request carries.
+func (s *Server) handleExec(w http.ResponseWriter, r *http.Request, compare bool) {
 	if r.Method != http.MethodPost {
 		WriteError(w, r, http.StatusMethodNotAllowed, "POST required")
 		return
@@ -482,21 +494,19 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, r, http.StatusBadRequest, "%v", err)
 		return
 	}
-	model := core.TLM
-	switch req.Model {
-	case "", "tl", "tlm":
-	case "rtl":
-		model = core.RTL
-	default:
-		WriteError(w, r, http.StatusBadRequest, "unknown model %q (want tl or rtl)", req.Model)
-		return
+	m := SweepModel{Compare: true}
+	if !compare {
+		if m, err = sweepModel(req.Model); err != nil || m.Compare {
+			WriteError(w, r, http.StatusBadRequest, "unknown model %q (want tl or rtl)", req.Model)
+			return
+		}
 	}
 	id, err := s.requestIdent(r, sched.Interactive)
 	if err != nil {
 		WriteError(w, r, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.serveCached(w, r, runKey(model, hash), hash, id, computeRun(sp, hash, model, wl))
+	s.serveCached(w, r, m.Key(hash), hash, id, m.compute(sp, hash, wl))
 }
 
 // ident is one request's scheduling identity: the tenant whose fair
@@ -532,11 +542,6 @@ func (s *Server) requestIdent(r *http.Request, def sched.Class) (ident, error) {
 	return ident{tenant: tenant, class: class}, nil
 }
 
-// runKey is the cache key of a single-model run result.
-func runKey(model core.Model, hash string) string {
-	return "run:" + model.String() + ":" + hash
-}
-
 // errDeadline marks a simulation cut short by the server's request
 // deadline; executeOnce's job wrapper turns it into a 504.
 var errDeadline = errors.New("request deadline exceeded")
@@ -550,6 +555,15 @@ func interruptFrom(ctx context.Context) func() bool {
 		return nil
 	}
 	return func() bool { return ctx.Err() != nil }
+}
+
+// compute returns the deterministic body builder for what the model
+// selects.
+func (m SweepModel) compute(sp spec.Spec, hash string, wl core.Workload) func(context.Context, *Timing) ([]byte, error) {
+	if m.Compare {
+		return computeCompare(sp, hash, wl)
+	}
+	return computeRun(sp, hash, m.core, wl)
 }
 
 // computeRun returns the deterministic body builder for one
@@ -577,28 +591,6 @@ func computeRun(sp spec.Spec, hash string, model core.Model, wl core.Workload) f
 		return body, err
 	}
 }
-
-// handleCompare serves POST /compare: both models, one accuracy row.
-func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		WriteError(w, r, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	_, sp, hash, wl, err := s.decodeRequest(r)
-	if err != nil {
-		WriteError(w, r, http.StatusBadRequest, "%v", err)
-		return
-	}
-	id, err := s.requestIdent(r, sched.Interactive)
-	if err != nil {
-		WriteError(w, r, http.StatusBadRequest, "%v", err)
-		return
-	}
-	s.serveCached(w, r, compareKey(hash), hash, id, computeCompare(sp, hash, wl))
-}
-
-// compareKey is the cache key of a two-model accuracy row.
-func compareKey(hash string) string { return "compare:" + hash }
 
 // computeCompare returns the deterministic body builder for one
 // accuracy row; it executes on a pool worker, under the job's
@@ -633,15 +625,23 @@ func (s *Server) lookup(key string) ([]byte, bool) {
 	if body, ok := s.lookupMemory(key); ok {
 		return body, true
 	}
-	if s.disk != nil {
-		if body, ok := s.disk.Get(key); ok {
-			s.cache.put(key, body)
-			s.hits.Add(1)
-			s.storeHits.Add(1)
-			return body, true
-		}
+	return s.lookupDisk(key, (*store.Store).Get)
+}
+
+// lookupDisk probes the disk tier with one of the store's reads — Get,
+// or Peek for a request whose store miss is already counted — and
+// promotes a hit into the memory tier.
+func (s *Server) lookupDisk(key string, read func(*store.Store, string) ([]byte, bool)) ([]byte, bool) {
+	if s.disk == nil {
+		return nil, false
 	}
-	return nil, false
+	body, ok := read(s.disk, key)
+	if ok {
+		s.cache.Put(key, body)
+		s.hits.Add(1)
+		s.storeHits.Add(1)
+	}
+	return body, ok
 }
 
 // lookupMemory probes only the in-memory tier. The sweep first pass
@@ -652,7 +652,7 @@ func (s *Server) lookup(key string) ([]byte, bool) {
 // from memory look cold on disk and are the first evicted, exactly
 // the entries a restart most wants back.
 func (s *Server) lookupMemory(key string) ([]byte, bool) {
-	if body, ok := s.cache.get(key); ok {
+	if body, ok := s.cache.Get(key); ok {
 		s.hits.Add(1)
 		if s.disk != nil {
 			s.disk.Touch(key)
@@ -664,7 +664,7 @@ func (s *Server) lookupMemory(key string) ([]byte, bool) {
 
 // persist writes a computed body into both cache tiers.
 func (s *Server) persist(key string, body []byte) {
-	s.cache.put(key, body)
+	s.cache.Put(key, body)
 	if s.disk != nil {
 		// Best-effort: a full disk degrades the store to memory-only
 		// behavior rather than failing the request that computed the
@@ -735,19 +735,14 @@ func (s *Server) executeOnce(ctx context.Context, key string, id ident, compute 
 	// and any duplicates that coalesced meanwhile read it from the
 	// flight. Silent probe (Peek): this request's store miss was
 	// already counted by the primary lookup.
-	if s.disk != nil {
-		if body, ok := s.disk.Peek(key); ok {
-			s.cache.put(key, body)
-			s.hits.Add(1)
-			s.storeHits.Add(1)
-			f.status = http.StatusOK
-			f.body = body
-			s.mu.Lock()
-			delete(s.flights, key)
-			s.mu.Unlock()
-			close(f.done)
-			return http.StatusOK, body, "hit", nil, nil
-		}
+	if body, ok := s.lookupDisk(key, (*store.Store).Peek); ok {
+		f.status = http.StatusOK
+		f.body = body
+		s.mu.Lock()
+		delete(s.flights, key)
+		s.mu.Unlock()
+		close(f.done)
+		return http.StatusOK, body, "hit", nil, nil
 	}
 
 	// The deadline clock starts at submission, not at execution: the
@@ -960,7 +955,7 @@ func (s *Server) HealthSnapshot() Health {
 		Queued: s.sched.Queued(), InFlight: s.sched.InFlight(),
 		RetryAfter:    s.retryAfterSeconds(),
 		Sched:         &schedSnap,
-		CacheEntries:  s.cache.len(),
+		CacheEntries:  s.cache.Len(),
 		Store:         diskStats,
 		Since:         s.since,
 		UptimeSeconds: time.Since(s.since).Seconds(),
@@ -1033,73 +1028,4 @@ func writeJSON(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	w.Write(body)
-}
-
-// lru is a mutex-guarded LRU byte cache: spec hash key -> response
-// body. Bounded by entry count; simulation responses are small and
-// uniform, so entry count is an adequate proxy for bytes.
-type lru struct {
-	mu    sync.Mutex
-	cap   int
-	order *list.List // front = most recent; values are *lruEntry
-	byKey map[string]*list.Element
-}
-
-// lruEntry is one cached response.
-type lruEntry struct {
-	key  string
-	body []byte
-}
-
-// newLRU returns an empty cache bounded to cap entries.
-func newLRU(cap int) *lru {
-	return &lru{cap: cap, order: list.New(), byKey: make(map[string]*list.Element)}
-}
-
-// get returns the cached body and refreshes its recency.
-func (c *lru) get(key string) ([]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.byKey[key]
-	if !ok {
-		return nil, false
-	}
-	c.order.MoveToFront(el)
-	return el.Value.(*lruEntry).body, true
-}
-
-// put stores a body, evicting the least-recently-used entry at cap.
-func (c *lru) put(key string, body []byte) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.byKey[key]; ok {
-		el.Value.(*lruEntry).body = body
-		c.order.MoveToFront(el)
-		return
-	}
-	c.byKey[key] = c.order.PushFront(&lruEntry{key: key, body: body})
-	for c.order.Len() > c.cap {
-		last := c.order.Back()
-		c.order.Remove(last)
-		delete(c.byKey, last.Value.(*lruEntry).key)
-	}
-}
-
-// len returns the number of cached entries.
-func (c *lru) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
-}
-
-// keys returns every cached key, most recently used first — the
-// memory tier's contribution to the /results?prefix= enumeration.
-func (c *lru) keys() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, 0, c.order.Len())
-	for el := c.order.Front(); el != nil; el = el.Next() {
-		out = append(out, el.Value.(*lruEntry).key)
-	}
-	return out
 }

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/lru"
 	"repro/internal/sched"
 	"repro/internal/spec"
 )
@@ -400,19 +401,20 @@ func TestSaturatedDuplicatesAllGet503(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	c := newLRU(2)
-	c.put("a", []byte("1"))
-	c.put("b", []byte("2"))
-	c.get("a") // refresh a; b is now LRU
-	c.put("c", []byte("3"))
-	if _, ok := c.get("b"); ok {
+	// The memory tier as New builds it, capped at two entries.
+	c := lru.NewCache(DefaultCacheBytes, 2)
+	c.Put("a", []byte("1"))
+	c.Put("b", []byte("2"))
+	c.Get("a") // refresh a; b is now LRU
+	c.Put("c", []byte("3"))
+	if _, ok := c.Get("b"); ok {
 		t.Fatal("b should have been evicted")
 	}
-	if v, ok := c.get("a"); !ok || string(v) != "1" {
+	if v, ok := c.Get("a"); !ok || string(v) != "1" {
 		t.Fatal("a lost")
 	}
-	if c.len() != 2 {
-		t.Fatalf("len %d", c.len())
+	if c.Len() != 2 {
+		t.Fatalf("len %d", c.Len())
 	}
 }
 

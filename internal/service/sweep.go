@@ -204,42 +204,6 @@ func ExpandSweepRequest(req SweepRequest, byName map[string]spec.Spec, max int) 
 	return grid.Expand()
 }
 
-// SweepModel is a validated /sweep model selector — what every variant
-// of the grid runs.
-type SweepModel struct {
-	// Name is the selector as the request spelled it: "", "tl", "tlm",
-	// "rtl" or "compare".
-	Name string
-	// Compare selects both models and one accuracy row per variant
-	// (the /compare endpoint) instead of a single-model /run.
-	Compare bool
-	// core is the model a single-model run executes.
-	core core.Model
-}
-
-// sweepModel resolves the request's model selector.
-func sweepModel(name string) (SweepModel, error) {
-	switch name {
-	case "", "tl", "tlm":
-		return SweepModel{Name: name, core: core.TLM}, nil
-	case "rtl":
-		return SweepModel{Name: name, core: core.RTL}, nil
-	case "compare":
-		return SweepModel{Name: name, Compare: true, core: core.TLM}, nil
-	}
-	return SweepModel{}, fmt.Errorf("unknown model %q (want tl, rtl or compare)", name)
-}
-
-// key is the cache key a variant's result lives under — the same key a
-// direct /run or /compare of that spec uses, so sweeps and single
-// requests share one result space.
-func (m SweepModel) key(hash string) string {
-	if m.Compare {
-		return compareKey(hash)
-	}
-	return runKey(m.core, hash)
-}
-
 // workerTier is the sweep engine's seam onto one worker process: every
 // chunk runs on a single lane of the server's own workers (so nothing
 // is ever stolen), a variant resolves through the same
@@ -275,7 +239,7 @@ func (t workerTier) Begin(r *http.Request) (SweepPlanner, error) {
 		var ready []SweepLine
 		var pending []sweep.Variant
 		for _, v := range variants {
-			if body, ok := s.lookupMemory(m.key(v.Hash)); ok {
+			if body, ok := s.lookupMemory(m.Key(v.Hash)); ok {
 				row := NewSweepRow(v)
 				row.Settle("hit", http.StatusOK, body)
 				ready = append(ready, row)
@@ -310,14 +274,11 @@ func (s *Server) resolveVariant(ctx context.Context, v sweep.Variant, m SweepMod
 		if err != nil {
 			return nil, err
 		}
-		if m.Compare {
-			return computeCompare(v.Spec, v.Hash, wl)(jobCtx, tm)
-		}
-		return computeRun(v.Spec, v.Hash, m.core, wl)(jobCtx, tm)
+		return m.compute(v.Spec, v.Hash, wl)(jobCtx, tm)
 	}
 	row := NewSweepRow(v)
 	for attempt := 0; ; attempt++ {
-		status, body, disposition, _, err := s.executeOnce(ctx, m.key(v.Hash), id, compute, attempt > 0)
+		status, body, disposition, _, err := s.executeOnce(ctx, m.Key(v.Hash), id, compute, attempt > 0)
 		if err != nil {
 			return SweepRow{}, false
 		}

@@ -25,7 +25,6 @@ import (
 	"log"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/service"
@@ -211,10 +210,10 @@ func (rt *Router) handleAdminDrain(w http.ResponseWriter, r *http.Request) {
 // migrate copies every envelope src holds (minus the keys in skip) to
 // its new rendezvous owner among remaining, verifying each copy, and
 // returns how many moved plus the set of keys now migrated. Result
-// envelopes go through the content-addressed write-back path (POST
-// /results) and are verified byte-identical by re-reading the
-// destination; sweep manifests go through the merge-persisting PUT
-// /sweep/{id} and are verified by presence (the destination may
+// envelopes go through the content-addressed write-back path
+// (Client.StoreResult) and are verified byte-identical by re-reading the
+// destination; sweep manifests go through the merge-persisting
+// Client.PutManifest and are verified by presence (the destination may
 // legitimately hold a union with MORE progress bits than the copy).
 func (rt *Router) migrate(ctx context.Context, vw *view, src *shardState, remaining []int, skip map[string]bool) (int, map[string]bool, error) {
 	enumCtx, cancel := context.WithTimeout(ctx, migrateOpTimeout)
@@ -236,10 +235,18 @@ func (rt *Router) migrate(ctx context.Context, vw *view, src *shardState, remain
 		// Placement is by the key's content-hash tail — the same string
 		// every router path hashes: the spec hash for result keys, the
 		// sweep id for manifests.
-		hash := key[strings.LastIndex(key, ":")+1:]
-		target := OwnerID(hash, remaining)
+		tail, manifest, ok := service.SplitKey(key)
+		if !ok {
+			return moved, seen, fmt.Errorf("key %s is not a result-space key", key)
+		}
+		target := OwnerID(tail, remaining)
 		dst := vw.byID[target]
-		if err := rt.migrateKey(ctx, src, dst, key, hash); err != nil {
+		if manifest {
+			err = migrateManifest(ctx, src, dst, tail)
+		} else {
+			err = migrateResult(ctx, src, dst, key)
+		}
+		if err != nil {
 			return moved, seen, fmt.Errorf("key %s -> shard %d: %w", key, target, err)
 		}
 		rt.migrated.With(strconv.Itoa(src.id), strconv.Itoa(target)).Inc()
@@ -248,63 +255,19 @@ func (rt *Router) migrate(ctx context.Context, vw *view, src *shardState, remain
 	return moved, seen, nil
 }
 
-// migrateKey moves one envelope from src to dst and verifies it.
-func (rt *Router) migrateKey(ctx context.Context, src, dst *shardState, key, hash string) error {
-	opCtx, cancel := context.WithTimeout(ctx, migrateOpTimeout)
+// migrateResult moves one result envelope from src to dst and verifies
+// the copy byte for byte.
+func migrateResult(ctx context.Context, src, dst *shardState, key string) error {
+	ctx, cancel := context.WithTimeout(ctx, migrateOpTimeout)
 	defer cancel()
-	if strings.HasPrefix(key, "sweep:") {
-		status, _, body, err := src.client.Do(opCtx, http.MethodGet, "/sweep/"+hash, nil, nil)
-		if err != nil {
-			return err
-		}
-		if status == http.StatusNotFound {
-			return nil // evicted since enumeration; nothing to move
-		}
-		if status != http.StatusOK {
-			return fmt.Errorf("reading manifest: status %d: %s", status, body)
-		}
-		var st service.SweepStatus
-		if err := json.Unmarshal(body, &st); err != nil {
-			return fmt.Errorf("decoding manifest: %w", err)
-		}
-		raw, err := json.Marshal(st.SweepManifest)
-		if err != nil {
-			return err
-		}
-		status, _, body, err = dst.client.Do(opCtx, http.MethodPut, "/sweep/"+hash, raw, http.Header{"Content-Type": {"application/json"}})
-		if err != nil {
-			return err
-		}
-		if status != http.StatusNoContent {
-			return fmt.Errorf("writing manifest: status %d: %s", status, body)
-		}
-		status, _, body, err = dst.client.Do(opCtx, http.MethodGet, "/sweep/"+hash, nil, nil)
-		if err != nil {
-			return err
-		}
-		if status != http.StatusOK {
-			return fmt.Errorf("verifying manifest: status %d: %s", status, body)
-		}
-		return nil
+	body, ok, err := src.client.FetchResult(ctx, key)
+	if err != nil || !ok {
+		return err // !ok: evicted since enumeration; nothing to move
 	}
-	body, ok, err := src.client.FetchResult(opCtx, key)
-	if err != nil {
+	if err := dst.client.StoreResult(ctx, key, body, ""); err != nil {
 		return err
 	}
-	if !ok {
-		return nil // evicted since enumeration; nothing to move
-	}
-	status, _, respBody, err := dst.client.Do(opCtx, http.MethodPost, "/results", body, http.Header{
-		"Content-Type":          {"application/json"},
-		service.ResultKeyHeader: {key},
-	})
-	if err != nil {
-		return err
-	}
-	if status != http.StatusNoContent {
-		return fmt.Errorf("writing: status %d: %s", status, respBody)
-	}
-	check, ok, err := dst.client.FetchResult(opCtx, key)
+	check, ok, err := dst.client.FetchResult(ctx, key)
 	if err != nil {
 		return err
 	}
@@ -315,6 +278,24 @@ func (rt *Router) migrateKey(ctx context.Context, src, dst *shardState, key, has
 		return fmt.Errorf("verify: destination bytes differ from the source envelope")
 	}
 	return nil
+}
+
+// migrateManifest moves sweep id's manifest from src to dst and
+// verifies that dst then holds one.
+func migrateManifest(ctx context.Context, src, dst *shardState, id string) error {
+	ctx, cancel := context.WithTimeout(ctx, migrateOpTimeout)
+	defer cancel()
+	m, ok, err := src.client.FetchManifest(ctx, id)
+	if err != nil || !ok {
+		return err // !ok: evicted since enumeration; nothing to move
+	}
+	if err := dst.client.PutManifest(ctx, m); err != nil {
+		return err
+	}
+	if _, ok, err = dst.client.FetchManifest(ctx, id); err == nil && !ok {
+		err = fmt.Errorf("verify: destination does not hold the manifest after the write")
+	}
+	return err
 }
 
 // writeJSON marshals v as the response body with the given status.

@@ -13,23 +13,39 @@ func cacheTestKey(i int) string {
 	return "run:TL:" + strings.Repeat(fmt.Sprintf("%02x", i%256), 32)
 }
 
+// cacheRouter builds a router whose only live part is its result cache,
+// bounded to maxBytes of envelopes; the tests drive the cache through
+// the cacheLookup/cacheFill pair every serving path uses.
+func cacheRouter(t *testing.T, maxBytes int64) *Router {
+	t.Helper()
+	rt, err := New(Options{Backends: []string{"http://127.0.0.1:1"}, SweepConcurrency: 1, RouterCacheBytes: maxBytes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	return rt
+}
+
 func TestResultCacheRoundTrip(t *testing.T) {
-	c := newResultCache(1 << 20)
+	rt := cacheRouter(t, 1<<20)
 	key := cacheTestKey(1)
 	body := []byte(`{"cycles":123}`)
-	if _, ok := c.get(key); ok {
+	if _, ok := rt.cacheLookup(key); ok {
 		t.Fatal("empty cache claimed a hit")
 	}
-	c.put(key, body)
-	got, ok := c.get(key)
+	rt.cacheFill(key, body)
+	got, ok := rt.cacheLookup(key)
 	if !ok {
-		t.Fatal("miss after put")
+		t.Fatal("miss after fill")
 	}
 	if !bytes.Equal(got, body) {
 		t.Fatalf("cached body %q, want %q", got, body)
 	}
-	if c.len() != 1 {
-		t.Fatalf("len %d, want 1", c.len())
+	if rt.cache.Len() != 1 {
+		t.Fatalf("len %d, want 1", rt.cache.Len())
+	}
+	if hits, misses := rt.cacheHits.Value(), rt.cacheMisses.Value(); hits != 1 || misses != 1 {
+		t.Fatalf("counted %v hits / %v misses, want 1 / 1", hits, misses)
 	}
 }
 
@@ -38,69 +54,69 @@ func TestResultCacheEvictsLRUByBytes(t *testing.T) {
 	// evict from the cold end, never the hot one.
 	body := bytes.Repeat([]byte(`x`), 100)
 	env := store.EncodeEnvelope(cacheTestKey(0), body)
-	c := newResultCache(int64(3 * len(env)))
+	rt := cacheRouter(t, int64(3*len(env)))
 	for i := 0; i < 5; i++ {
-		c.put(cacheTestKey(i), body)
+		rt.cacheFill(cacheTestKey(i), body)
 	}
-	if c.bytes() > int64(3*len(env)) {
-		t.Fatalf("cache holds %d bytes over the %d budget", c.bytes(), 3*len(env))
+	if rt.cache.Bytes() > int64(3*len(env)) {
+		t.Fatalf("cache holds %d bytes over the %d budget", rt.cache.Bytes(), 3*len(env))
 	}
-	if _, ok := c.get(cacheTestKey(0)); ok {
+	if _, ok := rt.cacheLookup(cacheTestKey(0)); ok {
 		t.Fatal("oldest entry survived past the byte budget")
 	}
-	if _, ok := c.get(cacheTestKey(4)); !ok {
+	if _, ok := rt.cacheLookup(cacheTestKey(4)); !ok {
 		t.Fatal("newest entry evicted")
 	}
 	// Touch an old survivor, overflow again: the touched entry stays.
-	if _, ok := c.get(cacheTestKey(2)); !ok {
+	if _, ok := rt.cacheLookup(cacheTestKey(2)); !ok {
 		t.Fatal("expected entry 2 resident")
 	}
-	c.put(cacheTestKey(5), body)
-	c.put(cacheTestKey(6), body)
-	if _, ok := c.get(cacheTestKey(2)); !ok {
+	rt.cacheFill(cacheTestKey(5), body)
+	rt.cacheFill(cacheTestKey(6), body)
+	if _, ok := rt.cacheLookup(cacheTestKey(2)); !ok {
 		t.Fatal("recently-touched entry evicted before colder ones")
 	}
 }
 
 func TestResultCacheUpdateInPlace(t *testing.T) {
-	c := newResultCache(1 << 20)
+	rt := cacheRouter(t, 1<<20)
 	key := cacheTestKey(7)
-	c.put(key, []byte(`{"v":1}`))
-	c.put(key, []byte(`{"v":2,"bigger":true}`))
-	if c.len() != 1 {
-		t.Fatalf("len %d after double put, want 1", c.len())
+	rt.cacheFill(key, []byte(`{"v":1}`))
+	rt.cacheFill(key, []byte(`{"v":2,"bigger":true}`))
+	if rt.cache.Len() != 1 {
+		t.Fatalf("len %d after double fill, want 1", rt.cache.Len())
 	}
-	got, ok := c.get(key)
+	got, ok := rt.cacheLookup(key)
 	if !ok || !bytes.Equal(got, []byte(`{"v":2,"bigger":true}`)) {
 		t.Fatalf("got %q ok=%v", got, ok)
 	}
 	want := int64(len(store.EncodeEnvelope(key, []byte(`{"v":2,"bigger":true}`))))
-	if c.bytes() != want {
-		t.Fatalf("size %d after update, want %d", c.bytes(), want)
+	if rt.cache.Bytes() != want {
+		t.Fatalf("size %d after update, want %d", rt.cache.Bytes(), want)
 	}
 }
 
 func TestResultCacheOversizedBodyNotCached(t *testing.T) {
-	c := newResultCache(64)
-	c.put(cacheTestKey(8), bytes.Repeat([]byte(`y`), 1000))
-	if c.len() != 0 || c.bytes() != 0 {
-		t.Fatalf("oversized body cached: len=%d bytes=%d", c.len(), c.bytes())
+	rt := cacheRouter(t, 64)
+	rt.cacheFill(cacheTestKey(8), bytes.Repeat([]byte(`y`), 1000))
+	if rt.cache.Len() != 0 || rt.cache.Bytes() != 0 {
+		t.Fatalf("oversized body cached: len=%d bytes=%d", rt.cache.Len(), rt.cache.Bytes())
 	}
 }
 
 func TestResultCacheCorruptEntryDegradesToMiss(t *testing.T) {
-	c := newResultCache(1 << 20)
+	rt := cacheRouter(t, 1<<20)
 	key := cacheTestKey(9)
-	c.put(key, []byte(`{"v":1}`))
-	// Flip a payload byte behind the cache's back; the envelope
-	// checksum must catch it and the entry must be dropped, not served.
-	el := c.byKey[key]
-	env := el.Value.(*cacheEntry).env
+	rt.cacheFill(key, []byte(`{"v":1}`))
+	// Flip a payload byte behind the cache's back (the cache shares its
+	// bodies, it does not copy them); the envelope checksum must catch
+	// it and the entry must be dropped, not served.
+	env, _ := rt.cache.Get(key)
 	env[len(env)-2] ^= 0xff
-	if _, ok := c.get(key); ok {
+	if _, ok := rt.cacheLookup(key); ok {
 		t.Fatal("corrupt envelope served as a hit")
 	}
-	if c.len() != 0 {
+	if rt.cache.Len() != 0 {
 		t.Fatal("corrupt entry not dropped")
 	}
 }

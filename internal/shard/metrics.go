@@ -70,7 +70,7 @@ func (rt *Router) initMetrics() {
 		if rt.cache == nil {
 			return 0
 		}
-		return float64(rt.cache.bytes())
+		return float64(rt.cache.Bytes())
 	})
 	rt.migrated = reg.CounterVec("simd_migrated_envelopes_total", "Store envelopes migrated during drains, by source and destination shard (stable IDs).", "from", "to")
 }

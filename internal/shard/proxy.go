@@ -18,6 +18,7 @@ import (
 	"repro/internal/sched"
 	"repro/internal/service"
 	"repro/internal/spec"
+	"repro/internal/store"
 )
 
 // maxBodyBytes is the backend's request-body bound, applied at the
@@ -88,41 +89,31 @@ func (rt *Router) identHeader(r *http.Request, defClass string) (http.Header, er
 	return hdr, nil
 }
 
-// resultKeyFor maps a variant's endpoint and model selector onto the
-// content-addressed store key its result lives under — the shared
-// vocabulary of the backend store, the owner probe, the write-back
-// and the router cache. Empty when the hash is malformed.
-func resultKeyFor(path, runModel, hash string) string {
-	model := runModel
-	if path == "/compare" {
-		model = "compare"
-	}
-	key, err := service.ResultKey(model, hash)
-	if err != nil {
-		return ""
-	}
-	return key
-}
-
 // cacheLookup probes the router result cache, counting the hit or
-// miss. Always a miss when the cache is disabled or the key is
-// unusable (then uncounted: no probe happened).
+// miss. The envelope is verified on the way out: a corrupt entry is
+// dropped and is a miss, never served — the same honesty contract the
+// disk tier enforces. Always a miss when the cache is disabled or the
+// key is unusable (then uncounted: no probe happened).
 func (rt *Router) cacheLookup(key string) ([]byte, bool) {
 	if rt.cache == nil || key == "" {
 		return nil, false
 	}
-	if body, ok := rt.cache.get(key); ok {
-		rt.cacheHits.Inc()
-		return body, true
+	if env, ok := rt.cache.Get(key); ok {
+		if gotKey, body, err := store.DecodeEnvelope(env); err == nil && gotKey == key {
+			rt.cacheHits.Inc()
+			return body, true
+		}
+		rt.cache.Remove(key)
 	}
 	rt.cacheMisses.Inc()
 	return nil, false
 }
 
-// cacheFill stores a relayed 200 body in the router cache.
+// cacheFill stores a relayed 200 body in the router cache. A body whose
+// envelope alone exceeds the budget is not cached at all.
 func (rt *Router) cacheFill(key string, body []byte) {
 	if rt.cache != nil && key != "" {
-		rt.cache.put(key, body)
+		rt.cache.Put(key, store.EncodeEnvelope(key, body))
 	}
 }
 
@@ -175,7 +166,12 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request, path strin
 	vw := rt.view()
 	ranks := RankIDs(hash, vw.ids)
 	owner := ranks[0]
-	key := resultKeyFor(path, req.Model, hash)
+	// No key (no cache) for a selector the backend will refuse anyway.
+	model := req.Model
+	if path == "/compare" {
+		model = "compare"
+	}
+	key, _ := service.ResultKey(model, hash)
 	if cached, ok := rt.cacheLookup(key); ok {
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set("X-Cache", routerHit)

@@ -30,9 +30,10 @@
 // truncation.
 //
 // With Options.RouterCacheBytes set, the router additionally holds a
-// bounded in-memory result cache (cache.go): a result body it has
-// relayed once is served to repeats directly from router memory with
-// zero backend round trips, tagged X-Cache: router_hit.
+// bounded in-memory result cache (cacheLookup/cacheFill in proxy.go):
+// a result body it has relayed once is served to repeats directly from
+// router memory with zero backend round trips, tagged X-Cache:
+// router_hit.
 //
 // Sweeps run on the one sweep engine (service.SweepEngine); what the
 // cluster adds underneath it — per-shard lanes, work-stealing with
@@ -49,6 +50,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/lru"
 	"repro/internal/obs"
 	"repro/internal/sched"
 	"repro/internal/service"
@@ -192,10 +194,14 @@ type Router struct {
 	breakerInterval  time.Duration
 	httpClient       *http.Client
 	sup              *Supervisor
-	cache            *resultCache
-	stop             chan struct{}
-	stopOnce         sync.Once
-	since            time.Time
+	// cache is the router result cache (nil when disabled): result
+	// bodies under the keys the backends persist them under, held as the
+	// store's checksummed envelopes — the byte budget counts envelope
+	// bytes — so an entry is verified before it is served.
+	cache    *lru.Cache
+	stop     chan struct{}
+	stopOnce sync.Once
+	since    time.Time
 
 	// topoMu guards the current membership snapshot and the stable-ID
 	// allocator. Request paths take the read lock once per request to
@@ -254,7 +260,7 @@ func New(opt Options) (*Router, error) {
 		rt.tenantHeader = service.DefaultTenantHeader
 	}
 	if opt.RouterCacheBytes > 0 {
-		rt.cache = newResultCache(opt.RouterCacheBytes)
+		rt.cache = lru.NewCache(opt.RouterCacheBytes, 0)
 	}
 	rt.scenariosBody, rt.scenarioByName = service.ScenarioLibrary()
 	shards := make([]*shardState, 0, len(opt.Backends))

@@ -16,10 +16,8 @@ package shard
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/url"
 
 	"repro/internal/sched"
 	"repro/internal/service"
@@ -73,10 +71,7 @@ func (t clusterTier) Begin(r *http.Request) (service.SweepPlanner, error) {
 		// share the backend's full cache/coalescing path with direct
 		// requests, and what makes failover per-variant.
 		vw := t.rt.view()
-		call := sweepCall{rt: t.rt, vw: vw, hdr: hdr, path: "/run", runModel: m.Name}
-		if m.Compare {
-			call.path, call.runModel = "/compare", ""
-		}
+		call := sweepCall{rt: t.rt, vw: vw, hdr: hdr, model: m}
 		pos := make(map[int]int, len(vw.shards))
 		lanes := make([]service.SweepLane, len(vw.shards))
 		for i, sh := range vw.shards {
@@ -95,22 +90,40 @@ func (t clusterTier) Begin(r *http.Request) (service.SweepPlanner, error) {
 
 // sweepCall is what every backend hop of one sweep chunk shares: the
 // membership snapshot it routes against, the caller's scheduling
-// identity, and the per-variant endpoint the model selects.
+// identity, and the model that selects the per-variant endpoint.
 type sweepCall struct {
-	rt             *Router
-	vw             *view
-	hdr            http.Header
-	path, runModel string
+	rt    *Router
+	vw    *view
+	hdr   http.Header
+	model service.SweepModel
 }
 
-// resolve runs v on the shard at position lane of the chunk's view:
-// the owner's rank walk when the lane took it from its own queue, the
-// thief's path when it stole it from the queue at position from.
+// resolve runs v on the shard at position lane of the chunk's view. The
+// router cache is probed first, once, whoever ends up computing; then
+// it is the owner's rank walk when the lane took v from its own queue
+// (position from is always the owner's), the thief's path when it
+// stole it. ok=false means the client's context ended.
 func (c sweepCall) resolve(ctx context.Context, v sweep.Variant, lane, from int) (service.SweepLine, bool) {
-	if lane == from {
-		return c.resolveOwned(ctx, v)
+	owner := c.vw.shards[from].id
+	key := c.model.Key(v.Hash)
+	if cached, ok := c.rt.cacheLookup(key); ok {
+		row := Row{SweepRow: service.NewSweepRow(v), Shard: owner}
+		row.Settle(routerHit, http.StatusOK, cached)
+		return row, true
 	}
-	return c.resolveStolen(ctx, v, c.vw.shards[from].id, c.vw.shards[lane].id)
+	if lane == from {
+		return c.rankWalk(ctx, v, key)
+	}
+	return c.resolveStolen(ctx, v, key, owner, c.vw.shards[lane].id)
+}
+
+// request is the backend call that runs one variant: POST /compare, or
+// POST /run with the model selector as the client spelled it.
+func (c sweepCall) request(v sweep.Variant) (path string, body []byte) {
+	if c.model.Compare {
+		return "/compare", variantRequest(v, "")
+	}
+	return "/run", variantRequest(v, c.model.Name)
 }
 
 // variantRequest renders the service.RunRequest that runs one variant:
@@ -126,23 +139,18 @@ func variantRequest(v sweep.Variant, runModel string) []byte {
 	return append(body, '}')
 }
 
-// resolveOwned runs one variant against the cluster: the router cache
-// first, then the shards in the variant's rendezvous rank order,
-// starting at its owner, through the attempt loop — saturation waited
-// out on the live shard, a dead shard costing one step down the order,
-// a deterministic error final. A row served by a non-owner carries the
-// Failover tag; the error row exists only when every shard refused.
-// ok=false means the client's context ended.
-func (c sweepCall) resolveOwned(ctx context.Context, v sweep.Variant) (Row, bool) {
+// rankWalk offers one variant to the shards in its rendezvous rank
+// order, starting at its owner, through the attempt loop — saturation
+// waited out on the live shard, a dead shard costing one step down the
+// order, a deterministic error final. A row served by a non-owner
+// carries the Failover tag; the error row exists only when every shard
+// refused.
+func (c sweepCall) rankWalk(ctx context.Context, v sweep.Variant, key string) (Row, bool) {
 	ranks := RankIDs(v.Hash, c.vw.ids)
 	owner := ranks[0]
 	row := Row{SweepRow: service.NewSweepRow(v), Shard: owner}
-	key := resultKeyFor(c.path, c.runModel, v.Hash)
-	if cached, ok := c.rt.cacheLookup(key); ok {
-		row.Settle(routerHit, http.StatusOK, cached)
-		return row, true
-	}
-	ans, refused, alive := c.rt.attempt(ctx, c.vw, ranks, c.path, variantRequest(v, c.runModel), c.hdr, true)
+	path, body := c.request(v)
+	ans, refused, alive := c.rt.attempt(ctx, c.vw, ranks, path, body, c.hdr, true)
 	switch {
 	case !alive:
 		return Row{}, false
@@ -163,34 +171,39 @@ func (c sweepCall) resolveOwned(ctx context.Context, v sweep.Variant) (Row, bool
 }
 
 // resolveStolen computes one variant on a shard that is NOT its owner.
-// Before the thief spends a worker, the router cache and then the
-// owner's store are probed: a queued variant already held is answered
-// from the held bytes as a cache hit, untagged, because nothing was
-// stolen. Only a genuine miss is simulated on the thief, driven
-// exactly like an owner would be (the same attempt loop, with the
-// thief as its only candidate); on success the row is tagged Stolen
-// and the result body is written back to the owner's store. A dead or
-// terminal thief sends the variant down the ordinary rank walk —
-// stealing may change who computes, never whether the row appears.
-func (c sweepCall) resolveStolen(ctx context.Context, v sweep.Variant, owner, thief int) (Row, bool) {
+// Before the thief spends a worker the owner's store is probed: a
+// queued variant already held is answered from the held bytes as a
+// cache hit, untagged, because nothing was stolen. Only a genuine miss
+// is simulated on the thief, driven exactly like an owner would be (the
+// same attempt loop, with the thief as its only candidate); on success
+// the row is tagged Stolen and the result body is written back to the
+// owner's store. A dead or terminal thief sends the variant down the
+// ordinary rank walk — stealing may change who computes, never whether
+// the row appears.
+func (c sweepCall) resolveStolen(ctx context.Context, v sweep.Variant, key string, owner, thief int) (Row, bool) {
 	row := Row{SweepRow: service.NewSweepRow(v), Shard: owner}
-	key := resultKeyFor(c.path, c.runModel, v.Hash)
-	if cached, ok := c.rt.cacheLookup(key); ok {
-		row.Settle(routerHit, http.StatusOK, cached)
-		return row, true
-	}
-	if held, hit, alive := c.probeOwner(ctx, owner, key); !alive {
-		return Row{}, false
-	} else if hit {
+	// Any owner trouble — open circuit, transport error, 404, anything
+	// unexpected — is a clean miss: the probe is an optimization, never a
+	// gate, so the steal proceeds (its attempt loop notices a client that
+	// has gone) and correctness rests on the thief as before.
+	var held []byte
+	var hit bool
+	c.vw.byID[owner].storeCall(ctx, func(ctx context.Context, cl *service.Client) (err error) {
+		held, hit, err = cl.FetchResult(ctx, key)
+		return err
+	})
+	if hit {
+		c.rt.cacheFill(key, held)
 		row.Settle("hit", http.StatusOK, held)
 		return row, true
 	}
-	ans, _, alive := c.rt.attempt(ctx, c.vw, []int{thief}, c.path, variantRequest(v, c.runModel), c.hdr, true)
+	path, body := c.request(v)
+	ans, _, alive := c.rt.attempt(ctx, c.vw, []int{thief}, path, body, c.hdr, true)
 	switch {
 	case !alive:
 		return Row{}, false
 	case ans.status == 0:
-		return c.resolveOwned(ctx, v)
+		return c.rankWalk(ctx, v, key)
 	}
 	row.Shard = thief
 	row.Settle(ans.hdr.Get("X-Cache"), ans.status, ans.body)
@@ -203,69 +216,35 @@ func (c sweepCall) resolveStolen(ctx context.Context, v sweep.Variant, owner, th
 	return row, true
 }
 
-// storeCall makes one store side-channel call to sh — a result probe,
-// a manifest read or write — bounded by healthTimeout, with the
-// breaker bookkeeping every backend call owes. ok=false means the call
-// was not answered: circuit open, or a transport error (charged to the
+// storeCall makes one store side-channel call to sh — a result probe or
+// write-back, a manifest read or write, each a typed service.Client
+// call — bounded by healthTimeout, with the breaker bookkeeping every
+// backend call owes. answered=false means the backend did not answer:
+// circuit open (call never ran), or a transport error (charged to the
 // breaker unless it was ctx ending).
-func (sh *shardState) storeCall(ctx context.Context, method, path string, body []byte) (status int, resp []byte, ok bool) {
+func (sh *shardState) storeCall(ctx context.Context, call func(context.Context, *service.Client) error) (answered bool) {
 	if !sh.breaker.allow() {
-		return 0, nil, false
+		return false
 	}
-	call, cancel := context.WithTimeout(ctx, healthTimeout)
+	bounded, cancel := context.WithTimeout(ctx, healthTimeout)
 	defer cancel()
-	var hdr http.Header
-	if body != nil {
-		hdr = http.Header{"Content-Type": {"application/json"}}
-	}
-	status, _, resp, err := sh.client.Do(call, method, path, body, hdr)
-	if err != nil {
+	if err := call(bounded, sh.client); service.Unreachable(err) {
 		if ctx.Err() == nil {
 			sh.breaker.failure()
 		}
-		return 0, nil, false
+		return false
 	}
 	sh.breaker.success()
-	return status, resp, true
+	return true
 }
 
-// probeOwner asks a variant's owner whether it already holds the
-// stored result (GET /results?key=...) before a thief re-simulates it.
-// hit=true carries the held body; alive=false means the client's
-// context ended mid-probe. Any owner trouble — open circuit, transport
-// error, 404, anything unexpected — is a clean miss: the probe is an
-// optimization, never a gate, so the steal proceeds and correctness
-// rests on the thief as before.
-func (c sweepCall) probeOwner(ctx context.Context, owner int, key string) (body []byte, hit, alive bool) {
-	if key == "" {
-		return nil, false, true
-	}
-	status, body, ok := c.vw.byID[owner].storeCall(ctx, http.MethodGet, "/results?key="+url.QueryEscape(key), nil)
-	if !ok || status != http.StatusOK {
-		return nil, false, ctx.Err() == nil
-	}
-	c.rt.cacheFill(key, body)
-	return body, true, true
-}
-
-// writeBack posts a stolen result to the owner's POST /results under
-// the content-addressed key the owner's own simulation would have
-// persisted it under. Failure is dropped silently: the write-back is
-// cache placement, not correctness — a dead owner repopulates from
-// replay when it returns.
+// writeBack stores a stolen result in the owner's cache tiers under the
+// key the owner's own simulation would have persisted it under. Failure
+// is dropped silently: the write-back is cache placement, not
+// correctness — a dead owner repopulates from replay when it returns.
 func (c sweepCall) writeBack(ctx context.Context, owner, thief int, key string, body []byte) {
-	if key == "" {
-		return
-	}
-	if c.rt.attemptTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.rt.attemptTimeout)
-		defer cancel()
-	}
-	c.vw.byID[owner].client.Do(ctx, http.MethodPost, "/results", body, http.Header{
-		"Content-Type":          {"application/json"},
-		service.ResultKeyHeader: {key},
-		service.StolenHeader:    {fmt.Sprintf("%d->%d", owner, thief)},
+	c.vw.byID[owner].storeCall(ctx, func(ctx context.Context, cl *service.Client) error {
+		return cl.StoreResult(ctx, key, body, fmt.Sprintf("%d->%d", owner, thief))
 	})
 }
 
@@ -277,18 +256,14 @@ func (c sweepCall) writeBack(ctx context.Context, owner, thief int, key string, 
 func (t clusterTier) LoadManifest(ctx context.Context, id string) (*service.SweepManifest, bool) {
 	vw := t.rt.view()
 	for _, sid := range RankIDs(id, vw.ids) {
-		status, body, ok := vw.byID[sid].storeCall(ctx, http.MethodGet, "/sweep/"+id, nil)
-		if ctx.Err() != nil {
-			return nil, false
-		}
-		if !ok || status != http.StatusOK {
-			continue
-		}
-		// The status document is the manifest plus derived counts; the
-		// counts are recomputed from the bits, never trusted.
-		var m service.SweepManifest
-		if json.Unmarshal(body, &m) == nil && m.Accept(id) {
-			return &m, true
+		var m *service.SweepManifest
+		var ok bool
+		vw.byID[sid].storeCall(ctx, func(ctx context.Context, cl *service.Client) (err error) {
+			m, ok, err = cl.FetchManifest(ctx, id)
+			return err
+		})
+		if ok || ctx.Err() != nil {
+			return m, ok
 		}
 	}
 	return nil, false
@@ -302,16 +277,15 @@ func (t clusterTier) LoadManifest(ctx context.Context, id string) (*service.Swee
 // needs. Total failure leaves the previous checkpoint standing —
 // bookkeeping lost, correctness untouched.
 func (t clusterTier) SaveManifest(m *service.SweepManifest) {
-	body, err := json.Marshal(m)
-	if err != nil {
-		return
-	}
 	vw := t.rt.view()
 	for _, sid := range RankIDs(m.ID, vw.ids) {
-		// 204 is stored; any 4xx is deterministic and would repeat on
-		// every shard — either way an answered PUT settles this
+		// Stored, or refused for a reason that is deterministic and would
+		// repeat on every shard — either way an answered PUT settles this
 		// checkpoint.
-		if _, _, ok := vw.byID[sid].storeCall(context.Background(), http.MethodPut, "/sweep/"+m.ID, body); ok {
+		answered := vw.byID[sid].storeCall(context.Background(), func(ctx context.Context, cl *service.Client) error {
+			return cl.PutManifest(ctx, m)
+		})
+		if answered {
 			return
 		}
 	}

@@ -31,19 +31,6 @@ func BenchmarkSchedulerPostDispatchSparse(b *testing.B) {
 	}
 }
 
-// BenchmarkSchedulerClosureAt measures the legacy closure-compatible
-// path for comparison (the closure's captures may allocate).
-func BenchmarkSchedulerClosureAt(b *testing.B) {
-	s := NewScheduler()
-	sink := 0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.At(s.Now()+3, func(Cycle) { sink++ })
-		s.Run(s.Now() + 4)
-	}
-}
-
 // BenchmarkSchedulerCancel measures cancel + repost, the TLM's
 // arbitration-rescheduling pattern.
 func BenchmarkSchedulerCancel(b *testing.B) {

@@ -211,24 +211,6 @@ func (s *Scheduler) Post(c Cycle, fn EventFn, owner any, arg uint64) EventID {
 	return EventID(uint64(idx+1) | uint64(e.gen)<<32)
 }
 
-// At schedules fn to run at cycle c. This is the closure-compatible
-// wrapper over Post; the closure is boxed (func values are
-// pointer-shaped, so the boxing itself does not allocate — only
-// whatever the closure captures does).
-func (s *Scheduler) At(c Cycle, fn func(now Cycle)) {
-	s.Post(c, closureEvent, fn, 0)
-}
-
-// closureEvent adapts the legacy closure signature onto EventFn.
-func closureEvent(now Cycle, owner any, _ uint64) {
-	owner.(func(Cycle))(now)
-}
-
-// After schedules fn to run d cycles from now.
-func (s *Scheduler) After(d Cycle, fn func(now Cycle)) {
-	s.At(s.now.AddSat(d), fn)
-}
-
 // Cancel removes a queued event. It reports whether the id named a
 // still-pending event; ids of executed or already-cancelled events are
 // stale and return false. The slab entry is reclaimed lazily when the

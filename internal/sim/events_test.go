@@ -12,7 +12,7 @@ func TestSchedulerRunsInCycleOrder(t *testing.T) {
 	var got []Cycle
 	for _, c := range []Cycle{30, 10, 20, 10, 5} {
 		c := c
-		s.At(c, func(now Cycle) {
+		at(s, c, func(now Cycle) {
 			if now != c {
 				t.Errorf("event scheduled at %v ran at %v", c, now)
 			}
@@ -36,7 +36,7 @@ func TestSchedulerFIFOWithinCycle(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		s.At(7, func(Cycle) { order = append(order, i) })
+		at(s, 7, func(Cycle) { order = append(order, i) })
 	}
 	s.RunAll()
 	for i, v := range order {
@@ -53,10 +53,10 @@ func TestSchedulerEventsCanScheduleEvents(t *testing.T) {
 	hop = func(now Cycle) {
 		hops++
 		if hops < 5 {
-			s.After(3, hop)
+			after(s, 3, hop)
 		}
 	}
-	s.At(0, hop)
+	at(s, 0, hop)
 	end := s.RunAll()
 	if hops != 5 {
 		t.Fatalf("hops = %d, want 5", hops)
@@ -69,7 +69,7 @@ func TestSchedulerEventsCanScheduleEvents(t *testing.T) {
 func TestSchedulerLimitStopsBeforeEvent(t *testing.T) {
 	s := NewScheduler()
 	ran := false
-	s.At(100, func(Cycle) { ran = true })
+	at(s, 100, func(Cycle) { ran = true })
 	end := s.Run(50)
 	if ran {
 		t.Fatal("event beyond limit ran")
@@ -89,13 +89,13 @@ func TestSchedulerLimitStopsBeforeEvent(t *testing.T) {
 
 func TestSchedulerPastSchedulingPanics(t *testing.T) {
 	s := NewScheduler()
-	s.At(10, func(now Cycle) {
+	at(s, 10, func(now Cycle) {
 		defer func() {
 			if recover() == nil {
 				t.Error("expected panic scheduling in the past")
 			}
 		}()
-		s.At(now-1, func(Cycle) {})
+		at(s, now-1, func(Cycle) {})
 	})
 	s.RunAll()
 }
@@ -104,7 +104,7 @@ func TestSchedulerStop(t *testing.T) {
 	s := NewScheduler()
 	count := 0
 	for i := Cycle(0); i < 10; i++ {
-		s.At(i, func(now Cycle) {
+		at(s, i, func(now Cycle) {
 			count++
 			if now == 3 {
 				s.Stop("enough")
@@ -125,8 +125,8 @@ func TestSchedulerPeekNext(t *testing.T) {
 	if s.PeekNext() != CycleMax {
 		t.Fatal("PeekNext on empty queue should be CycleMax")
 	}
-	s.At(42, func(Cycle) {})
-	s.At(17, func(Cycle) {})
+	at(s, 42, func(Cycle) {})
+	at(s, 17, func(Cycle) {})
 	if s.PeekNext() != 17 {
 		t.Fatalf("PeekNext = %v, want 17", s.PeekNext())
 	}
@@ -144,7 +144,7 @@ func TestSchedulerOrderProperty(t *testing.T) {
 		for i := 0; i < n; i++ {
 			c := Cycle(rng.Intn(1000))
 			cycles[i] = c
-			s.At(c, func(now Cycle) { executed = append(executed, now) })
+			at(s, c, func(now Cycle) { executed = append(executed, now) })
 		}
 		s.RunAll()
 		if len(executed) != n {

@@ -68,7 +68,7 @@ func TestSchedulerEventStorm(t *testing.T) {
 	count := 0
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < n; i++ {
-		s.At(Cycle(rng.Intn(100)), func(Cycle) { count++ })
+		at(s, Cycle(rng.Intn(100)), func(Cycle) { count++ })
 	}
 	s.RunAll()
 	if count != n {
@@ -81,11 +81,11 @@ func TestSchedulerEventStorm(t *testing.T) {
 func TestSchedulerReentrantScheduling(t *testing.T) {
 	s := NewScheduler()
 	var order []string
-	s.At(5, func(now Cycle) {
+	at(s, 5, func(now Cycle) {
 		order = append(order, "a")
-		s.At(now, func(Cycle) { order = append(order, "c") })
+		at(s, now, func(Cycle) { order = append(order, "c") })
 	})
-	s.At(5, func(Cycle) { order = append(order, "b") })
+	at(s, 5, func(Cycle) { order = append(order, "b") })
 	s.RunAll()
 	want := []string{"a", "b", "c"}
 	for i := range want {
@@ -103,7 +103,7 @@ func TestSchedulerEventPoolReuse(t *testing.T) {
 	for round := 0; round < 10; round++ {
 		for i := 0; i < 100; i++ {
 			i := i
-			s.At(s.Now()+Cycle(1+i%7), func(Cycle) { seen[i]++ })
+			at(s, s.Now()+Cycle(1+i%7), func(Cycle) { seen[i]++ })
 		}
 		s.RunAll()
 	}

@@ -22,8 +22,11 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
+
+	"repro/internal/lru"
 )
 
 // indexName is the startup index's file name. It carries no ".res"
@@ -42,11 +45,9 @@ const indexMagic = "simidx1"
 // index, and a stale index is detected and rebuilt at the next Open.
 const indexFlushEvery = 64
 
-// indexEntry is one parsed line of the startup index.
-type indexEntry struct {
-	key  string
-	size int64
-}
+// indexEntry is one line of the startup index: an entry's key and its
+// size (Cost). The write generation (Value) is not persisted.
+type indexEntry = lru.Entry[int64]
 
 // encodeIndex renders the index file: a header line with the magic,
 // the SHA-256 of the payload and the entry count, then one
@@ -54,9 +55,9 @@ type indexEntry struct {
 func encodeIndex(entries []indexEntry) []byte {
 	var payload bytes.Buffer
 	for _, e := range entries {
-		payload.WriteString(strconv.FormatInt(e.size, 10))
+		payload.WriteString(strconv.FormatInt(e.Cost, 10))
 		payload.WriteByte(' ')
-		payload.WriteString(e.key)
+		payload.WriteString(e.Key)
 		payload.WriteByte('\n')
 	}
 	sum := sha256.Sum256(payload.Bytes())
@@ -108,7 +109,7 @@ func parseIndex(raw []byte) ([]indexEntry, error) {
 		if !validKey(key) {
 			return nil, fmt.Errorf("invalid key in index")
 		}
-		entries = append(entries, indexEntry{key: key, size: size})
+		entries = append(entries, indexEntry{Key: key, Cost: size})
 	}
 	if len(entries) != count {
 		return nil, fmt.Errorf("header says %d entries, found %d", count, len(entries))
@@ -143,9 +144,9 @@ func (s *Store) loadIndex(resNames map[string]bool) (entries []indexEntry, size 
 	}
 	seen := make(map[string]bool, len(entries))
 	for _, e := range entries {
-		name := fileName(e.key)
+		name := fileName(e.Key)
 		if !resNames[name] || seen[name] {
-			log.Printf("store: stale startup index %s: entry %q has no matching file", path, e.key)
+			log.Printf("store: stale startup index %s: entry %q has no matching file", path, e.Key)
 			return nil, 0, false
 		}
 		seen[name] = true
@@ -174,30 +175,16 @@ func (s *Store) flushIndex() error {
 	defer s.flushMu.Unlock()
 
 	s.mu.Lock()
-	entries := make([]indexEntry, 0, s.order.Len())
-	for el := s.order.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*entry)
-		entries = append(entries, indexEntry{key: e.key, size: e.size})
-	}
+	entries := slices.Collect(s.entries.All())
 	s.mu.Unlock()
 
 	data := encodeIndex(entries)
-	tmp, err := os.CreateTemp(s.dir, indexName+".*"+tmpSuffix)
+	commit, err := s.stage(indexName, data)
+	if err == nil {
+		err = commit()
+	}
 	if err != nil {
-		return fmt.Errorf("store: index: %w", err)
-	}
-	_, werr := tmp.Write(data)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		if werr == nil {
-			werr = cerr
-		}
-		return fmt.Errorf("store: writing index: %w", werr)
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(s.dir, indexName)); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("store: index: %w", err)
+		return err
 	}
 
 	s.mu.Lock()
@@ -223,28 +210,11 @@ func (s *Store) Close() error {
 func (s *Store) Enumerate(prefix string) []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	keys := make([]string, 0, len(s.byKey))
-	for el := s.order.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*entry)
-		if strings.HasPrefix(e.key, prefix) {
-			keys = append(keys, e.key)
+	keys := make([]string, 0, s.entries.Len())
+	for e := range s.entries.All() {
+		if strings.HasPrefix(e.Key, prefix) {
+			keys = append(keys, e.Key)
 		}
 	}
 	return keys
-}
-
-// EncodeEnvelope renders key and body in the store's self-verifying
-// on-disk envelope form (header line with magic, body checksum,
-// length and key, then the raw body). Exported so the router's
-// in-memory result cache can hold the exact bytes a store would
-// persist — same integrity check, no second format.
-func EncodeEnvelope(key string, body []byte) []byte {
-	return envelope(key, body)
-}
-
-// DecodeEnvelope parses and verifies an envelope produced by
-// EncodeEnvelope (or read from a store file), returning the recorded
-// key and body. Any mismatch — magic, length, checksum — is an error.
-func DecodeEnvelope(raw []byte) (key string, body []byte, err error) {
-	return parseEnvelope(raw, "envelope")
 }

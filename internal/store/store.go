@@ -30,17 +30,21 @@ package store
 
 import (
 	"bytes"
-	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"log"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/lru"
 )
 
 // DefaultMaxBytes is the default payload budget: 256 MiB holds
@@ -97,16 +101,6 @@ type Stats struct {
 	IndexRebuilds uint64 `json:"index_rebuilds"`
 }
 
-// entry is the in-memory bookkeeping for one stored result; its
-// recency lives in its position on the store's access-ordered list.
-type entry struct {
-	key  string
-	size int64
-	gen  int64 // write generation; a reader's miss-cleanup only
-	// removes the generation it actually observed, so a concurrent
-	// re-Put of the key is never thrown away by a stale reader.
-}
-
 // Store is a disk-backed key→bytes result store. It is safe for
 // concurrent use; it assumes it is the directory's only writer.
 type Store struct {
@@ -121,14 +115,14 @@ type Store struct {
 	observe func(op string, d time.Duration)
 
 	mu sync.Mutex
-	// byKey indexes the access-ordered list (front = most recently
-	// accessed; values are *entry), so a hit refreshes recency and the
-	// GC picks its victim in O(1) instead of scanning every entry.
-	byKey map[string]*list.Element
-	order *list.List
-	size  int64
-	gen   int64
-	stats Stats
+	// entries is the in-memory bookkeeping, one entry per stored result
+	// in access order: its cost is the body length, its value the write
+	// generation — a reader's miss-cleanup only removes the generation
+	// it actually observed, so a concurrent re-Put of the key is never
+	// thrown away by a stale reader.
+	entries *lru.Index[int64]
+	gen     int64
+	stats   Stats
 	// mutations counts writes and evictions since the last index
 	// flush; indexBytes is the current index file's size (budgeted but
 	// never evicted). flushMu serializes index flushers so an older
@@ -153,7 +147,7 @@ func Open(dir string, maxBytes int64) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s := &Store{dir: dir, maxBytes: maxBytes, byKey: make(map[string]*list.Element), order: list.New()}
+	s := &Store{dir: dir, maxBytes: maxBytes, entries: lru.NewIndex[int64]()}
 	if err := s.load(); err != nil {
 		return nil, err
 	}
@@ -179,6 +173,7 @@ func (s *Store) load() error {
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
+	var results []os.DirEntry
 	resNames := make(map[string]bool)
 	for _, de := range names {
 		if de.IsDir() {
@@ -190,17 +185,18 @@ func (s *Store) load() error {
 			continue
 		}
 		if strings.HasSuffix(name, suffix) {
+			results = append(results, de)
 			resNames[name] = true
 		}
 	}
 	if entries, idxSize, ok := s.loadIndex(resNames); ok {
 		s.stats.IndexLoads++
 		s.indexBytes = idxSize
-		// Index order is most-recent-first; PushBack preserves it.
-		for _, e := range entries {
+		// Index order is most-recent-first: coldest in first, so the
+		// most recent ends at the hot end.
+		for _, e := range slices.Backward(entries) {
 			s.gen++
-			s.byKey[e.key] = s.order.PushBack(&entry{key: e.key, size: e.size, gen: s.gen})
-			s.size += e.size
+			s.entries.Put(e.Key, e.Cost, s.gen)
 		}
 		return nil
 	}
@@ -211,7 +207,8 @@ func (s *Store) load() error {
 		s.stats.IndexRebuilds++
 		log.Printf("store: rebuilding startup index for %s from %d result files", s.dir, len(resNames))
 	}
-	return s.rescan()
+	s.rescan(results)
+	return nil
 }
 
 // dropCorruptAtOpen deletes an unreadable envelope found while
@@ -227,32 +224,18 @@ func (s *Store) dropCorruptAtOpen(path, reason string) {
 	os.Remove(path)
 }
 
-// rescan walks the store directory rebuilding the entry table and the
-// LRU order from file modification times — the slow, always-correct
-// path behind the startup index.
-func (s *Store) rescan() error {
-	names, err := os.ReadDir(s.dir)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
+// rescan rebuilds the entry table from the result files load listed,
+// and the LRU order from their modification times — the slow,
+// always-correct path behind the startup index.
+func (s *Store) rescan(results []os.DirEntry) {
 	type seen struct {
 		key  string
 		size int64
 		mod  time.Time
 	}
 	var found []seen
-	for _, de := range names {
-		if de.IsDir() {
-			continue
-		}
+	for _, de := range results {
 		name := de.Name()
-		if strings.HasSuffix(name, tmpSuffix) {
-			os.Remove(filepath.Join(s.dir, name)) // interrupted write
-			continue
-		}
-		if !strings.HasSuffix(name, suffix) {
-			continue
-		}
 		path := filepath.Join(s.dir, name)
 		// Index from the header alone — no body read or hash, so a
 		// store of hundreds of thousands of results opens in O(files)
@@ -277,14 +260,12 @@ func (s *Store) rescan() error {
 		found = append(found, seen{key: key, size: size, mod: mod})
 	}
 	sort.Slice(found, func(i, j int) bool { return found[i].mod.Before(found[j].mod) })
-	// Oldest first pushed first: each PushFront leaves the newest file
-	// at the front of the access order.
+	// Oldest first: each Put leaves the newest file at the hot end of
+	// the access order.
 	for _, f := range found {
 		s.gen++
-		s.byKey[f.key] = s.order.PushFront(&entry{key: f.key, size: f.size, gen: s.gen})
-		s.size += f.size
+		s.entries.Put(f.key, f.size, s.gen)
 	}
-	return nil
 }
 
 // Dir returns the store root directory.
@@ -300,8 +281,8 @@ func (s *Store) StatsSnapshot() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.stats
-	st.Entries = len(s.byKey)
-	st.Bytes = s.size
+	st.Entries = s.entries.Len()
+	st.Bytes = s.entries.Cost()
 	st.IndexBytes = s.indexBytes
 	return st
 }
@@ -336,8 +317,12 @@ func fileName(key string) string {
 	return string(b) + suffix
 }
 
-// envelope renders the on-disk form: header line, then the body.
-func envelope(key string, body []byte) []byte {
+// EncodeEnvelope renders key and body in the store's self-verifying
+// envelope form: a header line with magic, body checksum, length and
+// key, then the raw body. Exported so the router's in-memory result
+// cache can hold the exact bytes a store would persist — same
+// integrity check, no second format.
+func EncodeEnvelope(key string, body []byte) []byte {
 	sum := sha256.Sum256(body)
 	header := fmt.Sprintf("%s %s %d %s\n", magic, hex.EncodeToString(sum[:]), len(body), key)
 	out := make([]byte, 0, len(header)+len(body))
@@ -348,6 +333,26 @@ func envelope(key string, body []byte) []byte {
 // maxHeaderBytes bounds the envelope header line: magic + hex digest
 // + length + key, all short in practice.
 const maxHeaderBytes = 4096
+
+// parseHeader splits raw at its first newline and parses the envelope
+// header line before it — magic, body checksum (hex), body length, key —
+// returning the fields and the offset the body starts at. It is the one
+// reader of the header format.
+func parseHeader(raw []byte) (sum string, bodyLen int64, key string, bodyAt int, err error) {
+	nl := bytes.IndexByte(raw, '\n')
+	if nl < 0 {
+		return "", 0, "", 0, errors.New("store: no envelope header")
+	}
+	fields := strings.Split(string(raw[:nl]), " ")
+	if len(fields) != 4 || fields[0] != magic {
+		return "", 0, "", 0, errors.New("store: bad envelope header")
+	}
+	bodyLen, err = strconv.ParseInt(fields[2], 10, 64)
+	if err != nil || bodyLen < 0 {
+		return "", 0, "", 0, errors.New("store: bad envelope length")
+	}
+	return fields[1], bodyLen, fields[3], nl + 1, nil
+}
 
 // readHeader parses just the envelope header of a result file,
 // returning the recorded key and body length, and checks that the
@@ -364,63 +369,47 @@ func readHeader(path string) (key string, size int64, err error) {
 	if n == 0 && err != nil {
 		return "", 0, fmt.Errorf("store: %s: %w", path, err)
 	}
-	nl := bytes.IndexByte(buf[:n], '\n')
-	if nl < 0 {
-		return "", 0, fmt.Errorf("store: %s: no envelope header", path)
-	}
-	fields := strings.Split(string(buf[:nl]), " ")
-	if len(fields) != 4 || fields[0] != magic {
-		return "", 0, fmt.Errorf("store: %s: bad envelope header", path)
-	}
-	var bodyLen int64
-	if _, err := fmt.Sscanf(fields[2], "%d", &bodyLen); err != nil || bodyLen < 0 {
-		return "", 0, fmt.Errorf("store: %s: bad length", path)
+	_, bodyLen, key, bodyAt, err := parseHeader(buf[:n])
+	if err != nil {
+		return "", 0, err
 	}
 	info, err := f.Stat()
 	if err != nil {
 		return "", 0, fmt.Errorf("store: %s: %w", path, err)
 	}
-	if info.Size() != int64(nl+1)+bodyLen {
-		return "", 0, fmt.Errorf("store: %s: file is %d bytes, envelope says %d", path, info.Size(), int64(nl+1)+bodyLen)
+	if info.Size() != int64(bodyAt)+bodyLen {
+		return "", 0, fmt.Errorf("store: %s: file is %d bytes, envelope says %d", path, info.Size(), int64(bodyAt)+bodyLen)
 	}
-	return fields[3], bodyLen, nil
+	return key, bodyLen, nil
 }
 
-// readEnvelope loads and verifies one result file, returning the
-// recorded key and body. Any mismatch — magic, length, checksum,
-// malformed header — is an error.
+// readEnvelope loads and verifies one result file.
 func readEnvelope(path string) (key string, body []byte, err error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return "", nil, err
 	}
-	return parseEnvelope(raw, path)
+	return DecodeEnvelope(raw)
 }
 
-// parseEnvelope verifies raw envelope bytes (from disk or from the
-// router's in-memory cache); label names the source in errors.
-func parseEnvelope(raw []byte, label string) (key string, body []byte, err error) {
-	nl := bytes.IndexByte(raw, '\n')
-	if nl < 0 {
-		return "", nil, fmt.Errorf("store: %s: no envelope header", label)
+// DecodeEnvelope parses and verifies an envelope produced by
+// EncodeEnvelope — a store file, or an entry of the router's in-memory
+// cache — returning the recorded key and body. Any mismatch — magic,
+// length, checksum, malformed header — is an error.
+func DecodeEnvelope(raw []byte) (key string, body []byte, err error) {
+	want, bodyLen, key, bodyAt, err := parseHeader(raw)
+	if err != nil {
+		return "", nil, err
 	}
-	fields := strings.Split(string(raw[:nl]), " ")
-	if len(fields) != 4 || fields[0] != magic {
-		return "", nil, fmt.Errorf("store: %s: bad envelope header", label)
-	}
-	var n int
-	if _, err := fmt.Sscanf(fields[2], "%d", &n); err != nil {
-		return "", nil, fmt.Errorf("store: %s: bad length: %w", label, err)
-	}
-	body = raw[nl+1:]
-	if len(body) != n {
-		return "", nil, fmt.Errorf("store: %s: body is %d bytes, header says %d", label, len(body), n)
+	body = raw[bodyAt:]
+	if int64(len(body)) != bodyLen {
+		return "", nil, fmt.Errorf("store: envelope body is %d bytes, header says %d", len(body), bodyLen)
 	}
 	sum := sha256.Sum256(body)
-	if hex.EncodeToString(sum[:]) != fields[1] {
-		return "", nil, fmt.Errorf("store: %s: checksum mismatch", label)
+	if hex.EncodeToString(sum[:]) != want {
+		return "", nil, errors.New("store: envelope checksum mismatch")
 	}
-	return fields[3], body, nil
+	return key, body, nil
 }
 
 // Get returns the stored body for key. The disk read happens outside
@@ -447,7 +436,7 @@ func (s *Store) get(key string, count bool) ([]byte, bool) {
 		defer func() { s.observe("get", time.Since(start)) }()
 	}
 	s.mu.Lock()
-	el, present := s.byKey[key]
+	probed, present := s.entries.Peek(key)
 	if !present {
 		if count {
 			s.stats.Misses++
@@ -455,7 +444,6 @@ func (s *Store) get(key string, count bool) ([]byte, bool) {
 		s.mu.Unlock()
 		return nil, false
 	}
-	probedGen := el.Value.(*entry).gen
 	s.mu.Unlock()
 
 	path := filepath.Join(s.dir, fileName(key))
@@ -470,12 +458,12 @@ func (s *Store) get(key string, count bool) ([]byte, bool) {
 		// this reader observed — a concurrent re-Put installed a fresh
 		// file (atomically with its new generation, both under this
 		// lock) that the failure says nothing about.
-		if el, still := s.byKey[key]; still && el.Value.(*entry).gen == probedGen {
+		if e, still := s.entries.Peek(key); still && e.Value == probed.Value {
 			if err != nil && !os.IsNotExist(err) {
 				s.stats.Corrupt++
 				os.Remove(path)
 			}
-			s.removeLocked(el)
+			s.entries.Remove(key)
 		}
 		if count {
 			s.stats.Misses++
@@ -483,9 +471,7 @@ func (s *Store) get(key string, count bool) ([]byte, bool) {
 		s.mu.Unlock()
 		return nil, false
 	}
-	if el, present := s.byKey[key]; present {
-		s.order.MoveToFront(el)
-	}
+	s.entries.Get(key) // refresh recency, if the entry is still there
 	if count {
 		s.stats.Hits++
 	}
@@ -513,34 +499,18 @@ func (s *Store) Put(key string, body []byte) error {
 	if !validKey(key) {
 		return fmt.Errorf("store: invalid key %q", key)
 	}
-	name := fileName(key)
-	tmp, err := os.CreateTemp(s.dir, name+".*"+tmpSuffix)
+	commit, err := s.stage(fileName(key), EncodeEnvelope(key, body))
 	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	_, werr := tmp.Write(envelope(key, body))
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		if werr == nil {
-			werr = cerr
-		}
-		return fmt.Errorf("store: writing %s: %w", name, werr)
+		return err
 	}
 
 	s.mu.Lock()
-	if err := os.Rename(tmp.Name(), filepath.Join(s.dir, name)); err != nil {
+	if err := commit(); err != nil {
 		s.mu.Unlock()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("store: %w", err)
-	}
-	if old, ok := s.byKey[key]; ok {
-		s.size -= old.Value.(*entry).size
-		s.order.Remove(old)
+		return err
 	}
 	s.gen++
-	s.byKey[key] = s.order.PushFront(&entry{key: key, size: int64(len(body)), gen: s.gen})
-	s.size += int64(len(body))
+	s.entries.Put(key, int64(len(body)), s.gen)
 	s.stats.Writes++
 	s.gcLocked(key)
 	flush := s.maybeFlushLocked()
@@ -553,12 +523,32 @@ func (s *Store) Put(key string, body []byte) error {
 	return nil
 }
 
-// removeLocked drops one entry from the index and the access order.
-func (s *Store) removeLocked(el *list.Element) {
-	e := el.Value.(*entry)
-	s.order.Remove(el)
-	delete(s.byKey, e.key)
-	s.size -= e.size
+// stage is the store's one atomic file writer: it writes data to a
+// temp file in the store directory and returns the commit that renames
+// it over name — so a reader (or a crash) sees the old file or the new
+// one, never a torn one. The caller picks the moment of the rename (Put
+// commits under the store lock); a failed stage or commit leaves no
+// temp file behind.
+func (s *Store) stage(name string, data []byte) (commit func() error, err error) {
+	tmp, err := os.CreateTemp(s.dir, name+".*"+tmpSuffix)
+	if err != nil {
+		return nil, fmt.Errorf("store: writing %s: %w", name, err)
+	}
+	_, err = tmp.Write(data)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+		return nil, fmt.Errorf("store: writing %s: %w", name, err)
+	}
+	return func() error {
+		if err := os.Rename(tmp.Name(), filepath.Join(s.dir, name)); err != nil {
+			os.Remove(tmp.Name())
+			return fmt.Errorf("store: writing %s: %w", name, err)
+		}
+		return nil
+	}, nil
 }
 
 // gcLocked evicts from the back of the access order — O(1) per
@@ -569,14 +559,13 @@ func (s *Store) removeLocked(el *list.Element) {
 // front) is never evicted: a budget smaller than a single result
 // would otherwise thrash every Put into an immediate delete.
 func (s *Store) gcLocked(keep string) {
-	for s.size+s.indexBytes > s.maxBytes && s.order.Len() > 1 {
-		back := s.order.Back()
-		e := back.Value.(*entry)
-		if e.key == keep {
+	for s.entries.Cost()+s.indexBytes > s.maxBytes && s.entries.Len() > 1 {
+		victim, _ := s.entries.Oldest()
+		if victim.Key == keep {
 			return
 		}
-		s.removeLocked(back)
-		os.Remove(filepath.Join(s.dir, fileName(e.key)))
+		s.entries.Remove(victim.Key)
+		os.Remove(filepath.Join(s.dir, fileName(victim.Key)))
 		s.stats.Evictions++
 		s.mutations++ // stales the index; folded into the next flush
 	}
@@ -591,14 +580,12 @@ func (s *Store) gcLocked(keep string) {
 func (s *Store) Touch(key string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.byKey[key]; ok {
-		s.order.MoveToFront(el)
-	}
+	s.entries.Get(key)
 }
 
 // Len returns the number of stored entries.
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.byKey)
+	return s.entries.Len()
 }
