@@ -22,12 +22,14 @@ import (
 	"strings"
 )
 
-// auditedPackages are the serving/observability layers the docs tree
-// documents; their godoc is part of the product surface.
+// auditedPackages are the serving/observability layers and the models'
+// shared testbench the docs tree documents; their godoc is part of the
+// product surface.
 var auditedPackages = []string{
 	"internal/agg",
 	"internal/lru",
 	"internal/obs",
+	"internal/platform",
 	"internal/sched",
 	"internal/service",
 	"internal/shard",

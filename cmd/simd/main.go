@@ -8,9 +8,9 @@
 // queue depth instead of queueing without limit.
 //
 // Execution is tenant-aware and weighted-fair (internal/sched):
-// every request carries a tenant (the X-Tenant header, renamable via
-// -tenant-header) and a scheduling class (X-Class: "interactive" —
-// the /run and /compare default — or "batch", the sweep default).
+// every request carries a tenant (the X-Tenant header) and a
+// scheduling class (X-Class: "interactive" — the /run and /compare
+// default — or "batch", the sweep default).
 // Workers are shared by class weight (-class-weights, default
 // interactive=4,batch=1) and round-robined fairly across the tenants
 // inside each class, so one tenant's 100k-variant sweep can no
@@ -84,7 +84,7 @@
 //	simd [-addr :8080] [-workers N] [-queue N] [-cache N] [-store DIR] [-store-max-bytes N]
 //	     [-request-timeout D] [-max-cycles N] [-max-sweep-variants N] [-attempt-timeout D]
 //	     [-router-cache-bytes N] [-debug-addr ADDR] [-class-weights interactive=4,batch=1]
-//	     [-tenant-header X-Tenant] [-shards N | -backends URL,URL,...]
+//	     [-shards N | -backends URL,URL,...]
 //
 // Every mode also serves GET /metrics (Prometheus text; the router
 // re-exposes each worker's series under a shard label) and GET
@@ -126,7 +126,6 @@ func main() {
 	routerCache := flag.Int64("router-cache-bytes", service.DefaultCacheBytes, "router-side result-cache budget in bytes (<= 0 disables); repeat /run and /compare hits answer at the router with zero backend round trips")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof on this separate address (empty = off); NOT inherited by -shards workers")
 	classWeights := flag.String("class-weights", "", "per-class worker shares as name=weight pairs, e.g. interactive=4,batch=1 (empty = those defaults)")
-	tenantHeader := flag.String("tenant-header", service.DefaultTenantHeader, "request header carrying the caller's tenant for fair-share accounting")
 	shards := flag.Int("shards", 0, "spawn N local worker processes and serve the sharded router")
 	backends := flag.String("backends", "", "comma-separated worker URLs to route over (externally managed shards)")
 	flag.Parse()
@@ -138,14 +137,13 @@ func main() {
 	if err != nil {
 		fatal("%v", err)
 	}
-	fopt := fairOpts{weights: weights, weightsArg: *classWeights, tenantHeader: *tenantHeader}
+	fopt := fairOpts{weights: weights, weightsArg: *classWeights}
 	serveDebug(*debugAddr)
 	ropt := shard.Options{
 		AttemptTimeout:   *attemptTimeout,
 		MaxCycles:        *maxCycles,
 		MaxSweepVariants: *maxSweep,
 		RouterCacheBytes: *routerCache,
-		TenantHeader:     *tenantHeader,
 	}
 	switch {
 	case *shards > 0:
@@ -168,12 +166,11 @@ func main() {
 }
 
 // fairOpts carries the tenant-scheduling flags: parsed weights for
-// the in-process service, the raw -class-weights argument for worker
-// inheritance, and the tenant header name shared by every tier.
+// the in-process service and the raw -class-weights argument for
+// worker inheritance.
 type fairOpts struct {
-	weights      map[string]int
-	weightsArg   string
-	tenantHeader string
+	weights    map[string]int
+	weightsArg string
 }
 
 // parseClassWeights decodes -class-weights: comma-separated
@@ -301,7 +298,6 @@ func runSingle(addr string, workers, queue, cache int, storeDir string, storeMax
 		RequestTimeout: reqTimeout, MaxCycles: maxCycles,
 		MaxSweepVariants: maxSweep,
 		ClassWeights:     fopt.weights,
-		TenantHeader:     fopt.tenantHeader,
 	})
 	if err != nil {
 		fatal("%v", err)
@@ -356,8 +352,7 @@ func runRouter(addr string, opt shard.Options, sup *shard.Supervisor, note strin
 // the per-shard result stores stay disjoint and a respawned or
 // restarted worker replays exactly its own slice of the keyspace. The
 // workers inherit the deadline, cycle-cap and fairness flags, so
-// cluster and single-process deployments enforce identical limits
-// and queue by the same tenant identity.
+// cluster and single-process deployments enforce identical limits.
 func runSupervised(addr string, n, workers, queue, cache int, storeDir string, storeMax int64, reqTimeout time.Duration, ropt shard.Options, fopt fairOpts) {
 	bin, err := os.Executable()
 	if err != nil {
@@ -372,7 +367,6 @@ func runSupervised(addr string, n, workers, queue, cache int, storeDir string, s
 			"-request-timeout", reqTimeout.String(),
 			"-max-cycles", strconv.FormatUint(ropt.MaxCycles, 10),
 			"-max-sweep-variants", strconv.Itoa(ropt.MaxSweepVariants),
-			"-tenant-header", fopt.tenantHeader,
 		}
 		if fopt.weightsArg != "" {
 			args = append(args, "-class-weights", fopt.weightsArg)

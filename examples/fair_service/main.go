@@ -115,7 +115,7 @@ func probe(front string, i int, tenant string) time.Duration {
 	sp := probeSpec(i)
 	start := time.Now()
 	status, _, respBody := clustertest.Do(http.MethodPost, front+"/run",
-		service.RunRequest{Spec: &sp, Model: "rtl"}, http.Header{service.DefaultTenantHeader: {tenant}})
+		service.RunRequest{Spec: &sp, Model: "rtl"}, http.Header{service.TenantHeader: {tenant}})
 	elapsed := time.Since(start)
 	if status != http.StatusOK {
 		fail("probe %d status %d (interactive traffic must never be rejected for the sweep's backlog): %s",
@@ -205,7 +205,7 @@ func main() {
 			fail("%v", err)
 		}
 		req.Header.Set("Content-Type", "application/json")
-		req.Header.Set(service.DefaultTenantHeader, "sweeper")
+		req.Header.Set(service.TenantHeader, "sweeper")
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			fail("sweep: %v", err)

@@ -1,6 +1,6 @@
-// Package cli holds the workload construction and reporting shared by
-// the ahbsim and rtlsim commands, so the two abstraction levels are
-// driven identically from the command line.
+// Package cli holds the workload construction and reporting behind the
+// ahbsim command, so the two abstraction levels are driven identically
+// from the command line.
 package cli
 
 import (

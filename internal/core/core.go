@@ -14,6 +14,7 @@ import (
 	"repro/internal/check"
 	"repro/internal/config"
 	"repro/internal/farm"
+	"repro/internal/platform"
 	"repro/internal/rtl"
 	"repro/internal/sim"
 	"repro/internal/spec"
@@ -89,6 +90,19 @@ func (m Model) String() string {
 	return "RTL"
 }
 
+// ParseModel resolves a model selector as flags and requests spell it:
+// "tl", "tlm" or "" (the default) for the TLM, "rtl" for the
+// pin-accurate model. Anything else is an error, never a silent TLM.
+func ParseModel(name string) (Model, error) {
+	switch name {
+	case "", "tl", "tlm":
+		return TLM, nil
+	case "rtl":
+		return RTL, nil
+	}
+	return 0, fmt.Errorf("unknown model %q (want tl or rtl)", name)
+}
+
 // RunResult is the model-independent outcome of one run.
 type RunResult struct {
 	// Model is the abstraction level that produced the result.
@@ -145,10 +159,6 @@ type Options struct {
 // free next to the simulation itself.
 const interruptStride sim.Cycle = 1 << 18
 
-// defaultMaxCycles mirrors the buses' own generous default cap for
-// MaxCycles == 0 (tlm.Bus.Run / rtl.Bus.Run use the same value).
-const defaultMaxCycles sim.Cycle = 50_000_000
-
 // Run executes the workload on the chosen model.
 func Run(w Workload, m Model, opt Options) RunResult {
 	chk := opt.Checker
@@ -156,76 +166,50 @@ func Run(w Workload, m Model, opt Options) RunResult {
 		chk = &check.Checker{}
 	}
 	start := time.Now()
-	var out RunResult
-	switch m {
-	case TLM:
-		b := tlm.New(tlm.Config{Params: w.Params, Gens: w.Gens(), Checker: chk, Tracer: opt.Tracer})
-		res, interrupted := runTLM(b, w.MaxCycles, opt.Interrupt)
-		out = RunResult{Model: TLM, Cycles: res.Cycles, Completed: res.Completed, Stats: res.Stats, Interrupted: interrupted}
-		// The backing store is not part of the result; recycle its pages
-		// so back-to-back runs stop paying the page-allocation GC tax.
-		b.Mem().Release()
-	case RTL:
-		b := rtl.New(rtl.Config{Params: w.Params, Gens: w.Gens(), Checker: chk, Tracer: opt.Tracer, Waveform: opt.Waveform})
-		res, interrupted := runRTL(b, w.MaxCycles, opt.Interrupt)
-		out = RunResult{Model: RTL, Cycles: res.Cycles, Completed: res.Completed, Stats: res.Stats, Interrupted: interrupted}
-		b.Mem().Release()
-	default:
-		panic(fmt.Sprintf("core: unknown model %d", m))
+	b := newModel(m, platform.Config{
+		Params: w.Params, Gens: w.Gens(), Checker: chk, Tracer: opt.Tracer, Waveform: opt.Waveform,
+	})
+	res, interrupted := runSliced(b, w.MaxCycles, interruptStride, opt.Interrupt)
+	// The backing store is not part of the result; recycle its pages so
+	// back-to-back runs stop paying the page-allocation GC tax.
+	b.Mem().Release()
+	return RunResult{
+		Model: m, Cycles: res.Cycles, Completed: res.Completed, Stats: res.Stats,
+		Interrupted: interrupted, Wall: time.Since(start), Violations: chk.Total(),
 	}
-	out.Wall = time.Since(start)
-	out.Violations = chk.Total()
-	return out
 }
 
-// runTLM runs the transaction-level bus, in one shot when there is no
-// interrupt hook, otherwise in interruptStride slices. tlm.Bus.Run's
-// limit is an ABSOLUTE cycle, and its scheduler resumes exactly where
-// the previous slice stopped, so the sliced run visits the identical
-// event sequence as the single-shot one — the slice boundary only
-// decides when the hook is polled.
-func runTLM(b *tlm.Bus, maxCycles sim.Cycle, interrupt func() bool) (tlm.Result, bool) {
-	if interrupt == nil {
-		return b.Run(maxCycles), false
+// newModel assembles the chosen model around the shared testbench.
+func newModel(m Model, cfg platform.Config) platform.Model {
+	switch m {
+	case TLM:
+		return tlm.New(cfg)
+	case RTL:
+		return rtl.New(cfg)
 	}
-	max := maxCycles
+	panic(fmt.Sprintf("core: unknown model %d", m))
+}
+
+// runSliced drives a model to max cycles (0 = the default cap), polling
+// interrupt every stride cycles; without a hook it runs in one shot.
+// Run's limit is absolute and a model resumes exactly where its
+// previous slice stopped, so the sliced run visits the identical event
+// sequence as the single-shot one — the slice boundary only decides
+// when the hook is polled. interrupted reports that the hook cut the
+// run short.
+func runSliced(b platform.Model, max, stride sim.Cycle, interrupt func() bool) (res platform.Result, interrupted bool) {
 	if max == 0 {
-		max = defaultMaxCycles
+		max = platform.DefaultMaxCycles
 	}
-	var res tlm.Result
-	for limit := interruptStride; ; limit += interruptStride {
+	if interrupt == nil {
+		stride = max
+	}
+	for limit := stride; ; limit = limit.AddSat(stride) {
 		if limit > max {
 			limit = max
 		}
 		res = b.Run(limit)
 		if res.Completed || limit >= max {
-			return res, false
-		}
-		if interrupt() {
-			return res, true
-		}
-	}
-}
-
-// runRTL is runTLM's pin-accurate twin. rtl.Bus.Run's budget is
-// RELATIVE (the kernel advances up to that many cycles from now), so
-// each slice passes the remaining absolute budget down.
-func runRTL(b *rtl.Bus, maxCycles sim.Cycle, interrupt func() bool) (rtl.Result, bool) {
-	if interrupt == nil {
-		return b.Run(maxCycles), false
-	}
-	max := maxCycles
-	if max == 0 {
-		max = defaultMaxCycles
-	}
-	var res rtl.Result
-	for {
-		step := interruptStride
-		if remaining := max - b.Now(); remaining < step {
-			step = remaining
-		}
-		res = b.Run(step)
-		if res.Completed || b.Now() >= max {
 			return res, false
 		}
 		if interrupt() {

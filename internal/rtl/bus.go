@@ -1,119 +1,43 @@
 package rtl
 
 import (
-	"fmt"
-	"io"
-
 	"repro/internal/amba"
 	"repro/internal/arb"
-	"repro/internal/bi"
-	"repro/internal/check"
-	"repro/internal/config"
 	"repro/internal/ddr"
 	"repro/internal/memmodel"
+	"repro/internal/platform"
 	"repro/internal/qos"
 	"repro/internal/sim"
-	"repro/internal/stats"
-	"repro/internal/trace"
-	"repro/internal/traffic"
 )
 
-// Config assembles a pin-accurate simulation.
-type Config struct {
-	// Params is the shared platform configuration.
-	Params config.Params
-	// Gens drives the master ports; len(Gens) must equal
-	// len(Params.Masters).
-	Gens []traffic.Generator
-	// Checker receives assertions and property checks (optional).
-	Checker *check.Checker
-	// Tracer records per-transaction timelines (optional).
-	Tracer *trace.Recorder
-	// Waveform, when non-nil, receives a VCD dump of the AHB signals.
-	Waveform io.Writer
-}
-
-// Result summarizes a completed run.
-type Result struct {
-	// Cycles is the number of simulated bus cycles.
-	Cycles sim.Cycle
-	// Completed is true when every generator drained and the write
-	// buffer emptied before the cycle cap.
-	Completed bool
-	// Stats is the profile of the run.
-	Stats *stats.Bus
-}
+// Config and Result are the shared testbench's: one description drives
+// both models and both report the same shape.
+type (
+	Config = platform.Config
+	Result = platform.Result
+)
 
 // Bus is the assembled pin-accurate AHB+ platform.
 type Bus struct {
+	plat    platform.Platform
 	kernel  *sim.Kernel
 	wires   *Wires
 	masters []*masterComp
 	wbm     *wbMasterComp
 	arb     *arbiterComp
 	fabric  *fabricComp
-	eng     *ddr.Engine
-	mem     *memmodel.Memory
-	pipe    *arb.Pipeline
-	tracker *qos.Tracker
-	bus     *stats.Bus
-	chk     *check.Checker
 	wave    *waveComp
 }
 
-// New assembles the platform. It panics on invalid configuration
-// (static setup errors are programming mistakes, mirroring hardware
-// elaboration failure); callers holding untrusted configuration use
-// NewChecked.
+// New assembles the signal-level components around the shared
+// platform. It panics on invalid configuration (see platform.Build).
 func New(cfg Config) *Bus {
-	b, err := NewChecked(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return b
-}
-
-// NewChecked assembles the platform, reporting invalid configuration
-// as a descriptive error instead of panicking — the entry point for
-// externally submitted platforms (spec service, config files).
-func NewChecked(cfg Config) (*Bus, error) {
-	if err := cfg.Params.Validate(); err != nil {
-		return nil, err
-	}
-	if len(cfg.Gens) != len(cfg.Params.Masters) {
-		return nil, fmt.Errorf("rtl: %d generators for %d masters", len(cfg.Gens), len(cfg.Params.Masters))
-	}
+	pl := platform.Build(cfg)
 	n := len(cfg.Gens)
 	size := amba.SizeForBytes(cfg.Params.BusBytes)
-
 	w := newWires(n)
-	eng := ddr.NewEngine(cfg.Params.DDR, cfg.Params.AddrMap)
-	if cfg.Params.ClosedPage {
-		eng.Policy = ddr.ClosedPage
-	}
-	mem := memmodel.New()
-	link := bi.NewLink(sim.Cycle(cfg.Params.BILatency))
-	link.Enabled = cfg.Params.BIEnabled
-	provider := &bi.Provider{
-		Link:     link,
-		PermitFn: eng.Permit,
-		InfoFn:   eng.IdleOrOpen,
-	}
-	// QoS registers: traffic masters from config, the write-buffer
-	// pseudo-master as plain NRT.
-	regs := append(cfg.Params.QoSRegs(), qos.Reg{})
-	tracker := qos.NewTracker(regs[:n])
-	pipe := arb.DefaultWith(cfg.Params.Filters)
-	busStats := stats.NewBus(n + 1)
-	for i := 0; i < n; i++ {
-		busStats.Masters[i].Name = cfg.Params.Masters[i].Name
-	}
-	busStats.Masters[n].Name = "wbuf"
 
-	b := &Bus{
-		kernel: sim.NewKernel(), wires: w, eng: eng, mem: mem,
-		pipe: pipe, tracker: tracker, bus: busStats, chk: cfg.Checker,
-	}
+	b := &Bus{plat: pl, kernel: sim.NewKernel(), wires: w}
 	for i, g := range cfg.Gens {
 		m := newMaster(w, i, g, size, cfg.Checker)
 		b.masters = append(b.masters, m)
@@ -122,13 +46,13 @@ func NewChecked(cfg Config) (*Bus, error) {
 	b.wbm = newWBMaster(w, cfg.Checker)
 	b.kernel.Register(b.wbm)
 	comb := arb.DefaultWith(cfg.Params.Filters)
-	b.arb = newArbiter(w, pipe, comb, regs, link, provider, cfg.Checker,
+	b.arb = newArbiter(w, pl.Pipeline, comb, pl.Regs, pl.Link, pl.Provider, cfg.Checker,
 		cfg.Params.Pipelining, sim.Cycle(cfg.Params.UrgencyThreshold), cfg.Params.WriteBufferDepth)
 	b.kernel.Register(b.arb)
-	b.fabric = newFabric(w, eng, mem, link, cfg.Checker, cfg.Tracer, tracker,
-		busStats, size, cfg.Params.WriteBufferDepth, cfg.Params.SRAM)
+	b.fabric = newFabric(w, pl.Engine, pl.Mem, pl.Link, cfg.Checker, cfg.Tracer, pl.Tracker,
+		pl.Stats, size, cfg.Params.WriteBufferDepth, cfg.Params.SRAM)
 	b.kernel.Register(b.fabric)
-	ddrfsm := newDDRFSM(eng, cfg.Checker, w, link)
+	ddrfsm := newDDRFSM(pl.Engine, cfg.Checker, w, pl.Link)
 	b.kernel.Register(ddrfsm)
 	if cfg.Waveform != nil {
 		b.wave = newWave(w, cfg.Waveform)
@@ -156,7 +80,7 @@ func NewChecked(cfg Config) (*Bus, error) {
 	w.GrantIdx.Notify(fabW)
 	w.GrantIdx.Notify(ddrW)
 	w.WBUsed.Notify(b.kernel.Waker(b.wbm))
-	return b, nil
+	return b
 }
 
 // done reports whether all workloads drained and the bus quiesced.
@@ -169,25 +93,17 @@ func (b *Bus) done() bool {
 	return b.fabric.idle()
 }
 
-// Run simulates until every workload drains (plus the write buffer) or
-// maxCycles elapses (0 means a generous default cap).
-func (b *Bus) Run(maxCycles sim.Cycle) Result {
-	if maxCycles == 0 {
-		maxCycles = 50_000_000
+// Run implements platform.Model. The kernel's own budget is relative,
+// so the absolute limit is converted here.
+func (b *Bus) Run(limit sim.Cycle) Result {
+	if limit == 0 {
+		limit = platform.DefaultMaxCycles
 	}
-	_, ok := b.kernel.RunUntil(b.done, maxCycles)
+	_, ok := b.kernel.RunUntil(b.done, limit.SubFloor(b.kernel.Now()))
 	if b.wave != nil {
 		b.wave.flush()
 	}
-	b.bus.Cycles = b.kernel.Now()
-	b.bus.DDR = b.eng.Stats()
-	ps := b.pipe.Stats()
-	b.bus.Grants = ps.Grants
-	b.bus.ArbRounds = ps.Rounds
-	for k, v := range ps.Decisive {
-		b.bus.FilterDecisive[k] = v
-	}
-	return Result{Cycles: b.kernel.Now(), Completed: ok, Stats: b.bus}
+	return b.plat.Finish(b.kernel.Now(), ok)
 }
 
 // Step advances the simulation a single cycle; exposed for directed
@@ -198,13 +114,13 @@ func (b *Bus) Step() { b.kernel.Step() }
 func (b *Bus) Now() sim.Cycle { return b.kernel.Now() }
 
 // Mem exposes the backing store for end-to-end data checks.
-func (b *Bus) Mem() *memmodel.Memory { return b.mem }
+func (b *Bus) Mem() *memmodel.Memory { return b.plat.Mem }
 
 // Engine exposes the DDR engine (stats, bank state) for tests.
-func (b *Bus) Engine() *ddr.Engine { return b.eng }
+func (b *Bus) Engine() *ddr.Engine { return b.plat.Engine }
 
 // Tracker exposes QoS outcomes.
-func (b *Bus) Tracker() *qos.Tracker { return b.tracker }
+func (b *Bus) Tracker() *qos.Tracker { return b.plat.Tracker }
 
 // LastRead returns the payload of master m's most recent completed
 // read.

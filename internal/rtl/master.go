@@ -3,6 +3,7 @@ package rtl
 import (
 	"repro/internal/amba"
 	"repro/internal/check"
+	"repro/internal/platform"
 	"repro/internal/sim"
 	"repro/internal/traffic"
 )
@@ -16,13 +17,6 @@ const (
 	mData               // counting data beats
 	mDone               // workload exhausted
 )
-
-// writePattern returns the deterministic payload byte masters write, a
-// function of master index and byte address so end-to-end data
-// integrity is checkable across models.
-func writePattern(master int, addr uint32) byte {
-	return byte(uint32(master)*31 + addr*7 + (addr >> 8))
-}
 
 // masterComp is a signal-level AHB master driven by a traffic
 // generator: it requests the bus, waits for grant, drives its address
@@ -131,7 +125,7 @@ func (m *masterComp) Eval(now sim.Cycle) {
 			for b := 0; b < m.cur.Beats; b++ {
 				ba := amba.BeatAddr(m.cur.Addr, m.cur.Burst, m.size, b)
 				for j := 0; j < m.size.Bytes(); j++ {
-					m.wbuf[b*m.size.Bytes()+j] = writePattern(m.idx, ba+uint32(j))
+					m.wbuf[b*m.size.Bytes()+j] = platform.WriteByte(m.idx, ba+uint32(j))
 				}
 			}
 			w.WDataBuf = m.wbuf

@@ -6,6 +6,7 @@ import (
 	"repro/internal/amba"
 	"repro/internal/check"
 	"repro/internal/config"
+	"repro/internal/platform"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/traffic"
@@ -75,7 +76,7 @@ func TestWriteBufferFullFallsBackToDirect(t *testing.T) {
 	for txn := uint32(0); txn < 80; txn += 7 {
 		for m := uint32(0); m < 3; m++ {
 			a := m*0x400 + txn*stride + 4
-			if got, want := b.Mem().ByteAt(a), writePattern(int(m), a); got != want {
+			if got, want := b.Mem().ByteAt(a), platform.WriteByte(int(m), a); got != want {
 				t.Fatalf("mem[%#x] = %#x, want %#x", a, got, want)
 			}
 		}

@@ -227,9 +227,6 @@ type Scheduler struct {
 	running int
 	closed  bool
 
-	admitted  uint64
-	completed uint64
-
 	obs Observer
 }
 
@@ -316,7 +313,6 @@ func (s *Scheduler) Submit(tenant string, class Class, fn func()) (wait func(), 
 	}
 	j := &job{fn: fn, done: make(chan any, 1), tenant: tenant, class: class, enqueued: time.Now()}
 	s.enqueueLocked(c, j)
-	s.admitted++
 	s.dispatchLocked()
 	s.mu.Unlock()
 	return func() {
@@ -461,7 +457,6 @@ func (s *Scheduler) finish(j *job) {
 	s.mu.Lock()
 	s.running--
 	s.classes[j.class].inFlight--
-	s.completed++
 	s.dispatchLocked()
 	if s.closed && s.running == 0 && s.queuedLocked() == 0 {
 		s.drained.Broadcast()
@@ -493,20 +488,6 @@ func (s *Scheduler) InFlight() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.running
-}
-
-// Admitted returns the lifetime count of jobs accepted by Submit.
-func (s *Scheduler) Admitted() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.admitted
-}
-
-// Completed returns the lifetime count of jobs finished by a worker.
-func (s *Scheduler) Completed() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.completed
 }
 
 // RetryAfterSeconds derives the honest per-class backoff a 503 for

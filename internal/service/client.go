@@ -48,10 +48,9 @@ const (
 // "default" in the endpoint's natural class (interactive for /run and
 // /compare, batch for the sweep family).
 const (
-	// DefaultTenantHeader names the header carrying the caller's tenant
-	// for fair-share accounting (Options.TenantHeader overrides the
-	// name per deployment). Values must match [A-Za-z0-9._-]{1,64}.
-	DefaultTenantHeader = "X-Tenant"
+	// TenantHeader names the header carrying the caller's tenant for
+	// fair-share accounting. Values must match [A-Za-z0-9._-]{1,64}.
+	TenantHeader = "X-Tenant"
 	// ClassHeader carries the scheduling class, "interactive" or
 	// "batch" — it overrides the endpoint's default class, letting a
 	// latency-sensitive scripted sweep run interactive or a bulk /run

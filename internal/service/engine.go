@@ -171,7 +171,7 @@ func decodePost(w http.ResponseWriter, r *http.Request, what string, v any) bool
 		WriteError(w, r, http.StatusMethodNotAllowed, "POST required")
 		return false
 	}
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
+	dec := json.NewDecoder(io.LimitReader(r.Body, MaxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		WriteError(w, r, http.StatusBadRequest, "parsing %s: %v", what, err)

@@ -41,15 +41,14 @@ type SweepModel struct {
 
 // sweepModel resolves a request's model selector.
 func sweepModel(name string) (SweepModel, error) {
-	switch name {
-	case "", "tl", "tlm":
-		return SweepModel{Name: name, core: core.TLM}, nil
-	case "rtl":
-		return SweepModel{Name: name, core: core.RTL}, nil
-	case "compare":
+	if name == "compare" {
 		return SweepModel{Name: name, Compare: true, core: core.TLM}, nil
 	}
-	return SweepModel{}, fmt.Errorf("unknown model %q (want tl, rtl or compare)", name)
+	m, err := core.ParseModel(name)
+	if err != nil {
+		return SweepModel{}, fmt.Errorf("unknown model %q (want tl, rtl or compare)", name)
+	}
+	return SweepModel{Name: name, core: m}, nil
 }
 
 // Key is the key the result for the spec with content hash lives under

@@ -210,7 +210,7 @@ func (s *Server) handleSweepStatus(w http.ResponseWriter, r *http.Request) {
 		s.sweeps.HandleStatus(w, r)
 	case http.MethodPut:
 		id := r.PathValue("id")
-		raw, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
+		raw, err := io.ReadAll(io.LimitReader(r.Body, MaxBodyBytes))
 		if err != nil {
 			WriteError(w, r, http.StatusBadRequest, "reading body: %v", err)
 			return
@@ -277,7 +277,7 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, r, http.StatusBadRequest, "%s %q is not a result key", ResultKeyHeader, key)
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
+	body, err := io.ReadAll(io.LimitReader(r.Body, MaxBodyBytes))
 	if err != nil {
 		WriteError(w, r, http.StatusBadRequest, "reading body: %v", err)
 		return

@@ -60,13 +60,6 @@ func (s *Server) initMetrics() {
 	reg.CounterFunc("simd_rejections_total", "Requests refused 503 under backpressure.", s.rejected.Load)
 	reg.CounterFunc("simd_timeouts_total", "Simulations aborted 504 at the request deadline.", s.timeouts.Load)
 
-	reg.GaugeFunc("simd_pool_workers", "Worker pool size.", func() float64 { return float64(s.workers) })
-	reg.GaugeFunc("simd_pool_queue_capacity", "Bounded job-queue capacity per scheduling class.", func() float64 { return float64(s.queue) })
-	reg.GaugeFunc("simd_pool_queue_depth", "Jobs waiting in scheduler queues, all classes.", func() float64 { return float64(s.sched.Queued()) })
-	reg.GaugeFunc("simd_pool_in_flight", "Jobs executing on a worker.", func() float64 { return float64(s.sched.InFlight()) })
-	reg.CounterFunc("simd_pool_jobs_submitted_total", "Jobs admitted by the scheduler.", s.sched.Admitted)
-	reg.CounterFunc("simd_pool_jobs_completed_total", "Jobs finished by a worker.", s.sched.Completed)
-
 	// The weighted-fair scheduler's own vocabulary. Depth and wait are
 	// pushed by the scheduler's observer hooks (called under its lock,
 	// so a scrape always sees a depth the scheduler actually had);

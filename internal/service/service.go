@@ -24,8 +24,8 @@
 //     the cap, submissions of THAT class are rejected with 503 plus
 //     a Retry-After derived from that class's own backlog instead of
 //     queueing unboundedly (or being blamed for another class's
-//     backlog). Tenant identity rides the X-Tenant request header
-//     (Options.TenantHeader), class the X-Class header.
+//     backlog). Tenant identity rides the X-Tenant request header,
+//     class the X-Class header.
 //
 // Endpoints: POST /run, POST /compare, POST /sweep (NDJSON parameter
 // grids; see sweep.go), POST /sweep/analyze (grid aggregates —
@@ -94,11 +94,6 @@ type Options struct {
 	// weights, keyed by class wire name ("interactive", "batch").
 	// Missing classes keep their defaults; New rejects unknown names.
 	ClassWeights map[string]int
-	// TenantHeader names the request header carrying tenant identity
-	// (empty: DefaultTenantHeader). A request without the header (or
-	// with an invalid value — rejected 400) queues as
-	// sched.DefaultTenant.
-	TenantHeader string
 }
 
 // DefaultCacheEntries is the default result-cache capacity.
@@ -148,7 +143,6 @@ type Server struct {
 	workers, queue                                       int
 	requestTimeout                                       time.Duration
 	maxSpecCycles                                        uint64
-	tenantHeader                                         string
 
 	// sweeps is the sweep engine behind the /sweep endpoints, bound to
 	// this server through workerTier (sweep.go).
@@ -217,9 +211,6 @@ func New(opt Options) (*Server, error) {
 		}
 		weights[c] = w
 	}
-	if opt.TenantHeader == "" {
-		opt.TenantHeader = DefaultTenantHeader
-	}
 	if opt.CacheEntries <= 0 {
 		opt.CacheEntries = DefaultCacheEntries
 	}
@@ -245,7 +236,6 @@ func New(opt Options) (*Server, error) {
 		queue:          scheduler.QueueCap(),
 		requestTimeout: opt.RequestTimeout,
 		maxSpecCycles:  maxSpecCycles,
-		tenantHeader:   opt.TenantHeader,
 		since:          time.Now(),
 	}
 	s.scenariosBody, s.scenarioByName = ScenarioLibrary()
@@ -386,8 +376,8 @@ type errorResponse struct {
 	RequestID string `json:"request_id,omitempty"`
 }
 
-// maxBodyBytes bounds a request body; a spec is small.
-const maxBodyBytes = 1 << 20
+// MaxBodyBytes bounds a request body at either tier; a spec is small.
+const MaxBodyBytes = 1 << 20
 
 // ResolveRunRequest parses a /run-shaped body and selects the workload
 // it names — the inline spec or the library scenario, exactly one. It
@@ -396,7 +386,7 @@ const maxBodyBytes = 1 << 20
 // route, then forwards the original bytes.
 func ResolveRunRequest(body io.Reader, byName map[string]spec.Spec) (RunRequest, spec.Spec, error) {
 	var req RunRequest
-	dec := json.NewDecoder(io.LimitReader(body, maxBodyBytes))
+	dec := json.NewDecoder(io.LimitReader(body, MaxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		return req, spec.Spec{}, fmt.Errorf("parsing request: %w", err)
@@ -501,7 +491,7 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request, compare bool
 			return
 		}
 	}
-	id, err := s.requestIdent(r, sched.Interactive)
+	id, err := ParseIdent(r, sched.Interactive)
 	if err != nil {
 		WriteError(w, r, http.StatusBadRequest, "%v", err)
 		return
@@ -509,37 +499,44 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request, compare bool
 	s.serveCached(w, r, m.Key(hash), hash, id, m.compute(sp, hash, wl))
 }
 
-// ident is one request's scheduling identity: the tenant whose fair
+// Ident is one request's scheduling identity: the tenant whose fair
 // queue the work joins and the priority class it dispatches under.
-type ident struct {
-	tenant string
-	class  sched.Class
+type Ident struct {
+	Tenant string
+	Class  sched.Class
 }
 
-// requestIdent derives the request's scheduling identity from its
-// headers: tenant from Options.TenantHeader (absent: the shared
-// sched.DefaultTenant bucket; invalid: a 400-worthy error, so bad
-// identifiers can't pollute metric label space), class from X-Class
-// (absent: def — Interactive for /run and /compare, Batch for sweep
-// and analyze paths).
-func (s *Server) requestIdent(r *http.Request, def sched.Class) (ident, error) {
-	tenant := r.Header.Get(s.tenantHeader)
+// ParseIdent derives the request's scheduling identity from its
+// headers, at whichever tier sees the request first: tenant from
+// X-Tenant (absent: the shared sched.DefaultTenant bucket; invalid: a
+// 400-worthy error, so bad identifiers can't pollute metric label
+// space), class from X-Class (absent: def — Interactive for /run and
+// /compare, Batch for sweep and analyze paths).
+func ParseIdent(r *http.Request, def sched.Class) (Ident, error) {
+	tenant := r.Header.Get(TenantHeader)
 	switch {
 	case tenant == "":
 		tenant = sched.DefaultTenant
 	case !sched.ValidTenant(tenant):
-		return ident{}, fmt.Errorf("%s %q is not a tenant identifier (1-%d characters of [A-Za-z0-9._-])",
-			s.tenantHeader, tenant, sched.MaxTenantLen)
+		return Ident{}, fmt.Errorf("%s %q is not a tenant identifier (1-%d characters of [A-Za-z0-9._-])",
+			TenantHeader, tenant, sched.MaxTenantLen)
 	}
 	class := def
 	if v := r.Header.Get(ClassHeader); v != "" {
 		c, ok := sched.ParseClass(v)
 		if !ok {
-			return ident{}, fmt.Errorf("%s %q is not a scheduling class (want interactive or batch)", ClassHeader, v)
+			return Ident{}, fmt.Errorf("%s %q is not a scheduling class (want interactive or batch)", ClassHeader, v)
 		}
 		class = c
 	}
-	return ident{tenant: tenant, class: class}, nil
+	return Ident{Tenant: tenant, Class: class}, nil
+}
+
+// Header is the identity as the header block a router stamps on every
+// backend hop the request becomes, so a sweep's variants stay in the
+// caller's tenant and class through failover and work-stealing.
+func (id Ident) Header() http.Header {
+	return http.Header{TenantHeader: {id.Tenant}, ClassHeader: {id.Class.String()}}
 }
 
 // errDeadline marks a simulation cut short by the server's request
@@ -691,7 +688,7 @@ func (s *Server) persist(key string, body []byte) {
 // because attaching to in-flight work is always cheaper than a fairer
 // queue slot. A non-nil error means ctx ended before the result was
 // ready — the job itself still completes and fills the cache.
-func (s *Server) executeOnce(ctx context.Context, key string, id ident, compute func(context.Context, *Timing) ([]byte, error), recheck bool) (status int, body []byte, disposition string, timing *Timing, err error) {
+func (s *Server) executeOnce(ctx context.Context, key string, id Ident, compute func(context.Context, *Timing) ([]byte, error), recheck bool) (status int, body []byte, disposition string, timing *Timing, err error) {
 	probe := s.lookup
 	if recheck {
 		probe = s.lookupMemory
@@ -754,7 +751,7 @@ func (s *Server) executeOnce(ctx context.Context, key string, id ident, compute 
 		deadline = time.Now().Add(s.requestTimeout)
 	}
 	submitted := time.Now()
-	_, serr := s.sched.Submit(id.tenant, id.class, func() {
+	_, serr := s.sched.Submit(id.Tenant, id.Class, func() {
 		// Queue wait is measured from submission to worker pickup —
 		// the stage a saturated pool inflates; it plus simulate and
 		// encode is the X-Timing breakdown the leader's response (and
@@ -842,7 +839,7 @@ func (s *Server) executeOnce(ctx context.Context, key string, id ident, compute 
 // computed response (miss or coalesced — anything that waited on the
 // simulation) carries the X-Timing stage breakdown; cache hits have
 // no stages to report.
-func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key, hash string, id ident, compute func(context.Context, *Timing) ([]byte, error)) {
+func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key, hash string, id Ident, compute func(context.Context, *Timing) ([]byte, error)) {
 	status, body, disposition, timing, err := s.executeOnce(r.Context(), key, id, compute, false)
 	if err != nil {
 		return
@@ -872,7 +869,7 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key, hash s
 		// each response gets its own request ID stamped at write time.
 		body = injectRequestID(body, obs.RequestIDFrom(r.Context()))
 	}
-	s.writeBody(w, status, body, disposition, hash, id.class)
+	s.writeBody(w, status, body, disposition, hash, id.Class)
 }
 
 // injectRequestID stamps rid into an errorResponse body. Unparseable

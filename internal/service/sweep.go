@@ -225,7 +225,7 @@ func (t workerTier) SaveManifest(m *SweepManifest) { t.s.checkpointManifest(m) }
 // otherwise) to the planner its variants execute under.
 func (t workerTier) Begin(r *http.Request) (SweepPlanner, error) {
 	s := t.s
-	id, err := s.requestIdent(r, sched.Batch)
+	id, err := ParseIdent(r, sched.Batch)
 	if err != nil {
 		return nil, err
 	}
@@ -262,7 +262,7 @@ func (t workerTier) Begin(r *http.Request) (SweepPlanner, error) {
 // resolveVariant computes (or replays) one variant through the shared
 // execute path, retrying with backoff while its class queue is
 // saturated. ok=false means the request context ended first.
-func (s *Server) resolveVariant(ctx context.Context, v sweep.Variant, m SweepModel, id ident) (SweepRow, bool) {
+func (s *Server) resolveVariant(ctx context.Context, v sweep.Variant, m SweepModel, id Ident) (SweepRow, bool) {
 	// Compile the spec inside the job, not here: a warm variant is
 	// answered from a cache tier or a coalesced flight without paying
 	// generator compilation (a restarted server replaying a big grid
@@ -300,7 +300,7 @@ func (s *Server) resolveVariant(ctx context.Context, v sweep.Variant, m SweepMod
 		// like the shard router's retries — not a hardcoded
 		// millisecond loop that hammers a saturated queue dozens of
 		// times a second per pending variant.
-		if !sleepFor(ctx, RetryWaitSeconds(s.sched.RetryAfterSeconds(id.class))) {
+		if !sleepFor(ctx, RetryWaitSeconds(s.sched.RetryAfterSeconds(id.Class))) {
 			return SweepRow{}, false
 		}
 	}

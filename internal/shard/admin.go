@@ -79,7 +79,7 @@ func (rt *Router) handleAdminShards(w http.ResponseWriter, r *http.Request) {
 // (count) or adopted from an explicit URL list (backends).
 func (rt *Router) handleGrow(w http.ResponseWriter, r *http.Request) {
 	var req growRequest
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
+	dec := json.NewDecoder(io.LimitReader(r.Body, service.MaxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		service.WriteError(w, r, http.StatusBadRequest, "parsing request: %v", err)

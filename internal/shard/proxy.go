@@ -21,10 +21,6 @@ import (
 	"repro/internal/store"
 )
 
-// maxBodyBytes is the backend's request-body bound, applied at the
-// front door too.
-const maxBodyBytes = 1 << 20
-
 // checkCycleCap enforces the router's configured max_cycles cap — the
 // same bound the backends enforce via -max-cycles, applied here so a
 // pathological budget is rejected before it costs a forward.
@@ -55,38 +51,6 @@ func (rt *Router) post(ctx context.Context, sh *shardState, path string, body []
 	status, respHdr, respBody, err := sh.client.Do(ctx, http.MethodPost, path, body, hdr)
 	sh.attempts.Observe(time.Since(start).Seconds())
 	return status, respHdr, respBody, err
-}
-
-// identHeader extracts the scheduling identity a frontend request
-// carries — the tenant header (Options.TenantHeader) and X-Class —
-// as the header block every backend hop for that request forwards.
-// defClass is stamped when the client named no class ("" leaves the
-// choice to the backend endpoint's own default); the sweep fan-out
-// passes "batch" so a grid's variants are explicitly batch-class on
-// every /run they become, even through failover and work-stealing.
-// Validation happens here, with the scheduler's own rules, so a bad
-// identity is one clean 400 at the front door rather than a
-// per-variant error row storm.
-func (rt *Router) identHeader(r *http.Request, defClass string) (http.Header, error) {
-	hdr := http.Header{}
-	if tenant := r.Header.Get(rt.tenantHeader); tenant != "" {
-		if !sched.ValidTenant(tenant) {
-			return nil, fmt.Errorf("invalid tenant %q in %s (want 1-%d chars of [A-Za-z0-9._-])", tenant, rt.tenantHeader, sched.MaxTenantLen)
-		}
-		hdr.Set(rt.tenantHeader, tenant)
-	}
-	class := r.Header.Get(service.ClassHeader)
-	if class != "" {
-		if _, ok := sched.ParseClass(class); !ok {
-			return nil, fmt.Errorf("unknown scheduling class %q in %s (want interactive or batch)", class, service.ClassHeader)
-		}
-	} else {
-		class = defClass
-	}
-	if class != "" {
-		hdr.Set(service.ClassHeader, class)
-	}
-	return hdr, nil
 }
 
 // cacheLookup probes the router result cache, counting the hit or
@@ -136,7 +100,7 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request, path strin
 		service.WriteError(w, r, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
+	body, err := io.ReadAll(io.LimitReader(r.Body, service.MaxBodyBytes))
 	if err != nil {
 		service.WriteError(w, r, http.StatusBadRequest, "reading request: %v", err)
 		return
@@ -158,7 +122,10 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request, path strin
 		service.WriteError(w, r, http.StatusBadRequest, "%v", err)
 		return
 	}
-	schedHdr, err := rt.identHeader(r, "")
+	// Validated here, with the worker's own rules and wording, so a bad
+	// identity is one clean 400 at the front door; forwarded so the
+	// backend queues the work under the caller's tenant and class.
+	id, err := service.ParseIdent(r, sched.Interactive)
 	if err != nil {
 		service.WriteError(w, r, http.StatusBadRequest, "%v", err)
 		return
@@ -181,7 +148,7 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request, path strin
 		w.Write(cached)
 		return
 	}
-	ans, refused, alive := rt.attempt(r.Context(), vw, ranks, path, body, schedHdr, false)
+	ans, refused, alive := rt.attempt(r.Context(), vw, ranks, path, body, id.Header(), false)
 	if !alive {
 		return // client gone; nothing to say and no one to say it to
 	}

@@ -106,13 +106,6 @@ type Options struct {
 	// respawning / dead-after-give-up) per shard, and is what the
 	// admin grow endpoint spawns new workers through.
 	Supervisor *Supervisor
-	// TenantHeader names the request header carrying the caller's
-	// tenant for the backends' weighted-fair scheduling (empty:
-	// service.DefaultTenantHeader). Must match the backends'
-	// -tenant-header so the identity the router validates and forwards
-	// is the one the workers queue by (cmd/simd wires one flag into
-	// both).
-	TenantHeader string
 }
 
 // defaultSweepConcurrency is the per-shard variant fan-out used when
@@ -189,7 +182,6 @@ type Router struct {
 	attemptTimeout   time.Duration
 	maxCycles        uint64
 	sweepConc        int
-	tenantHeader     string
 	breakerThreshold int
 	breakerInterval  time.Duration
 	httpClient       *http.Client
@@ -248,16 +240,12 @@ func New(opt Options) (*Router, error) {
 		attemptTimeout:   opt.AttemptTimeout,
 		maxCycles:        opt.MaxCycles,
 		sweepConc:        opt.SweepConcurrency,
-		tenantHeader:     opt.TenantHeader,
 		breakerThreshold: opt.BreakerThreshold,
 		breakerInterval:  opt.BreakerInterval,
 		httpClient:       opt.HTTP,
 		sup:              opt.Supervisor,
 		stop:             make(chan struct{}),
 		since:            time.Now(),
-	}
-	if rt.tenantHeader == "" {
-		rt.tenantHeader = service.DefaultTenantHeader
 	}
 	if opt.RouterCacheBytes > 0 {
 		rt.cache = lru.NewCache(opt.RouterCacheBytes, 0)

@@ -61,10 +61,11 @@ func (t clusterTier) GridError(row service.SweepRow) service.SweepLine {
 // spanning an admin resize starts using the new membership at the next
 // chunk boundary, and one chunk never routes across two views.
 func (t clusterTier) Begin(r *http.Request) (service.SweepPlanner, error) {
-	hdr, err := t.rt.identHeader(r, sched.Batch.String())
+	id, err := service.ParseIdent(r, sched.Batch)
 	if err != nil {
 		return nil, err
 	}
+	hdr := id.Header()
 	return func(m service.SweepModel, variants []sweep.Variant) service.SweepPlan {
 		// Per-variant forwarding as individual /run (or /compare) calls —
 		// rather than forwarding sub-grids — is what lets every variant

@@ -24,8 +24,6 @@
 package tlm
 
 import (
-	"fmt"
-
 	"repro/internal/amba"
 	"repro/internal/arb"
 	"repro/internal/bi"
@@ -33,38 +31,19 @@ import (
 	"repro/internal/config"
 	"repro/internal/ddr"
 	"repro/internal/memmodel"
+	"repro/internal/platform"
 	"repro/internal/qos"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/traffic"
 )
 
-// Config assembles a transaction-level simulation. It is deliberately
-// identical in shape to rtl.Config so experiments drive both models
-// from one description.
-type Config struct {
-	// Params is the shared platform configuration.
-	Params config.Params
-	// Gens drives the master ports.
-	Gens []traffic.Generator
-	// Checker receives assertions and property checks (optional).
-	Checker *check.Checker
-	// Tracer records per-transaction timelines (optional).
-	Tracer *trace.Recorder
-}
-
-// Result summarizes a completed run.
-type Result struct {
-	// Cycles is the simulated cycle count (last completion + 1),
-	// directly comparable with rtl.Result.Cycles.
-	Cycles sim.Cycle
-	// Completed is true when every generator drained and the write
-	// buffer emptied before the cycle cap.
-	Completed bool
-	// Stats is the profile of the run.
-	Stats *stats.Bus
-}
+// Config and Result are the shared testbench's: one description drives
+// both models and both report the same shape.
+type (
+	Config = platform.Config
+	Result = platform.Result
+)
 
 // mState is the method-based master port state.
 type mState struct {
@@ -95,19 +74,12 @@ type wbState struct {
 
 // Bus is the AHB+ transaction-level model.
 type Bus struct {
-	p       config.Params
-	size    amba.Size
-	sch     *sim.Scheduler
-	eng     *ddr.Engine
-	mem     *memmodel.Memory
-	link    *bi.Link
-	status  *bi.Provider
-	pipe    *arb.Pipeline
-	regs    []qos.Reg
-	tracker *qos.Tracker
-	bus     *stats.Bus
-	chk     *check.Checker
-	tracer  *trace.Recorder
+	plat   platform.Platform
+	p      config.Params
+	size   amba.Size
+	sch    *sim.Scheduler
+	chk    *check.Checker
+	tracer *trace.Recorder
 
 	masters []*mState
 	wb      wbState
@@ -131,69 +103,31 @@ type Bus struct {
 	portsBuf []int
 }
 
-// New assembles the TLM platform. It panics on invalid configuration;
-// callers holding untrusted configuration use NewChecked.
+// New assembles the TLM around the shared platform. It panics on
+// invalid configuration (see platform.Build).
 func New(cfg Config) *Bus {
-	b, err := NewChecked(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return b
-}
-
-// NewChecked assembles the TLM platform, reporting invalid
-// configuration as a descriptive error instead of panicking — the
-// entry point for externally submitted platforms (spec service, config
-// files).
-func NewChecked(cfg Config) (*Bus, error) {
-	if err := cfg.Params.Validate(); err != nil {
-		return nil, err
-	}
-	if len(cfg.Gens) != len(cfg.Params.Masters) {
-		return nil, fmt.Errorf("tlm: %d generators for %d masters", len(cfg.Gens), len(cfg.Params.Masters))
-	}
+	pl := platform.Build(cfg)
 	n := len(cfg.Gens)
-	link := bi.NewLink(sim.Cycle(cfg.Params.BILatency))
-	link.Enabled = cfg.Params.BIEnabled
-	eng := ddr.NewEngine(cfg.Params.DDR, cfg.Params.AddrMap)
-	if cfg.Params.ClosedPage {
-		eng.Policy = ddr.ClosedPage
-	}
 	b := &Bus{
-		p:    cfg.Params,
-		size: amba.SizeForBytes(cfg.Params.BusBytes),
-		sch:  sim.NewScheduler(),
-		eng:  eng,
-		mem:  memmodel.New(),
-		link: link,
-		status: &bi.Provider{
-			Link:     link,
-			PermitFn: eng.Permit,
-			InfoFn:   eng.IdleOrOpen,
-		},
-		pipe:      arb.DefaultWith(cfg.Params.Filters),
-		regs:      append(cfg.Params.QoSRegs(), qos.Reg{}),
-		bus:       stats.NewBus(n + 1),
+		plat:      pl,
+		p:         cfg.Params,
+		size:      amba.SizeForBytes(cfg.Params.BusBytes),
+		sch:       sim.NewScheduler(),
 		chk:       cfg.Checker,
 		tracer:    cfg.Tracer,
 		lastGrant: -1,
 		nextArbAt: sim.CycleMax,
 		served:    make([]uint64, n+1),
 	}
-	b.tracker = qos.NewTracker(b.regs[:n])
 	b.ddrCap = cfg.Params.AddrMap.Capacity()
 	b.ctx = arb.Context{
-		Regs:             b.regs,
-		Provider:         b.status,
+		Regs:             pl.Regs,
+		Provider:         pl.Provider,
 		Served:           b.served,
 		WBCap:            cfg.Params.WriteBufferDepth,
 		UrgencyThreshold: sim.Cycle(cfg.Params.UrgencyThreshold),
 	}
 	b.ctx.PrecomputeQoS()
-	for i := 0; i < n; i++ {
-		b.bus.Masters[i].Name = cfg.Params.Masters[i].Name
-	}
-	b.bus.Masters[n].Name = "wbuf"
 	for _, g := range cfg.Gens {
 		m := &mState{gen: g}
 		b.masters = append(b.masters, m)
@@ -201,7 +135,7 @@ func NewChecked(cfg Config) (*Bus, error) {
 	}
 	// Arm the first arbitration round for the earliest initial request.
 	b.rescheduleForPending(0)
-	return b, nil
+	return b
 }
 
 // wbIndex is the write-buffer pseudo-master port number.
@@ -257,8 +191,8 @@ func (b *Bus) scheduleArb(from sim.Cycle) {
 // polls the link every cycle, so its hints always land at their due
 // cycle, and the TLM must match.
 func (b *Bus) deliverHints(upTo sim.Cycle) {
-	for _, d := range b.link.DeliverUpTo(upTo) {
-		b.eng.Hint(d.At, d.Msg.Addr, d.Msg.Write)
+	for _, d := range b.plat.Link.DeliverUpTo(upTo) {
+		b.plat.Engine.Hint(d.At, d.Msg.Addr, d.Msg.Write)
 	}
 }
 
@@ -309,13 +243,13 @@ func (b *Bus) arbEvent(now sim.Cycle) {
 	b.ctx.WBUsed = len(b.wb.queue)
 	b.ctx.TotalBeats = b.totalServed
 	b.ctx.LastGrant = b.lastGrant
-	win, ok := b.pipe.Select(&b.ctx)
+	win, ok := b.plat.Pipeline.Select(&b.ctx)
 	if !ok {
 		// Permission veto (refresh window). The pin-accurate arbiter
 		// retries every cycle; no retry can succeed before the window
 		// clears, so jump straight to the clear cycle — the grant lands
 		// on the identical cycle with the no-op rounds elided.
-		b.scheduleArb(sim.MaxCycle(b.eng.RefreshClear(now+1), now+1))
+		b.scheduleArb(sim.MaxCycle(b.plat.Engine.RefreshClear(now+1), now+1))
 		return
 	}
 	b.grant(now, ports[win], reqs[win])
@@ -355,11 +289,10 @@ func (b *Bus) grant(t sim.Cycle, port int, req arb.Request) {
 	b.lastGrant = port
 	b.served[port] += uint64(req.Beats)
 	b.totalServed += uint64(req.Beats)
-	b.bus.Grants++
 
 	// Announce over BI for bank interleaving (delivered before the next
 	// engine access, mirroring the fabric's per-cycle delivery).
-	b.link.Send(t, bi.NextTxn{Master: port, Addr: req.Addr, Write: req.Write, Beats: req.Beats})
+	b.plat.Link.Send(t, bi.NextTxn{Master: port, Addr: req.Addr, Write: req.Write, Beats: req.Beats})
 
 	isWB := port == b.wbIndex()
 	var first, last sim.Cycle
@@ -388,9 +321,9 @@ func (b *Bus) grant(t sim.Cycle, port int, req arb.Request) {
 		kind = "posted"
 		b.wb.queue = append(b.wb.queue, wbEntry{addr: req.Addr, beats: req.Beats, capA: a})
 		b.writePayload(port, req.Addr, req.Beats)
-		b.bus.WBPosted++
-		if len(b.wb.queue) > b.bus.WBPeak {
-			b.bus.WBPeak = len(b.wb.queue)
+		b.plat.Stats.WBPosted++
+		if len(b.wb.queue) > b.plat.Stats.WBPeak {
+			b.plat.Stats.WBPeak = len(b.wb.queue)
 		}
 		if !b.wb.pending && !b.wb.draining {
 			b.wb.pending = true
@@ -398,12 +331,12 @@ func (b *Bus) grant(t sim.Cycle, port int, req arb.Request) {
 		}
 	default:
 		if req.Write && !isWB && b.p.WriteBufferDepth > 0 {
-			b.bus.WBFullStalls++
+			b.plat.Stats.WBFullStalls++
 		}
 		// The fabric delivers hints due through A at the top of the
 		// capture cycle, before it consults the engine.
 		b.deliverHints(a)
-		res := b.eng.Access(a+1, req.Addr, req.Write, req.Beats)
+		res := b.plat.Engine.Access(a+1, req.Addr, req.Write, req.Beats)
 		first, last = res.FirstData, res.LastData
 		kind = res.Kind.String()
 		if req.Write {
@@ -412,7 +345,7 @@ func (b *Bus) grant(t sim.Cycle, port int, req arb.Request) {
 				b.wb.queue = append(b.wb.queue[:0], b.wb.queue[1:]...)
 				b.wb.pending = false
 				b.wb.draining = true
-				b.bus.WBDrained++
+				b.plat.Stats.WBDrained++
 			} else {
 				b.writePayload(port, req.Addr, req.Beats)
 			}
@@ -429,17 +362,17 @@ func (b *Bus) grant(t sim.Cycle, port int, req arb.Request) {
 	// Account the completed transaction (its timing is fully known).
 	violated := false
 	if !isWB {
-		violated = b.tracker.Record(port, req.Since, first)
+		violated = b.plat.Tracker.Record(port, req.Since, first)
 	}
 	wait := grantVis.SubFloor(req.Since)
 	lat := first.SubFloor(req.Since)
 	beats, bytes := req.Beats, req.Beats*b.size.Bytes()
 	if erred {
 		beats, bytes = 1, 0
-		b.bus.Masters[port].Errors++
+		b.plat.Stats.Masters[port].Errors++
 	}
-	b.bus.Masters[port].RecordTxn(req.Write, beats, bytes, wait, lat, violated)
-	b.bus.BusyBeats += uint64(beats)
+	b.plat.Stats.Masters[port].RecordTxn(req.Write, beats, bytes, wait, lat, violated)
+	b.plat.Stats.BusyBeats += uint64(beats)
 	if b.tracer != nil {
 		b.tracer.Add(trace.Record{
 			ID: b.txnID, Master: port, Addr: req.Addr, Write: req.Write, Beats: req.Beats,
@@ -486,8 +419,8 @@ func wbDrainDoneFn(done sim.Cycle, owner any, _ uint64) {
 	}
 }
 
-// writePayload writes the master's deterministic pattern to memory
-// (datapath abstracted, identical to the pin-accurate model's pattern).
+// writePayload writes the master's deterministic pattern
+// (platform.WriteByte) to memory, datapath abstracted.
 // Reads have no TLM-side consumer — the model exposes no read-data port
 // — so the read datapath is elided entirely, exactly the "highly
 // abstracted data path" the paper prescribes; write data is kept so
@@ -498,8 +431,9 @@ func (b *Bus) writePayload(port int, addr uint32, beats int) {
 		b.wbuf = make([]byte, n)
 	}
 	b.wbuf = b.wbuf[:n]
-	// Incremental form of payloadByte over consecutive addresses: +7 per
-	// byte, +1 extra whenever the address crosses a 256-byte boundary.
+	// Incremental form of platform.WriteByte over consecutive addresses:
+	// +7 per byte, +1 extra whenever the address crosses a 256-byte
+	// boundary.
 	a := addr
 	v := uint32(port)*31 + a*7 + (a >> 8)
 	for i := 0; i < n; i++ {
@@ -510,12 +444,7 @@ func (b *Bus) writePayload(port int, addr uint32, beats int) {
 			v++
 		}
 	}
-	b.mem.Write(addr, b.wbuf)
-}
-
-// payloadByte matches rtl.writePattern so cross-model data checks hold.
-func payloadByte(master int, addr uint32) byte {
-	return byte(uint32(master)*31 + addr*7 + (addr >> 8))
+	b.plat.Mem.Write(addr, b.wbuf)
 }
 
 // done reports whether all workloads and the write buffer drained.
@@ -528,32 +457,28 @@ func (b *Bus) done() bool {
 	return len(b.wb.queue) == 0 && !b.wb.draining
 }
 
-// Run simulates until every workload drains or maxCycles elapses
-// (0 means a generous default cap).
-func (b *Bus) Run(maxCycles sim.Cycle) Result {
-	if maxCycles == 0 {
-		maxCycles = 50_000_000
+// Run implements platform.Model.
+func (b *Bus) Run(limit sim.Cycle) Result {
+	if limit == 0 {
+		limit = platform.DefaultMaxCycles
 	}
-	b.sch.Run(maxCycles)
+	b.sch.Run(limit)
 	completed := b.done() && b.sch.Pending() == 0
-	b.bus.Cycles = b.maxDone + 1
+	cycles := b.maxDone + 1 // last completion + 1
 	if !completed && b.sch.Now() > b.maxDone {
-		b.bus.Cycles = b.sch.Now()
+		cycles = b.sch.Now()
 	}
-	b.bus.DDR = b.eng.Stats()
-	ps := b.pipe.Stats()
-	b.bus.ArbRounds = ps.Rounds
-	for k, v := range ps.Decisive {
-		b.bus.FilterDecisive[k] = v
-	}
-	return Result{Cycles: b.bus.Cycles, Completed: completed, Stats: b.bus}
+	return b.plat.Finish(cycles, completed)
 }
 
+// Now returns the current simulation cycle.
+func (b *Bus) Now() sim.Cycle { return b.sch.Now() }
+
 // Mem exposes the backing store for end-to-end data checks.
-func (b *Bus) Mem() *memmodel.Memory { return b.mem }
+func (b *Bus) Mem() *memmodel.Memory { return b.plat.Mem }
 
 // Engine exposes the DDR engine for tests.
-func (b *Bus) Engine() *ddr.Engine { return b.eng }
+func (b *Bus) Engine() *ddr.Engine { return b.plat.Engine }
 
 // Tracker exposes QoS outcomes.
-func (b *Bus) Tracker() *qos.Tracker { return b.tracker }
+func (b *Bus) Tracker() *qos.Tracker { return b.plat.Tracker }

@@ -106,7 +106,7 @@ func (pt *Port) run(addr uint32, write bool, data []byte, ctrl *Ctrl) Status {
 	b := New(Config{Params: pt.p, Gens: []traffic.Generator{pt.script}})
 	if prevMem != nil {
 		// Carry memory contents across calls.
-		b.mem = prevMem.mem
+		b.plat.Mem = prevMem.plat.Mem
 	}
 	res := b.Run(pt.now + 1_000_000)
 	if !res.Completed {
@@ -116,10 +116,10 @@ func (pt *Port) run(addr uint32, write bool, data []byte, ctrl *Ctrl) Status {
 	m := res.Stats.Masters[0]
 	if write {
 		if data != nil {
-			b.mem.Write(addr, data)
+			b.plat.Mem.Write(addr, data)
 		}
 	} else if data != nil {
-		b.mem.Read(addr, data)
+		b.plat.Mem.Read(addr, data)
 	}
 	if ctrl != nil {
 		ctrl.Beats = beats

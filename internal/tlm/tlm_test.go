@@ -6,6 +6,7 @@ import (
 	"repro/internal/amba"
 	"repro/internal/check"
 	"repro/internal/config"
+	"repro/internal/platform"
 	"repro/internal/rtl"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -58,7 +59,7 @@ func TestWriteDataIntegrity(t *testing.T) {
 			t.Fatalf("wb=%d: did not complete", wbDepth)
 		}
 		for i := uint32(0); i < 16; i++ {
-			want := payloadByte(0, 0x200+i)
+			want := platform.WriteByte(0, 0x200+i)
 			if got := b.Mem().ByteAt(0x200 + i); got != want {
 				t.Fatalf("wb=%d: mem[%#x] = %#x, want %#x", wbDepth, 0x200+i, got, want)
 			}
