@@ -108,6 +108,15 @@ func (c *Checker) Assert(cond bool, format string, args ...any) {
 	}
 }
 
+// AssertOK records a passing model assertion without any message
+// formatting, so the format arguments of Assert are only materialized
+// (and boxed) on the failing branch of a hot path.
+func (c *Checker) AssertOK() {
+	if c != nil {
+		c.asserts++
+	}
+}
+
 // PropertyOK records a passing property evaluation without any message
 // formatting. Hot paths call it on the pass branch so the format
 // arguments of Property are only materialized on failure.

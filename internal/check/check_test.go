@@ -11,6 +11,13 @@ func TestAssertPassesQuietly(t *testing.T) {
 	if c.AssertsRun() != 1 {
 		t.Fatalf("AssertsRun = %d", c.AssertsRun())
 	}
+	// The no-format pass branch counts the same, and tolerates running
+	// uninstrumented.
+	c.AssertOK()
+	if c.AssertsRun() != 2 {
+		t.Fatalf("AssertsRun after AssertOK = %d", c.AssertsRun())
+	}
+	(*Checker)(nil).AssertOK()
 }
 
 func TestAssertPanicsOnFailure(t *testing.T) {

@@ -8,3 +8,22 @@ func BenchmarkTLMProfile(b *testing.B) {
 		Run(multi, TLM, Options{})
 	}
 }
+
+// TestRTLRunAllocationCeiling bounds what one pin-accurate run of the
+// multi-master speed workload allocates: assembling the platform, and
+// nothing per cycle, per transaction or per passing assertion (240; it
+// was 4,482 while check.Assert boxed its arguments on the passing
+// path). The event wheel's own gate is
+// sim.TestSchedulerSteadyStateAllocatesNothing.
+func TestRTLRunAllocationCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	multi, _ := SpeedWorkloads(1000)
+	const ceiling = 400
+	allocs := testing.AllocsPerRun(5, func() { Run(multi, RTL, Options{}) })
+	t.Logf("one RTL run: %v allocations", allocs)
+	if allocs > ceiling {
+		t.Fatalf("one RTL run allocates %v times, ceiling %d", allocs, ceiling)
+	}
+}

@@ -24,10 +24,12 @@ type ddrFSMComp struct {
 	// transitions counts observed state changes per bank.
 	transitions []uint64
 
-	// Registered controller state, updated every cycle exactly as the
-	// RTL flops would be: per-bank FSM state and open-row registers,
-	// per-bank transient-phase down-counters, and the refresh-interval
-	// down-counter.
+	// Registered controller state: per-bank FSM state and open-row
+	// registers, per-bank transient-phase down-counters, and the
+	// refresh-interval down-counter. The next-state logic runs every
+	// cycle; a register is driven only when its value changes (an RTL
+	// flop re-driven with its own value commits the same state), which
+	// for the refresh counter is every cycle.
 	stateR   []*sim.Reg[ddr.BankState]
 	rowR     []*sim.Reg[uint32]
 	cntR     []*sim.Reg[int]
@@ -126,7 +128,9 @@ func (d *ddrFSMComp) Eval(now sim.Cycle) {
 		}
 		// Per-cycle register updates, as the controller flops would
 		// switch: FSM state, open row, and the transient down-counter.
-		d.stateR[b].Set(st)
+		if d.stateR[b].Get() != st {
+			d.stateR[b].Set(st)
+		}
 		cnt := d.cntR[b].Get()
 		switch st {
 		case ddr.BankActivating, ddr.BankPrecharging:
@@ -143,7 +147,9 @@ func (d *ddrFSMComp) Eval(now sim.Cycle) {
 		}
 		if row, open := d.eng.OpenRow(b); open {
 			d.rows[b] = row
-			d.rowR[b].Set(row)
+			if d.rowR[b].Get() != row {
+				d.rowR[b].Set(row)
+			}
 		}
 	}
 }

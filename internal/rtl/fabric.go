@@ -64,7 +64,7 @@ type fabricComp struct {
 	ddrCap uint64
 
 	// slotR are the write-buffer FIFO entry registers: one per slot,
-	// re-driven every cycle like the RTL FIFO flops.
+	// driven on change (Eval step 5).
 	slotR []*sim.Reg[wbSlot]
 }
 
@@ -186,7 +186,11 @@ func (f *fabricComp) Eval(now sim.Cycle) {
 // capture starts the transaction whose address phase is visible.
 func (f *fabricComp) capture(now sim.Cycle, g int) {
 	w := f.w
-	f.chk.Assert(!f.cur.active, "address phase for master %d while transaction of %d in flight", g, f.cur.port)
+	if f.cur.active {
+		f.chk.Assert(false, "address phase for master %d while transaction of %d in flight", g, f.cur.port)
+	} else {
+		f.chk.AssertOK()
+	}
 	addr := w.HAddrM[g].Get()
 	write := w.HWriteM[g].Get()
 	beats := w.HBeatsM[g].Get()
@@ -285,8 +289,12 @@ func (f *fabricComp) capture(now sim.Cycle, g int) {
 func (f *fabricComp) popFront(addr uint32, beats int) {
 	f.chk.Assert(len(f.queue) > 0, "write-buffer drain with empty queue")
 	front := f.queue[0]
-	f.chk.Assert(front.addr == addr && front.beats == beats,
-		"write-buffer drain mismatch: drove %#x x%d, front %#x x%d", addr, beats, front.addr, front.beats)
+	if front.addr != addr || front.beats != beats {
+		f.chk.Assert(false,
+			"write-buffer drain mismatch: drove %#x x%d, front %#x x%d", addr, beats, front.addr, front.beats)
+	} else {
+		f.chk.AssertOK()
+	}
 	f.queue = append(f.queue[:0], f.queue[1:]...)
 }
 

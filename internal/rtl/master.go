@@ -32,7 +32,6 @@ type masterComp struct {
 	st        mstate
 	cur       traffic.Req
 	wantAt    sim.Cycle
-	reqSince  sim.Cycle // cycle the request became visible
 	grantAt   sim.Cycle // cycle the grant became visible
 	beatsSeen int
 	wbuf      []byte
@@ -44,8 +43,6 @@ type masterComp struct {
 	completions uint64
 	// errors counts ERROR-terminated transactions.
 	errors uint64
-	// waitedTotal accumulates request-to-grant contention cycles.
-	waitedTotal sim.Cycle
 }
 
 func newMaster(w *Wires, idx int, gen traffic.Generator, size amba.Size, chk *check.Checker) *masterComp {
@@ -71,7 +68,11 @@ func (m *masterComp) fetch(prevDone sim.Cycle) {
 		m.st = mDone
 		return
 	}
-	m.chk.Assert(req.Beats > 0, "generator %s produced empty burst", m.gen.Name())
+	if req.Beats <= 0 {
+		m.chk.Assert(false, "generator %s produced empty burst", m.gen.Name())
+	} else {
+		m.chk.AssertOK()
+	}
 	m.cur = req
 	m.wantAt = req.At
 	m.st = mIdle
@@ -89,7 +90,6 @@ func (m *masterComp) Eval(now sim.Cycle) {
 			return
 		}
 		w.HBusReq[m.idx].Set(true)
-		m.reqSince = now + 1 // visible next cycle
 		w.ReqInfo[m.idx] = reqInfo{
 			addr:  m.cur.Addr,
 			write: m.cur.Write,
@@ -101,9 +101,6 @@ func (m *masterComp) Eval(now sim.Cycle) {
 
 	case mWait:
 		if !w.HGrant[m.idx].Get() {
-			if now >= m.reqSince {
-				m.waitedTotal++
-			}
 			return
 		}
 		m.grantAt = now

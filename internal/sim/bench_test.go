@@ -77,6 +77,41 @@ func BenchmarkKernelTickBusy(b *testing.B) {
 	}
 }
 
+// regComp is an always-on component with eight banked registers that
+// drives two of them each cycle: the duty cycle of a pin-accurate block,
+// where most flops hold their value.
+type regComp struct {
+	regs [8]*Reg[int]
+	bank RegBank
+}
+
+func (c *regComp) Name() string { return "regs" }
+func (c *regComp) Eval(now Cycle) {
+	c.regs[now%8].Set(int(now))
+	c.regs[(now+3)%8].Set(int(now))
+}
+func (c *regComp) Update(now Cycle) { c.bank.CommitAll() }
+
+// BenchmarkKernelTickRegs is the per-cycle cost of the commit phase,
+// which BenchmarkKernelTickBusy (no registers at all) cannot see: 8
+// components x 8 registers, 16 of the 64 Set per cycle.
+func BenchmarkKernelTickRegs(b *testing.B) {
+	k := NewKernel()
+	for i := 0; i < 8; i++ {
+		c := &regComp{}
+		for j := range c.regs {
+			c.regs[j] = NewReg(0)
+			c.bank.Add(c.regs[j])
+		}
+		k.Register(c)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k.Step()
+	}
+}
+
 // BenchmarkKernelTickGated is the same platform with every component
 // quiescent: the kernel fast-forwards across the gated stretch, so the
 // per-simulated-cycle cost collapses.

@@ -6,11 +6,19 @@ package sim
 // after Commit runs in the Update phase.
 //
 // Components own their registers and must call Commit from Update (or
-// embed a RegBank and commit that).
+// add them to a RegBank and commit that). A banked register is only
+// ever Set by the component whose bank owns it: the Set enqueues the
+// register on that bank, so the pending value commits in the owner's
+// Update and a sleeping owner — which by the Sleeper contract drives
+// nothing — leaves nothing behind uncommitted.
 type Reg[T any] struct {
 	cur, next T
-	dirty     bool
-	wakers    []*Waker
+	// dirty marks a pending Set; on a banked register it is also the
+	// membership bit of the bank's pending list.
+	dirty  bool
+	bank   *RegBank
+	self   banked // the value Add was handed, which is what the bank commits
+	wakers []*Waker
 }
 
 // NewReg returns a register initialized to v in both phases.
@@ -21,10 +29,17 @@ func NewReg[T any](v T) *Reg[T] {
 // Get returns the currently visible (committed) value.
 func (r *Reg[T]) Get() T { return r.cur }
 
-// Set schedules v to become visible after the next Commit.
+// Set schedules v to become visible after the next Commit. The first
+// Set since the last commit puts a banked register on its bank's
+// pending list, which Add sized so that this append does not allocate.
 func (r *Reg[T]) Set(v T) {
 	r.next = v
-	r.dirty = true
+	if !r.dirty {
+		r.dirty = true
+		if r.bank != nil {
+			r.bank.pending = append(r.bank.pending, r.self)
+		}
+	}
 }
 
 // Commit makes the pending value visible. Safe to call when no Set
@@ -49,27 +64,62 @@ func (r *Reg[T]) Notify(w *Waker) {
 }
 
 // Force immediately sets both phases to v, bypassing the two-phase
-// discipline. Intended for reset logic only.
+// discipline. Intended for reset logic only. A pending Set is dropped;
+// the entry it left on a bank's pending list commits as a no-op.
 func (r *Reg[T]) Force(v T) {
 	r.cur = v
 	r.next = v
 	r.dirty = false
 }
 
-// RegBank groups registers so a component can commit them all with one
-// call from its Update method.
+// bind implements banked.
+func (r *Reg[T]) bind(b *RegBank, self banked) bool {
+	if r.bank != nil {
+		panic("sim: register added to a second RegBank")
+	}
+	r.bank, r.self = b, self
+	return r.dirty
+}
+
+// banked is what a RegBank holds: a Reg, or a type embedding one.
+type banked interface {
+	Commit()
+	// bind attaches the register to its bank and reports whether a Set
+	// is already pending. self is the value the bank was handed, which
+	// differs from the receiver when a Reg is embedded.
+	bind(b *RegBank, self banked) (dirty bool)
+}
+
+// RegBank groups a component's registers so its Update commits them
+// with one call. Commit is change-driven: the bank keeps a list of the
+// registers Set since the last CommitAll, so a cycle costs the
+// registers that changed, not the registers that exist. A RegBank must
+// not be copied once a register has been added.
 type RegBank struct {
-	regs []interface{ Commit() }
+	size    int
+	pending []banked
 }
 
-// Add registers r with the bank and returns the bank for chaining.
-func (b *RegBank) Add(r interface{ Commit() }) {
-	b.regs = append(b.regs, r)
+// Add puts r under the bank; a Set already pending on r commits with
+// the next CommitAll. A register belongs to at most one bank: adding
+// it to a second one (or twice) is a programming error and panics.
+func (b *RegBank) Add(r banked) {
+	dirty := r.bind(b, r)
+	// One slot per register covers every Set between two commits, so
+	// the append in Set stays within capacity.
+	if b.size++; cap(b.pending) < b.size {
+		b.pending = append(make([]banked, 0, 2*b.size), b.pending...)
+	}
+	if dirty {
+		b.pending = append(b.pending, r)
+	}
 }
 
-// CommitAll commits every register in the bank.
+// CommitAll commits every register Set since the last CommitAll, in
+// Set order, and empties the pending list.
 func (b *RegBank) CommitAll() {
-	for _, r := range b.regs {
+	for _, r := range b.pending {
 		r.Commit()
 	}
+	b.pending = b.pending[:0]
 }
