@@ -17,6 +17,7 @@
 package chaos
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"net/http"
@@ -48,6 +49,10 @@ const (
 	Unavailable
 	// Corrupt serves the real response with its body bytes mangled.
 	Corrupt
+	// Drop runs the request to completion — the backend does the work
+	// and keeps what it cached — then aborts the connection instead of
+	// answering: a process killed, or a link cut, mid-call.
+	Drop
 )
 
 // String implements fmt.Stringer.
@@ -65,6 +70,8 @@ func (f Fault) String() string {
 		return "unavailable"
 	case Corrupt:
 		return "corrupt"
+	case Drop:
+		return "drop"
 	}
 	return fmt.Sprintf("fault(%d)", int(f))
 }
@@ -155,7 +162,10 @@ func (in *Injector) Middleware(next http.Handler) http.Handler {
 			<-r.Context().Done()
 			panic(http.ErrAbortHandler)
 		case Slow:
-			io.Copy(io.Discard, r.Body)
+			// Consumed for the same reason, but kept: the handler still
+			// has to serve the request it was sent.
+			body, _ := io.ReadAll(r.Body)
+			r.Body = io.NopCloser(bytes.NewReader(body))
 			select {
 			case <-time.After(delay):
 			case <-r.Context().Done():
@@ -170,10 +180,20 @@ func (in *Injector) Middleware(next http.Handler) http.Handler {
 		case Corrupt:
 			next.ServeHTTP(&corruptingWriter{ResponseWriter: w}, r)
 			return
+		case Drop:
+			next.ServeHTTP(discardingWriter{http.Header{}}, r)
+			panic(http.ErrAbortHandler)
 		}
 		next.ServeHTTP(w, r)
 	})
 }
+
+// discardingWriter accepts a response and sends none of it.
+type discardingWriter struct{ header http.Header }
+
+func (d discardingWriter) Header() http.Header         { return d.header }
+func (d discardingWriter) Write(b []byte) (int, error) { return len(b), nil }
+func (d discardingWriter) WriteHeader(int)             {}
 
 // corruptingWriter flips bits in every body chunk it forwards. The
 // headers (status, content-type) pass through intact — corruption

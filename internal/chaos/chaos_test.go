@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -92,6 +93,23 @@ func TestInjectorKillLooksLikeADeadProcess(t *testing.T) {
 	}
 }
 
+func TestInjectorDropRunsTheHandlerThenLooksDead(t *testing.T) {
+	in := &Injector{}
+	var served atomic.Int64
+	ts := httptest.NewServer(in.Middleware(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		served.Add(1)
+		w.Write([]byte("ok"))
+	})))
+	t.Cleanup(ts.Close)
+	in.Arm(Drop, 1)
+	if _, _, err := get(t, ts.URL); err == nil {
+		t.Fatal("dropped reply reached the client")
+	}
+	if served.Load() != 1 {
+		t.Fatalf("handler ran %d times under Drop, want once: the work happens, the answer is lost", served.Load())
+	}
+}
+
 func TestInjectorSlowDelaysThenServes(t *testing.T) {
 	in := &Injector{}
 	ts := httptest.NewServer(in.Middleware(echoHandler()))
@@ -105,6 +123,20 @@ func TestInjectorSlowDelaysThenServes(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed < 50*time.Millisecond {
 		t.Fatalf("served in %v, want >= the injected 50ms", elapsed)
+	}
+	// A delayed POST still reaches the handler with its body.
+	echo := httptest.NewServer(in.Middleware(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(w, r.Body)
+	})))
+	t.Cleanup(echo.Close)
+	in.Arm(Slow, 1)
+	resp, err := http.Post(echo.URL, "text/plain", strings.NewReader("payload"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if got, _ := io.ReadAll(resp.Body); string(got) != "payload" {
+		t.Fatalf("slowed POST body arrived as %q", got)
 	}
 }
 

@@ -320,6 +320,25 @@ func (c *Client) StoreResult(ctx context.Context, key string, body []byte, stole
 	return err
 }
 
+// RunBatch posts lines — each the body of one /run request, or with
+// compare set of one /compare — to the backend's POST /batch under the
+// scheduling identity in header, and returns the records the reply
+// settled, in line order. Fewer records than lines is a short reply:
+// the lines past the last record were not answered. A status other than
+// 200 (a backend without the route) is an error that is not
+// Unreachable.
+func (c *Client) RunBatch(ctx context.Context, compare bool, lines [][]byte, header http.Header) ([]BatchRecord, error) {
+	path := "/batch?op=run"
+	if compare {
+		path = "/batch?op=compare"
+	}
+	_, reply, err := c.call(ctx, "batch", http.MethodPost, path, bytes.Join(lines, []byte("\n")), header, http.StatusOK)
+	if err != nil {
+		return nil, err
+	}
+	return parseBatchReply(reply, len(lines)), nil
+}
+
 // FetchManifest reads sweep id's manifest from the backend (GET
 // /sweep/{id}). ok=false with a nil error means the backend answered
 // 404: it holds no manifest for the id. A copy that is not a

@@ -11,14 +11,18 @@
 // tier supplies is the SweepTier seam: where a chunk's variants run
 // (one lane of local workers; one lane per shard), how one variant is
 // resolved on a lane, and where manifests live (the local store; a
-// rank-walk over the cluster). A new way of executing variants — a
-// batch protocol, replicated placement — is a new Resolve behind this
-// seam, never another orchestrator.
+// rank-walk over the cluster). A lane takes its queue in runs — short
+// slices whose length follows the queue's depth — so a tier may execute
+// a run in one step (the cluster sends a run's misses to their owner in
+// one POST /batch) while the tail of a chunk still goes out one variant
+// at a time. A new way of executing variants — replicated placement — is
+// a new Resolve behind this seam, never another orchestrator.
 package service
 
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"slices"
@@ -50,8 +54,9 @@ type SweepTier interface {
 	// class; batch when the request names no class) and returns the
 	// planner that runs the request's chunks under it.
 	Begin(r *http.Request) (SweepPlanner, error)
-	// GridError wraps the row of a grid point whose spec failed to
-	// build in the tier's line shape.
+	// GridError wraps an error row no lane produced — a grid point
+	// whose spec failed to build, a result that failed to encode — in
+	// the tier's line shape.
 	GridError(row SweepRow) SweepLine
 	// LoadManifest returns the stored manifest of sweep id, already
 	// through SweepManifest.Accept. A missing, unreadable or corrupt
@@ -77,14 +82,17 @@ type SweepPlan struct {
 	// Lanes are the chunk's execution lanes, each holding the variants
 	// it owns.
 	Lanes []SweepLane
-	// Resolve computes (or replays) v on lane, called from one of that
-	// lane's goroutines. from is the lane whose queue v was taken from;
-	// from != lane means lane stole it. ok=false means ctx ended first.
-	Resolve func(ctx context.Context, v sweep.Variant, lane, from int) (line SweepLine, ok bool)
+	// Resolve computes (or replays) the variants of run on lane, called
+	// from one of that lane's goroutines, and hands each one's line to
+	// emit as it settles. from is the lane whose queue the run was taken
+	// from; from != lane means lane stole it. ok=false means ctx ended
+	// first: some of the run may not have been emitted.
+	Resolve func(ctx context.Context, run []sweep.Variant, lane, from int, emit func(SweepLine)) (ok bool)
 }
 
-// SweepLane is one execution lane of a chunk: Conc variants in flight
-// at once, drained from the head of Queue.
+// SweepLane is one execution lane of a chunk: Conc runs in flight at
+// once — each executing its variants in order, so Conc variants — taken
+// from the head of Queue.
 type SweepLane struct {
 	Conc  int
 	Queue []sweep.Variant
@@ -221,7 +229,14 @@ func (e *SweepEngine) stream(w http.ResponseWriter, r *http.Request, req SweepRe
 	out.Flush()
 	emitted, errored, sinceCheckpoint := 0, 0, 0
 	emit := func(line SweepLine) {
-		out.Write(line)
+		if err := out.Write(line); err != nil {
+			// A result that does not encode wrote nothing: the variant
+			// still gets its one line, as the error row it is.
+			row := line.Data()
+			row.Cache, row.Result, row.Error = "", nil, fmt.Sprintf("encoding row: %v", err)
+			line = e.tier.GridError(row)
+			_ = out.Write(line) // an error row carries nothing that fails to encode
+		}
 		e.rows.Inc()
 		emitted++
 		if row := line.Data(); row.Error != "" {
@@ -246,7 +261,7 @@ func (e *SweepEngine) stream(w http.ResponseWriter, r *http.Request, req SweepRe
 	if complete {
 		// The terminal summary row runs only when every variant
 		// produced a row — nothing here fakes completion.
-		out.Write(SweepSummary{Done: true, Rows: emitted, Errors: errored})
+		_ = out.Write(SweepSummary{Done: true, Rows: emitted, Errors: errored}) // three scalars always encode
 		// A completed walk knows the deduplicated variant count even
 		// when it only EMITTED a suffix — the walk itself always
 		// enumerates from index 0 — so a resume that reaches the end
@@ -290,20 +305,37 @@ type laneQueues struct {
 	lanes []SweepLane
 }
 
-// next hands the worker of lane self its next variant and the lane it
-// was queued on: the head of its own queue first; once that is empty,
-// the tail of the DEEPEST other queue — but only while that queue holds
+// maxSweepRun clamps the length of a run, and is therefore the most
+// lines a POST /batch carries: long enough that a run's one round trip
+// is noise next to its simulations, short enough that a full reply
+// stays far below the backend client's response bound.
+const maxSweepRun = 32
+
+// runLen is how many variants one worker takes from a lane's queue at
+// once: half an even deal of what is queued among the lane's workers,
+// so a deep queue goes out in long runs and a draining one in ever
+// shorter ones — the tail of a chunk is single variants, balanced and
+// stolen exactly as if runs did not exist.
+func (l SweepLane) runLen() int {
+	return min(max(len(l.Queue)/max(2*l.Conc, 1), 1), maxSweepRun)
+}
+
+// next hands the worker of lane self its next run and the lane it was
+// queued on: the head of its own queue first; once that is empty, the
+// tail of the DEEPEST other queue — but only while that queue holds
 // more work than its lane has concurrent slots: a backlog the owner is
 // about to clear anyway is left alone, while a skewed chunk stops being
-// wall-clock-bounded by its hottest lane. The two ends never contend
-// for the same variant, and a one-lane plan simply never steals.
-// ok=false: nothing left for this worker.
-func (q *laneQueues) next(self int) (v sweep.Variant, from int, ok bool) {
+// wall-clock-bounded by its hottest lane. A run of more than one
+// variant is at most half its queue, so the two ends never meet and a
+// theft leaves the victim at least its Conc; a one-lane plan simply
+// never steals. ok=false: nothing left for this worker.
+func (q *laneQueues) next(self int) (run []sweep.Variant, from int, ok bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if own := q.lanes[self].Queue; len(own) > 0 {
-		q.lanes[self].Queue = own[1:]
-		return own[0], self, true
+	if own := q.lanes[self]; len(own.Queue) > 0 {
+		n := own.runLen()
+		q.lanes[self].Queue = own.Queue[n:]
+		return own.Queue[:n], self, true
 	}
 	victim := -1
 	for j, lane := range q.lanes {
@@ -315,11 +347,12 @@ func (q *laneQueues) next(self int) (v sweep.Variant, from int, ok bool) {
 		}
 	}
 	if victim < 0 {
-		return sweep.Variant{}, -1, false
+		return nil, -1, false
 	}
 	deep := q.lanes[victim].Queue
-	q.lanes[victim].Queue = deep[:len(deep)-1]
-	return deep[len(deep)-1], victim, true
+	keep := len(deep) - q.lanes[victim].runLen()
+	q.lanes[victim].Queue = deep[:keep]
+	return deep[keep:], victim, true
 }
 
 // runChunk executes one planned chunk and invokes emit — always from
@@ -345,9 +378,17 @@ func runChunk(ctx context.Context, plan SweepPlan, emit func(SweepLine), idle fu
 		workersN += min(lane.Conc, pending)
 	}
 	// One slot per worker: a finished row never blocks its worker while
-	// the previous one is being written, and len(rows) tells the emit
-	// loop whether another row is ready right now.
+	// the previous one is being written (a run that settles all at once
+	// paces itself on the emit loop, which a larger buffer measured no
+	// faster), and len(rows) tells the emit loop whether another row is
+	// ready right now.
 	rows := make(chan SweepLine, workersN)
+	send := func(line SweepLine) {
+		select {
+		case rows <- line:
+		case <-ctx.Done():
+		}
+	}
 	var wg sync.WaitGroup
 	for i, lane := range plan.Lanes {
 		for k := min(lane.Conc, pending); k > 0; k-- {
@@ -355,18 +396,12 @@ func runChunk(ctx context.Context, plan SweepPlan, emit func(SweepLine), idle fu
 			go func(self int) {
 				defer wg.Done()
 				for ctx.Err() == nil {
-					v, from, ok := queues.next(self)
+					run, from, ok := queues.next(self)
 					if !ok {
 						return // chunk drained (for this worker)
 					}
-					line, alive := plan.Resolve(ctx, v, self, from)
-					if !alive {
+					if !plan.Resolve(ctx, run, self, from, send) {
 						return // client gone; in-flight work still fills the caches
-					}
-					select {
-					case rows <- line:
-					case <-ctx.Done():
-						return
 					}
 				}
 			}(i)

@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/obs"
@@ -95,13 +96,27 @@ func (t *fakeTier) Begin(r *http.Request) (SweepPlanner, error) {
 			lane := v.Index % len(lanes)
 			lanes[lane].Queue = append(lanes[lane].Queue, v)
 		}
-		return SweepPlan{Lanes: lanes, Resolve: func(ctx context.Context, v sweep.Variant, lane, from int) (SweepLine, bool) {
+		return SweepPlan{Lanes: lanes, Resolve: eachVariant(func(ctx context.Context, v sweep.Variant, lane, from int) (SweepLine, bool) {
 			if t.resolve != nil {
 				return t.resolve(ctx, v, lane, from)
 			}
 			return instantLine(v, lane, from), true
-		}}
+		})}
 	}, nil
+}
+
+// eachVariant is a Resolve that settles a run one variant at a time.
+func eachVariant(one func(ctx context.Context, v sweep.Variant, lane, from int) (SweepLine, bool)) func(context.Context, []sweep.Variant, int, int, func(SweepLine)) bool {
+	return func(ctx context.Context, run []sweep.Variant, lane, from int, emit func(SweepLine)) bool {
+		for _, v := range run {
+			line, ok := one(ctx, v, lane, from)
+			if !ok {
+				return false
+			}
+			emit(line)
+		}
+		return true
+	}
 }
 
 // instantLine answers v successfully without computing anything.
@@ -370,6 +385,15 @@ func variantsN(n int) []sweep.Variant {
 	return vs
 }
 
+// indices lists a run's variant indices.
+func indices(run []sweep.Variant) []int {
+	out := make([]int, len(run))
+	for i, v := range run {
+		out[i] = v.Index
+	}
+	return out
+}
+
 func TestLaneQueuesStealOnlyPastTheVictimsConcurrency(t *testing.T) {
 	vs := variantsN(9)
 	q := laneQueues{lanes: []SweepLane{
@@ -378,27 +402,84 @@ func TestLaneQueuesStealOnlyPastTheVictimsConcurrency(t *testing.T) {
 		{Conc: 3, Queue: vs[5:8]}, // 3 deep, width 3: nothing to spare
 	}}
 	// The thief takes lane 0's tail while lane 0 holds more than its
-	// width — never lane 2's backlog, which its owner can hold.
+	// width — never lane 2's backlog, which its owner can hold. A queue
+	// this shallow goes out in runs of one.
 	for _, want := range []int{4, 3, 2} {
-		v, from, ok := q.next(1)
-		if !ok || from != 0 || v.Index != want {
-			t.Fatalf("steal = variant %d from lane %d (ok=%v), want variant %d off lane 0's tail", v.Index, from, ok, want)
+		run, from, ok := q.next(1)
+		if !ok || from != 0 || len(run) != 1 || run[0].Index != want {
+			t.Fatalf("steal = %v from lane %d (ok=%v), want variant %d off lane 0's tail", indices(run), from, ok, want)
 		}
 	}
-	if v, from, ok := q.next(1); ok {
-		t.Fatalf("stole variant %d from lane %d with every backlog within its lane's width", v.Index, from)
+	if run, from, ok := q.next(1); ok {
+		t.Fatalf("stole %v from lane %d with every backlog within its lane's width", indices(run), from)
 	}
 	// Owners drain their own queues from the head, untouched by the
 	// thief: the two ends never met.
 	for _, want := range []int{0, 1} {
-		if v, from, ok := q.next(0); !ok || from != 0 || v.Index != want {
-			t.Fatalf("lane 0 got variant %d from lane %d (ok=%v), want its own head %d", v.Index, from, ok, want)
+		if run, from, ok := q.next(0); !ok || from != 0 || len(run) != 1 || run[0].Index != want {
+			t.Fatalf("lane 0 got %v from lane %d (ok=%v), want its own head %d", indices(run), from, ok, want)
 		}
 	}
 	// The deepest eligible victim wins.
 	q = laneQueues{lanes: []SweepLane{{Conc: 1, Queue: vs[0:3]}, {Conc: 1}, {Conc: 1, Queue: vs[3:9]}}}
-	if v, from, ok := q.next(1); !ok || from != 2 || v.Index != 8 {
-		t.Fatalf("steal = variant %d from lane %d (ok=%v), want the deeper lane 2's tail", v.Index, from, ok)
+	if run, from, ok := q.next(1); !ok || from != 2 || run[len(run)-1].Index != 8 {
+		t.Fatalf("steal = %v from lane %d (ok=%v), want the deeper lane 2's tail", indices(run), from, ok)
+	}
+
+	// Runs: a deep queue is handed out in slices whose length follows
+	// its depth — depth/(2*Conc), clamped to [1, maxSweepRun] — from the
+	// head to its owner and from the tail to a thief. Alternating the two
+	// until the queue is drained must hand every variant out exactly
+	// once, in head order to the owner, and never leave the victim of a
+	// theft with less than its width.
+	const depth, conc = 1000, 2
+	q = laneQueues{lanes: []SweepLane{{Conc: conc, Queue: variantsN(depth)}, {Conc: 1}}}
+	seen := make([]bool, depth)
+	head, longest, last := 0, 0, 0
+	for turn := 0; ; turn++ {
+		left := len(q.lanes[0].Queue)
+		if left == 0 {
+			break
+		}
+		want := min(max(left/(2*conc), 1), maxSweepRun)
+		self := turn % 2
+		run, from, ok := q.next(self)
+		if self == 1 && left <= conc {
+			if ok {
+				t.Fatalf("thief took %v with only %d queued on a lane of width %d", indices(run), left, conc)
+			}
+			continue
+		}
+		if !ok || from != 0 || len(run) != want {
+			t.Fatalf("turn %d: run of %d from lane %d (ok=%v) with %d queued, want %d from lane 0", turn, len(run), from, ok, left, want)
+		}
+		if self == 0 && run[0].Index != head {
+			t.Fatalf("owner's run starts at %d, want its queue's head %d", run[0].Index, head)
+		}
+		if self == 1 && len(q.lanes[0].Queue) < conc {
+			t.Fatalf("theft left the victim %d, less than its width %d", len(q.lanes[0].Queue), conc)
+		}
+		for i, v := range run {
+			if seen[v.Index] {
+				t.Fatalf("variant %d handed out twice: head-run and tail-run overlap", v.Index)
+			}
+			seen[v.Index] = true
+			if i > 0 && v.Index != run[i-1].Index+1 {
+				t.Fatalf("run %v is not a contiguous slice of the queue", indices(run))
+			}
+		}
+		if self == 0 {
+			head = run[len(run)-1].Index + 1
+		}
+		longest, last = max(longest, len(run)), len(run)
+	}
+	for i, ok := range seen {
+		if !ok {
+			t.Fatalf("variant %d was never handed out", i)
+		}
+	}
+	if longest != maxSweepRun || last != 1 {
+		t.Fatalf("runs peaked at %d and ended at %d, want the clamp %d shrinking to 1 as the queue drains", longest, last, maxSweepRun)
 	}
 }
 
@@ -410,14 +491,14 @@ func TestRunChunkResolvesEveryVariantOnceAcrossOwnersAndThieves(t *testing.T) {
 	stole := make(chan struct{}, 6)
 	plan := SweepPlan{
 		Lanes: []SweepLane{{Conc: 2, Queue: variantsN(6)}, {Conc: 1}},
-		Resolve: func(ctx context.Context, v sweep.Variant, lane, from int) (SweepLine, bool) {
+		Resolve: eachVariant(func(ctx context.Context, v sweep.Variant, lane, from int) (SweepLine, bool) {
 			if lane == from {
 				<-gate
 			} else {
 				stole <- struct{}{}
 			}
 			return instantLine(v, lane, from), true
-		},
+		}),
 	}
 	var emitted []fakeLine
 	finished := make(chan bool, 1)
@@ -447,21 +528,33 @@ func TestRunChunkResolvesEveryVariantOnceAcrossOwnersAndThieves(t *testing.T) {
 		t.Fatalf("%d of 6 variants emitted, %d stolen; want all six and at least one steal", len(seen), stolen)
 	}
 
-	// A one-lane plan never steals.
+	// A one-lane plan never steals, however long its runs: 400 variants
+	// on a lane of width 3 start out in runs of the clamp.
+	var runs atomic.Int64
+	one := eachVariant(func(ctx context.Context, v sweep.Variant, lane, from int) (SweepLine, bool) {
+		return instantLine(v, lane, from), true
+	})
 	plan = SweepPlan{
-		Lanes: []SweepLane{{Conc: 3, Queue: variantsN(40)}},
-		Resolve: func(ctx context.Context, v sweep.Variant, lane, from int) (SweepLine, bool) {
-			return instantLine(v, lane, from), true
+		Lanes: []SweepLane{{Conc: 3, Queue: variantsN(400)}},
+		Resolve: func(ctx context.Context, run []sweep.Variant, lane, from int, emit func(SweepLine)) bool {
+			runs.Add(1)
+			return one(ctx, run, lane, from, emit)
 		},
 	}
-	n := 0
+	once := make([]bool, 400)
 	runChunk(context.Background(), plan, func(l SweepLine) {
-		n++
-		if fl := l.(fakeLine); fl.Lane != 0 || fl.From != 0 {
-			t.Fatalf("one-lane plan resolved %+v off its lane", fl)
+		fl := l.(fakeLine)
+		if fl.Lane != 0 || fl.From != 0 || once[fl.Index] {
+			t.Fatalf("one-lane plan resolved %+v off its lane or twice", fl)
 		}
+		once[fl.Index] = true
 	}, func() {})
-	if n != 40 {
-		t.Fatalf("one-lane plan emitted %d of 40", n)
+	for i, ok := range once {
+		if !ok {
+			t.Fatalf("one-lane plan never emitted variant %d", i)
+		}
+	}
+	if n := runs.Load(); n >= 400/4 {
+		t.Fatalf("400 variants went out in %d runs: the deep part of the queue was not taken in runs", n)
 	}
 }

@@ -257,6 +257,7 @@ func New(opt Options) (*Server, error) {
 	handle("/sweep/{id}/resume", http.HandlerFunc(s.sweeps.HandleResume))
 	handle("/sweep/{id}/analyze", http.HandlerFunc(s.sweeps.HandleStoredAnalyze))
 	handle("/results", http.HandlerFunc(s.handleResults))
+	handle("/batch", http.HandlerFunc(s.handleBatch))
 	handle("/scenarios", http.HandlerFunc(s.handleScenarios))
 	handle("/healthz", http.HandlerFunc(s.handleHealthz))
 	handle("/metrics", s.reg.Handler())
@@ -406,12 +407,13 @@ func ResolveRunRequest(body io.Reader, byName map[string]spec.Spec) (RunRequest,
 	return req, spec.Spec{}, errors.New("request needs a spec or a scenario name")
 }
 
-// decodeRequest parses and validates the request, resolving a library
-// scenario name if used. It returns the decoded request (for the
+// decodeRequest parses and validates a /run-shaped request body (a
+// POST /batch line is one too), resolving a library scenario name if
+// used. It returns the decoded request (for the
 // model selector), the workload spec, its content hash and the
 // compiled workload.
-func (s *Server) decodeRequest(r *http.Request) (RunRequest, spec.Spec, string, core.Workload, error) {
-	req, sp, err := ResolveRunRequest(r.Body, s.scenarioByName)
+func (s *Server) decodeRequest(body io.Reader) (RunRequest, spec.Spec, string, core.Workload, error) {
+	req, sp, err := ResolveRunRequest(body, s.scenarioByName)
 	if err != nil {
 		return req, sp, "", core.Workload{}, err
 	}
@@ -479,17 +481,15 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request, compare bool
 		WriteError(w, r, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	req, sp, hash, wl, err := s.decodeRequest(r)
+	req, sp, hash, wl, err := s.decodeRequest(r.Body)
 	if err != nil {
 		WriteError(w, r, http.StatusBadRequest, "%v", err)
 		return
 	}
-	m := SweepModel{Compare: true}
-	if !compare {
-		if m, err = sweepModel(req.Model); err != nil || m.Compare {
-			WriteError(w, r, http.StatusBadRequest, "unknown model %q (want tl or rtl)", req.Model)
-			return
-		}
+	m, err := execModel(req.Model, compare)
+	if err != nil {
+		WriteError(w, r, http.StatusBadRequest, "%v", err)
+		return
 	}
 	id, err := ParseIdent(r, sched.Interactive)
 	if err != nil {
@@ -497,6 +497,20 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request, compare bool
 		return
 	}
 	s.serveCached(w, r, m.Key(hash), hash, id, m.compute(sp, hash, wl))
+}
+
+// execModel resolves what one /run request executes from its model
+// selector — or, with compare set, what /compare does whatever selector
+// the request carries.
+func execModel(name string, compare bool) (SweepModel, error) {
+	if compare {
+		return SweepModel{Compare: true}, nil
+	}
+	m, err := sweepModel(name)
+	if err != nil || m.Compare {
+		return SweepModel{}, fmt.Errorf("unknown model %q (want tl or rtl)", name)
+	}
+	return m, nil
 }
 
 // Ident is one request's scheduling identity: the tenant whose fair
@@ -1013,11 +1027,13 @@ func (s *Server) writeBody(w http.ResponseWriter, status int, body []byte, cache
 // a client-side error report names the exact request in the logs. Both
 // tiers answer every non-2xx through it.
 func WriteError(w http.ResponseWriter, r *http.Request, status int, format string, args ...any) {
-	body, _ := json.Marshal(errorResponse{
-		Error:     fmt.Sprintf(format, args...),
-		RequestID: obs.RequestIDFrom(r.Context()),
-	})
-	writeJSON(w, status, body)
+	writeJSON(w, status, errorBody(r, fmt.Sprintf(format, args...)))
+}
+
+// errorBody is the JSON error body WriteError sends for msg.
+func errorBody(r *http.Request, msg string) []byte {
+	body, _ := json.Marshal(errorResponse{Error: msg, RequestID: obs.RequestIDFrom(r.Context())})
+	return body
 }
 
 // writeJSON sends an encoded JSON body.

@@ -21,6 +21,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 
 	"repro/internal/core"
@@ -107,14 +108,24 @@ type rowWriter struct {
 // before any row exists.
 func newRowWriter(w http.ResponseWriter) *rowWriter {
 	flusher, _ := w.(http.Flusher)
-	return &rowWriter{enc: json.NewEncoder(w), flusher: flusher, dirty: true}
+	return &rowWriter{enc: json.NewEncoder(clientWriter{w}), flusher: flusher, dirty: true}
 }
 
-// Write encodes one line. A client that hung up makes the encode fail;
-// the stream's owner learns that from its request context, not here.
-func (rw *rowWriter) Write(line any) {
-	_ = rw.enc.Encode(line)
+// clientWriter drops write errors: a client that hung up is something
+// the stream's owner learns from its request context, which leaves an
+// error from the encoder meaning one thing — the line did not encode.
+type clientWriter struct{ w io.Writer }
+
+func (c clientWriter) Write(p []byte) (int, error) {
+	_, _ = c.w.Write(p)
+	return len(p), nil
+}
+
+// Write encodes one line. A non-nil error means the line does not
+// encode (a result body that is not JSON) and nothing was written.
+func (rw *rowWriter) Write(line any) error {
 	rw.dirty = true
+	return rw.enc.Encode(line)
 }
 
 // Flush pushes the lines written since the last Flush to the client.
@@ -252,16 +263,22 @@ func (t workerTier) Begin(r *http.Request) (SweepPlanner, error) {
 		return SweepPlan{
 			Ready: ready,
 			Lanes: []SweepLane{{Conc: s.workers, Queue: pending}},
-			Resolve: func(ctx context.Context, v sweep.Variant, _, _ int) (SweepLine, bool) {
-				return s.resolveVariant(ctx, v, m, id)
+			Resolve: func(ctx context.Context, run []sweep.Variant, _, _ int, emit func(SweepLine)) bool {
+				for _, v := range run {
+					row, ok := s.resolveVariant(ctx, v, m, id)
+					if !ok {
+						return false
+					}
+					emit(row)
+				}
+				return true
 			},
 		}
 	}, nil
 }
 
 // resolveVariant computes (or replays) one variant through the shared
-// execute path, retrying with backoff while its class queue is
-// saturated. ok=false means the request context ended first.
+// execute path. ok=false means the request context ended first.
 func (s *Server) resolveVariant(ctx context.Context, v sweep.Variant, m SweepModel, id Ident) (SweepRow, bool) {
 	// Compile the spec inside the job, not here: a warm variant is
 	// answered from a cache tier or a coalesced flight without paying
@@ -276,21 +293,30 @@ func (s *Server) resolveVariant(ctx context.Context, v sweep.Variant, m SweepMod
 		}
 		return m.compute(v.Spec, v.Hash, wl)(jobCtx, tm)
 	}
+	status, body, disposition, ok := s.executePatient(ctx, m.Key(v.Hash), id, compute)
+	if !ok {
+		return SweepRow{}, false
+	}
 	row := NewSweepRow(v)
+	row.Settle(disposition, status, body)
+	return row, true
+}
+
+// executePatient is executeOnce for work that belongs to a sweep — a
+// variant of this worker's own stream, a line of a router's POST
+// /batch: it retries with backoff while the class queue is saturated
+// instead of surfacing a 503. The 503 it can still return is the
+// terminal one (disposition dispositionClosed): the scheduler is shut
+// down, not busy, and retrying would spin against a server that is
+// going away. ok=false means ctx ended first.
+func (s *Server) executePatient(ctx context.Context, key string, id Ident, compute func(context.Context, *Timing) ([]byte, error)) (status int, body []byte, disposition string, ok bool) {
 	for attempt := 0; ; attempt++ {
-		status, body, disposition, _, err := s.executeOnce(ctx, m.Key(v.Hash), id, compute, attempt > 0)
+		status, body, disposition, _, err := s.executeOnce(ctx, key, id, compute, attempt > 0)
 		if err != nil {
-			return SweepRow{}, false
+			return 0, nil, "", false
 		}
-		if status != http.StatusServiceUnavailable {
-			row.Settle(disposition, status, body)
-			return row, true
-		}
-		if disposition == dispositionClosed {
-			// The scheduler is shut down, not busy: emit the failure as
-			// the row instead of retrying against a terminal condition.
-			row.Settle("", status, body)
-			return row, true
+		if status != http.StatusServiceUnavailable || disposition == dispositionClosed {
+			return status, body, disposition, true
 		}
 		// Saturated: the sweep absorbs its own backpressure instead of
 		// surfacing a mid-stream 503 row. The wait honors the SAME
@@ -301,7 +327,7 @@ func (s *Server) resolveVariant(ctx context.Context, v sweep.Variant, m SweepMod
 		// millisecond loop that hammers a saturated queue dozens of
 		// times a second per pending variant.
 		if !sleepFor(ctx, RetryWaitSeconds(s.sched.RetryAfterSeconds(id.Class))) {
-			return SweepRow{}, false
+			return 0, nil, "", false
 		}
 	}
 }

@@ -46,7 +46,7 @@ func (rt *Router) initMetrics() {
 	rt.reg = reg
 	rt.httpMetrics = obs.NewHTTPMetrics(reg, "simd_router_")
 
-	rt.attemptsVec = reg.HistogramVec("simd_router_attempt_seconds", "Backend attempt latency by shard (stable ID).", obs.DefTimeBuckets, "shard")
+	rt.attemptsVec = reg.HistogramVec("simd_router_attempt_seconds", "Backend call latency (a /run, a /compare, or a sweep's /batch run) by shard (stable ID).", obs.DefTimeBuckets, "shard")
 	rt.failoversVec = reg.CounterVec("simd_router_failovers_total", "Requests served away from their owning shard, by owner (stable ID).", "shard")
 	rt.retriesVec = reg.CounterVec("simd_router_retries_total", "Saturation-503 retry waits against a live shard, by shard (stable ID).", "shard")
 	rt.stealsVec = reg.CounterVec("simd_router_steals_total", "Sweep variants work-stolen and computed by this (thief) shard (stable ID).", "shard")

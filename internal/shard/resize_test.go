@@ -22,8 +22,8 @@ type resizeCluster struct {
 	rt       *Router
 	front    string
 	backends []*httptest.Server
-	// runCalls counts /run and /compare requests reaching backend i —
-	// the ground truth for "zero backend round trips".
+	// runCalls counts /run, /compare and /batch requests reaching backend
+	// i — the ground truth for "zero backend round trips".
 	runCalls []*atomic.Int64
 }
 
@@ -45,7 +45,7 @@ func newResizeCluster(t *testing.T, n int, withStore bool, cacheBytes int64) *re
 		calls := &atomic.Int64{}
 		h := srv.Handler()
 		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path == "/run" || r.URL.Path == "/compare" {
+			if r.URL.Path == "/run" || r.URL.Path == "/compare" || r.URL.Path == "/batch" {
 				calls.Add(1)
 			}
 			h.ServeHTTP(w, r)

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/service"
+	"repro/internal/sweep"
 )
 
 func TestWriteBackGoesThroughTheOwnersBreaker(t *testing.T) {
@@ -118,11 +119,12 @@ func TestDeadThiefFallsBackWithoutASecondCacheProbe(t *testing.T) {
 	// lane 1 (the dead shard) takes it from lane 0's queue.
 	v := expandStealGrid(t, 77)[0]
 	plan := planner(service.SweepModel{}, nil)
-	line, ok := plan.Resolve(context.Background(), v, 1, 0)
-	if !ok {
-		t.Fatal("resolve gave up with a live context")
+	var lines []service.SweepLine
+	ok := plan.Resolve(context.Background(), []sweep.Variant{v}, 1, 0, func(l service.SweepLine) { lines = append(lines, l) })
+	if !ok || len(lines) != 1 {
+		t.Fatalf("resolve emitted %d lines (ok=%v) with a live context, want 1", len(lines), ok)
 	}
-	row := line.(Row)
+	row := lines[0].(Row)
 	if row.Error != "" || row.Shard != 0 || row.Stolen != "" {
 		t.Fatalf("row %+v, want an untagged result served by shard 0", row)
 	}

@@ -2,22 +2,28 @@
 // sweep engine (service.SweepEngine), which owns the orchestration.
 //
 // A chunk runs on one lane per shard of a fresh topology snapshot, each
-// variant queued on the lane of its rendezvous owner. The owner's lane
-// resolves a variant by walking its rank order (failover); any other
-// lane that takes it from the owner's queue is a thief: it probes the
-// owner's store first (stealing is for MISSES only — a warm replay
-// stuck behind a backlog stays an owner cache hit, untagged), computes
-// a genuine miss locally, and writes the body back to the owner's
-// store, so ownership keeps deciding cache placement, never who
-// simulates. Manifests are written through to a backend store in the
-// sweep id's rank order, so a sweep's identity and progress survive
-// the death of the client, the router AND any single shard.
+// variant queued on the lane of its rendezvous owner, and the engine
+// hands a lane its queue in runs. The owner's lane answers what it can
+// of a run from the router cache and sends the rest to the owner in ONE
+// backend call (POST /batch, batch.go in internal/service), which runs
+// every line through the worker's own /run path; whatever that call
+// does not settle — and every run of one — walks its rank order variant
+// by variant (failover). Any other lane that takes a run from the
+// owner's queue is a thief: per variant, it probes the owner's store
+// first (stealing is for MISSES only — a warm replay stuck behind a
+// backlog stays an owner cache hit, untagged), computes a genuine miss
+// locally, and writes the body back to the owner's store, so ownership
+// keeps deciding cache placement, never who simulates. Manifests are
+// written through to a backend store in the sweep id's rank order, so
+// a sweep's identity and progress survive the death of the client, the
+// router AND any single shard.
 package shard
 
 import (
 	"context"
 	"fmt"
 	"net/http"
+	"time"
 
 	"repro/internal/sched"
 	"repro/internal/service"
@@ -99,23 +105,100 @@ type sweepCall struct {
 	model service.SweepModel
 }
 
-// resolve runs v on the shard at position lane of the chunk's view. The
-// router cache is probed first, once, whoever ends up computing; then
-// it is the owner's rank walk when the lane took v from its own queue
-// (position from is always the owner's), the thief's path when it
-// stole it. ok=false means the client's context ended.
-func (c sweepCall) resolve(ctx context.Context, v sweep.Variant, lane, from int) (service.SweepLine, bool) {
+// resolve runs run on the shard at position lane of the chunk's view.
+// The router cache is probed first, once per variant, whoever ends up
+// computing. The misses then go, when the lane took the run from its
+// own queue (position from is always the owner's), to the owner in one
+// batch call, and down the rank walk one by one for whatever that did
+// not settle; a thief resolves its misses one by one on the thief's
+// path. false means the client's context ended.
+func (c sweepCall) resolve(ctx context.Context, run []sweep.Variant, lane, from int, emit func(service.SweepLine)) bool {
 	owner := c.vw.shards[from].id
-	key := c.model.Key(v.Hash)
-	if cached, ok := c.rt.cacheLookup(key); ok {
-		row := Row{SweepRow: service.NewSweepRow(v), Shard: owner}
-		row.Settle(routerHit, http.StatusOK, cached)
-		return row, true
+	var misses []sweep.Variant
+	var keys []string
+	for _, v := range run {
+		key := c.model.Key(v.Hash)
+		if cached, ok := c.rt.cacheLookup(key); ok {
+			row := Row{SweepRow: service.NewSweepRow(v), Shard: owner}
+			row.Settle(routerHit, http.StatusOK, cached)
+			emit(row)
+			continue
+		}
+		misses, keys = append(misses, v), append(keys, key)
 	}
-	if lane == from {
-		return c.rankWalk(ctx, v, key)
+	settled := 0
+	if lane == from && len(misses) > 1 {
+		settled = c.batch(ctx, owner, misses, keys, emit)
 	}
-	return c.resolveStolen(ctx, v, key, owner, c.vw.shards[lane].id)
+	for i := settled; i < len(misses); i++ {
+		var row Row
+		var alive bool
+		if lane == from {
+			row, alive = c.rankWalk(ctx, misses[i], keys[i])
+		} else {
+			row, alive = c.resolveStolen(ctx, misses[i], keys[i], owner, c.vw.shards[lane].id)
+		}
+		if !alive {
+			return false
+		}
+		emit(row)
+	}
+	return true
+}
+
+// batch offers run — misses that share an owner — to that owner in one
+// POST /batch and emits the row of every variant the reply settles. It
+// returns how many that is, always a prefix of run: zero when the
+// owner's circuit is open, the call fails or the backend has no such
+// route, short when the reply is, and cut at a 503 record (a worker
+// that began shutting down mid-run). The rest is the rank walk's, so
+// failover, retries and the error row stay in the one attempt loop.
+// The breaker is owed what one attempt owes it: a failure for a
+// transport error or a terminal 503, a success for any other answer.
+func (c sweepCall) batch(ctx context.Context, owner int, run []sweep.Variant, keys []string, emit func(service.SweepLine)) (settled int) {
+	sh := c.vw.byID[owner]
+	if !sh.breaker.allow() {
+		return 0
+	}
+	lines := make([][]byte, len(run))
+	for i, v := range run {
+		_, lines[i] = c.request(v)
+	}
+	// A run of K may take as long as K attempts: batching must not fail
+	// a healthy shard over sooner than per-variant dispatch would.
+	callCtx := ctx
+	if c.rt.attemptTimeout > 0 {
+		var cancel context.CancelFunc
+		callCtx, cancel = context.WithTimeout(ctx, time.Duration(len(run))*c.rt.attemptTimeout)
+		defer cancel()
+	}
+	start := time.Now()
+	records, err := sh.client.RunBatch(callCtx, c.model.Compare, lines, c.hdr)
+	sh.attempts.Observe(time.Since(start).Seconds())
+	if service.Unreachable(err) {
+		if ctx.Err() == nil {
+			sh.breaker.failure()
+		}
+		return 0
+	}
+	for _, rec := range records {
+		if rec.Status == http.StatusServiceUnavailable {
+			if rec.Terminal {
+				sh.breaker.failure()
+				return settled
+			}
+			break
+		}
+		row := Row{SweepRow: service.NewSweepRow(run[settled]), Shard: owner}
+		row.Settle(rec.Cache, rec.Status, rec.Body)
+		if rec.Status == http.StatusOK {
+			c.rt.cacheFill(keys[settled], rec.Body)
+		}
+		emit(row)
+		settled++
+	}
+	sh.breaker.success()
+	return settled
 }
 
 // request is the backend call that runs one variant: POST /compare, or
