@@ -229,16 +229,17 @@ type Stats struct {
 
 // Pipeline applies an ordered list of filters and picks the winner.
 type Pipeline struct {
-	filters []Filter
-	vetoers []Filter // the subset with CanVeto, for the fast path
-	stats   Stats
-	buf     []int // reused candidate scratch
-	one     [1]int
+	filters  []Filter
+	vetoers  []Filter // the subset with CanVeto, for the fast path
+	stats    Stats    // Decisive stays nil here; Stats builds it from decisive
+	decisive []uint64 // decisive rounds, indexed by filter position
+	buf      []int    // reused candidate scratch
+	one      [1]int
 }
 
 // NewPipeline returns a pipeline over the given filters in order.
 func NewPipeline(filters ...Filter) *Pipeline {
-	p := &Pipeline{filters: filters, stats: Stats{Decisive: make(map[string]uint64)}}
+	p := &Pipeline{filters: filters, decisive: make([]uint64, len(filters))}
 	for _, f := range filters {
 		if f.CanVeto() {
 			p.vetoers = append(p.vetoers, f)
@@ -309,12 +310,15 @@ func (p *Pipeline) Filters() []string {
 	return out
 }
 
-// Stats returns a copy of the pipeline statistics.
+// Stats returns a copy of the pipeline statistics. Decisive has a key
+// only for a filter that has been decisive at least once.
 func (p *Pipeline) Stats() Stats {
 	c := p.stats
-	c.Decisive = make(map[string]uint64, len(p.stats.Decisive))
-	for k, v := range p.stats.Decisive {
-		c.Decisive[k] = v
+	c.Decisive = make(map[string]uint64, len(p.filters))
+	for i, n := range p.decisive {
+		if n > 0 {
+			c.Decisive[p.filters[i].Name()] += n
+		}
 	}
 	return c
 }
@@ -348,7 +352,7 @@ func (p *Pipeline) Select(ctx *Context) (winner int, ok bool) {
 	for i := range cands {
 		cands[i] = i
 	}
-	for _, f := range p.filters {
+	for i, f := range p.filters {
 		next := f.Apply(ctx, cands)
 		if len(next) == 0 {
 			if f.CanVeto() {
@@ -358,7 +362,7 @@ func (p *Pipeline) Select(ctx *Context) (winner int, ok bool) {
 			continue // over-narrowed: ignore this filter's result
 		}
 		if len(next) < len(cands) {
-			p.stats.Decisive[f.Name()]++
+			p.decisive[i]++
 		}
 		cands = next
 	}

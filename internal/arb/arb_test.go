@@ -2,6 +2,7 @@ package arb
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -242,6 +243,15 @@ func TestPipelineStats(t *testing.T) {
 	}
 	if st.Decisive["realtime"] != 1 {
 		t.Fatalf("realtime filter should have been decisive: %+v", st.Decisive)
+	}
+	// The key set is part of the serialised result: a filter that was
+	// never decisive has no key at all, not a zero.
+	if want := map[string]uint64{"realtime": 1}; !reflect.DeepEqual(st.Decisive, want) {
+		t.Fatalf("Decisive = %+v, want exactly %+v", st.Decisive, want)
+	}
+	st.Decisive["realtime"] = 99 // a copy: the pipeline's counts do not move
+	if a, b := p.Stats(), p.Stats(); !reflect.DeepEqual(a, b) || a.Decisive["realtime"] != 1 {
+		t.Fatalf("two Stats() calls disagree: %+v vs %+v", a, b)
 	}
 }
 

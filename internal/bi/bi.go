@@ -22,10 +22,13 @@ type NextTxn struct {
 	Beats int
 }
 
-// item is a message in flight on the link.
-type item struct {
-	at  sim.Cycle
-	msg NextTxn
+// Delivery is a message paired with the cycle it arrives at the
+// consumer.
+type Delivery struct {
+	// At is the delivery cycle (send time + link latency).
+	At sim.Cycle
+	// Msg is the delivered announcement.
+	Msg NextTxn
 }
 
 // Link is a unidirectional arbiter→DDRC message pipe with a fixed
@@ -39,10 +42,10 @@ type Link struct {
 	// modeling the "BI off" ablation configuration.
 	Enabled bool
 
-	q       []item
-	sent    uint64
-	drop    uint64
-	deliver []Delivery // reused result buffer
+	q    []Delivery // in flight, in send order, from index head
+	head int
+	sent uint64
+	drop uint64
 }
 
 // NewLink returns an enabled link with the given latency.
@@ -58,42 +61,30 @@ func (l *Link) Send(now sim.Cycle, msg NextTxn) {
 		return
 	}
 	l.sent++
-	l.q = append(l.q, item{at: now.AddSat(l.Latency), msg: msg})
+	if l.head > 0 && len(l.q) == cap(l.q) {
+		// Reclaim the popped prefix instead of growing the array.
+		l.q = l.q[:copy(l.q, l.q[l.head:])]
+		l.head = 0
+	}
+	l.q = append(l.q, Delivery{At: now.AddSat(l.Latency), Msg: msg})
 }
 
-// Delivery is a message paired with the cycle it arrived at the
-// consumer.
-type Delivery struct {
-	// At is the delivery cycle (send time + link latency).
-	At sim.Cycle
-	// Msg is the delivered announcement.
-	Msg NextTxn
-}
-
-// DeliverUpTo removes and returns, in send order, every message whose
-// delivery time is <= now, with its delivery timestamp. Consumers that
-// poll every cycle observe At == now; event-driven consumers use At to
-// apply the message at its true arrival cycle. The returned slice is
-// reused by the next call: consume it before calling again.
-func (l *Link) DeliverUpTo(now sim.Cycle) []Delivery {
-	n := 0
-	for n < len(l.q) && l.q[n].at <= now {
-		n++
+// Pop removes and returns the oldest message if its delivery time is
+// <= now; calling it until ok is false yields every due message in send
+// order. Consumers that poll every cycle observe At == now;
+// event-driven consumers use At to apply the message at its true
+// arrival cycle.
+func (l *Link) Pop(now sim.Cycle) (d Delivery, ok bool) {
+	if l.head == len(l.q) || l.q[l.head].At > now {
+		return Delivery{}, false
 	}
-	if n == 0 {
-		return nil
-	}
-	out := l.deliver[:0]
-	for i := 0; i < n; i++ {
-		out = append(out, Delivery{At: l.q[i].at, Msg: l.q[i].msg})
-	}
-	l.deliver = out
-	l.q = append(l.q[:0], l.q[n:]...)
-	return out
+	d = l.q[l.head]
+	l.head++
+	return d, true
 }
 
 // Pending returns the number of undelivered messages.
-func (l *Link) Pending() int { return len(l.q) }
+func (l *Link) Pending() int { return len(l.q) - l.head }
 
 // Sent returns the number of accepted messages.
 func (l *Link) Sent() uint64 { return l.sent }

@@ -27,3 +27,21 @@ func TestRTLRunAllocationCeiling(t *testing.T) {
 		t.Fatalf("one RTL run allocates %v times, ceiling %d", allocs, ceiling)
 	}
 }
+
+// TestTLMRunAllocationCeiling is the same bound for the
+// transaction-level run: the platform, the port states and the first
+// growth steps of the reused buffers (72; it was 76 with an event wheel
+// under the model). The model advances by direct call, so nothing is
+// allocated per round or per transaction.
+func TestTLMRunAllocationCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	multi, _ := SpeedWorkloads(1000)
+	const ceiling = 75
+	allocs := testing.AllocsPerRun(5, func() { Run(multi, TLM, Options{}) })
+	t.Logf("one TLM run: %v allocations", allocs)
+	if allocs > ceiling {
+		t.Fatalf("one TLM run allocates %v times, ceiling %d", allocs, ceiling)
+	}
+}

@@ -16,21 +16,29 @@ func build(w Workload, m Model) platform.Model {
 // TestSlicingDoesNotPerturbEitherModel is the property Options.Interrupt
 // rests on: cutting a run into slices of any stride, through the one
 // loop both models share, yields the single-shot result bit for bit —
-// on every Table 1 scenario and on a run the cycle cap cuts short.
+// on every Table 1 scenario, on a run the cycle cap cuts short, and —
+// at stride 1, where every cycle is a slice boundary — on the
+// write-buffer-heavy multi-master speed workload, whose drain
+// completions and arbitration rounds keep both TLM agenda slots busy.
 func TestSlicingDoesNotPerturbEitherModel(t *testing.T) {
 	ws := Table1Scenarios()
 	capped := ws[0]
 	capped.Name += " (capped)"
 	capped.MaxCycles = 3001 // not a multiple of any stride below
-	ws = append(ws, capped)
+	multi, _ := SpeedWorkloads(1000)
+	ws = append(ws, capped, multi)
 	never := func() bool { return false }
 	for _, w := range ws {
+		strides := []sim.Cycle{1, 7, 4096}
+		if w.Name == multi.Name {
+			strides = strides[:1]
+		}
 		for _, m := range []Model{TLM, RTL} {
 			want, _ := runSliced(build(w, m), w.MaxCycles, interruptStride, nil)
 			if want.Completed == (w.MaxCycles != 0) {
 				t.Fatalf("%s %s: Completed=%v, the capped run must be the only incomplete one", w.Name, m, want.Completed)
 			}
-			for _, stride := range []sim.Cycle{1, 7, 4096} {
+			for _, stride := range strides {
 				got, interrupted := runSliced(build(w, m), w.MaxCycles, stride, never)
 				if interrupted {
 					t.Fatalf("%s %s stride %d: interrupted by a hook that never fires", w.Name, m, stride)
@@ -46,7 +54,8 @@ func TestSlicingDoesNotPerturbEitherModel(t *testing.T) {
 
 // TestRunLimitIsAbsoluteInBothModels pins the run contract: a second
 // Run with a larger limit resumes and stops AT that cycle, not that
-// many cycles later.
+// many cycles later, and a limit the clock has already passed runs
+// nothing and leaves the clock where it is.
 func TestRunLimitIsAbsoluteInBothModels(t *testing.T) {
 	w := Table1Scenarios()[0]
 	for _, m := range []Model{TLM, RTL} {
@@ -60,6 +69,10 @@ func TestRunLimitIsAbsoluteInBothModels(t *testing.T) {
 		b.Run(250)
 		if b.Now() != 250 {
 			t.Fatalf("%s: Now() = %d after Run(100) then Run(250), want 250 (absolute limit)", m, b.Now())
+		}
+		b.Run(100)
+		if b.Now() != 250 {
+			t.Fatalf("%s: Now() = %d after Run(250) then Run(100): time must not rewind", m, b.Now())
 		}
 	}
 }

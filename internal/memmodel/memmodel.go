@@ -144,6 +144,20 @@ func (m *Memory) WriteWord(addr uint32, v uint64, n int) {
 // PagesAllocated returns the number of 4 KiB pages backed by storage.
 func (m *Memory) PagesAllocated() int { return len(m.pages) }
 
+// Equal reports whether both memories back the same pages with the same
+// contents.
+func (m *Memory) Equal(o *Memory) bool {
+	if len(m.pages) != len(o.pages) {
+		return false
+	}
+	for k, p := range m.pages {
+		if q, ok := o.pages[k]; !ok || *p != *q {
+			return false
+		}
+	}
+	return true
+}
+
 // Snapshot returns the sorted list of allocated page base addresses;
 // useful for debugging footprint in tests.
 func (m *Memory) Snapshot() []uint32 {

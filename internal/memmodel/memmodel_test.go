@@ -81,6 +81,24 @@ func TestSnapshotSorted(t *testing.T) {
 	}
 }
 
+func TestEqual(t *testing.T) {
+	a, b := New(), New()
+	a.Write(0x1ffe, []byte{1, 2, 3, 4})
+	b.Write(0x1ffe, []byte{1, 2, 3, 4})
+	if !a.Equal(b) || !b.Equal(a) {
+		t.Fatal("same writes, memories differ")
+	}
+	b.SetByte(0x2fff, 9) // last byte of a shared page
+	if a.Equal(b) {
+		t.Fatal("differing byte not seen")
+	}
+	b.SetByte(0x2fff, 0)
+	b.SetByte(0x7000, 0) // backs a page a does not have
+	if a.Equal(b) || b.Equal(a) {
+		t.Fatal("differing footprint not seen")
+	}
+}
+
 // Property: any sequence of block writes followed by reads returns the
 // most recently written data, like a flat array would.
 func TestMemoryMatchesFlatArray(t *testing.T) {

@@ -107,7 +107,7 @@ func (f *fabricComp) Eval(now sim.Cycle) {
 	w := f.w
 
 	// 1. Deliver due BI hints to the memory controller.
-	for _, d := range f.link.DeliverUpTo(now) {
+	for d, ok := f.link.Pop(now); ok; d, ok = f.link.Pop(now) {
 		f.eng.Hint(d.At, d.Msg.Addr, d.Msg.Write)
 	}
 

@@ -1,7 +1,7 @@
-// Package sim provides the simulation kernels used by both the
-// pin-accurate (RTL-style) model and the transaction-level model.
+// Package sim provides the Cycle timebase both models share and the
+// simulation kernels built on it.
 //
-// Two kernels are provided, mirroring the paper's setup:
+// Two kernels are provided:
 //
 //   - Kernel: a two-phase (evaluate/update) cycle-based kernel. Every
 //     registered component is evaluated every clock cycle, exactly like
@@ -10,12 +10,12 @@
 //     slow: its cost is proportional to simulated cycles times component
 //     count.
 //
-//   - Scheduler: a cycle-keyed event wheel used by the method-based TLM.
-//     It skips cycles in which nothing happens, which is the structural
-//     source of the TLM speedup the paper reports.
+//   - Scheduler: a general cycle-keyed event wheel that skips cycles in
+//     which nothing happens.
 //
-// Both kernels share the Cycle timebase so results are directly
-// comparable.
+// The method-based TLM (internal/tlm) runs on neither: it calls its own
+// next round directly and takes only the Cycle timebase from here, so
+// its results are directly comparable with the pin-accurate model's.
 package sim
 
 import "fmt"

@@ -67,10 +67,10 @@ const (
 	wheelMask  = wheelSlots - 1
 )
 
-// Scheduler is the execution engine of the method-based TLM: a
-// two-level hierarchical event wheel over a slab of recycled event
-// records. Unlike the cycle-based Kernel it advances directly to the
-// next scheduled event, skipping quiescent cycles entirely.
+// Scheduler is a general cycle-keyed event queue: a two-level
+// hierarchical event wheel over a slab of recycled event records.
+// Unlike the cycle-based Kernel it advances directly to the next
+// scheduled event, skipping quiescent cycles entirely.
 //
 // Level 0 holds the 256 cycles of the current block (at>>8 == l0Block),
 // one single-cycle FIFO bucket each; level 1 holds the following 255

@@ -1,8 +1,11 @@
 // Package tlm implements the AHB+ transaction-level model — the
 // paper's contribution. It is method-based: masters interact with the
 // bus through transaction calls rather than signal wiggling, and the
-// simulator advances directly from event to event on a cycle-keyed
-// wheel, skipping quiescent cycles. Per-transaction timing is computed
+// model advances by calling its own next round directly: it never has
+// more than two things pending — the next arbitration round and one
+// write-buffer drain completion — so Bus.Run picks the earlier of two
+// cycle slots and skips every quiescent cycle in between, with no event
+// queue underneath. Per-transaction timing is computed
 // arithmetically from the same timing contract the pin-accurate model
 // (internal/rtl) implements signal by signal:
 //
@@ -77,24 +80,27 @@ type Bus struct {
 	plat   platform.Platform
 	p      config.Params
 	size   amba.Size
-	sch    *sim.Scheduler
 	chk    *check.Checker
 	tracer *trace.Recorder
 
 	masters []*mState
 	wb      wbState
 
+	// The agenda: the current cycle and the only two things that can be
+	// pending, each the cycle it is due (CycleMax = nothing armed).
+	now       sim.Cycle
+	nextArbAt sim.Cycle // next arbitration round
+	wbDoneAt  sim.Cycle // write-buffer drain completion
+
 	// Arbitration window state of the most recent transaction.
 	lastA, lastL sim.Cycle
 	floor        sim.Cycle // earliest next arbitration cycle
-	nextArbAt    sim.Cycle // scheduled arbitration event (CycleMax none)
 	lastGrant    int
 	served       []uint64
 	totalServed  uint64
 	txnID        uint64
 	maxDone      sim.Cycle
 	wbuf         []byte
-	arbEv        sim.EventID // the armed arbitration event (cancellable)
 	ddrCap       uint64
 
 	// Reused arbitration-round scratch (method-based TLM hot path).
@@ -112,11 +118,11 @@ func New(cfg Config) *Bus {
 		plat:      pl,
 		p:         cfg.Params,
 		size:      amba.SizeForBytes(cfg.Params.BusBytes),
-		sch:       sim.NewScheduler(),
 		chk:       cfg.Checker,
 		tracer:    cfg.Tracer,
 		lastGrant: -1,
 		nextArbAt: sim.CycleMax,
+		wbDoneAt:  sim.CycleMax,
 		served:    make([]uint64, n+1),
 	}
 	b.ddrCap = cfg.Params.AddrMap.Capacity()
@@ -132,9 +138,10 @@ func New(cfg Config) *Bus {
 		m := &mState{gen: g}
 		b.masters = append(b.masters, m)
 		b.fetch(m, 0, true)
+		if m.pending {
+			b.scheduleArb(m.rv) // the first round: the earliest initial request
+		}
 	}
-	// Arm the first arbitration round for the earliest initial request.
-	b.rescheduleForPending(0)
 	return b
 }
 
@@ -144,9 +151,10 @@ func (b *Bus) wbIndex() int { return len(b.masters) }
 // fetch pulls master m's next request and marks it pending from its
 // visibility cycle m.rv onward. prevDone is the completion cycle of
 // the previous transaction (0 and first=true for the initial fetch).
-// Arbitration scheduling for the new request is handled by the
-// caller's rescheduleForPending pass — there is no per-request event,
-// which is a large part of the method-based model's speed.
+// Arming the arbitration round that will see the new request is the
+// caller's job (arbEvent folds m.rv into the next round) — there is no
+// per-request event, which is a large part of the method-based model's
+// speed.
 func (b *Bus) fetch(m *mState, prevDone sim.Cycle, first bool) {
 	req, ok := m.gen.Next(prevDone)
 	if !ok {
@@ -165,25 +173,18 @@ func (b *Bus) fetch(m *mState, prevDone sim.Cycle, first bool) {
 	m.pending = true
 }
 
-// arbEventFn dispatches the arbitration event without a per-schedule
-// closure: the owning Bus rides along as the event's owner word.
-func arbEventFn(now sim.Cycle, owner any, _ uint64) {
-	owner.(*Bus).arbEvent(now)
-}
-
-// scheduleArb (re)schedules the arbitration event no earlier than the
-// window floor and the given cycle. A superseded later event is
-// cancelled rather than left to fire as a stale no-op.
+// scheduleArb arms the next arbitration round no earlier than the
+// window floor and the given cycle; an earlier round already armed
+// stands. Arming in the past panics: it indicates a causality bug in
+// the model.
 func (b *Bus) scheduleArb(from sim.Cycle) {
 	t := sim.MaxCycle(b.floor, from)
-	if t >= b.nextArbAt {
-		return // an earlier or equal arbitration is already scheduled
+	if t < b.now {
+		panic("tlm: arbitration round armed in the past")
 	}
-	if b.nextArbAt != sim.CycleMax {
-		b.sch.Cancel(b.arbEv)
+	if t < b.nextArbAt {
+		b.nextArbAt = t
 	}
-	b.nextArbAt = t
-	b.arbEv = b.sch.Post(t, arbEventFn, b, 0)
 }
 
 // deliverHints applies BI messages due by the cutoff cycle to the
@@ -191,50 +192,56 @@ func (b *Bus) scheduleArb(from sim.Cycle) {
 // polls the link every cycle, so its hints always land at their due
 // cycle, and the TLM must match.
 func (b *Bus) deliverHints(upTo sim.Cycle) {
-	for _, d := range b.plat.Link.DeliverUpTo(upTo) {
+	for d, ok := b.plat.Link.Pop(upTo); ok; d, ok = b.plat.Link.Pop(upTo) {
 		b.plat.Engine.Hint(d.At, d.Msg.Addr, d.Msg.Write)
 	}
 }
 
-// arbEvent is one arbitration round at its scheduled cycle.
+// arbEvent is one arbitration round at its armed cycle. It also arms
+// the round after it, from what its own scan of the ports has seen.
 func (b *Bus) arbEvent(now sim.Cycle) {
-	if now != b.nextArbAt {
-		return // superseded by a rescheduled round
-	}
 	b.nextArbAt = sim.CycleMax
-	if now < b.floor {
-		// A stale event from before the floor moved; reschedule.
-		b.scheduleArb(b.floor)
-		return
-	}
 	// The pin-accurate fabric delivers hints after the arbiter has
 	// evaluated within a cycle, so at cycle `now` the arbiter observes
 	// controller state including hints due through now-1 only.
 	b.deliverHints(now.SubFloor(1))
 
-	// Collect the requests visible this cycle into reused buffers.
+	// Collect the requests visible this cycle into reused buffers; next
+	// is the earliest cycle a request not yet visible becomes so.
 	reqs := b.reqsBuf[:0]
 	ports := b.portsBuf[:0]
+	next := sim.CycleMax
 	for i, m := range b.masters {
-		if m.pending && m.rv <= now {
-			reqs = append(reqs, arb.Request{
-				Master: i, Addr: m.cur.Addr, Write: m.cur.Write,
-				Beats: m.cur.Beats, Since: m.rv,
-			})
-			ports = append(ports, i)
+		if !m.pending {
+			continue
 		}
-	}
-	if b.wb.pending && b.wb.rv <= now && len(b.wb.queue) > 0 {
-		front := b.wb.queue[0]
+		if m.rv > now {
+			next = sim.MinCycle(next, m.rv)
+			continue
+		}
 		reqs = append(reqs, arb.Request{
-			Master: b.wbIndex(), Addr: front.addr, Write: true,
-			Beats: front.beats, Since: b.wb.rv, IsWriteBuf: true,
+			Master: i, Addr: m.cur.Addr, Write: m.cur.Write,
+			Beats: m.cur.Beats, Since: m.rv,
 		})
-		ports = append(ports, b.wbIndex())
+		ports = append(ports, i)
+	}
+	if b.wb.pending && len(b.wb.queue) > 0 {
+		if b.wb.rv > now {
+			next = sim.MinCycle(next, b.wb.rv)
+		} else {
+			front := b.wb.queue[0]
+			reqs = append(reqs, arb.Request{
+				Master: b.wbIndex(), Addr: front.addr, Write: true,
+				Beats: front.beats, Since: b.wb.rv, IsWriteBuf: true,
+			})
+			ports = append(ports, b.wbIndex())
+		}
 	}
 	b.reqsBuf, b.portsBuf = reqs, ports
 	if len(reqs) == 0 {
-		b.rescheduleForPending(now)
+		if next != sim.CycleMax {
+			b.scheduleArb(next)
+		}
 		return
 	}
 
@@ -252,26 +259,25 @@ func (b *Bus) arbEvent(now sim.Cycle) {
 		b.scheduleArb(sim.MaxCycle(b.plat.Engine.RefreshClear(now+1), now+1))
 		return
 	}
-	b.grant(now, ports[win], reqs[win])
-	b.rescheduleForPending(now + 1)
-}
+	port := ports[win]
+	b.grant(now, port, reqs[win])
 
-// rescheduleForPending arms the next arbitration for the earliest
-// pending request, if any.
-func (b *Bus) rescheduleForPending(now sim.Cycle) {
-	earliest := sim.CycleMax
-	for _, m := range b.masters {
-		if m.pending && m.rv < earliest {
-			earliest = m.rv
-		}
+	// Arm the next round for the earliest request still or newly
+	// pending: the winner has fetched its next request, a posted write
+	// may have woken the write buffer (its own drain grant leaves it not
+	// pending), and a loser of this round is visible again next cycle.
+	if port < len(b.masters) && b.masters[port].pending {
+		next = sim.MinCycle(next, b.masters[port].rv)
 	}
-	if b.wb.pending && len(b.wb.queue) > 0 && b.wb.rv < earliest {
-		earliest = b.wb.rv
+	if b.wb.pending {
+		next = sim.MinCycle(next, b.wb.rv)
 	}
-	if earliest == sim.CycleMax {
-		return
+	if len(reqs) > 1 {
+		next = now + 1
 	}
-	b.scheduleArb(sim.MaxCycle(earliest, now))
+	if next != sim.CycleMax {
+		b.scheduleArb(next)
+	}
 }
 
 // grant times the winning transaction and commits all bus state.
@@ -393,11 +399,11 @@ func (b *Bus) grant(t sim.Cycle, port int, req arb.Request) {
 
 	// Schedule the port's next activity. A master's next request is
 	// computed immediately (generators are pure functions of the
-	// completion time); the write buffer needs a completion event
+	// completion time); the write buffer's completion goes on the agenda
 	// because its re-request depends on the queue length at drain end,
 	// which posted writes granted in the meantime can change.
 	if isWB {
-		b.sch.Post(last, wbDrainDoneFn, b, 0)
+		b.wbDoneAt = last
 	} else {
 		m := b.masters[port]
 		m.pending = false
@@ -405,9 +411,9 @@ func (b *Bus) grant(t sim.Cycle, port int, req arb.Request) {
 	}
 }
 
-// wbDrainDoneFn is the write-buffer drain-completion event.
-func wbDrainDoneFn(done sim.Cycle, owner any, _ uint64) {
-	b := owner.(*Bus)
+// wbDrainDone is the write-buffer drain completion at cycle done.
+func (b *Bus) wbDrainDone(done sim.Cycle) {
+	b.wbDoneAt = sim.CycleMax
 	b.wb.draining = false
 	if len(b.wb.queue) > 0 {
 		b.wb.pending = true
@@ -457,22 +463,44 @@ func (b *Bus) done() bool {
 	return len(b.wb.queue) == 0 && !b.wb.draining
 }
 
-// Run implements platform.Model.
+// Run implements platform.Model. It is the whole execution engine:
+// take the earlier agenda slot, set the clock to it and call its round,
+// until the agenda is empty or its next entry lies beyond the limit. On
+// a tie the drain completion runs first — the order the two were armed
+// in, since a drain is always armed before any round it can tie with;
+// the round then sees the write buffer's re-request and, if a refresh
+// vetoes it, arms one successor where the other order would arm two.
+// A limit at or below Now() runs nothing and leaves the clock alone.
 func (b *Bus) Run(limit sim.Cycle) Result {
 	if limit == 0 {
 		limit = platform.DefaultMaxCycles
 	}
-	b.sch.Run(limit)
-	completed := b.done() && b.sch.Pending() == 0
+	for {
+		at := sim.MinCycle(b.wbDoneAt, b.nextArbAt)
+		if at == sim.CycleMax {
+			break
+		}
+		if at > limit {
+			b.now = sim.MaxCycle(b.now, limit)
+			break
+		}
+		b.now = at
+		if b.wbDoneAt <= b.nextArbAt {
+			b.wbDrainDone(at)
+		} else {
+			b.arbEvent(at)
+		}
+	}
+	completed := b.done() && b.nextArbAt == sim.CycleMax
 	cycles := b.maxDone + 1 // last completion + 1
-	if !completed && b.sch.Now() > b.maxDone {
-		cycles = b.sch.Now()
+	if !completed && b.now > b.maxDone {
+		cycles = b.now
 	}
 	return b.plat.Finish(cycles, completed)
 }
 
 // Now returns the current simulation cycle.
-func (b *Bus) Now() sim.Cycle { return b.sch.Now() }
+func (b *Bus) Now() sim.Cycle { return b.now }
 
 // Mem exposes the backing store for end-to-end data checks.
 func (b *Bus) Mem() *memmodel.Memory { return b.plat.Mem }

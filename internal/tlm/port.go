@@ -67,8 +67,7 @@ type Port struct {
 
 // NewPort returns a port on a fresh single-master AHB+ platform.
 func NewPort(p config.Params) *Port {
-	p.Masters = p.Masters[:0]
-	p.Masters = append(p.Masters, config.MasterCfg{Name: "port"})
+	p.Masters = []config.MasterCfg{{Name: "port"}}
 	return &Port{p: p}
 }
 

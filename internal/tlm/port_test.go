@@ -2,6 +2,7 @@ package tlm
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"repro/internal/config"
@@ -37,6 +38,17 @@ func TestPortWriteReadRoundTrip(t *testing.T) {
 	}
 	if ctrl2.FirstData > ctrl2.Done || ctrl2.ReqCycle >= ctrl2.FirstData {
 		t.Fatalf("timing ordering broken: %+v", ctrl2)
+	}
+}
+
+// TestNewPortLeavesCallerParamsAlone: the port builds its own
+// single-master list instead of writing through the caller's slice.
+func TestNewPortLeavesCallerParamsAlone(t *testing.T) {
+	p := config.Default(3)
+	want := append([]config.MasterCfg(nil), p.Masters...)
+	NewPort(p)
+	if !reflect.DeepEqual(p.Masters, want) {
+		t.Fatalf("NewPort rewrote the caller's masters: %+v, want %+v", p.Masters, want)
 	}
 }
 
