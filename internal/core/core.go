@@ -170,7 +170,8 @@ func Run(w Workload, m Model, opt Options) RunResult {
 		Params: w.Params, Gens: w.Gens(), Checker: chk, Tracer: opt.Tracer, Waveform: opt.Waveform,
 	})
 	res, interrupted := runSliced(b, w.MaxCycles, interruptStride, opt.Interrupt)
-	// The backing store is not part of the result; recycle its pages so
+	// The backing store is not part of the result: drop the TLM's
+	// pending pattern writes unapplied and recycle the RTL's pages, so
 	// back-to-back runs stop paying the page-allocation GC tax.
 	b.Mem().Release()
 	return RunResult{

@@ -375,23 +375,6 @@ func (e *Engine) colLatency(write bool) sim.Cycle {
 	return e.T.TCL
 }
 
-// Peek computes the timing an access would get at cycle now without
-// committing any state. The arbitration bank-affinity filter uses it to
-// rank candidate requests.
-func (e *Engine) Peek(now sim.Cycle, addr uint32, write bool, beats int) AccessResult {
-	// Refresh bookkeeping must not be mutated by a peek: approximate by
-	// clamping to the known refresh window (pending refreshes that have
-	// not been materialized yet are ignored, which is acceptable for a
-	// heuristic ranking).
-	t := now
-	if t < e.refreshUntil {
-		t = e.refreshUntil
-	}
-	res, _, _ := e.planAccess(t, addr, write, beats)
-	res.IssueAt = now
-	return res
-}
-
 // Tick advances the controller's autonomous work (the refresh timer)
 // to cycle now. The cycle-stepped pin-accurate model calls this every
 // bus cycle, so refresh windows materialize eagerly there; the TLM

@@ -310,25 +310,6 @@ func TestRefreshBlocksAndRecovers(t *testing.T) {
 	}
 }
 
-func TestPeekDoesNotMutate(t *testing.T) {
-	e := testEngine()
-	e.Access(0, 0x1000, false, 4)
-	before := e.Stats()
-	p1 := e.Peek(50, 0x2000, false, 4)
-	p2 := e.Peek(50, 0x2000, false, 4)
-	if p1 != p2 {
-		t.Fatalf("repeated Peek changed result: %+v vs %+v", p1, p2)
-	}
-	if e.Stats() != before {
-		t.Fatal("Peek mutated stats")
-	}
-	// Demand access matches the peek when nothing intervened.
-	res := e.Access(50, 0x2000, false, 4)
-	if res.FirstData != p1.FirstData {
-		t.Fatalf("Access (%v) diverged from Peek (%v)", res.FirstData, p1.FirstData)
-	}
-}
-
 func TestBankStateReporting(t *testing.T) {
 	e := testEngine()
 	if e.BankState(0, 0) != BankIdle {

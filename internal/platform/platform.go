@@ -2,8 +2,9 @@
 // transaction-level model (internal/tlm) and the pin-accurate model
 // (internal/rtl) must agree on OUTSIDE the behaviour they model — the
 // description a run is assembled from, the components both buses are
-// built around, the run contract they are driven through and the data
-// pattern masters write. The paper's accuracy result holds because both
+// built around and the run contract they are driven through (the data
+// pattern masters write lives with the backing store, in
+// memmodel.PatternByte). The paper's accuracy result holds because both
 // models sit under one testbench; this package is that testbench,
 // written once, so the two cannot drift apart by a comment.
 package platform
@@ -143,11 +144,4 @@ func (p *Platform) Finish(cycles sim.Cycle, completed bool) Result {
 		p.Stats.FilterDecisive[k] = v
 	}
 	return Result{Cycles: cycles, Completed: completed, Stats: p.Stats}
-}
-
-// WriteByte is the deterministic payload byte master writes to addr: a
-// function of master index and byte address, so end-to-end data
-// integrity is checkable across models.
-func WriteByte(master int, addr uint32) byte {
-	return byte(uint32(master)*31 + addr*7 + (addr >> 8))
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/memmodel"
 	"repro/internal/platform"
 	"repro/internal/rtl"
 	"repro/internal/tlm"
@@ -11,10 +12,9 @@ import (
 )
 
 // TestWriteByteMatchesBothModelsOver64KiB walks one master over 64 KiB
-// of contiguous writes — every 256-byte boundary, where the TLM's
-// incremental writer (tlm.writePayload) takes its extra +1 — and
-// requires the memory image of either model to be the closed form,
-// byte for byte.
+// of contiguous writes — every 256-byte boundary, where the incremental
+// writer both models use (memmodel.FillPattern) re-seeds — and requires
+// the memory image of either model to be the closed form, byte for byte.
 func TestWriteByteMatchesBothModelsOver64KiB(t *testing.T) {
 	const base, span, beats = 0x1000, 64 << 10, 8
 	p := config.Default(2) // master 1 idles: a non-zero index is under test too
@@ -33,8 +33,8 @@ func TestWriteByteMatchesBothModelsOver64KiB(t *testing.T) {
 			t.Fatalf("%s: walk did not drain", name)
 		}
 		for a := uint32(base); a < base+span; a++ {
-			if got, want := m.Mem().ByteAt(a), platform.WriteByte(1, a); got != want {
-				t.Fatalf("%s: mem[%#x] = %#x, WriteByte = %#x", name, a, got, want)
+			if got, want := m.Mem().ByteAt(a), memmodel.PatternByte(1, a); got != want {
+				t.Fatalf("%s: mem[%#x] = %#x, PatternByte = %#x", name, a, got, want)
 			}
 		}
 		if m.Mem().ByteAt(base+span) != 0 || m.Mem().ByteAt(base-1) != 0 {

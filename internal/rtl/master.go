@@ -3,7 +3,7 @@ package rtl
 import (
 	"repro/internal/amba"
 	"repro/internal/check"
-	"repro/internal/platform"
+	"repro/internal/memmodel"
 	"repro/internal/sim"
 	"repro/internal/traffic"
 )
@@ -32,7 +32,6 @@ type masterComp struct {
 	st        mstate
 	cur       traffic.Req
 	wantAt    sim.Cycle
-	grantAt   sim.Cycle // cycle the grant became visible
 	beatsSeen int
 	wbuf      []byte
 
@@ -103,7 +102,6 @@ func (m *masterComp) Eval(now sim.Cycle) {
 		if !w.HGrant[m.idx].Get() {
 			return
 		}
-		m.grantAt = now
 		// Drive the address phase (visible next cycle) and release the
 		// request line.
 		w.HBusReq[m.idx].Set(false)
@@ -121,9 +119,7 @@ func (m *masterComp) Eval(now sim.Cycle) {
 			m.wbuf = m.wbuf[:n]
 			for b := 0; b < m.cur.Beats; b++ {
 				ba := amba.BeatAddr(m.cur.Addr, m.cur.Burst, m.size, b)
-				for j := 0; j < m.size.Bytes(); j++ {
-					m.wbuf[b*m.size.Bytes()+j] = platform.WriteByte(m.idx, ba+uint32(j))
-				}
+				memmodel.FillPattern(m.wbuf[b*m.size.Bytes():(b+1)*m.size.Bytes()], m.idx, ba)
 			}
 			w.WDataBuf = m.wbuf
 		}

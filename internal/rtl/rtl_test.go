@@ -7,7 +7,7 @@ import (
 	"repro/internal/amba"
 	"repro/internal/check"
 	"repro/internal/config"
-	"repro/internal/platform"
+	"repro/internal/memmodel"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/traffic"
@@ -110,7 +110,7 @@ func TestWriteDataIntegrity(t *testing.T) {
 			t.Fatalf("wb=%d: did not complete", wbDepth)
 		}
 		for i := uint32(0); i < 16; i++ {
-			want := platform.WriteByte(0, 0x200+i)
+			want := memmodel.PatternByte(0, 0x200+i)
 			if got := b.Mem().ByteAt(0x200 + i); got != want {
 				t.Fatalf("wb=%d: mem[%#x] = %#x, want %#x", wbDepth, 0x200+i, got, want)
 			}
@@ -133,7 +133,7 @@ func TestReadAfterWriteRoundTrip(t *testing.T) {
 		t.Fatalf("read %d bytes", len(got))
 	}
 	for i, v := range got {
-		if want := platform.WriteByte(0, 0x300+uint32(i)); v != want {
+		if want := memmodel.PatternByte(0, 0x300+uint32(i)); v != want {
 			t.Fatalf("readback[%d] = %#x, want %#x", i, v, want)
 		}
 	}

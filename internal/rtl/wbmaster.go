@@ -20,7 +20,6 @@ type wbMasterComp struct {
 	st        mstate
 	beats     int
 	beatsSeen int
-	reqSince  sim.Cycle
 }
 
 func newWBMaster(w *Wires, chk *check.Checker) *wbMasterComp {
@@ -46,7 +45,6 @@ func (m *wbMasterComp) Eval(now sim.Cycle) {
 			return
 		}
 		w.HBusReq[m.idx].Set(true)
-		m.reqSince = now + 1
 		w.ReqInfo[m.idx] = reqInfo{
 			addr:  w.WBFrontA.Get(),
 			write: true,

@@ -100,7 +100,6 @@ type Bus struct {
 	totalServed  uint64
 	txnID        uint64
 	maxDone      sim.Cycle
-	wbuf         []byte
 	ddrCap       uint64
 
 	// Reused arbitration-round scratch (method-based TLM hot path).
@@ -425,32 +424,15 @@ func (b *Bus) wbDrainDone(done sim.Cycle) {
 	}
 }
 
-// writePayload writes the master's deterministic pattern
-// (platform.WriteByte) to memory, datapath abstracted.
+// writePayload records the master's deterministic pattern
+// (memmodel.PatternByte) as written to memory, datapath abstracted: the
+// store materialises the bytes only if the memory image is observed.
 // Reads have no TLM-side consumer — the model exposes no read-data port
 // — so the read datapath is elided entirely, exactly the "highly
 // abstracted data path" the paper prescribes; write data is kept so
 // cross-model memory-image checks hold.
 func (b *Bus) writePayload(port int, addr uint32, beats int) {
-	n := beats * b.size.Bytes()
-	if cap(b.wbuf) < n {
-		b.wbuf = make([]byte, n)
-	}
-	b.wbuf = b.wbuf[:n]
-	// Incremental form of platform.WriteByte over consecutive addresses:
-	// +7 per byte, +1 extra whenever the address crosses a 256-byte
-	// boundary.
-	a := addr
-	v := uint32(port)*31 + a*7 + (a >> 8)
-	for i := 0; i < n; i++ {
-		b.wbuf[i] = byte(v)
-		a++
-		v += 7
-		if a&0xff == 0 {
-			v++
-		}
-	}
-	b.plat.Mem.Write(addr, b.wbuf)
+	b.plat.Mem.WritePattern(port, addr, beats*b.size.Bytes())
 }
 
 // done reports whether all workloads and the write buffer drained.

@@ -6,7 +6,7 @@ import (
 	"repro/internal/amba"
 	"repro/internal/check"
 	"repro/internal/config"
-	"repro/internal/platform"
+	"repro/internal/memmodel"
 	"repro/internal/rtl"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -59,7 +59,7 @@ func TestWriteDataIntegrity(t *testing.T) {
 			t.Fatalf("wb=%d: did not complete", wbDepth)
 		}
 		for i := uint32(0); i < 16; i++ {
-			want := platform.WriteByte(0, 0x200+i)
+			want := memmodel.PatternByte(0, 0x200+i)
 			if got := b.Mem().ByteAt(0x200 + i); got != want {
 				t.Fatalf("wb=%d: mem[%#x] = %#x, want %#x", wbDepth, 0x200+i, got, want)
 			}

@@ -6,7 +6,7 @@ import (
 	"repro/internal/amba"
 	"repro/internal/check"
 	"repro/internal/config"
-	"repro/internal/platform"
+	"repro/internal/memmodel"
 	"repro/internal/rtl"
 	"repro/internal/trace"
 	"repro/internal/traffic"
@@ -55,7 +55,7 @@ func TestSRAMDataRoundTrip(t *testing.T) {
 		t.Fatal("did not complete")
 	}
 	for i := uint32(0); i < 16; i++ {
-		if got, want := b.Mem().ByteAt(base+0x40+i), platform.WriteByte(0, base+0x40+i); got != want {
+		if got, want := b.Mem().ByteAt(base+0x40+i), memmodel.PatternByte(0, base+0x40+i); got != want {
 			t.Fatalf("sram[%#x] = %#x, want %#x", base+0x40+i, got, want)
 		}
 	}
