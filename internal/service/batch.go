@@ -130,7 +130,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // validation or names an unknown model is that line's 400, with /run's
 // own error text. ok=false means the caller is gone.
 func (s *Server) runBatchLine(r *http.Request, line []byte, compare bool, id Ident) (rec BatchRecord, ok bool) {
-	req, sp, hash, wl, err := s.decodeRequest(bytes.NewReader(line))
+	req, sp, hash, wl, err := s.decodeRequest(line)
 	var m SweepModel
 	if err == nil {
 		m, err = execModel(req.Model, compare)

@@ -384,13 +384,12 @@ const MaxBodyBytes = 1 << 20
 // it names — the inline spec or the library scenario, exactly one. It
 // is the one reading of the RunRequest contract: the worker goes on to
 // validate and compile the spec, the shard router only hashes it to
-// route, then forwards the original bytes.
-func ResolveRunRequest(body io.Reader, byName map[string]spec.Spec) (RunRequest, spec.Spec, error) {
-	var req RunRequest
-	dec := json.NewDecoder(io.LimitReader(body, MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return req, spec.Spec{}, fmt.Errorf("parsing request: %w", err)
+// route, then forwards the original bytes. Only the first MaxBodyBytes
+// of body are read.
+func ResolveRunRequest(body []byte, byName map[string]spec.Spec) (RunRequest, spec.Spec, error) {
+	req, err := decodeRunRequest(body[:min(len(body), MaxBodyBytes)])
+	if err != nil {
+		return req, spec.Spec{}, err
 	}
 	switch {
 	case req.Spec != nil && req.Scenario != "":
@@ -407,12 +406,28 @@ func ResolveRunRequest(body io.Reader, byName map[string]spec.Spec) (RunRequest,
 	return req, spec.Spec{}, errors.New("request needs a spec or a scenario name")
 }
 
+// decodeRunRequest strict-decodes a /run-shaped body: unknown fields and
+// trailing data are errors. The spec package's fast reader answers when
+// it can; when it declines, encoding/json (spec.DecodeStrict) decodes the
+// same bytes and words any error, so the format and its error text are
+// encoding/json's.
+func decodeRunRequest(body []byte) (RunRequest, error) {
+	if fast, ok := spec.ReadRunBody(body); ok {
+		return RunRequest(fast), nil
+	}
+	var req RunRequest
+	if err := spec.DecodeStrict(body, &req); err != nil {
+		return req, fmt.Errorf("parsing request: %w", err)
+	}
+	return req, nil
+}
+
 // decodeRequest parses and validates a /run-shaped request body (a
 // POST /batch line is one too), resolving a library scenario name if
 // used. It returns the decoded request (for the
 // model selector), the workload spec, its content hash and the
 // compiled workload.
-func (s *Server) decodeRequest(body io.Reader) (RunRequest, spec.Spec, string, core.Workload, error) {
+func (s *Server) decodeRequest(body []byte) (RunRequest, spec.Spec, string, core.Workload, error) {
 	req, sp, err := ResolveRunRequest(body, s.scenarioByName)
 	if err != nil {
 		return req, sp, "", core.Workload{}, err
@@ -481,7 +496,12 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request, compare bool
 		WriteError(w, r, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	req, sp, hash, wl, err := s.decodeRequest(r.Body)
+	body, err := io.ReadAll(io.LimitReader(r.Body, MaxBodyBytes))
+	if err != nil {
+		WriteError(w, r, http.StatusBadRequest, "parsing request: %v", err)
+		return
+	}
+	req, sp, hash, wl, err := s.decodeRequest(body)
 	if err != nil {
 		WriteError(w, r, http.StatusBadRequest, "%v", err)
 		return

@@ -5,7 +5,6 @@
 package shard
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -108,7 +107,7 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request, path strin
 	// Decode only far enough to route: validation beyond the router's
 	// own max_cycles cap stays on the backend, which gets the original
 	// bytes and so strict-decodes exactly what the client sent.
-	req, sp, err := service.ResolveRunRequest(bytes.NewReader(body), rt.scenarioByName)
+	req, sp, err := service.ResolveRunRequest(body, rt.scenarioByName)
 	if err != nil {
 		service.WriteError(w, r, http.StatusBadRequest, "%v", err)
 		return

@@ -824,3 +824,35 @@ func TestRouterScenariosAndShapeErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestRouterRejectsTrailingData: the router reads a /run body with the
+// worker's own ResolveRunRequest, so a second document or garbage after
+// the first is the same 400 at the front door, and trailing whitespace
+// is still a request.
+func TestRouterRejectsTrailingData(t *testing.T) {
+	_, url := newCluster(t, 2, service.Options{Workers: 1})
+	for _, c := range []struct {
+		body   string
+		status int
+	}{
+		{`{"scenario":"seq/read-dominant"} garbage`, http.StatusBadRequest},
+		{`{"scenario":"seq/read-dominant"}{"scenario":"nope"}`, http.StatusBadRequest},
+		{"{\"scenario\":\"seq/read-dominant\"}\n", http.StatusOK},
+	} {
+		resp, err := http.Post(url+"/run", "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != c.status {
+			t.Errorf("%q: status %d, want %d: %s", c.body, resp.StatusCode, c.status, body)
+		}
+		if c.status == http.StatusBadRequest && !strings.Contains(string(body), `"parsing request: trailing data after document"`) {
+			t.Errorf("%q: error body %s", c.body, body)
+		}
+	}
+}

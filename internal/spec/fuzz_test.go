@@ -14,7 +14,8 @@ import (
 )
 
 // FuzzRoundTrip checks the spec codec invariants on arbitrary
-// documents: decode → encode → decode → encode must fix to stable
+// documents: wherever the fast reader answers it must agree with
+// encoding/json, decode → encode → decode → encode must fix to stable
 // canonical bytes and a stable hash, and for valid specs the compiled
 // generators must replay a bit-identical request stream across
 // builds (identical requests imply identical simulated cycles — the
@@ -33,8 +34,24 @@ func FuzzRoundTrip(f *testing.F) {
 		f.Add(ind)
 	}
 	f.Add([]byte(`{"version":1,"name":"x","params":{"bus_bytes":4,"masters":[{"name":"a"}]},"masters":[{"kind":"sequential","beats":4,"count":3}]}`))
+	// Where the reader declines: case-folded and repeated keys, null,
+	// escapes, non-ASCII, non-integer literals in integer fields.
+	for _, doc := range []string{
+		`{"Version":1,"name":"x","params":{},"masters":[]}`,
+		`{"version":1,"name":"x","name":"y","params":{},"masters":[]}`,
+		`{"version":1,"name":"x","params":{"ddr":{"TRP":1,"TRP":2}},"masters":[]}`,
+		`{"version":1,"name":null,"params":{},"masters":null}`,
+		`{"version":1,"name":"x\n","params":{},"masters":[]}`,
+		"{\"version\":1,\"name\":\"caf\xc3\xa9\",\"params\":{},\"masters\":[]}",
+		`{"version":1e0,"name":"x","params":{},"masters":[{"kind":"random","count":-0,"write_frac":1e-7}]}`,
+		`{"version":1,"name":"x","params":{"addr_map":{"RowBits":18446744073709551616}},"masters":[]}`,
+		`{"version":1,"name":"x","params":{},"masters":[]} `,
+	} {
+		f.Add([]byte(doc))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkReader(t, data)
 		s, err := Decode(data)
 		if err != nil {
 			return // not a spec; nothing to round-trip

@@ -26,7 +26,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"slices"
 
@@ -159,29 +158,24 @@ func (s Spec) Clone() Spec {
 // Decode parses a spec from JSON. The decoder is strict: unknown
 // fields, trailing data and schema-version mismatches are errors, so
 // a typo'd field name cannot silently produce a default-valued (and
-// differently hashed) workload.
+// differently hashed) workload. The fast reader (codec.go) answers for
+// the documents it can; DecodeStrict, encoding/json, decodes the rest
+// and words every error.
 func Decode(data []byte) (Spec, error) {
-	var s Spec
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&s); err != nil {
-		return Spec{}, fmt.Errorf("spec: %w", err)
-	}
-	if err := checkEOF(dec); err != nil {
-		return Spec{}, err
+	s, ok := readSpec(data)
+	if !ok {
+		// A variable of its own, so that s stays off the heap when the
+		// fast reader answers.
+		var slow Spec
+		if err := DecodeStrict(data, &slow); err != nil {
+			return Spec{}, fmt.Errorf("spec: %w", err)
+		}
+		s = slow
 	}
 	if s.SpecVersion != Version {
 		return Spec{}, fmt.Errorf("spec: unsupported version %d (want %d)", s.SpecVersion, Version)
 	}
 	return s, nil
-}
-
-// checkEOF rejects trailing content after the decoded document.
-func checkEOF(dec *json.Decoder) error {
-	if _, err := dec.Token(); err != io.EOF {
-		return fmt.Errorf("spec: trailing data after document")
-	}
-	return nil
 }
 
 // DecodeList parses one spec or an array of specs from JSON, with the
@@ -199,7 +193,7 @@ func DecodeList(data []byte) ([]Spec, error) {
 		return []Spec{single}, nil
 	}
 	if err := checkEOF(dec); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("spec: %w", err)
 	}
 	for i, s := range specs {
 		if s.SpecVersion != Version {
@@ -210,21 +204,28 @@ func DecodeList(data []byte) ([]Spec, error) {
 }
 
 // Canonical returns the canonical encoding of the spec: compact JSON
-// with fields in schema order. Two specs describing the same workload
-// have identical canonical bytes regardless of how they were written.
+// with fields in schema order, byte-identical to json.Marshal(s). Two
+// specs describing the same workload have identical canonical bytes
+// regardless of how they were written.
 func (s Spec) Canonical() ([]byte, error) {
-	b, err := json.Marshal(s)
+	var buf [canonicalBuf]byte
+	b, _, err := s.canonical(buf[:0])
 	if err != nil {
-		return nil, fmt.Errorf("spec: %w", err)
+		return nil, err
 	}
-	return b, nil
+	return bytes.Clone(b), nil
 }
+
+// canonicalBuf sizes the stack buffer the canonical encoding is built
+// in; a library scenario's takes about 1 KB.
+const canonicalBuf = 2048
 
 // Hash returns the content hash of the spec: the hex SHA-256 of its
 // canonical encoding. Simulations are bit-reproducible, so the hash
 // identifies the result as well as the workload.
 func (s Spec) Hash() (string, error) {
-	b, err := s.Canonical()
+	var buf [canonicalBuf]byte
+	b, _, err := s.canonical(buf[:0])
 	if err != nil {
 		return "", err
 	}
@@ -233,7 +234,9 @@ func (s Spec) Hash() (string, error) {
 
 func hashCanonical(canonical []byte) string {
 	sum := sha256.Sum256(canonical)
-	return hex.EncodeToString(sum[:])
+	var digits [2 * sha256.Size]byte
+	hex.Encode(digits[:], sum[:])
+	return string(digits[:])
 }
 
 // Digests encodes the spec once and returns everything a grid engine
@@ -244,27 +247,16 @@ func hashCanonical(canonical []byte) string {
 // taken over the same bytes with the encoded name cut out, not over a
 // second encoding.
 func (s Spec) Digests() (canonical []byte, hash string, workload [sha256.Size]byte, err error) {
-	canonical, err = s.Canonical()
+	var buf [canonicalBuf]byte
+	b, name, err := s.canonical(buf[:0])
 	if err != nil {
 		return nil, "", workload, err
 	}
-	// The name is the second member, after the integer version, so the
-	// first `,"name":` is its key; the string literal after it ends at
-	// the first quote no backslash escapes.
-	const key = `,"name":"`
-	start := bytes.Index(canonical, []byte(key)) + len(key)
-	end := start
-	for canonical[end] != '"' {
-		if canonical[end] == '\\' {
-			end++
-		}
-		end++
-	}
 	h := sha256.New()
-	h.Write(canonical[:start])
-	h.Write(canonical[end:])
+	h.Write(b[:name[0]])
+	h.Write(b[name[1]:])
 	h.Sum(workload[:0])
-	return canonical, hashCanonical(canonical), workload, nil
+	return bytes.Clone(b), hashCanonical(b), workload, nil
 }
 
 // MarshalIndent renders the spec as indented JSON for files and docs.
