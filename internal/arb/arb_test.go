@@ -12,31 +12,40 @@ import (
 )
 
 // ctxWith builds a minimal context over the given requests with QoS
-// registers regs (indexed by master).
+// registers regs (keyed by master; absent masters read as the zero
+// register).
 func ctxWith(reqs []Request, regs map[int]qos.Reg) *Context {
+	var file []qos.Reg
+	for m, r := range regs {
+		if m >= len(file) {
+			file = append(file, make([]qos.Reg, m+1-len(file))...)
+		}
+		file[m] = r
+	}
 	return &Context{
-		Now:  100,
-		Reqs: reqs,
-		QoS: func(m int) qos.Reg {
-			if r, ok := regs[m]; ok {
-				return r
-			}
-			return qos.Reg{}
-		},
+		Now:              100,
+		Reqs:             reqs,
+		Regs:             file,
 		LastGrant:        -1,
 		UrgencyThreshold: 8,
 	}
 }
 
+// statusOf returns an enabled BI provider whose answer depends only on
+// the address.
+func statusOf(fn func(addr uint32) bi.BankStatus) *bi.Provider {
+	return scripted(func(_ sim.Cycle, addr uint32) bi.BankStatus { return fn(addr) })
+}
+
 func TestPipelineEmptyRequestSet(t *testing.T) {
-	p := Default()
+	p := DefaultWith(AllEnabled())
 	if _, ok := p.Select(ctxWith(nil, nil)); ok {
 		t.Fatal("empty request set must not grant")
 	}
 }
 
 func TestRoundRobinRotates(t *testing.T) {
-	p := NewPipeline(RoundRobin{})
+	p := DefaultWith(Enabled{})
 	reqs := []Request{{Master: 0}, {Master: 1}, {Master: 2}}
 	ctx := ctxWith(reqs, nil)
 	order := []int{}
@@ -63,7 +72,7 @@ func TestRealTimeFilterPrefersRT(t *testing.T) {
 		0: {Class: qos.NRT},
 		1: {Class: qos.RT, Objective: 1000},
 	}
-	p := Default()
+	p := DefaultWith(AllEnabled())
 	ctx := ctxWith([]Request{{Master: 0, Since: 100}, {Master: 1, Since: 100}}, regs)
 	w, ok := p.Select(ctx)
 	if !ok || ctx.Reqs[w].Master != 1 {
@@ -72,7 +81,7 @@ func TestRealTimeFilterPrefersRT(t *testing.T) {
 }
 
 func TestRealTimePassThroughWhenNoRT(t *testing.T) {
-	p := NewPipeline(RealTime{}, RoundRobin{})
+	p := DefaultWith(Enabled{RealTime: true})
 	ctx := ctxWith([]Request{{Master: 0}, {Master: 1}}, map[int]qos.Reg{})
 	if _, ok := p.Select(ctx); !ok {
 		t.Fatal("all-NRT set must still grant")
@@ -87,7 +96,7 @@ func TestUrgencyOverridesRealTime(t *testing.T) {
 		0: {Class: qos.NRT, Objective: 105},
 		1: {Class: qos.RT, Objective: 10000},
 	}
-	p := Default()
+	p := DefaultWith(AllEnabled())
 	ctx := ctxWith([]Request{
 		{Master: 0, Since: 0},  // waited 100, slack 5 <= threshold 8
 		{Master: 1, Since: 90}, // slack huge
@@ -103,7 +112,7 @@ func TestUrgencyPicksMinimumSlack(t *testing.T) {
 		0: {Class: qos.RT, Objective: 104}, // slack 4
 		1: {Class: qos.RT, Objective: 102}, // slack 2 — most urgent
 	}
-	p := NewPipeline(Urgency{}, RoundRobin{})
+	p := DefaultWith(Enabled{Urgency: true})
 	ctx := ctxWith([]Request{{Master: 0, Since: 0}, {Master: 1, Since: 0}}, regs)
 	w, ok := p.Select(ctx)
 	if !ok || ctx.Reqs[w].Master != 1 {
@@ -112,9 +121,9 @@ func TestUrgencyPicksMinimumSlack(t *testing.T) {
 }
 
 func TestPermissionVetoesRound(t *testing.T) {
-	p := Default()
+	p := DefaultWith(AllEnabled())
 	ctx := ctxWith([]Request{{Master: 0, Addr: 0x10}}, nil)
-	ctx.Status = func(addr uint32) bi.BankStatus { return bi.BankStatus{Permit: false} }
+	ctx.Provider = statusOf(func(addr uint32) bi.BankStatus { return bi.BankStatus{Permit: false} })
 	if _, ok := p.Select(ctx); ok {
 		t.Fatal("permission filter should veto the round")
 	}
@@ -124,11 +133,11 @@ func TestPermissionVetoesRound(t *testing.T) {
 }
 
 func TestPermissionDropsOnlyBlocked(t *testing.T) {
-	p := Default()
+	p := DefaultWith(AllEnabled())
 	ctx := ctxWith([]Request{{Master: 0, Addr: 0xBAD0}, {Master: 1, Addr: 0x40}}, nil)
-	ctx.Status = func(addr uint32) bi.BankStatus {
+	ctx.Provider = statusOf(func(addr uint32) bi.BankStatus {
 		return bi.BankStatus{Permit: addr != 0xBAD0}
-	}
+	})
 	w, ok := p.Select(ctx)
 	if !ok || ctx.Reqs[w].Master != 1 {
 		t.Fatal("unblocked master should win")
@@ -136,13 +145,13 @@ func TestPermissionDropsOnlyBlocked(t *testing.T) {
 }
 
 func TestBankAffinityPrefersOpenRow(t *testing.T) {
-	p := NewPipeline(BankAffinity{}, RoundRobin{})
+	p := DefaultWith(Enabled{BankAffinity: true})
 	ctx := ctxWith([]Request{
 		{Master: 0, Addr: 0x1000}, // idle bank
 		{Master: 1, Addr: 0x2000}, // open row
 		{Master: 2, Addr: 0x3000}, // neither
 	}, nil)
-	ctx.Status = func(addr uint32) bi.BankStatus {
+	ctx.Provider = statusOf(func(addr uint32) bi.BankStatus {
 		switch addr {
 		case 0x1000:
 			return bi.BankStatus{Permit: true, BankIdle: true}
@@ -150,7 +159,7 @@ func TestBankAffinityPrefersOpenRow(t *testing.T) {
 			return bi.BankStatus{Permit: true, RowOpen: true}
 		}
 		return bi.BankStatus{Permit: true}
-	}
+	})
 	w, _ := p.Select(ctx)
 	if ctx.Reqs[w].Master != 1 {
 		t.Fatalf("open-row request should win, got master %d", ctx.Reqs[w].Master)
@@ -169,17 +178,16 @@ func TestBandwidthPrefersUnderServed(t *testing.T) {
 		0: {Quota: 0.5},
 		1: {Quota: 0.5},
 	}
-	p := NewPipeline(Bandwidth{}, RoundRobin{})
+	p := DefaultWith(Enabled{Bandwidth: true})
 	ctx := ctxWith([]Request{{Master: 0}, {Master: 1}}, regs)
-	served := map[int]uint64{0: 90, 1: 10}
-	ctx.ServedBeats = func(m int) uint64 { return served[m] }
+	ctx.Served = []uint64{90, 10}
 	ctx.TotalBeats = 100
 	w, _ := p.Select(ctx)
 	if ctx.Reqs[w].Master != 1 {
 		t.Fatal("under-served master should win")
 	}
 	// Everyone over quota: pass through, round robin decides.
-	served = map[int]uint64{0: 60, 1: 60}
+	ctx.Served = []uint64{60, 60}
 	ctx.TotalBeats = 120
 	if _, ok := p.Select(ctx); !ok {
 		t.Fatal("saturated quotas must not block granting")
@@ -187,7 +195,7 @@ func TestBandwidthPrefersUnderServed(t *testing.T) {
 }
 
 func TestWriteBufferGateBoostsWhenFull(t *testing.T) {
-	p := NewPipeline(WriteBufferGate{}, RoundRobin{})
+	p := DefaultWith(Enabled{WriteBuffer: true})
 	reqs := []Request{{Master: 0}, {Master: 9, IsWriteBuf: true}}
 	ctx := ctxWith(reqs, nil)
 	ctx.WBCap = 8
@@ -211,7 +219,7 @@ func TestWriteBufferGateBoostsWhenFull(t *testing.T) {
 }
 
 func TestWriteBufferAloneStillDrains(t *testing.T) {
-	p := NewPipeline(WriteBufferGate{}, RoundRobin{})
+	p := DefaultWith(Enabled{WriteBuffer: true})
 	ctx := ctxWith([]Request{{Master: 9, IsWriteBuf: true}}, nil)
 	ctx.WBCap = 8
 	ctx.WBUsed = 1
@@ -223,17 +231,21 @@ func TestWriteBufferAloneStillDrains(t *testing.T) {
 
 func TestDefaultWithSubsets(t *testing.T) {
 	p := DefaultWith(Enabled{})
-	if got := p.Filters(); len(got) != 1 || got[0] != "roundrobin" {
-		t.Fatalf("empty Enabled should leave only round-robin, got %v", got)
+	if !reflect.DeepEqual(p.stages, []int{len(filters) - 1}) || p.permission {
+		t.Fatalf("empty Enabled should leave only round-robin, got stages %v", p.stages)
+	}
+	p = DefaultWith(Enabled{Permission: true, BankAffinity: true})
+	if !reflect.DeepEqual(p.stages, []int{0, 4, 6}) || !p.permission {
+		t.Fatalf("stages %v, want permission, bank affinity, round-robin", p.stages)
 	}
 	p = DefaultWith(AllEnabled())
-	if got := p.Filters(); len(got) != 7 {
-		t.Fatalf("AllEnabled should build 7 filters, got %v", got)
+	if len(p.stages) != 7 {
+		t.Fatalf("AllEnabled should build 7 filters, got stages %v", p.stages)
 	}
 }
 
 func TestPipelineStats(t *testing.T) {
-	p := Default()
+	p := DefaultWith(AllEnabled())
 	regs := map[int]qos.Reg{0: {Class: qos.RT, Objective: 500}, 1: {Class: qos.NRT}}
 	ctx := ctxWith([]Request{{Master: 0, Since: 100}, {Master: 1, Since: 100}}, regs)
 	p.Select(ctx)
@@ -279,7 +291,7 @@ func TestPipelineAlwaysGrantsProperty(t *testing.T) {
 		ctx := ctxWith(reqs, regs)
 		ctx.WBCap = 8
 		ctx.WBUsed = rng.Intn(9)
-		p := Default()
+		p := DefaultWith(AllEnabled())
 		w, ok := p.Select(ctx)
 		return ok && w >= 0 && w < n
 	}
@@ -300,8 +312,8 @@ func TestPipelineDeterministic(t *testing.T) {
 		}
 		ctx1 := ctxWith(reqs, nil)
 		ctx2 := ctxWith(reqs, nil)
-		w1, ok1 := Default().Select(ctx1)
-		w2, ok2 := Default().Select(ctx2)
+		w1, ok1 := DefaultWith(AllEnabled()).Select(ctx1)
+		w2, ok2 := DefaultWith(AllEnabled()).Select(ctx2)
 		return ok1 == ok2 && w1 == w2
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

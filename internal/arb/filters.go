@@ -5,23 +5,28 @@ import (
 	"repro/internal/sim"
 )
 
-// Permission drops candidates whose target the DDRC cannot currently
+// filters is the §3.3 pipeline in its fixed order. Each stage returns
+// the surviving subset of cands (indices into ctx.Reqs) in order,
+// reusing cands' storage, and must not mutate the context. The names
+// are the keys of Stats.Decisive.
+var filters = [...]struct {
+	name  string
+	apply func(ctx *Context, cands []int) []int
+}{
+	{"permission", permission},
+	{"urgency", urgency},
+	{"realtime", realTime},
+	{"bandwidth", bandwidth},
+	{"bankaffinity", bankAffinity},
+	{"writebuffer", writeBuffer},
+	{"roundrobin", roundRobin},
+}
+
+// permission drops candidates whose target the DDRC cannot currently
 // accept (refresh window), as reported over BI. It is the only filter
 // allowed to veto the whole round.
-type Permission struct{}
-
-// Name implements Filter.
-func (Permission) Name() string { return "permission" }
-
-// CanVeto implements Filter.
-func (Permission) CanVeto() bool { return true }
-
-// Apply implements Filter.
-func (Permission) Apply(ctx *Context, cands []int) []int {
-	if !ctx.hasStatus() {
-		return cands
-	}
-	out := cands[:0:len(cands)]
+func permission(ctx *Context, cands []int) []int {
+	out := cands[:0]
 	for _, i := range cands {
 		if ctx.permitFor(i) {
 			out = append(out, i)
@@ -30,24 +35,12 @@ func (Permission) Apply(ctx *Context, cands []int) []int {
 	return out
 }
 
-// Urgency keeps only the requests whose QoS slack has fallen to or
+// urgency keeps only the requests whose QoS slack has fallen to or
 // below the urgency threshold, and among those the minimum-slack ones.
 // When nothing is urgent it passes the set through unchanged. This is
 // the filter that converts the QoS objective registers into actual
 // grant decisions before a deadline is lost.
-type Urgency struct{}
-
-// Name implements Filter.
-func (Urgency) Name() string { return "urgency" }
-
-// CanVeto implements Filter.
-func (Urgency) CanVeto() bool { return false }
-
-// Apply implements Filter.
-func (Urgency) Apply(ctx *Context, cands []int) []int {
-	if !ctx.hasQoS() {
-		return cands
-	}
+func urgency(ctx *Context, cands []int) []int {
 	if ctx.qosStatic && !ctx.anyObjective {
 		return cands // no master has an objective: nothing can be urgent
 	}
@@ -66,7 +59,7 @@ func (Urgency) Apply(ctx *Context, cands []int) []int {
 	if !urgent {
 		return cands
 	}
-	out := cands[:0:len(cands)]
+	out := cands[:0]
 	for _, i := range cands {
 		r := ctx.Reqs[i]
 		if ctx.qosReg(r.Master).Slack(ctx.Now, r.Since) == minSlack {
@@ -76,26 +69,14 @@ func (Urgency) Apply(ctx *Context, cands []int) []int {
 	return out
 }
 
-// RealTime keeps RT-class masters when at least one is present,
+// realTime keeps RT-class masters when at least one is present,
 // otherwise passes through. The write-buffer pseudo-master is treated
 // by its own filter, not here.
-type RealTime struct{}
-
-// Name implements Filter.
-func (RealTime) Name() string { return "realtime" }
-
-// CanVeto implements Filter.
-func (RealTime) CanVeto() bool { return false }
-
-// Apply implements Filter.
-func (RealTime) Apply(ctx *Context, cands []int) []int {
-	if !ctx.hasQoS() {
-		return cands
-	}
+func realTime(ctx *Context, cands []int) []int {
 	if ctx.qosStatic && !ctx.anyRT {
 		return cands // no RT master registered: provably pass-through
 	}
-	out := cands[:0:len(cands)]
+	out := cands[:0]
 	for _, i := range cands {
 		r := ctx.Reqs[i]
 		if !r.IsWriteBuf && ctx.qosReg(r.Master).Class == qos.RT {
@@ -108,26 +89,17 @@ func (RealTime) Apply(ctx *Context, cands []int) []int {
 	return out
 }
 
-// Bandwidth keeps masters that are below their reserved bandwidth
+// bandwidth keeps masters that are below their reserved bandwidth
 // share within the accounting window; when every candidate has met its
 // reservation (or none has one) it passes through.
-type Bandwidth struct{}
-
-// Name implements Filter.
-func (Bandwidth) Name() string { return "bandwidth" }
-
-// CanVeto implements Filter.
-func (Bandwidth) CanVeto() bool { return false }
-
-// Apply implements Filter.
-func (Bandwidth) Apply(ctx *Context, cands []int) []int {
-	if !ctx.hasQoS() || !ctx.hasServed() || ctx.TotalBeats == 0 {
+func bandwidth(ctx *Context, cands []int) []int {
+	if ctx.Served == nil || ctx.TotalBeats == 0 {
 		return cands
 	}
 	if ctx.qosStatic && !ctx.anyQuota {
 		return cands // no reservations: provably pass-through
 	}
-	out := cands[:0:len(cands)]
+	out := cands[:0]
 	for _, i := range cands {
 		r := ctx.Reqs[i]
 		quota := ctx.qosReg(r.Master).Quota
@@ -145,21 +117,12 @@ func (Bandwidth) Apply(ctx *Context, cands []int) []int {
 	return out
 }
 
-// BankAffinity prefers requests that hit an open DDR row, then requests
+// bankAffinity prefers requests that hit an open DDR row, then requests
 // targeting an idle bank, using the BI idle-bank report. This is the
 // arbitration half of the bank-interleaving scheme: it steers grants so
 // the controller can stream data back-to-back.
-type BankAffinity struct{}
-
-// Name implements Filter.
-func (BankAffinity) Name() string { return "bankaffinity" }
-
-// CanVeto implements Filter.
-func (BankAffinity) CanVeto() bool { return false }
-
-// Apply implements Filter.
-func (BankAffinity) Apply(ctx *Context, cands []int) []int {
-	if !ctx.hasStatus() {
+func bankAffinity(ctx *Context, cands []int) []int {
+	if ctx.Provider == nil {
 		return cands
 	}
 	anyHit, anyIdle := false, false
@@ -176,7 +139,7 @@ func (BankAffinity) Apply(ctx *Context, cands []int) []int {
 	if !anyHit && !anyIdle {
 		return cands
 	}
-	out := cands[:0:len(cands)]
+	out := cands[:0]
 	for _, i := range cands {
 		st := ctx.statusFor(i)
 		if (anyHit && st.RowOpen) || (!anyHit && st.BankIdle) {
@@ -186,21 +149,12 @@ func (BankAffinity) Apply(ctx *Context, cands []int) []int {
 	return out
 }
 
-// WriteBufferGate manages the write-buffer pseudo-master: when the
-// buffer is nearly full its drain request is boosted above everything
-// else (it must not overflow, or masters stall); when it is nearly
-// empty the drain is suppressed so demand traffic goes first. In the
-// middle band the drain competes like a normal master.
-type WriteBufferGate struct{}
-
-// Name implements Filter.
-func (WriteBufferGate) Name() string { return "writebuffer" }
-
-// CanVeto implements Filter.
-func (WriteBufferGate) CanVeto() bool { return false }
-
-// Apply implements Filter.
-func (WriteBufferGate) Apply(ctx *Context, cands []int) []int {
+// writeBuffer manages the write-buffer pseudo-master: when the buffer
+// is nearly full its drain request is boosted above everything else (it
+// must not overflow, or masters stall); when it is nearly empty the
+// drain is suppressed so demand traffic goes first. In the middle band
+// the drain competes like a normal master.
+func writeBuffer(ctx *Context, cands []int) []int {
 	if ctx.WBCap == 0 {
 		return cands
 	}
@@ -222,7 +176,7 @@ func (WriteBufferGate) Apply(ctx *Context, cands []int) []int {
 	default:
 		return cands
 	}
-	out := cands[:0:len(cands)]
+	out := cands[:0]
 	for _, i := range cands {
 		if ctx.Reqs[i].IsWriteBuf == keepWB {
 			out = append(out, i)
@@ -231,21 +185,9 @@ func (WriteBufferGate) Apply(ctx *Context, cands []int) []int {
 	return out
 }
 
-// RoundRobin picks exactly one winner, rotating fairly from the last
+// roundRobin picks exactly one winner, rotating fairly from the last
 // granted master. It is always the final stage.
-type RoundRobin struct{}
-
-// Name implements Filter.
-func (RoundRobin) Name() string { return "roundrobin" }
-
-// CanVeto implements Filter.
-func (RoundRobin) CanVeto() bool { return false }
-
-// Apply implements Filter.
-func (RoundRobin) Apply(ctx *Context, cands []int) []int {
-	if len(cands) == 0 {
-		return cands
-	}
+func roundRobin(ctx *Context, cands []int) []int {
 	best := -1
 	bestKey := 1 << 30
 	for _, i := range cands {

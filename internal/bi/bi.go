@@ -120,8 +120,8 @@ type Provider struct {
 }
 
 // Permit reports just the access-permission bit for addr at cycle now,
-// skipping the bank-affinity queries. With BI off it is always true,
-// like the Status fallback.
+// skipping the bank-affinity queries. It always equals
+// Status(now, addr).Permit, so with BI off it is true.
 func (p *Provider) Permit(now sim.Cycle, addr uint32) bool {
 	if p.Link == nil || !p.Link.Enabled {
 		return true

@@ -10,13 +10,6 @@ import (
 	"repro/internal/sim"
 )
 
-// Config and Result are the shared testbench's: one description drives
-// both models and both report the same shape.
-type (
-	Config = platform.Config
-	Result = platform.Result
-)
-
 // Bus is the assembled pin-accurate AHB+ platform.
 type Bus struct {
 	plat    platform.Platform
@@ -31,7 +24,7 @@ type Bus struct {
 
 // New assembles the signal-level components around the shared
 // platform. It panics on invalid configuration (see platform.Build).
-func New(cfg Config) *Bus {
+func New(cfg platform.Config) *Bus {
 	pl := platform.Build(cfg)
 	n := len(cfg.Gens)
 	size := amba.SizeForBytes(cfg.Params.BusBytes)
@@ -95,7 +88,7 @@ func (b *Bus) done() bool {
 
 // Run implements platform.Model. The kernel's own budget is relative,
 // so the absolute limit is converted here.
-func (b *Bus) Run(limit sim.Cycle) Result {
+func (b *Bus) Run(limit sim.Cycle) platform.Result {
 	if limit == 0 {
 		limit = platform.DefaultMaxCycles
 	}

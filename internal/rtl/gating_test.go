@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/platform"
 	"repro/internal/traffic"
 )
 
@@ -33,8 +34,8 @@ func gatingConfig() (config.Params, func() []traffic.Generator) {
 func TestClockGatingObservationEquivalence(t *testing.T) {
 	p, gens := gatingConfig()
 
-	gated := New(Config{Params: p, Gens: gens()})
-	plain := New(Config{Params: p, Gens: gens()})
+	gated := New(platform.Config{Params: p, Gens: gens()})
+	plain := New(platform.Config{Params: p, Gens: gens()})
 	plain.kernel.GateDisabled = true
 
 	rg := gated.Run(0)
@@ -76,8 +77,8 @@ func TestClockGatingObservationEquivalence(t *testing.T) {
 // are identical where written.
 func TestClockGatingDataIntegrity(t *testing.T) {
 	p, gens := gatingConfig()
-	gated := New(Config{Params: p, Gens: gens()})
-	plain := New(Config{Params: p, Gens: gens()})
+	gated := New(platform.Config{Params: p, Gens: gens()})
+	plain := New(platform.Config{Params: p, Gens: gens()})
 	plain.kernel.GateDisabled = true
 	gated.Run(0)
 	plain.Run(0)

@@ -7,6 +7,7 @@ import (
 	"repro/internal/check"
 	"repro/internal/config"
 	"repro/internal/memmodel"
+	"repro/internal/platform"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/traffic"
@@ -104,7 +105,7 @@ func (h *hostileGen) Next(prev sim.Cycle) (traffic.Req, bool) {
 func TestIllegalBurstCaughtByPropertyCheck(t *testing.T) {
 	chk := &check.Checker{} // collect, do not panic
 	p := params(1)
-	b := New(Config{Params: p, Gens: []traffic.Generator{&hostileGen{}}, Checker: chk})
+	b := New(platform.Config{Params: p, Gens: []traffic.Generator{&hostileGen{}}, Checker: chk})
 	res := b.Run(2000)
 	if !res.Completed {
 		t.Fatal("simulation should survive an illegal burst in collect mode")
@@ -205,7 +206,7 @@ func TestTraceRecorderCapInRTL(t *testing.T) {
 	p := params(1)
 	chk := &check.Checker{PanicOnProperty: true}
 	tr := trace.New(5)
-	b := New(Config{Params: p, Gens: []traffic.Generator{
+	b := New(platform.Config{Params: p, Gens: []traffic.Generator{
 		&traffic.Sequential{Base: 0, Beats: 4, Count: 20},
 	}, Checker: chk, Tracer: tr})
 	if !b.Run(0).Completed {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/check"
 	"repro/internal/config"
 	"repro/internal/memmodel"
+	"repro/internal/platform"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/traffic"
@@ -19,7 +20,7 @@ func build(t *testing.T, p config.Params, gens ...traffic.Generator) (*Bus, *che
 	t.Helper()
 	chk := &check.Checker{PanicOnProperty: true}
 	tr := trace.New(0)
-	b := New(Config{Params: p, Gens: gens, Checker: chk, Tracer: tr})
+	b := New(platform.Config{Params: p, Gens: gens, Checker: chk, Tracer: tr})
 	return b, chk, tr
 }
 
@@ -307,13 +308,13 @@ func TestMismatchedGeneratorsPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	New(Config{Params: params(2), Gens: []traffic.Generator{&traffic.Sequential{Count: 1, Beats: 1}}})
+	New(platform.Config{Params: params(2), Gens: []traffic.Generator{&traffic.Sequential{Count: 1, Beats: 1}}})
 }
 
 func TestWaveformDump(t *testing.T) {
 	var vcd strings.Builder
 	p := params(2)
-	b := New(Config{
+	b := New(platform.Config{
 		Params: p,
 		Gens: []traffic.Generator{
 			&traffic.Sequential{Base: 0, Beats: 4, Count: 5},

@@ -7,6 +7,7 @@ import (
 	"repro/internal/amba"
 	"repro/internal/check"
 	"repro/internal/config"
+	"repro/internal/platform"
 	"repro/internal/rtl"
 	"repro/internal/sim"
 	"repro/internal/traffic"
@@ -46,7 +47,7 @@ func TestDrainCompletionTiesWithArbitrationRound(t *testing.T) {
 		}
 	}
 
-	tb := New(Config{Params: p, Gens: mk(), Checker: &check.Checker{PanicOnProperty: true}})
+	tb := New(platform.Config{Params: p, Gens: mk(), Checker: &check.Checker{PanicOnProperty: true}})
 	tb.Run(tie - 1)
 	if tb.wbDoneAt != tie || tb.nextArbAt != tie || len(tb.wb.queue) != 1 {
 		t.Fatalf("no tie to test: drain done at %v, round at %v, %d queued (want %v, %v, 1)",
@@ -64,7 +65,7 @@ func TestDrainCompletionTiesWithArbitrationRound(t *testing.T) {
 	}
 	tres := tb.Run(0)
 
-	rb := rtl.New(rtl.Config{Params: p, Gens: mk(), Checker: &check.Checker{PanicOnProperty: true}})
+	rb := rtl.New(platform.Config{Params: p, Gens: mk(), Checker: &check.Checker{PanicOnProperty: true}})
 	rres := rb.Run(0)
 	if !tres.Completed || !rres.Completed {
 		t.Fatalf("incomplete: tlm %v rtl %v", tres.Completed, rres.Completed)

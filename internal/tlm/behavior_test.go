@@ -6,6 +6,7 @@ import (
 	"repro/internal/amba"
 	"repro/internal/check"
 	"repro/internal/config"
+	"repro/internal/platform"
 	"repro/internal/rtl"
 	"repro/internal/sim"
 	"repro/internal/traffic"
@@ -66,7 +67,7 @@ func TestRefreshVetoRetries(t *testing.T) {
 func TestIllegalBurstCaughtInCollectMode(t *testing.T) {
 	chk := &check.Checker{}
 	p := params(1)
-	b := New(Config{Params: p, Gens: []traffic.Generator{&traffic.Script{Reqs: []traffic.Req{
+	b := New(platform.Config{Params: p, Gens: []traffic.Generator{&traffic.Script{Reqs: []traffic.Req{
 		{At: 0, Addr: 0x3F8, Beats: 4, Burst: amba.BurstIncr4}, // crosses 1KB
 		{At: 0, Addr: 0x100, Beats: 4, Burst: amba.BurstIncr4},
 	}}}, Checker: chk})
@@ -180,9 +181,9 @@ func TestTLMStatsMatchRTLPerMaster(t *testing.T) {
 }
 
 // runTLMOnly and runRTLOnly are small helpers for profile comparisons.
-func runTLMOnly(t *testing.T, p config.Params, mk func() []traffic.Generator) Result {
+func runTLMOnly(t *testing.T, p config.Params, mk func() []traffic.Generator) platform.Result {
 	t.Helper()
-	b := New(Config{Params: p, Gens: mk(), Checker: &check.Checker{PanicOnProperty: true}})
+	b := New(platform.Config{Params: p, Gens: mk(), Checker: &check.Checker{PanicOnProperty: true}})
 	res := b.Run(0)
 	if !res.Completed {
 		t.Fatal("TLM incomplete")
@@ -190,9 +191,9 @@ func runTLMOnly(t *testing.T, p config.Params, mk func() []traffic.Generator) Re
 	return res
 }
 
-func runRTLOnly(t *testing.T, p config.Params, mk func() []traffic.Generator) rtl.Result {
+func runRTLOnly(t *testing.T, p config.Params, mk func() []traffic.Generator) platform.Result {
 	t.Helper()
-	b := rtl.New(rtl.Config{Params: p, Gens: mk(), Checker: &check.Checker{PanicOnProperty: true}})
+	b := rtl.New(platform.Config{Params: p, Gens: mk(), Checker: &check.Checker{PanicOnProperty: true}})
 	res := b.Run(0)
 	if !res.Completed {
 		t.Fatal("RTL incomplete")

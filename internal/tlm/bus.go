@@ -41,13 +41,6 @@ import (
 	"repro/internal/traffic"
 )
 
-// Config and Result are the shared testbench's: one description drives
-// both models and both report the same shape.
-type (
-	Config = platform.Config
-	Result = platform.Result
-)
-
 // mState is the method-based master port state.
 type mState struct {
 	gen      traffic.Generator
@@ -110,7 +103,7 @@ type Bus struct {
 
 // New assembles the TLM around the shared platform. It panics on
 // invalid configuration (see platform.Build).
-func New(cfg Config) *Bus {
+func New(cfg platform.Config) *Bus {
 	pl := platform.Build(cfg)
 	n := len(cfg.Gens)
 	b := &Bus{
@@ -453,7 +446,7 @@ func (b *Bus) done() bool {
 // the round then sees the write buffer's re-request and, if a refresh
 // vetoes it, arms one successor where the other order would arm two.
 // A limit at or below Now() runs nothing and leaves the clock alone.
-func (b *Bus) Run(limit sim.Cycle) Result {
+func (b *Bus) Run(limit sim.Cycle) platform.Result {
 	if limit == 0 {
 		limit = platform.DefaultMaxCycles
 	}

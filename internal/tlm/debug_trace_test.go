@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/check"
+	"repro/internal/platform"
 	"repro/internal/rtl"
 	"repro/internal/trace"
 	"repro/internal/traffic"
@@ -25,10 +26,10 @@ func TestDebugTraceDiff(t *testing.T) {
 	}
 	p := params(2)
 	rtr := trace.New(0)
-	rb := rtl.New(rtl.Config{Params: p, Gens: mk(), Checker: &check.Checker{}, Tracer: rtr})
+	rb := rtl.New(platform.Config{Params: p, Gens: mk(), Checker: &check.Checker{}, Tracer: rtr})
 	rb.Run(0)
 	ttr := trace.New(0)
-	tb := New(Config{Params: p, Gens: mk(), Checker: &check.Checker{}, Tracer: ttr})
+	tb := New(platform.Config{Params: p, Gens: mk(), Checker: &check.Checker{}, Tracer: ttr})
 	tb.Run(0)
 	rr, tr2 := rtr.Records(), ttr.Records()
 	n := len(rr)

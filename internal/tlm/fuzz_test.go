@@ -11,6 +11,7 @@ import (
 	"repro/internal/check"
 	"repro/internal/config"
 	"repro/internal/memmodel"
+	"repro/internal/platform"
 	"repro/internal/rtl"
 	"repro/internal/sim"
 	"repro/internal/traffic"
@@ -101,9 +102,9 @@ func crossModelAgree(seed int64, masters, txns int, drift driftBand) error {
 	p := randomPlatform(rng, masters)
 	mk := randomGens(rng.Int63(), masters, txns)
 
-	rb := rtl.New(rtl.Config{Params: p, Gens: mk(), Checker: &check.Checker{PanicOnProperty: true}})
+	rb := rtl.New(platform.Config{Params: p, Gens: mk(), Checker: &check.Checker{PanicOnProperty: true}})
 	rres := rb.Run(3_000_000)
-	tb := New(Config{Params: p, Gens: mk(), Checker: &check.Checker{PanicOnProperty: true}})
+	tb := New(platform.Config{Params: p, Gens: mk(), Checker: &check.Checker{PanicOnProperty: true}})
 	tres := tb.Run(3_000_000)
 	if !rres.Completed || !tres.Completed {
 		return fmt.Errorf("incomplete (rtl=%v tlm=%v)", rres.Completed, tres.Completed)
@@ -204,7 +205,7 @@ func TestFuzzTLMDeterminism(t *testing.T) {
 			masters := rng.Intn(3) + 1
 			p := randomPlatform(rng, masters)
 			mk := randomGens(rng.Int63(), masters, 30)
-			b := New(Config{Params: p, Gens: mk()})
+			b := New(platform.Config{Params: p, Gens: mk()})
 			res := b.Run(3_000_000)
 			return uint64(res.Cycles), res.Stats.TotalTxns()
 		}

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/amba"
 	"repro/internal/config"
+	"repro/internal/platform"
 	"repro/internal/sim"
 	"repro/internal/traffic"
 )
@@ -102,7 +103,7 @@ func (pt *Port) run(addr uint32, write bool, data []byte, ctrl *Ctrl) Status {
 		At: pt.now, Addr: addr, Write: write, Burst: burst, Beats: beats,
 	}}}
 	prevMem := pt.bus
-	b := New(Config{Params: pt.p, Gens: []traffic.Generator{pt.script}})
+	b := New(platform.Config{Params: pt.p, Gens: []traffic.Generator{pt.script}})
 	if prevMem != nil {
 		// Carry memory contents across calls.
 		b.plat.Mem = prevMem.plat.Mem

@@ -7,6 +7,7 @@ import (
 	"repro/internal/check"
 	"repro/internal/config"
 	"repro/internal/memmodel"
+	"repro/internal/platform"
 	"repro/internal/rtl"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -17,7 +18,7 @@ func build(t *testing.T, p config.Params, gens ...traffic.Generator) (*Bus, *che
 	t.Helper()
 	chk := &check.Checker{PanicOnProperty: true}
 	tr := trace.New(0)
-	b := New(Config{Params: p, Gens: gens, Checker: chk, Tracer: tr})
+	b := New(platform.Config{Params: p, Gens: gens, Checker: chk, Tracer: tr})
 	return b, chk, tr
 }
 
@@ -122,12 +123,12 @@ func TestRefreshEnabledCompletes(t *testing.T) {
 // and the TLM and returns both cycle counts.
 func runBoth(t *testing.T, p config.Params, mk func() []traffic.Generator) (rtlCycles, tlmCycles sim.Cycle) {
 	t.Helper()
-	rb := rtl.New(rtl.Config{Params: p, Gens: mk(), Checker: &check.Checker{PanicOnProperty: true}})
+	rb := rtl.New(platform.Config{Params: p, Gens: mk(), Checker: &check.Checker{PanicOnProperty: true}})
 	rres := rb.Run(2_000_000)
 	if !rres.Completed {
 		t.Fatal("RTL run did not complete")
 	}
-	tb := New(Config{Params: p, Gens: mk(), Checker: &check.Checker{PanicOnProperty: true}})
+	tb := New(platform.Config{Params: p, Gens: mk(), Checker: &check.Checker{PanicOnProperty: true}})
 	tres := tb.Run(2_000_000)
 	if !tres.Completed {
 		t.Fatal("TLM run did not complete")
@@ -212,11 +213,11 @@ func TestCrossModelMemoryIdentical(t *testing.T) {
 		}
 	}
 	p := params(2)
-	rb := rtl.New(rtl.Config{Params: p, Gens: mk()})
+	rb := rtl.New(platform.Config{Params: p, Gens: mk()})
 	if !rb.Run(0).Completed {
 		t.Fatal("RTL incomplete")
 	}
-	tb := New(Config{Params: p, Gens: mk()})
+	tb := New(platform.Config{Params: p, Gens: mk()})
 	if !tb.Run(0).Completed {
 		t.Fatal("TLM incomplete")
 	}
@@ -264,5 +265,5 @@ func TestMismatchedGeneratorsPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	New(Config{Params: params(2), Gens: []traffic.Generator{&traffic.Sequential{Count: 1, Beats: 1}}})
+	New(platform.Config{Params: params(2), Gens: []traffic.Generator{&traffic.Sequential{Count: 1, Beats: 1}}})
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/check"
 	"repro/internal/config"
 	"repro/internal/memmodel"
+	"repro/internal/platform"
 	"repro/internal/rtl"
 	"repro/internal/trace"
 	"repro/internal/traffic"
@@ -100,9 +101,9 @@ func TestSRAMCrossModelAgreement(t *testing.T) {
 		}
 	}
 	p := sramParams(2)
-	rb := rtl.New(rtl.Config{Params: p, Gens: mk(), Checker: &check.Checker{PanicOnProperty: true}, Tracer: trace.New(0)})
+	rb := rtl.New(platform.Config{Params: p, Gens: mk(), Checker: &check.Checker{PanicOnProperty: true}, Tracer: trace.New(0)})
 	rres := rb.Run(0)
-	tb := New(Config{Params: p, Gens: mk(), Checker: &check.Checker{PanicOnProperty: true}, Tracer: trace.New(0)})
+	tb := New(platform.Config{Params: p, Gens: mk(), Checker: &check.Checker{PanicOnProperty: true}, Tracer: trace.New(0)})
 	tres := tb.Run(0)
 	if !rres.Completed || !tres.Completed {
 		t.Fatal("incomplete")
@@ -137,9 +138,9 @@ func TestPlainAHBvsAHBPlus(t *testing.T) {
 	pPlain.DDR = pPlain.DDR.NoRefresh()
 	setQoS(&pPlain)
 
-	plus := New(Config{Params: pPlus, Gens: mk()})
+	plus := New(platform.Config{Params: pPlus, Gens: mk()})
 	plusRes := plus.Run(0)
-	plain := New(Config{Params: pPlain, Gens: mk()})
+	plain := New(platform.Config{Params: pPlain, Gens: mk()})
 	plainRes := plain.Run(0)
 	if !plusRes.Completed || !plainRes.Completed {
 		t.Fatal("incomplete")
