@@ -240,3 +240,28 @@ func CrossesBoundary(start Addr, size Size, beats int, boundary Addr) bool {
 
 // KB is the AHB 1KB burst address boundary.
 const KB Addr = 1024
+
+// ValidateBurst checks the protocol legality of a burst: a positive
+// length consistent with the burst kind, the INCR modeling limit,
+// address alignment to the transfer size, and the 1KB boundary rule for
+// incrementing bursts. Both simulators check every granted transaction
+// with it.
+func ValidateBurst(addr Addr, burst Burst, size Size, beats int) error {
+	if beats <= 0 {
+		return fmt.Errorf("amba: txn has %d beats", beats)
+	}
+	if fb := burst.Beats(); fb != 0 && fb != beats {
+		return fmt.Errorf("amba: burst %v requires %d beats, txn has %d", burst, fb, beats)
+	}
+	if burst == BurstIncr && beats > 16 {
+		return fmt.Errorf("amba: INCR burst of %d beats exceeds modeling limit 16", beats)
+	}
+	step := Addr(size.Bytes())
+	if addr%step != 0 {
+		return fmt.Errorf("amba: address %#x not aligned to %v", addr, size)
+	}
+	if !burst.Wrapping() && CrossesBoundary(addr, size, beats, KB) {
+		return fmt.Errorf("amba: burst at %#x (%d beats of %v) crosses 1KB boundary", addr, beats, size)
+	}
+	return nil
+}

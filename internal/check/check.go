@@ -44,9 +44,6 @@ func (e *Errors) Add(err error) bool {
 // Empty reports whether no problems were recorded.
 func (e *Errors) Empty() bool { return len(e.list) == 0 }
 
-// Problems returns the recorded problem messages in insertion order.
-func (e *Errors) Problems() []string { return e.list }
-
 // Err returns nil when no problems were recorded, and otherwise an
 // error whose message lists every problem (semicolon-separated, with a
 // count when there is more than one).

@@ -123,12 +123,6 @@ type Pool struct {
 	// pool's instantaneous load — the number a service divides by its
 	// worker count to tell clients how long to back off.
 	inFlight atomic.Int64
-	// submitted/completed are lifetime totals (accepted jobs and jobs
-	// a worker finished) — the monotonic pair an observability layer
-	// exports, where the instantaneous Queued/InFlight gauges can
-	// never show load that came and went between scrapes.
-	submitted atomic.Uint64
-	completed atomic.Uint64
 	// mu serializes Submit's closed-check-then-send against Close's
 	// flag-set-then-close so a late Submit can never send on a closed
 	// channel. Submitters share a read lock (the send itself is
@@ -155,7 +149,6 @@ func NewPool(workers, queue int) *Pool {
 				p.inFlight.Add(1)
 				job()
 				p.inFlight.Add(-1)
-				p.completed.Add(1)
 			}
 		}()
 	}
@@ -179,7 +172,6 @@ func (p *Pool) Submit(job func()) (wait func(), err error) {
 	}
 	select {
 	case p.jobs <- wrapped:
-		p.submitted.Add(1)
 		return func() {
 			if r := <-done; r != nil {
 				panic(r)
@@ -197,12 +189,6 @@ func (p *Pool) Queued() int { return len(p.jobs) }
 // InFlight returns the number of jobs currently executing on a
 // worker. Queued()+InFlight() is the pool's instantaneous load.
 func (p *Pool) InFlight() int { return int(p.inFlight.Load()) }
-
-// Submitted returns the lifetime count of jobs accepted by Submit.
-func (p *Pool) Submitted() uint64 { return p.submitted.Load() }
-
-// Completed returns the lifetime count of jobs finished by a worker.
-func (p *Pool) Completed() uint64 { return p.completed.Load() }
 
 // Close stops accepting jobs and waits for queued ones to drain.
 func (p *Pool) Close() {

@@ -2,11 +2,12 @@
 // transaction-level model (internal/tlm) and the pin-accurate model
 // (internal/rtl) must agree on OUTSIDE the behaviour they model — the
 // description a run is assembled from, the components both buses are
-// built around and the run contract they are driven through (the data
-// pattern masters write lives with the backing store, in
-// memmodel.PatternByte). The paper's accuracy result holds because both
-// models sit under one testbench; this package is that testbench,
-// written once, so the two cannot drift apart by a comment.
+// built around, the account of each finished transaction and the run
+// contract they are driven through (the data pattern masters write
+// lives with the backing store, in memmodel.PatternByte). The paper's
+// accuracy result holds because both models sit under one testbench;
+// this package is that testbench, written once, so the two cannot
+// drift apart by a comment.
 package platform
 
 import (
@@ -86,13 +87,16 @@ type Platform struct {
 	// Regs holds one QoS register per traffic master plus, last, the
 	// write-buffer pseudo-master as plain NRT.
 	Regs []qos.Reg
-	// Tracker records QoS outcomes of the traffic masters.
-	Tracker *qos.Tracker
 	// Pipeline is the arbitration filter pipeline.
 	Pipeline *arb.Pipeline
 	// Stats is the run profile, one named slot per traffic master plus
 	// "wbuf" for the write-buffer pseudo-master.
 	Stats *stats.Bus
+
+	// tracer, when non-nil, receives every completed transaction;
+	// busBytes is the data bus width a beat carries.
+	tracer   *trace.Recorder
+	busBytes int
 }
 
 // Build assembles the shared components. It panics on an invalid
@@ -126,9 +130,30 @@ func Build(cfg Config) Platform {
 		Link:     link,
 		Provider: &bi.Provider{Link: link, PermitFn: eng.Permit, InfoFn: eng.IdleOrOpen},
 		Regs:     regs,
-		Tracker:  qos.NewTracker(regs[:n]),
 		Pipeline: arb.DefaultWith(cfg.Params.Filters),
 		Stats:    bus,
+		tracer:   cfg.Tracer,
+		busBytes: cfg.Params.BusBytes,
+	}
+}
+
+// Complete accounts one finished transaction, once, from its timeline:
+// the master's profile (an ERROR response counts one beat and no
+// bytes), the objective test against its QoS register, the data-bus
+// occupancy and, when a recorder is attached, the trace. rec is read,
+// never retained, so a caller's record can live on its stack.
+func (p *Platform) Complete(rec *trace.Record, erred bool) {
+	m := &p.Stats.Masters[rec.Master]
+	beats, bytes := rec.Beats, rec.Beats*p.busBytes
+	if erred {
+		beats, bytes = 1, 0
+		m.Errors++
+	}
+	lat := rec.FirstData.SubFloor(rec.Req)
+	m.RecordTxn(rec.Write, beats, bytes, rec.Grant.SubFloor(rec.Req), lat, p.Regs[rec.Master].Missed(lat))
+	p.Stats.BusyBeats += uint64(beats)
+	if p.tracer != nil {
+		p.tracer.Add(*rec)
 	}
 }
 

@@ -1,6 +1,8 @@
 package platform_test
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/config"
@@ -41,4 +43,18 @@ func TestWriteByteMatchesBothModelsOver64KiB(t *testing.T) {
 			t.Fatalf("%s: walk wrote outside [%#x, %#x)", name, base, base+span)
 		}
 	}
+}
+
+// TestBuildPanicsOnInvalidQoSReg: QoS registers are static
+// configuration, so an RT master without an objective fails elaboration.
+func TestBuildPanicsOnInvalidQoSReg(t *testing.T) {
+	p := config.Default(2)
+	p.Masters[1].RealTime = true
+	p.Masters[1].QoSObjective = 0
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "objective") {
+			t.Fatalf("Build on an RT master without an objective: recovered %v", r)
+		}
+	}()
+	platform.Build(platform.Config{Params: p, Gens: make([]traffic.Generator, 2)})
 }

@@ -1,8 +1,7 @@
-// Package qos implements the AHB+ quality-of-service bookkeeping: the
+// Package qos implements the AHB+ quality-of-service registers: the
 // "special internal registers" the paper describes, which hold each
 // master's QoS objective value and its real-time / non-real-time type,
-// plus the violation tracking used to evaluate whether the bus actually
-// guarantees the objectives.
+// and the objective test a finished transaction is judged by.
 package qos
 
 import (
@@ -74,79 +73,6 @@ func (r Reg) Slack(now, reqSince sim.Cycle) sim.Cycle {
 	return r.Objective.SubFloor(waited)
 }
 
-// Tracker accumulates per-master QoS outcomes.
-type Tracker struct {
-	regs       []Reg
-	violations []uint64
-	grants     []uint64
-	worstLat   []sim.Cycle
-	latSum     []sim.Cycle
-}
-
-// NewTracker returns a tracker for the given per-master registers. It
-// panics on invalid registers; QoS settings are static configuration.
-func NewTracker(regs []Reg) *Tracker {
-	for i, r := range regs {
-		if err := r.Validate(); err != nil {
-			panic(fmt.Sprintf("master %d: %v", i, err))
-		}
-	}
-	t := &Tracker{
-		regs:       append([]Reg(nil), regs...),
-		violations: make([]uint64, len(regs)),
-		grants:     make([]uint64, len(regs)),
-		worstLat:   make([]sim.Cycle, len(regs)),
-		latSum:     make([]sim.Cycle, len(regs)),
-	}
-	return t
-}
-
-// Reg returns master m's QoS register.
-func (t *Tracker) Reg(m int) Reg { return t.regs[m] }
-
-// Masters returns the number of tracked masters.
-func (t *Tracker) Masters() int { return len(t.regs) }
-
-// Record notes that master m's request issued at reqSince received its
-// first data at dataAt, and returns whether this violated the
-// objective.
-func (t *Tracker) Record(m int, reqSince, dataAt sim.Cycle) bool {
-	lat := dataAt.SubFloor(reqSince)
-	t.grants[m]++
-	t.latSum[m] += lat
-	if lat > t.worstLat[m] {
-		t.worstLat[m] = lat
-	}
-	r := t.regs[m]
-	if r.Objective != 0 && lat > r.Objective {
-		t.violations[m]++
-		return true
-	}
-	return false
-}
-
-// Violations returns the violation count for master m.
-func (t *Tracker) Violations(m int) uint64 { return t.violations[m] }
-
-// TotalViolations returns the violation count across all masters.
-func (t *Tracker) TotalViolations() uint64 {
-	var s uint64
-	for _, v := range t.violations {
-		s += v
-	}
-	return s
-}
-
-// Grants returns how many transactions master m completed.
-func (t *Tracker) Grants(m int) uint64 { return t.grants[m] }
-
-// WorstLatency returns the maximum observed latency for master m.
-func (t *Tracker) WorstLatency(m int) sim.Cycle { return t.worstLat[m] }
-
-// MeanLatency returns the average observed latency for master m.
-func (t *Tracker) MeanLatency(m int) float64 {
-	if t.grants[m] == 0 {
-		return 0
-	}
-	return float64(t.latSum[m]) / float64(t.grants[m])
-}
+// Missed reports whether a request-to-first-data latency of lat cycles
+// misses the objective. A register with no objective never misses.
+func (r Reg) Missed(lat sim.Cycle) bool { return r.Objective != 0 && lat > r.Objective }

@@ -41,60 +41,25 @@ func TestSlack(t *testing.T) {
 	}
 }
 
-func TestTrackerRecords(t *testing.T) {
-	tr := NewTracker([]Reg{
-		{Class: RT, Objective: 20},
-		{Class: NRT},
-	})
-	if tr.Masters() != 2 {
-		t.Fatalf("Masters = %d", tr.Masters())
+func TestRegMissed(t *testing.T) {
+	cases := []struct {
+		name string
+		reg  Reg
+		lat  sim.Cycle
+		want bool
+	}{
+		{"no objective, zero latency", Reg{Class: NRT}, 0, false},
+		{"no objective, huge latency", Reg{Class: NRT}, sim.CycleMax, false},
+		{"under objective", Reg{Class: RT, Objective: 20}, 10, false},
+		{"at objective", Reg{Class: RT, Objective: 20}, 20, false},
+		{"one over objective", Reg{Class: RT, Objective: 20}, 21, true},
+		{"NRT with objective", Reg{Class: NRT, Objective: 5}, 6, true},
 	}
-	if v := tr.Record(0, 0, 10); v {
-		t.Fatal("latency 10 <= objective 20 should not violate")
-	}
-	if v := tr.Record(0, 0, 30); !v {
-		t.Fatal("latency 30 > objective 20 should violate")
-	}
-	if v := tr.Record(1, 0, 10000); v {
-		t.Fatal("NRT master should never violate")
-	}
-	if tr.Violations(0) != 1 || tr.Violations(1) != 0 {
-		t.Fatalf("violations = %d/%d", tr.Violations(0), tr.Violations(1))
-	}
-	if tr.TotalViolations() != 1 {
-		t.Fatalf("TotalViolations = %d", tr.TotalViolations())
-	}
-	if tr.Grants(0) != 2 {
-		t.Fatalf("Grants = %d", tr.Grants(0))
-	}
-	if tr.WorstLatency(0) != 30 {
-		t.Fatalf("WorstLatency = %v", tr.WorstLatency(0))
-	}
-	if got := tr.MeanLatency(0); got != 20 {
-		t.Fatalf("MeanLatency = %f, want 20", got)
-	}
-	if tr.MeanLatency(1) != 10000 {
-		t.Fatalf("MeanLatency(1) = %f", tr.MeanLatency(1))
-	}
-	if tr.Reg(0).Objective != 20 {
-		t.Fatal("Reg accessor")
-	}
-}
-
-func TestTrackerEmptyMeanLatency(t *testing.T) {
-	tr := NewTracker([]Reg{{Class: NRT}})
-	if tr.MeanLatency(0) != 0 {
-		t.Fatal("mean latency with no grants should be 0")
-	}
-}
-
-func TestTrackerPanicsOnInvalidReg(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
+	for _, c := range cases {
+		if got := c.reg.Missed(c.lat); got != c.want {
+			t.Errorf("%s: Missed(%d) = %v, want %v", c.name, c.lat, got, c.want)
 		}
-	}()
-	NewTracker([]Reg{{Class: RT}})
+	}
 }
 
 func TestClassString(t *testing.T) {

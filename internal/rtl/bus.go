@@ -6,7 +6,6 @@ import (
 	"repro/internal/ddr"
 	"repro/internal/memmodel"
 	"repro/internal/platform"
-	"repro/internal/qos"
 	"repro/internal/sim"
 )
 
@@ -42,8 +41,7 @@ func New(cfg platform.Config) *Bus {
 	b.arb = newArbiter(w, pl.Pipeline, comb, pl.Regs, pl.Link, pl.Provider, cfg.Checker,
 		cfg.Params.Pipelining, sim.Cycle(cfg.Params.UrgencyThreshold), cfg.Params.WriteBufferDepth)
 	b.kernel.Register(b.arb)
-	b.fabric = newFabric(w, pl.Engine, pl.Mem, pl.Link, cfg.Checker, cfg.Tracer, pl.Tracker,
-		pl.Stats, size, cfg.Params.WriteBufferDepth, cfg.Params.SRAM)
+	b.fabric = newFabric(w, &b.plat, cfg.Checker, size, cfg.Params.WriteBufferDepth, cfg.Params.SRAM)
 	b.kernel.Register(b.fabric)
 	ddrfsm := newDDRFSM(pl.Engine, cfg.Checker, w, pl.Link)
 	b.kernel.Register(ddrfsm)
@@ -111,9 +109,6 @@ func (b *Bus) Mem() *memmodel.Memory { return b.plat.Mem }
 
 // Engine exposes the DDR engine (stats, bank state) for tests.
 func (b *Bus) Engine() *ddr.Engine { return b.plat.Engine }
-
-// Tracker exposes QoS outcomes.
-func (b *Bus) Tracker() *qos.Tracker { return b.plat.Tracker }
 
 // LastRead returns the payload of master m's most recent completed
 // read.

@@ -4,14 +4,10 @@ import (
 	"fmt"
 
 	"repro/internal/amba"
-	"repro/internal/bi"
 	"repro/internal/check"
 	"repro/internal/config"
-	"repro/internal/ddr"
-	"repro/internal/memmodel"
-	"repro/internal/qos"
+	"repro/internal/platform"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -23,20 +19,12 @@ type wbEntry struct {
 	beats int
 }
 
-// curTxn is the fabric's in-flight transaction.
+// curTxn is the fabric's in-flight transaction: the timeline it will
+// be accounted by on its final beat, plus its slave response.
 type curTxn struct {
-	active     bool
-	port       int
-	addr       uint32
-	write      bool
-	beats      int
-	posted     bool
-	erred      bool
-	reqVisible sim.Cycle
-	grantAt    sim.Cycle
-	first      sim.Cycle
-	last       sim.Cycle
-	kind       string
+	active bool
+	erred  bool
+	rec    trace.Record
 }
 
 // fabricComp is the bus fabric + DDRC slave: it multiplexes the granted
@@ -45,13 +33,8 @@ type curTxn struct {
 // to the controller.
 type fabricComp struct {
 	w       *Wires
-	eng     *ddr.Engine
-	mem     *memmodel.Memory
-	link    *bi.Link
+	plat    *platform.Platform
 	chk     *check.Checker
-	tracer  *trace.Recorder
-	tracker *qos.Tracker
-	bus     *stats.Bus
 	size    amba.Size
 	wbDepth int
 	bank    sim.RegBank
@@ -75,13 +58,11 @@ type wbSlot struct {
 	valid bool
 }
 
-func newFabric(w *Wires, eng *ddr.Engine, mem *memmodel.Memory, link *bi.Link,
-	chk *check.Checker, tracer *trace.Recorder, tracker *qos.Tracker,
-	bus *stats.Bus, size amba.Size, wbDepth int, sram config.SRAMCfg) *fabricComp {
+func newFabric(w *Wires, pl *platform.Platform, chk *check.Checker,
+	size amba.Size, wbDepth int, sram config.SRAMCfg) *fabricComp {
 	f := &fabricComp{
-		w: w, eng: eng, mem: mem, link: link, chk: chk,
-		tracer: tracer, tracker: tracker, bus: bus, size: size, wbDepth: wbDepth,
-		sram: sram, ddrCap: eng.Map.Capacity(),
+		w: w, plat: pl, chk: chk, size: size, wbDepth: wbDepth,
+		sram: sram, ddrCap: pl.Engine.Map.Capacity(),
 	}
 	f.bank.Add(w.HReady)
 	f.bank.Add(w.HResp)
@@ -107,13 +88,13 @@ func (f *fabricComp) Eval(now sim.Cycle) {
 	w := f.w
 
 	// 1. Deliver due BI hints to the memory controller.
-	for d, ok := f.link.Pop(now); ok; d, ok = f.link.Pop(now) {
-		f.eng.Hint(d.At, d.Msg.Addr, d.Msg.Write)
+	for d, ok := f.plat.Link.Pop(now); ok; d, ok = f.plat.Link.Pop(now) {
+		f.plat.Engine.Hint(d.At, d.Msg.Addr, d.Msg.Write)
 	}
 
 	// 2. Complete the in-flight transaction on its final beat.
-	if f.cur.active && now == f.cur.last {
-		f.finish(now)
+	if f.cur.active && now == f.cur.rec.Done {
+		f.finish()
 	}
 
 	// 3. Capture a granted master's address phase.
@@ -125,19 +106,19 @@ func (f *fabricComp) Eval(now sim.Cycle) {
 	// transaction. Re-drives of an unchanged value are elided: the
 	// committed value is identical either way, and skipping the commit
 	// avoids waking components that watch these registers.
-	if f.cur.active {
+	if c := &f.cur; c.active {
 		next := now + 1
-		inBeats := next >= f.cur.first && next <= f.cur.last
+		inBeats := next >= c.rec.FirstData && next <= c.rec.Done
 		if w.HReady.Get() != inBeats {
 			w.HReady.Set(inBeats)
 		}
-		if inBeats && !f.cur.write && !f.cur.erred {
-			beat := int(next - f.cur.first)
-			ba := f.cur.addr + uint32(beat*f.size.Bytes())
-			w.HRData.Set(uint32(f.mem.ReadWord(ba, min(4, f.size.Bytes()))))
+		if inBeats && !c.rec.Write && !c.erred {
+			beat := int(next - c.rec.FirstData)
+			ba := c.rec.Addr + uint32(beat*f.size.Bytes())
+			w.HRData.Set(uint32(f.plat.Mem.ReadWord(ba, min(4, f.size.Bytes()))))
 		}
 		resp := amba.RespOkay
-		if inBeats && f.cur.erred {
+		if inBeats && c.erred {
 			resp = amba.RespError
 		}
 		if w.HResp.Get() != resp {
@@ -178,8 +159,8 @@ func (f *fabricComp) Eval(now sim.Cycle) {
 	if w.WBFrontLen.Get() != frontLen {
 		w.WBFrontLen.Set(frontLen)
 	}
-	if len(f.queue) > f.bus.WBPeak {
-		f.bus.WBPeak = len(f.queue)
+	if len(f.queue) > f.plat.Stats.WBPeak {
+		f.plat.Stats.WBPeak = len(f.queue)
 	}
 }
 
@@ -187,7 +168,7 @@ func (f *fabricComp) Eval(now sim.Cycle) {
 func (f *fabricComp) capture(now sim.Cycle, g int) {
 	w := f.w
 	if f.cur.active {
-		f.chk.Assert(false, "address phase for master %d while transaction of %d in flight", g, f.cur.port)
+		f.chk.Assert(false, "address phase for master %d while transaction of %d in flight", g, f.cur.rec.Master)
 	} else {
 		f.chk.AssertOK()
 	}
@@ -205,70 +186,64 @@ func (f *fabricComp) capture(now sim.Cycle, g int) {
 
 	f.txnID++
 	isWB := g == w.wbIndex()
-	cur := curTxn{
-		active:     true,
-		port:       g,
-		addr:       addr,
-		write:      write,
-		beats:      beats,
-		reqVisible: info.since,
-		grantAt:    info.since, // refined below
-	}
-	// Grant became visible one cycle before the master drove the
+	// The grant became visible one cycle before the master drove the
 	// address phase.
-	cur.grantAt = now - 1
+	f.cur = curTxn{active: true, rec: trace.Record{
+		ID: f.txnID, Master: g, Addr: addr, Write: write, Beats: beats,
+		Req: info.since, Grant: now - 1,
+	}}
+	rec := &f.cur.rec
 
 	inDDR := uint64(addr) < f.ddrCap
 	switch {
 	case !inDDR && f.sram.Contains(addr):
 		// On-chip SRAM slave: fixed wait states, then one beat per
 		// cycle. No bank machinery, no write posting.
-		cur.first = now + 1 + sim.Cycle(f.sram.WaitStates)
-		cur.last = cur.first + sim.Cycle(beats-1)
-		cur.kind = "sram"
+		rec.FirstData = now + 1 + sim.Cycle(f.sram.WaitStates)
+		rec.Done = rec.FirstData + sim.Cycle(beats-1)
+		rec.Kind = "sram"
 		if write {
-			f.mem.Write(addr, w.WDataBuf)
+			f.plat.Mem.Write(addr, w.WDataBuf)
 		} else {
 			n := beats * f.size.Bytes()
 			if cap(f.rbuf) < n {
 				f.rbuf = make([]byte, n)
 			}
 			f.rbuf = f.rbuf[:n]
-			f.mem.Read(addr, f.rbuf)
+			f.plat.Mem.Read(addr, f.rbuf)
 			w.RDataBuf = f.rbuf
 		}
 	case !inDDR:
 		// Unmapped address: the decoder selects no slave; the default
 		// slave terminates the transfer with a single ERROR beat.
-		cur.first = now + 1
-		cur.last = now + 1
-		cur.erred = true
-		cur.kind = "error"
+		rec.FirstData = now + 1
+		rec.Done = now + 1
+		f.cur.erred = true
+		rec.Kind = "error"
 	case write && !isWB && f.wbDepth > 0 && len(f.queue) < f.wbDepth:
 		// Posted write: absorbed by the write buffer at bus speed, one
 		// beat per cycle starting next cycle.
-		cur.posted = true
-		cur.first = now + 1
-		cur.last = now + sim.Cycle(beats)
-		cur.kind = "posted"
+		rec.FirstData = now + 1
+		rec.Done = now + sim.Cycle(beats)
+		rec.Kind = "posted"
 		f.queue = append(f.queue, wbEntry{addr: addr, beats: beats})
-		f.mem.Write(addr, w.WDataBuf) // datapath abstracted: eager write
-		f.bus.WBPosted++
+		f.plat.Mem.Write(addr, w.WDataBuf) // datapath abstracted: eager write
+		f.plat.Stats.WBPosted++
 	default:
 		if write && !isWB && f.wbDepth > 0 {
-			f.bus.WBFullStalls++
+			f.plat.Stats.WBFullStalls++
 		}
-		res := f.eng.Access(now+1, addr, write, beats)
-		cur.first = res.FirstData
-		cur.last = res.LastData
-		cur.kind = res.Kind.String()
+		res := f.plat.Engine.Access(now+1, addr, write, beats)
+		rec.FirstData = res.FirstData
+		rec.Done = res.LastData
+		rec.Kind = res.Kind.String()
 		if write {
 			if isWB {
 				// Drain: payload was written eagerly at post time.
 				f.popFront(addr, beats)
-				f.bus.WBDrained++
+				f.plat.Stats.WBDrained++
 			} else {
-				f.mem.Write(addr, w.WDataBuf)
+				f.plat.Mem.Write(addr, w.WDataBuf)
 			}
 		} else {
 			n := beats * f.size.Bytes()
@@ -276,13 +251,12 @@ func (f *fabricComp) capture(now sim.Cycle, g int) {
 				f.rbuf = make([]byte, n)
 			}
 			f.rbuf = f.rbuf[:n]
-			f.mem.Read(addr, f.rbuf)
+			f.plat.Mem.Read(addr, f.rbuf)
 			w.RDataBuf = f.rbuf
 		}
 	}
-	f.cur = cur
 	w.BusOwner.Set(g)
-	w.BusLastData.Set(cur.last)
+	w.BusLastData.Set(rec.Done)
 }
 
 // popFront removes the drained entry and checks it matches the drive.
@@ -298,29 +272,10 @@ func (f *fabricComp) popFront(addr uint32, beats int) {
 	f.queue = append(f.queue[:0], f.queue[1:]...)
 }
 
-// finish records the completed transaction.
-func (f *fabricComp) finish(now sim.Cycle) {
-	c := &f.cur
-	violated := false
-	if c.port < f.w.NMasters {
-		violated = f.tracker.Record(c.port, c.reqVisible, c.first)
-	}
-	wait := c.grantAt.SubFloor(c.reqVisible)
-	lat := c.first.SubFloor(c.reqVisible)
-	beats, bytes := c.beats, c.beats*f.size.Bytes()
-	if c.erred {
-		beats, bytes = 1, 0
-		f.bus.Masters[c.port].Errors++
-	}
-	f.bus.Masters[c.port].RecordTxn(c.write, beats, bytes, wait, lat, violated)
-	f.bus.BusyBeats += uint64(beats)
-	if f.tracer != nil {
-		f.tracer.Add(trace.Record{
-			ID: f.txnID, Master: c.port, Addr: c.addr, Write: c.write, Beats: c.beats,
-			Req: c.reqVisible, Grant: c.grantAt, FirstData: c.first, Done: c.last, Kind: c.kind,
-		})
-	}
-	c.active = false
+// finish accounts the completed transaction.
+func (f *fabricComp) finish() {
+	f.plat.Complete(&f.cur.rec, f.cur.erred)
+	f.cur.active = false
 	// Release ownership unless a pipelined handoff grant is in flight.
 	if f.w.GrantIdx.Get() < 0 {
 		f.w.BusOwner.Set(-1)
@@ -342,7 +297,7 @@ func (f *fabricComp) Update(now sim.Cycle) { f.bank.CommitAll() }
 // is delivered on that exact cycle, as an always-evaluated fabric
 // would.
 func (f *fabricComp) Quiescent(now sim.Cycle) (sim.Cycle, bool) {
-	if f.cur.active || len(f.queue) > 0 || f.link.Pending() > 0 {
+	if f.cur.active || len(f.queue) > 0 || f.plat.Link.Pending() > 0 {
 		return 0, false
 	}
 	if f.w.GrantIdx.Get() >= 0 {

@@ -127,9 +127,6 @@ func (w *Waker) Wake() {
 	}
 }
 
-// Components returns the number of registered components.
-func (k *Kernel) Components() int { return len(k.comps) }
-
 // Sleeping returns the number of currently gated components.
 func (k *Kernel) Sleeping() int { return k.sleeping }
 

@@ -35,7 +35,6 @@ import (
 	"repro/internal/ddr"
 	"repro/internal/memmodel"
 	"repro/internal/platform"
-	"repro/internal/qos"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/traffic"
@@ -70,11 +69,10 @@ type wbState struct {
 
 // Bus is the AHB+ transaction-level model.
 type Bus struct {
-	plat   platform.Platform
-	p      config.Params
-	size   amba.Size
-	chk    *check.Checker
-	tracer *trace.Recorder
+	plat platform.Platform
+	p    config.Params
+	size amba.Size
+	chk  *check.Checker
 
 	masters []*mState
 	wb      wbState
@@ -111,7 +109,6 @@ func New(cfg platform.Config) *Bus {
 		p:         cfg.Params,
 		size:      amba.SizeForBytes(cfg.Params.BusBytes),
 		chk:       cfg.Checker,
-		tracer:    cfg.Tracer,
 		lastGrant: -1,
 		nextArbAt: sim.CycleMax,
 		wbDoneAt:  sim.CycleMax,
@@ -358,25 +355,13 @@ func (b *Bus) grant(t sim.Cycle, port int, req arb.Request) {
 	}
 
 	// Account the completed transaction (its timing is fully known).
-	violated := false
-	if !isWB {
-		violated = b.plat.Tracker.Record(port, req.Since, first)
-	}
-	wait := grantVis.SubFloor(req.Since)
-	lat := first.SubFloor(req.Since)
-	beats, bytes := req.Beats, req.Beats*b.size.Bytes()
-	if erred {
-		beats, bytes = 1, 0
-		b.plat.Stats.Masters[port].Errors++
-	}
-	b.plat.Stats.Masters[port].RecordTxn(req.Write, beats, bytes, wait, lat, violated)
-	b.plat.Stats.BusyBeats += uint64(beats)
-	if b.tracer != nil {
-		b.tracer.Add(trace.Record{
-			ID: b.txnID, Master: port, Addr: req.Addr, Write: req.Write, Beats: req.Beats,
-			Req: req.Since, Grant: grantVis, FirstData: first, Done: last, Kind: kind,
-		})
-	}
+	// The record is filled field by field: a composite literal assigned
+	// to an address-taken variable is built in a temporary and then
+	// block-copied, once per transaction.
+	var rec trace.Record
+	rec.ID, rec.Master, rec.Addr, rec.Write, rec.Beats = b.txnID, port, req.Addr, req.Write, req.Beats
+	rec.Req, rec.Grant, rec.FirstData, rec.Done, rec.Kind = req.Since, grantVis, first, last, kind
+	b.plat.Complete(&rec, erred)
 	if last > b.maxDone {
 		b.maxDone = last
 	}
@@ -482,6 +467,3 @@ func (b *Bus) Mem() *memmodel.Memory { return b.plat.Mem }
 
 // Engine exposes the DDR engine for tests.
 func (b *Bus) Engine() *ddr.Engine { return b.plat.Engine }
-
-// Tracker exposes QoS outcomes.
-func (b *Bus) Tracker() *qos.Tracker { return b.plat.Tracker }

@@ -91,8 +91,7 @@ func (pt *Port) run(addr uint32, write bool, data []byte, ctrl *Ctrl) Status {
 	if ctrl != nil && ctrl.Burst != amba.BurstSingle {
 		burst = ctrl.Burst
 	}
-	txn := amba.Txn{Addr: addr, Write: write, Burst: burst, Size: amba.SizeForBytes(pt.p.BusBytes), Beats: beats}
-	if err := txn.Validate(); err != nil {
+	if amba.ValidateBurst(addr, burst, amba.SizeForBytes(pt.p.BusBytes), beats) != nil {
 		return ErrIllegal
 	}
 

@@ -31,7 +31,8 @@ type Record struct {
 	// FirstData and Done bound the data phase.
 	FirstData, Done sim.Cycle
 	// Kind describes the DDR page outcome ("hit"/"miss"/"conflict"),
-	// or "posted" for write-buffer absorbed writes.
+	// "posted" for write-buffer absorbed writes, "sram" for the on-chip
+	// SRAM slave or "error" for an unmapped address.
 	Kind string
 }
 

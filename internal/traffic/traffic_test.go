@@ -24,8 +24,7 @@ func drain(t *testing.T, g Generator, service sim.Cycle) []Req {
 		if r.At < prevDone {
 			t.Fatalf("%s requested at %v before previous completion %v", g.Name(), r.At, prevDone)
 		}
-		txn := amba.Txn{Addr: r.Addr, Burst: r.Burst, Size: amba.Size32, Beats: r.Beats, Write: r.Write}
-		if err := txn.Validate(); err != nil {
+		if err := amba.ValidateBurst(r.Addr, r.Burst, amba.Size32, r.Beats); err != nil {
 			t.Fatalf("%s produced protocol-illegal txn: %v", g.Name(), err)
 		}
 		out = append(out, r)
