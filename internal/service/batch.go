@@ -22,7 +22,6 @@ package service
 
 import (
 	"bytes"
-	"fmt"
 	"io"
 	"net/http"
 	"strconv"
@@ -40,14 +39,16 @@ type BatchRecord struct {
 
 // appendBatchRecord frames rec onto reply.
 func appendBatchRecord(reply []byte, rec BatchRecord) []byte {
-	cache, terminal := rec.Cache, 0
+	cache, terminal := rec.Cache, byte('0')
 	if cache == "" {
 		cache = "-"
 	}
 	if rec.Terminal {
-		terminal = 1
+		terminal = '1'
 	}
-	reply = fmt.Appendf(reply, "%d %s %d %d\n", rec.Status, cache, terminal, len(rec.Body))
+	reply = append(strconv.AppendInt(reply, int64(rec.Status), 10), ' ')
+	reply = append(append(reply, cache...), ' ', terminal, ' ')
+	reply = append(strconv.AppendInt(reply, int64(len(rec.Body)), 10), '\n')
 	return append(append(reply, rec.Body...), '\n')
 }
 

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -211,6 +212,50 @@ func TestBatchReplyCutShortIsAPrefixNeverAMisparse(t *testing.T) {
 	for _, garbage := range []string{"200 miss 0\n{}\n", "ok miss 0 2\n{}\n", "200 miss 0 -1\n{}\n", "200 miss 0 2\n{}X", "<html>404</html>\n"} {
 		if got := parseBatchReply([]byte(garbage), 4); len(got) != 0 {
 			t.Fatalf("malformed reply %q parsed to %+v", garbage, got)
+		}
+	}
+}
+
+// TestBatchFramingMatchesItsFormatString holds appendBatchRecord to the
+// frame header's definition, the format string "%d %s %d %d\n", over
+// generated records, and checks that parseBatchReply reads every
+// record back.
+func TestBatchFramingMatchesItsFormatString(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	statuses := []int{200, 400, 404, 500, 503, 0, -1, 1 << 40}
+	caches := []string{"", "hit", "miss", "coalesced", "router_hit"}
+	var want []byte
+	var recs []BatchRecord
+	for i := range 200 {
+		rec := BatchRecord{Status: statuses[i%len(statuses)], Cache: caches[rng.Intn(len(caches))], Terminal: rng.Intn(2) == 1}
+		rec.Body = make([]byte, rng.Intn(300))
+		rng.Read(rec.Body)
+		cache, terminal := rec.Cache, 0
+		if cache == "" {
+			cache = "-"
+		}
+		if rec.Terminal {
+			terminal = 1
+		}
+		want = fmt.Appendf(want, "%d %s %d %d\n", rec.Status, cache, terminal, len(rec.Body))
+		want = append(append(want, rec.Body...), '\n')
+		recs = append(recs, rec)
+	}
+	var reply []byte
+	for _, rec := range recs {
+		reply = appendBatchRecord(reply, rec)
+	}
+	if !bytes.Equal(reply, want) {
+		t.Fatal("appendBatchRecord frames differ from the format string's")
+	}
+	got := parseBatchReply(reply, len(recs))
+	if len(got) != len(recs) {
+		t.Fatalf("parsed %d of %d records", len(got), len(recs))
+	}
+	for i, rec := range got {
+		w := recs[i]
+		if rec.Status != w.Status || rec.Cache != w.Cache || rec.Terminal != w.Terminal || !bytes.Equal(rec.Body, w.Body) {
+			t.Fatalf("record %d read back as %+v, want %+v", i, rec, w)
 		}
 	}
 }

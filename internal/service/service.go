@@ -609,7 +609,7 @@ func computeRun(sp spec.Spec, hash string, model core.Model, wl core.Workload) f
 			return nil, errDeadline
 		}
 		start = time.Now()
-		body, err := json.Marshal(RunResponse{
+		body := encodeRunResponse(&RunResponse{
 			Name:       sp.Name,
 			Hash:       hash,
 			Model:      model.String(),
@@ -619,7 +619,7 @@ func computeRun(sp spec.Spec, hash string, model core.Model, wl core.Workload) f
 			Stats:      res.Stats,
 		})
 		tm.Encode = time.Since(start)
-		return body, err
+		return body, nil
 	}
 }
 

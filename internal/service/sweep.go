@@ -91,6 +91,26 @@ type SweepSummary struct {
 	Errors int  `json:"errors"`
 }
 
+// PlacedRow is one NDJSON data line of the router's /sweep stream
+// (shard.Row): the backend's row plus the stable ID of the shard that
+// served the variant. Shard is always present (0 is a real shard; -1
+// marks a grid-level build error no shard served), which is why this is
+// a distinct wire type rather than an omitempty field on the backend
+// row. Failover is set ("owner->served") when the serving shard is not
+// the owner — the stream-level form of the X-Failover header. Stolen
+// ("owner->thief") marks a work-stolen row: an idle shard computed it
+// past the owner's deep queue and the result was written back to the
+// owner's store. A row served from the router's own result cache
+// carries Cache "router_hit" with Shard naming the current owner
+// (placement, not work). It is declared here, beside SweepRow, so that
+// the row encoder knows both tiers' line shapes by name.
+type PlacedRow struct {
+	SweepRow
+	Shard    int    `json:"shard"`
+	Failover string `json:"failover,omitempty"`
+	Stolen   string `json:"stolen,omitempty"`
+}
+
 // rowWriter streams NDJSON lines over an HTTP response and coalesces
 // their flushes. Write buffers a line; Flush pushes what is buffered to
 // the client. The sweep engine flushes whenever no further row is
@@ -98,9 +118,10 @@ type SweepSummary struct {
 // a burst of ready rows costs one write to the socket, and no row ever
 // waits on a row that is not there yet.
 type rowWriter struct {
-	enc     *json.Encoder
+	w       io.Writer
 	flusher http.Flusher
 	dirty   bool
+	line    []byte // the line being written, reused from row to row
 }
 
 // newRowWriter wraps a response whose status line is already written.
@@ -108,24 +129,27 @@ type rowWriter struct {
 // before any row exists.
 func newRowWriter(w http.ResponseWriter) *rowWriter {
 	flusher, _ := w.(http.Flusher)
-	return &rowWriter{enc: json.NewEncoder(clientWriter{w}), flusher: flusher, dirty: true}
+	return &rowWriter{w: w, flusher: flusher, dirty: true}
 }
 
-// clientWriter drops write errors: a client that hung up is something
-// the stream's owner learns from its request context, which leaves an
-// error from the encoder meaning one thing — the line did not encode.
-type clientWriter struct{ w io.Writer }
-
-func (c clientWriter) Write(p []byte) (int, error) {
-	_, _ = c.w.Write(p)
-	return len(p), nil
-}
-
-// Write encodes one line. A non-nil error means the line does not
-// encode (a result body that is not JSON) and nothing was written.
+// Write encodes one line with appendLine, or with encoding/json when
+// appendLine declines, and writes it newline-terminated as a
+// json.Encoder would. A non-nil error means the line does not encode (a
+// result body that is not JSON) and nothing was written. Write errors
+// are dropped: a client that hung up is something the stream's owner
+// learns from its request context.
 func (rw *rowWriter) Write(line any) error {
 	rw.dirty = true
-	return rw.enc.Encode(line)
+	b, ok := appendLine(rw.line[:0], line)
+	if !ok {
+		var err error
+		if b, err = json.Marshal(line); err != nil {
+			return err
+		}
+	}
+	rw.line = append(b, '\n')
+	_, _ = rw.w.Write(rw.line)
+	return nil
 }
 
 // Flush pushes the lines written since the last Flush to the client.

@@ -32,23 +32,9 @@ import (
 )
 
 // Row is one NDJSON data line of the router's /sweep stream: the
-// backend's row plus the stable ID of the shard that served the
-// variant. Shard is always present (0 is a real shard; -1 marks a
-// grid-level build error no shard served), which is why this is a
-// distinct wire type rather than an omitempty field on the backend
-// row. Failover is set ("owner->served") when the serving shard is
-// not the owner — the stream-level form of the X-Failover header.
-// Stolen ("owner->thief") marks a work-stolen row: an idle shard
-// computed it past the owner's deep queue and the result was written
-// back to the owner's store. A row served from the router's own
-// result cache carries Cache "router_hit" with Shard naming the
-// current owner (placement, not work).
-type Row struct {
-	service.SweepRow
-	Shard    int    `json:"shard"`
-	Failover string `json:"failover,omitempty"`
-	Stolen   string `json:"stolen,omitempty"`
-}
+// backend's row plus placement tags. The service package declares it,
+// so that the one row encoder knows it by name.
+type Row = service.PlacedRow
 
 // clusterTier is the sweep engine's seam onto the cluster.
 type clusterTier struct{ rt *Router }

@@ -29,6 +29,7 @@ import (
 	"repro/internal/arb"
 	"repro/internal/config"
 	"repro/internal/ddr"
+	"repro/internal/jsonenc"
 	"repro/internal/sim"
 )
 
@@ -659,7 +660,7 @@ func (s *Spec) canonical(b []byte) (out []byte, name [2]int, err error) {
 	b = strconv.AppendInt(append(b, `{"version":`...), int64(s.SpecVersion), 10)
 	b = append(b, `,"name":"`...)
 	name[0] = len(b)
-	b = appendString(b, s.Name)
+	b = jsonenc.AppendString(b, s.Name)
 	name[1] = len(b)
 	b = appendParams(append(b, `","params":`...), &s.Params)
 	b = append(b, `,"masters":`...)
@@ -749,22 +750,22 @@ func appendParams(b []byte, p *config.Params) []byte {
 }
 
 func appendMaster(b []byte, m *config.MasterCfg) []byte {
-	b = appendString(append(b, `{"name":"`...), m.Name)
+	b = jsonenc.AppendString(append(b, `{"name":"`...), m.Name)
 	b = strconv.AppendBool(append(b, `","real_time":`...), m.RealTime)
 	if m.QoSObjective != 0 {
 		b = strconv.AppendUint(append(b, `,"qos_objective":`...), m.QoSObjective, 10)
 	}
 	if m.BandwidthQuota != 0 {
-		b = appendFloat(append(b, `,"bandwidth_quota":`...), m.BandwidthQuota)
+		b = jsonenc.AppendFloat(append(b, `,"bandwidth_quota":`...), m.BandwidthQuota)
 	}
 	return append(b, '}')
 }
 
 func appendGen(b []byte, g *GenSpec) []byte {
-	b = appendString(append(b, `{"kind":"`...), g.Kind)
+	b = jsonenc.AppendString(append(b, `{"kind":"`...), g.Kind)
 	b = append(b, '"')
 	if g.Name != "" {
-		b = append(appendString(append(b, `,"name":"`...), g.Name), '"')
+		b = append(jsonenc.AppendString(append(b, `,"name":"`...), g.Name), '"')
 	}
 	b = omitUint(b, `,"base":`, uint64(g.Base))
 	b = omitInt(b, `,"beats":`, int64(g.Beats))
@@ -778,7 +779,7 @@ func appendGen(b []byte, g *GenSpec) []byte {
 	b = omitUint(b, `,"window_bytes":`, uint64(g.WindowBytes))
 	b = omitInt(b, `,"max_beats":`, int64(g.MaxBeats))
 	if g.WriteFrac != 0 {
-		b = appendFloat(append(b, `,"write_frac":`...), g.WriteFrac)
+		b = jsonenc.AppendFloat(append(b, `,"write_frac":`...), g.WriteFrac)
 	}
 	b = omitInt(b, `,"mean_gap":`, int64(g.MeanGap))
 	b = omitInt(b, `,"burst_txns":`, int64(g.BurstTxns))
@@ -820,71 +821,4 @@ func appendReq(b []byte, q *ReqSpec) []byte {
 	}
 	b = strconv.AppendInt(append(b, `,"beats":`...), int64(q.Beats), 10)
 	return append(b, '}')
-}
-
-// appendFloat formats a finite float as encoding/json does: the
-// shortest representation, in exponent form below 1e-6 and from 1e21,
-// with the exponent not padded to two digits.
-func appendFloat(b []byte, f float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-		b[n-2] = b[n-1]
-		b = b[:n-1]
-	}
-	return b
-}
-
-// appendString appends the contents of a string literal as
-// encoding/json writes them (the quotes are the caller's): HTML-safe,
-// with U+2028 and U+2029 escaped and each invalid UTF-8 byte replaced
-// by the escaped replacement character U+FFFD.
-func appendString(b []byte, s string) []byte {
-	const hex = "0123456789abcdef"
-	start := 0
-	for i := 0; i < len(s); {
-		c := s[i]
-		if c < utf8.RuneSelf {
-			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
-				i++
-				continue
-			}
-			b = append(b, s[start:i]...)
-			switch c {
-			case '"', '\\':
-				b = append(b, '\\', c)
-			case '\b':
-				b = append(b, '\\', 'b')
-			case '\f':
-				b = append(b, '\\', 'f')
-			case '\n':
-				b = append(b, '\\', 'n')
-			case '\r':
-				b = append(b, '\\', 'r')
-			case '\t':
-				b = append(b, '\\', 't')
-			default:
-				b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
-			}
-			i++
-			start = i
-			continue
-		}
-		r, size := utf8.DecodeRuneInString(s[i:])
-		switch {
-		case r == utf8.RuneError && size == 1:
-			b = append(append(b, s[start:i]...), '\\', 'u', 'f', 'f', 'f', 'd')
-		case r == 0x2028 || r == 0x2029:
-			b = append(append(b, s[start:i]...), '\\', 'u', '2', '0', '2', hex[r&0xF])
-		default:
-			i += size
-			continue
-		}
-		i += size
-		start = i
-	}
-	return append(b, s[start:]...)
 }

@@ -324,9 +324,11 @@ func fileName(key string) string {
 // integrity check, no second format.
 func EncodeEnvelope(key string, body []byte) []byte {
 	sum := sha256.Sum256(body)
-	header := fmt.Sprintf("%s %s %d %s\n", magic, hex.EncodeToString(sum[:]), len(body), key)
-	out := make([]byte, 0, len(header)+len(body))
-	out = append(out, header...)
+	// Beside the fields: four separators and at most 20 length digits.
+	out := make([]byte, 0, len(magic)+2*len(sum)+len(key)+len(body)+24)
+	out = append(hex.AppendEncode(append(out, magic+" "...), sum[:]), ' ')
+	out = append(strconv.AppendInt(out, int64(len(body)), 10), ' ')
+	out = append(append(out, key...), '\n')
 	return append(out, body...)
 }
 

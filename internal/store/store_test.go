@@ -2,6 +2,8 @@ package store
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"os"
@@ -39,6 +41,31 @@ func TestPutGetRoundTrip(t *testing.T) {
 	st := s.StatsSnapshot()
 	if st.Entries != 1 || st.Bytes != int64(len(body)) || st.Hits != 1 || st.Misses != 1 || st.Writes != 1 {
 		t.Fatalf("stats %+v", st)
+	}
+}
+
+// TestEnvelopeMatchesItsFormula holds EncodeEnvelope to the envelope's
+// definition — the header "<magic> <hex sha256> <len> <key>\n", then
+// the body — over generated keys and bodies, and reads each back.
+func TestEnvelopeMatchesItsFormula(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	keys := []string{"", "run:TL:abc", "compare:" + strings.Repeat("f", 64), "run:RTL:0123"}
+	for i := range 200 {
+		key := keys[i%len(keys)]
+		body := make([]byte, rng.Intn(4096))
+		rng.Read(body)
+		if i%7 == 0 {
+			body = nil
+		}
+		sum := sha256.Sum256(body)
+		want := append([]byte(fmt.Sprintf("%s %s %d %s\n", magic, hex.EncodeToString(sum[:]), len(body), key)), body...)
+		got := EncodeEnvelope(key, body)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("envelope %d differs from the formula:\n got %q\nwant %q", i, got[:min(len(got), 120)], want[:min(len(want), 120)])
+		}
+		if k, b, err := DecodeEnvelope(got); err != nil || k != key || !bytes.Equal(b, body) {
+			t.Fatalf("envelope %d read back as key %q, %d bytes (err %v)", i, k, len(b), err)
+		}
 	}
 }
 
