@@ -155,6 +155,9 @@ func (p *Params) Validate() error {
 	if err := p.DDR.Validate(); err != nil {
 		errs.Addf("config: %v", err)
 	}
+	if err := p.AddrMap.Validate(); err != nil {
+		errs.Addf("config: %v", err)
+	}
 	if p.SRAM.Enabled {
 		if p.SRAM.Size == 0 {
 			errs.Addf("config: SRAM enabled with zero size")

@@ -33,6 +33,12 @@ func TestValidateRejections(t *testing.T) {
 		{"rt without objective", func(p *Params) { p.Masters[0].RealTime = true; p.Masters[0].QoSObjective = 0 }},
 		{"bad quota", func(p *Params) { p.Masters[0].BandwidthQuota = 2 }},
 		{"bad ddr", func(p *Params) { p.DDR.TRCD = 0 }},
+		// Unbounded, these made ddr.NewEngine ask for 2^30 banks (a fatal
+		// out-of-memory) or panic in makeslice.
+		{"2^30 banks", func(p *Params) { p.AddrMap.BankBits = 30 }},
+		{"2^45 banks", func(p *Params) { p.AddrMap.BankBits = 45 }},
+		{"33 address bits", func(p *Params) { p.AddrMap.RowBits = 21 }},
+		{"wrapping address bits", func(p *Params) { p.AddrMap.RowBits = ^uint(0) - 5 }},
 	}
 	for _, c := range cases {
 		p := Default(2)

@@ -391,3 +391,69 @@ func TestStringers(t *testing.T) {
 		}
 	}
 }
+
+func TestAddrMapValidate(t *testing.T) {
+	for _, m := range []AddrMap{
+		DefaultAddrMap(),
+		{BeatBytesLog2: 4, ColBits: 8, BankBits: 2, RowBits: 13},
+		{BeatBytesLog2: 2, ColBits: 10, BankBits: MaxBankBits, RowBits: 15}, // all 32 bits
+		{RowBits: 31, BankBits: 1},
+		{},
+	} {
+		if err := m.Validate(); err != nil {
+			t.Errorf("%+v: %v", m, err)
+		}
+	}
+	for _, m := range []AddrMap{
+		{BeatBytesLog2: 2, ColBits: 8, BankBits: MaxBankBits + 1, RowBits: 13},
+		{BeatBytesLog2: 2, ColBits: 8, BankBits: 30},
+		{BankBits: 45},
+		{BeatBytesLog2: 2, ColBits: 10, BankBits: 2, RowBits: 19}, // 33 bits
+		{BeatBytesLog2: ^uint(0), ColBits: 2},                     // the sum would wrap
+		{BeatBytesLog2: 32},
+		{ColBits: 32},
+		{RowBits: 32},
+	} {
+		if m.Validate() == nil {
+			t.Errorf("%+v accepted", m)
+		}
+	}
+}
+
+// TestDecodeMatchesUnmaskedShifts holds the masked shift counts in
+// Decode to plain shifts over every map Validate accepts.
+func TestDecodeMatchesUnmaskedShifts(t *testing.T) {
+	ref := func(m AddrMap, addr uint32) (int, uint32, uint32) {
+		a := addr >> m.BeatBytesLog2
+		col := a & ((1 << m.ColBits) - 1)
+		a >>= m.ColBits
+		bank := int(a & ((1 << m.BankBits) - 1))
+		a >>= m.BankBits
+		return bank, a & ((1 << m.RowBits) - 1), col
+	}
+	addrs := []uint32{0, 1, 0x3ff, 0x400, 0x12345678, 0x80000000, 0xfffffffc, 0xffffffff}
+	maps := 0
+	for beat := uint(0); beat <= 32; beat++ {
+		for col := uint(0); beat+col <= 32; col++ {
+			for bank := uint(0); bank <= MaxBankBits && beat+col+bank <= 32; bank++ {
+				for row := uint(0); beat+col+bank+row <= 32; row++ {
+					m := AddrMap{BeatBytesLog2: beat, ColBits: col, BankBits: bank, RowBits: row}
+					if m.Validate() != nil {
+						continue
+					}
+					maps++
+					for _, a := range addrs {
+						b, r, c := m.Decode(a)
+						wb, wr, wc := ref(m, a)
+						if b != wb || r != wr || c != wc {
+							t.Fatalf("%+v: Decode(%#x) = %d,%#x,%#x, want %d,%#x,%#x", m, a, b, r, c, wb, wr, wc)
+						}
+					}
+				}
+			}
+		}
+	}
+	if maps == 0 {
+		t.Fatal("no map validated")
+	}
+}

@@ -116,14 +116,40 @@ func (m AddrMap) Capacity() uint64 {
 	return uint64(1) << (m.BeatBytesLog2 + m.ColBits + m.BankBits + m.RowBits)
 }
 
-// Decode splits addr into bank, row and column coordinates.
+// MaxBankBits bounds the bank count a map may address (32 banks).
+const MaxBankBits = 5
+
+// Validate reports a map the platform cannot build: it may address at
+// most 1<<MaxBankBits banks, and it must fit the 32-bit AHB address,
+// its fields together spanning at most 32 bits and none all 32 alone.
+func (m AddrMap) Validate() error {
+	span := uint64(0)
+	for _, f := range [...]uint{m.BeatBytesLog2, m.ColBits, m.BankBits, m.RowBits} {
+		span += uint64(min(f, 33)) // saturate so huge fields cannot wrap the sum
+	}
+	switch {
+	case m.BankBits > MaxBankBits:
+		return fmt.Errorf("ddr: address map has %d bank bits, more than %d", m.BankBits, MaxBankBits)
+	case span > 32:
+		return fmt.Errorf("ddr: address map spans more than the 32-bit address (%d beat + %d column + %d bank + %d row bits)",
+			m.BeatBytesLog2, m.ColBits, m.BankBits, m.RowBits)
+	case max(m.BeatBytesLog2, m.ColBits, m.RowBits) == 32:
+		return fmt.Errorf("ddr: address map gives all 32 address bits to one field")
+	}
+	return nil
+}
+
+// Decode splits addr into bank, row and column coordinates. It masks
+// every shift count to five bits, which is exact for a map that passes
+// Validate (no field spans 32 bits) and spares each shift the
+// compiler's out-of-range guard.
 func (m AddrMap) Decode(addr uint32) (bank int, row, col uint32) {
-	a := addr >> m.BeatBytesLog2
-	col = a & ((1 << m.ColBits) - 1)
-	a >>= m.ColBits
-	bank = int(a & ((1 << m.BankBits) - 1))
-	a >>= m.BankBits
-	row = a & ((1 << m.RowBits) - 1)
+	a := addr >> (m.BeatBytesLog2 & 31)
+	col = a & (1<<(m.ColBits&31) - 1)
+	a >>= m.ColBits & 31
+	bank = int(a & (1<<(m.BankBits&31) - 1))
+	a >>= m.BankBits & 31
+	row = a & (1<<(m.RowBits&31) - 1)
 	return bank, row, col
 }
 

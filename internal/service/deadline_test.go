@@ -84,6 +84,20 @@ func TestRequestDeadlineAppliesToCompareAndSweep(t *testing.T) {
 	}
 }
 
+// TestRunRejectsOversizedAddrMap: a bank count the DDR engine cannot
+// build is a 400 at validation, not a worker's crash.
+func TestRunRejectsOversizedAddrMap(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1})
+	for _, bankBits := range []uint{6, 45} {
+		sp := testSpec(930)
+		sp.Params.AddrMap.BankBits = bankBits
+		status, _, body := post(t, ts.URL+"/run", map[string]any{"spec": sp, "model": "tl"})
+		if status != http.StatusBadRequest || !strings.Contains(string(body), "bank bits") {
+			t.Fatalf("BankBits %d: %d %s", bankBits, status, body)
+		}
+	}
+}
+
 func TestMaxCyclesCapRejectsAtValidation(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1, MaxCycles: 100_000})
 

@@ -125,6 +125,8 @@ func TestValidateRejections(t *testing.T) {
 		}, "objective"},
 		{"rt without objective", func(s *Spec) { s.Params.Masters[0].RealTime = true }, "objective"},
 		{"overlapping ranges", func(s *Spec) { s.Masters[1].Base = 0x0004 }, "overlapping"},
+		{"too many banks", func(s *Spec) { s.Params.AddrMap.BankBits = 30 }, "bank bits"},
+		{"address map past 32 bits", func(s *Spec) { s.Params.AddrMap.ColBits = 20 }, "32-bit address"},
 	}
 	for _, c := range cases {
 		s := specOf()

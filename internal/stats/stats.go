@@ -7,6 +7,7 @@ package stats
 import (
 	"fmt"
 	"io"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -66,11 +67,8 @@ func (m *Master) RecordTxn(write bool, beats, bytes int, wait, latency sim.Cycle
 	if violated {
 		m.QoSViolations++
 	}
-	b := 0
-	for l := latency; l > 1 && b < histBuckets-1; l >>= 1 {
-		b++
-	}
-	m.Hist[b]++
+	// Bucket floor(log2(latency)), latencies 0 and 1 in bucket 0.
+	m.Hist[min(bits.Len64(uint64(latency)|1)-1, histBuckets-1)]++
 }
 
 // MeanLatency returns the average request-to-first-data latency.

@@ -137,3 +137,23 @@ func TestReportHistograms(t *testing.T) {
 		t.Fatalf("idle master rendered:\n%s", out)
 	}
 }
+
+// TestMasterHistogramMatchesHalving holds the bucket choice to the
+// plain definition: halve until one is left, capped at the last bucket.
+func TestMasterHistogramMatchesHalving(t *testing.T) {
+	lats := []sim.Cycle{0, ^sim.Cycle(0), 1 << 63}
+	for l := sim.Cycle(0); l < 1<<17; l++ {
+		lats = append(lats, l)
+	}
+	for _, l := range lats {
+		want := 0
+		for x := l; x > 1 && want < histBuckets-1; x >>= 1 {
+			want++
+		}
+		var m Master
+		m.RecordTxn(false, 1, 4, 0, l, false)
+		if m.Hist[want] != 1 {
+			t.Fatalf("latency %d: histogram %v, want bucket %d", l, m.Hist, want)
+		}
+	}
+}

@@ -8,8 +8,6 @@
 package traffic
 
 import (
-	"math/rand"
-
 	"repro/internal/amba"
 	"repro/internal/sim"
 )
@@ -148,7 +146,8 @@ type Random struct {
 	// Count is the number of transactions to produce.
 	Count int
 
-	rng    *rand.Rand
+	rng    rng
+	seeded bool
 	issued int
 }
 
@@ -160,18 +159,15 @@ func (r *Random) Name() string {
 	return "random"
 }
 
-func (r *Random) ensure() {
-	if r.rng == nil {
-		r.rng = rand.New(rand.NewSource(r.Seed))
-	}
-}
-
 // Next implements Generator.
 func (r *Random) Next(prevDone sim.Cycle) (Req, bool) {
 	if r.issued >= r.Count {
 		return Req{}, false
 	}
-	r.ensure()
+	if !r.seeded {
+		r.rng.seed(r.Seed)
+		r.seeded = true
+	}
 	r.issued++
 	beats := 1
 	for _, l := range burstLengths {
@@ -196,7 +192,7 @@ func (r *Random) Next(prevDone sim.Cycle) (Req, bool) {
 }
 
 // Reset implements Generator.
-func (r *Random) Reset() { r.rng = nil; r.issued = 0 }
+func (r *Random) Reset() { r.seeded = false; r.issued = 0 }
 
 // Bursty alternates between an active phase of back-to-back sequential
 // transactions and a long idle phase — on/off traffic such as a block

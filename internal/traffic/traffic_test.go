@@ -99,7 +99,12 @@ func TestRandomResetReplays(t *testing.T) {
 	g := &Random{Seed: 7, Base: 0, WindowBytes: 1 << 16, MaxBeats: 8, Count: 20}
 	a := drain(t, g, 3)
 	g.Reset()
+	g.Next(0) // a Reset mid-stream rewinds as well
+	g.Reset()
 	b := drain(t, g, 3)
+	if len(b) != len(a) {
+		t.Fatalf("replayed %d requests, want %d", len(b), len(a))
+	}
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("Reset did not replay: %+v vs %+v", a[i], b[i])
