@@ -13,22 +13,37 @@ func BenchmarkTLMProfile(b *testing.B) {
 	}
 }
 
-// TestRTLRunAllocationCeiling bounds what one pin-accurate run of the
-// multi-master speed workload allocates: assembling the platform, and
-// nothing per cycle, per transaction or per passing assertion (221; it
-// was 4,482 while check.Assert boxed its arguments on the passing
-// path). The event wheel's own gate is
-// sim.TestSchedulerSteadyStateAllocatesNothing.
+// TestRTLRunAllocationCeiling bounds what one pin-accurate run
+// allocates: assembling the platform, and nothing per cycle, per
+// transaction or per passing assertion. Both ceilings are exact: 213
+// for the speed workload and 221 for rand/write-heavy. The speed
+// workload's count was 4,482 while check.Assert boxed its arguments on
+// the passing path, 227 while a QoS tracker re-counted what the profile
+// records, 221 while each random master seeded a heap-held math/rand
+// source, and 219 while the arbiter built a second pipeline nobody
+// latched and the controller FSM kept per-bank counters nobody read.
 func TestRTLRunAllocationCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	multi, _ := SpeedWorkloads(1000)
-	const ceiling = 400
-	allocs := testing.AllocsPerRun(5, func() { Run(multi, RTL, Options{}) })
-	t.Logf("one RTL run: %v allocations", allocs)
-	if allocs > ceiling {
-		t.Fatalf("one RTL run allocates %v times, ceiling %d", allocs, ceiling)
+	randWH, err := spec.ByName("rand/write-heavy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name    string
+		w       Workload
+		ceiling float64
+	}{
+		{"speed/multi", multi, 213},
+		{"rand/write-heavy", MustFromSpec(randWH), 221},
+	} {
+		allocs := testing.AllocsPerRun(5, func() { Run(c.w, RTL, Options{}) })
+		t.Logf("one RTL run of %s: %v allocations", c.name, allocs)
+		if allocs > c.ceiling {
+			t.Errorf("one RTL run of %s allocates %v times, ceiling %v", c.name, allocs, c.ceiling)
+		}
 	}
 }
 

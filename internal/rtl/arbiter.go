@@ -5,33 +5,24 @@ import (
 	"repro/internal/arb"
 	"repro/internal/bi"
 	"repro/internal/check"
-	"repro/internal/qos"
+	"repro/internal/config"
+	"repro/internal/platform"
 	"repro/internal/sim"
 )
 
-// arbiterComp samples the request lines every cycle and, when an
-// arbitration window is open, runs the shared seven-filter pipeline to
-// pick the next bus owner. With request pipelining enabled the window
-// opens while the previous transaction is still streaming data (cycle
-// L-1), which is the AHB+ latency-hiding scheme; the winning request is
-// simultaneously announced to the DDRC over BI so the controller can
-// prepare the target bank.
+// arbiterComp watches the request lines and, on the cycles whose result
+// the grant register can load, runs the shared seven-filter pipeline
+// once to pick the next bus owner. With request pipelining enabled the
+// window opens while the previous transaction is still streaming data
+// (cycle L-1), which is the AHB+ latency-hiding scheme; the winning
+// request is simultaneously announced to the DDRC over BI so the
+// controller can prepare the target bank.
 type arbiterComp struct {
-	w    *Wires
-	pipe *arb.Pipeline
-	// comb re-evaluates the same filters every cycle regardless of the
-	// grant window, because the paper's seven filters "are always
-	// activated without the consideration of master/slave
-	// combinations" — combinational logic does not idle. Its result is
-	// committed only when the window is open (via pipe).
-	comb       *arb.Pipeline
-	regs       []qos.Reg
+	w          *Wires
+	pipe       *arb.Pipeline
 	link       *bi.Link
-	status     *bi.Provider
 	chk        *check.Checker
 	pipelining bool
-	urgency    sim.Cycle
-	wbCap      int
 	bank       sim.RegBank
 	reqsBuf    []arb.Request
 	portsBuf   []int
@@ -44,16 +35,11 @@ type arbiterComp struct {
 
 	served      []uint64 // beats granted per master (bandwidth window)
 	totalServed uint64
-
-	// grants counts issued grants; rounds counts evaluated rounds.
-	grants, rounds uint64
 }
 
-func newArbiter(w *Wires, pipe, comb *arb.Pipeline, regs []qos.Reg, link *bi.Link, status *bi.Provider,
-	chk *check.Checker, pipelining bool, urgency sim.Cycle, wbCap int) *arbiterComp {
+func newArbiter(w *Wires, pl *platform.Platform, p config.Params, chk *check.Checker) *arbiterComp {
 	a := &arbiterComp{
-		w: w, pipe: pipe, comb: comb, regs: regs, link: link, status: status, chk: chk,
-		pipelining: pipelining, urgency: urgency, wbCap: wbCap,
+		w: w, pipe: pl.Pipeline, link: pl.Link, chk: chk, pipelining: p.Pipelining,
 		grantedTo: -1, lastGrant: -1,
 		served: make([]uint64, w.NMasters+1),
 	}
@@ -62,11 +48,11 @@ func newArbiter(w *Wires, pipe, comb *arb.Pipeline, regs []qos.Reg, link *bi.Lin
 	}
 	a.bank.Add(w.GrantIdx)
 	a.ctx = arb.Context{
-		Regs:             regs,
-		Provider:         status,
+		Regs:             pl.Regs,
+		Provider:         pl.Provider,
 		Served:           a.served,
-		WBCap:            wbCap,
-		UrgencyThreshold: urgency,
+		WBCap:            p.WriteBufferDepth,
+		UrgencyThreshold: sim.Cycle(p.UrgencyThreshold),
 	}
 	a.ctx.PrecomputeQoS()
 	return a
@@ -90,40 +76,6 @@ func (a *arbiterComp) Eval(now sim.Cycle) {
 		a.chk.PropertyOK()
 	} else {
 		a.chk.Property(now, "grant-one-hot", false, "%d grants asserted", granted)
-	}
-
-	// Collect the requests visible this cycle (combinational request
-	// sampling happens unconditionally, every cycle).
-	reqs := a.reqsBuf[:0]
-	ports := a.portsBuf[:0]
-	for i := 0; i <= w.NMasters; i++ {
-		if !w.HBusReq[i].Get() {
-			continue
-		}
-		info := w.ReqInfo[i]
-		reqs = append(reqs, arb.Request{
-			Master:     i,
-			Addr:       info.addr,
-			Write:      info.write,
-			Beats:      info.beats,
-			Since:      info.since,
-			IsWriteBuf: i == w.wbIndex(),
-		})
-		ports = append(ports, i)
-	}
-	a.reqsBuf, a.portsBuf = reqs, ports
-
-	ctx := &a.ctx
-	ctx.Now = now
-	ctx.Reqs = reqs
-	ctx.WBUsed = w.WBUsed.Get()
-	ctx.TotalBeats = a.totalServed
-	ctx.LastGrant = a.lastGrant
-	// The seven filters are "always activated": the combinational
-	// pipeline evaluates every cycle whether or not the grant register
-	// will load its result.
-	if len(reqs) > 0 {
-		a.comb.Select(ctx)
 	}
 
 	// Detect consumption of an outstanding grant: the granted master's
@@ -153,10 +105,35 @@ func (a *arbiterComp) Eval(now sim.Cycle) {
 	if owner >= 0 && !busyWindow {
 		return
 	}
+
+	// The window is open: sample the request lines for this round.
+	reqs := a.reqsBuf[:0]
+	ports := a.portsBuf[:0]
+	for i := 0; i <= w.NMasters; i++ {
+		if !w.HBusReq[i].Get() {
+			continue
+		}
+		info := w.ReqInfo[i]
+		reqs = append(reqs, arb.Request{
+			Master:     i,
+			Addr:       info.addr,
+			Write:      info.write,
+			Beats:      info.beats,
+			Since:      info.since,
+			IsWriteBuf: i == w.wbIndex(),
+		})
+		ports = append(ports, i)
+	}
+	a.reqsBuf, a.portsBuf = reqs, ports
 	if len(reqs) == 0 {
 		return
 	}
-	a.rounds++
+	ctx := &a.ctx
+	ctx.Now = now
+	ctx.Reqs = reqs
+	ctx.WBUsed = w.WBUsed.Get()
+	ctx.TotalBeats = a.totalServed
+	ctx.LastGrant = a.lastGrant
 	win, ok := a.pipe.Select(ctx)
 	if !ok {
 		return // permission veto (refresh window); retry next cycle
@@ -173,7 +150,6 @@ func (a *arbiterComp) Eval(now sim.Cycle) {
 	if owner >= 0 {
 		a.arbDone = true
 	}
-	a.grants++
 	a.served[g] += uint64(reqs[win].Beats)
 	a.totalServed += uint64(reqs[win].Beats)
 	// Announce the winner to the DDRC over BI (bank-interleaving hint).

@@ -2,7 +2,6 @@ package rtl
 
 import (
 	"repro/internal/amba"
-	"repro/internal/arb"
 	"repro/internal/ddr"
 	"repro/internal/memmodel"
 	"repro/internal/platform"
@@ -13,7 +12,6 @@ import (
 type Bus struct {
 	plat    platform.Platform
 	kernel  *sim.Kernel
-	wires   *Wires
 	masters []*masterComp
 	wbm     *wbMasterComp
 	arb     *arbiterComp
@@ -29,7 +27,7 @@ func New(cfg platform.Config) *Bus {
 	size := amba.SizeForBytes(cfg.Params.BusBytes)
 	w := newWires(n)
 
-	b := &Bus{plat: pl, kernel: sim.NewKernel(), wires: w}
+	b := &Bus{plat: pl, kernel: sim.NewKernel()}
 	for i, g := range cfg.Gens {
 		m := newMaster(w, i, g, size, cfg.Checker)
 		b.masters = append(b.masters, m)
@@ -37,9 +35,7 @@ func New(cfg platform.Config) *Bus {
 	}
 	b.wbm = newWBMaster(w, cfg.Checker)
 	b.kernel.Register(b.wbm)
-	comb := arb.DefaultWith(cfg.Params.Filters)
-	b.arb = newArbiter(w, pl.Pipeline, comb, pl.Regs, pl.Link, pl.Provider, cfg.Checker,
-		cfg.Params.Pipelining, sim.Cycle(cfg.Params.UrgencyThreshold), cfg.Params.WriteBufferDepth)
+	b.arb = newArbiter(w, &b.plat, cfg.Params, cfg.Checker)
 	b.kernel.Register(b.arb)
 	b.fabric = newFabric(w, &b.plat, cfg.Checker, size, cfg.Params.WriteBufferDepth, cfg.Params.SRAM)
 	b.kernel.Register(b.fabric)

@@ -20,9 +20,6 @@ type ddrFSMComp struct {
 	w    *Wires   // observed for the clock-gating quiescence test
 	link *bi.Link // in-flight hints force the FSM to keep sampling
 	prev []ddr.BankState
-	rows []uint32
-	// transitions counts observed state changes per bank.
-	transitions []uint64
 
 	// Registered controller state: per-bank FSM state and open-row
 	// registers, per-bank transient-phase down-counters, and the
@@ -41,15 +38,13 @@ type ddrFSMComp struct {
 
 func newDDRFSM(eng *ddr.Engine, chk *check.Checker, w *Wires, link *bi.Link) *ddrFSMComp {
 	d := &ddrFSMComp{
-		eng:         eng,
-		chk:         chk,
-		w:           w,
-		link:        link,
-		prev:        make([]ddr.BankState, eng.Banks()),
-		rows:        make([]uint32, eng.Banks()),
-		transitions: make([]uint64, eng.Banks()),
-		refCntR:     sim.NewReg(int(eng.T.TREFI)),
-		trefi:       int(eng.T.TREFI),
+		eng:     eng,
+		chk:     chk,
+		w:       w,
+		link:    link,
+		prev:    make([]ddr.BankState, eng.Banks()),
+		refCntR: sim.NewReg(int(eng.T.TREFI)),
+		trefi:   int(eng.T.TREFI),
 	}
 	// The longest transient phase any down-counter must cover.
 	d.maxPhase = int(eng.T.TRCD)
@@ -119,7 +114,6 @@ func (d *ddrFSMComp) Eval(now sim.Cycle) {
 				d.chk.Assert(false,
 					"bank %d illegal FSM transition %v -> %v at %v", b, d.prev[b], st, now)
 			}
-			d.transitions[b]++
 			d.prev[b] = st
 			// Entering a transient phase reloads the phase counter.
 			if st == ddr.BankActivating || st == ddr.BankPrecharging {
@@ -146,7 +140,6 @@ func (d *ddrFSMComp) Eval(now sim.Cycle) {
 			}
 		}
 		if row, open := d.eng.OpenRow(b); open {
-			d.rows[b] = row
 			if d.rowR[b].Get() != row {
 				d.rowR[b].Set(row)
 			}

@@ -38,10 +38,6 @@ type masterComp struct {
 	// lastRead holds the payload of the most recent completed read,
 	// for data-integrity tests.
 	lastRead []byte
-	// completions counts finished transactions.
-	completions uint64
-	// errors counts ERROR-terminated transactions.
-	errors uint64
 }
 
 func newMaster(w *Wires, idx int, gen traffic.Generator, size amba.Size, chk *check.Checker) *masterComp {
@@ -135,8 +131,6 @@ func (m *masterComp) Eval(now sim.Cycle) {
 			if w.HResp.Get() == amba.RespError {
 				// The default slave terminated an unmapped access with a
 				// single ERROR beat; abandon the transfer.
-				m.errors++
-				m.completions++
 				m.fetch(now)
 				return
 			}
@@ -157,7 +151,6 @@ func (m *masterComp) Eval(now sim.Cycle) {
 				if !m.cur.Write {
 					m.lastRead = append(m.lastRead[:0], w.RDataBuf...)
 				}
-				m.completions++
 				m.fetch(now)
 			}
 		}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -14,6 +15,7 @@ import (
 	"repro/internal/platform"
 	"repro/internal/rtl"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/traffic"
 )
 
@@ -81,31 +83,56 @@ func randomGens(seed int64, masters, txns int) func() []traffic.Generator {
 	}
 }
 
-// crossModelAgree drives the platform and workload mix derived from
-// seed through both abstraction levels and returns the first
-// disagreement in completion, cycle count, run profile or memory image.
-//
-// The models agree cycle for cycle, and on the whole profile, wherever
-// the permission filter is on or the DDR never refreshes. Three
-// counters are outside that claim by construction: ArbRounds (the
-// pin-accurate arbiter retries a refresh veto every cycle, the TLM
-// jumps to the clear cycle) and DDR.Refreshes/Precharges (a refresh
-// falling due after the last access is seen only by the model that
-// ticks the controller every cycle). With the permission filter OFF and
-// refresh ON — a platform Table 1 never builds — grants land inside
-// refresh windows and the models drift by a few cycles per collision
-// (an open ROADMAP item, not a contract). There the cycle count is held
-// to the caller's drift band, and the profile to the facts that are not
-// timing: what each port moved.
-func crossModelAgree(seed int64, masters, txns int, drift driftBand) error {
-	rng := rand.New(rand.NewSource(seed))
-	p := randomPlatform(rng, masters)
-	mk := randomGens(rng.Int63(), masters, txns)
+// crossModelRun is one model's outcome on a generated platform.
+type crossModelRun struct {
+	res platform.Result
+	mem *memmodel.Memory
+	rec *trace.Recorder
+}
 
-	rb := rtl.New(platform.Config{Params: p, Gens: mk(), Checker: &check.Checker{PanicOnProperty: true}})
-	rres := rb.Run(3_000_000)
-	tb := New(platform.Config{Params: p, Gens: mk(), Checker: &check.Checker{PanicOnProperty: true}})
-	tres := tb.Run(3_000_000)
+// maxCrossModelRecords caps each model's transaction recorder; a run
+// that overflows it fails the stream check rather than passing on a
+// truncated stream.
+const maxCrossModelRecords = 4096
+
+// runCrossModel drives the platform and workload mix derived from seed
+// through both abstraction levels, each with its own transaction
+// recorder.
+func runCrossModel(seed int64, masters, txns int) (p config.Params, rtlRun, tlmRun crossModelRun) {
+	rng := rand.New(rand.NewSource(seed))
+	p = randomPlatform(rng, masters)
+	mk := randomGens(rng.Int63(), masters, txns)
+	cfg := func(rec *trace.Recorder) platform.Config {
+		return platform.Config{Params: p, Gens: mk(), Checker: &check.Checker{PanicOnProperty: true}, Tracer: rec}
+	}
+	rtlRun.rec, tlmRun.rec = trace.New(maxCrossModelRecords), trace.New(maxCrossModelRecords)
+	rb := rtl.New(cfg(rtlRun.rec))
+	rtlRun.res, rtlRun.mem = rb.Run(3_000_000), rb.Mem()
+	tb := New(cfg(tlmRun.rec))
+	tlmRun.res, tlmRun.mem = tb.Run(3_000_000), tb.Mem()
+	return p, rtlRun, tlmRun
+}
+
+// crossModelAgree runs the platform and workload mix derived from seed
+// through both models and returns the first disagreement in
+// completion, cycle count, run profile, transaction stream or memory
+// image.
+//
+// The models agree cycle for cycle, record for record and on the whole
+// profile wherever the permission filter is on or the DDR never
+// refreshes. Three counters are outside that claim by construction:
+// ArbRounds (the pin-accurate arbiter retries a refresh veto every
+// cycle, the TLM jumps to the clear cycle) and DDR.Refreshes/Precharges
+// (a refresh falling due after the last access is seen only by the
+// model that ticks the controller every cycle). With the permission
+// filter OFF and refresh ON — a platform Table 1 never builds — grants
+// land inside refresh windows and the models drift by a few cycles per
+// collision (an open ROADMAP item, not a contract). There the cycle
+// count is held to the caller's drift band, and the profile to the
+// facts that are not timing: what each port moved.
+func crossModelAgree(seed int64, masters, txns int, drift driftBand) error {
+	p, r, t := runCrossModel(seed, masters, txns)
+	rres, tres := r.res, t.res
 	if !rres.Completed || !tres.Completed {
 		return fmt.Errorf("incomplete (rtl=%v tlm=%v)", rres.Completed, tres.Completed)
 	}
@@ -114,6 +141,9 @@ func crossModelAgree(seed int64, masters, txns int, drift driftBand) error {
 		rs.ArbRounds, rs.DDR.Refreshes, rs.DDR.Precharges = ts.ArbRounds, ts.DDR.Refreshes, ts.DDR.Precharges
 		if rres.Cycles != tres.Cycles || !reflect.DeepEqual(&rs, ts) {
 			return fmt.Errorf("models diverged (cfg=%+v):\nrtl %d cycles %+v\ntlm %d cycles %+v", p, rres.Cycles, rs, tres.Cycles, *ts)
+		}
+		if err := streamDiff(r.rec, t.rec); err != nil {
+			return err
 		}
 	} else {
 		d := math.Abs(float64(rres.Cycles) - float64(tres.Cycles))
@@ -128,7 +158,34 @@ func crossModelAgree(seed int64, masters, txns int, drift driftBand) error {
 			}
 		}
 	}
-	return memoryDiff(rb.Mem(), tb.Mem())
+	return memoryDiff(r.mem, t.mem)
+}
+
+// streamDiff compares the two models' transaction streams record by
+// record. At the first difference it reports the index and the records
+// around it, two either side, from each stream.
+func streamDiff(rtlRec, tlmRec *trace.Recorder) error {
+	if rtlRec.Dropped() != 0 || tlmRec.Dropped() != 0 {
+		return fmt.Errorf("transaction stream over %d records (dropped rtl %d tlm %d)",
+			maxCrossModelRecords, rtlRec.Dropped(), tlmRec.Dropped())
+	}
+	r, t := rtlRec.Records(), tlmRec.Records()
+	i := 0
+	for i < len(r) && i < len(t) && r[i] == t[i] {
+		i++
+	}
+	if i == len(r) && i == len(t) {
+		return nil
+	}
+	window := func(recs []trace.Record) string {
+		var b strings.Builder
+		for j := max(i-2, 0); j < min(i+3, len(recs)); j++ {
+			fmt.Fprintf(&b, "\n  %3d %+v", j, recs[j])
+		}
+		return b.String()
+	}
+	return fmt.Errorf("transaction streams differ at record %d (rtl %d records, tlm %d):\nrtl:%s\ntlm:%s",
+		i, len(r), len(t), window(r), window(t))
 }
 
 // driftBand bounds |rtl-tlm| cycles in the one platform class where the
