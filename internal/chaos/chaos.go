@@ -1,7 +1,7 @@
 // Package chaos is the fault-injection layer behind the cluster's
 // resilience tests: an HTTP middleware that can kill, hang, slow,
 // 503 or corrupt responses on demand from test code, and a store
-// fault that corrupts result envelopes on disk. It promotes the
+// fault that corrupts result records on disk. It promotes the
 // repo's adversarial differential-testing habit to whole-cluster
 // scope — the chaos smoke (examples/chaos_service) and the shard
 // package's failover tests drive a real router over real backends
@@ -24,6 +24,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -215,11 +216,12 @@ func (c *corruptingWriter) Write(b []byte) (int, error) {
 	return n, err
 }
 
-// CorruptResults overwrites the envelope header of up to n result
-// files under dir (an internal/store directory), returning how many
-// were damaged. The files are picked in sorted-name order so drills
-// are deterministic. A store that reopens the directory must detect,
-// count and delete every one of them — that assertion is the point.
+// CorruptResults stomps the envelope magic of up to n result records
+// under dir (an internal/store directory), returning how many were
+// damaged. Records are taken in log order — segment files ("*.seg") in
+// name order, then by offset — so drills are deterministic. A store
+// that rescans the directory at Open must detect, count and drop every
+// one of them — that assertion is the point.
 func CorruptResults(dir string, n int) (int, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -227,7 +229,7 @@ func CorruptResults(dir string, n int) (int, error) {
 	}
 	var names []string
 	for _, de := range entries {
-		if !de.IsDir() && strings.HasSuffix(de.Name(), ".res") {
+		if !de.IsDir() && strings.HasSuffix(de.Name(), ".seg") {
 			names = append(names, de.Name())
 		}
 	}
@@ -238,18 +240,48 @@ func CorruptResults(dir string, n int) (int, error) {
 			break
 		}
 		path := filepath.Join(dir, name)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return damaged, err
+		}
 		f, err := os.OpenFile(path, os.O_WRONLY, 0)
 		if err != nil {
 			return damaged, err
 		}
-		// Stomp the magic: the cheapest damage every header read
-		// catches.
-		if _, err := f.WriteAt([]byte("CHAOSCHAOS"), 0); err != nil {
-			f.Close()
-			return damaged, err
+		for off := 0; off < len(data) && damaged < n; {
+			size, ok := recordSize(data[off:])
+			if !ok {
+				break
+			}
+			// Stomp the magic: the cheapest damage every check catches.
+			if _, err := f.WriteAt([]byte("CHAOSCHAOS"), int64(off)); err != nil {
+				f.Close()
+				return damaged, err
+			}
+			damaged++
+			off += size
 		}
 		f.Close()
-		damaged++
 	}
 	return damaged, nil
+}
+
+// recordSize returns the length of the store record at the start of b:
+// a header line "<magic> <sha256> <body length> <key>", the body, and a
+// 9-byte trailer line. It reads only the last two header fields, so a
+// record whose magic was already stomped still walks.
+func recordSize(b []byte) (int, bool) {
+	nl := bytes.IndexByte(b, '\n')
+	if nl < 0 {
+		return 0, false
+	}
+	fields := strings.Split(string(b[:nl]), " ")
+	if len(fields) < 3 {
+		return 0, false
+	}
+	bodyLen, err := strconv.Atoi(fields[len(fields)-2])
+	if err != nil || bodyLen < 0 || nl+1+bodyLen+9 > len(b) {
+		return 0, false
+	}
+	return nl + 1 + bodyLen + 9, true
 }

@@ -1,15 +1,19 @@
 package chaos
 
 import (
+	"bytes"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/store"
 )
 
 // echoHandler answers 200 "ok" and is the victim behind the injector.
@@ -161,33 +165,61 @@ func TestInjectorCorruptManglesBody(t *testing.T) {
 }
 
 func TestCorruptResultsDamagesOldestNamesFirst(t *testing.T) {
+	// Two segments in the store's record format, the first holding two
+	// records: damage walks them in log order, record by record.
 	dir := t.TempDir()
-	names := []string{"aa.res", "bb.res", "cc.res", "not-a-result.tmp"}
-	for _, n := range names {
-		if err := os.WriteFile(filepath.Join(dir, n), []byte("simstore1 header then body"), 0o644); err != nil {
+	record := func(key string) []byte {
+		env := store.EncodeEnvelope(key, []byte("body of "+key))
+		return append(env, "0badc0de\n"...) // the trailer's length is all the walk needs
+	}
+	segs := map[string][][]byte{
+		"0000000001.seg": {record("k:aa"), record("k:bb")},
+		"0000000002.seg": {record("k:cc")},
+	}
+	for name, recs := range segs {
+		if err := os.WriteFile(filepath.Join(dir, name), bytes.Join(recs, nil), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	damaged, err := CorruptResults(dir, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if damaged != 2 {
-		t.Fatalf("damaged %d, want 2", damaged)
-	}
-	for i, n := range []string{"aa.res", "bb.res", "cc.res"} {
-		raw, err := os.ReadFile(filepath.Join(dir, n))
-		if err != nil {
+	others := []string{"not-a-result.tmp", "k-zz.res", "index"}
+	for _, n := range others {
+		if err := os.WriteFile(filepath.Join(dir, n), record("k:zz"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		stomped := strings.HasPrefix(string(raw), "CHAOSCHAOS")
-		if want := i < 2; stomped != want {
-			t.Fatalf("%s stomped=%v, want %v (sorted-order damage)", n, stomped, want)
-		}
 	}
-	// Non-.res files are never touched.
-	raw, _ := os.ReadFile(filepath.Join(dir, "not-a-result.tmp"))
-	if strings.HasPrefix(string(raw), "CHAOSCHAOS") {
-		t.Fatal(".tmp file damaged")
+	stomped := func() []bool {
+		var out []bool
+		for _, name := range []string{"0000000001.seg", "0000000002.seg"} {
+			raw, err := os.ReadFile(filepath.Join(dir, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for off, rec := 0, segs[name]; len(rec) > 0; off, rec = off+len(rec[0]), rec[1:] {
+				out = append(out, strings.HasPrefix(string(raw[off:]), "CHAOSCHAOS"))
+			}
+		}
+		return out
+	}
+
+	if damaged, err := CorruptResults(dir, 2); err != nil || damaged != 2 {
+		t.Fatalf("damaged %d (err %v), want 2", damaged, err)
+	}
+	if got, want := stomped(), []bool{true, true, false}; !slices.Equal(got, want) {
+		t.Fatalf("stomped %v, want %v (log-order damage)", got, want)
+	}
+	// A second drill walks the already-stomped records and reaches the
+	// rest; asking for more than there are damages them all.
+	if damaged, err := CorruptResults(dir, 5); err != nil || damaged != 3 {
+		t.Fatalf("damaged %d (err %v), want all 3", damaged, err)
+	}
+	if got, want := stomped(), []bool{true, true, true}; !slices.Equal(got, want) {
+		t.Fatalf("stomped %v, want %v", got, want)
+	}
+	// Files other than segments are never touched.
+	for _, n := range others {
+		raw, _ := os.ReadFile(filepath.Join(dir, n))
+		if strings.HasPrefix(string(raw), "CHAOSCHAOS") {
+			t.Fatalf("%s damaged", n)
+		}
 	}
 }

@@ -1,21 +1,23 @@
-// Startup-index persistence. Opening a store used to cost one header
-// read per envelope — O(files) stats that dominate startup for a
-// 50k-result shard. The store now mirrors its in-memory bookkeeping
-// (keys, sizes, access order) into one compact, checksummed index file
-// alongside the envelopes, so a reopen costs a single directory
-// listing plus one file read regardless of entry count.
+// Startup-index persistence. Recovering the entry table from the log
+// means reading and checksumming every segment — O(bytes). The store
+// instead mirrors its in-memory bookkeeping (each entry's key, record
+// location and size, in access order, plus every segment's length)
+// into one compact, checksummed index file beside the segments, so a
+// reopen costs one directory listing, one file read and one open per
+// segment, and reads no record.
 //
-// The index is advisory, never authoritative: Open cross-checks the
-// listed file-name set against the actual directory listing (names
-// only — no per-file stat), and any drift, parse failure or checksum
-// mismatch falls back — loudly, with the IndexRebuilds counter — to
-// the full header-by-header rescan that has always been correct.
-// Writes are atomic (tmp + rename) and amortized: every
-// indexFlushEvery mutations, plus once at Open and once at Close.
+// The index is advisory, never authoritative: Open uses it only if
+// every segment it lists exists at exactly the recorded length and no
+// other segment does. Any drift, parse failure or checksum mismatch
+// falls back — loudly, with the IndexRebuilds counter — to the rescan
+// of every segment. The index is written atomically (tmp + rename) at
+// Open and at Close, never on the Put path: a process that dies
+// between them leaves a stale index, and its next Open rescans.
 package store
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -25,145 +27,170 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-
-	"repro/internal/lru"
 )
 
-// indexName is the startup index's file name. It carries no ".res"
-// suffix, and fileName always appends one, so no stored key can ever
-// collide with it — which is also what keeps it invisible to the
-// rescan and ineligible for eviction.
+// indexName is the startup index's file name. It carries no segment
+// suffix, so it is never mistaken for part of the log.
 const indexName = "index"
 
 // indexMagic tags the index format; bump it if the layout changes so
 // old files read as stale and trigger a rescan instead of misparsing.
-const indexMagic = "simidx1"
+// legacyIndexMagic tags the one-file-per-key layout's index, read only
+// to import that layout in its access order.
+const (
+	indexMagic       = "simidx2"
+	legacyIndexMagic = "simidx1"
+)
 
-// indexFlushEvery is how many mutations (writes and evictions) may
-// accumulate before the index is rewritten. Amortizing keeps the
-// per-Put cost negligible; a crash inside the window only stales the
-// index, and a stale index is detected and rebuilt at the next Open.
-const indexFlushEvery = 64
-
-// indexEntry is one line of the startup index: an entry's key and its
-// size (Cost). The write generation (Value) is not persisted.
-type indexEntry = lru.Entry[int64]
-
-// encodeIndex renders the index file: a header line with the magic,
-// the SHA-256 of the payload and the entry count, then one
-// "<size> <key>" line per entry in access order, most recent first.
-func encodeIndex(entries []indexEntry) []byte {
-	var payload bytes.Buffer
-	for _, e := range entries {
-		payload.WriteString(strconv.FormatInt(e.Cost, 10))
-		payload.WriteByte(' ')
-		payload.WriteString(e.Key)
-		payload.WriteByte('\n')
-	}
-	sum := sha256.Sum256(payload.Bytes())
-	header := fmt.Sprintf("%s %s %d\n", indexMagic, hex.EncodeToString(sum[:]), len(entries))
-	out := make([]byte, 0, len(header)+payload.Len())
-	out = append(out, header...)
-	return append(out, payload.Bytes()...)
+// indexEntry is one entry line of the startup index.
+type indexEntry struct {
+	key  string
+	cost int64
+	at   loc
 }
 
-// parseIndex parses and verifies an index file body. Any defect —
-// bad magic, checksum mismatch, count mismatch, malformed line,
-// invalid key — is an error; the caller treats every error the same
-// way (full rescan), so the messages only serve the log line.
-func parseIndex(raw []byte) ([]indexEntry, error) {
+// segLen is one segment line of the startup index.
+type segLen struct{ id, size int64 }
+
+// encodeIndex renders the index file: a header line with the magic,
+// the SHA-256 of the payload and the segment and entry counts, then
+// one "<id> <length>" line per segment and one
+// "<segment> <offset> <length> <size> <key>" line per entry in access
+// order, most recent first.
+func encodeIndex(segs []segLen, entries []indexEntry) []byte {
+	var payload []byte
+	for _, g := range segs {
+		payload = strconv.AppendInt(payload, g.id, 10)
+		payload = strconv.AppendInt(append(payload, ' '), g.size, 10)
+		payload = append(payload, '\n')
+	}
+	for _, e := range entries {
+		payload = strconv.AppendInt(payload, e.at.seg, 10)
+		payload = strconv.AppendInt(append(payload, ' '), e.at.off, 10)
+		payload = strconv.AppendInt(append(payload, ' '), e.at.n, 10)
+		payload = strconv.AppendInt(append(payload, ' '), e.cost, 10)
+		payload = append(append(append(payload, ' '), e.key...), '\n')
+	}
+	sum := sha256.Sum256(payload)
+	header := fmt.Sprintf("%s %s %d %d\n", indexMagic, hex.EncodeToString(sum[:]), len(segs), len(entries))
+	return append([]byte(header), payload...)
+}
+
+// indexLines verifies an index file's header — magic, checksum, and as
+// many counts as the format has — and returns the counts and the
+// payload's lines.
+func indexLines(raw []byte, magic string, counts int) ([]int, []string, error) {
 	nl := bytes.IndexByte(raw, '\n')
 	if nl < 0 {
-		return nil, fmt.Errorf("no header line")
+		return nil, nil, fmt.Errorf("no header line")
 	}
 	fields := strings.Split(string(raw[:nl]), " ")
-	if len(fields) != 3 || fields[0] != indexMagic {
-		return nil, fmt.Errorf("bad header")
+	if len(fields) != 2+counts || fields[0] != magic {
+		return nil, nil, fmt.Errorf("bad header")
 	}
 	payload := raw[nl+1:]
 	sum := sha256.Sum256(payload)
 	if hex.EncodeToString(sum[:]) != fields[1] {
-		return nil, fmt.Errorf("checksum mismatch")
+		return nil, nil, fmt.Errorf("checksum mismatch")
 	}
-	count, err := strconv.Atoi(fields[2])
-	if err != nil || count < 0 {
-		return nil, fmt.Errorf("bad entry count")
+	ns := make([]int, counts)
+	total := 0
+	for i := range ns {
+		n, err := strconv.Atoi(fields[2+i])
+		if err != nil || n < 0 {
+			return nil, nil, fmt.Errorf("bad count")
+		}
+		ns[i], total = n, total+n
 	}
-	entries := make([]indexEntry, 0, count)
-	for len(payload) > 0 {
-		line := payload
-		if i := bytes.IndexByte(payload, '\n'); i >= 0 {
-			line, payload = payload[:i], payload[i+1:]
-		} else {
-			payload = nil
+	var lines []string
+	if len(payload) > 0 {
+		if payload[len(payload)-1] != '\n' {
+			return nil, nil, fmt.Errorf("unterminated line")
 		}
-		sp := bytes.IndexByte(line, ' ')
-		if sp < 0 {
-			return nil, fmt.Errorf("malformed entry line")
-		}
-		size, err := strconv.ParseInt(string(line[:sp]), 10, 64)
-		if err != nil || size < 0 {
-			return nil, fmt.Errorf("bad entry size")
-		}
-		key := string(line[sp+1:])
-		if !validKey(key) {
-			return nil, fmt.Errorf("invalid key in index")
-		}
-		entries = append(entries, indexEntry{Key: key, Cost: size})
+		lines = strings.Split(string(payload[:len(payload)-1]), "\n")
 	}
-	if len(entries) != count {
-		return nil, fmt.Errorf("header says %d entries, found %d", count, len(entries))
+	if len(lines) != total {
+		return nil, nil, fmt.Errorf("header says %d lines, found %d", total, len(lines))
 	}
-	return entries, nil
+	return ns, lines, nil
 }
 
-// loadIndex reads and validates the startup index against the actual
-// set of result-file names in the directory. It returns the entries
-// (most recent first) and the index file's size, or ok=false when the
-// store must fall back to a rescan. resNames is the set of ".res"
-// file names ReadDir found; the index is usable only if the file-name
-// sets match exactly — a name-set comparison, deliberately not a
-// per-file stat, so validation stays O(1) file reads.
-func (s *Store) loadIndex(resNames map[string]bool) (entries []indexEntry, size int64, ok bool) {
-	path := filepath.Join(s.dir, indexName)
-	raw, err := os.ReadFile(path)
+// parseIndex parses and verifies an index file. Any defect — bad
+// magic, checksum mismatch, count mismatch, malformed line, invalid or
+// repeated key — is an error; the caller treats every error the same
+// way (rescan), so the messages only serve the log line.
+func parseIndex(raw []byte) ([]segLen, []indexEntry, error) {
+	counts, lines, err := indexLines(raw, indexMagic, 2)
 	if err != nil {
-		if !os.IsNotExist(err) {
-			log.Printf("store: unreadable startup index %s: %v", path, err)
-		}
-		return nil, 0, false
+		return nil, nil, err
 	}
-	entries, err = parseIndex(raw)
+	segs := make([]segLen, counts[0])
+	for i := range segs {
+		f := strings.Split(lines[i], " ")
+		if len(f) != 2 {
+			return nil, nil, fmt.Errorf("malformed segment line")
+		}
+		if segs[i].id, err = strconv.ParseInt(f[0], 10, 64); err != nil {
+			return nil, nil, fmt.Errorf("bad segment id")
+		}
+		if segs[i].size, err = strconv.ParseInt(f[1], 10, 64); err != nil {
+			return nil, nil, fmt.Errorf("bad segment length")
+		}
+	}
+	entries := make([]indexEntry, counts[1])
+	seen := make(map[string]bool, len(entries))
+	for i, line := range lines[counts[0]:] {
+		f := strings.SplitN(line, " ", 5)
+		if len(f) != 5 || !validKey(f[4]) || seen[f[4]] {
+			return nil, nil, fmt.Errorf("malformed entry line")
+		}
+		var nums [4]int64
+		for j := range nums {
+			if nums[j], err = strconv.ParseInt(f[j], 10, 64); err != nil || nums[j] < 0 {
+				return nil, nil, fmt.Errorf("bad entry field")
+			}
+		}
+		seen[f[4]] = true
+		entries[i] = indexEntry{key: f[4], cost: nums[3], at: loc{seg: nums[0], off: nums[1], n: nums[2]}}
+	}
+	return segs, entries, nil
+}
+
+// loadIndex installs the entry table from the startup index, if it
+// parses and matches the open segments exactly: the same ids, each at
+// its recorded length, and every entry inside one. It returns the
+// index file's size, or ok=false when the store must rescan.
+func (s *Store) loadIndex(raw []byte) (size int64, ok bool) {
+	if raw == nil || bytes.HasPrefix(raw, []byte(legacyIndexMagic+" ")) {
+		return 0, false // none, or the older layout's: importLegacy reads it
+	}
+	path := filepath.Join(s.dir, indexName)
+	segs, entries, err := parseIndex(raw)
 	if err != nil {
 		log.Printf("store: corrupt startup index %s: %v", path, err)
-		return nil, 0, false
+		return 0, false
 	}
-	if len(entries) != len(resNames) {
-		log.Printf("store: stale startup index %s: %d entries, %d result files", path, len(entries), len(resNames))
-		return nil, 0, false
-	}
-	seen := make(map[string]bool, len(entries))
-	for _, e := range entries {
-		name := fileName(e.Key)
-		if !resNames[name] || seen[name] {
-			log.Printf("store: stale startup index %s: entry %q has no matching file", path, e.Key)
-			return nil, 0, false
+	stale := len(segs) != len(s.segs)
+	for _, g := range segs {
+		if seg, ok := s.segs[g.id]; !ok || seg.size != g.size {
+			stale = true
 		}
-		seen[name] = true
 	}
-	return entries, int64(len(raw)), true
-}
-
-// maybeFlushLocked notes one index-relevant mutation and reports
-// whether the caller should rewrite the index once it releases the
-// store lock.
-func (s *Store) maybeFlushLocked() bool {
-	s.mutations++
-	if s.mutations < indexFlushEvery {
-		return false
+	for _, e := range entries {
+		if seg, ok := s.segs[e.at.seg]; !ok || e.at.off+e.at.n > seg.size {
+			stale = true
+		}
 	}
-	s.mutations = 0
-	return true
+	if stale {
+		log.Printf("store: stale startup index %s: segments differ from the directory", path)
+		return 0, false
+	}
+	// Index order is most-recent-first: coldest in first, so the most
+	// recent ends at the hot end.
+	for _, e := range slices.Backward(entries) {
+		s.setLocked(e.key, e.cost, e.at)
+	}
+	return int64(len(raw)), true
 }
 
 // flushIndex rewrites the startup index from the current in-memory
@@ -175,30 +202,61 @@ func (s *Store) flushIndex() error {
 	defer s.flushMu.Unlock()
 
 	s.mu.Lock()
-	entries := slices.Collect(s.entries.All())
-	s.mu.Unlock()
-
-	data := encodeIndex(entries)
-	commit, err := s.stage(indexName, data)
-	if err == nil {
-		err = commit()
+	segs := make([]segLen, 0, len(s.segs))
+	for _, g := range s.segs {
+		segs = append(segs, segLen{g.id, g.size})
 	}
-	if err != nil {
+	entries := make([]indexEntry, 0, s.entries.Len())
+	for e := range s.entries.All() {
+		entries = append(entries, indexEntry{key: e.Key, cost: e.Cost, at: *e.Value})
+	}
+	s.mu.Unlock()
+	slices.SortFunc(segs, func(a, b segLen) int { return cmp.Compare(a.id, b.id) })
+
+	data := encodeIndex(segs, entries)
+	if err := writeFileAtomic(filepath.Join(s.dir, indexName), data); err != nil {
 		return err
 	}
-
 	s.mu.Lock()
 	s.indexBytes = int64(len(data))
 	s.mu.Unlock()
 	return nil
 }
 
-// Close flushes the startup index so the next Open is O(1) file
-// reads. The store holds no descriptors, so Close is only this flush;
-// the store technically remains usable afterwards, but callers should
-// treat Close as the end of its life.
+// writeFileAtomic writes data to a temp file beside path and renames
+// it over path, so a reader (or a crash) sees the old file or the new
+// one, never a torn one. A failure leaves no temp file behind.
+func writeFileAtomic(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*"+tmpSuffix)
+	if err != nil {
+		return fmt.Errorf("store: writing %s: %w", path, err)
+	}
+	_, err = tmp.Write(data)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+		return fmt.Errorf("store: writing %s: %w", path, err)
+	}
+	return nil
+}
+
+// Close flushes the startup index, so the next Open reads no record,
+// and closes the segment files. Afterwards Get and Peek miss and Put
+// fails.
 func (s *Store) Close() error {
-	return s.flushIndex()
+	err := s.flushIndex()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.closed {
+		s.closed = true
+		s.closeFiles()
+	}
+	return err
 }
 
 // Enumerate returns every stored key with the given prefix (""

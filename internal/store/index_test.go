@@ -34,8 +34,8 @@ func TestIndexRoundTripPreservesEntriesAndOrder(t *testing.T) {
 	if st.Entries != 5 {
 		t.Fatalf("entries %d, want 5", st.Entries)
 	}
-	// The access order must survive via the index — not mtimes, which
-	// this test never spaced out for coarse clocks.
+	// The access order must survive via the index — not the log order,
+	// which the Get above scrambled.
 	if got := s2.Enumerate(""); !reflect.DeepEqual(got, wantOrder) {
 		t.Fatalf("order after reopen %v, want %v", got, wantOrder)
 	}
@@ -48,9 +48,10 @@ func TestIndexRoundTripPreservesEntriesAndOrder(t *testing.T) {
 }
 
 func TestOpenViaIndexIsOOneFileReads(t *testing.T) {
-	// IndexRebuilds counts every fall-back to the header-per-file
-	// rescan — the only path that reads envelopes at Open. Zero
-	// rebuilds on a populated store is the O(1)-file-reads guarantee.
+	// IndexRebuilds counts every fall-back to the segment rescan — the
+	// only path that reads records at Open. Zero rebuilds on a
+	// populated store is the guarantee that Open reads one file, the
+	// index, whatever the entry count.
 	dir := t.TempDir()
 	s1 := mustOpen(t, dir, 0)
 	const n = 500
@@ -113,29 +114,65 @@ func TestCorruptIndexFallsBackToRescan(t *testing.T) {
 }
 
 func TestStaleIndexDetectedByNameSet(t *testing.T) {
-	// A file deleted (or added) behind the store's back makes the
-	// index's name set disagree with the directory — that must trigger
-	// a rescan, not serve phantom entries.
-	dir := t.TempDir()
-	s1 := mustOpen(t, dir, 0)
-	for i := 0; i < 3; i++ {
-		if err := s1.Put(fmt.Sprintf("k:%d", i), []byte("payload")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s1.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(filepath.Join(dir, fileName("k:1"))); err != nil {
-		t.Fatal(err)
-	}
-	s2 := mustOpen(t, dir, 0)
-	st := s2.StatsSnapshot()
-	if st.IndexRebuilds != 1 || st.Entries != 2 {
-		t.Fatalf("stale index stats %+v, want rebuild with 2 entries", st)
-	}
-	if _, ok := s2.Get("k:1"); ok {
-		t.Fatal("phantom entry served from stale index")
+	// A segment deleted, added or grown behind the store's back makes
+	// the index's segment names or lengths disagree with the directory
+	// — that must trigger a rescan, not serve phantom entries. Tiny
+	// segments give every record a segment of its own.
+	for _, c := range []struct {
+		name string
+		edit func(t *testing.T, dir string)
+		want int
+	}{
+		{"segment deleted", func(t *testing.T, dir string) {
+			if err := os.Remove(filepath.Join(dir, segName(2))); err != nil {
+				t.Fatal(err)
+			}
+		}, 2},
+		{"segment added", func(t *testing.T, dir string) {
+			if err := os.WriteFile(filepath.Join(dir, segName(9)), encodeRecord("k:9", []byte("payload")), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}, 4},
+		{"segment grown", func(t *testing.T, dir string) {
+			f, err := os.OpenFile(filepath.Join(dir, segName(3)), os.O_APPEND|os.O_WRONLY, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			if _, err := f.Write(encodeRecord("k:1", []byte("newer"))); err != nil {
+				t.Fatal(err)
+			}
+		}, 3},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s1 := mustOpenSized(t, dir, 0, 1)
+			for i := 0; i < 3; i++ {
+				if err := s1.Put(fmt.Sprintf("k:%d", i), []byte("payload")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := s1.Close(); err != nil {
+				t.Fatal(err)
+			}
+			c.edit(t, dir)
+			s2 := mustOpen(t, dir, 0)
+			st := s2.StatsSnapshot()
+			if st.IndexRebuilds != 1 || st.Entries != c.want {
+				t.Fatalf("stale index stats %+v, want a rebuild with %d entries", st, c.want)
+			}
+			got, ok := s2.Get("k:1")
+			switch c.name {
+			case "segment deleted":
+				if ok {
+					t.Fatal("phantom entry served from stale index")
+				}
+			case "segment grown":
+				if !ok || string(got) != "newer" {
+					t.Fatalf("k:1 = %q, %v; want the newer record", got, ok)
+				}
+			}
+		})
 	}
 }
 
@@ -143,8 +180,8 @@ func TestIndexBudgetedButNeverEvicted(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, 300)
 	body := bytes.Repeat([]byte("e"), 90)
-	// Enough writes to trip several GC passes and index flushes.
-	for i := 0; i < 2*indexFlushEvery; i++ {
+	// Enough writes to trip many GC passes.
+	for i := 0; i < 128; i++ {
 		if err := s.Put(fmt.Sprintf("k:%03d", i), body); err != nil {
 			t.Fatal(err)
 		}
@@ -217,9 +254,9 @@ func benchStore(b *testing.B, dir string, n int) {
 	}
 }
 
-// BenchmarkOpenIndexed10k times the O(1)-file-reads startup path on a
-// 10k-envelope store and asserts no per-envelope work happened: a
-// single rescan (the only path that stats or reads envelopes at Open)
+// BenchmarkOpenIndexed10k times the index startup path on a
+// 10k-envelope store and asserts no per-record work happened: a
+// single rescan (the only path that reads records at Open)
 // would show up in IndexRebuilds.
 func BenchmarkOpenIndexed10k(b *testing.B) {
 	dir := b.TempDir()
@@ -234,11 +271,14 @@ func BenchmarkOpenIndexed10k(b *testing.B) {
 		if st.IndexLoads != 1 || st.IndexRebuilds != 0 || st.Entries != 10_000 {
 			b.Fatalf("open fell off the index fast path: %+v", st)
 		}
+		b.StopTimer()
+		s.Close()
+		b.StartTimer()
 	}
 }
 
 // BenchmarkOpenRescan10k is the comparison point: the same store with
-// its index deleted before every Open, forcing the O(files) rescan.
+// its index deleted before every Open, forcing the O(bytes) rescan.
 func BenchmarkOpenRescan10k(b *testing.B) {
 	dir := b.TempDir()
 	benchStore(b, dir, 10_000)
@@ -254,5 +294,8 @@ func BenchmarkOpenRescan10k(b *testing.B) {
 		if st := s.StatsSnapshot(); st.IndexRebuilds != 1 || st.Entries != 10_000 {
 			b.Fatalf("expected a rescan: %+v", st)
 		}
+		b.StopTimer()
+		s.Close()
+		b.StartTimer()
 	}
 }

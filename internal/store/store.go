@@ -5,27 +5,38 @@
 // safe to persist and replay byte-identically across process
 // restarts.
 //
-// Layout: one file per key under the store root, named after the key
-// with every byte outside [A-Za-z0-9._-] rewritten to '-', plus a
-// ".res" suffix (so "run:TL:<hash>" lands in "run-TL-<hash>.res").
-// Each file carries a one-line envelope header — magic, the SHA-256 of
-// the body, the body length and the original key — followed by the
-// raw body bytes. Loads verify all three; a file that fails any check
-// (torn write survived by a crash, flipped bits, a key that merely
-// collides after sanitization) is treated as a miss, and genuinely
-// corrupt files are deleted on sight.
+// Layout: an append-only log of records, cut into segment files named
+// "<10-digit id>.seg" (see segment.go), plus the startup index (see
+// index.go). A record is one envelope — a header line with magic, the
+// SHA-256 of the body, the body length and the key, then the raw body
+// bytes — and a trailer line with the CRC-32C of the envelope, which
+// covers the key as well. Put appends one record at the tail of the
+// active segment with one positioned write: no file is created and
+// nothing is renamed per result. The in-memory entry table maps each
+// key to the (segment, offset, length) of its newest record; Get is one
+// positioned read there, and verifies the trailer and all the header
+// says. A record that fails (flipped bits, a torn write, another key's
+// bytes) is a miss, and its entry is dropped.
 //
-// Writes are atomic: the envelope is written to a ".tmp" file in the
-// store directory and renamed over the final name, so a reader (or a
-// crash) can never observe a half-written result. Stale ".tmp" files
-// from interrupted writes are swept on Open.
+// An overwritten, evicted or corrupt record becomes dead bytes. When
+// the log's dead bytes exceed its live ones, the sealed segment with
+// the most dead bytes is compacted: its live records are re-appended
+// at the tail, keeping their access order, and the file is deleted. So
+// the segments hold at most twice the live records plus one segment.
 //
 // The store is size-bounded: once the payload bytes (plus the startup
-// index file, see index.go) exceed the configured budget, the
-// least-recently-accessed entries are deleted until the store fits.
-// Access order is tracked in memory, mirrored to file modification
-// times on every hit, and persisted in the startup index, so the LRU
-// order survives restarts.
+// index file) exceed the configured budget, the least-recently-accessed
+// entries are evicted until the store fits. Access order is tracked in
+// memory and persisted in the startup index, so it survives a clean
+// restart; after a crash the log order (write order) stands in for it.
+//
+// Durability: process-crash-safe, not power-loss-safe. Nothing is
+// fsynced. A process killed at any point leaves whole records plus at
+// most one torn tail, which the next Open truncates; a power loss may
+// lose or tear whatever the kernel had not yet written back.
+//
+// A directory in the older one-file-per-key layout ("<key>.res" files
+// and a "simidx1" index) is imported into the log once, at Open.
 package store
 
 import (
@@ -38,7 +49,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -51,15 +61,8 @@ import (
 // hundreds of thousands of simulation responses.
 const DefaultMaxBytes = 256 << 20
 
-// suffix is the result-file extension; tmpSuffix marks in-progress
-// atomic writes.
-const (
-	suffix    = ".res"
-	tmpSuffix = ".tmp"
-)
-
 // magic is the envelope format tag; bump it if the header changes so
-// old files read as corrupt instead of misparsing.
+// old records read as corrupt instead of misparsing.
 const magic = "simstore1"
 
 // Stats is a snapshot of the store's counters and occupancy.
@@ -74,30 +77,30 @@ type Stats struct {
 	Misses uint64 `json:"misses"`
 	// Writes counts successful Puts.
 	Writes uint64 `json:"writes"`
-	// Evictions counts entries deleted by the size-budget GC.
+	// Evictions counts entries dropped by the size-budget GC.
 	Evictions uint64 `json:"evictions"`
-	// Corrupt counts files rejected (and removed) by load verification.
+	// Corrupt counts records rejected (and dropped) by verification.
 	Corrupt uint64 `json:"corrupt"`
-	// CorruptAtOpen is the subset of Corrupt found (and deleted) while
-	// indexing the directory at Open — damage that happened while the
-	// store was closed (crash mid-write, disk rot, a chaos drill).
-	// Exposed separately, and logged per file, because silent deletion
-	// at startup is indistinguishable from data never written: a
-	// recovery drill asserts on this counter.
+	// CorruptAtOpen is the subset of Corrupt found (and dropped) while
+	// recovering the log at Open — damage that happened while the store
+	// was closed or behind its back (disk rot, a chaos drill). Exposed
+	// separately, and logged per record, because silent dropping at
+	// startup is indistinguishable from data never written: a recovery
+	// drill asserts on this counter.
 	CorruptAtOpen uint64 `json:"corrupt_at_open"`
 	// IndexBytes is the size of the persisted startup index file. It
 	// counts against the byte budget but is never evicted — evicting
-	// it would only trade a few KiB now for an O(files) rescan later.
+	// it would only trade a few KiB now for an O(bytes) rescan later.
 	IndexBytes int64 `json:"index_bytes"`
 	// IndexLoads counts Opens served from a valid startup index — the
-	// O(1)-file-reads fast path.
+	// path that reads no record.
 	IndexLoads uint64 `json:"index_loads"`
-	// IndexRebuilds counts Opens that fell back to the full
-	// header-by-header directory rescan because the startup index was
-	// missing, corrupt, or stale against the directory listing. A
-	// rebuild is a recovery, not a failure — but it is loud (logged and
-	// counted) because a shard that rebuilds on every boot is paying
-	// O(files) startups for nothing.
+	// IndexRebuilds counts Opens that fell back to rescanning every
+	// segment because the startup index was missing, corrupt, or stale
+	// against the segment lengths. A rebuild is a recovery, not a
+	// failure — but it is loud (logged and counted) because a shard
+	// that rebuilds on every boot is paying O(bytes) startups for
+	// nothing.
 	IndexRebuilds uint64 `json:"index_rebuilds"`
 }
 
@@ -106,6 +109,9 @@ type Stats struct {
 type Store struct {
 	dir      string
 	maxBytes int64
+	// segLimit is the size at which the active segment is sealed:
+	// segmentBytes, except in tests that need many segments.
+	segLimit int64
 
 	// observe, when set, is called after each Get/Peek and Put with the
 	// operation name ("get" or "put") and its wall duration — the hook
@@ -116,46 +122,62 @@ type Store struct {
 
 	mu sync.Mutex
 	// entries is the in-memory bookkeeping, one entry per stored result
-	// in access order: its cost is the body length, its value the write
-	// generation — a reader's miss-cleanup only removes the generation
-	// it actually observed, so a concurrent re-Put of the key is never
-	// thrown away by a stale reader.
-	entries *lru.Index[int64]
-	gen     int64
-	stats   Stats
-	// mutations counts writes and evictions since the last index
-	// flush; indexBytes is the current index file's size (budgeted but
-	// never evicted). flushMu serializes index flushers so an older
-	// snapshot can never rename over a newer one.
-	mutations  int
+	// in access order: its cost is the body length, its value where the
+	// record lives. Compaction moves a record by rewriting the loc in
+	// place, so the entry keeps its access order.
+	entries *lru.Index[*loc]
+	// segs holds every segment file, open; active is the one appends go
+	// to (nil until the first append), nextID the last id handed out.
+	segs   map[int64]*segment
+	active *segment
+	nextID int64
+	// live and dead total the segments' live and dead record bytes.
+	live, dead int64
+	closed     bool
+	stats      Stats
+	// indexBytes is the current index file's size (budgeted but never
+	// evicted). flushMu serializes index flushers so an older snapshot
+	// can never rename over a newer one.
 	indexBytes int64
 	flushMu    sync.Mutex
 }
 
 // Open opens (creating if needed) a store rooted at dir, bounded to
-// maxBytes of payload (<= 0 selects DefaultMaxBytes). Stale temp
-// files from interrupted writes are removed, then the entry table is
-// recovered from the startup index when one is present and valid —
-// O(1) file reads regardless of entry count — or rebuilt by the full
-// directory rescan (header read per file, corrupt envelopes deleted,
-// LRU order from modification times) when it is missing, corrupt, or
-// stale. Either way a fresh index is written before Open returns.
+// maxBytes of payload (<= 0 selects DefaultMaxBytes). The entry table
+// is recovered from the startup index when it matches every segment's
+// length — no record is read — or else by rescanning the segments,
+// which verifies every record, truncates a torn tail and drops damaged
+// records. A directory in the one-file-per-key layout is imported.
+// Either way a fresh index is written before Open returns.
 func Open(dir string, maxBytes int64) (*Store, error) {
+	return open(dir, maxBytes, segmentBytes)
+}
+
+func open(dir string, maxBytes, segLimit int64) (*Store, error) {
 	if maxBytes <= 0 {
 		maxBytes = DefaultMaxBytes
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s := &Store{dir: dir, maxBytes: maxBytes, entries: lru.NewIndex[int64]()}
+	s := &Store{dir: dir, maxBytes: maxBytes, segLimit: segLimit,
+		entries: lru.NewIndex[*loc](), segs: make(map[int64]*segment)}
+	// The store isn't published to any other goroutine yet, so the
+	// recovery below runs without the lock.
 	if err := s.load(); err != nil {
+		s.closeFiles()
 		return nil, err
+	}
+	// Recovery moved the segments' accounts piecemeal; total them once.
+	s.live, s.dead = 0, 0
+	for _, g := range s.segs {
+		s.live, s.dead = s.live+g.live, s.dead+g.size-g.live
 	}
 	// Enforce the budget immediately: a store reopened with a smaller
 	// budget (or one that grew right up to a crash) must not wait for
-	// the next Put to shed its oldest entries. Safe without the lock —
-	// the store isn't published to any other goroutine yet.
+	// the next Put to shed its oldest entries.
 	s.gcLocked("")
+	s.compactLocked()
 	// Persist what we just learned: after a rescan this replaces the
 	// bad index, after an index load it folds in the GC above.
 	// Best-effort — a store that cannot write its index still serves.
@@ -165,107 +187,99 @@ func Open(dir string, maxBytes int64) (*Store, error) {
 	return s, nil
 }
 
-// load recovers the entry table at Open: one ReadDir to sweep temp
-// files and collect the result-file name set, then the startup index
-// if it validates against that set, else the full rescan.
+// load recovers the entry table at Open: one ReadDir to find the
+// segments (and any files of the older layout), then the startup index
+// if it matches the segments, else the rescan.
 func (s *Store) load() error {
-	names, err := os.ReadDir(s.dir)
+	des, err := os.ReadDir(s.dir)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	var results []os.DirEntry
-	resNames := make(map[string]bool)
-	for _, de := range names {
+	var ids []int64
+	var legacy []os.DirEntry
+	for _, de := range des {
 		if de.IsDir() {
 			continue
 		}
 		name := de.Name()
-		if strings.HasSuffix(name, tmpSuffix) {
-			os.Remove(filepath.Join(s.dir, name)) // interrupted write
-			continue
-		}
-		if strings.HasSuffix(name, suffix) {
-			results = append(results, de)
-			resNames[name] = true
+		if id, ok := parseSegName(name); ok {
+			ids = append(ids, id)
+		} else if strings.HasSuffix(name, tmpSuffix) {
+			os.Remove(filepath.Join(s.dir, name)) // an interrupted index write or old-layout Put
+		} else if strings.HasSuffix(name, legacySuffix) {
+			legacy = append(legacy, de)
 		}
 	}
-	if entries, idxSize, ok := s.loadIndex(resNames); ok {
+	slices.Sort(ids)
+	for _, id := range ids {
+		if err := s.openSegment(id); err != nil {
+			return err
+		}
+	}
+	if len(ids) > 0 {
+		s.active = s.segs[ids[len(ids)-1]]
+	}
+
+	path := filepath.Join(s.dir, indexName)
+	rawIndex, err := os.ReadFile(path)
+	if err != nil && !os.IsNotExist(err) {
+		log.Printf("store: unreadable startup index %s: %v", path, err)
+	}
+	if size, ok := s.loadIndex(rawIndex); ok {
 		s.stats.IndexLoads++
-		s.indexBytes = idxSize
-		// Index order is most-recent-first: coldest in first, so the
-		// most recent ends at the hot end.
-		for _, e := range slices.Backward(entries) {
-			s.gen++
-			s.entries.Put(e.Key, e.Cost, s.gen)
-		}
-		return nil
-	}
-	if len(resNames) > 0 {
-		// A missing index over an empty directory is a brand-new store,
-		// not a defect; anything else is a real (if recoverable) event
-		// that costs an O(files) startup — count and log it.
+		s.indexBytes = size
+	} else if len(ids) > 0 {
+		// A missing index over no segments is a brand-new store, not a
+		// defect; anything else is a real (if recoverable) event that
+		// costs an O(bytes) startup — count and log it.
 		s.stats.IndexRebuilds++
-		log.Printf("store: rebuilding startup index for %s from %d result files", s.dir, len(resNames))
+		log.Printf("store: rebuilding startup index for %s from %d segments", s.dir, len(ids))
+		if err := s.rescan(ids); err != nil {
+			return err
+		}
 	}
-	s.rescan(results)
+	if len(legacy) > 0 {
+		s.importLegacy(legacy, rawIndex)
+	}
 	return nil
 }
 
-// dropCorruptAtOpen deletes an unreadable envelope found while
-// rescanning and accounts for it — loudly. Deleting is the right
-// recovery (every result is recomputable from its spec), but doing it
-// silently would make startup corruption indistinguishable from data
-// never written; the log line plus the CorruptAtOpen counter give
-// operators and chaos drills something to see.
-func (s *Store) dropCorruptAtOpen(path, reason string) {
-	s.stats.Corrupt++
-	s.stats.CorruptAtOpen++
-	log.Printf("store: deleting corrupt envelope %s at open: %s", path, reason)
-	os.Remove(path)
+// rescan rebuilds the entry table from the segments, in log order, and
+// then compacts away every segment that held damage — so the damage is
+// counted once, not again at every later rescan.
+func (s *Store) rescan(ids []int64) error {
+	var damaged []*segment
+	for _, id := range ids {
+		g := s.segs[id]
+		bad, err := s.scan(g)
+		if err != nil {
+			return err
+		}
+		if bad {
+			damaged = append(damaged, g)
+		}
+	}
+	for _, g := range damaged {
+		if g == s.active {
+			s.active = nil // compact it too: the next append starts a new segment
+		}
+		if err := s.compactSegLocked(g); err != nil {
+			log.Printf("store: compacting damaged segment %s: %v", segName(g.id), err)
+		}
+	}
+	return nil
 }
 
-// rescan rebuilds the entry table from the result files load listed,
-// and the LRU order from their modification times — the slow,
-// always-correct path behind the startup index.
-func (s *Store) rescan(results []os.DirEntry) {
-	type seen struct {
-		key  string
-		size int64
-		mod  time.Time
-	}
-	var found []seen
-	for _, de := range results {
-		name := de.Name()
-		path := filepath.Join(s.dir, name)
-		// Index from the header alone — no body read or hash, so a
-		// store of hundreds of thousands of results opens in O(files)
-		// stats, not O(bytes) checksums. Body bit-rot is still caught:
-		// every Get verifies the full envelope and deletes on failure.
-		key, size, err := readHeader(path)
-		if err != nil {
-			s.dropCorruptAtOpen(path, err.Error())
-			continue
-		}
-		if fileName(key) != name {
-			// A foreign or renamed file; its header key doesn't produce
-			// this name, so Get would never find it. Drop it.
-			s.dropCorruptAtOpen(path, "header key does not match file name")
-			continue
-		}
-		info, err := de.Info()
-		mod := time.Time{}
-		if err == nil {
-			mod = info.ModTime()
-		}
-		found = append(found, seen{key: key, size: size, mod: mod})
-	}
-	sort.Slice(found, func(i, j int) bool { return found[i].mod.Before(found[j].mod) })
-	// Oldest first: each Put leaves the newest file at the hot end of
-	// the access order.
-	for _, f := range found {
-		s.gen++
-		s.entries.Put(f.key, f.size, s.gen)
-	}
+// dropCorruptAtOpen accounts for a damaged record found while
+// recovering — loudly. Dropping is the right recovery (every result is
+// recomputable from its spec), but doing it silently would make
+// startup corruption indistinguishable from data never written; the
+// log line plus the CorruptAtOpen counter give operators and chaos
+// drills something to see.
+func (s *Store) dropCorruptAtOpen(where, reason string) {
+	s.stats.Corrupt++
+	s.stats.CorruptAtOpen++
+	log.Printf("store: dropping corrupt envelope %s at open: %s", where, reason)
 }
 
 // Dir returns the store root directory.
@@ -299,22 +313,6 @@ func validKey(key string) bool {
 		}
 	}
 	return true
-}
-
-// fileName maps a key to its file name: every byte outside
-// [A-Za-z0-9._-] becomes '-'. The envelope records the exact key, so
-// two keys colliding after this rewrite read as misses, never as each
-// other's results.
-func fileName(key string) string {
-	b := []byte(key)
-	for i, c := range b {
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9', c == '.', c == '_', c == '-':
-		default:
-			b[i] = '-'
-		}
-	}
-	return string(b) + suffix
 }
 
 // EncodeEnvelope renders key and body in the store's self-verifying
@@ -356,48 +354,10 @@ func parseHeader(raw []byte) (sum string, bodyLen int64, key string, bodyAt int,
 	return fields[1], bodyLen, fields[3], nl + 1, nil
 }
 
-// readHeader parses just the envelope header of a result file,
-// returning the recorded key and body length, and checks that the
-// file size is consistent with them. It never reads or checksums the
-// body — that is Get's job on each access.
-func readHeader(path string) (key string, size int64, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return "", 0, err
-	}
-	defer f.Close()
-	buf := make([]byte, maxHeaderBytes)
-	n, err := f.Read(buf)
-	if n == 0 && err != nil {
-		return "", 0, fmt.Errorf("store: %s: %w", path, err)
-	}
-	_, bodyLen, key, bodyAt, err := parseHeader(buf[:n])
-	if err != nil {
-		return "", 0, err
-	}
-	info, err := f.Stat()
-	if err != nil {
-		return "", 0, fmt.Errorf("store: %s: %w", path, err)
-	}
-	if info.Size() != int64(bodyAt)+bodyLen {
-		return "", 0, fmt.Errorf("store: %s: file is %d bytes, envelope says %d", path, info.Size(), int64(bodyAt)+bodyLen)
-	}
-	return key, bodyLen, nil
-}
-
-// readEnvelope loads and verifies one result file.
-func readEnvelope(path string) (key string, body []byte, err error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return "", nil, err
-	}
-	return DecodeEnvelope(raw)
-}
-
 // DecodeEnvelope parses and verifies an envelope produced by
-// EncodeEnvelope — a store file, or an entry of the router's in-memory
-// cache — returning the recorded key and body. Any mismatch — magic,
-// length, checksum, malformed header — is an error.
+// EncodeEnvelope — a store record, or an entry of the router's
+// in-memory cache — returning the recorded key and body. Any mismatch —
+// magic, length, checksum, malformed header — is an error.
 func DecodeEnvelope(raw []byte) (key string, body []byte, err error) {
 	want, bodyLen, key, bodyAt, err := parseHeader(raw)
 	if err != nil {
@@ -415,9 +375,9 @@ func DecodeEnvelope(raw []byte) (key string, body []byte, err error) {
 }
 
 // Get returns the stored body for key. The disk read happens outside
-// the store lock, so concurrent Gets don't serialize on IO; a file
-// deleted by the GC between the index check and the read is a miss,
-// and a file that fails verification is removed and a miss.
+// the store lock, so concurrent Gets don't serialize on IO; an entry
+// evicted between the index check and the read is a miss, and a record
+// that fails verification is dropped and a miss.
 func (s *Store) Get(key string) ([]byte, bool) {
 	return s.get(key, true)
 }
@@ -431,68 +391,70 @@ func (s *Store) Peek(key string) ([]byte, bool) {
 	return s.get(key, false)
 }
 
-// get implements Get/Peek; count selects hit/miss accounting.
+// maxReadAttempts bounds how often get follows a record that moved
+// while it was being read.
+const maxReadAttempts = 4
+
+// get implements Get/Peek; count selects hit/miss accounting. The read
+// runs outside the lock. If the record moved meanwhile — compaction
+// copied it (and may have closed the file under the read), or a Put
+// replaced it — the read starts over at the new place. Only a record
+// still where the entry points that fails verification is corrupt.
 func (s *Store) get(key string, count bool) ([]byte, bool) {
 	if s.observe != nil {
 		start := time.Now()
 		defer func() { s.observe("get", time.Since(start)) }()
 	}
 	s.mu.Lock()
-	probed, present := s.entries.Peek(key)
-	if !present {
-		if count {
-			s.stats.Misses++
+	defer s.mu.Unlock()
+	for range maxReadAttempts {
+		e, ok := s.entries.Peek(key)
+		if !ok || s.closed {
+			break
 		}
+		at, f := *e.Value, s.segs[e.Value.seg].f
 		s.mu.Unlock()
-		return nil, false
-	}
-	s.mu.Unlock()
-
-	path := filepath.Join(s.dir, fileName(key))
-	gotKey, body, err := readEnvelope(path)
-	ok := err == nil && gotKey == key
-
-	s.mu.Lock()
-	if !ok {
-		// The GC may have legitimately evicted the file between the
-		// probe and the read; only an existing-but-unreadable file is
-		// corruption. Either way, only clean up the entry generation
-		// this reader observed — a concurrent re-Put installed a fresh
-		// file (atomically with its new generation, both under this
-		// lock) that the failure says nothing about.
-		if e, still := s.entries.Peek(key); still && e.Value == probed.Value {
-			if err != nil && !os.IsNotExist(err) {
-				s.stats.Corrupt++
-				os.Remove(path)
+		body, err := readRecord(f, at, key)
+		s.mu.Lock()
+		if err == nil {
+			s.entries.Get(key) // refresh recency, if the entry is still there
+			if count {
+				s.stats.Hits++
 			}
-			s.entries.Remove(key)
+			return body, true
 		}
-		if count {
-			s.stats.Misses++
+		if e, ok := s.entries.Peek(key); !ok || *e.Value != at || s.closed {
+			continue // moved, replaced, evicted or closed: look again
 		}
-		s.mu.Unlock()
-		return nil, false
+		s.stats.Corrupt++
+		s.dropLocked(key)
+		break
 	}
-	s.entries.Get(key) // refresh recency, if the entry is still there
 	if count {
-		s.stats.Hits++
+		s.stats.Misses++
 	}
-	s.mu.Unlock()
-	// Mirror the touch to the file clock so the LRU order survives a
-	// restart. Best-effort and outside the lock: a failed or misdirected
-	// touch (the file just evicted or replaced) only ages the entry.
-	now := time.Now()
-	_ = os.Chtimes(path, now, now)
-	return body, true
+	return nil, false
 }
 
-// Put stores body under key, atomically (tmp file + rename), then
-// enforces the size budget by evicting the least-recently-accessed
-// entries. Storing the same key again overwrites in place. The
-// envelope is written to the temp file outside the lock (the bulk of
-// the IO); the rename happens under it, so the visible file and its
-// entry generation always move together — a stale reader's cleanup
-// can never observe the new file with the old generation.
+// readRecord reads the record at `at` from f and verifies it is a whole
+// record for key.
+func readRecord(f *os.File, at loc, key string) ([]byte, error) {
+	raw := make([]byte, at.n)
+	if _, err := f.ReadAt(raw, at.off); err != nil {
+		return nil, err
+	}
+	got, body, err := decodeRecord(raw)
+	if err == nil && got != key {
+		err = fmt.Errorf("store: record holds key %q", got)
+	}
+	return body, err
+}
+
+// Put stores body under key and then enforces the size budget by
+// evicting the least-recently-accessed entries. Storing the same key
+// again replaces it. The envelope is encoded outside the lock; the
+// append — one positioned write at the tail of the active segment —
+// happens under it, so the record and its entry always move together.
 func (s *Store) Put(key string, body []byte) error {
 	if s.observe != nil {
 		start := time.Now()
@@ -501,56 +463,40 @@ func (s *Store) Put(key string, body []byte) error {
 	if !validKey(key) {
 		return fmt.Errorf("store: invalid key %q", key)
 	}
-	commit, err := s.stage(fileName(key), EncodeEnvelope(key, body))
-	if err != nil {
-		return err
-	}
+	rec := encodeRecord(key, body)
 
 	s.mu.Lock()
-	if err := commit(); err != nil {
-		s.mu.Unlock()
-		return err
+	defer s.mu.Unlock()
+	if s.closed {
+		return errors.New("store: closed")
 	}
-	s.gen++
-	s.entries.Put(key, int64(len(body)), s.gen)
+	at, err := s.appendLocked(rec)
+	if err != nil {
+		return fmt.Errorf("store: writing %s: %w", key, err)
+	}
+	s.setLocked(key, int64(len(body)), at)
 	s.stats.Writes++
 	s.gcLocked(key)
-	flush := s.maybeFlushLocked()
-	s.mu.Unlock()
-	if flush {
-		if err := s.flushIndex(); err != nil {
-			log.Printf("store: %v", err) // advisory; next Open rescans
-		}
-	}
+	s.compactLocked()
 	return nil
 }
 
-// stage is the store's one atomic file writer: it writes data to a
-// temp file in the store directory and returns the commit that renames
-// it over name — so a reader (or a crash) sees the old file or the new
-// one, never a torn one. The caller picks the moment of the rename (Put
-// commits under the store lock); a failed stage or commit leaves no
-// temp file behind.
-func (s *Store) stage(name string, data []byte) (commit func() error, err error) {
-	tmp, err := os.CreateTemp(s.dir, name+".*"+tmpSuffix)
-	if err != nil {
-		return nil, fmt.Errorf("store: writing %s: %w", name, err)
+// setLocked points key at its record at `at`; the record key pointed
+// at before, if any, becomes dead bytes.
+func (s *Store) setLocked(key string, cost int64, at loc) {
+	s.dropLocked(key)
+	s.entries.Put(key, cost, &at)
+	s.segs[at.seg].live += at.n
+	s.live += at.n
+}
+
+// dropLocked forgets key; its record becomes dead bytes.
+func (s *Store) dropLocked(key string) {
+	if e, ok := s.entries.Peek(key); ok {
+		s.segs[e.Value.seg].live -= e.Value.n
+		s.live, s.dead = s.live-e.Value.n, s.dead+e.Value.n
+		s.entries.Remove(key)
 	}
-	_, err = tmp.Write(data)
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp.Name())
-		return nil, fmt.Errorf("store: writing %s: %w", name, err)
-	}
-	return func() error {
-		if err := os.Rename(tmp.Name(), filepath.Join(s.dir, name)); err != nil {
-			os.Remove(tmp.Name())
-			return fmt.Errorf("store: writing %s: %w", name, err)
-		}
-		return nil
-	}, nil
 }
 
 // gcLocked evicts from the back of the access order — O(1) per
@@ -559,26 +505,23 @@ func (s *Store) stage(name string, data []byte) (commit func() error, err error)
 // never an eviction candidate (it is not an entry), it only shrinks
 // the room left for results. keep (the key just written, at the
 // front) is never evicted: a budget smaller than a single result
-// would otherwise thrash every Put into an immediate delete.
+// would otherwise thrash every Put into an immediate drop.
 func (s *Store) gcLocked(keep string) {
 	for s.entries.Cost()+s.indexBytes > s.maxBytes && s.entries.Len() > 1 {
 		victim, _ := s.entries.Oldest()
 		if victim.Key == keep {
 			return
 		}
-		s.entries.Remove(victim.Key)
-		os.Remove(filepath.Join(s.dir, fileName(victim.Key)))
+		s.dropLocked(victim.Key)
 		s.stats.Evictions++
-		s.mutations++ // stales the index; folded into the next flush
 	}
 }
 
-// Touch refreshes key's LRU recency without reading the file — the
+// Touch refreshes key's LRU recency without reading the record — the
 // hook for a memory tier in front of this store: results served from
 // memory never call Get here, and without the touch the hottest
-// results would look coldest to the GC. In-memory tick only (no
-// per-hit syscall); the file mtime still ages until the next disk
-// Get, so restart-order fidelity trades off against hot-path cost.
+// results would look coldest to the GC. In-memory tick only; the
+// order reaches disk with the next index flush.
 func (s *Store) Touch(key string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

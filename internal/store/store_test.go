@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"log"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -23,6 +24,76 @@ func mustOpen(t *testing.T, dir string, maxBytes int64) *Store {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// mustOpenSized opens a store whose segments are sealed at segLimit
+// bytes, so a test can reach many segments and compactions quickly.
+func mustOpenSized(t testing.TB, dir string, maxBytes, segLimit int64) *Store {
+	t.Helper()
+	s, err := open(dir, maxBytes, segLimit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// recordOf returns the path of the segment holding key's record and
+// where in it the record lies.
+func recordOf(t *testing.T, s *Store, key string) (string, loc) {
+	t.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, ok := s.entries.Peek(key)
+	if !ok {
+		t.Fatalf("%s not stored", key)
+	}
+	return filepath.Join(s.dir, segName(e.Value.seg)), *e.Value
+}
+
+// dirFiles lists the file names in dir, split into segments (in log
+// order) and everything else.
+func dirFiles(t testing.TB, dir string) (segs, other []string) {
+	t.Helper()
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, de := range des {
+		if _, ok := parseSegName(de.Name()); ok {
+			segs = append(segs, de.Name())
+		} else {
+			other = append(other, de.Name())
+		}
+	}
+	return segs, other
+}
+
+// segBytes sums the sizes of the segment files in dir.
+func segBytes(t testing.TB, dir string) int64 {
+	t.Helper()
+	segs, _ := dirFiles(t, dir)
+	var n int64
+	for _, name := range segs {
+		info, err := os.Stat(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n += info.Size()
+	}
+	return n
+}
+
+// writeAt overwrites bytes of the file at path.
+func writeAt(t testing.TB, path string, off int64, b []byte) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.WriteAt(b, off); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestPutGetRoundTrip(t *testing.T) {
@@ -98,27 +169,30 @@ func TestResultsSurviveReopen(t *testing.T) {
 func TestCorruptFilesReadAsMissesAndAreRemoved(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, 0)
-	if err := s.Put("run:TL:x", []byte("payload-bytes")); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, fileName("run:TL:x"))
 
+	// Each case damages the key's newest record — the tail of the
+	// segment — in place.
 	cases := []struct {
 		name   string
-		mangle func(t *testing.T, raw []byte) []byte
+		mangle func(t *testing.T, path string, at loc)
 	}{
-		{"flipped body bit", func(t *testing.T, raw []byte) []byte {
-			raw[len(raw)-1] ^= 1
-			return raw
+		{"flipped body bit", func(t *testing.T, path string, at loc) {
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			writeAt(t, path, at.off+at.n-trailerBytes-1, []byte{raw[at.off+at.n-trailerBytes-1] ^ 1})
 		}},
-		{"truncated", func(t *testing.T, raw []byte) []byte {
-			return raw[:len(raw)-4]
+		{"truncated", func(t *testing.T, path string, at loc) {
+			if err := os.Truncate(path, at.off+at.n-4); err != nil {
+				t.Fatal(err)
+			}
 		}},
-		{"no header", func(t *testing.T, raw []byte) []byte {
-			return []byte("garbage with no newline")
+		{"no header", func(t *testing.T, path string, at loc) {
+			writeAt(t, path, at.off, bytes.Repeat([]byte("g"), int(at.n)))
 		}},
-		{"wrong magic", func(t *testing.T, raw []byte) []byte {
-			return append([]byte("wrongmagic a 1 k\n"), 'x')
+		{"wrong magic", func(t *testing.T, path string, at loc) {
+			writeAt(t, path, at.off, []byte("wrongmagic"))
 		}},
 	}
 	for _, c := range cases {
@@ -126,18 +200,13 @@ func TestCorruptFilesReadAsMissesAndAreRemoved(t *testing.T) {
 			if err := s.Put("run:TL:x", []byte("payload-bytes")); err != nil {
 				t.Fatal(err)
 			}
-			raw, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(path, c.mangle(t, raw), 0o644); err != nil {
-				t.Fatal(err)
-			}
+			path, at := recordOf(t, s, "run:TL:x")
+			c.mangle(t, path, at)
 			if got, ok := s.Get("run:TL:x"); ok {
-				t.Fatalf("corrupt file served: %q", got)
+				t.Fatalf("corrupt record served: %q", got)
 			}
-			if _, err := os.Stat(path); !os.IsNotExist(err) {
-				t.Fatalf("corrupt file not removed (stat err %v)", err)
+			if s.Len() != 0 {
+				t.Fatal("corrupt record's entry not dropped")
 			}
 		})
 	}
@@ -149,89 +218,64 @@ func TestCorruptFilesReadAsMissesAndAreRemoved(t *testing.T) {
 func TestOpenSweepsCorruptAndTempFiles(t *testing.T) {
 	dir := t.TempDir()
 	s1 := mustOpen(t, dir, 0)
-	if err := s1.Put("run:TL:keep", []byte("good")); err != nil {
-		t.Fatal(err)
+	for _, k := range []string{"run:TL:keep", "run:TL:broken", "run:TL:rotten"} {
+		if err := s1.Put(k, []byte("payload of "+k)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// A torn write the rename never committed...
-	if err := os.WriteFile(filepath.Join(dir, "run-TL-torn.res.12345.tmp"), []byte("half"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// ...a file whose envelope header is broken (length disagrees with
-	// the file size — swept at Open, which indexes headers only)...
-	torn := filepath.Join(dir, fileName("run:TL:torn"))
-	if err := os.WriteFile(torn, []byte("simstore1 ffff 99 run:TL:torn\nxx"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// ...and one whose header is consistent but whose body bytes
-	// rotted: indexing keeps it (no body hashing at startup) and the
-	// first Get catches and deletes it.
-	rotten := filepath.Join(dir, fileName("run:TL:rotten"))
-	if err := os.WriteFile(rotten, []byte("simstore1 ffff 4 run:TL:rotten\nrot!"), 0o644); err != nil {
+	path, broken := recordOf(t, s1, "run:TL:broken")
+	_, rotten := recordOf(t, s1, "run:TL:rotten")
+	// A record whose header is broken...
+	writeAt(t, path, broken.off, []byte("XX"))
+	// ...one whose body bytes rotted (the header still parses; the
+	// checksums catch it)...
+	writeAt(t, path, rotten.off+rotten.n-trailerBytes-1, []byte("!"))
+	// ...a torn tail, as a Put killed mid-write leaves it...
+	torn := encodeRecord("run:TL:torn", []byte("never acknowledged"))
+	writeAt(t, path, rotten.off+rotten.n, torn[:len(torn)-5])
+	// ...and an index write the rename never committed.
+	if err := os.WriteFile(filepath.Join(dir, indexName+".12345"+tmpSuffix), []byte("half"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
+	// s1 was never closed, so its index is stale and Open rescans.
 	s2 := mustOpen(t, dir, 0)
-	if s2.Len() != 2 {
-		t.Fatalf("reopened store has %d entries, want 2 (keep + unread rotten)", s2.Len())
-	}
-	if _, ok := s2.Get("run:TL:rotten"); ok {
-		t.Fatal("bit-rotted body served")
-	}
-	left, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var names []string
-	for _, de := range left {
-		if de.Name() == indexName { // the startup index rides along
-			continue
-		}
-		names = append(names, de.Name())
-	}
-	if len(names) != 1 || names[0] != fileName("run:TL:keep") {
-		t.Fatalf("directory not swept: %v", names)
-	}
 	st := s2.StatsSnapshot()
-	if st.Corrupt != 2 {
-		t.Fatalf("corrupt counter %d, want 2 (one at Open, one at Get)", st.Corrupt)
+	if s2.Len() != 1 || st.CorruptAtOpen != 2 || st.Corrupt != 2 {
+		t.Fatalf("reopened store has %d entries and stats %+v, want keep alone and 2 corrupt at open", s2.Len(), st)
+	}
+	if got, ok := s2.Get("run:TL:keep"); !ok || string(got) != "payload of run:TL:keep" {
+		t.Fatalf("surviving entry lost: %q %v", got, ok)
+	}
+	// The damaged segment was compacted away and the temp file swept:
+	// the directory holds one fresh segment and the index.
+	segs, other := dirFiles(t, dir)
+	if len(segs) != 1 || segs[0] == segName(1) || len(other) != 1 || other[0] != indexName {
+		t.Fatalf("directory not swept: segments %v, other %v", segs, other)
 	}
 }
 
 func TestOpenRejectsNewerGenerationEnvelopesAndCrashedPutTmp(t *testing.T) {
-	// A store directory inherited from a NEWER binary generation: its
-	// envelope magic is unknown to this build, so the files must read
-	// as corrupt and be dropped — a downgraded process serves misses
-	// and recomputes, it never misparses a future format. Alongside it,
-	// a tmp file exactly as a Put crashed mid-write would leave it
-	// (CreateTemp name for a real key, valid-looking envelope inside):
-	// swept at Open, never indexed, never served.
+	// A log holding a record from a NEWER binary generation: its
+	// envelope magic is unknown to this build, so it must read as
+	// corrupt and be dropped — a downgraded process serves misses and
+	// recomputes, it never misparses a future format. Alongside it, the
+	// crashes of a Put: a torn record at the tail of the log, and a tmp
+	// file exactly as a Put of the one-file-per-key layout left it
+	// (CreateTemp name for a real key, valid envelope inside). Neither
+	// was acknowledged; neither may be served.
 	dir := t.TempDir()
 	s1 := mustOpen(t, dir, 0)
 	if err := s1.Put("run:TL:old", []byte("from-this-generation")); err != nil {
 		t.Fatal(err)
 	}
-
-	// The future-format file: shaped like an envelope, wrong magic.
-	future := filepath.Join(dir, fileName("run:TL:future"))
+	path, old := recordOf(t, s1, "run:TL:old")
 	body := []byte("future-payload")
-	env := fmt.Sprintf("simstore2 %064x %d run:TL:future\n%s", 0, len(body), body)
-	if err := os.WriteFile(future, []byte(env), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// The crashed Put: a tmp file whose CONTENT is a perfectly valid
-	// current-generation envelope — only the .tmp name marks it as
-	// never-committed. Indexing it anyway would resurrect a write that
-	// was never acknowledged.
-	crashed := filepath.Join(dir, fileName("run:TL:crashed")+".8821.tmp")
-	s2 := mustOpen(t, t.TempDir(), 0) // scratch store renders a valid envelope
-	if err := s2.Put("run:TL:crashed", []byte("uncommitted")); err != nil {
-		t.Fatal(err)
-	}
-	valid, err := os.ReadFile(filepath.Join(s2.Dir(), fileName("run:TL:crashed")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(crashed, valid, 0o644); err != nil {
+	future := appendTrailer([]byte(fmt.Sprintf("simstore2 %064x %d run:TL:future\n%s", 0, len(body), body)))
+	crashed := encodeRecord("run:TL:crashed", []byte("uncommitted"))
+	writeAt(t, path, old.off+old.n, append(future, crashed[:len(crashed)-1]...))
+	tmp := filepath.Join(dir, fileName("run:TL:crashed")+".8821"+tmpSuffix)
+	if err := os.WriteFile(tmp, EncodeEnvelope("run:TL:crashed", []byte("uncommitted")), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -243,29 +287,18 @@ func TestOpenRejectsNewerGenerationEnvelopesAndCrashedPutTmp(t *testing.T) {
 		t.Fatal("newer-generation envelope served")
 	}
 	if _, ok := s3.Get("run:TL:crashed"); ok {
-		t.Fatal("crashed Put's tmp file served")
+		t.Fatal("crashed Put served")
 	}
 	if got, ok := s3.Get("run:TL:old"); !ok || !bytes.Equal(got, []byte("from-this-generation")) {
 		t.Fatalf("surviving entry lost: %q %v", got, ok)
 	}
-	left, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+		t.Fatalf("crashed Put's tmp file not swept (stat err %v)", err)
 	}
-	var names []string
-	for _, de := range left {
-		if de.Name() == indexName { // the startup index rides along
-			continue
-		}
-		names = append(names, de.Name())
-	}
-	if len(names) != 1 || names[0] != fileName("run:TL:old") {
-		t.Fatalf("directory not swept: %v", names)
-	}
-	// The future file counted as corruption (it was removed on sight);
-	// the tmp sweep is routine, not corruption.
-	if st := s3.StatsSnapshot(); st.Corrupt != 1 {
-		t.Fatalf("corrupt counter %d, want 1", st.Corrupt)
+	// The future record counted as corruption; the torn tail and the
+	// tmp sweep are routine, not corruption.
+	if st := s3.StatsSnapshot(); st.Corrupt != 1 || st.CorruptAtOpen != 1 {
+		t.Fatalf("corrupt counters %+v, want 1", st)
 	}
 }
 
@@ -299,9 +332,16 @@ func TestGCEvictsLeastRecentlyAccessed(t *testing.T) {
 	if st.Evictions != 1 || st.Bytes != 300 || st.Entries != 3 {
 		t.Fatalf("stats %+v", st)
 	}
-	// The evicted entry's file is gone from disk too.
-	if _, err := os.Stat(filepath.Join(dir, fileName("k:b"))); !os.IsNotExist(err) {
-		t.Fatalf("evicted file still on disk (stat err %v)", err)
+	// The evicted record stays dead across a clean restart.
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2 := mustOpen(t, dir, 450)
+	if _, ok := s2.Get("k:b"); ok {
+		t.Fatal("evicted entry came back after a restart")
+	}
+	if s2.Len() != 3 {
+		t.Fatalf("reopened store has %d entries, want 3", s2.Len())
 	}
 }
 
@@ -329,12 +369,8 @@ func TestLRUOrderSurvivesReopen(t *testing.T) {
 	if err := s1.Put("k:old", body); err != nil {
 		t.Fatal(err)
 	}
-	// File mtimes carry the LRU order across restarts; make the gap
-	// visible to coarse filesystem clocks.
-	past := time.Now().Add(-time.Hour)
-	if err := os.Chtimes(filepath.Join(dir, fileName("k:old")), past, past); err != nil {
-		t.Fatal(err)
-	}
+	// s1 is never closed, as after a crash: the log order carries the
+	// LRU order across the restart.
 	if err := s1.Put("k:new", body); err != nil {
 		t.Fatal(err)
 	}
@@ -361,12 +397,6 @@ func TestOpenEnforcesShrunkenBudget(t *testing.T) {
 	s1 := mustOpen(t, dir, 1000)
 	for i := 0; i < 5; i++ {
 		if err := s1.Put(fmt.Sprintf("k:%d", i), body); err != nil {
-			t.Fatal(err)
-		}
-		// Space the mtimes out so coarse filesystem clocks preserve the
-		// write order for the reopen's LRU reconstruction.
-		past := time.Now().Add(time.Duration(i-10) * time.Minute)
-		if err := os.Chtimes(filepath.Join(dir, fileName(fmt.Sprintf("k:%d", i))), past, past); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -442,8 +472,9 @@ func TestInvalidKeysRejected(t *testing.T) {
 }
 
 func TestSanitizedKeyCollisionIsAMissNotAnAlias(t *testing.T) {
-	// "run:a" and "run-a" share a file name after sanitization; the
-	// envelope key check must keep them from reading each other.
+	// "run:a" and "run-a" shared a file name in the one-file-per-key
+	// layout, where the later write made the other a miss. In the log
+	// each is its own record: both are served, neither the other's.
 	s := mustOpen(t, t.TempDir(), 0)
 	if err := s.Put("run:a", []byte("first")); err != nil {
 		t.Fatal(err)
@@ -451,20 +482,20 @@ func TestSanitizedKeyCollisionIsAMissNotAnAlias(t *testing.T) {
 	if err := s.Put("run-a", []byte("second")); err != nil {
 		t.Fatal(err)
 	}
-	// Last write wins the shared file; the other key must miss, never
-	// serve the other's bytes.
-	if got, ok := s.Get("run:a"); ok && string(got) != "first" {
-		t.Fatalf("run:a served aliased bytes %q", got)
+	if got, ok := s.Get("run:a"); !ok || string(got) != "first" {
+		t.Fatalf("run:a served %q, %v", got, ok)
 	}
-	if got, ok := s.Get("run-a"); ok && string(got) != "second" {
-		t.Fatalf("run-a served aliased bytes %q", got)
+	if got, ok := s.Get("run-a"); !ok || string(got) != "second" {
+		t.Fatalf("run-a served %q, %v", got, ok)
 	}
 }
 
-// TestGCUnderConcurrentReads races the size-budget GC against
-// concurrent readers: every successful Get must return exactly the
-// bytes written for that key, never a torn file or another key's
-// body. Run with -race.
+// TestGCUnderConcurrentReads races the size-budget GC and compaction
+// against concurrent readers: segments are small, so writers seal and
+// compact them constantly — a compaction copies records a reader is
+// about to read and closes and deletes the file under it. Every
+// successful Get must return exactly the bytes written for that key,
+// never a torn record or another key's body. Run with -race.
 func TestGCUnderConcurrentReads(t *testing.T) {
 	const keys = 32
 	body := func(i int) []byte {
@@ -472,7 +503,8 @@ func TestGCUnderConcurrentReads(t *testing.T) {
 	}
 	// Budget holds only a fraction of the key space, so writers force
 	// constant eviction while readers probe.
-	s := mustOpen(t, t.TempDir(), 2000)
+	dir := t.TempDir()
+	s := mustOpenSized(t, dir, 2000, 1024)
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -519,12 +551,16 @@ func TestGCUnderConcurrentReads(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
+	checkTotals(t, s)
 	st := s.StatsSnapshot()
 	if st.Evictions == 0 {
 		t.Fatal("GC never ran; the race went unexercised")
 	}
+	if _, err := os.Stat(filepath.Join(dir, segName(1))); !os.IsNotExist(err) {
+		t.Fatal("the first segment was never compacted; the race went unexercised")
+	}
 	if st.Corrupt != 0 {
-		t.Fatalf("readers saw %d corrupt files", st.Corrupt)
+		t.Fatalf("readers saw %d corrupt records", st.Corrupt)
 	}
 	if st.Bytes > 2000+int64(keys)+400 {
 		t.Fatalf("store grew past its budget: %d bytes", st.Bytes)
@@ -533,17 +569,18 @@ func TestGCUnderConcurrentReads(t *testing.T) {
 
 func TestFileNameSanitization(t *testing.T) {
 	got := fileName("run:TL:ab/cd é")
-	if strings.ContainsAny(got, ":/ é") || !strings.HasSuffix(got, suffix) {
+	if strings.ContainsAny(got, ":/ é") || !strings.HasSuffix(got, legacySuffix) {
 		t.Fatalf("fileName = %q", got)
 	}
 }
 
 func TestOpenCountsAndLogsCorruptEnvelopes(t *testing.T) {
-	// The startup sweep must not just silently tidy up: operators need
-	// the count (surfaced through healthz via Stats) to notice a disk
-	// or crash-corruption problem before it becomes a re-simulation
-	// storm. chaos.CorruptResults is the same fault the cluster drills
-	// use, so this pins the exact envelope damage they inject.
+	// The startup recovery must not just silently tidy up: operators
+	// need the count (surfaced through healthz via Stats) and a log line
+	// per record to notice a disk or crash-corruption problem before it
+	// becomes a re-simulation storm. chaos.CorruptResults is the same
+	// fault the cluster drills use, so this pins the exact envelope
+	// damage they inject.
 	dir := t.TempDir()
 	s1 := mustOpen(t, dir, 0)
 	keys := []string{"run:TL:aa", "run:TL:bb", "run:TL:cc", "run:TL:dd"}
@@ -560,31 +597,43 @@ func TestOpenCountsAndLogsCorruptEnvelopes(t *testing.T) {
 		t.Fatalf("damaged %d envelopes, want 3", damaged)
 	}
 
+	var logged bytes.Buffer
+	log.SetOutput(&logged)
 	s2 := mustOpen(t, dir, 0)
+	log.SetOutput(os.Stderr)
 	st := s2.StatsSnapshot()
 	if st.CorruptAtOpen != 3 || st.Corrupt != 3 {
 		t.Fatalf("stats %+v, want 3 corrupt at open", st)
 	}
+	if n := strings.Count(logged.String(), "dropping corrupt envelope"); n != 3 {
+		t.Fatalf("logged %d dropped envelopes, want 3:\n%s", n, logged.String())
+	}
 	if s2.Len() != 1 {
 		t.Fatalf("reopened store has %d entries, want the 1 survivor", s2.Len())
 	}
-	// The damaged envelopes are deleted, not quarantined: a later Put
-	// of the same key must start clean.
-	left, err := os.ReadDir(dir)
-	if err != nil {
+	if got, ok := s2.Get("run:TL:dd"); !ok || string(got) != "payload for run:TL:dd" {
+		t.Fatalf("survivor = %q, %v", got, ok)
+	}
+	// The damaged records are gone, not quarantined: a later Put of the
+	// same key starts clean...
+	if err := s2.Put("run:TL:aa", []byte("again")); err != nil {
 		t.Fatal(err)
 	}
-	files := 0
-	for _, de := range left {
-		if strings.HasSuffix(de.Name(), ".res") {
-			files++
-		}
+	if got, ok := s2.Get("run:TL:aa"); !ok || string(got) != "again" {
+		t.Fatalf("re-Put after damage = %q, %v", got, ok)
 	}
-	if files != 1 {
-		t.Fatalf("%d envelope files survive, want 1", files)
+	// ...and a reopen of the now-clean directory counts zero, even one
+	// that rescans every segment.
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
 	}
-	// A second reopen of the now-clean directory counts zero.
-	if st := mustOpen(t, dir, 0).StatsSnapshot(); st.CorruptAtOpen != 0 {
-		t.Fatalf("clean reopen reports %d corrupt", st.CorruptAtOpen)
+	if st := mustOpen(t, dir, 0).StatsSnapshot(); st.CorruptAtOpen != 0 || st.IndexLoads != 1 {
+		t.Fatalf("clean reopen: %+v", st)
+	}
+	if err := os.Remove(filepath.Join(dir, indexName)); err != nil {
+		t.Fatal(err)
+	}
+	if st := mustOpen(t, dir, 0).StatsSnapshot(); st.CorruptAtOpen != 0 || st.IndexRebuilds != 1 || st.Entries != 2 {
+		t.Fatalf("clean rescan: %+v", st)
 	}
 }
