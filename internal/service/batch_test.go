@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -222,7 +223,7 @@ func TestBatchReplyCutShortIsAPrefixNeverAMisparse(t *testing.T) {
 // record back.
 func TestBatchFramingMatchesItsFormatString(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	statuses := []int{200, 400, 404, 500, 503, 0, -1, 1 << 40}
+	statuses := []int{200, 400, 404, 500, 503, 0, -1, math.MaxInt}
 	caches := []string{"", "hit", "miss", "coalesced", "router_hit"}
 	var want []byte
 	var recs []BatchRecord

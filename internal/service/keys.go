@@ -2,13 +2,15 @@
 // deployment — worker memory, disk store, router cache, the envelopes a
 // drain moves between shards — lives under one of three key shapes:
 //
-//	run:<MODEL>:<hash>   one model's /run body (MODEL is TL or RTL)
-//	compare:<hash>       a /compare accuracy row
-//	sweep:<id>           a sweep's checkpoint manifest
+//	run:<rev>:<MODEL>:<hash>   one model's /run body (MODEL is TL or RTL)
+//	compare:<rev>:<hash>       a /compare accuracy row
+//	sweep:<rev>:<id>           a sweep's checkpoint manifest
 //
-// where the tail is a SHA-256 in lower-case hex: the spec's content
-// hash, or the sweep id. The tail is also the string rendezvous
-// placement hashes, so a key alone says which shard owns it. This file
+// where rev is ModelRevision and the tail is a SHA-256 in lower-case
+// hex: the spec's content hash, or the sweep id. The tail is also the
+// string rendezvous placement hashes, so a key alone says which shard
+// owns it. A key of another revision is no key at all: SplitKey
+// rejects it, so bytes an older model wrote are never read. This file
 // is the only place the shapes are formatted, validated or split, and
 // the only place a request's model selector is parsed.
 package service
@@ -20,10 +22,16 @@ import (
 	"repro/internal/core"
 )
 
+// ModelRevision names the models that compute every cached byte. Bump
+// it in any change that moves a result byte (the result ledger,
+// internal/tlm/testdata/results.ledger, fails until it is bumped): the
+// keys move with it, so no tier serves a result the old models made.
+const ModelRevision = "r1"
+
 const (
-	runPrefix     = "run:"
-	comparePrefix = "compare:"
-	sweepPrefix   = "sweep:"
+	runPrefix     = "run:" + ModelRevision + ":"
+	comparePrefix = "compare:" + ModelRevision + ":"
+	sweepPrefix   = "sweep:" + ModelRevision + ":"
 )
 
 // SweepModel is a validated model selector — what a /run, or every
@@ -81,7 +89,7 @@ func ResultKey(model string, hash string) (string, error) {
 // SplitKey validates a result-space key and returns its tail — the
 // spec content hash or sweep id that placement hashes — and whether it
 // names a sweep manifest rather than a result. ok=false for anything
-// that is not exactly one of the three shapes.
+// that is not exactly one of the three shapes at ModelRevision.
 func SplitKey(key string) (tail string, manifest, ok bool) {
 	i := strings.LastIndexByte(key, ':')
 	head, tail := key[:i+1], key[i+1:]
@@ -96,7 +104,8 @@ func SplitKey(key string) (tail string, manifest, ok bool) {
 }
 
 // ValidResultKey reports whether key names a result slot /results
-// accepts: run:TL:<hash>, run:RTL:<hash> or compare:<hash>.
+// accepts: run:<rev>:TL:<hash>, run:<rev>:RTL:<hash> or
+// compare:<rev>:<hash>.
 func ValidResultKey(key string) bool {
 	_, manifest, ok := SplitKey(key)
 	return ok && !manifest

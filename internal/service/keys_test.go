@@ -7,17 +7,19 @@ import (
 
 // TestResultKeyShapes pins the key vocabulary: what each selector and
 // tail formats to, that every formatted key splits back into the same
-// tail, and every shape /results refuses.
+// tail, every shape /results refuses, and that a key of another model
+// revision splits to nothing.
 func TestResultKeyShapes(t *testing.T) {
 	hash := strings.Repeat("0f", 32)
+	rev := ModelRevision
 	cases := []struct {
 		model, want string
 	}{
-		{"", "run:TL:" + hash},
-		{"tl", "run:TL:" + hash},
-		{"tlm", "run:TL:" + hash},
-		{"rtl", "run:RTL:" + hash},
-		{"compare", "compare:" + hash},
+		{"", "run:" + rev + ":TL:" + hash},
+		{"tl", "run:" + rev + ":TL:" + hash},
+		{"tlm", "run:" + rev + ":TL:" + hash},
+		{"rtl", "run:" + rev + ":RTL:" + hash},
+		{"compare", "compare:" + rev + ":" + hash},
 	}
 	for _, c := range cases {
 		got, err := ResultKey(c.model, hash)
@@ -48,25 +50,38 @@ func TestResultKeyShapes(t *testing.T) {
 	// A manifest key is part of the vocabulary — it splits, and places by
 	// its sweep id — but it is not a result slot.
 	mk := manifestKey(hash)
-	if mk != "sweep:"+hash {
+	if mk != "sweep:"+rev+":"+hash {
 		t.Fatalf("manifestKey = %q", mk)
 	}
 	if tail, manifest, ok := SplitKey(mk); !ok || !manifest || tail != hash {
 		t.Fatalf("SplitKey(%q) = %q, %v, %v; want the id of a manifest", mk, tail, manifest, ok)
 	}
 
+	// Another revision, or the shapes before keys carried one: no
+	// result, no manifest, no placement.
+	for _, old := range []string{
+		"run:TL:" + hash, "run:RTL:" + hash, "compare:" + hash, "sweep:" + hash,
+		"run:r0:TL:" + hash, "compare:r0:" + hash, "sweep:r0:" + hash,
+		"run:" + rev + "x:TL:" + hash, "run:TL:" + rev + ":" + hash,
+	} {
+		if tail, manifest, ok := SplitKey(old); ok {
+			t.Fatalf("SplitKey(%q) = %q, %v, true; want another revision rejected", old, tail, manifest)
+		}
+	}
+
+	run := "run:" + rev + ":"
 	upper := strings.ToUpper(hash)
 	for _, bad := range []string{
 		"", hash, ":" + hash,
-		"run:TL:", "compare:", "sweep:",
-		mk,                                  // a manifest is no result slot
-		"run:tl:" + hash, "run:TLM:" + hash, // MODEL is exactly TL or RTL
-		"run:" + hash, "run::" + hash, // no model
-		"compare:TL:" + hash, "sweep:TL:" + hash, // a model where none belongs
-		"secret:" + hash, "RUN:TL:" + hash, " run:TL:" + hash,
-		"run:TL:deadbeef", "run:TL:nothex", "run:TL:" + upper,
-		"run:TL:" + hash + "ff", "run:TL:" + hash[1:], "run:TL:" + hash + ":",
-		"run:TL:x:" + hash,
+		run + "TL:", "compare:" + rev + ":", "sweep:" + rev + ":",
+		mk,                                      // a manifest is no result slot
+		run + "tl:" + hash, run + "TLM:" + hash, // MODEL is exactly TL or RTL
+		run + hash, run + ":" + hash, // no model
+		"compare:" + rev + ":TL:" + hash, "sweep:" + rev + ":TL:" + hash, // a model where none belongs
+		"secret:" + hash, "RUN:" + rev + ":TL:" + hash, " " + run + "TL:" + hash,
+		run + "TL:deadbeef", run + "TL:nothex", run + "TL:" + upper,
+		run + "TL:" + hash + "ff", run + "TL:" + hash[1:], run + "TL:" + hash + ":",
+		run + "TL:x:" + hash,
 	} {
 		if ValidResultKey(bad) {
 			t.Fatalf("ValidResultKey(%q) = true", bad)

@@ -295,14 +295,18 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 // disk store's keys most-recent-first, then any keys only the memory
 // cache holds (a store-less shard, or a race where the memory tier
 // runs ahead). The union is what a drain must migrate — missing a
-// memory-only key would silently cool a result its owner had warm.
+// memory-only key would silently cool a result its owner had warm. A
+// disk key SplitKey rejects — one of another model revision — is left
+// out: it is never read again, so it is not moved either.
 func (s *Server) enumerateKeys(prefix string) []string {
 	keys := []string{}
 	seen := map[string]struct{}{}
 	if s.disk != nil {
 		for _, k := range s.disk.Enumerate(prefix) {
-			keys = append(keys, k)
-			seen[k] = struct{}{}
+			if _, _, ok := SplitKey(k); ok {
+				keys = append(keys, k)
+				seen[k] = struct{}{}
+			}
 		}
 	}
 	for _, k := range s.cache.Keys() {

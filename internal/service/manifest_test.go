@@ -417,7 +417,7 @@ func TestResultsProbeServesStoredBytes(t *testing.T) {
 		t.Fatalf("cold probe status %d, want 404: %s", status, body)
 	}
 
-	for _, bad := range []string{"", "run:TL:deadbeef", "sweep:" + hash} {
+	for _, bad := range []string{"", coldKey[:len(coldKey)-len(hash)] + "deadbeef", manifestKey(hash)} {
 		if status, _, body := getJSON(t, ts.URL+"/results?key="+url.QueryEscape(bad)); status != http.StatusBadRequest {
 			t.Fatalf("probe with key %q: status %d, want 400: %s", bad, status, body)
 		}
@@ -445,19 +445,23 @@ func TestResultsRejectsBadKeyAndBody(t *testing.T) {
 	}
 
 	hash := strings.Repeat("ab", 32)
+	key, err := ResultKey("tl", hash)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if status, body := send("", []byte(`{}`)); status != http.StatusBadRequest {
 		t.Fatalf("missing key: %d %s", status, body)
 	}
-	if status, body := send("run:TL:nothex", []byte(`{}`)); status != http.StatusBadRequest {
+	if status, body := send(key[:len(key)-len(hash)]+"nothex", []byte(`{}`)); status != http.StatusBadRequest {
 		t.Fatalf("bad hash: %d %s", status, body)
 	}
 	if status, body := send("secret:"+hash, []byte(`{}`)); status != http.StatusBadRequest {
 		t.Fatalf("foreign prefix: %d %s", status, body)
 	}
-	if status, body := send("run:TL:"+hash, []byte(`{broken`)); status != http.StatusBadRequest {
+	if status, body := send(key, []byte(`{broken`)); status != http.StatusBadRequest {
 		t.Fatalf("non-JSON body: %d %s", status, body)
 	}
-	if status, body := send("run:TL:"+hash, nil); status != http.StatusBadRequest {
+	if status, body := send(key, nil); status != http.StatusBadRequest {
 		t.Fatalf("empty body: %d %s", status, body)
 	}
 }

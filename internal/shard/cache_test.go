@@ -6,11 +6,16 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/service"
 	"repro/internal/store"
 )
 
 func cacheTestKey(i int) string {
-	return "run:TL:" + strings.Repeat(fmt.Sprintf("%02x", i%256), 32)
+	key, err := service.ResultKey("tl", strings.Repeat(fmt.Sprintf("%02x", i%256), 32))
+	if err != nil {
+		panic(err)
+	}
+	return key
 }
 
 // cacheRouter builds a router whose only live part is its result cache,

@@ -8,12 +8,15 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"path/filepath"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/service"
+	"repro/internal/store"
 )
 
 // resizeCluster is a router over n store-backed backends with direct
@@ -31,14 +34,23 @@ type resizeCluster struct {
 // withStore) and a router with the given result-cache budget.
 func newResizeCluster(t *testing.T, n int, withStore bool, cacheBytes int64) *resizeCluster {
 	t.Helper()
-	c := &resizeCluster{}
-	urls := make([]string, n)
-	for i := 0; i < n; i++ {
-		opt := service.Options{Workers: 2}
+	dirs := make([]string, n)
+	for i := range dirs {
 		if withStore {
-			opt.StoreDir = filepath.Join(t.TempDir(), "shard-"+strconv.Itoa(i))
+			dirs[i] = filepath.Join(t.TempDir(), "shard-"+strconv.Itoa(i))
 		}
-		srv, err := service.New(opt)
+	}
+	return newResizeClusterIn(t, dirs, cacheBytes)
+}
+
+// newResizeClusterIn builds one backend per store dir ("" for none)
+// and a router with the given result-cache budget.
+func newResizeClusterIn(t *testing.T, dirs []string, cacheBytes int64) *resizeCluster {
+	t.Helper()
+	c := &resizeCluster{}
+	urls := make([]string, len(dirs))
+	for i, dir := range dirs {
+		srv, err := service.New(service.Options{Workers: 2, StoreDir: dir})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -311,12 +323,12 @@ func TestDrainMigratesEveryEnvelopeByteIdentically(t *testing.T) {
 	// Every result envelope the shard held now lives on its rendezvous
 	// owner under the NEW membership, byte-identical.
 	for key, want := range held {
-		if len(key) < 64 {
-			continue
+		hash, manifest, ok := service.SplitKey(key)
+		if !ok {
+			t.Fatalf("the drained shard listed %q, no result-space key", key)
 		}
-		hash := key[len(key)-64:]
 		owner := OwnerID(hash, remaining)
-		if bytes.HasPrefix([]byte(key), []byte("sweep:")) {
+		if manifest {
 			// Manifests merge-persist; assert presence, not bytes.
 			resp, err := http.Get(c.backends[owner].URL + "/sweep/" + hash)
 			if err != nil {
@@ -363,6 +375,67 @@ func TestDrainMigratesEveryEnvelopeByteIdentically(t *testing.T) {
 	}
 	if status, _, _ := post(t, c.front+"/admin/shards/99/drain", nil); status != http.StatusNotFound {
 		t.Fatalf("unknown drain status %d, want 404", status)
+	}
+}
+
+// TestDrainLeavesKeysOfAnotherRevisionBehind drains a worker whose
+// store an older build wrote: beside a current result it holds one
+// under the key shape before model revisions, run:TL:<hash>. The
+// worker does not list that key, and the drain succeeds, moves only
+// the current result and counts only it as migrated.
+func TestDrainLeavesKeysOfAnotherRevisionBehind(t *testing.T) {
+	dirs := []string{filepath.Join(t.TempDir(), "shard-0"), filepath.Join(t.TempDir(), "shard-1")}
+	hash := strings.Repeat("ab", 32)
+	old := "run:TL:" + hash
+	st, err := store.Open(dirs[1], 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put(old, []byte(`{"cycles":1}`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	c := newResizeClusterIn(t, dirs, 0)
+	current, err := service.ResultKey("tl", hash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.NewRequest(http.MethodPost, c.backends[1].URL+"/results", strings.NewReader(`{"cycles":2}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(service.ResultKeyHeader, current)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("write-back: %d", resp.StatusCode)
+	}
+	if keys := drainedKeys(t, c.backends[1].URL); !slices.Equal(keys, []string{current}) {
+		t.Fatalf("worker lists %q, want only the current-revision key", keys)
+	}
+
+	status, _, body := post(t, c.front+"/admin/shards/1/drain", nil)
+	if status != http.StatusOK {
+		t.Fatalf("drain: %d %s", status, body)
+	}
+	var report DrainReport
+	if err := json.Unmarshal(body, &report); err != nil {
+		t.Fatal(err)
+	}
+	if report.Moved != 1 {
+		t.Fatalf("drain moved %d envelopes, want the current result alone", report.Moved)
+	}
+	if keys := drainedKeys(t, c.backends[0].URL); !slices.Equal(keys, []string{current}) {
+		t.Fatalf("the new owner holds %q, want only the current-revision key", keys)
+	}
+	_, _, metrics := get(t, c.front+"/metrics")
+	if want := `simd_migrated_envelopes_total{from="1",to="0"} 1` + "\n"; !strings.Contains(string(metrics), want) {
+		t.Fatalf("metrics lack %q:\n%s", want, metrics)
 	}
 }
 

@@ -360,7 +360,7 @@ func TestRouterRejectsManifestBeyondTheVariantBound(t *testing.T) {
 	// any other corrupt copy: the bitmaps are sized from total, so
 	// trusting it means allocating whatever the backend names.
 	id := strings.Repeat("ab", 32)
-	for _, total := range []int{sweep.MaxVariants + 1, 100_000_000_000} {
+	for _, total := range []int64{sweep.MaxVariants + 1, 100_000_000_000} {
 		stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if r.URL.Path != "/sweep/"+id {
 				http.NotFound(w, r)

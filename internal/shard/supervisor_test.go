@@ -19,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/service"
 	"repro/internal/store"
 )
 
@@ -148,7 +149,11 @@ func TestSupervisorRespawnReopensStoreAcrossTwoKills(t *testing.T) {
 
 	base := "http://" + sup.Procs()[0].Addr
 	value := []byte(`{"cycles":424242,"survives":"respawn"}`)
-	resp, err := http.Post(base+"/kv?key=run:TL:deadbeef", "application/json", strings.NewReader(string(value)))
+	key, err := service.ResultKey("tl", strings.Repeat("de", 32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(base+"/kv?key="+key, "application/json", strings.NewReader(string(value)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +183,7 @@ func TestSupervisorRespawnReopensStoreAcrossTwoKills(t *testing.T) {
 		// request a moment anyway.
 		deadline := time.Now().Add(10 * time.Second)
 		for {
-			status, body := httpGet(t, base+"/kv?key=run:TL:deadbeef")
+			status, body := httpGet(t, base+"/kv?key="+key)
 			if status == http.StatusOK {
 				if string(body) != string(value) {
 					t.Fatalf("kill %d: replayed %q, want %q", kill, body, value)

@@ -35,12 +35,7 @@ const indexName = "index"
 
 // indexMagic tags the index format; bump it if the layout changes so
 // old files read as stale and trigger a rescan instead of misparsing.
-// legacyIndexMagic tags the one-file-per-key layout's index, read only
-// to import that layout in its access order.
-const (
-	indexMagic       = "simidx2"
-	legacyIndexMagic = "simidx1"
-)
+const indexMagic = "simidx2"
 
 // indexEntry is one entry line of the startup index.
 type indexEntry struct {
@@ -76,16 +71,16 @@ func encodeIndex(segs []segLen, entries []indexEntry) []byte {
 	return append([]byte(header), payload...)
 }
 
-// indexLines verifies an index file's header — magic, checksum, and as
-// many counts as the format has — and returns the counts and the
-// payload's lines.
-func indexLines(raw []byte, magic string, counts int) ([]int, []string, error) {
+// indexLines verifies an index file's header — magic, checksum, and the
+// segment and entry counts — and returns the counts and the payload's
+// lines.
+func indexLines(raw []byte) ([]int, []string, error) {
 	nl := bytes.IndexByte(raw, '\n')
 	if nl < 0 {
 		return nil, nil, fmt.Errorf("no header line")
 	}
 	fields := strings.Split(string(raw[:nl]), " ")
-	if len(fields) != 2+counts || fields[0] != magic {
+	if len(fields) != 4 || fields[0] != indexMagic {
 		return nil, nil, fmt.Errorf("bad header")
 	}
 	payload := raw[nl+1:]
@@ -93,7 +88,7 @@ func indexLines(raw []byte, magic string, counts int) ([]int, []string, error) {
 	if hex.EncodeToString(sum[:]) != fields[1] {
 		return nil, nil, fmt.Errorf("checksum mismatch")
 	}
-	ns := make([]int, counts)
+	ns := make([]int, 2)
 	total := 0
 	for i := range ns {
 		n, err := strconv.Atoi(fields[2+i])
@@ -120,7 +115,7 @@ func indexLines(raw []byte, magic string, counts int) ([]int, []string, error) {
 // repeated key — is an error; the caller treats every error the same
 // way (rescan), so the messages only serve the log line.
 func parseIndex(raw []byte) ([]segLen, []indexEntry, error) {
-	counts, lines, err := indexLines(raw, indexMagic, 2)
+	counts, lines, err := indexLines(raw)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -161,8 +156,8 @@ func parseIndex(raw []byte) ([]segLen, []indexEntry, error) {
 // its recorded length, and every entry inside one. It returns the
 // index file's size, or ok=false when the store must rescan.
 func (s *Store) loadIndex(raw []byte) (size int64, ok bool) {
-	if raw == nil || bytes.HasPrefix(raw, []byte(legacyIndexMagic+" ")) {
-		return 0, false // none, or the older layout's: importLegacy reads it
+	if raw == nil {
+		return 0, false
 	}
 	path := filepath.Join(s.dir, indexName)
 	segs, entries, err := parseIndex(raw)

@@ -38,12 +38,13 @@ import (
 // holds: a full 256 MiB store is about 64 of them.
 const segmentBytes = 4 << 20
 
-// segSuffix names segment files; legacySuffix and tmpSuffix name the
-// result and in-progress files of the one-file-per-key layout.
+// segSuffix names segment files and tmpSuffix an index write in
+// progress; fileSuffix named the result files of the one-file-per-key
+// layout, which Open deletes.
 const (
-	segSuffix    = ".seg"
-	legacySuffix = ".res"
-	tmpSuffix    = ".tmp"
+	segSuffix  = ".seg"
+	tmpSuffix  = ".tmp"
+	fileSuffix = ".res"
 )
 
 // recordStart is how every record begins; recovery resyncs on it.

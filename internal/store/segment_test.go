@@ -12,7 +12,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"time"
 )
 
 // copyDir copies the regular files of src into a fresh directory.
@@ -248,71 +247,52 @@ func FuzzSegmentRecover(f *testing.F) {
 	})
 }
 
-// TestParentLayoutOpens opens a directory as the one-file-per-key
-// layout left it — envelope files named by fileName, a simidx1 index
-// of the access order, a stray temp file — and requires every entry
-// served byte-identically, in the index's LRU order, with every old
-// file gone afterwards.
-func TestParentLayoutOpens(t *testing.T) {
+// TestOneFilePerKeyLayoutIsDeletedAtOpen opens a directory as the
+// one-file-per-key layout left it — an envelope file per key named
+// "<sanitized key>.res", a simidx1 index of the access order, a stray
+// temp file of an interrupted Put — and requires an empty, usable store
+// with none of those files left: old bytes are deleted, never read.
+func TestOneFilePerKeyLayoutIsDeletedAtOpen(t *testing.T) {
 	dir := t.TempDir()
-	bodies := map[string][]byte{}
-	var order []string // most recent first, the index's order
+	var payload bytes.Buffer
 	for i := range 6 {
 		key := fmt.Sprintf("run:TL:%064x", i*7919)
-		bodies[key] = []byte(fmt.Sprintf(`{"cycles":%d}`, 1000+i))
-		order = append([]string{key}, order...)
-		if err := os.WriteFile(filepath.Join(dir, fileName(key)), EncodeEnvelope(key, bodies[key]), 0o644); err != nil {
+		body := []byte(fmt.Sprintf(`{"cycles":%d}`, 1000+i))
+		name := strings.ReplaceAll(key, ":", "-") + ".res"
+		if err := os.WriteFile(filepath.Join(dir, name), EncodeEnvelope(key, body), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		// Modification times disagree with the index, which wins.
-		mod := time.Now().Add(time.Duration(-i) * time.Minute)
-		if err := os.Chtimes(filepath.Join(dir, fileName(key)), mod, mod); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Scramble recency away from write order, as Gets did.
-	order[0], order[4] = order[4], order[0]
-	var payload bytes.Buffer
-	for _, key := range order {
-		fmt.Fprintf(&payload, "%d %s\n", len(bodies[key]), key)
+		fmt.Fprintf(&payload, "%d %s\n", len(body), key)
 	}
 	sum := sha256.Sum256(payload.Bytes())
-	index := fmt.Sprintf("simidx1 %s %d\n%s", hex.EncodeToString(sum[:]), len(order), payload.Bytes())
+	index := fmt.Sprintf("simidx1 %s %d\n%s", hex.EncodeToString(sum[:]), 6, payload.Bytes())
 	if err := os.WriteFile(filepath.Join(dir, indexName), []byte(index), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	stray := filepath.Join(dir, fileName(order[1])+".4242"+tmpSuffix)
-	if err := os.WriteFile(stray, []byte("half"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "run-TL-0.res.4242.tmp"), []byte("half"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
 	s := mustOpen(t, dir, 0)
-	if got := s.Enumerate(""); !reflect.DeepEqual(got, order) {
-		t.Fatalf("access order %v, want the index's %v", got, order)
+	defer s.Close()
+	if st := s.StatsSnapshot(); st.Entries != 0 || st.Corrupt != 0 || st.IndexLoads != 0 || st.IndexRebuilds != 0 {
+		t.Fatalf("an old-layout directory opened as %+v, want an empty store", st)
 	}
-	for _, key := range slices.Backward(order) { // Peek touches: keep the order
-		want := bodies[key]
-		if got, ok := s.Peek(key); !ok || !bytes.Equal(got, want) {
-			t.Fatalf("%s = %q, %v", key, got, ok)
-		}
-	}
-	if st := s.StatsSnapshot(); st.Corrupt != 0 || st.Entries != len(bodies) {
-		t.Fatalf("stats %+v", st)
+	if _, ok := s.Get(fmt.Sprintf("run:TL:%064x", 0)); ok {
+		t.Fatal("a result of the old layout was served")
 	}
 	segs, other := dirFiles(t, dir)
-	if len(segs) != 1 || !reflect.DeepEqual(other, []string{indexName}) {
+	if len(segs) != 0 || !reflect.DeepEqual(other, []string{indexName}) {
 		t.Fatalf("left behind: segments %v, other %v", segs, other)
 	}
-	// The import happened once: a reopen reads the log from its index.
-	if err := s.Close(); err != nil {
+	if raw, err := os.ReadFile(filepath.Join(dir, indexName)); err != nil || bytes.HasPrefix(raw, []byte("simidx1 ")) {
+		t.Fatalf("index not replaced: %.20q, %v", raw, err)
+	}
+	if err := s.Put("k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	s = mustOpen(t, dir, 0)
-	if st := s.StatsSnapshot(); st.IndexLoads != 1 || st.Entries != len(bodies) {
-		t.Fatalf("reopen after import: %+v", st)
-	}
-	if got := s.Enumerate(""); !reflect.DeepEqual(got, order) {
-		t.Fatalf("access order after reopen %v, want %v", got, order)
+	if got, ok := s.Get("k"); !ok || string(got) != "v" {
+		t.Fatalf("the store is not usable: %q, %v", got, ok)
 	}
 }
 

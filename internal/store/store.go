@@ -35,8 +35,9 @@
 // most one torn tail, which the next Open truncates; a power loss may
 // lose or tear whatever the kernel had not yet written back.
 //
-// A directory in the older one-file-per-key layout ("<key>.res" files
-// and a "simidx1" index) is imported into the log once, at Open.
+// Bytes of another layout are never read: Open deletes the result files
+// of the first, one-file-per-key layout, and an index of another format
+// is an index that does not parse.
 package store
 
 import (
@@ -147,7 +148,7 @@ type Store struct {
 // is recovered from the startup index when it matches every segment's
 // length — no record is read — or else by rescanning the segments,
 // which verifies every record, truncates a torn tail and drops damaged
-// records. A directory in the one-file-per-key layout is imported.
+// records. Files of the one-file-per-key layout are deleted unread.
 // Either way a fresh index is written before Open returns.
 func Open(dir string, maxBytes int64) (*Store, error) {
 	return open(dir, maxBytes, segmentBytes)
@@ -188,15 +189,16 @@ func open(dir string, maxBytes, segLimit int64) (*Store, error) {
 }
 
 // load recovers the entry table at Open: one ReadDir to find the
-// segments (and any files of the older layout), then the startup index
-// if it matches the segments, else the rescan.
+// segments (deleting interrupted index writes and any result file of
+// the one-file-per-key layout), then the startup index if it matches
+// the segments, else the rescan.
 func (s *Store) load() error {
 	des, err := os.ReadDir(s.dir)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
 	var ids []int64
-	var legacy []os.DirEntry
+	deleted := 0
 	for _, de := range des {
 		if de.IsDir() {
 			continue
@@ -205,10 +207,13 @@ func (s *Store) load() error {
 		if id, ok := parseSegName(name); ok {
 			ids = append(ids, id)
 		} else if strings.HasSuffix(name, tmpSuffix) {
-			os.Remove(filepath.Join(s.dir, name)) // an interrupted index write or old-layout Put
-		} else if strings.HasSuffix(name, legacySuffix) {
-			legacy = append(legacy, de)
+			os.Remove(filepath.Join(s.dir, name)) // an interrupted index write
+		} else if strings.HasSuffix(name, fileSuffix) && os.Remove(filepath.Join(s.dir, name)) == nil {
+			deleted++
 		}
+	}
+	if deleted > 0 {
+		log.Printf("store: deleted %d result files of the one-file-per-key layout in %s unread", deleted, s.dir)
 	}
 	slices.Sort(ids)
 	for _, id := range ids {
@@ -237,9 +242,6 @@ func (s *Store) load() error {
 		if err := s.rescan(ids); err != nil {
 			return err
 		}
-	}
-	if len(legacy) > 0 {
-		s.importLegacy(legacy, rawIndex)
 	}
 	return nil
 }

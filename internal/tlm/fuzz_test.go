@@ -223,6 +223,16 @@ func crossModelSeeds() []int64 {
 	return seeds
 }
 
+// driftSeeds are fixed cross-model inputs of the one class
+// crossModelAgree excuses — permission filter off, refresh on — each
+// at a shape where the two models' cycle counts differed when it was
+// chosen. The result ledger pins both models' bytes on them, so a
+// change to that class moves those lines and no other.
+var driftSeeds = []struct {
+	seed          int64
+	masters, txns int
+}{{593, 3, 40}, {851, 3, 40}, {1811, 3, 40}, {3406, 3, 40}, {4520, 2, 40}, {5143, 2, 40}}
+
 // FuzzCrossModel is the native fuzz target over crossModelAgree: the
 // repository's strongest evidence that the TLM is faithful across the
 // whole configuration space, not just on the Table 1 scenarios. Plain

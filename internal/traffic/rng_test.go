@@ -8,8 +8,9 @@ import (
 
 // drawNs are the Intn bounds the scripts draw with: powers of two (the
 // masking branch), odd and even bounds (the rejection loop), and bounds
-// above 2^31 (Intn's Int63n branch).
-var drawNs = [...]int{1, 2, 3, 7, 16, 21, 1 << 10, 1000, 1<<31 - 1, 1 << 31, 1<<31 + 1, 1 << 40, 3 << 50, math.MaxInt64}
+// above 2^31 (Intn's Int63n branch). A bound an int cannot hold (a
+// 32-bit one) is drawn with Int63n instead.
+var drawNs = [...]int64{1, 2, 3, 7, 16, 21, 1 << 10, 1000, 1<<31 - 1, 1 << 31, 1<<31 + 1, 1 << 40, 3 << 50, math.MaxInt64}
 
 // drawBoth makes draw op on both generators and returns the two
 // results.
@@ -17,7 +18,10 @@ func drawBoth(r *rng, ref *rand.Rand, op byte) (got, want any) {
 	switch op % 3 {
 	case 0:
 		n := drawNs[int(op/3)%len(drawNs)]
-		return r.Intn(n), ref.Intn(n)
+		if int64(int(n)) != n {
+			return r.Int63n(n), ref.Int63n(n)
+		}
+		return r.Intn(int(n)), ref.Intn(int(n))
 	case 1:
 		return r.Int63(), ref.Int63()
 	default:
