@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"repro/internal/agg"
+	"repro/internal/jsonenc"
 	"repro/internal/obs"
 )
 
@@ -237,6 +238,15 @@ func (c *Client) AnalyzeSweep(ctx context.Context, req AnalyzeRequest) (*agg.Ana
 // be treated as truncated. This is the one parser for the terminal-row
 // protocol — smokes, tests and tools all read sweep streams through
 // it, so a protocol change cannot silently diverge between readers.
+//
+// Every line is validated as JSON exactly once. Both tiers' encoders
+// write a data row's index first and the summary's done first, so a
+// line that begins with {"index": is a data row: it is checked with
+// jsonenc.Verbatim, falling back to json.Valid for a valid document in
+// a form json.Marshal would not write, and handed to onRow without
+// being decoded. Any other line is decoded far enough to read its top-
+// level done, and is the summary when that is true, a data row when
+// not. A line that is not valid JSON is an error either way.
 func DecodeSweepStream(body io.Reader, onRow func(line []byte) error) (summary SweepSummary, done bool, err error) {
 	sc := bufio.NewScanner(body)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -245,18 +255,24 @@ func DecodeSweepStream(body io.Reader, onRow func(line []byte) error) (summary S
 		if done {
 			return summary, done, fmt.Errorf("service: line after the terminal summary: %q", line)
 		}
-		var probe struct {
-			Done bool `json:"done"`
-		}
-		if err := json.Unmarshal(line, &probe); err != nil {
-			return summary, false, fmt.Errorf("service: sweep line %q: %w", line, err)
-		}
-		if probe.Done {
-			if err := json.Unmarshal(line, &summary); err != nil {
-				return summary, false, fmt.Errorf("service: sweep summary %q: %w", line, err)
+		if bytes.HasPrefix(line, rowLinePrefix) {
+			if !jsonenc.Verbatim(line) && !json.Valid(line) {
+				return summary, false, fmt.Errorf("service: sweep line %q: not valid JSON", line)
 			}
-			done = true
-			continue
+		} else {
+			var probe struct {
+				Done bool `json:"done"`
+			}
+			if err := json.Unmarshal(line, &probe); err != nil {
+				return summary, false, fmt.Errorf("service: sweep line %q: %w", line, err)
+			}
+			if probe.Done {
+				if err := json.Unmarshal(line, &summary); err != nil {
+					return summary, false, fmt.Errorf("service: sweep summary %q: %w", line, err)
+				}
+				done = true
+				continue
+			}
 		}
 		if onRow != nil {
 			if err := onRow(line); err != nil {
@@ -266,6 +282,10 @@ func DecodeSweepStream(body io.Reader, onRow func(line []byte) error) (summary S
 	}
 	return summary, done, sc.Err()
 }
+
+// rowLinePrefix opens every data row either tier writes (appendRowFields,
+// and json.Marshal of SweepRow or a line type embedding it first).
+var rowLinePrefix = []byte(`{"index":`)
 
 // FetchHealth reads and decodes the backend's GET /healthz.
 func (c *Client) FetchHealth(ctx context.Context) (h Health, err error) {

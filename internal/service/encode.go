@@ -167,7 +167,8 @@ func appendLine(b []byte, line any) (out []byte, ok bool) {
 
 // appendRowFields encodes a SweepRow's members, leaving its object open
 // for an embedding line's own. A result is copied only when it is
-// already what json.Marshal would write for it.
+// already what json.Marshal would write for it: checked here, unless
+// the row was settled from bytes checked on their way in.
 func appendRowFields(b []byte, r *SweepRow) ([]byte, bool) {
 	b = strconv.AppendInt(append(b, `{"index":`...), int64(r.Index), 10)
 	b = jsonenc.AppendQuoted(append(b, `,"name":`...), r.Name)
@@ -180,7 +181,7 @@ func appendRowFields(b []byte, r *SweepRow) ([]byte, bool) {
 		b = jsonenc.AppendQuoted(append(b, `,"cache":`...), r.Cache)
 	}
 	if len(r.Result) != 0 {
-		if !jsonenc.Verbatim(r.Result) {
+		if !r.verbatim && !jsonenc.Verbatim(r.Result) {
 			return b, false
 		}
 		b = append(append(b, `,"result":`...), r.Result...)

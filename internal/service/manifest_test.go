@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -548,5 +549,61 @@ func TestMemoryTierIsBoundedInBytes(t *testing.T) {
 	}
 	if health.CacheEntries == 0 {
 		t.Fatal("nothing resident: the budget evicted everything")
+	}
+}
+
+// checkpointsTotal reads simd_sweep_checkpoints_total from url's
+// /metrics.
+func checkpointsTotal(t *testing.T, url string) int {
+	t.Helper()
+	n, err := strconv.Atoi(findOne(t, scrape(t, url), "simd_sweep_checkpoints_total"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// TestSweepCheckpointsOnlyNewProgress pins the manifest writes of one
+// worker's streams. The grid is exactly one checkpoint interval long,
+// so any new bit, wherever in the stream it lands, is saved at the
+// interval's last row and again by the final save.
+func TestSweepCheckpointsOnlyNewProgress(t *testing.T) {
+	srv, ts := newTestServer(t, Options{Workers: 2})
+	base := testSpec(64)
+	req := SweepRequest{Base: &base, Name: "ckpt/worker", Model: "tl", Axes: []SweepAxis{
+		{Param: sweep.ParamCount, Values: intsAny(manifestCheckpointRows, 10)},
+	}}
+	stream := func(what string, want int) string {
+		t.Helper()
+		before := checkpointsTotal(t, ts.URL)
+		hdr, rows, summary := sweepBody(t, ts.URL, req)
+		if len(rows) != manifestCheckpointRows || summary.Errors != 0 {
+			t.Fatalf("%s: %d rows, %d errors", what, len(rows), summary.Errors)
+		}
+		if got := checkpointsTotal(t, ts.URL) - before; got != want {
+			t.Fatalf("%s wrote %d checkpoints, want %d", what, got, want)
+		}
+		return hdr.Get(SweepIDHeader)
+	}
+	id := stream("the cold stream", 2)
+	stream("a repeat of the finished sweep", 1)
+
+	// One variant failed and never succeeded, as a stream whose row for
+	// it was an error would have left the manifest: its success in the
+	// next repeat is progress, and is checkpointed.
+	m, ok := srv.loadManifest(id)
+	if !ok {
+		t.Fatal("no manifest after two streams")
+	}
+	m.Done.Clear(7)
+	m.Failed.Set(7)
+	body, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.persist(manifestKey(id), body)
+	stream("a repeat in which a failed variant succeeds", 2)
+	if m, _ := srv.loadManifest(id); m.Done.Count() != manifestCheckpointRows || m.Failed.Count() != 0 {
+		t.Fatalf("manifest after the repeat: %d done, %d failed", m.Done.Count(), m.Failed.Count())
 	}
 }

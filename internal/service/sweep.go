@@ -76,6 +76,11 @@ type SweepRow struct {
 	Cache  string          `json:"cache,omitempty"`
 	Result json.RawMessage `json:"result,omitempty"`
 	Error  string          `json:"error,omitempty"`
+
+	// verbatim records that Result already passed jsonenc.Verbatim
+	// where its bytes entered the process (SettleVerbatim), so the row
+	// encoder copies it without scanning it a second time.
+	verbatim bool
 }
 
 // SweepSummary is the terminal NDJSON line of a completed /sweep
@@ -378,4 +383,14 @@ func (row *SweepRow) Settle(disposition string, status int, body []byte) {
 	} else {
 		row.Error = fmt.Sprintf("status %d", status)
 	}
+}
+
+// SettleVerbatim records a 200 body that jsonenc.Verbatim accepted when
+// it entered the process and that has not changed since — a router-
+// cache hit, whose envelope checksum is verified on every read — served
+// with the given cache disposition. The row encoder then appends the
+// result as it is instead of checking it again.
+func (row *SweepRow) SettleVerbatim(disposition string, body []byte) {
+	row.Settle(disposition, http.StatusOK, body)
+	row.verbatim = true
 }

@@ -2,8 +2,12 @@ package shard
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/service"
@@ -54,10 +58,16 @@ func TestResultCacheRoundTrip(t *testing.T) {
 	}
 }
 
+// jsonBody is a JSON document of exactly n >= 2 bytes in the form the
+// router cache admits: a string of x's.
+func jsonBody(n int) []byte {
+	return append(append([]byte{'"'}, bytes.Repeat([]byte(`x`), n-2)...), '"')
+}
+
 func TestResultCacheEvictsLRUByBytes(t *testing.T) {
 	// Budget that holds roughly 3 small entries; inserting more must
 	// evict from the cold end, never the hot one.
-	body := bytes.Repeat([]byte(`x`), 100)
+	body := jsonBody(100)
 	env := store.EncodeEnvelope(cacheTestKey(0), body)
 	rt := cacheRouter(t, int64(3*len(env)))
 	for i := 0; i < 5; i++ {
@@ -103,7 +113,7 @@ func TestResultCacheUpdateInPlace(t *testing.T) {
 
 func TestResultCacheOversizedBodyNotCached(t *testing.T) {
 	rt := cacheRouter(t, 64)
-	rt.cacheFill(cacheTestKey(8), bytes.Repeat([]byte(`y`), 1000))
+	rt.cacheFill(cacheTestKey(8), jsonBody(1000))
 	if rt.cache.Len() != 0 || rt.cache.Bytes() != 0 {
 		t.Fatalf("oversized body cached: len=%d bytes=%d", rt.cache.Len(), rt.cache.Bytes())
 	}
@@ -124,4 +134,113 @@ func TestResultCacheCorruptEntryDegradesToMiss(t *testing.T) {
 	if rt.cache.Len() != 0 {
 		t.Fatal("corrupt entry not dropped")
 	}
+}
+
+func TestResultCacheRelaysButDoesNotCacheNonVerbatimBodies(t *testing.T) {
+	// A backend body json.Marshal would not write as it is — here, with
+	// insignificant whitespace — reaches the client byte for byte, but
+	// the router cache only holds bodies a sweep row may copy unchecked,
+	// so the repeat goes to the backend again.
+	body := []byte(`{ "name": "fake", "cycles": 1 }`)
+	var calls atomic.Int64
+	mux := http.NewServeMux()
+	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(service.Health{OK: true, Workers: 1})
+	})
+	mux.HandleFunc("/run", func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("X-Cache", "miss")
+		w.Write(body)
+	})
+	backend := httptest.NewServer(mux)
+	t.Cleanup(backend.Close)
+	rt, err := New(Options{Backends: []string{backend.URL}, RouterCacheBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	front := httptest.NewServer(rt.Handler())
+	t.Cleanup(front.Close)
+
+	req := map[string]any{"spec": testSpec(12), "model": "tl"}
+	for i := 1; i <= 2; i++ {
+		status, hdr, got := post(t, front.URL+"/run", req)
+		if status != http.StatusOK || !bytes.Equal(got, body) {
+			t.Fatalf("request %d: status %d body %q, want the backend's %q", i, status, got, body)
+		}
+		if c := hdr.Get("X-Cache"); c != "miss" {
+			t.Fatalf("request %d: X-Cache %q, want the backend's miss", i, c)
+		}
+		if n := calls.Load(); n != int64(i) {
+			t.Fatalf("request %d reached the backend %d times in all, want %d", i, n, i)
+		}
+	}
+	if rt.cache.Len() != 0 {
+		t.Fatalf("router cache holds %d entries, want none", rt.cache.Len())
+	}
+}
+
+func TestRouterHitSweepRowsAreJSONMarshalBytes(t *testing.T) {
+	// A warm row's result is copied from the router cache without a
+	// second Verbatim pass; the line must still be exactly what
+	// json.Marshal writes for the row, and carry the cold stream's bytes.
+	c := newResizeCluster(t, 2, false, 64<<20)
+	req, variants := countGrid(t, 540, 40, "tl")
+	cold := rawSweepLines(t, c.front, req)
+	warm := rawSweepLines(t, c.front, req)
+	if len(cold) != len(variants) || len(warm) != len(variants) {
+		t.Fatalf("%d cold and %d warm rows, want %d each", len(cold), len(warm), len(variants))
+	}
+	coldResult := map[int][]byte{}
+	for _, line := range cold {
+		var row Row
+		if err := json.Unmarshal(line, &row); err != nil {
+			t.Fatal(err)
+		}
+		coldResult[row.Index] = row.Result
+	}
+	for _, line := range warm {
+		var row Row
+		if err := json.Unmarshal(line, &row); err != nil {
+			t.Fatal(err)
+		}
+		if row.Cache != routerHit {
+			t.Fatalf("warm row %d cache %q, want %q", row.Index, row.Cache, routerHit)
+		}
+		if !bytes.Equal(row.Result, coldResult[row.Index]) {
+			t.Fatalf("warm row %d result differs from the cold stream's", row.Index)
+		}
+		want, err := json.Marshal(row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(line, want) {
+			t.Fatalf("warm row %d\n got %s\nwant %s", row.Index, line, want)
+		}
+	}
+}
+
+// rawSweepLines posts req to url's /sweep and returns its data lines as
+// sent, failing unless the stream ends in a clean summary.
+func rawSweepLines(t *testing.T, url string, req any) [][]byte {
+	t.Helper()
+	buf, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(url+"/sweep", "application/json", bytes.NewReader(buf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var lines [][]byte
+	summary, done, err := service.DecodeSweepStream(resp.Body, func(line []byte) error {
+		lines = append(lines, bytes.Clone(line))
+		return nil
+	})
+	if err != nil || !done || summary.Errors != 0 || summary.Rows != len(lines) {
+		t.Fatalf("sweep stream: err=%v done=%v summary=%+v rows=%d", err, done, summary, len(lines))
+	}
+	return lines
 }

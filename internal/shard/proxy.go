@@ -13,6 +13,7 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/jsonenc"
 	"repro/internal/obs"
 	"repro/internal/sched"
 	"repro/internal/service"
@@ -72,10 +73,14 @@ func (rt *Router) cacheLookup(key string) ([]byte, bool) {
 	return nil, false
 }
 
-// cacheFill stores a relayed 200 body in the router cache. A body whose
-// envelope alone exceeds the budget is not cached at all.
+// cacheFill stores a relayed 200 body in the router cache. Only a body
+// in exactly the form json.Marshal writes (jsonenc.Verbatim) is
+// admitted, so a hit — its envelope verified on the way out — is a
+// result the sweep row encoder may copy unchecked (SettleVerbatim); any
+// other body is still relayed, just never cached. A body whose envelope
+// alone exceeds the budget is not cached at all.
 func (rt *Router) cacheFill(key string, body []byte) {
-	if rt.cache != nil && key != "" {
+	if rt.cache != nil && key != "" && jsonenc.Verbatim(body) {
 		rt.cache.Put(key, store.EncodeEnvelope(key, body))
 	}
 }

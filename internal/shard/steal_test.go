@@ -7,10 +7,15 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httputil"
+	"net/url"
 	"sort"
+	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/service"
 	"repro/internal/sweep"
 )
@@ -383,4 +388,99 @@ func TestRouterRejectsManifestBeyondTheVariantBound(t *testing.T) {
 		rt.Close()
 		stub.Close()
 	}
+}
+
+func TestRouterSweepCheckpointsOnlyNewProgress(t *testing.T) {
+	// The router's streams checkpoint through PUT /sweep/{id} on a
+	// worker, so the workers' simd_sweep_checkpoints_total counts them.
+	// Each grid is exactly one checkpoint interval long: any new bit,
+	// wherever in the stream it lands, is saved at the interval's last
+	// row and again by the final save.
+	const n = 256
+	var failing atomic.Pointer[[]byte] // the /run body answered 500 while set
+	urls := make([]string, 2)
+	for i := range urls {
+		_, ts := newBackend(t, service.Options{Workers: 2})
+		target, err := url.Parse(ts.URL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		backend := httputil.NewSingleHostReverseProxy(target)
+		proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if fail := failing.Load(); fail != nil {
+				if r.URL.Path == "/batch" {
+					http.NotFound(w, r) // every variant down the per-variant path
+					return
+				}
+				body, _ := io.ReadAll(r.Body)
+				if r.URL.Path == "/run" && bytes.Equal(body, *fail) {
+					w.Header().Set("Content-Type", "application/json")
+					w.WriteHeader(http.StatusInternalServerError)
+					w.Write([]byte(`{"error":"injected failure"}`))
+					return
+				}
+				r.Body = io.NopCloser(bytes.NewReader(body))
+			}
+			backend.ServeHTTP(w, r)
+		}))
+		t.Cleanup(proxy.Close)
+		urls[i] = proxy.URL
+	}
+	rt, err := New(Options{Backends: urls, RouterCacheBytes: 64 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	front := httptest.NewServer(rt.Handler())
+	t.Cleanup(front.Close)
+
+	checkpoints := func() int {
+		total := 0
+		for _, u := range urls {
+			resp, err := http.Get(u + "/metrics")
+			if err != nil {
+				t.Fatal(err)
+			}
+			fams, err := obs.ParseText(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			v := obs.Find(fams, "simd_sweep_checkpoints_total")
+			if len(v) != 1 {
+				t.Fatalf("simd_sweep_checkpoints_total: %v", v)
+			}
+			k, err := strconv.Atoi(v[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			total += k
+		}
+		return total
+	}
+	stream := func(what string, req service.SweepRequest, errs, want int) {
+		t.Helper()
+		before := checkpoints()
+		_, rows, summary, done := readSweep(t, front.URL, req)
+		if !done || len(rows) != n || summary.Errors != errs {
+			t.Fatalf("%s: done=%v rows=%d errors=%d, want %d rows and %d errors", what, done, len(rows), summary.Errors, n, errs)
+		}
+		if got := checkpoints() - before; got != want {
+			t.Fatalf("%s wrote %d checkpoints, want %d", what, got, want)
+		}
+	}
+
+	req, _ := countGrid(t, 560, n, "tl")
+	stream("the cold stream", req, 0, 2)
+	stream("a repeat of the finished sweep", req, 0, 1)
+
+	// A second grid whose first stream fails one variant: its success
+	// in the repeat is progress, and is checkpointed.
+	req, variants := countGrid(t, 561, n, "tl")
+	fail := variantRequest(variants[9], "tl")
+	failing.Store(&fail)
+	stream("a stream that fails one variant", req, 1, 2)
+	failing.Store(nil)
+	stream("a repeat in which that variant succeeds", req, 0, 2)
+	stream("a repeat of the finished sweep", req, 0, 1)
 }

@@ -106,7 +106,7 @@ func (c sweepCall) resolve(ctx context.Context, run []sweep.Variant, lane, from 
 		key := c.model.Key(v.Hash)
 		if cached, ok := c.rt.cacheLookup(key); ok {
 			row := Row{SweepRow: service.NewSweepRow(v), Shard: owner}
-			row.Settle(routerHit, http.StatusOK, cached)
+			row.SettleVerbatim(routerHit, cached)
 			emit(row)
 			continue
 		}
