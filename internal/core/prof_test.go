@@ -15,13 +15,14 @@ func BenchmarkTLMProfile(b *testing.B) {
 
 // TestRTLRunAllocationCeiling bounds what one pin-accurate run
 // allocates: assembling the platform, and nothing per cycle, per
-// transaction or per passing assertion. Both ceilings are exact: 213
-// for the speed workload and 221 for rand/write-heavy. The speed
+// transaction or per passing assertion. Both ceilings are exact: 199
+// for the speed workload and 207 for rand/write-heavy. The speed
 // workload's count was 4,482 while check.Assert boxed its arguments on
 // the passing path, 227 while a QoS tracker re-counted what the profile
 // records, 221 while each random master seeded a heap-held math/rand
-// source, and 219 while the arbiter built a second pipeline nobody
-// latched and the controller FSM kept per-bank counters nobody read.
+// source, 219 while the arbiter built a second pipeline nobody latched
+// and the controller FSM kept per-bank counters nobody read, and 213
+// while every component kept a register bank of its own.
 func TestRTLRunAllocationCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -36,8 +37,8 @@ func TestRTLRunAllocationCeiling(t *testing.T) {
 		w       Workload
 		ceiling float64
 	}{
-		{"speed/multi", multi, 213},
-		{"rand/write-heavy", MustFromSpec(randWH), 221},
+		{"speed/multi", multi, 199},
+		{"rand/write-heavy", MustFromSpec(randWH), 207},
 	} {
 		allocs := testing.AllocsPerRun(5, func() { Run(c.w, RTL, Options{}) })
 		t.Logf("one RTL run of %s: %v allocations", c.name, allocs)

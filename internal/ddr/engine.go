@@ -465,8 +465,12 @@ func (e *Engine) Permit(now sim.Cycle, addr uint32) bool {
 
 // IdleOrOpen reports for the bank containing addr whether the bank is
 // idle (cheap to open) or already open at the target row (free). The
-// bank-affinity arbitration filter consumes this.
+// bank-affinity arbitration filter consumes this. Refreshes due by now
+// are materialized first, as Hint, Permit and Access do, so the answer
+// is the bank state a refresh due at now has already closed, whatever
+// order the engine's callers probe it in.
 func (e *Engine) IdleOrOpen(now sim.Cycle, addr uint32) (idle, rowOpen bool) {
+	e.refreshDue(now)
 	bankIdx, row, _ := e.Map.Decode(addr)
 	b := &e.banks[bankIdx]
 	switch b.state(now) {

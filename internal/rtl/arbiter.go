@@ -23,7 +23,6 @@ type arbiterComp struct {
 	link       *bi.Link
 	chk        *check.Checker
 	pipelining bool
-	bank       sim.RegBank
 	reqsBuf    []arb.Request
 	portsBuf   []int
 	ctx        arb.Context // persistent round context (no per-cycle rebuild)
@@ -37,16 +36,16 @@ type arbiterComp struct {
 	totalServed uint64
 }
 
-func newArbiter(w *Wires, pl *platform.Platform, p config.Params, chk *check.Checker) *arbiterComp {
+func newArbiter(bank *sim.RegBank, w *Wires, pl *platform.Platform, p config.Params, chk *check.Checker) *arbiterComp {
 	a := &arbiterComp{
 		w: w, pipe: pl.Pipeline, link: pl.Link, chk: chk, pipelining: p.Pipelining,
 		grantedTo: -1, lastGrant: -1,
 		served: make([]uint64, w.NMasters+1),
 	}
 	for i := range w.HGrant {
-		a.bank.Add(w.HGrant[i])
+		bank.Add(w.HGrant[i])
 	}
-	a.bank.Add(w.GrantIdx)
+	bank.Add(w.GrantIdx)
 	a.ctx = arb.Context{
 		Regs:             pl.Regs,
 		Provider:         pl.Provider,
@@ -160,9 +159,6 @@ func (a *arbiterComp) Eval(now sim.Cycle) {
 		Beats:  reqs[win].Beats,
 	})
 }
-
-// Update implements sim.Component.
-func (a *arbiterComp) Update(now sim.Cycle) { a.bank.CommitAll() }
 
 // Quiescent implements sim.Sleeper: the arbiter idles when no request
 // line is asserted, no grant is outstanding and the bus is unowned.

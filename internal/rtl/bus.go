@@ -28,18 +28,22 @@ func New(cfg platform.Config) *Bus {
 	w := newWires(n)
 
 	b := &Bus{plat: pl, kernel: sim.NewKernel()}
+	bank := b.kernel.Bank()
 	for i, g := range cfg.Gens {
-		m := newMaster(w, i, g, size, cfg.Checker)
+		m := newMaster(bank, w, i, g, size, cfg.Checker)
 		b.masters = append(b.masters, m)
 		b.kernel.Register(m)
 	}
-	b.wbm = newWBMaster(w, cfg.Checker)
+	b.wbm = newWBMaster(bank, w, cfg.Checker)
 	b.kernel.Register(b.wbm)
-	b.arb = newArbiter(w, &b.plat, cfg.Params, cfg.Checker)
+	// The arbiter registers before the fabric: a zero-latency BI hint
+	// sent on the grant cycle is delivered by the fabric's Eval later
+	// in that same cycle.
+	b.arb = newArbiter(bank, w, &b.plat, cfg.Params, cfg.Checker)
 	b.kernel.Register(b.arb)
-	b.fabric = newFabric(w, &b.plat, cfg.Checker, size, cfg.Params.WriteBufferDepth, cfg.Params.SRAM)
+	b.fabric = newFabric(bank, w, &b.plat, cfg.Checker, size, cfg.Params.WriteBufferDepth, cfg.Params.SRAM)
 	b.kernel.Register(b.fabric)
-	ddrfsm := newDDRFSM(pl.Engine, cfg.Checker, w, pl.Link)
+	ddrfsm := newDDRFSM(bank, pl.Engine, cfg.Checker, w, pl.Link)
 	b.kernel.Register(ddrfsm)
 	if cfg.Waveform != nil {
 		b.wave = newWave(w, cfg.Waveform)

@@ -31,12 +31,11 @@ type ddrFSMComp struct {
 	rowR     []*sim.Reg[uint32]
 	cntR     []*sim.Reg[int]
 	refCntR  *sim.Reg[int]
-	bank     sim.RegBank
 	trefi    int
 	maxPhase int
 }
 
-func newDDRFSM(eng *ddr.Engine, chk *check.Checker, w *Wires, link *bi.Link) *ddrFSMComp {
+func newDDRFSM(bank *sim.RegBank, eng *ddr.Engine, chk *check.Checker, w *Wires, link *bi.Link) *ddrFSMComp {
 	d := &ddrFSMComp{
 		eng:     eng,
 		chk:     chk,
@@ -57,11 +56,11 @@ func newDDRFSM(eng *ddr.Engine, chk *check.Checker, w *Wires, link *bi.Link) *dd
 		d.stateR = append(d.stateR, sim.NewReg(ddr.BankIdle))
 		d.rowR = append(d.rowR, sim.NewReg[uint32](0))
 		d.cntR = append(d.cntR, sim.NewReg(0))
-		d.bank.Add(d.stateR[i])
-		d.bank.Add(d.rowR[i])
-		d.bank.Add(d.cntR[i])
+		bank.Add(d.stateR[i])
+		bank.Add(d.rowR[i])
+		bank.Add(d.cntR[i])
 	}
-	d.bank.Add(d.refCntR)
+	bank.Add(d.refCntR)
 	return d
 }
 
@@ -146,9 +145,6 @@ func (d *ddrFSMComp) Eval(now sim.Cycle) {
 		}
 	}
 }
-
-// Update implements sim.Component.
-func (d *ddrFSMComp) Update(now sim.Cycle) { d.bank.CommitAll() }
 
 // Quiescent implements sim.Sleeper. The controller FSM may stop
 // sampling only when nothing can move a bank: no request is visible

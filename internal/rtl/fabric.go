@@ -37,7 +37,6 @@ type fabricComp struct {
 	chk     *check.Checker
 	size    amba.Size
 	wbDepth int
-	bank    sim.RegBank
 
 	cur    curTxn
 	queue  []wbEntry
@@ -47,8 +46,10 @@ type fabricComp struct {
 	ddrCap uint64
 
 	// slotR are the write-buffer FIFO entry registers: one per slot,
-	// driven on change (Eval step 5).
-	slotR []*sim.Reg[wbSlot]
+	// republished with WBUsed and the front entry on a cycle the queue
+	// changed (queueMoved, Eval step 5).
+	slotR      []*sim.Reg[wbSlot]
+	queueMoved bool
 }
 
 // wbSlot is the registered image of one write-buffer FIFO entry.
@@ -58,24 +59,24 @@ type wbSlot struct {
 	valid bool
 }
 
-func newFabric(w *Wires, pl *platform.Platform, chk *check.Checker,
+func newFabric(bank *sim.RegBank, w *Wires, pl *platform.Platform, chk *check.Checker,
 	size amba.Size, wbDepth int, sram config.SRAMCfg) *fabricComp {
 	f := &fabricComp{
 		w: w, plat: pl, chk: chk, size: size, wbDepth: wbDepth,
 		sram: sram, ddrCap: pl.Engine.Map.Capacity(),
 	}
-	f.bank.Add(w.HReady)
-	f.bank.Add(w.HResp)
-	f.bank.Add(w.HRData)
-	f.bank.Add(w.BusOwner)
-	f.bank.Add(w.BusLastData)
-	f.bank.Add(w.WBUsed)
-	f.bank.Add(w.WBFrontA)
-	f.bank.Add(w.WBFrontLen)
+	bank.Add(w.HReady)
+	bank.Add(w.HResp)
+	bank.Add(w.HRData)
+	bank.Add(w.BusOwner)
+	bank.Add(w.BusLastData)
+	bank.Add(w.WBUsed)
+	bank.Add(w.WBFrontA)
+	bank.Add(w.WBFrontLen)
 	for i := 0; i < wbDepth; i++ {
 		r := sim.NewReg(wbSlot{})
 		f.slotR = append(f.slotR, r)
-		f.bank.Add(r)
+		bank.Add(r)
 	}
 	return f
 }
@@ -113,9 +114,15 @@ func (f *fabricComp) Eval(now sim.Cycle) {
 			w.HReady.Set(inBeats)
 		}
 		if inBeats && !c.rec.Write && !c.erred {
-			beat := int(next - c.rec.FirstData)
-			ba := c.rec.Addr + uint32(beat*f.size.Bytes())
-			w.HRData.Set(uint32(f.plat.Mem.ReadWord(ba, min(4, f.size.Bytes()))))
+			// The beat's word comes from the payload read at capture: no
+			// write lands before the last beat, since a second capture
+			// while this transaction is active fails an assertion.
+			off := int(next-c.rec.FirstData) * f.size.Bytes()
+			var word uint32
+			for j := 0; j < min(4, f.size.Bytes()); j++ {
+				word |= uint32(f.rbuf[off+j]) << (8 * j)
+			}
+			w.HRData.Set(word)
 		}
 		resp := amba.RespOkay
 		if inBeats && c.erred {
@@ -134,8 +141,18 @@ func (f *fabricComp) Eval(now sim.Cycle) {
 	}
 
 	// 5. Publish write-buffer state: occupancy, front entry, and the
-	// per-slot FIFO registers (driven on change; an RTL flop re-driven
-	// with its own value commits the same state).
+	// per-slot FIFO registers, on a cycle the queue changed (a posted
+	// capture or a drain pop). Each is driven on change: an RTL flop
+	// re-driven with its own value commits the same state.
+	if f.queueMoved {
+		f.publishQueue()
+	}
+}
+
+// publishQueue drives the registered image of the write-buffer queue.
+func (f *fabricComp) publishQueue() {
+	w := f.w
+	f.queueMoved = false
 	for i, r := range f.slotR {
 		slot := wbSlot{}
 		if i < len(f.queue) {
@@ -227,6 +244,7 @@ func (f *fabricComp) capture(now sim.Cycle, g int) {
 		rec.Done = now + sim.Cycle(beats)
 		rec.Kind = "posted"
 		f.queue = append(f.queue, wbEntry{addr: addr, beats: beats})
+		f.queueMoved = true
 		f.plat.Mem.Write(addr, w.WDataBuf) // datapath abstracted: eager write
 		f.plat.Stats.WBPosted++
 	default:
@@ -270,6 +288,7 @@ func (f *fabricComp) popFront(addr uint32, beats int) {
 		f.chk.AssertOK()
 	}
 	f.queue = append(f.queue[:0], f.queue[1:]...)
+	f.queueMoved = true
 }
 
 // finish accounts the completed transaction.
@@ -285,9 +304,6 @@ func (f *fabricComp) finish() {
 // idle reports whether the fabric has no transaction in flight and no
 // pending write-buffer work.
 func (f *fabricComp) idle() bool { return !f.cur.active && len(f.queue) == 0 }
-
-// Update implements sim.Component.
-func (f *fabricComp) Update(now sim.Cycle) { f.bank.CommitAll() }
 
 // Quiescent implements sim.Sleeper: the fabric idles when no
 // transaction is in flight, the write buffer is empty, no BI hint is

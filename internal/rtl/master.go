@@ -27,7 +27,6 @@ type masterComp struct {
 	gen  traffic.Generator
 	size amba.Size
 	chk  *check.Checker
-	bank sim.RegBank
 
 	st        mstate
 	cur       traffic.Req
@@ -40,15 +39,15 @@ type masterComp struct {
 	lastRead []byte
 }
 
-func newMaster(w *Wires, idx int, gen traffic.Generator, size amba.Size, chk *check.Checker) *masterComp {
+func newMaster(bank *sim.RegBank, w *Wires, idx int, gen traffic.Generator, size amba.Size, chk *check.Checker) *masterComp {
 	m := &masterComp{w: w, idx: idx, gen: gen, size: size, chk: chk}
-	m.bank.Add(w.HBusReq[idx])
-	m.bank.Add(w.HTransM[idx])
-	m.bank.Add(w.HAddrM[idx])
-	m.bank.Add(w.HWriteM[idx])
-	m.bank.Add(w.HBurstM[idx])
-	m.bank.Add(w.HBeatsM[idx])
-	m.bank.Add(w.HWDataM[idx])
+	bank.Add(w.HBusReq[idx])
+	bank.Add(w.HTransM[idx])
+	bank.Add(w.HAddrM[idx])
+	bank.Add(w.HWriteM[idx])
+	bank.Add(w.HBurstM[idx])
+	bank.Add(w.HBeatsM[idx])
+	bank.Add(w.HWDataM[idx])
 	m.fetch(0)
 	return m
 }
@@ -156,9 +155,6 @@ func (m *masterComp) Eval(now sim.Cycle) {
 		}
 	}
 }
-
-// Update implements sim.Component.
-func (m *masterComp) Update(now sim.Cycle) { m.bank.CommitAll() }
 
 // Quiescent implements sim.Sleeper: a master idles between the
 // completion of one transaction and the request time of the next (and

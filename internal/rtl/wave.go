@@ -77,9 +77,6 @@ func (c *waveComp) Eval(now sim.Cycle) {
 	c.vcd.Sample(t, c.wbUsed, uint64(w.WBUsed.Get()))
 }
 
-// Update implements sim.Component.
-func (c *waveComp) Update(now sim.Cycle) {}
-
 // flush drains buffered waveform output; called at end of run.
 func (c *waveComp) flush() { _ = c.vcd.Flush() }
 

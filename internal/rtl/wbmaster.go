@@ -12,24 +12,23 @@ import (
 // front entry. The fabric itself pops the queue when it captures the
 // drain's address phase.
 type wbMasterComp struct {
-	w    *Wires
-	idx  int
-	chk  *check.Checker
-	bank sim.RegBank
+	w   *Wires
+	idx int
+	chk *check.Checker
 
 	st        mstate
 	beats     int
 	beatsSeen int
 }
 
-func newWBMaster(w *Wires, chk *check.Checker) *wbMasterComp {
+func newWBMaster(bank *sim.RegBank, w *Wires, chk *check.Checker) *wbMasterComp {
 	m := &wbMasterComp{w: w, idx: w.wbIndex(), chk: chk}
-	m.bank.Add(w.HBusReq[m.idx])
-	m.bank.Add(w.HTransM[m.idx])
-	m.bank.Add(w.HAddrM[m.idx])
-	m.bank.Add(w.HWriteM[m.idx])
-	m.bank.Add(w.HBurstM[m.idx])
-	m.bank.Add(w.HBeatsM[m.idx])
+	bank.Add(w.HBusReq[m.idx])
+	bank.Add(w.HTransM[m.idx])
+	bank.Add(w.HAddrM[m.idx])
+	bank.Add(w.HWriteM[m.idx])
+	bank.Add(w.HBurstM[m.idx])
+	bank.Add(w.HBeatsM[m.idx])
 	return m
 }
 
@@ -86,9 +85,6 @@ func (m *wbMasterComp) Eval(now sim.Cycle) {
 		}
 	}
 }
-
-// Update implements sim.Component.
-func (m *wbMasterComp) Update(now sim.Cycle) { m.bank.CommitAll() }
 
 // Quiescent implements sim.Sleeper: the pseudo-master sleeps while the
 // fabric-published occupancy register reads empty; a commit on WBUsed

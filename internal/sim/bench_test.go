@@ -49,16 +49,14 @@ func BenchmarkSchedulerCancel(b *testing.B) {
 // tickComp is a minimal always-on component for kernel benchmarks.
 type tickComp struct{ n int }
 
-func (c *tickComp) Name() string     { return "tick" }
-func (c *tickComp) Eval(now Cycle)   { c.n++ }
-func (c *tickComp) Update(now Cycle) {}
+func (c *tickComp) Name() string   { return "tick" }
+func (c *tickComp) Eval(now Cycle) { c.n++ }
 
 // gatedComp sleeps with a long timed wake, modeling an idle block.
 type gatedComp struct{ n int }
 
-func (c *gatedComp) Name() string     { return "gated" }
-func (c *gatedComp) Eval(now Cycle)   { c.n++ }
-func (c *gatedComp) Update(now Cycle) {}
+func (c *gatedComp) Name() string   { return "gated" }
+func (c *gatedComp) Eval(now Cycle) { c.n++ }
 func (c *gatedComp) Quiescent(now Cycle) (Cycle, bool) {
 	return now + 1000, true
 }
@@ -82,7 +80,6 @@ func BenchmarkKernelTickBusy(b *testing.B) {
 // where most flops hold their value.
 type regComp struct {
 	regs [8]*Reg[int]
-	bank RegBank
 }
 
 func (c *regComp) Name() string { return "regs" }
@@ -90,7 +87,6 @@ func (c *regComp) Eval(now Cycle) {
 	c.regs[now%8].Set(int(now))
 	c.regs[(now+3)%8].Set(int(now))
 }
-func (c *regComp) Update(now Cycle) { c.bank.CommitAll() }
 
 // BenchmarkKernelTickRegs is the per-cycle cost of the commit phase,
 // which BenchmarkKernelTickBusy (no registers at all) cannot see: 8
@@ -101,7 +97,7 @@ func BenchmarkKernelTickRegs(b *testing.B) {
 		c := &regComp{}
 		for j := range c.regs {
 			c.regs[j] = NewReg(0)
-			c.bank.Add(c.regs[j])
+			k.Bank().Add(c.regs[j])
 		}
 		k.Register(c)
 	}

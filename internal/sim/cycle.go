@@ -3,12 +3,12 @@
 //
 // Two kernels are provided:
 //
-//   - Kernel: a two-phase (evaluate/update) cycle-based kernel. Every
-//     registered component is evaluated every clock cycle, exactly like
-//     the "2-step cycle-based simulation tool" the paper uses for its
-//     pin-accurate model. This is deliberately exhaustive and therefore
-//     slow: its cost is proportional to simulated cycles times component
-//     count.
+//   - Kernel: a two-phase (evaluate/commit) cycle-based kernel. Every
+//     awake component is evaluated every clock cycle, exactly like the
+//     "2-step cycle-based simulation tool" the paper uses for its
+//     pin-accurate model; only provably idle components are clock
+//     gated. Its cost is proportional to simulated cycles times awake
+//     components.
 //
 //   - Scheduler: a general cycle-keyed event wheel that skips cycles in
 //     which nothing happens.

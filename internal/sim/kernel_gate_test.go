@@ -9,7 +9,6 @@ import (
 type pulser struct {
 	out    *Reg[bool]
 	period Cycle
-	bank   RegBank
 }
 
 func (p *pulser) Name() string { return "pulser" }
@@ -19,7 +18,6 @@ func (p *pulser) Eval(now Cycle) {
 		p.out.Set(high)
 	}
 }
-func (p *pulser) Update(now Cycle) { p.bank.CommitAll() }
 
 // listener counts the cycles it evaluated and the pulses it observed.
 // The gated variant sleeps whenever its input is low and relies on the
@@ -39,7 +37,6 @@ func (l *listener) Eval(now Cycle) {
 		l.pulses = append(l.pulses, now)
 	}
 }
-func (l *listener) Update(now Cycle) {}
 func (l *listener) Quiescent(now Cycle) (Cycle, bool) {
 	if !l.gated {
 		return 0, false
@@ -63,7 +60,6 @@ func (a *alarm) Eval(now Cycle) {
 		a.seen = append(a.seen, now)
 	}
 }
-func (a *alarm) Update(now Cycle) {}
 func (a *alarm) Quiescent(now Cycle) (Cycle, bool) {
 	next := (now/a.every + 1) * a.every
 	return next, true
@@ -78,7 +74,7 @@ func TestKernelGatingObservationEquivalence(t *testing.T) {
 		k.GateDisabled = disable
 		out := NewReg(false)
 		p := &pulser{out: out, period: 37}
-		p.bank.Add(out)
+		k.Bank().Add(out)
 		l := &listener{in: out, gated: true}
 		k.Register(p)
 		k.Register(l)
@@ -151,7 +147,7 @@ func TestKernelSignalWakeDuringUpdate(t *testing.T) {
 	k := NewKernel()
 	out := NewReg(false)
 	p := &pulser{out: out, period: 2} // pulses at 0,2,4,...
-	p.bank.Add(out)
+	k.Bank().Add(out)
 	l := &listener{in: out, gated: true}
 	k.Register(p)
 	k.Register(l)

@@ -11,11 +11,15 @@ type counter struct {
 	v *Reg[int]
 }
 
-func newCounter() *counter          { return &counter{v: NewReg(0)} }
-func (c *counter) Name() string     { return "counter" }
-func (c *counter) Eval(now Cycle)   { c.v.Set(c.v.Get() + 1) }
-func (c *counter) Update(now Cycle) { c.v.Commit() }
-func (c *counter) Value() int       { return c.v.Get() }
+// newCounter returns a counter whose register is in k's bank.
+func newCounter(k *Kernel) *counter {
+	c := &counter{v: NewReg(0)}
+	k.Bank().Add(c.v)
+	return c
+}
+func (c *counter) Name() string   { return "counter" }
+func (c *counter) Eval(now Cycle) { c.v.Set(c.v.Get() + 1) }
+func (c *counter) Value() int     { return c.v.Get() }
 
 // follower copies the counter's committed value; because reads in Eval
 // see only committed values, it must lag the counter by exactly one.
@@ -24,9 +28,14 @@ type follower struct {
 	v   *Reg[int]
 }
 
-func (f *follower) Name() string     { return "follower" }
-func (f *follower) Eval(now Cycle)   { f.v.Set(f.src.Value()) }
-func (f *follower) Update(now Cycle) { f.v.Commit() }
+// newFollower returns a follower of src whose register is in k's bank.
+func newFollower(k *Kernel, src *counter) *follower {
+	f := &follower{src: src, v: NewReg(-1)}
+	k.Bank().Add(f.v)
+	return f
+}
+func (f *follower) Name() string   { return "follower" }
+func (f *follower) Eval(now Cycle) { f.v.Set(f.src.Value()) }
 
 func TestKernelStepAdvancesCycle(t *testing.T) {
 	k := NewKernel()
@@ -42,8 +51,8 @@ func TestKernelStepAdvancesCycle(t *testing.T) {
 
 func TestKernelTwoPhaseSemantics(t *testing.T) {
 	k := NewKernel()
-	c := newCounter()
-	f := &follower{src: c, v: NewReg(-1)}
+	c := newCounter(k)
+	f := newFollower(k, c)
 	// Register the follower FIRST: if Eval leaked uncommitted values the
 	// follower would see stale data in a registration-order-dependent
 	// way. With correct two-phase semantics order must not matter.
@@ -63,8 +72,8 @@ func TestKernelTwoPhaseSemantics(t *testing.T) {
 func TestKernelRegistrationOrderInvariance(t *testing.T) {
 	run := func(followerFirst bool) int {
 		k := NewKernel()
-		c := newCounter()
-		f := &follower{src: c, v: NewReg(-1)}
+		c := newCounter(k)
+		f := newFollower(k, c)
 		if followerFirst {
 			k.Register(f)
 			k.Register(c)
@@ -89,7 +98,7 @@ func TestKernelDuplicateRegistrationPanics(t *testing.T) {
 		}
 	}()
 	k := NewKernel()
-	c := newCounter()
+	c := newCounter(k)
 	k.Register(c)
 	k.Register(c)
 }
@@ -107,7 +116,6 @@ func (s *stopper) Eval(now Cycle) {
 		s.k.Stop("reached target")
 	}
 }
-func (s *stopper) Update(now Cycle) {}
 
 func TestKernelStop(t *testing.T) {
 	k := NewKernel()
@@ -127,7 +135,7 @@ func TestKernelStop(t *testing.T) {
 
 func TestKernelRunUntil(t *testing.T) {
 	k := NewKernel()
-	c := newCounter()
+	c := newCounter(k)
 	k.Register(c)
 	n, ok := k.RunUntil(func() bool { return c.Value() >= 7 }, 100)
 	if !ok || n != 7 {

@@ -3,14 +3,15 @@ package sim
 // Reg is a registered (clocked) value with the two-phase discipline the
 // Kernel expects: reads during Eval observe the value committed at the
 // end of the previous cycle; writes during Eval become visible only
-// after Commit runs in the Update phase.
+// after the commit phase.
 //
-// Components own their registers and must call Commit from Update (or
-// add them to a RegBank and commit that). A banked register is only
-// ever Set by the component whose bank owns it: the Set enqueues the
-// register on that bank, so the pending value commits in the owner's
-// Update and a sleeping owner — which by the Sleeper contract drives
-// nothing — leaves nothing behind uncommitted.
+// A component adds every register it drives to its kernel's bank
+// (Kernel.Bank), which Step commits once every awake component has
+// evaluated; a register outside any bank is committed by calling
+// Commit. Every Set on a banked register commits at the end of the
+// Step it happens in (or of the next Step, when made between two), so
+// a sleeping component leaves nothing uncommitted. Each register has
+// one driver: a second Set in the same cycle replaces the first.
 type Reg[T any] struct {
 	cur, next T
 	// dirty marks a pending Set; on a banked register it is also the
@@ -90,8 +91,8 @@ type banked interface {
 	bind(b *RegBank, self banked) (dirty bool)
 }
 
-// RegBank groups a component's registers so its Update commits them
-// with one call. Commit is change-driven: the bank keeps a list of the
+// RegBank groups registers so that one call commits them; each Kernel
+// owns one. Commit is change-driven: the bank keeps a list of the
 // registers Set since the last CommitAll, so a cycle costs the
 // registers that changed, not the registers that exist. A RegBank must
 // not be copied once a register has been added.

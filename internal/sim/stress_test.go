@@ -22,7 +22,6 @@ func (c *chaosComp) Eval(now Cycle) {
 	}
 	c.v.Set(acc)
 }
-func (c *chaosComp) Update(now Cycle) { c.v.Commit() }
 
 // TestKernelOrderInvarianceProperty: any registration order of mutually
 // reading components yields identical state trajectories.
@@ -39,6 +38,7 @@ func TestKernelOrderInvarianceProperty(t *testing.T) {
 			}
 			k := NewKernel()
 			for _, idx := range perm {
+				k.Bank().Add(comps[idx].v)
 				k.Register(comps[idx])
 			}
 			if _, err := k.Run(50); err != nil {
@@ -139,7 +139,7 @@ func TestRegWithStructValues(t *testing.T) {
 // drift in the cycle counter.
 func TestKernelLongRun(t *testing.T) {
 	k := NewKernel()
-	c := newCounter()
+	c := newCounter(k)
 	k.Register(c)
 	if _, err := k.Run(1_000_000); err != nil {
 		t.Fatal(err)

@@ -80,3 +80,24 @@ func TestDrainCompletionTiesWithArbitrationRound(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRefreshDueBeforeBankAffinity replays drift seed 4520 (2 masters,
+// 40 transactions on a platform with the permission filter off and
+// refresh and bank affinity on). With the permission filter off no
+// Permit probe runs before bank affinity asks the engine which
+// candidate's bank is idle or open, so a refresh due on the round's
+// cycle was not yet applied when IdleOrOpen read the banks: it ranked
+// candidates on rows the refresh had already closed, and the models
+// drifted apart (4,727 pin-accurate cycles, 4,707 transaction-level).
+// IdleOrOpen applies refreshes due by its cycle first; both models must
+// agree cycle for cycle, record for record.
+func TestRefreshDueBeforeBankAffinity(t *testing.T) {
+	p, _, _ := runCrossModel(4520, 2, 40)
+	if p.Filters.Permission || p.DDR.TREFI == 0 || !p.Filters.BankAffinity {
+		t.Fatalf("seed 4520 no longer builds the platform under test: permission %v, tREFI %d, bank affinity %v",
+			p.Filters.Permission, p.DDR.TREFI, p.Filters.BankAffinity)
+	}
+	if err := crossModelAgree(4520, 2, 40); err != nil {
+		t.Fatal(err)
+	}
+}
