@@ -19,11 +19,11 @@
 // Retry-After. Scheduling changes only WHEN a variant runs, never its
 // bytes — responses stay byte-identical.
 //
-// With -store DIR the result cache is two-tier: an in-memory LRU in
-// front of a disk-backed store, so a restarted simd serves previously
-// computed specs byte-identically (X-Cache: hit) without
-// re-simulating. The store is size-bounded (-store-max-bytes) and
-// evicts by least-recent access.
+// A worker keeps one result cache. With -store DIR it is a
+// disk-backed store, so a restarted simd serves previously computed
+// specs byte-identically (X-Cache: hit) without re-simulating; the
+// store is size-bounded (-store-max-bytes) and evicts by least-recent
+// access. Without -store it is an in-memory LRU of -cache entries.
 //
 // The same binary scales out. `simd -shards N` spawns N worker
 // processes of itself (each with its own store under -store DIR) and
@@ -116,7 +116,7 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 0, "run-farm workers per process (0 = one per CPU)")
 	queue := flag.Int("queue", 0, "bounded job-queue depth (0 = 2x workers)")
-	cache := flag.Int("cache", service.DefaultCacheEntries, "in-memory result-cache entries")
+	cache := flag.Int("cache", service.DefaultCacheEntries, "in-memory result-cache entries (ignored with -store: the store is the only cache)")
 	storeDir := flag.String("store", "", "disk result-store directory (empty = memory-only; shard mode uses DIR/shard-N per worker)")
 	storeMax := flag.Int64("store-max-bytes", 0, "disk store payload budget per process (0 = default)")
 	reqTimeout := flag.Duration("request-timeout", 0, "per-request simulation deadline, queue wait included (0 = none); over budget answers 504")

@@ -1,13 +1,13 @@
-// Package lru is the one recency list of the result space: the
-// worker's memory tier, the router's result cache and the disk store's
-// entry table all keep their access order and running cost here, and
+// Package lru is the one recency list of the result space: a
+// store-less worker's memory cache, the router's result cache and the
+// disk store's entry table all keep their access order and running cost here, and
 // nowhere else.
 //
 // Index is the bookkeeping alone. It takes no lock (its owner has one)
 // and never evicts: an owner enforces its bound by looping over Oldest
 // and Remove, because what eviction means is the owner's business — the
 // store deletes a file, spares the key it just wrote and counts the
-// victim. Cache is the guarded form the two in-memory tiers share.
+// victim. Cache is the guarded form the two in-memory caches share.
 package lru
 
 import (

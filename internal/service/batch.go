@@ -139,7 +139,7 @@ func (s *Server) runBatchLine(r *http.Request, line []byte, compare bool, id Ide
 	if err != nil {
 		return BatchRecord{Status: http.StatusBadRequest, Body: errorBody(r, err.Error())}, true
 	}
-	status, body, disposition, ok := s.executePatient(r.Context(), m.Key(hash), id, m.compute(sp, hash, wl))
+	status, body, disposition, ok := s.executePatient(r.Context(), m.Key(hash), id, m.compute(sp, hash, wl), false)
 	if !ok {
 		return BatchRecord{}, false
 	}

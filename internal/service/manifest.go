@@ -3,9 +3,9 @@
 // Every sweep has a deterministic identity — the SHA-256 of its base
 // spec's content hash, name prefix, canonical model and axes — and a
 // compact manifest (per-variant done/failed bitmaps) persisted
-// through the SAME two-tier cache path as simulation results: atomic
-// disk writes, checksum-verified reads, corruption degrades to an
-// honest miss. The manifest is observability and resume metadata,
+// through the SAME cache path as simulation results: appended store
+// records, checksum-verified reads, corruption degrades to an honest
+// miss. The manifest is observability and resume metadata,
 // never an optimization the correctness of a stream depends on: a
 // resume replays every variant past the client's high-water mark
 // (done ones as cache hits), so a stale, torn or missing manifest can
@@ -160,13 +160,14 @@ func (m *SweepManifest) Status() SweepStatus {
 }
 
 // loadManifest reads and validates the manifest for id from the
-// cache tiers. Corruption at any layer — store checksum, JSON shape,
-// id mismatch, bitmap size — degrades to (nil, false), which the
-// handlers surface as 404: the client's honest fallback is re-POSTing
-// the sweep, whose deterministic id rebuilds the same manifest with a
-// full re-enumeration (mostly cache hits).
+// cache, with an uncounted probe: a manifest read is bookkeeping, not
+// a request for a result. Corruption at any layer — store checksum,
+// JSON shape, id mismatch, bitmap size — degrades to (nil, false),
+// which the handlers surface as 404: the client's honest fallback is
+// re-POSTing the sweep, whose deterministic id rebuilds the same
+// manifest with a full re-enumeration (mostly cache hits).
 func (s *Server) loadManifest(id string) (*SweepManifest, bool) {
-	body, ok := s.lookup(manifestKey(id))
+	body, ok := s.lookup(manifestKey(id), false)
 	if !ok {
 		return nil, false
 	}
@@ -177,9 +178,9 @@ func (s *Server) loadManifest(id string) (*SweepManifest, bool) {
 // checkpointManifest persists m, first merging the stored copy's
 // progress bits (concurrent streams of the same sweep — or a router
 // write-through racing a local stream — union instead of clobbering
-// each other). The store write is atomic (tmp+rename), so a SIGKILL
-// mid-checkpoint leaves the previous manifest intact, never a torn
-// one.
+// each other). The store write is one append: a SIGKILL mid-append
+// leaves a torn record that the next Open's rescan cuts off, and the
+// previous manifest record still serves.
 func (s *Server) checkpointManifest(m *SweepManifest) {
 	s.manifestMu.Lock()
 	defer s.manifestMu.Unlock()
@@ -237,10 +238,9 @@ func (s *Server) handleSweepStatus(w http.ResponseWriter, r *http.Request) {
 // queued variant it asks whether the owner already holds the bytes —
 // 200 with X-Cache: hit when it does, 404 when the work is genuinely
 // cold. GET ?prefix=<p> is the enumeration the router's drain path
-// walks: every stored key with that prefix (empty prefix: all keys),
-// as {"keys":[...]}, disk keys most-recent-first followed by any
-// memory-only stragglers. Exact fetches still require a well-formed
-// result key.
+// walks: every key with that prefix (empty prefix: all keys) that the
+// worker's cache holds, as {"keys":[...]}, most-recent-first. Exact
+// fetches still require a well-formed result key.
 func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	if r.Method == http.MethodGet && r.URL.Query().Has("prefix") {
 		body, err := json.Marshal(struct {
@@ -259,7 +259,7 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 			WriteError(w, r, http.StatusBadRequest, "key %q is not a result key", key)
 			return
 		}
-		body, ok := s.lookup(key)
+		body, ok := s.lookup(key, true)
 		if !ok {
 			WriteError(w, r, http.StatusNotFound, "no stored result under %q", key)
 			return
@@ -291,29 +291,20 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// enumerateKeys lists every key this shard holds under prefix: the
-// disk store's keys most-recent-first, then any keys only the memory
-// cache holds (a store-less shard, or a race where the memory tier
-// runs ahead). The union is what a drain must migrate — missing a
-// memory-only key would silently cool a result its owner had warm. A
-// disk key SplitKey rejects — one of another model revision — is left
-// out: it is never read again, so it is not moved either.
+// enumerateKeys lists every key this shard's cache holds under
+// prefix, most-recent-first: what a drain must migrate. A key SplitKey
+// rejects — a stored one of another model revision — is left out: it
+// is never read again, so it is not moved either.
 func (s *Server) enumerateKeys(prefix string) []string {
-	keys := []string{}
-	seen := map[string]struct{}{}
+	var held []string
 	if s.disk != nil {
-		for _, k := range s.disk.Enumerate(prefix) {
-			if _, _, ok := SplitKey(k); ok {
-				keys = append(keys, k)
-				seen[k] = struct{}{}
-			}
-		}
+		held = s.disk.Enumerate(prefix)
+	} else {
+		held = s.cache.Keys()
 	}
-	for _, k := range s.cache.Keys() {
-		if !strings.HasPrefix(k, prefix) {
-			continue
-		}
-		if _, ok := seen[k]; !ok {
+	keys := []string{}
+	for _, k := range held {
+		if _, _, ok := SplitKey(k); ok && strings.HasPrefix(k, prefix) {
 			keys = append(keys, k)
 		}
 	}

@@ -510,7 +510,7 @@ func TestStoredAnalyzeMatchesInlineAnalyze(t *testing.T) {
 
 func TestMemoryTierIsBoundedInBytes(t *testing.T) {
 	// POST /results takes bodies of up to 1 MiB, so the entry cap alone
-	// (default 1024) would let the memory tier grow to 1 GiB. It also has
+	// (default 1024) would let the memory cache grow to 1 GiB. It also has
 	// a byte budget: what stays resident fits it. (The budget is
 	// DefaultCacheBytes; the literal keeps the test meaningful against a
 	// build that has no such bound.)

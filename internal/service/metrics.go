@@ -44,15 +44,15 @@ func (s *Server) initMetrics() {
 	s.httpMetrics = obs.NewHTTPMetrics(reg, "simd_")
 
 	// Cache dispositions per tier, derived from the healthz atomics.
-	// memory_hit is hits minus storeHits (disk hits increment both);
-	// loading storeHits first guarantees the subtraction never sees a
-	// disk hit's second increment without its first.
+	// Every hit is a disk_hit on a worker with a store and a
+	// memory_hit on one without; the other series stays at zero.
 	tiers := reg.CounterVec("simd_cache_requests_total", "Cache lookups by disposition tier.", "tier")
-	tiers.Func(func() uint64 {
-		sh := s.storeHits.Load()
-		return s.hits.Load() - sh
-	}, "memory_hit")
-	tiers.Func(s.storeHits.Load, "disk_hit")
+	memoryHits, diskHits := s.hits.Load, func() uint64 { return 0 }
+	if s.disk != nil {
+		memoryHits, diskHits = diskHits, memoryHits
+	}
+	tiers.Func(memoryHits, "memory_hit")
+	tiers.Func(diskHits, "disk_hit")
 	tiers.Func(s.coalesced.Load, "coalesced")
 	tiers.Func(s.jobs.Load, "miss")
 
@@ -94,7 +94,6 @@ func (s *Server) initMetrics() {
 		},
 	})
 
-	reg.GaugeFunc("simd_cache_memory_entries", "Results held in the memory LRU.", func() float64 { return float64(s.cache.Len()) })
 	reg.GaugeFunc("simd_process_start_time_seconds", "Unix time the process started serving.", func() float64 { return float64(s.since.Unix()) })
 
 	s.sweepRows = reg.Counter("simd_sweep_rows_total", "Sweep data rows streamed to clients.")
@@ -102,7 +101,9 @@ func (s *Server) initMetrics() {
 	s.sweepResumes = reg.Counter("simd_sweep_resumes_total", "Sweep resume streams served.")
 	s.stolenResults = reg.Counter("simd_stolen_results_total", "Stolen-variant result bodies written back by a router.")
 
-	if s.disk != nil {
+	if s.disk == nil {
+		reg.GaugeFunc("simd_cache_memory_entries", "Results held in the memory LRU.", func() float64 { return float64(s.cache.Len()) })
+	} else {
 		stat := func(pick func(st store.Stats) uint64) func() uint64 {
 			return func() uint64 { return pick(s.disk.StatsSnapshot()) }
 		}

@@ -6,12 +6,12 @@
 //
 //   - Content-addressed result cache. Every simulation here is
 //     bit-reproducible, so a spec's SHA-256 content hash fully
-//     determines its result; repeat requests are answered from an LRU
+//     determines its result; repeat requests are answered from the
 //     cache with the byte-identical body of the first response,
-//     without re-simulation. With a store directory configured, the
-//     cache is two-tier: an in-memory LRU in front of a disk-backed
-//     result store (internal/store), so cached replays survive
-//     process restarts byte-identically.
+//     without re-simulation. A worker keeps one result cache: the
+//     disk-backed result store (internal/store) when a store directory
+//     is configured, so cached replays survive process restarts
+//     byte-identically, else an in-memory LRU.
 //   - Request coalescing (singleflight). Duplicate requests that
 //     arrive while the first is still simulating attach to the
 //     in-flight job and all receive its result — N identical
@@ -65,8 +65,9 @@ type Options struct {
 	// workers): a full batch queue rejects batch submissions and
 	// nothing else.
 	Queue int
-	// CacheEntries caps the in-memory result cache (<= 0:
-	// DefaultCacheEntries).
+	// CacheEntries caps the in-memory result cache of a server
+	// without StoreDir (<= 0: DefaultCacheEntries). Ignored with
+	// StoreDir: the store is then the only cache.
 	CacheEntries int
 	// StoreDir roots the disk-backed result store; empty runs the
 	// server memory-only (results die with the process).
@@ -96,17 +97,16 @@ type Options struct {
 	ClassWeights map[string]int
 }
 
-// DefaultCacheEntries is the default result-cache capacity.
+// DefaultCacheEntries is the default in-memory result-cache capacity.
 const DefaultCacheEntries = 1024
 
 // DefaultCacheBytes is the byte budget of an in-memory result cache:
-// the worker's memory tier holds at most this many body bytes whatever
-// its entry cap says (a body larger than the budget is persisted to
-// disk but not held in memory), and it is the router cache's default
-// budget (-router-cache-bytes). Response bodies are a few hundred
-// bytes, but the memory tier also holds sweep manifests and whatever
-// POST /results is sent — up to 1 MiB each — so the entry cap alone
-// bounds nothing an operator chose.
+// a store-less worker's cache holds at most this many body bytes
+// whatever its entry cap says (a larger body is not cached at all),
+// and it is the router cache's default budget (-router-cache-bytes).
+// Response bodies are a few hundred bytes, but the cache also holds
+// sweep manifests and whatever POST /results is sent — up to 1 MiB
+// each — so the entry cap alone bounds nothing an operator chose.
 const DefaultCacheBytes = 64 << 20
 
 // Counters is a snapshot of the server's load counters.
@@ -120,8 +120,8 @@ type Counters struct {
 	Coalesced uint64 `json:"coalesced"`
 	// Rejected counts requests refused with 503 under backpressure.
 	Rejected uint64 `json:"rejected"`
-	// StoreHits counts the cache hits served from the disk store
-	// (a subset of CacheHits).
+	// StoreHits counts the cache hits served from the disk store:
+	// all of CacheHits on a worker with a store, none without.
 	StoreHits uint64 `json:"store_hits"`
 	// Timeouts counts simulations aborted 504 at the request deadline.
 	Timeouts uint64 `json:"timeouts"`
@@ -131,18 +131,18 @@ type Counters struct {
 type Server struct {
 	sched *sched.Scheduler
 	mux   *http.ServeMux
+	// The server's one result cache: disk, the persistent store, when
+	// it has a StoreDir, else cache, the memory LRU. The other is nil.
 	cache *lru.Cache
-	// disk is the persistent result tier behind the memory LRU; nil
-	// when the server runs memory-only.
-	disk *store.Store
+	disk  *store.Store
 
 	mu      sync.Mutex
 	flights map[string]*flight
 
-	jobs, hits, coalesced, rejected, storeHits, timeouts atomic.Uint64
-	workers, queue                                       int
-	requestTimeout                                       time.Duration
-	maxSpecCycles                                        uint64
+	jobs, hits, coalesced, rejected, timeouts atomic.Uint64
+	workers, queue                            int
+	requestTimeout                            time.Duration
+	maxSpecCycles                             uint64
 
 	// sweeps is the sweep engine behind the /sweep endpoints, bound to
 	// this server through workerTier (sweep.go).
@@ -211,9 +211,7 @@ func New(opt Options) (*Server, error) {
 		}
 		weights[c] = w
 	}
-	if opt.CacheEntries <= 0 {
-		opt.CacheEntries = DefaultCacheEntries
-	}
+	var cache *lru.Cache
 	var disk *store.Store
 	if opt.StoreDir != "" {
 		var err error
@@ -221,6 +219,11 @@ func New(opt Options) (*Server, error) {
 		if err != nil {
 			return nil, fmt.Errorf("service: %w", err)
 		}
+	} else {
+		if opt.CacheEntries <= 0 {
+			opt.CacheEntries = DefaultCacheEntries
+		}
+		cache = lru.NewCache(DefaultCacheBytes, opt.CacheEntries)
 	}
 	maxSpecCycles := opt.MaxCycles
 	if maxSpecCycles == 0 {
@@ -229,7 +232,7 @@ func New(opt Options) (*Server, error) {
 	scheduler := sched.New(sched.Options{Workers: opt.Workers, Queue: opt.Queue, Weights: weights})
 	s := &Server{
 		sched:          scheduler,
-		cache:          lru.NewCache(DefaultCacheBytes, opt.CacheEntries),
+		cache:          cache,
 		disk:           disk,
 		flights:        make(map[string]*flight),
 		workers:        scheduler.Workers(),
@@ -313,14 +316,17 @@ func (s *Server) Close() {
 
 // CountersSnapshot returns the current load counters.
 func (s *Server) CountersSnapshot() Counters {
-	return Counters{
+	c := Counters{
 		Jobs:      s.jobs.Load(),
 		CacheHits: s.hits.Load(),
 		Coalesced: s.coalesced.Load(),
 		Rejected:  s.rejected.Load(),
-		StoreHits: s.storeHits.Load(),
 		Timeouts:  s.timeouts.Load(),
 	}
+	if s.disk != nil {
+		c.StoreHits = c.CacheHits
+	}
+	return c
 }
 
 // RunRequest is the body of POST /run and POST /compare — the wire
@@ -648,64 +654,40 @@ func computeCompare(sp spec.Spec, hash string, wl core.Workload) func(context.Co
 	}
 }
 
-// lookup probes the two cache tiers for key: the in-memory LRU, then
-// the disk store. A disk hit is promoted into the LRU so the next
-// probe stays off the filesystem. Either tier's hit is the
-// byte-identical body of the original computation.
-func (s *Server) lookup(key string) ([]byte, bool) {
-	if body, ok := s.lookupMemory(key); ok {
-		return body, true
+// lookup probes the server's one result cache for key; a hit is the
+// byte-identical body of the original computation. count=false reads
+// the store with Peek — for the flight leader's re-probe, whose
+// request already made its one counted probe, and for manifest reads,
+// which are bookkeeping rather than requests — so the store's hit and
+// miss counters stay one probe per request.
+func (s *Server) lookup(key string, count bool) (body []byte, ok bool) {
+	switch {
+	case s.disk == nil:
+		body, ok = s.cache.Get(key)
+	case count:
+		body, ok = s.disk.Get(key)
+	default:
+		body, ok = s.disk.Peek(key)
 	}
-	return s.lookupDisk(key, (*store.Store).Get)
-}
-
-// lookupDisk probes the disk tier with one of the store's reads — Get,
-// or Peek for a request whose store miss is already counted — and
-// promotes a hit into the memory tier.
-func (s *Server) lookupDisk(key string, read func(*store.Store, string) ([]byte, bool)) ([]byte, bool) {
-	if s.disk == nil {
-		return nil, false
-	}
-	body, ok := read(s.disk, key)
 	if ok {
-		s.cache.Put(key, body)
 		s.hits.Add(1)
-		s.storeHits.Add(1)
 	}
 	return body, ok
 }
 
-// lookupMemory probes only the in-memory tier. The sweep first pass
-// and executeOnce's re-checks use it: disk-held bodies resolve
-// through executeOnce's own disk probes, so the store's hit/miss
-// counters stay one-probe-per-request. A memory hit still refreshes
-// the disk entry's LRU recency — without the Touch, results served
-// from memory look cold on disk and are the first evicted, exactly
-// the entries a restart most wants back.
-func (s *Server) lookupMemory(key string) ([]byte, bool) {
-	if body, ok := s.cache.Get(key); ok {
-		s.hits.Add(1)
-		if s.disk != nil {
-			s.disk.Touch(key)
-		}
-		return body, true
-	}
-	return nil, false
-}
-
-// persist writes a computed body into both cache tiers.
+// persist writes a computed body into the server's result cache.
 func (s *Server) persist(key string, body []byte) {
-	s.cache.Put(key, body)
-	if s.disk != nil {
-		// Best-effort: a full disk degrades the store to memory-only
-		// behavior rather than failing the request that computed the
-		// result.
-		_ = s.disk.Put(key, body)
+	if s.disk == nil {
+		s.cache.Put(key, body)
+		return
 	}
+	// Best-effort: a failed write (a full disk) leaves the result
+	// uncached rather than failing the request that computed it.
+	_ = s.disk.Put(key, body)
 }
 
-// executeOnce resolves one cache key to a response: served from a
-// cache tier ("hit"), attached to an in-flight duplicate
+// executeOnce resolves one cache key to a response: served from the
+// cache ("hit"), attached to an in-flight duplicate
 // ("coalesced"), or computed as a new job on the weighted-fair
 // scheduler under id's tenant and class ("miss") — in that order.
 // compute runs on a worker and must be deterministic in its output
@@ -714,34 +696,22 @@ func (s *Server) persist(key string, body []byte) {
 // yields a 503 status (with disposition "" for the request that hit
 // the cap, "coalesced" for duplicates that had attached to it); the
 // caller chooses whether that is terminal (HTTP request path) or
-// retryable (sweep rows, which pass recheck=true on retries so the
-// disk tier isn't hit/miss-counted once per backoff round — the
-// silent flight-leader re-probe below still rescues a disk-resident
-// result). Coalescing wins over classing: a duplicate rides the
-// leader's queue position whatever class either request declared,
-// because attaching to in-flight work is always cheaper than a fairer
-// queue slot. A non-nil error means ctx ended before the result was
+// retryable (sweep rows). probed=true skips the first, counted probe:
+// the caller already made it (a sweep's first pass, an earlier
+// saturated attempt), and the silent flight-leader re-probe below
+// still finds a result that arrived since. Coalescing wins over
+// classing: a duplicate rides the leader's queue position whatever
+// class either request declared, because attaching to in-flight work
+// is always cheaper than a fairer queue slot. A non-nil error means ctx ended before the result was
 // ready — the job itself still completes and fills the cache.
-func (s *Server) executeOnce(ctx context.Context, key string, id Ident, compute func(context.Context, *Timing) ([]byte, error), recheck bool) (status int, body []byte, disposition string, timing *Timing, err error) {
-	probe := s.lookup
-	if recheck {
-		probe = s.lookupMemory
-	}
-	if body, ok := probe(key); ok {
-		return http.StatusOK, body, "hit", nil, nil
+func (s *Server) executeOnce(ctx context.Context, key string, id Ident, compute func(context.Context, *Timing) ([]byte, error), probed bool) (status int, body []byte, disposition string, timing *Timing, err error) {
+	if !probed {
+		if body, ok := s.lookup(key, true); ok {
+			return http.StatusOK, body, "hit", nil, nil
+		}
 	}
 
 	s.mu.Lock()
-	// Re-check the memory tier under the lock: the in-flight job for
-	// this key may have filled the cache and retired its flight
-	// between the lock-free probe above and here — without this, that
-	// race starts a duplicate simulation. Memory only: no disk IO
-	// ever runs under s.mu, which serializes flight creation across
-	// ALL keys.
-	if body, ok := s.lookupMemory(key); ok {
-		s.mu.Unlock()
-		return http.StatusOK, body, "hit", nil, nil
-	}
 	if f, ok := s.flights[key]; ok {
 		s.mu.Unlock()
 		s.coalesced.Add(1)
@@ -759,14 +729,15 @@ func (s *Server) executeOnce(ctx context.Context, key string, id Ident, compute 
 	s.flights[key] = f
 	s.mu.Unlock()
 
-	// This request now leads the flight for key, so it can re-probe
-	// the disk tier outside every lock: if a tiny LRU evicted what a
-	// retired flight persisted (or a restart left the result on disk
-	// only), the stored body is rescued here instead of re-simulated,
-	// and any duplicates that coalesced meanwhile read it from the
-	// flight. Silent probe (Peek): this request's store miss was
-	// already counted by the primary lookup.
-	if body, ok := s.lookupDisk(key, (*store.Store).Peek); ok {
+	// This request now leads the flight for key, so it re-probes the
+	// cache outside every lock: the in-flight job for this key may
+	// have persisted its result and retired its flight after the
+	// probe above (persist comes first), and this finds it instead of
+	// re-simulating; duplicates that coalesced meanwhile read it from
+	// the flight. No cache IO ever runs under s.mu, which serializes
+	// flight creation across ALL keys. Silent probe (Peek): this
+	// request's one counted probe was already made.
+	if body, ok := s.lookup(key, false); ok {
 		f.status = http.StatusOK
 		f.body = body
 		s.mu.Lock()
@@ -956,9 +927,11 @@ type Health struct {
 	// per-tenant queue state, keyed with the metrics label vocabulary
 	// (class, tenant) — per-class queue depths, in-flight counts,
 	// admission rejections and honest per-class retry_after.
-	Sched        *sched.Snapshot `json:"sched,omitempty"`
-	CacheEntries int             `json:"cache_entries"`
-	Store        *store.Stats    `json:"store,omitempty"`
+	Sched *sched.Snapshot `json:"sched,omitempty"`
+	// CacheEntries is the number of results the worker's one cache
+	// holds: the store's entries with a store, else the memory LRU's.
+	CacheEntries int          `json:"cache_entries"`
+	Store        *store.Stats `json:"store,omitempty"`
 	// Since is when this process started serving and UptimeSeconds its
 	// age — monotonic per process life. A respawned worker restarts
 	// both at zero alongside its counters, which is how a frontend
@@ -975,9 +948,12 @@ type Health struct {
 // HealthSnapshot returns the current Health body.
 func (s *Server) HealthSnapshot() Health {
 	var diskStats *store.Stats
+	var entries int
 	if s.disk != nil {
 		st := s.disk.StatsSnapshot()
-		diskStats = &st
+		diskStats, entries = &st, st.Entries
+	} else {
+		entries = s.cache.Len()
 	}
 	schedSnap := s.sched.Snapshot()
 	return Health{
@@ -986,7 +962,7 @@ func (s *Server) HealthSnapshot() Health {
 		Queued: s.sched.Queued(), InFlight: s.sched.InFlight(),
 		RetryAfter:    s.retryAfterSeconds(),
 		Sched:         &schedSnap,
-		CacheEntries:  s.cache.Len(),
+		CacheEntries:  entries,
 		Store:         diskStats,
 		Since:         s.since,
 		UptimeSeconds: time.Since(s.since).Seconds(),

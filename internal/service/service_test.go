@@ -137,52 +137,66 @@ func TestRepeatRequestServedByteIdenticalFromCache(t *testing.T) {
 }
 
 func TestConcurrentDuplicatesCoalesceIntoOneSimulation(t *testing.T) {
-	srv, ts := newTestServer(t, Options{Workers: 4, Queue: 64})
-	const dups = 16
-	req := map[string]any{"spec": testSpec(2)}
-
-	var wg sync.WaitGroup
-	bodies := make([][]byte, dups)
-	statuses := make([]int, dups)
-	for i := 0; i < dups; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			buf, _ := json.Marshal(req)
-			resp, err := http.Post(ts.URL+"/compare", "application/json", bytes.NewReader(buf))
-			if err != nil {
-				return
+	// On either kind of worker: a duplicate that misses the cache while
+	// the first request's job retires finds the result in the flight
+	// leader's re-probe, never in a second simulation.
+	for _, tc := range []struct {
+		name  string
+		store bool
+	}{{"memory", false}, {"store", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			opt := Options{Workers: 4, Queue: 64}
+			if tc.store {
+				opt.StoreDir = t.TempDir()
 			}
-			defer resp.Body.Close()
-			statuses[i] = resp.StatusCode
-			bodies[i], _ = io.ReadAll(resp.Body)
-		}(i)
-	}
-	wg.Wait()
+			srv, ts := newTestServer(t, opt)
+			const dups = 16
+			req := map[string]any{"spec": testSpec(2)}
 
-	for i := 0; i < dups; i++ {
-		if statuses[i] != http.StatusOK {
-			t.Fatalf("request %d: status %d: %s", i, statuses[i], bodies[i])
-		}
-		if !bytes.Equal(bodies[i], bodies[0]) {
-			t.Fatalf("request %d body differs:\n%s\n%s", i, bodies[i], bodies[0])
-		}
-	}
-	c := srv.CountersSnapshot()
-	if c.Jobs != 1 {
-		t.Fatalf("%d duplicate submissions ran %d simulations, want 1", dups, c.Jobs)
-	}
-	if c.Coalesced+c.CacheHits != dups-1 {
-		t.Fatalf("coalesced %d + hits %d != %d", c.Coalesced, c.CacheHits, dups-1)
-	}
+			var wg sync.WaitGroup
+			bodies := make([][]byte, dups)
+			statuses := make([]int, dups)
+			for i := 0; i < dups; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					buf, _ := json.Marshal(req)
+					resp, err := http.Post(ts.URL+"/compare", "application/json", bytes.NewReader(buf))
+					if err != nil {
+						return
+					}
+					defer resp.Body.Close()
+					statuses[i] = resp.StatusCode
+					bodies[i], _ = io.ReadAll(resp.Body)
+				}(i)
+			}
+			wg.Wait()
 
-	// And afterwards the result is cached: one more request, still one job.
-	_, hdr, _ := post(t, ts.URL+"/compare", req)
-	if hdr.Get("X-Cache") != "hit" {
-		t.Fatalf("post-coalesce X-Cache = %q", hdr.Get("X-Cache"))
-	}
-	if got := srv.CountersSnapshot().Jobs; got != 1 {
-		t.Fatalf("jobs grew to %d", got)
+			for i := 0; i < dups; i++ {
+				if statuses[i] != http.StatusOK {
+					t.Fatalf("request %d: status %d: %s", i, statuses[i], bodies[i])
+				}
+				if !bytes.Equal(bodies[i], bodies[0]) {
+					t.Fatalf("request %d body differs:\n%s\n%s", i, bodies[i], bodies[0])
+				}
+			}
+			c := srv.CountersSnapshot()
+			if c.Jobs != 1 {
+				t.Fatalf("%d duplicate submissions ran %d simulations, want 1", dups, c.Jobs)
+			}
+			if c.Coalesced+c.CacheHits != dups-1 {
+				t.Fatalf("coalesced %d + hits %d != %d", c.Coalesced, c.CacheHits, dups-1)
+			}
+
+			// And afterwards the result is cached: one more request, still one job.
+			_, hdr, _ := post(t, ts.URL+"/compare", req)
+			if hdr.Get("X-Cache") != "hit" {
+				t.Fatalf("post-coalesce X-Cache = %q", hdr.Get("X-Cache"))
+			}
+			if got := srv.CountersSnapshot().Jobs; got != 1 {
+				t.Fatalf("jobs grew to %d", got)
+			}
+		})
 	}
 }
 
@@ -401,7 +415,8 @@ func TestSaturatedDuplicatesAllGet503(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	// The memory tier as New builds it, capped at two entries.
+	// A store-less worker's cache as New builds it, capped at two
+	// entries.
 	c := lru.NewCache(DefaultCacheBytes, 2)
 	c.Put("a", []byte("1"))
 	c.Put("b", []byte("2"))

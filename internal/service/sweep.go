@@ -248,7 +248,7 @@ func ExpandSweepRequest(req SweepRequest, byName map[string]spec.Spec, max int) 
 // chunk runs on a single lane of the server's own workers (so nothing
 // is ever stolen), a variant resolves through the same
 // cache/singleflight/scheduler path as /run and /compare, and
-// manifests live in the server's own cache tiers.
+// manifests live in the server's own cache.
 type workerTier struct{ s *Server }
 
 func (t workerTier) CheckCycleCap(sp spec.Spec) error { return t.s.checkCycleCap(sp) }
@@ -270,16 +270,14 @@ func (t workerTier) Begin(r *http.Request) (SweepPlanner, error) {
 		return nil, err
 	}
 	return func(m SweepModel, variants []sweep.Variant) SweepPlan {
-		// Serve every memory-cached variant immediately, so a warm sweep
-		// streams at memory speed no matter how busy the pool is, and
-		// leave the rest to the lane. Disk-held variants resolve on the
-		// lane — executeOnce's lookup finds them without touching the
-		// pool, so they also stream while it is saturated, and the disk
-		// tier is probed exactly once per variant.
+		// Serve every cached variant immediately, so a warm sweep
+		// streams no matter how busy the pool is, and leave the rest
+		// to the lane. This is each variant's one counted probe: the
+		// lane does not probe again.
 		var ready []SweepLine
 		var pending []sweep.Variant
 		for _, v := range variants {
-			if body, ok := s.lookupMemory(m.Key(v.Hash)); ok {
+			if body, ok := s.lookup(m.Key(v.Hash), true); ok {
 				row := NewSweepRow(v)
 				row.Settle("hit", http.StatusOK, body)
 				ready = append(ready, row)
@@ -306,8 +304,9 @@ func (t workerTier) Begin(r *http.Request) (SweepPlanner, error) {
 	}, nil
 }
 
-// resolveVariant computes (or replays) one variant through the shared
-// execute path. ok=false means the request context ended first.
+// resolveVariant computes (or replays) one variant the first pass
+// missed through the shared execute path, without probing the cache
+// again. ok=false means the request context ended first.
 func (s *Server) resolveVariant(ctx context.Context, v sweep.Variant, m SweepModel, id Ident) (SweepRow, bool) {
 	// Compile the spec inside the job, not here: a warm variant is
 	// answered from a cache tier or a coalesced flight without paying
@@ -322,7 +321,7 @@ func (s *Server) resolveVariant(ctx context.Context, v sweep.Variant, m SweepMod
 		}
 		return m.compute(v.Spec, v.Hash, wl)(jobCtx, tm)
 	}
-	status, body, disposition, ok := s.executePatient(ctx, m.Key(v.Hash), id, compute)
+	status, body, disposition, ok := s.executePatient(ctx, m.Key(v.Hash), id, compute, true)
 	if !ok {
 		return SweepRow{}, false
 	}
@@ -337,10 +336,11 @@ func (s *Server) resolveVariant(ctx context.Context, v sweep.Variant, m SweepMod
 // instead of surfacing a 503. The 503 it can still return is the
 // terminal one (disposition dispositionClosed): the scheduler is shut
 // down, not busy, and retrying would spin against a server that is
-// going away. ok=false means ctx ended first.
-func (s *Server) executePatient(ctx context.Context, key string, id Ident, compute func(context.Context, *Timing) ([]byte, error)) (status int, body []byte, disposition string, ok bool) {
+// going away. probed is executeOnce's, and every retry counts as
+// probed. ok=false means ctx ended first.
+func (s *Server) executePatient(ctx context.Context, key string, id Ident, compute func(context.Context, *Timing) ([]byte, error), probed bool) (status int, body []byte, disposition string, ok bool) {
 	for attempt := 0; ; attempt++ {
-		status, body, disposition, _, err := s.executeOnce(ctx, key, id, compute, attempt > 0)
+		status, body, disposition, _, err := s.executeOnce(ctx, key, id, compute, probed || attempt > 0)
 		if err != nil {
 			return 0, nil, "", false
 		}

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -501,32 +502,85 @@ func TestStoreServesAcrossRestartByteIdentically(t *testing.T) {
 	if st := srv2.disk.StatsSnapshot(); st.Hits != 1 || st.Misses != 0 {
 		t.Fatalf("restarted store counters %+v", st)
 	}
-
-	// The second request is a pure memory hit (the store promotion).
-	_, hdr, _ = post(t, ts2.URL+"/run", map[string]any{"spec": sp, "model": "tl"})
-	if hdr.Get("X-Cache") != "hit" {
-		t.Fatalf("promoted X-Cache = %q", hdr.Get("X-Cache"))
-	}
-	if c := srv2.CountersSnapshot(); c.StoreHits != 1 {
-		t.Fatalf("promotion went back to disk: %+v", c)
-	}
 }
 
-func TestStoreBacksTinyMemoryCache(t *testing.T) {
-	// With a one-entry memory LRU, alternating specs evict each other
-	// constantly; the disk tier keeps every replay a hit.
+func TestStoreWorkerProbesItsStoreOncePerRequest(t *testing.T) {
+	// A worker with a store keeps no other cache: CacheEntries is
+	// ignored, so a one-entry cap evicts nothing. Every request makes
+	// exactly one counted store probe — store Hits+Misses moves by one
+	// per request, whichever path served it.
 	srv, ts := newTestServer(t, Options{Workers: 2, CacheEntries: 1, StoreDir: t.TempDir()})
+	if srv.cache != nil {
+		t.Fatal("a worker with a store holds a memory LRU")
+	}
+	var hits, misses uint64
+	expect := func(what string, h, m uint64) {
+		t.Helper()
+		hits, misses = hits+h, misses+m
+		if st := srv.disk.StatsSnapshot(); st.Hits != hits || st.Misses != misses {
+			t.Fatalf("after %s: store hits %d misses %d, want %d and %d", what, st.Hits, st.Misses, hits, misses)
+		}
+	}
+
 	a := map[string]any{"spec": testSpec(31), "model": "tl"}
 	b := map[string]any{"spec": testSpec(32), "model": "tl"}
-	post(t, ts.URL+"/run", a)
-	post(t, ts.URL+"/run", b) // evicts a from memory
-	_, hdr, _ := post(t, ts.URL+"/run", a)
-	if hdr.Get("X-Cache") != "hit" {
-		t.Fatalf("a after eviction: X-Cache = %q", hdr.Get("X-Cache"))
+	for i, c := range []struct {
+		req   map[string]any
+		cache string
+	}{{a, "miss"}, {b, "miss"}, {a, "hit"}, {b, "hit"}} {
+		status, hdr, _ := post(t, ts.URL+"/run", c.req)
+		if status != http.StatusOK || hdr.Get("X-Cache") != c.cache {
+			t.Fatalf("/run %d: %d %q, want %s", i, status, hdr.Get("X-Cache"), c.cache)
+		}
+		if c.cache == "hit" {
+			expect("a warm /run", 1, 0)
+		} else {
+			expect("a cold /run", 0, 1)
+		}
 	}
-	c := srv.CountersSnapshot()
-	if c.Jobs != 2 || c.StoreHits == 0 {
-		t.Fatalf("counters %+v", c)
+
+	cl := &Client{Base: ts.URL}
+	records, err := cl.RunBatch(context.Background(), false, [][]byte{runLine(t, 33, "tl"), runLine(t, 31, "tl")}, nil)
+	if err != nil || len(records) != 2 || records[0].Cache != "miss" || records[1].Cache != "hit" {
+		t.Fatalf("batch: %v %+v", err, records)
+	}
+	expect("a /batch of a cold and a warm line", 1, 1)
+
+	for _, want := range []string{"miss", "hit"} {
+		_, rows, _ := sweepBody(t, ts.URL, gridRequest(34))
+		if len(rows) != 8 {
+			t.Fatalf("%d sweep rows, want 8", len(rows))
+		}
+		for _, row := range rows {
+			if row.Cache != want {
+				t.Fatalf("sweep row %d: cache %q, want %s", row.Index, row.Cache, want)
+			}
+		}
+		if want == "hit" {
+			expect("a warm sweep", uint64(len(rows)), 0)
+		} else {
+			expect("a cold sweep", 0, uint64(len(rows)))
+		}
+	}
+
+	for _, c := range []struct {
+		spec   int
+		status int
+	}{{31, http.StatusOK}, {35, http.StatusNotFound}} {
+		hash, _ := testSpec(c.spec).Hash()
+		key, err := ResultKey("tl", hash)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if status, _, body := getJSON(t, ts.URL+"/results?key="+url.QueryEscape(key)); status != c.status {
+			t.Fatalf("GET /results for spec %d: %d, want %d: %s", c.spec, status, c.status, body)
+		}
+	}
+	expect("a stored and a cold GET /results", 1, 1)
+
+	// Every miss but the cold GET /results simulated once.
+	if c := srv.CountersSnapshot(); c.Jobs != misses-1 || c.StoreHits != c.CacheHits {
+		t.Fatalf("counters %+v after %d store misses", c, misses)
 	}
 }
 

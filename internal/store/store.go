@@ -1,8 +1,9 @@
-// Package store is the disk-backed half of the simulation service's
-// content-addressed result cache. Every simulation in this repository
-// is bit-reproducible, so a result is fully determined by its cache
-// key (endpoint, model and spec content hash) — which makes results
-// safe to persist and replay byte-identically across process
+// Package store is the simulation service's disk-backed,
+// content-addressed result cache: a worker with a store directory
+// keeps its results here and nowhere else. Every simulation in this
+// repository is bit-reproducible, so a result is fully determined by
+// its cache key (endpoint, model and spec content hash) — which makes
+// results safe to persist and replay byte-identically across process
 // restarts.
 //
 // Layout: an append-only log of records, cut into segment files named
@@ -385,10 +386,10 @@ func (s *Store) Get(key string) ([]byte, bool) {
 }
 
 // Peek is Get without moving the hit/miss counters (corruption and
-// access recency are still recorded). Callers that re-probe a key
-// they already counted a miss for — the service's under-lock
-// re-check, a sweep row's saturation retries — use it so the stats
-// stay one-probe-per-request.
+// access recency are still recorded). The service uses it for every
+// probe that is not a request's first — its flight leader's re-probe,
+// a sweep variant past its first pass — and for manifest reads, so the
+// stats stay one probe per request.
 func (s *Store) Peek(key string) ([]byte, bool) {
 	return s.get(key, false)
 }
@@ -517,17 +518,6 @@ func (s *Store) gcLocked(keep string) {
 		s.dropLocked(victim.Key)
 		s.stats.Evictions++
 	}
-}
-
-// Touch refreshes key's LRU recency without reading the record — the
-// hook for a memory tier in front of this store: results served from
-// memory never call Get here, and without the touch the hottest
-// results would look coldest to the GC. In-memory tick only; the
-// order reaches disk with the next index flush.
-func (s *Store) Touch(key string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.entries.Get(key)
 }
 
 // Len returns the number of stored entries.

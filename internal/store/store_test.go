@@ -405,32 +405,6 @@ func TestOpenEnforcesShrunkenBudget(t *testing.T) {
 	}
 }
 
-func TestTouchRefreshesRecencyWithoutReading(t *testing.T) {
-	// Touch is the memory-tier hook: a result served from an upstream
-	// cache must still look hot to this store's GC.
-	body := bytes.Repeat([]byte("t"), 100)
-	s := mustOpen(t, t.TempDir(), 450) // three bodies + the startup index
-	for _, k := range []string{"k:a", "k:b", "k:c"} {
-		if err := s.Put(k, body); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s.Touch("k:a")
-	s.Touch("k:nonexistent") // harmless
-	if err := s.Put("k:d", body); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s.Get("k:b"); ok {
-		t.Fatal("b survived; Touch did not refresh a")
-	}
-	if _, ok := s.Get("k:a"); !ok {
-		t.Fatal("touched entry evicted")
-	}
-	if st := s.StatsSnapshot(); st.Hits != 1 || st.Misses != 1 {
-		t.Fatalf("touch moved hit/miss counters: %+v", st)
-	}
-}
-
 func TestPeekServesWithoutMovingHitMissCounters(t *testing.T) {
 	s := mustOpen(t, t.TempDir(), 0)
 	if err := s.Put("k:a", []byte("body")); err != nil {
