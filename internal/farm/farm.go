@@ -10,6 +10,11 @@
 // (engine, memory, checker, stats) from its workload description, and
 // results land in per-index slots, so runs stay bit-reproducible
 // regardless of scheduling order.
+//
+// Pool, a long-lived pool with a bounded queue, serves no model or
+// service code: the simulation service's fair scheduler
+// (internal/sched) runs its own workers. It remains as the plain-pool
+// baseline the benchmark's farm.pool_submit_us probe times.
 package farm
 
 import (
@@ -109,8 +114,8 @@ var ErrSaturated = errors.New("farm: job queue saturated")
 
 // Pool is a long-lived worker pool with a bounded job queue. Unlike
 // Do/Map — which are built for a fixed batch known up front — a Pool
-// serves jobs that arrive one at a time (the simulation service's
-// request stream), applying backpressure once the queue fills.
+// serves jobs that arrive one at a time, applying backpressure once
+// the queue fills.
 //
 // A panic inside a job is recovered and rethrown on the goroutine
 // that waits on the job's done function, not the worker, so one bad
@@ -118,11 +123,6 @@ var ErrSaturated = errors.New("farm: job queue saturated")
 type Pool struct {
 	jobs chan func()
 	wg   sync.WaitGroup
-	// inFlight counts jobs a worker is currently executing (picked up
-	// from the queue, not yet returned). Together with Queued it is the
-	// pool's instantaneous load — the number a service divides by its
-	// worker count to tell clients how long to back off.
-	inFlight atomic.Int64
 	// mu serializes Submit's closed-check-then-send against Close's
 	// flag-set-then-close so a late Submit can never send on a closed
 	// channel. Submitters share a read lock (the send itself is
@@ -146,9 +146,7 @@ func NewPool(workers, queue int) *Pool {
 		go func() {
 			defer p.wg.Done()
 			for job := range p.jobs {
-				p.inFlight.Add(1)
 				job()
-				p.inFlight.Add(-1)
 			}
 		}()
 	}
@@ -181,14 +179,6 @@ func (p *Pool) Submit(job func()) (wait func(), err error) {
 		return nil, ErrSaturated
 	}
 }
-
-// Queued returns the number of jobs waiting in the queue (not yet
-// picked up by a worker).
-func (p *Pool) Queued() int { return len(p.jobs) }
-
-// InFlight returns the number of jobs currently executing on a
-// worker. Queued()+InFlight() is the pool's instantaneous load.
-func (p *Pool) InFlight() int { return int(p.inFlight.Load()) }
 
 // Close stops accepting jobs and waits for queued ones to drain.
 func (p *Pool) Close() {

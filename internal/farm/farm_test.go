@@ -251,47 +251,3 @@ func TestPoolCloseWhileSaturated(t *testing.T) {
 		t.Error("acceptance path never exercised")
 	}
 }
-
-func TestPoolInFlightTracksExecutingJobs(t *testing.T) {
-	p := NewPool(2, 4)
-	defer p.Close()
-	if got := p.InFlight(); got != 0 {
-		t.Fatalf("idle pool in-flight %d", got)
-	}
-	block := make(chan struct{})
-	started := make(chan struct{}, 2)
-	var waits []func()
-	for i := 0; i < 2; i++ {
-		w, err := p.Submit(func() { started <- struct{}{}; <-block })
-		if err != nil {
-			t.Fatal(err)
-		}
-		waits = append(waits, w)
-	}
-	<-started
-	<-started
-	// Both workers are executing; a queued job is load but not in-flight.
-	wq, err := p.Submit(func() {})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := p.InFlight(); got != 2 {
-		t.Fatalf("in-flight %d with both workers held, want 2", got)
-	}
-	if got := p.Queued(); got != 1 {
-		t.Fatalf("queued %d, want 1", got)
-	}
-	close(block)
-	for _, w := range waits {
-		w()
-	}
-	wq()
-	// Drained: in-flight settles back to zero (the worker decrements
-	// after the job's wait function observes completion, so poll).
-	for i := 0; i < 1000 && p.InFlight() != 0; i++ {
-		time.Sleep(time.Millisecond)
-	}
-	if got := p.InFlight(); got != 0 {
-		t.Fatalf("drained pool in-flight %d", got)
-	}
-}

@@ -1,7 +1,7 @@
 // Package sched is the tenant-aware execution scheduler: a two-level
-// weighted-fair queue in front of the farm.Pool worker substrate.
+// weighted-fair queue and the worker goroutines that drain it.
 //
-// The bounded FIFO pool is honest but first-come: one tenant's
+// A bounded FIFO pool is honest but first-come: one tenant's
 // 100k-variant sweep fills the queue and every interactive /run
 // behind it waits (or eats the one global saturation 503). This
 // package replaces "one queue, one high-water mark" with:
@@ -25,23 +25,22 @@
 // WHEN a job runs, never what it computes — a simulation's bytes are
 // a pure function of its spec, regardless of dispatch order.
 //
-// Jobs execute on a farm.Pool sized exactly to the worker count; the
-// scheduler dispatches a job only when a worker slot is free, so the
-// pool's own queue never saturates and the per-(tenant,class) queues
-// here are the only queues. A panic inside a job is recovered and
-// rethrown on the goroutine that waits on the job, exactly like the
-// bare pool. Close stops admissions and drains every queued job
-// before returning, matching the pool's close-while-saturated
-// semantics.
+// The scheduler runs its own fixed set of worker goroutines: an idle
+// worker sleeps on a condition variable, and every admission wakes
+// one, which picks the next job under the scheduler's lock, so the
+// per-(tenant,class) queues here are the only queues. A panic inside
+// a job is recovered and rethrown on the goroutine that waits on the
+// job, and the worker survives. Close stops admissions, lets the
+// workers drain every queued job, and returns once they have exited.
 package sched
 
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"slices"
 	"sync"
 	"time"
-
-	"repro/internal/farm"
 )
 
 // Class is a job's priority class.
@@ -210,22 +209,21 @@ type classState struct {
 // pass by strideOne per dispatch, a weight-w queue by strideOne/w.
 const strideOne uint64 = 1 << 20
 
-// Scheduler is the weighted-fair scheduler. It owns a farm.Pool of
-// workers and per-(tenant,class) FIFO queues in front of them; see
-// the package comment for the scheduling discipline.
+// Scheduler is the weighted-fair scheduler. It owns its worker
+// goroutines and the per-(tenant,class) FIFO queues in front of them;
+// see the package comment for the scheduling discipline.
 type Scheduler struct {
-	pool     *farm.Pool
 	workers  int
 	queueCap int
 
-	mu      sync.Mutex
-	drained sync.Cond
+	mu sync.Mutex
+	// wake is signalled once per admission and broadcast by Close; idle
+	// workers wait on it.
+	wake    sync.Cond
 	classes [numClasses]*classState
-	// running counts jobs handed to the pool and not yet finished; it
-	// never exceeds workers, which is why the pool's own queue cannot
-	// saturate.
-	running int
 	closed  bool
+	// exited counts down the workers; Close waits on it.
+	exited sync.WaitGroup
 
 	obs Observer
 }
@@ -233,20 +231,16 @@ type Scheduler struct {
 // New starts a scheduler (its workers run until Close).
 func New(opt Options) *Scheduler {
 	if opt.Workers <= 0 {
-		opt.Workers = farm.DefaultWorkers()
+		opt.Workers = runtime.GOMAXPROCS(0)
 	}
 	if opt.Queue <= 0 {
 		opt.Queue = 2 * opt.Workers
 	}
 	s := &Scheduler{
-		// The pool's queue holds at most `workers` dispatched-but-not-
-		// picked-up jobs (running <= workers), so sizing it to the
-		// worker count makes pool-side saturation impossible.
-		pool:     farm.NewPool(opt.Workers, opt.Workers),
 		workers:  opt.Workers,
 		queueCap: opt.Queue,
 	}
-	s.drained.L = &s.mu
+	s.wake.L = &s.mu
 	for _, c := range Classes() {
 		w := opt.Weights[c]
 		if w <= 0 {
@@ -258,6 +252,10 @@ func New(opt Options) *Scheduler {
 			stride:  strideOne / uint64(w),
 			tenants: make(map[string]*tenantQueue),
 		}
+	}
+	s.exited.Add(opt.Workers)
+	for range opt.Workers {
+		go s.work()
 	}
 	return s
 }
@@ -313,8 +311,8 @@ func (s *Scheduler) Submit(tenant string, class Class, fn func()) (wait func(), 
 	}
 	j := &job{fn: fn, done: make(chan any, 1), tenant: tenant, class: class, enqueued: time.Now()}
 	s.enqueueLocked(c, j)
-	s.dispatchLocked()
 	s.mu.Unlock()
+	s.wake.Signal()
 	return func() {
 		if r := <-j.done; r != nil {
 			panic(r)
@@ -375,39 +373,43 @@ func (s *Scheduler) minClassPass() (uint64, bool) {
 	return m, found
 }
 
-// dispatchLocked hands queued jobs to the pool while worker slots are
-// free — called on every admission and every completion, which keeps
-// the scheduler work-conserving without a pump goroutine.
-func (s *Scheduler) dispatchLocked() {
-	for s.running < s.workers {
+// work is one worker: it runs queued jobs one at a time, in the order
+// pickLocked chooses, and sleeps while every queue is empty. It exits
+// once the scheduler is closed and drained.
+func (s *Scheduler) work() {
+	defer s.exited.Done()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for {
 		j := s.pickLocked()
 		if j == nil {
-			return
+			if s.closed {
+				return
+			}
+			s.wake.Wait()
+			continue
 		}
-		s.running++
 		c := s.classes[j.class]
 		c.inFlight++
 		c.dispatched++
 		if s.obs.Wait != nil {
 			s.obs.Wait(j.class, time.Since(j.enqueued))
 		}
-		run := j
-		if _, err := s.pool.Submit(func() {
-			defer func() {
-				r := recover()
-				s.finish(run)
-				run.done <- r
-			}()
-			run.fn()
-		}); err != nil {
-			// Unreachable by construction (the pool can neither
-			// saturate nor close before the scheduler drains), but a
-			// blocked waiter would be worse than a surfaced error.
-			s.running--
-			c.inFlight--
-			run.done <- fmt.Errorf("sched: dispatch: %w", err)
-		}
+		s.mu.Unlock()
+		r := run(j.fn)
+		s.mu.Lock()
+		// The slot is free before the waiter wakes: a caller that has
+		// seen its job finish never sees it in flight.
+		c.inFlight--
+		j.done <- r
 	}
+}
+
+// run calls fn and returns its recovered panic value (nil on success).
+func run(fn func()) (r any) {
+	defer func() { r = recover() }()
+	fn()
+	return nil
 }
 
 // pickLocked pops the next job under the two-level discipline:
@@ -452,33 +454,16 @@ func (s *Scheduler) pickLocked() *job {
 	return j
 }
 
-// finish retires one dispatched job and refills the freed slot.
-func (s *Scheduler) finish(j *job) {
-	s.mu.Lock()
-	s.running--
-	s.classes[j.class].inFlight--
-	s.dispatchLocked()
-	if s.closed && s.running == 0 && s.queuedLocked() == 0 {
-		s.drained.Broadcast()
-	}
-	s.mu.Unlock()
-}
-
-// queuedLocked sums queued jobs across classes.
-func (s *Scheduler) queuedLocked() int {
-	n := 0
-	for _, c := range s.classes {
-		n += c.queued
-	}
-	return n
-}
-
 // Queued returns the number of jobs queued (admitted, not yet
 // dispatched) across all classes and tenants.
 func (s *Scheduler) Queued() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.queuedLocked()
+	n := 0
+	for _, c := range s.classes {
+		n += c.queued
+	}
+	return n
 }
 
 // InFlight returns the number of jobs dispatched and not yet
@@ -487,7 +472,11 @@ func (s *Scheduler) Queued() int {
 func (s *Scheduler) InFlight() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.running
+	n := 0
+	for _, c := range s.classes {
+		n += c.inFlight
+	}
+	return n
 }
 
 // RetryAfterSeconds derives the honest per-class backoff a 503 for
@@ -595,7 +584,7 @@ func (s *Scheduler) Snapshot() Snapshot {
 		for name := range c.tenants {
 			names = append(names, name)
 		}
-		sortStrings(names)
+		slices.Sort(names)
 		for _, name := range names {
 			snap.Tenants = append(snap.Tenants, TenantStatus{
 				Tenant: name, Class: class.String(), Queued: len(c.tenants[name].jobs),
@@ -605,25 +594,12 @@ func (s *Scheduler) Snapshot() Snapshot {
 	return snap
 }
 
-// sortStrings is an insertion sort; tenant sets are small and this
-// avoids importing sort into the hot package for a healthz path.
-func sortStrings(a []string) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
-}
-
-// Close stops admissions, drains every queued job (queued work runs
-// to completion, matching the pool's close semantics), then stops the
-// workers. Safe to call more than once.
+// Close stops admissions and returns once the workers have run every
+// queued job to completion and exited. Safe to call more than once.
 func (s *Scheduler) Close() {
 	s.mu.Lock()
 	s.closed = true
-	for s.running > 0 || s.queuedLocked() > 0 {
-		s.drained.Wait()
-	}
 	s.mu.Unlock()
-	s.pool.Close()
+	s.wake.Broadcast()
+	s.exited.Wait()
 }

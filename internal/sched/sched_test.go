@@ -3,6 +3,7 @@ package sched
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -135,9 +136,9 @@ func TestTenantFairnessWithinClass(t *testing.T) {
 	}
 }
 
-// TestPanicIsolation is the pool panic contract under the scheduler
-// wrapper: a panicking job rethrows at its waiter and the worker
-// survives to run the next job.
+// TestPanicIsolation is the panic contract: a panicking job rethrows at
+// its waiter and the worker survives to run the next job, whose slot is
+// free by the time its wait returns.
 func TestPanicIsolation(t *testing.T) {
 	s := New(Options{Workers: 1})
 	defer s.Close()
@@ -170,12 +171,16 @@ func TestPanicIsolation(t *testing.T) {
 	default:
 		t.Fatal("worker did not survive the panicking job")
 	}
+	if n := s.InFlight(); n != 0 {
+		t.Fatalf("InFlight %d after the lone job's wait returned, want 0", n)
+	}
 }
 
-// TestCloseWhileSaturated is the pool close contract under the
-// scheduler wrapper: Close stops admissions immediately but drains
-// every already-queued job before returning.
+// TestCloseWhileSaturated is the close contract: Close stops admissions
+// immediately but drains every already-queued job before returning,
+// and leaves none of the scheduler's goroutines behind.
 func TestCloseWhileSaturated(t *testing.T) {
+	before := runtime.NumGoroutine()
 	s := New(Options{Workers: 1, Queue: 4})
 	g := newGate()
 	g.hold(t, s)
@@ -225,6 +230,14 @@ func TestCloseWhileSaturated(t *testing.T) {
 	case <-closed:
 	case <-time.After(5 * time.Second):
 		t.Fatal("Close did not return after the drain")
+	}
+	// A goroutine that has signalled its exit can still be counted for
+	// a moment, so the count is polled rather than read once.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before New", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -160,14 +160,15 @@ func (m *SweepManifest) Status() SweepStatus {
 }
 
 // loadManifest reads and validates the manifest for id from the
-// cache, with an uncounted probe: a manifest read is bookkeeping, not
-// a request for a result. Corruption at any layer — store checksum,
-// JSON shape, id mismatch, bitmap size — degrades to (nil, false),
-// which the handlers surface as 404: the client's honest fallback is
-// re-POSTing the sweep, whose deterministic id rebuilds the same
-// manifest with a full re-enumeration (mostly cache hits).
+// cache without counting a hit anywhere: a manifest read is
+// bookkeeping, not a request for a result. Corruption at any layer —
+// store checksum, JSON shape, id mismatch, bitmap size — degrades to
+// (nil, false), which the handlers surface as 404: the client's
+// honest fallback is re-POSTing the sweep, whose deterministic id
+// rebuilds the same manifest with a full re-enumeration (mostly cache
+// hits).
 func (s *Server) loadManifest(id string) (*SweepManifest, bool) {
-	body, ok := s.lookup(manifestKey(id), false)
+	body, ok := s.peek(manifestKey(id))
 	if !ok {
 		return nil, false
 	}

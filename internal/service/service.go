@@ -654,25 +654,31 @@ func computeCompare(sp spec.Spec, hash string, wl core.Workload) func(context.Co
 	}
 }
 
-// lookup probes the server's one result cache for key; a hit is the
-// byte-identical body of the original computation. count=false reads
-// the store with Peek — for the flight leader's re-probe, whose
-// request already made its one counted probe, and for manifest reads,
-// which are bookkeeping rather than requests — so the store's hit and
-// miss counters stay one probe per request.
+// lookup probes the server's one result cache for key on behalf of a
+// request; a hit is the byte-identical body of the original
+// computation and counts in cache_hits. count=false reads the store
+// with Peek — for the flight leader's re-probe, whose request already
+// made its one counted probe — so the store's hit and miss counters
+// stay one probe per request.
 func (s *Server) lookup(key string, count bool) (body []byte, ok bool) {
-	switch {
-	case s.disk == nil:
-		body, ok = s.cache.Get(key)
-	case count:
+	if count && s.disk != nil {
 		body, ok = s.disk.Get(key)
-	default:
-		body, ok = s.disk.Peek(key)
+	} else {
+		body, ok = s.peek(key)
 	}
 	if ok {
 		s.hits.Add(1)
 	}
 	return body, ok
+}
+
+// peek reads key from the server's result cache and counts nothing:
+// for manifest reads, which are bookkeeping rather than requests.
+func (s *Server) peek(key string) ([]byte, bool) {
+	if s.disk == nil {
+		return s.cache.Get(key)
+	}
+	return s.disk.Peek(key)
 }
 
 // persist writes a computed body into the server's result cache.

@@ -546,8 +546,10 @@ func TestStoreWorkerProbesItsStoreOncePerRequest(t *testing.T) {
 	}
 	expect("a /batch of a cold and a warm line", 1, 1)
 
+	var sweepID string
 	for _, want := range []string{"miss", "hit"} {
-		_, rows, _ := sweepBody(t, ts.URL, gridRequest(34))
+		hdr, rows, _ := sweepBody(t, ts.URL, gridRequest(34))
+		sweepID = hdr.Get(SweepIDHeader)
 		if len(rows) != 8 {
 			t.Fatalf("%d sweep rows, want 8", len(rows))
 		}
@@ -562,6 +564,16 @@ func TestStoreWorkerProbesItsStoreOncePerRequest(t *testing.T) {
 			expect("a cold sweep", 0, uint64(len(rows)))
 		}
 	}
+	// The router's manifest traffic, GET and PUT /sweep/{id}, is
+	// bookkeeping: it probes nothing and counts no hit.
+	m, ok, err := cl.FetchManifest(context.Background(), sweepID)
+	if err != nil || !ok {
+		t.Fatalf("GET /sweep/%s: ok=%v err=%v", sweepID, ok, err)
+	}
+	if err := cl.PutManifest(context.Background(), m); err != nil {
+		t.Fatalf("PUT /sweep/%s: %v", sweepID, err)
+	}
+	expect("a manifest GET and PUT", 0, 0)
 
 	for _, c := range []struct {
 		spec   int
@@ -578,9 +590,23 @@ func TestStoreWorkerProbesItsStoreOncePerRequest(t *testing.T) {
 	}
 	expect("a stored and a cold GET /results", 1, 1)
 
-	// Every miss but the cold GET /results simulated once.
-	if c := srv.CountersSnapshot(); c.Jobs != misses-1 || c.StoreHits != c.CacheHits {
-		t.Fatalf("counters %+v after %d store misses", c, misses)
+	// Every miss but the cold GET /results simulated once, and every
+	// request hit — two /run, one /batch line, eight sweep rows, one
+	// GET /results — counts once in cache_hits. The sweeps' manifest
+	// reads (stream start, checkpoint merge) count nowhere.
+	if c := srv.CountersSnapshot(); c.Jobs != misses-1 || c.CacheHits != hits || hits != 12 || c.StoreHits != c.CacheHits {
+		t.Fatalf("counters %+v after %d store hits and %d misses, want 12 cache hits", c, hits, misses)
+	}
+
+	// A worker without a store keeps its manifests in the memory LRU
+	// beside the results; its warm sweep counts its rows and nothing
+	// else either.
+	mem, mts := newTestServer(t, Options{Workers: 2})
+	sweepBody(t, mts.URL, gridRequest(36))
+	before := mem.CountersSnapshot().CacheHits
+	sweepBody(t, mts.URL, gridRequest(36))
+	if got := mem.CountersSnapshot().CacheHits - before; got != 8 {
+		t.Fatalf("a store-less worker's warm 8-variant sweep moved cache_hits by %d, want 8", got)
 	}
 }
 

@@ -10,8 +10,8 @@
 //     gated. Its cost is proportional to simulated cycles times awake
 //     components.
 //
-//   - Scheduler: a general cycle-keyed event wheel that skips cycles in
-//     which nothing happens.
+//   - Scheduler: a cycle-keyed event queue, a binary min-heap that
+//     jumps straight to the next posted event. No model runs on it.
 //
 // The method-based TLM (internal/tlm) runs on neither: it calls its own
 // next round directly and takes only the Cycle timebase from here, so

@@ -1,8 +1,9 @@
 package sim
 
 import (
+	"cmp"
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -66,27 +67,6 @@ func TestSchedulerEventsCanScheduleEvents(t *testing.T) {
 	}
 }
 
-func TestSchedulerLimitStopsBeforeEvent(t *testing.T) {
-	s := NewScheduler()
-	ran := false
-	at(s, 100, func(Cycle) { ran = true })
-	end := s.Run(50)
-	if ran {
-		t.Fatal("event beyond limit ran")
-	}
-	if end != 50 {
-		t.Fatalf("Run returned %v, want 50", end)
-	}
-	if s.Pending() != 1 {
-		t.Fatalf("Pending = %d, want 1", s.Pending())
-	}
-	// Resuming past the limit runs the event.
-	s.Run(200)
-	if !ran {
-		t.Fatal("event did not run after raising limit")
-	}
-}
-
 func TestSchedulerPastSchedulingPanics(t *testing.T) {
 	s := NewScheduler()
 	at(s, 10, func(now Cycle) {
@@ -100,66 +80,70 @@ func TestSchedulerPastSchedulingPanics(t *testing.T) {
 	s.RunAll()
 }
 
-func TestSchedulerStop(t *testing.T) {
+func TestSchedulerCycleMaxSentinel(t *testing.T) {
 	s := NewScheduler()
-	count := 0
-	for i := Cycle(0); i < 10; i++ {
-		at(s, i, func(now Cycle) {
-			count++
-			if now == 3 {
-				s.Stop("enough")
-			}
-		})
+	ran := false
+	s.Post(CycleMax, func(now Cycle, _ any, _ uint64) {
+		if now != CycleMax {
+			t.Errorf("ran at %v", now)
+		}
+		ran = true
+	}, nil, 0)
+	if end := s.RunAll(); end != CycleMax || !ran {
+		t.Fatalf("RunAll reached %v, ran=%v", end, ran)
+	}
+}
+
+func TestSchedulerFarHorizonOrdering(t *testing.T) {
+	s := NewScheduler()
+	var got []Cycle
+	record := func(now Cycle, _ any, _ uint64) { got = append(got, now) }
+	// Cycles up to 2^40 apart, posted out of order, with same-cycle pairs.
+	cycles := []Cycle{1 << 20, 3, 70_000, 500, 1 << 20, 70_000, 3, 1 << 40}
+	for _, c := range cycles {
+		s.Post(c, record, nil, 0)
 	}
 	s.RunAll()
-	if count != 4 {
-		t.Fatalf("ran %d events, want 4", count)
-	}
-	if s.StopReason() != "enough" {
-		t.Fatalf("StopReason = %q", s.StopReason())
-	}
-}
-
-func TestSchedulerPeekNext(t *testing.T) {
-	s := NewScheduler()
-	if s.PeekNext() != CycleMax {
-		t.Fatal("PeekNext on empty queue should be CycleMax")
-	}
-	at(s, 42, func(Cycle) {})
-	at(s, 17, func(Cycle) {})
-	if s.PeekNext() != 17 {
-		t.Fatalf("PeekNext = %v, want 17", s.PeekNext())
+	want := slices.Clone(cycles)
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Fatalf("order %v, want %v", got, want)
 	}
 }
 
-// Property: for any random schedule, events execute in nondecreasing
-// cycle order and every event executes exactly once.
+// Property: for any random schedule, every event runs exactly once and
+// the run order is a stable sort of the posts by cycle — (cycle, post
+// order). Cycles come from a small range so same-cycle ties are
+// common, and some callbacks post at their own cycle, which must run
+// after everything already queued for that cycle.
 func TestSchedulerOrderProperty(t *testing.T) {
+	type post struct {
+		at Cycle
+		id int
+	}
 	f := func(seed int64, nRaw uint8) bool {
 		n := int(nRaw%64) + 1
 		rng := rand.New(rand.NewSource(seed))
 		s := NewScheduler()
-		cycles := make([]Cycle, n)
-		var executed []Cycle
+		var posted, ran []post
+		var schedule func(c Cycle, reentrant bool)
+		schedule = func(c Cycle, reentrant bool) {
+			p := post{at: c, id: len(posted)}
+			posted = append(posted, p)
+			at(s, c, func(now Cycle) {
+				ran = append(ran, p)
+				if reentrant {
+					schedule(now, false)
+				}
+			})
+		}
 		for i := 0; i < n; i++ {
-			c := Cycle(rng.Intn(1000))
-			cycles[i] = c
-			at(s, c, func(now Cycle) { executed = append(executed, now) })
+			schedule(Cycle(rng.Intn(8)), rng.Intn(4) == 0)
 		}
 		s.RunAll()
-		if len(executed) != n {
-			return false
-		}
-		if !sort.SliceIsSorted(executed, func(i, j int) bool { return executed[i] < executed[j] }) {
-			return false
-		}
-		sort.Slice(cycles, func(i, j int) bool { return cycles[i] < cycles[j] })
-		for i := range cycles {
-			if cycles[i] != executed[i] {
-				return false
-			}
-		}
-		return true
+		want := slices.Clone(posted)
+		slices.SortStableFunc(want, func(a, b post) int { return cmp.Compare(a.at, b.at) })
+		return slices.Equal(ran, want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -95,8 +95,8 @@ func TestSchedulerReentrantScheduling(t *testing.T) {
 	}
 }
 
-// TestSchedulerEventPoolReuse: the free list must never deliver a stale
-// callback.
+// TestSchedulerEventPoolReuse: the reused heap array must never deliver
+// a stale callback.
 func TestSchedulerEventPoolReuse(t *testing.T) {
 	s := NewScheduler()
 	seen := map[int]int{}
