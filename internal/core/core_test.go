@@ -1,10 +1,13 @@
 package core
 
 import (
+	"os"
 	"strings"
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/spec"
+	"repro/internal/sweep"
 	"repro/internal/traffic"
 )
 
@@ -144,5 +147,40 @@ func TestInterleavingWorkloadTargetsDistinctBanks(t *testing.T) {
 func TestKCyclesPerSecZeroWall(t *testing.T) {
 	if (RunResult{}).KCyclesPerSec() != 0 {
 		t.Fatal("zero wall should give zero speed")
+	}
+}
+
+// TestWideBusWalkersDriveLegalBursts runs the example spec service
+// spec, and a copy whose first master is bursty, on 8- and 16-byte
+// buses: every generator sizes its bursts and strides in the
+// platform's beats, so neither model sees a protocol violation, and
+// the two models agree on the cycle count.
+func TestWideBusWalkersDriveLegalBursts(t *testing.T) {
+	raw, err := os.ReadFile("../../examples/spec_service/spec.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	example, err := spec.Decode(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bursty := example.Clone()
+	bursty.Masters[0] = spec.GenSpec{Kind: spec.KindBursty, Beats: 8, BurstTxns: 4, IdleGap: 100, Count: 400}
+	for _, base := range []spec.Spec{example, bursty} {
+		for _, bus := range []int{8, 16} {
+			s := base.Clone()
+			if err := sweep.Apply(&s, sweep.ParamBusBytes, bus); err != nil {
+				t.Fatal(err)
+			}
+			w, err := FromSpec(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tl, rtl := Run(w, TLM, Options{}), Run(w, RTL, Options{})
+			if tl.Violations != 0 || rtl.Violations != 0 || tl.Cycles != rtl.Cycles {
+				t.Fatalf("%s master 0 %s on a %d-byte bus: %d TL and %d RTL violations, %d TL vs %d RTL cycles",
+					s.Name, s.Masters[0].Kind, bus, tl.Violations, rtl.Violations, tl.Cycles, rtl.Cycles)
+			}
+		}
 	}
 }

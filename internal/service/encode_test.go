@@ -30,11 +30,13 @@ func checkRunResponse(t *testing.T, r RunResponse) {
 	}
 }
 
-// encodeLine is one line as the row writer writes it, and the error it
-// returns.
+// encodeLine is one line as the row writer writes it and flushes it,
+// and the error Write returns.
 func encodeLine(line any) ([]byte, error) {
 	rec := httptest.NewRecorder()
-	err := newRowWriter(rec).Write(line)
+	rw := newRowWriter(rec)
+	err := rw.Write(line)
+	rw.Flush()
 	return rec.Body.Bytes(), err
 }
 

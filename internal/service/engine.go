@@ -21,6 +21,7 @@ package service
 
 import (
 	"context"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -37,11 +38,12 @@ import (
 
 // sweepChunkSize is how many expanded variants a sweep holds in
 // memory at once: the grid is walked lazily and resolved chunk by
-// chunk, so a 100k-variant sweep costs O(chunk), not O(grid). The
-// first chunk is expanded before any row can resolve, so this is also
-// the serial head of every stream: a warm replay of 512 variants
-// starts after about 3 ms of expansion where 2048 cost 11-15 ms (on a
-// 2-CPU host).
+// chunk, so a 100k-variant sweep costs O(chunk), not O(grid). On a walk
+// the first chunk is expanded before any row can resolve, so this is
+// also the serial head of the stream: 512 variants cost about 3 ms of
+// expansion where 2048 cost 11-15 ms (on a 2-CPU host). A replay from
+// the manifest's list names a chunk by coordinates and rebuilds only
+// its sampled variants (sweep.SampleEvery), a fraction of that.
 const sweepChunkSize = 512
 
 // manifestCheckpointRows is how many emitted rows ride between
@@ -196,29 +198,35 @@ func decodePost(w http.ResponseWriter, r *http.Request, what string, v any) bool
 func (e *SweepEngine) HandleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
 	if decodePost(w, r, "request", &req) {
-		e.stream(w, r, req, -1)
+		e.stream(w, r, req, -1, nil)
 	}
 }
 
 // stream validates the grid and streams its NDJSON rows — POST /sweep
 // (after = -1: the whole grid) and GET /sweep/{id}/resume (after = the
-// client's high-water mark). It checkpoints the sweep's manifest as
-// rows complete, so the sweep's identity and per-variant progress
-// survive this stream's death.
-func (e *SweepEngine) stream(w http.ResponseWriter, r *http.Request, req SweepRequest, after int) {
+// client's high-water mark). man is the sweep's stored manifest when
+// the caller already loaded it, nil to load it here. It checkpoints the
+// sweep's manifest as rows complete, so the sweep's identity and
+// per-variant progress survive this stream's death; the save that
+// closes a complete walk records the variants' hashes, and a stream
+// that finds them replays the grid from them.
+func (e *SweepEngine) stream(w http.ResponseWriter, r *http.Request, req SweepRequest, after int, man *SweepManifest) {
 	job, ok := e.admit(w, r, req, nil)
 	if !ok {
 		return
 	}
 	// Resume the stored manifest when its grid size still matches,
 	// otherwise start a fresh one.
-	man, ok := e.tier.LoadManifest(r.Context(), job.id)
-	if !ok || man.Total != job.total {
+	if man == nil {
+		man, _ = e.tier.LoadManifest(r.Context(), job.id)
+	}
+	if man == nil || man.Total != job.total {
 		man = &SweepManifest{
 			Version: 1, ID: job.id, Request: req, Total: job.total,
 			Done: sweep.NewBitset(job.total), Failed: sweep.NewBitset(job.total),
 		}
 	}
+	list := job.replayOf(man)
 
 	// The stream is committed: from here, per-variant failures are
 	// rows with an error field, not HTTP errors.
@@ -272,7 +280,7 @@ func (e *SweepEngine) stream(w http.ResponseWriter, r *http.Request, req SweepRe
 	// truncated, and saying otherwise to a half-closed socket helps
 	// nobody. The final checkpoint still runs: progress made before
 	// the disconnect is exactly what a resume wants to skip.
-	distinct, complete := e.walk(r.Context(), job, after, emit, out.Flush)
+	distinct, hashes, complete := e.walk(r.Context(), job, list, after, emit, out.Flush)
 	if complete {
 		// The terminal summary row runs only when every variant
 		// produced a row — nothing here fakes completion.
@@ -282,36 +290,99 @@ func (e *SweepEngine) stream(w http.ResponseWriter, r *http.Request, req SweepRe
 		// enumerates from index 0 — so a resume that reaches the end
 		// can mark the sweep complete just like the initial stream.
 		man.Variants = distinct
+		if hashes != nil && errored == 0 && man.Failed.Count() == 0 {
+			man.recordHashes(hashes)
+		}
 	}
+	dropWrongList(man, list)
 	// The final save is unconditional: it records Variants and places
-	// the manifest where the tier looks for it now.
+	// the manifest where the tier looks for it now. It runs after the
+	// terminal row, outside the client's wait.
 	out.Flush()
 	e.tier.SaveManifest(man)
+}
+
+// replayOf takes the list out of m and returns the replay it makes of
+// the job's grid, or nil when m lists nothing or describes a grid of
+// another size. The list leaves m either way, so that no checkpoint of
+// this request carries it: the stored copy keeps it through the merge.
+func (job sweepJob) replayOf(m *SweepManifest) *sweep.Replay {
+	hashes := m.Hashes
+	m.Hashes = nil
+	if hashes == nil {
+		return nil
+	}
+	list, err := job.grid.Replay(m.Done, hashes)
+	if err != nil {
+		return nil
+	}
+	return list
+}
+
+// dropWrongList puts the list as the replay's rebuilds corrected it on
+// m when a rebuild disagreed with the stored list, and reports whether
+// it did. The two lists then differ, so the save's merge drops both,
+// and the next complete walk records a fresh one.
+func dropWrongList(m *SweepManifest, list *sweep.Replay) bool {
+	if list == nil || !list.Wrong() {
+		return false
+	}
+	m.Hashes = list.Hashes()
+	return true
 }
 
 // walk resolves the grid in bounded chunks while the grid engine
 // expands the next chunk in the background (sweep.WalkChunks): at most
 // two chunks of sweepChunkSize expanded variants exist at a time, so
 // grid memory stays O(chunk) and the lanes never idle behind a serial
-// walk. Variants with Index <= after are skipped (their rows streamed
-// before a disconnect); build failures on individual grid points
-// become error rows, not stream deaths. idle runs whenever no further
-// row is immediately ready — before waiting on a variant, and at the
-// end of every chunk. Returns the deduplicated variant count of the
-// FULL walk (valid only when complete) and whether the walk finished
+// walk. With a list (a complete sweep's manifest) the chunks come from
+// the list instead (sweep.Replay.Chunks), until a rebuild finds the
+// list wrong: the walk then goes on from the chunk after the last one
+// the list handed out. Variants with Index <= after are skipped (their
+// rows streamed before a disconnect); build failures on individual grid
+// points become error rows, not stream deaths. idle runs whenever no
+// further row is immediately ready — before waiting on a variant, and
+// at the end of every chunk. Returns the deduplicated variant count of
+// the FULL walk (valid only when complete), the survivors' hashes in
+// walk order when it walked the whole grid with no list and they could
+// still fit a manifest (nil otherwise), and whether the walk finished
 // before ctx ended.
-func (e *SweepEngine) walk(ctx context.Context, job sweepJob, after int, emit func(SweepLine), idle func()) (distinct int, complete bool) {
-	distinct, err := job.grid.WalkChunks(ctx, after, sweepChunkSize, func(c sweep.Chunk) error {
+func (e *SweepEngine) walk(ctx context.Context, job sweepJob, list *sweep.Replay, after int, emit func(SweepLine), idle func()) (distinct int, hashes []byte, complete bool) {
+	record := list == nil && after < 0
+	chunk := func(c sweep.Chunk) error {
 		for _, f := range c.Failed {
-			emit(e.tier.GridError(SweepRow{Index: f.Variant.Index, Name: f.Variant.Spec.Name, Params: f.Variant.Params, Error: f.Err.Error()}))
+			emit(e.tier.GridError(FailedRow(f.Variant, f.Err)))
+		}
+		for i := 0; record && i < len(c.Variants); i++ {
+			if hashes, _ = hex.AppendDecode(hashes, []byte(c.Variants[i].Hash)); len(hashes) > maxListBytes {
+				record, hashes = false, nil
+			}
 		}
 		if len(c.Variants) > 0 && !runChunk(ctx, job.plan(job.model, c.Variants), emit, idle) {
 			return context.Canceled
 		}
 		idle()
 		return nil
-	})
-	return distinct, err == nil
+	}
+	if list != nil {
+		last, err := list.Chunks(ctx, after, sweepChunkSize, chunk)
+		if err != nil {
+			return 0, nil, false
+		}
+		if !list.Wrong() {
+			return list.Len(), nil, true
+		}
+		after = last
+	}
+	distinct, err := job.grid.WalkChunks(ctx, after, sweepChunkSize, chunk)
+	return distinct, hashes, err == nil
+}
+
+// FailedRow is the error row of a grid point whose spec did not build:
+// the partial variant a walk reports, or that Variant.Full returned,
+// and why.
+func FailedRow(v sweep.Variant, err error) SweepRow {
+	return SweepRow{Index: v.Index, Name: v.Spec.Name, Params: v.Params, Error: err.Error()}
 }
 
 // laneQueues is a chunk's pending work: one queue per lane, drained
@@ -450,7 +521,7 @@ func runChunk(ctx context.Context, plan SweepPlan, emit func(SweepLine), idle fu
 func (e *SweepEngine) HandleAnalyze(w http.ResponseWriter, r *http.Request) {
 	var req AnalyzeRequest
 	if decodePost(w, r, "request", &req) {
-		e.analyze(w, r, req)
+		e.analyze(w, r, req, nil)
 	}
 }
 
@@ -462,16 +533,30 @@ func (e *SweepEngine) HandleAnalyze(w http.ResponseWriter, r *http.Request) {
 // analysis holds per-variant metrics, never the full result bodies. A
 // variant no lane could serve surfaces as explicit incomplete metadata
 // (failed list, analyzed < variants) — never a silently-shrunk
-// frontier that reads like the whole design space.
-func (e *SweepEngine) analyze(w http.ResponseWriter, r *http.Request, req AnalyzeRequest) {
+// frontier that reads like the whole design space. man is the sweep's
+// stored manifest when the caller already loaded it, nil to load it
+// here: a complete sweep's list replaces the walk, as on a stream.
+func (e *SweepEngine) analyze(w http.ResponseWriter, r *http.Request, req AnalyzeRequest, man *SweepManifest) {
 	job, ok := e.admit(w, r, req.SweepRequest, &req.Request)
 	if !ok {
 		return
 	}
+	if man == nil {
+		man, _ = e.tier.LoadManifest(r.Context(), job.id)
+	}
+	var list *sweep.Replay
+	if man != nil {
+		list = job.replayOf(man)
+	}
 	inputs := make([]agg.Input, 0, min(job.total, sweepChunkSize))
-	distinct, complete := e.walk(r.Context(), job, -1, func(line SweepLine) {
+	distinct, _, complete := e.walk(r.Context(), job, list, -1, func(line SweepLine) {
 		inputs = append(inputs, AnalyzeInput(job.model.Compare, line.Data()))
 	}, func() {})
+	if dropWrongList(man, list) {
+		// An analysis saves no progress, but a wrong list must not
+		// outlive it.
+		e.tier.SaveManifest(man)
+	}
 	if !complete {
 		return // client gone; in-flight work still fills the caches
 	}
@@ -553,7 +638,7 @@ func (e *SweepEngine) HandleResume(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	e.resumes.Inc()
-	e.stream(w, r, m.Request, after)
+	e.stream(w, r, m.Request, after, m)
 }
 
 // HandleStoredAnalyze serves POST /sweep/{id}/analyze: the analysis
@@ -567,6 +652,6 @@ func (e *SweepEngine) HandleStoredAnalyze(w http.ResponseWriter, r *http.Request
 		return
 	}
 	if m, ok := e.stored(w, r); ok {
-		e.analyze(w, r, AnalyzeRequest{SweepRequest: m.Request, Request: sel})
+		e.analyze(w, r, AnalyzeRequest{SweepRequest: m.Request, Request: sel}, m)
 	}
 }

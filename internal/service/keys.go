@@ -26,7 +26,7 @@ import (
 // it in any change that moves a result byte (the result ledger,
 // internal/tlm/testdata/results.ledger, fails until it is bumped): the
 // keys move with it, so no tier serves a result the old models made.
-const ModelRevision = "r2"
+const ModelRevision = "r3"
 
 const (
 	runPrefix     = "run:" + ModelRevision + ":"

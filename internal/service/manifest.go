@@ -13,7 +13,9 @@
 package service
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"encoding/base64"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -99,6 +101,14 @@ type SweepManifest struct {
 	// Failed marks variants whose last row carried an error. A later
 	// success clears the bit.
 	Failed *sweep.Bitset `json:"failed"`
+	// Hashes lists the content hashes of the deduplicated variants in
+	// walk order (ascending Index), sha256.Size raw bytes each, one
+	// base64 string on the wire. The save that closes a complete walk
+	// with no failed variant records it, while the manifest body stays
+	// under MaxBodyBytes; a stream or analysis then replays the grid
+	// from it instead of walking (sweep.Replay). Accept drops a list
+	// that does not describe exactly the Done set.
+	Hashes []byte `json:"hashes,omitempty"`
 }
 
 // decodeManifest parses body as the manifest of sweep id — the one
@@ -107,13 +117,128 @@ type SweepManifest struct {
 // decodes too; its derived counts are dropped, never trusted.
 func decodeManifest(body []byte, id string) (*SweepManifest, error) {
 	m := new(SweepManifest)
-	if err := json.Unmarshal(body, m); err != nil {
+	rest, list, cut := cutList(body)
+	if err := json.Unmarshal(rest, m); err != nil {
 		return nil, fmt.Errorf("parsing manifest: %w", err)
+	}
+	if cut {
+		m.Hashes = list
 	}
 	if !m.Accept(id) {
 		return nil, fmt.Errorf("manifest does not describe sweep %q", id)
 	}
 	return m, nil
+}
+
+// cutList takes a manifest's list out of its body before encoding/json
+// reads the rest: a 4,080-variant list is 170 KB of base64 that
+// json.Unmarshal would scan twice and copy once, three times on every
+// replay through a cluster. It finds the body's one top-level "hashes"
+// member whose value is a string of base64 characters only, and returns
+// the body without that member and the decoded list. A JSON lexer's
+// string boundaries do not depend on the grammar, so the member it cuts
+// is a member wherever json.Unmarshal would read one, and the rest
+// parses exactly when the body does. cut=false — no such member, a
+// second key that encoding/json would also match to the field (another
+// case, an escaped key), a value it would not take as it is — hands the
+// whole body to json.Unmarshal.
+func cutList(body []byte) (rest, list []byte, cut bool) {
+	start, end := -1, -1 // the member's bytes, its separating comma included
+	depth := 0
+	afterOpenOrComma := false // the last token at depth 1 was '{' or ','
+	for i := 0; i < len(body); i++ {
+		switch c := body[i]; c {
+		case '{', '[':
+			depth++
+			afterOpenOrComma = depth == 1
+		case '}', ']':
+			depth--
+			afterOpenOrComma = false
+		case ',':
+			afterOpenOrComma = depth == 1
+		case '"':
+			j := i + 1 // the string runs to the first unescaped quote
+			for j < len(body) && body[j] != '"' {
+				if body[j] == '\\' {
+					j++
+				}
+				j++
+			}
+			if j >= len(body) {
+				return body, nil, false
+			}
+			key := body[i+1 : j]
+			isKey := depth == 1 && afterOpenOrComma
+			afterOpenOrComma = false
+			if !isKey || !bytes.EqualFold(key, []byte("hashes")) && bytes.IndexByte(key, '\\') < 0 {
+				i = j
+				continue
+			}
+			if start >= 0 || string(key) != "hashes" {
+				return body, nil, false
+			}
+			// "hashes" : "<base64>"
+			k := skipSpace(body, j+1)
+			if k >= len(body) || body[k] != ':' {
+				return body, nil, false
+			}
+			if k = skipSpace(body, k+1); k >= len(body) || body[k] != '"' {
+				return body, nil, false
+			}
+			v := k + 1
+			for v < len(body) && isBase64[body[v]] {
+				v++
+			}
+			if v >= len(body) || body[v] != '"' {
+				return body, nil, false
+			}
+			raw := body[k+1 : v]
+			list = make([]byte, base64.StdEncoding.DecodedLen(len(raw)))
+			n, err := base64.StdEncoding.Decode(list, raw)
+			if err != nil {
+				return body, nil, false
+			}
+			list, start, end = list[:n], i, v+1
+			// Take the comma that separates the member from its neighbour:
+			// the one before it, or, for the first member, the one after.
+			if p := lastNonSpace(body, i); body[p] == ',' {
+				start = p
+			} else if q := skipSpace(body, end); q < len(body) && body[q] == ',' {
+				end = q + 1
+			}
+			i = v
+		}
+	}
+	if start < 0 {
+		return body, nil, false
+	}
+	return append(append(make([]byte, 0, len(body)-(end-start)), body[:start]...), body[end:]...), list, true
+}
+
+// isBase64 marks the bytes of the standard base64 alphabet and its
+// padding.
+var isBase64 = func() (t [256]bool) {
+	for _, c := range []byte("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/=") {
+		t[c] = true
+	}
+	return t
+}()
+
+// skipSpace returns the index of the first byte at or after i that is
+// not JSON whitespace.
+func skipSpace(b []byte, i int) int {
+	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\n' || b[i] == '\r') {
+		i++
+	}
+	return i
+}
+
+// lastNonSpace returns the index of the last byte before i that is not
+// JSON whitespace.
+func lastNonSpace(b []byte, i int) int {
+	for i--; i > 0 && (b[i] == ' ' || b[i] == '\t' || b[i] == '\n' || b[i] == '\r'); i-- {
+	}
+	return i
 }
 
 // Accept reports whether m is a well-formed manifest of sweep id.
@@ -132,7 +257,29 @@ func (m *SweepManifest) Accept(id string) bool {
 	if m.Failed.Len() != m.Total {
 		m.Failed = sweep.NewBitset(m.Total)
 	}
+	// The list stands only for a complete, failure-free sweep: one
+	// digest per variant, and the variants are exactly the Done set.
+	if m.Variants == 0 || len(m.Hashes) != sha256.Size*m.Variants || m.Variants != m.Done.Count() ||
+		m.Variants > m.Total || m.Failed.Count() != 0 {
+		m.Hashes = nil
+	}
 	return true
+}
+
+// maxListBytes bounds the hashes a walk collects for its manifest: the
+// raw bytes whose base64 could still fit a PUT /sweep/{id} body.
+const maxListBytes = MaxBodyBytes / 4 * 3
+
+// recordHashes lists hashes on m when the manifest's body, list
+// included, stays under MaxBodyBytes — the bound on the PUT /sweep/{id}
+// body a router's checkpoint travels in — and leaves m without a list
+// otherwise: a larger grid replays by walking.
+func (m *SweepManifest) recordHashes(hashes []byte) {
+	m.Hashes = nil
+	body, err := json.Marshal(m)
+	if err == nil && len(body)+len(`,"hashes":""`)+base64.StdEncoding.EncodedLen(len(hashes)) < MaxBodyBytes {
+		m.Hashes = hashes
+	}
 }
 
 // SweepStatus is the body of GET /sweep/{id}: the manifest plus
@@ -190,6 +337,15 @@ func (s *Server) checkpointManifest(m *SweepManifest) {
 		m.Failed.Or(prev.Failed)
 		if m.Variants == 0 {
 			m.Variants = prev.Variants
+		}
+		// A save without a list (every checkpoint, a replay's final
+		// save) keeps the stored one; two lists that disagree are both
+		// dropped, and the next complete walk records a fresh one.
+		switch {
+		case m.Hashes == nil:
+			m.Hashes = prev.Hashes
+		case prev.Hashes != nil && !bytes.Equal(m.Hashes, prev.Hashes):
+			m.Hashes = nil
 		}
 	}
 	// A success anywhere outranks a failure anywhere: a variant that

@@ -116,17 +116,23 @@ type PlacedRow struct {
 	Stolen   string `json:"stolen,omitempty"`
 }
 
+// rowBufferBytes is the size of a stream's row buffer: about forty
+// result rows, so that a burst of ready rows reaches the socket in a
+// few large writes instead of one small write every two or three rows.
+const rowBufferBytes = 64 << 10
+
 // rowWriter streams NDJSON lines over an HTTP response and coalesces
-// their flushes. Write buffers a line; Flush pushes what is buffered to
-// the client. The sweep engine flushes whenever no further row is
-// immediately ready and after the terminal line — never per row — so
-// a burst of ready rows costs one write to the socket, and no row ever
-// waits on a row that is not there yet.
+// their writes and flushes. Write appends a line to the writer's one
+// buffer, which goes to the response when it fills; Flush sends what is
+// buffered and pushes it to the client. The sweep engine flushes
+// whenever no further row is immediately ready and after the terminal
+// line — never per row — so a burst of ready rows costs one write to
+// the socket, and no row ever waits on a row that is not there yet.
 type rowWriter struct {
 	w       io.Writer
 	flusher http.Flusher
 	dirty   bool
-	line    []byte // the line being written, reused from row to row
+	buf     []byte // lines not yet written to w
 }
 
 // newRowWriter wraps a response whose status line is already written.
@@ -134,31 +140,45 @@ type rowWriter struct {
 // before any row exists.
 func newRowWriter(w http.ResponseWriter) *rowWriter {
 	flusher, _ := w.(http.Flusher)
-	return &rowWriter{w: w, flusher: flusher, dirty: true}
+	return &rowWriter{w: w, flusher: flusher, dirty: true, buf: make([]byte, 0, rowBufferBytes)}
 }
 
 // Write encodes one line with appendLine, or with encoding/json when
-// appendLine declines, and writes it newline-terminated as a
-// json.Encoder would. A non-nil error means the line does not encode (a
-// result body that is not JSON) and nothing was written. Write errors
-// are dropped: a client that hung up is something the stream's owner
-// learns from its request context.
+// appendLine declines, and buffers it newline-terminated as a
+// json.Encoder would write it. A non-nil error means the line does not
+// encode (a result body that is not JSON) and nothing was buffered.
+// Write errors are dropped: a client that hung up is something the
+// stream's owner learns from its request context.
 func (rw *rowWriter) Write(line any) error {
-	rw.dirty = true
-	b, ok := appendLine(rw.line[:0], line)
+	n := len(rw.buf)
+	b, ok := appendLine(rw.buf, line)
 	if !ok {
-		var err error
-		if b, err = json.Marshal(line); err != nil {
+		enc, err := json.Marshal(line)
+		if err != nil {
+			rw.buf = b[:n]
 			return err
 		}
+		b = append(b[:n], enc...)
 	}
-	rw.line = append(b, '\n')
-	_, _ = rw.w.Write(rw.line)
+	rw.buf = append(b, '\n')
+	rw.dirty = true
+	if len(rw.buf) >= rowBufferBytes {
+		rw.send()
+	}
 	return nil
+}
+
+// send writes the buffered lines to the response.
+func (rw *rowWriter) send() {
+	if len(rw.buf) > 0 {
+		_, _ = rw.w.Write(rw.buf)
+		rw.buf = rw.buf[:0]
+	}
 }
 
 // Flush pushes the lines written since the last Flush to the client.
 func (rw *rowWriter) Flush() {
+	rw.send()
 	if rw.dirty && rw.flusher != nil {
 		rw.flusher.Flush()
 	}
@@ -292,6 +312,13 @@ func (t workerTier) Begin(r *http.Request) (SweepPlanner, error) {
 			Lanes: []SweepLane{{Conc: s.workers, Queue: pending}},
 			Resolve: func(ctx context.Context, run []sweep.Variant, _, _ int, emit func(SweepLine)) bool {
 				for _, v := range run {
+					// A variant replayed from a list is built before it
+					// can run: its listed hash missed the cache.
+					v, err := v.Full()
+					if err != nil {
+						emit(FailedRow(v, err))
+						continue
+					}
 					row, ok := s.resolveVariant(ctx, v, m, id)
 					if !ok {
 						return false

@@ -751,3 +751,54 @@ func TestSweepCoalescesFlushes(t *testing.T) {
 		t.Fatalf("%d flushes for 8 ready rows, want at most 3 (headers, chunk, terminal)", rec.flushes)
 	}
 }
+
+// writeCounter is a response recorder that counts the writes reaching
+// it.
+type writeCounter struct {
+	*httptest.ResponseRecorder
+	writes int
+}
+
+func (w *writeCounter) Write(b []byte) (int, error) {
+	w.writes++
+	return w.ResponseRecorder.Write(b)
+}
+
+// TestRowWriterBuffersUntilFlushOrFull pins the row buffer: lines reach
+// the response only at a Flush or once rowBufferBytes of them are
+// waiting, in the order written and byte for byte as encoded one by
+// one; a line that does not encode leaves the buffer as it was.
+func TestRowWriterBuffersUntilFlushOrFull(t *testing.T) {
+	rec := &writeCounter{ResponseRecorder: httptest.NewRecorder()}
+	rw := newRowWriter(rec)
+	var want bytes.Buffer
+	row := SweepRow{Index: 1, Name: "grid/x", Hash: strings.Repeat("ab", 32), Params: map[string]any{"count": 3},
+		Cache: "hit", Result: json.RawMessage(`{"cycles":` + strings.Repeat("1", 1000) + `}`)}
+	perLine := 0
+	for i := 0; rec.writes == 0; i++ {
+		row.Index = i
+		if err := rw.Write(row); err != nil {
+			t.Fatal(err)
+		}
+		line, _ := encodeLine(row)
+		want.Write(line)
+		perLine = len(line)
+	}
+	if n := want.Len(); n < rowBufferBytes || n-perLine >= rowBufferBytes {
+		t.Fatalf("first write after %d bytes of lines, want the first line to reach %d", n, rowBufferBytes)
+	}
+	if err := rw.Write(SweepRow{Result: json.RawMessage(`{"a":`)}); err == nil {
+		t.Fatal("a result that is not JSON encoded")
+	}
+	row.Index = -1
+	_ = rw.Write(row)
+	line, _ := encodeLine(row)
+	want.Write(line)
+	if rec.writes != 1 {
+		t.Fatalf("%d writes before the flush, want 1", rec.writes)
+	}
+	rw.Flush()
+	if rec.writes != 2 || !rec.Flushed || !bytes.Equal(rec.Body.Bytes(), want.Bytes()) {
+		t.Fatalf("after the flush: %d writes, flushed %v, body equal %v", rec.writes, rec.Flushed, bytes.Equal(rec.Body.Bytes(), want.Bytes()))
+	}
+}

@@ -333,15 +333,24 @@ func TestUnsettledBatchLinesGoDownTheRankWalk(t *testing.T) {
 			if hits := rt.cacheHits.Value(); hits != 0 {
 				t.Fatalf("cold resolve counted %d router-cache hits", hits)
 			}
-			var cached []Row
-			planner(service.SweepModel{}, nil).Resolve(context.Background(), run, 0, 0, func(l service.SweepLine) {
-				cached = append(cached, l.(Row))
-			})
-			for _, row := range cached {
-				wantErr := c.name == "deterministic error record" && row.Index == run[0].Index
-				if !wantErr && row.Cache != routerHit {
+			// A repeat plans every cached variant as a ready router hit
+			// and queues only the rest.
+			repeat := planner(service.SweepModel{}, run)
+			queued := 0
+			for _, lane := range repeat.Lanes {
+				queued += len(lane.Queue)
+			}
+			for _, line := range repeat.Ready {
+				if row := line.(Row); row.Cache != routerHit {
 					t.Fatalf("repeat row %d was %q, want %q", row.Index, row.Cache, routerHit)
 				}
+			}
+			wantQueued := 0
+			if c.name == "deterministic error record" {
+				wantQueued = 1
+			}
+			if len(repeat.Ready) != len(run)-wantQueued || queued != wantQueued {
+				t.Fatalf("repeat planned %d ready rows and queued %d, want %d and %d", len(repeat.Ready), queued, len(run)-wantQueued, wantQueued)
 			}
 		})
 	}

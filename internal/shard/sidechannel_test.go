@@ -118,7 +118,7 @@ func TestDeadThiefFallsBackWithoutASecondCacheProbe(t *testing.T) {
 	// Any variant will do: the owner is whoever the test says it is —
 	// lane 1 (the dead shard) takes it from lane 0's queue.
 	v := expandStealGrid(t, 77)[0]
-	plan := planner(service.SweepModel{}, nil)
+	plan := planner(service.SweepModel{}, []sweep.Variant{v}) // the one probe
 	var lines []service.SweepLine
 	ok := plan.Resolve(context.Background(), []sweep.Variant{v}, 1, 0, func(l service.SweepLine) { lines = append(lines, l) })
 	if !ok || len(lines) != 1 {

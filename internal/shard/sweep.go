@@ -1,11 +1,11 @@
 // The router's sweep transport: what the cluster tier supplies to the
 // sweep engine (service.SweepEngine), which owns the orchestration.
 //
-// A chunk runs on one lane per shard of a fresh topology snapshot, each
-// variant queued on the lane of its rendezvous owner, and the engine
-// hands a lane its queue in runs. The owner's lane answers what it can
-// of a run from the router cache and sends the rest to the owner in ONE
-// backend call (POST /batch, batch.go in internal/service), which runs
+// A chunk's router-cache hits are answered as it is planned; the rest
+// runs on one lane per shard of a fresh topology snapshot, each variant
+// queued on the lane of its rendezvous owner, and the engine hands a
+// lane its queue in runs. The owner's lane sends a run to the owner in
+// ONE backend call (POST /batch, batch.go in internal/service), which runs
 // every line through the worker's own /run path; whatever that call
 // does not settle — and every run of one — walks its rank order variant
 // by variant (failover). Any other lane that takes a run from the
@@ -73,11 +73,22 @@ func (t clusterTier) Begin(r *http.Request) (service.SweepPlanner, error) {
 			// shard's own primed pipeline is left alone.
 			lanes[i].Conc = sh.conc
 		}
+		// Answer every router-cache hit up front, as a worker answers
+		// its own cache: a warm chunk streams as one burst of ready rows,
+		// and the lanes see only misses. This is each variant's one
+		// router-cache probe, whoever ends up computing it.
+		var ready []service.SweepLine
 		for _, v := range variants {
-			owner := pos[OwnerID(v.Hash, vw.ids)]
-			lanes[owner].Queue = append(lanes[owner].Queue, v)
+			owner := OwnerID(v.Hash, vw.ids)
+			if cached, ok := t.rt.cacheLookup(m.Key(v.Hash)); ok {
+				row := Row{SweepRow: service.NewSweepRow(v), Shard: owner}
+				row.SettleVerbatim(routerHit, cached)
+				ready = append(ready, row)
+				continue
+			}
+			lanes[pos[owner]].Queue = append(lanes[pos[owner]].Queue, v)
 		}
-		return service.SweepPlan{Lanes: lanes, Resolve: call.resolve}
+		return service.SweepPlan{Ready: ready, Lanes: lanes, Resolve: call.resolve}
 	}, nil
 }
 
@@ -91,26 +102,34 @@ type sweepCall struct {
 	model service.SweepModel
 }
 
-// resolve runs run on the shard at position lane of the chunk's view.
-// The router cache is probed first, once per variant, whoever ends up
-// computing. The misses then go, when the lane took the run from its
-// own queue (position from is always the owner's), to the owner in one
-// batch call, and down the rank walk one by one for whatever that did
-// not settle; a thief resolves its misses one by one on the thief's
-// path. false means the client's context ended.
+// resolve runs run — variants the router cache missed when the chunk
+// was planned — on the shard at position lane of the chunk's view. A
+// variant replayed from a sweep's list is built before it goes anywhere
+// (Variant.Full); one whose built hash is not the listed one goes down
+// its own rank walk, since the list placed it. The rest go, when the
+// lane took the run from its own queue (position from is always the
+// owner's), to the owner in one batch call, and down the rank walk one
+// by one for whatever that did not settle; a thief resolves them one by
+// one on the thief's path. false means the client's context ended.
 func (c sweepCall) resolve(ctx context.Context, run []sweep.Variant, lane, from int, emit func(service.SweepLine)) bool {
 	owner := c.vw.shards[from].id
 	var misses []sweep.Variant
 	var keys []string
 	for _, v := range run {
-		key := c.model.Key(v.Hash)
-		if cached, ok := c.rt.cacheLookup(key); ok {
-			row := Row{SweepRow: service.NewSweepRow(v), Shard: owner}
-			row.SettleVerbatim(routerHit, cached)
+		full, err := v.Full()
+		switch {
+		case err != nil:
+			emit(clusterTier{}.GridError(service.FailedRow(full, err)))
+			continue
+		case full.Hash != v.Hash:
+			row, alive := c.rankWalk(ctx, full, c.model.Key(full.Hash))
+			if !alive {
+				return false
+			}
 			emit(row)
 			continue
 		}
-		misses, keys = append(misses, v), append(keys, key)
+		misses, keys = append(misses, full), append(keys, c.model.Key(full.Hash))
 	}
 	settled := 0
 	if lane == from && len(misses) > 1 {

@@ -226,7 +226,7 @@ func FuzzFootprintOracle(f *testing.F) {
 		// builds generators, which divide by the fields validation checks).
 		var errs check.Errors
 		errs.Add(p.Validate())
-		g.validate(&errs, 0)
+		g.validate(&errs, 0, busBytes)
 		if !errs.Empty() || len(g.strayFields()) != 0 {
 			return
 		}
@@ -316,7 +316,7 @@ func TestFootprintOracleRandomWalks(t *testing.T) {
 			g.BurstTxns = 1 + rng.Intn(4)
 		}
 		var errs check.Errors
-		g.validate(&errs, 0)
+		g.validate(&errs, 0, bus)
 		if !errs.Empty() || len(g.strayFields()) != 0 {
 			t.Fatalf("generated an invalid descriptor %+v: %v", g, errs.Err())
 		}

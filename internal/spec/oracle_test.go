@@ -34,7 +34,7 @@ func oracleValidate(s Spec) error {
 		errs.Addf("spec: max_cycles %d out of range (max %d)", s.MaxCycles, uint64(MaxRunCycles))
 	}
 	for i, g := range s.Masters {
-		g.validate(&errs, i)
+		g.validate(&errs, i, s.busBytes())
 		for _, f := range oracleStrayFields(g) {
 			errs.Addf("spec: master %d (%s): field %q is not used by this kind", i, g.Kind, f)
 		}
@@ -153,15 +153,9 @@ func oracleFootprint(g GenSpec, m int, busBytes int) []interval {
 	}
 	switch g.Kind {
 	case KindRandom:
-		// Uniform over the window — but the generator aligns bursts in
-		// beats*4 units, so on a wider bus the final beats of a burst
-		// starting near the window end reach past it by up to
-		// beats*(busBytes-4) bytes.
-		span := uint64(g.WindowBytes)
-		if busBytes > 4 {
-			span += uint64(largestBurstUpTo(g.MaxBeats)) * uint64(busBytes-4)
-		}
-		add(g.Base, span)
+		// Uniform over the window, each burst aligned to its own span
+		// in beats of busBytes: none reaches past the window's end.
+		add(g.Base, uint64(g.WindowBytes))
 	case KindScript:
 		for _, r := range g.Reqs {
 			add(r.Addr, uint64(r.Beats*busBytes))
@@ -169,7 +163,7 @@ func oracleFootprint(g GenSpec, m int, busBytes int) []interval {
 	default:
 		// Sequential, bursty and stream address walks are deterministic
 		// and independent of bus timing: replay the walk.
-		gen, err := g.Build()
+		gen, err := g.Build(busBytes)
 		if err != nil {
 			return nil
 		}
@@ -189,13 +183,13 @@ func oracleFootprint(g GenSpec, m int, busBytes int) []interval {
 		if !exhausted {
 			// The walk outruns the enumeration budget: cover its whole
 			// analytic extent with one conservative interval.
-			add(g.Base, oracleWalkExtent(g, span))
+			add(g.Base, oracleWalkExtent(g, span, busBytes))
 		}
 	}
 	return oracleMergeIntervals(ivs)
 }
 
-func oracleWalkExtent(g GenSpec, span uint64) uint64 {
+func oracleWalkExtent(g GenSpec, span uint64, busBytes int) uint64 {
 	if g.WrapBytes > 0 {
 		// The walk resets into [Base, Base+WrapBytes); the final burst
 		// can poke at most one span past the wrap point.
@@ -204,12 +198,12 @@ func oracleWalkExtent(g GenSpec, span uint64) uint64 {
 	// Unwrapped walks advance by a fixed step per transaction.
 	step := uint64(g.StrideBytes)
 	if step == 0 {
+		// Walks advance by beats*busBytes; a sequential descriptor
+		// that declares beat_bytes by beats*beat_bytes.
 		bb := g.BeatBytes
 		if bb == 0 {
-			bb = 4
+			bb = busBytes
 		}
-		// Bursty and stream advance by beats*4; sequential by
-		// beats*(beat_bytes|4). Both are covered by beats*max(bb,4).
 		step = uint64(g.Beats * bb)
 	}
 	if g.Count <= 0 {

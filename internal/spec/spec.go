@@ -294,7 +294,7 @@ func (s Spec) Validate() error {
 		errs.Addf("spec: max_cycles %d out of range (max %d)", s.MaxCycles, uint64(MaxRunCycles))
 	}
 	for i, g := range s.Masters {
-		g.validate(&errs, i)
+		g.validate(&errs, i, s.busBytes())
 		for _, f := range g.strayFields() {
 			errs.Addf("spec: master %d (%s): field %q is not used by this kind", i, g.Kind, f)
 		}
@@ -308,9 +308,18 @@ func (s Spec) Validate() error {
 	return errs.Err()
 }
 
-// validate checks one generator descriptor, reporting problems with
-// the master index m.
-func (g GenSpec) validate(errs *check.Errors, m int) {
+// busBytes is the platform's beat width, 4 when the params leave it
+// unset.
+func (s Spec) busBytes() int {
+	if s.Params.BusBytes <= 0 {
+		return 4
+	}
+	return s.Params.BusBytes
+}
+
+// validate checks one generator descriptor of a platform whose beat is
+// busBytes wide, reporting problems with the master index m.
+func (g GenSpec) validate(errs *check.Errors, m int, busBytes int) {
 	bad := func(format string, args ...any) {
 		errs.Addf("spec: master %d (%s): %s", m, g.Kind, fmt.Sprintf(format, args...))
 	}
@@ -344,7 +353,7 @@ func (g GenSpec) validate(errs *check.Errors, m int) {
 		}
 		// The generator aligns each burst inside the window, so the
 		// window must hold the largest burst it can draw.
-		if span := uint32(largestBurstUpTo(g.MaxBeats) * 4); g.WindowBytes < span {
+		if span := uint32(largestBurstUpTo(g.MaxBeats) * busBytes); g.WindowBytes < span {
 			bad("window_bytes %d cannot hold a %d-byte burst", g.WindowBytes, span)
 		}
 	case KindBursty:
@@ -436,30 +445,38 @@ func largestBurstUpTo(maxBeats int) int {
 	return best
 }
 
-// Build compiles the descriptor into a fresh generator. The
-// descriptor must have passed validation.
-func (g GenSpec) Build() (traffic.Generator, error) {
+// Build compiles the descriptor into a fresh generator for a platform
+// whose beat is busBytes wide: every address walk and every random
+// burst's alignment is sized in beats of that width, unless a
+// sequential descriptor declares its own beat_bytes. The descriptor
+// must have passed validation.
+func (g GenSpec) Build(busBytes int) (traffic.Generator, error) {
 	switch g.Kind {
 	case KindSequential:
+		bb := g.BeatBytes
+		if bb == 0 {
+			bb = busBytes
+		}
 		return &traffic.Sequential{
 			NameStr: g.Name, Base: g.Base, Beats: g.Beats, Gap: sim.Cycle(g.Gap),
 			Count: g.Count, WriteEvery: g.WriteEvery, WrapBytes: g.WrapBytes,
-			StrideBytes: g.StrideBytes, BeatBytes: g.BeatBytes,
+			StrideBytes: g.StrideBytes, BeatBytes: bb,
 		}, nil
 	case KindRandom:
 		return &traffic.Random{
 			NameStr: g.Name, Seed: g.Seed, Base: g.Base, WindowBytes: g.WindowBytes,
 			MaxBeats: g.MaxBeats, WriteFrac: g.WriteFrac, MeanGap: g.MeanGap, Count: g.Count,
+			BeatBytes: busBytes,
 		}, nil
 	case KindBursty:
 		return &traffic.Bursty{
 			NameStr: g.Name, Base: g.Base, Beats: g.Beats, BurstTxns: g.BurstTxns,
-			IdleGap: sim.Cycle(g.IdleGap), Count: g.Count, Write: g.Write,
+			IdleGap: sim.Cycle(g.IdleGap), Count: g.Count, Write: g.Write, BeatBytes: busBytes,
 		}, nil
 	case KindStream:
 		return &traffic.Stream{
 			NameStr: g.Name, Base: g.Base, Beats: g.Beats, Period: sim.Cycle(g.Period),
-			Count: g.Count, Write: g.Write, WrapBytes: g.WrapBytes,
+			Count: g.Count, Write: g.Write, WrapBytes: g.WrapBytes, BeatBytes: busBytes,
 		}, nil
 	case KindScript:
 		reqs := make([]traffic.Req, len(g.Reqs))
@@ -480,7 +497,7 @@ func (g GenSpec) Build() (traffic.Generator, error) {
 func (s Spec) Gens() ([]traffic.Generator, error) {
 	gens := make([]traffic.Generator, len(s.Masters))
 	for i, g := range s.Masters {
-		built, err := g.Build()
+		built, err := g.Build(s.busBytes())
 		if err != nil {
 			return nil, fmt.Errorf("spec: master %d: %w", i, err)
 		}
@@ -511,10 +528,7 @@ type interval struct {
 // without sharing a byte pass. Every overlapping master pair is
 // reported, not just the first.
 func (s Spec) validateFootprints(errs *check.Errors) {
-	bus := s.Params.BusBytes
-	if bus <= 0 {
-		bus = 4
-	}
+	bus := s.busBytes()
 	// A contiguous walk is one interval, so the usual spec fits the
 	// stack buffers and the check allocates nothing.
 	var ivBuf, activeBuf [config.MaxMasters]interval
@@ -589,15 +603,10 @@ func (g GenSpec) footprint(ivs []interval, m int, busBytes int) []interval {
 	start := len(ivs)
 	switch g.Kind {
 	case KindRandom:
-		// Uniform over the window — but the generator aligns bursts in
-		// beats*4 units, so on a wider bus the final beats of a burst
-		// starting near the window end reach past it by up to
-		// beats*(busBytes-4) bytes.
-		span := uint64(g.WindowBytes)
-		if busBytes > 4 {
-			span += uint64(largestBurstUpTo(g.MaxBeats)) * uint64(busBytes-4)
-		}
-		ivs = appendInterval(ivs, m, g.Base, span)
+		// Uniform over the window: the generator aligns each burst to
+		// its own span in beats of busBytes, so no burst reaches past
+		// the window's end.
+		ivs = appendInterval(ivs, m, g.Base, uint64(g.WindowBytes))
 	case KindScript:
 		for _, r := range g.Reqs {
 			ivs = appendInterval(ivs, m, r.Addr, uint64(r.Beats*busBytes))
@@ -619,7 +628,7 @@ func (g GenSpec) footprint(ivs []interval, m int, busBytes int) []interval {
 // for the rest.
 func (g GenSpec) walkFootprint(ivs []interval, m int, busBytes int) []interval {
 	span := uint64(g.Beats * busBytes)
-	step, wrap := uint32(g.Beats*4), g.WrapBytes
+	step, wrap := uint32(g.Beats*busBytes), g.WrapBytes
 	switch g.Kind {
 	case KindSequential:
 		if g.BeatBytes > busBytes {
@@ -638,7 +647,7 @@ func (g GenSpec) walkFootprint(ivs []interval, m int, busBytes int) []interval {
 	capped := n >= footprintCap
 	if capped {
 		n = footprintCap
-		ivs = appendInterval(ivs, m, g.Base, g.walkExtent(span))
+		ivs = appendInterval(ivs, m, g.Base, g.walkExtent(span, busBytes))
 	}
 
 	// The walk is ascending when no address computation wraps around
@@ -675,9 +684,9 @@ func (g GenSpec) walkFootprint(ivs []interval, m int, busBytes int) []interval {
 }
 
 // walkExtent returns a conservative upper bound, in bytes from Base,
-// on how far the descriptor's full walk can reach, given the span of
-// one transaction.
-func (g GenSpec) walkExtent(span uint64) uint64 {
+// on how far the descriptor's full walk can reach on a bus busBytes
+// wide, given the span of one transaction.
+func (g GenSpec) walkExtent(span uint64, busBytes int) uint64 {
 	if g.WrapBytes > 0 {
 		// The walk resets into [Base, Base+WrapBytes); the final burst
 		// can poke at most one span past the wrap point.
@@ -686,12 +695,12 @@ func (g GenSpec) walkExtent(span uint64) uint64 {
 	// Unwrapped walks advance by a fixed step per transaction.
 	step := uint64(g.StrideBytes)
 	if step == 0 {
+		// A walk advances by beats*busBytes, or by beats*beat_bytes
+		// when a sequential descriptor declares its own beat width.
 		bb := g.BeatBytes
 		if bb == 0 {
-			bb = 4
+			bb = busBytes
 		}
-		// Bursty and stream advance by beats*4; sequential by
-		// beats*(beat_bytes|4). Both are covered by beats*max(bb,4).
 		step = uint64(g.Beats * bb)
 	}
 	if g.Count <= 0 {

@@ -241,21 +241,27 @@ func TestWideBusSpansWidenFootprints(t *testing.T) {
 }
 
 func TestWideBusRandomWindowOverlap(t *testing.T) {
-	// On an 8-byte bus a random burst aligned near the window end
-	// reaches past it by beats*(bus-4) bytes; a master starting right
-	// at the window boundary must be flagged.
+	// On an 8-byte bus a random master aligns each burst to its own
+	// span in 8-byte beats, so its bursts stay inside the window: a
+	// master starting right at the window boundary is legal, and one
+	// reaching back into the window's last burst is flagged.
 	s := specOf()
 	s.Params.BusBytes = 8
 	s.Params.AddrMap.BeatBytesLog2 = 3
 	s.Masters[0] = GenSpec{Kind: KindRandom, Seed: 1, Base: 0, WindowBytes: 1 << 12, MaxBeats: 8, Count: 10}
 	s.Masters[1] = GenSpec{Kind: KindStream, Base: 1 << 12, Beats: 4, Period: 50, Count: 4}
-	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "overlapping") {
-		t.Fatalf("wide-bus window spill not caught: %v", err)
-	}
-	// Past the spill margin (8 beats * 4 extra bytes) it is legal.
-	s.Masters[1].Base = 1<<12 + 32
 	if err := s.Validate(); err != nil {
-		t.Fatalf("disjoint placement rejected: %v", err)
+		t.Fatalf("a master at the window boundary rejected: %v", err)
+	}
+	s.Masters[1].Base = 1<<12 - 8
+	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "overlapping") {
+		t.Fatalf("a master inside the window not caught: %v", err)
+	}
+	// The window must hold the largest burst in beats of the bus width.
+	s.Masters[1].Base = 1 << 12
+	s.Masters[0].WindowBytes = 32
+	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "cannot hold a 64-byte burst") {
+		t.Fatalf("a window smaller than one 8-beat burst of 8 bytes accepted: %v", err)
 	}
 }
 

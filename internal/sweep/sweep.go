@@ -111,6 +111,12 @@ type Variant struct {
 	// SHA-256 of, ready to forward without re-encoding the spec. Read
 	// only.
 	Canonical []byte
+
+	// listed is the Replay that named this variant without building it
+	// (Spec holds only its name, Canonical is nil), and pos its place in
+	// the list; nil on a variant a walk or Point built. Full builds it.
+	listed *Replay
+	pos    int
 }
 
 // Total validates the grid's axis structure and returns the size of
@@ -154,66 +160,13 @@ func (g Grid) Walk(fn func(v Variant, err error) error) error {
 	if err != nil {
 		return err
 	}
-	// Render every axis value's label and slug once, not once per
-	// variant that uses it.
-	labels := make([][]string, len(g.Axes))
-	slugs := make([][]string, len(g.Axes))
-	for a, ax := range g.Axes {
-		labels[a] = make([]string, len(ax.Values))
-		slugs[a] = make([]string, len(ax.Values))
-		for i, v := range ax.Values {
-			label, slug := v.Label, v.Slug
-			if label == "" {
-				label = fmt.Sprintf("%v", v.V)
-			}
-			if slug == "" {
-				slug = strings.ReplaceAll(label, "/", "-")
-			}
-			labels[a][i], slugs[a][i] = label, slug
-		}
-	}
-	name := make([]string, len(g.Axes)+1) // prefix, then one slug per axis
-	name[0] = g.Name
-	if name[0] == "" {
-		name[0] = g.Base.Name
-	}
-
+	t := g.text()
+	parts := make([]string, len(g.Axes)+1)
 	seen := make(map[[sha256.Size]byte]struct{})
 	idx := make([]int, len(g.Axes))
 	for n := 0; n < total; n++ {
-		s := g.Base.Clone()
-		variant := Variant{
-			Index:  n,
-			Labels: make([]string, len(g.Axes)),
-			Params: make(map[string]any, len(g.Axes)),
-		}
-		var buildErr error
-		for a, ax := range g.Axes {
-			v := ax.Values[idx[a]]
-			variant.Labels[a] = labels[a][idx[a]]
-			name[a+1] = slugs[a][idx[a]]
-			variant.Params[ax.Param] = v.V
-			if buildErr == nil {
-				if err := Apply(&s, ax.Param, v.V); err != nil {
-					buildErr = fmt.Errorf("sweep: axis %q value %v: %w", ax.Param, v.V, err)
-				}
-			}
-		}
-		s.Name = strings.Join(name, "/")
-		variant.Spec = s
-		if buildErr == nil {
-			if err := s.Validate(); err != nil {
-				buildErr = fmt.Errorf("sweep: variant %s: %w", s.Name, err)
-			}
-		}
-		// One encoding serves the forwarded bytes, the content hash and
-		// the dedup key.
-		var workload [sha256.Size]byte
-		if buildErr == nil {
-			if variant.Canonical, variant.Hash, workload, err = s.Digests(); err != nil {
-				buildErr = fmt.Errorf("sweep: variant %s: %w", s.Name, err)
-			}
-		}
+		variant := g.named(&t, n, idx, parts)
+		workload, buildErr := g.build(&variant, idx)
 		_, dup := seen[workload]
 		switch {
 		case buildErr != nil:
@@ -235,6 +188,116 @@ func (g Grid) Walk(fn func(v Variant, err error) error) error {
 		}
 	}
 	return nil
+}
+
+// Point builds grid point n on its own, exactly as Walk reports it —
+// Index, Labels, Params, the named and validated spec, Canonical and
+// Hash, or the partial variant and the error Walk reports for it —
+// without walking the points before it. Point knows nothing of
+// deduplication: a point Walk drops as a duplicate still builds.
+func (g Grid) Point(n int) (Variant, error) {
+	total, err := g.Total()
+	if err != nil {
+		return Variant{}, err
+	}
+	if n < 0 || n >= total {
+		return Variant{}, fmt.Errorf("sweep: point %d outside a grid of %d", n, total)
+	}
+	t := g.text()
+	return g.point(&t, n)
+}
+
+// axisText is what names a grid point by its coordinates: the name
+// prefix, and every axis value's label and slug, rendered once per grid
+// rather than once per point that uses them.
+type axisText struct {
+	prefix        string
+	labels, slugs [][]string
+}
+
+func (g Grid) text() axisText {
+	t := axisText{prefix: g.Name, labels: make([][]string, len(g.Axes)), slugs: make([][]string, len(g.Axes))}
+	if t.prefix == "" {
+		t.prefix = g.Base.Name
+	}
+	for a, ax := range g.Axes {
+		t.labels[a] = make([]string, len(ax.Values))
+		t.slugs[a] = make([]string, len(ax.Values))
+		for i, v := range ax.Values {
+			label, slug := v.Label, v.Slug
+			if label == "" {
+				label = fmt.Sprintf("%v", v.V)
+			}
+			if slug == "" {
+				slug = strings.ReplaceAll(label, "/", "-")
+			}
+			t.labels[a][i], t.slugs[a][i] = label, slug
+		}
+	}
+	return t
+}
+
+// coords returns the axis-value positions of grid point n: the
+// row-major index written in the mixed radix of the axes' lengths.
+func (g Grid) coords(n int) []int {
+	idx := make([]int, len(g.Axes))
+	for a := len(g.Axes) - 1; a >= 0; a-- {
+		k := len(g.Axes[a].Values)
+		idx[a], n = n%k, n/k
+	}
+	return idx
+}
+
+// named starts grid point n at coordinates idx with what its
+// coordinates alone decide: Index, Labels, Params and the spec's name.
+// parts is scratch space of one string per axis plus one.
+func (g Grid) named(t *axisText, n int, idx []int, parts []string) Variant {
+	v := Variant{
+		Index:  n,
+		Labels: make([]string, len(g.Axes)),
+		Params: make(map[string]any, len(g.Axes)),
+	}
+	parts[0] = t.prefix
+	for a, ax := range g.Axes {
+		v.Labels[a] = t.labels[a][idx[a]]
+		parts[a+1] = t.slugs[a][idx[a]]
+		v.Params[ax.Param] = ax.Values[idx[a]].V
+	}
+	v.Spec.Name = strings.Join(parts, "/")
+	return v
+}
+
+// build completes v, which named started at coordinates idx: it
+// applies the axis values to a clone of the base, validates the spec
+// and takes its digests, returning the dedup key (the workload digest).
+// On error v keeps the partly applied spec under its name.
+func (g Grid) build(v *Variant, idx []int) (workload [sha256.Size]byte, err error) {
+	s := g.Base.Clone()
+	s.Name = v.Spec.Name
+	defer func() { v.Spec = s }()
+	for a, ax := range g.Axes {
+		val := ax.Values[idx[a]].V
+		if err := Apply(&s, ax.Param, val); err != nil {
+			return workload, fmt.Errorf("sweep: axis %q value %v: %w", ax.Param, val, err)
+		}
+	}
+	if err := s.Validate(); err != nil {
+		return workload, fmt.Errorf("sweep: variant %s: %w", s.Name, err)
+	}
+	// One encoding serves the forwarded bytes, the content hash and
+	// the dedup key.
+	if v.Canonical, v.Hash, workload, err = s.Digests(); err != nil {
+		return workload, fmt.Errorf("sweep: variant %s: %w", s.Name, err)
+	}
+	return workload, nil
+}
+
+// point builds grid point n, which must lie inside the grid.
+func (g Grid) point(t *axisText, n int) (Variant, error) {
+	idx := g.coords(n)
+	v := g.named(t, n, idx, make([]string, len(g.Axes)+1))
+	_, err := g.build(&v, idx)
+	return v, err
 }
 
 // Chunk is one batch of a chunked walk: up to the chunk size of grid
@@ -269,23 +332,14 @@ func (g Grid) WalkChunks(ctx context.Context, after, size int, fn func(Chunk) er
 	if err != nil {
 		return 0, err
 	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	chunks := make(chan Chunk)
-	var walkErr error
-	go func() {
-		defer close(chunks)
+	err = ahead(ctx, func(ctx context.Context, send func(Chunk) error) error {
 		var next Chunk
-		send := func() error {
-			select {
-			case chunks <- next:
-				next = Chunk{}
-				return nil
-			case <-ctx.Done():
-				return ctx.Err()
-			}
+		flush := func() error {
+			c := next
+			next = Chunk{}
+			return send(c)
 		}
-		walkErr = g.Walk(func(v Variant, verr error) error {
+		err := g.Walk(func(v Variant, verr error) error {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
@@ -304,24 +358,49 @@ func (g Grid) WalkChunks(ctx context.Context, after, size int, fn func(Chunk) er
 				next.Variants = append(next.Variants, v)
 			}
 			if len(next.Variants)+len(next.Failed) >= size {
-				return send()
+				return flush()
 			}
 			return nil
 		})
-		if walkErr == nil && len(next.Variants)+len(next.Failed) > 0 {
-			walkErr = send()
+		if err == nil && len(next.Variants)+len(next.Failed) > 0 {
+			err = flush()
 		}
+		return err
+	}, fn)
+	return distinct, err
+}
+
+// ahead runs produce in a goroutine of its own and hands every chunk it
+// sends to fn on the calling goroutine, so production runs one chunk
+// ahead of fn and at most two chunks are alive. send fails with ctx's
+// error once ctx ends or fn has failed. ahead returns fn's first error,
+// else produce's; the producing goroutine has exited by then.
+func ahead(ctx context.Context, produce func(ctx context.Context, send func(Chunk) error) error, fn func(Chunk) error) error {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	chunks := make(chan Chunk)
+	var err error
+	go func() {
+		defer close(chunks)
+		err = produce(ctx, func(c Chunk) error {
+			select {
+			case chunks <- c:
+				return nil
+			case <-ctx.Done():
+				return ctx.Err()
+			}
+		})
 	}()
 	for c := range chunks {
-		if err = fn(c); err != nil {
+		if ferr := fn(c); ferr != nil {
 			cancel()
 			for range chunks {
-				// Unblock the walker; it stops at its next grid point.
+				// Unblock the producer; it stops at its next send.
 			}
-			return distinct, err
+			return ferr
 		}
 	}
-	return distinct, walkErr
+	return err
 }
 
 // Expand produces the deduplicated variant list: the Cartesian

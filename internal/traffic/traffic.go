@@ -83,6 +83,14 @@ type Sequential struct {
 	addr   uint32
 }
 
+// beatBytes returns bb, or 4 — the 32-bit AHB beat — when bb is 0.
+func beatBytes(bb int) int {
+	if bb == 0 {
+		return 4
+	}
+	return bb
+}
+
 // Name implements Generator.
 func (s *Sequential) Name() string {
 	if s.NameStr != "" {
@@ -109,11 +117,7 @@ func (s *Sequential) Next(prevDone sim.Cycle) (Req, bool) {
 	}
 	step := s.StrideBytes
 	if step == 0 {
-		bb := s.BeatBytes
-		if bb == 0 {
-			bb = 4
-		}
-		step = uint32(s.Beats * bb)
+		step = uint32(s.Beats * beatBytes(s.BeatBytes))
 	}
 	s.addr += step
 	if s.WrapBytes > 0 && s.addr >= s.Base+s.WrapBytes {
@@ -145,6 +149,9 @@ type Random struct {
 	MeanGap int
 	// Count is the number of transactions to produce.
 	Count int
+	// BeatBytes is the bus beat width (0 = 4): a burst of n beats spans
+	// n*BeatBytes bytes and is aligned to that span.
+	BeatBytes int
 
 	rng    rng
 	seeded bool
@@ -180,7 +187,7 @@ func (r *Random) Next(prevDone sim.Cycle) (Req, bool) {
 		gap = sim.Cycle(r.rng.Intn(2*r.MeanGap + 1))
 	}
 	// Align so the burst cannot cross the 1KB AHB boundary.
-	span := uint32(beats * 4)
+	span := uint32(beats * beatBytes(r.BeatBytes))
 	addr := r.Base + (uint32(r.rng.Int63())%(r.WindowBytes/span))*span
 	return Req{
 		At:    prevDone + gap,
@@ -212,6 +219,9 @@ type Bursty struct {
 	Count int
 	// Write makes the traffic writes instead of reads.
 	Write bool
+	// BeatBytes is the bus beat width (0 = 4); a transaction advances
+	// the walk by Beats*BeatBytes.
+	BeatBytes int
 
 	issued int
 	addr   uint32
@@ -244,7 +254,7 @@ func (b *Bursty) Next(prevDone sim.Cycle) (Req, bool) {
 		Burst: beatsFor(b.Beats),
 		Beats: b.Beats,
 	}
-	b.addr += uint32(b.Beats * 4)
+	b.addr += uint32(b.Beats * beatBytes(b.BeatBytes))
 	b.issued++
 	return r, true
 }
@@ -271,6 +281,9 @@ type Stream struct {
 	Write bool
 	// WrapBytes wraps the address walk (0 = no wrap).
 	WrapBytes uint32
+	// BeatBytes is the bus beat width (0 = 4); a transaction advances
+	// the walk by Beats*BeatBytes.
+	BeatBytes int
 
 	issued int
 	addr   uint32
@@ -303,7 +316,7 @@ func (s *Stream) Next(prevDone sim.Cycle) (Req, bool) {
 		Burst: beatsFor(s.Beats),
 		Beats: s.Beats,
 	}
-	s.addr += uint32(s.Beats * 4)
+	s.addr += uint32(s.Beats * beatBytes(s.BeatBytes))
 	if s.WrapBytes > 0 && s.addr >= s.Base+s.WrapBytes {
 		s.addr = s.Base
 	}

@@ -233,3 +233,34 @@ func TestGeneratorNames(t *testing.T) {
 		t.Fatal("NameStr override ignored")
 	}
 }
+
+// TestWalkersSizeBurstsInBusBeats holds every address-walking generator
+// to the bus it runs on: with BeatBytes set, each burst is legal at that
+// beat size — aligned, inside one 1KB page — and walks advance by whole
+// bursts of that width.
+func TestWalkersSizeBurstsInBusBeats(t *testing.T) {
+	for _, bb := range []int{1, 2, 4, 8, 16} {
+		size := amba.SizeForBytes(bb)
+		for _, g := range []Generator{
+			&Random{Seed: 7, Base: 0x80000, WindowBytes: 1 << 18, MaxBeats: 16, WriteFrac: 0.3, MeanGap: 10, Count: 400, BeatBytes: bb},
+			&Bursty{Base: 0x40000, Beats: 8, BurstTxns: 4, IdleGap: 100, Count: 400, BeatBytes: bb},
+			&Stream{Base: 0x100000, Beats: 4, Period: 60, Count: 400, BeatBytes: bb},
+			&Sequential{Base: 0, Beats: 8, Count: 400, BeatBytes: bb},
+		} {
+			var prev Req
+			for i := 0; ; i++ {
+				r, ok := g.Next(0)
+				if !ok {
+					break
+				}
+				if err := amba.ValidateBurst(r.Addr, r.Burst, size, r.Beats); err != nil {
+					t.Fatalf("%s at %d-byte beats: request %d illegal: %v", g.Name(), bb, i, err)
+				}
+				if _, random := g.(*Random); !random && i > 0 && r.Addr-prev.Addr != uint32(prev.Beats*bb) {
+					t.Fatalf("%s at %d-byte beats: walk steps %d bytes after a %d-beat burst", g.Name(), bb, r.Addr-prev.Addr, prev.Beats)
+				}
+				prev = r
+			}
+		}
+	}
+}
