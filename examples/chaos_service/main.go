@@ -21,11 +21,12 @@
 //     POST /sweep/analyze to return a document byte-identical to the
 //     fault-free reference, incomplete=false — and the sweep MANIFEST
 //     to have survived the SIGKILL atomically: GET /sweep/{id} parses
-//     cleanly and reports the sweep complete (the checkpoint write is
-//     tmp+rename, so a kill can lose a checkpoint but never tear
-//     one), GET /sweep/{id}/resume replays the tail with zero error
-//     rows, and the post-hoc POST /sweep/{id}/analyze is
-//     byte-identical to the fault-free reference;
+//     cleanly and reports the sweep complete (a checkpoint is one
+//     store append, whose torn tail the next Open cuts, so a kill can
+//     lose a checkpoint but never tear one), GET /sweep/{id}/resume
+//     replays the tail with zero error rows, and the post-hoc POST
+//     /sweep/{id}/analyze is byte-identical to the fault-free
+//     reference;
 //
 //  4. crash-loops a different shard (SIGKILL every revival) until
 //     the supervisor exhausts its respawn budget: healthz must
@@ -262,10 +263,10 @@ func main() {
 	}
 	fmt.Printf("victim respawned; analysis byte-identical to the fault-free reference\n")
 
-	// 3b. The sweep manifest survived the SIGKILL atomically. The
-	// checkpoint write is tmp+rename, so the kill mid-sweep can have
-	// lost the victim's last checkpoint but can never have torn the
-	// manifest: GET /sweep/{id} must parse cleanly and report the
+	// 3b. The sweep manifest survived the SIGKILL atomically. A
+	// checkpoint is one store append, and the next Open cuts a torn
+	// tail, so the kill mid-sweep can have lost the victim's last
+	// checkpoint but can never have torn the manifest: GET /sweep/{id} must parse cleanly and report the
 	// sweep complete, a resume must replay the tail with zero error
 	// rows, and the post-hoc stored analyze must reproduce the
 	// fault-free reference byte for byte without re-simulating.

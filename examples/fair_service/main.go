@@ -7,10 +7,12 @@
 //  1. tenant "alice" measures her idle-cluster baseline: a run of
 //     unique interactive /run probes through the router, p99 noted;
 //
-//  2. tenant "sweeper" starts a 10k-variant RTL sweep (batch class —
-//     the /sweep default) and the drill waits until the cluster
-//     healthz shows a deep batch backlog: the sweep is saturating
-//     every worker's batch queue;
+//  2. tenant "sweeper" streams 10k-variant RTL sweeps (batch class —
+//     the /sweep default) back to back, each grid under a fresh name
+//     so every variant is a miss, and holds that load until alice's
+//     probing ends; the drill waits until the cluster healthz shows a
+//     batch backlog: the sweep is saturating the workers' batch
+//     queues;
 //
 //  3. while the sweep streams, alice's worker healthz must stay
 //     honest per class: the batch queue advertises a real
@@ -18,15 +20,16 @@
 //     per-class bugfix), and the sched block names the sweeper's
 //     tenant queue exactly as the metric labels do;
 //
-//  4. alice sends paced interactive probes DURING the sweep: every
+//  4. alice sends paced interactive probes DURING the sweeps: every
 //     one must answer 200 (no admission rejection — her class queue
 //     is not the sweep's), and the p99 of the probes that overlapped
-//     the sweep must stay within 5x her idle baseline — bounded
+//     the sweeps must stay within 5x her idle baseline — bounded
 //     latency under a saturating background sweep, the starvation-
 //     resistance acceptance gate;
 //
-//  5. the sweep itself completes with done=true and ZERO error rows
-//     — fairness throttles the batch class, it never breaks it — and
+//  5. every sweep completes with done=true, its full row count and
+//     ZERO error rows — fairness throttles the batch class, it never
+//     breaks it — and
 //     the sched metric families (simd_sched_queue_depth{tenant,class},
 //     simd_sched_wait_seconds{class}) are present on the scrape.
 //
@@ -48,6 +51,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/clustertest"
@@ -62,13 +66,13 @@ import (
 const (
 	shardCount   = 2
 	shardWorkers = 3
-	// idleProbes sizes the baseline sample; loaded probing continues
-	// until the sweep ends (or maxLoadedProbes), requiring at least
-	// minOverlap samples taken while the sweep was in flight.
-	idleProbes      = 40
-	maxLoadedProbes = 200
-	minOverlap      = 30
-	probePace       = 20 * time.Millisecond
+	// idleProbes sizes the baseline sample and loadedProbes the sample
+	// taken under the held sweep load, of which at least minOverlap
+	// must have been taken while a sweep was in flight.
+	idleProbes   = 40
+	loadedProbes = 60
+	minOverlap   = 30
+	probePace    = 20 * time.Millisecond
 	// idleFloor guards the baseline against timer noise: on a fast
 	// machine the idle p99 is a few ms, and 5x a noise-sized number
 	// is not a meaningful bound. The scheduler is also non-preemptive
@@ -83,14 +87,15 @@ const (
 
 var fail = clustertest.Fail
 
-// sweepRequest is the saturating grid: 25 x 20 x 20 = 10,000 distinct
-// workloads by default, truncated along the first axis when -variants
-// asks for a smaller drill. The count axis starts at 10 to keep each
-// variant expensive enough that the sweep outlives the probing phase.
-func sweepRequest(variants int) service.SweepRequest {
+// sweepRequest is the round-th saturating grid: 25 x 20 x 20 = 10,000
+// distinct workloads by default, truncated along the first axis when
+// -variants asks for a smaller drill. The round is in the grid's name,
+// which every variant's name — and so its hash — carries: no round
+// replays another's results from the cache.
+func sweepRequest(variants, round int) service.SweepRequest {
 	base := clustertest.TinyWorkload("fair/base")
 	return service.SweepRequest{
-		Base: &base, Name: "fair/grid", Model: "rtl",
+		Base: &base, Name: fmt.Sprintf("fair/grid-%d", round), Model: "rtl",
 		Axes: []service.SweepAxis{
 			{Param: sweep.ParamUrgencyThreshold, Values: clustertest.Ints(max(variants/400, 1), 0)}, // 20 x 20 inner product
 			{Param: sweep.ParamCount, Values: clustertest.Ints(20, 10)},
@@ -152,6 +157,47 @@ func clusterBatchQueued(front string) (int, bool) {
 	return 0, false
 }
 
+// streamSweep streams one grid as tenant sweeper and fails the drill
+// unless it finishes done=true with every one of its total rows and no
+// error row.
+func streamSweep(front string, req service.SweepRequest, total int) {
+	httpReq, err := http.NewRequest(http.MethodPost, front+"/sweep", bytes.NewReader(clustertest.Marshal(req)))
+	if err != nil {
+		fail("%v", err)
+	}
+	httpReq.Header.Set("Content-Type", "application/json")
+	httpReq.Header.Set(service.TenantHeader, "sweeper")
+	resp, err := http.DefaultClient.Do(httpReq)
+	if err != nil {
+		fail("sweep: %v", err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		body, _ := io.ReadAll(resp.Body)
+		fail("sweep status %d: %s", resp.StatusCode, body)
+	}
+	rows := 0
+	summary, done, err := service.DecodeSweepStream(resp.Body, func(line []byte) error {
+		var row shard.Row
+		if err := json.Unmarshal(line, &row); err != nil {
+			return err
+		}
+		if row.Error != "" {
+			fail("sweep error row %d (fairness must throttle the batch class, never break it): %s",
+				row.Index, row.Error)
+		}
+		rows++
+		return nil
+	})
+	if err != nil {
+		fail("sweep stream: %v", err)
+	}
+	if !done || summary.Errors != 0 || rows != total || summary.Rows != total {
+		fail("sweep %s finished dishonestly: done=%v rows=%d summary=%+v want %d rows, zero errors",
+			req.Name, done, rows, summary, total)
+	}
+}
+
 func main() {
 	bin := clustertest.SimdFlag()
 	variants := flag.Int("variants", 10_000, "sweep grid size (rounded to the axes product)")
@@ -189,49 +235,30 @@ func main() {
 	fmt.Printf("idle baseline: %d interactive probes, p99 %v (latency bound %v)\n",
 		idleProbes, idleP99.Round(time.Millisecond), bound.Round(time.Millisecond))
 
-	// 2. The sweeper's saturating sweep, drained in the background.
-	sweepBuf := clustertest.Marshal(sweepRequest(*variants))
+	// 2. The sweeper's saturating load, drained in the background: one
+	// grid after another until alice's loaded probing is over, so that
+	// every loaded probe overlaps a sweep by construction rather than
+	// by racing a single sweep's finish (one 10k grid can end in under
+	// two seconds on a small host).
 	total := (max(*variants/400, 1)) * 400
-	type sweepResult struct {
-		rows    int
-		summary service.SweepSummary
-		done    bool
-	}
-	sweepCh := make(chan sweepResult, 1)
+	probing := make(chan struct{})
+	swept := make(chan int, 1)
+	var sweeping atomic.Bool // a grid's stream is open
 	sweepStart := time.Now()
 	go func() {
-		req, err := http.NewRequest(http.MethodPost, front.URL+"/sweep", bytes.NewReader(sweepBuf))
-		if err != nil {
-			fail("%v", err)
-		}
-		req.Header.Set("Content-Type", "application/json")
-		req.Header.Set(service.TenantHeader, "sweeper")
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			fail("sweep: %v", err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			body, _ := io.ReadAll(resp.Body)
-			fail("sweep status %d: %s", resp.StatusCode, body)
-		}
-		rows := 0
-		summary, done, err := service.DecodeSweepStream(resp.Body, func(line []byte) error {
-			var row shard.Row
-			if err := json.Unmarshal(line, &row); err != nil {
-				return err
+		grids := 0
+		for {
+			sweeping.Store(true)
+			streamSweep(front.URL, sweepRequest(*variants, grids), total)
+			sweeping.Store(false)
+			grids++
+			select {
+			case <-probing:
+				swept <- grids
+				return
+			default:
 			}
-			if row.Error != "" {
-				fail("sweep error row %d (fairness must throttle the batch class, never break it): %s",
-					row.Index, row.Error)
-			}
-			rows++
-			return nil
-		})
-		if err != nil {
-			fail("sweep stream: %v", err)
 		}
-		sweepCh <- sweepResult{rows: rows, summary: summary, done: done}
 	}()
 
 	// Wait for genuine saturation: the cluster-wide batch queue is
@@ -303,26 +330,21 @@ func main() {
 	}
 	fmt.Println("worker healthz honest per class: batch backs off, interactive does not, sweeper's queue named")
 
-	// 4. Alice probes during the sweep. Only probes that overlapped
-	// the stream count toward the loaded p99 — that is the population
-	// the acceptance gate is about.
-	loaded := make([]time.Duration, 0, maxLoadedProbes)
-	var result *sweepResult
-	for i := 0; i < maxLoadedProbes && result == nil; i++ {
+	// 4. Alice probes during the held sweep load. Only probes with a
+	// grid's stream open at both ends count toward the loaded p99 —
+	// that is the population the acceptance gate is about.
+	loaded := make([]time.Duration, 0, loadedProbes)
+	for i := 0; i < loadedProbes; i++ {
+		before := sweeping.Load()
 		d := probe(front.URL, idleProbes+i, "alice")
-		select {
-		case r := <-sweepCh:
-			// The sweep ended mid-probe; this sample may be partly
-			// unloaded, so it is dropped.
-			result = &r
-		default:
+		if before && sweeping.Load() {
 			loaded = append(loaded, d)
 		}
 		time.Sleep(probePace)
 	}
+	close(probing)
 	if len(loaded) < minOverlap {
-		fail("only %d probes overlapped the sweep (want >= %d) — raise -variants so the sweep outlives the probe phase",
-			len(loaded), minOverlap)
+		fail("only %d probes overlapped the sweep (want >= %d)", len(loaded), minOverlap)
 	}
 	loadedP99 := p99(loaded)
 	fmt.Printf("loaded: %d interactive probes during the sweep, p99 %v, all 200\n",
@@ -332,26 +354,16 @@ func main() {
 			loadedP99, bound, idleP99)
 	}
 
-	// 5. The sweep finishes intact.
-	if result == nil {
-		deadline := time.Now().Add(15 * time.Minute)
-		for result == nil {
-			select {
-			case r := <-sweepCh:
-				result = &r
-			case <-time.After(time.Second):
-				if time.Now().After(deadline) {
-					fail("sweep did not finish within 15m")
-				}
-			}
-		}
+	// 5. The sweep in flight when probing ended finishes intact, like
+	// every grid before it (streamSweep checked each one).
+	var grids int
+	select {
+	case grids = <-swept:
+	case <-time.After(15 * time.Minute):
+		fail("sweep did not finish within 15m")
 	}
-	if !result.done || result.summary.Errors != 0 || result.rows != total || result.summary.Rows != total {
-		fail("sweep finished dishonestly: done=%v rows=%d summary=%+v want %d rows, zero errors",
-			result.done, result.rows, result.summary, total)
-	}
-	fmt.Printf("sweep complete: %d rows, zero errors, %v total\n",
-		result.rows, time.Since(sweepStart).Round(time.Millisecond))
+	fmt.Printf("sweeps complete: %d x %d rows, zero errors, %v total\n",
+		grids, total, time.Since(sweepStart).Round(time.Millisecond))
 
 	// The sched metric families are on the worker scrape, keyed like
 	// the healthz blocks the drill just read.
@@ -369,6 +381,6 @@ func main() {
 		fail("aggregated router metrics missing simd_sched_queue_depth")
 	}
 
-	fmt.Printf("fairness smoke OK: interactive p99 %v under a saturating %d-variant sweep (bound %v), zero rejections, zero error rows\n",
-		loadedP99.Round(time.Millisecond), total, bound.Round(time.Millisecond))
+	fmt.Printf("fairness smoke OK: interactive p99 %v under %d saturating %d-variant sweep(s) (bound %v), zero rejections, zero error rows\n",
+		loadedP99.Round(time.Millisecond), grids, total, bound.Round(time.Millisecond))
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"strings"
 	"testing"
@@ -177,22 +178,19 @@ func withField(req map[string]any, key string, v any) map[string]any {
 
 func TestRetryWaitParsesAndClamps(t *testing.T) {
 	cases := []struct {
-		header string
-		want   time.Duration
+		secs int
+		want time.Duration
 	}{
-		{"2", 2 * time.Second},                              // honored verbatim
-		{"0", MinRetryWait},                                 // "soon", not busy-loop
-		{"1", time.Second},                                  // the idle-server base
-		{"60", MaxRetryWait},                                // capped
-		{"", DefaultRetryWait},                              // missing header
-		{"soon", DefaultRetryWait},                          // garbage
-		{"1.5", DefaultRetryWait},                           // non-integer
-		{"-3", DefaultRetryWait},                            // negative nonsense
-		{"Wed, 21 Oct 2198 07:28:00 GMT", DefaultRetryWait}, // HTTP-date form: unparsed, default — never the floor
+		{2, 2 * time.Second},          // honored verbatim
+		{0, MinRetryWait},             // "soon", not busy-loop
+		{1, time.Second},              // the idle-server base
+		{60, MaxRetryWait},            // capped
+		{-3, MinRetryWait},            // negative nonsense: floored, never a busy-loop
+		{math.MaxInt32, MaxRetryWait}, // far past the cap, even for a 32-bit int: no overflow into the floor
 	}
 	for _, c := range cases {
-		if got := RetryWait(c.header); got != c.want {
-			t.Errorf("RetryWait(%q) = %v, want %v", c.header, got, c.want)
+		if got := RetryWaitSeconds(c.secs); got != c.want {
+			t.Errorf("RetryWaitSeconds(%d) = %v, want %v", c.secs, got, c.want)
 		}
 	}
 }

@@ -18,29 +18,10 @@ import (
 	"net/http"
 	"net/url"
 	"slices"
-	"strconv"
-	"time"
 
 	"repro/internal/agg"
 	"repro/internal/jsonenc"
 	"repro/internal/obs"
-)
-
-// The one retry/backoff vocabulary for every client of a saturated
-// backend — the shard router's sweep fan-out and the service's own
-// in-process sweep rows both wait through RetryWait, so the two paths
-// cannot drift apart again.
-//
-// MinRetryWait floors the sleep (Retry-After is integer seconds, so
-// "0" means "soon", not "busy-loop"); MaxRetryWait caps it whatever
-// the header advertised; DefaultRetryWait is used when the header is
-// missing or unparseable — a 503 that advertised SOMETHING we cannot
-// read still said "busy", and the honest response is the wait a
-// minimally loaded server would have asked for (1s), not the floor.
-const (
-	MinRetryWait     = 50 * time.Millisecond
-	MaxRetryWait     = 5 * time.Second
-	DefaultRetryWait = time.Second
 )
 
 // Tenant-aware scheduling headers — the wire form of the identity the
@@ -58,55 +39,6 @@ const (
 	// replay demote itself to batch.
 	ClassHeader = "X-Class"
 )
-
-// RetryWait maps a 503's Retry-After header value onto the backoff a
-// retry loop should sleep. Integer seconds are honored and clamped to
-// [MinRetryWait, MaxRetryWait]; a missing or unparseable value (an
-// HTTP-date, garbage) yields DefaultRetryWait rather than silently
-// falling through to the floor and hammering a saturated pool.
-func RetryWait(header string) time.Duration {
-	secs, err := strconv.Atoi(header)
-	if err != nil || secs < 0 {
-		return DefaultRetryWait
-	}
-	return RetryWaitSeconds(secs)
-}
-
-// RetryWaitSeconds clamps an advertised whole-second wait to
-// [MinRetryWait, MaxRetryWait] — the in-process form of RetryWait for
-// callers that hold the number itself (the service's own sweep
-// retries) rather than a header to parse.
-func RetryWaitSeconds(secs int) time.Duration {
-	// Cap before multiplying: a huge advertised wait must clamp to
-	// MaxRetryWait, not overflow time.Duration into the 50ms floor and
-	// hammer the one backend that asked for the most patience.
-	if secs > int(MaxRetryWait/time.Second) {
-		return MaxRetryWait
-	}
-	wait := time.Duration(secs) * time.Second
-	if wait < MinRetryWait {
-		return MinRetryWait
-	}
-	return wait
-}
-
-// SleepRetryAfter waits out RetryWait(header); false means ctx ended
-// first.
-func SleepRetryAfter(ctx context.Context, header string) bool {
-	return sleepFor(ctx, RetryWait(header))
-}
-
-// sleepFor sleeps d unless ctx ends first.
-func sleepFor(ctx context.Context, d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return false
-	case <-t.C:
-		return true
-	}
-}
 
 // Client speaks the simd HTTP API to one backend server.
 type Client struct {
@@ -186,17 +118,27 @@ func (c *Client) Do(ctx context.Context, method, path string, body []byte, heade
 // jsonBody is the header block of a request with a JSON body.
 var jsonBody = http.Header{"Content-Type": {"application/json"}}
 
+// StatusError is an answer whose status the call did not want. The
+// backend answered, so it is not Unreachable.
+type StatusError struct {
+	What   string // what was being done
+	Status int
+	Body   []byte
+}
+
+func (e *StatusError) Error() string {
+	return fmt.Sprintf("%s status %d: %.4096s", e.What, e.Status, e.Body)
+}
+
 // call is Do for the typed calls below: it returns the answer when its
-// status is one of want and turns any other status into an error
-// naming what was being done — the backend answered, so the error is
-// not Unreachable.
+// status is one of want and turns any other status into a StatusError.
 func (c *Client) call(ctx context.Context, what, method, path string, body []byte, header http.Header, want ...int) (int, []byte, error) {
 	status, _, resp, err := c.Do(ctx, method, path, body, header)
 	if err != nil {
 		return 0, nil, err
 	}
 	if !slices.Contains(want, status) {
-		return status, resp, fmt.Errorf("%s status %d: %.4096s", what, status, resp)
+		return status, resp, &StatusError{What: what, Status: status, Body: resp}
 	}
 	return status, resp, nil
 }
@@ -345,8 +287,8 @@ func (c *Client) StoreResult(ctx context.Context, key string, body []byte, stole
 // scheduling identity in header, and returns the records the reply
 // settled, in line order. Fewer records than lines is a short reply:
 // the lines past the last record were not answered. A status other than
-// 200 (a backend without the route) is an error that is not
-// Unreachable.
+// 200 — a whole-request 400, a backend without the route — is a
+// *StatusError.
 func (c *Client) RunBatch(ctx context.Context, compare bool, lines [][]byte, header http.Header) ([]BatchRecord, error) {
 	path := "/batch?op=run"
 	if compare {

@@ -5,6 +5,7 @@
 package service
 
 import (
+	"math"
 	"net/http"
 	"strings"
 	"testing"
@@ -136,18 +137,18 @@ func TestMaxCyclesCapRejectsAtValidation(t *testing.T) {
 }
 
 func FuzzRetryWait(f *testing.F) {
-	for _, seed := range []string{"", "0", "1", "-3", "60", "2.5", "garbage",
-		"Fri, 31 Dec 1999 23:59:59 GMT", "9223372036854775807", "99999999999999999999", "-9223372036854775808"} {
+	for _, seed := range []int64{0, 1, -3, 60, 2, 5, 6, -18446744067,
+		math.MaxInt64, math.MinInt64, math.MinInt64 + 1} {
 		f.Add(seed)
 	}
-	f.Fuzz(func(t *testing.T, header string) {
-		wait := RetryWait(header)
-		// The one invariant every caller relies on: whatever the header
-		// said — garbage, overflow, negative — the sleep lands in
-		// [MinRetryWait, MaxRetryWait]. Anything below hammers a
-		// saturated pool; anything above parks a sweep worker.
+	f.Fuzz(func(t *testing.T, secs int64) {
+		wait := RetryWaitSeconds(int(secs))
+		// The one invariant executePatient relies on: whatever the
+		// scheduler advertised — zero, negative, overflow — the sleep
+		// lands in [MinRetryWait, MaxRetryWait]. Anything below hammers
+		// a saturated pool; anything above parks a sweep worker.
 		if wait < MinRetryWait || wait > MaxRetryWait {
-			t.Fatalf("RetryWait(%q) = %v outside [%v, %v]", header, wait, MinRetryWait, MaxRetryWait)
+			t.Fatalf("RetryWaitSeconds(%d) = %v outside [%v, %v]", secs, wait, MinRetryWait, MaxRetryWait)
 		}
 	})
 }

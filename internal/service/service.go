@@ -866,7 +866,7 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key, hash s
 			s.rejected.Add(1)
 		}
 		if disposition == dispositionClosed {
-			// Tell machine clients (the shard router's retry loops)
+			// Tell machine clients (the shard router's attempt loop)
 			// that this 503 is terminal — the scheduler is shutting
 			// down, not busy — so they fail over instead of backing
 			// off against a server that will never recover.

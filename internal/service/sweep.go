@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/sched"
@@ -357,6 +358,43 @@ func (s *Server) resolveVariant(ctx context.Context, v sweep.Variant, m SweepMod
 	return row, true
 }
 
+// The wait between a saturated sweep line's attempts: the Retry-After
+// a 503 for the line's class would have advertised, in whole seconds,
+// clamped to [MinRetryWait, MaxRetryWait] — floored because "0" means
+// "soon", not "busy-loop", and capped whatever the scheduler
+// advertised.
+const (
+	MinRetryWait = 50 * time.Millisecond
+	MaxRetryWait = 5 * time.Second
+)
+
+// RetryWaitSeconds clamps an advertised whole-second wait to
+// [MinRetryWait, MaxRetryWait].
+func RetryWaitSeconds(secs int) time.Duration {
+	// Clamp before multiplying: a huge advertised wait must clamp to
+	// MaxRetryWait, and a huge negative one to MinRetryWait, not
+	// overflow time.Duration into either bound's opposite.
+	switch {
+	case secs > int(MaxRetryWait/time.Second):
+		return MaxRetryWait
+	case secs < 1:
+		return MinRetryWait
+	}
+	return time.Duration(secs) * time.Second
+}
+
+// sleepFor sleeps d unless ctx ends first.
+func sleepFor(ctx context.Context, d time.Duration) bool {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-ctx.Done():
+		return false
+	case <-t.C:
+		return true
+	}
+}
+
 // executePatient is executeOnce for work that belongs to a sweep — a
 // variant of this worker's own stream, a line of a router's POST
 // /batch: it retries with backoff while the class queue is saturated
@@ -378,10 +416,12 @@ func (s *Server) executePatient(ctx context.Context, key string, id Ident, compu
 		// surfacing a mid-stream 503 row. The wait honors the SAME
 		// number a 503 response would have advertised in Retry-After —
 		// this request's OWN class backlog (a batch sweep backs off on
-		// batch depth, never on interactive load), clamped exactly
-		// like the shard router's retries — not a hardcoded
-		// millisecond loop that hammers a saturated queue dozens of
-		// times a second per pending variant.
+		// batch depth, never on interactive load), clamped by
+		// RetryWaitSeconds — not a hardcoded millisecond loop that
+		// hammers a saturated queue dozens of times a second per
+		// pending variant. This is the only place a saturated sweep
+		// waits: the shard router sends every sweep hop here, as a
+		// /batch line, and never sleeps on a Retry-After itself.
 		if !sleepFor(ctx, RetryWaitSeconds(s.sched.RetryAfterSeconds(id.Class))) {
 			return 0, nil, "", false
 		}

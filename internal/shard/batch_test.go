@@ -1,9 +1,9 @@
 // Batched sweep dispatch: a lane's run of same-owner misses goes to the
 // owner in one POST /batch, and everything that call does not settle
-// goes down the per-variant rank walk. These tests hold the cluster's
-// stream to a single worker's, count backend calls so per-variant
-// dispatch cannot come back unnoticed, and break the batch call every
-// way a backend can.
+// goes down the per-variant rank walk, each step a batch of one. These
+// tests hold the cluster's stream to a single worker's, count backend
+// calls so per-variant dispatch cannot come back unnoticed, and break
+// the batch call every way a backend can.
 package shard
 
 import (
@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/obs"
 	"repro/internal/service"
 	"repro/internal/sweep"
 )
@@ -227,28 +228,30 @@ func TestOwnerLostMidBatchCostsNoRowAndNoSecondSimulation(t *testing.T) {
 	}
 }
 
-// fakeBatchBackend answers /run like a worker that simulates instantly
-// and /batch with whatever the test scripts; it counts both.
+// fakeBatchBackend answers a POST /batch of more than one line with
+// whatever the test scripts, and one of a single line — a rank-walk
+// step — like a worker that simulates instantly; it counts both. With
+// no script it has no /batch route at all.
 type fakeBatchBackend struct {
-	runs, batches atomic.Int64
-	// batch writes the reply to a POST /batch of n lines.
+	singles, batches atomic.Int64
+	// batch writes the reply to a POST /batch of n > 1 lines.
 	batch func(w http.ResponseWriter, n int)
 }
 
 func (f *fakeBatchBackend) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	switch {
-	case r.Method == http.MethodPost && r.URL.Path == "/run":
-		f.runs.Add(1)
-		w.Header().Set("X-Cache", "miss")
-		w.Write([]byte(`{"cycles":7}`))
-	case r.Method == http.MethodPost && r.URL.Path == "/batch" && f.batch != nil:
-		f.batches.Add(1)
-		var body bytes.Buffer
-		body.ReadFrom(r.Body)
-		f.batch(w, bytes.Count(body.Bytes(), []byte("\n"))+1)
-	default:
+	if r.Method != http.MethodPost || r.URL.Path != "/batch" || f.batch == nil {
 		http.Error(w, `{"error":"no such route"}`, http.StatusNotFound)
+		return
 	}
+	var body bytes.Buffer
+	body.ReadFrom(r.Body)
+	if n := bytes.Count(body.Bytes(), []byte("\n")) + 1; n > 1 {
+		f.batches.Add(1)
+		f.batch(w, n)
+		return
+	}
+	f.singles.Add(1)
+	fmt.Fprint(w, frame(200, "miss", 0, `{"cycles":7}`))
 }
 
 // frame renders one reply record the way docs/api.md writes it down.
@@ -261,23 +264,36 @@ func TestUnsettledBatchLinesGoDownTheRankWalk(t *testing.T) {
 	cases := []struct {
 		name    string
 		batch   func(w http.ResponseWriter, n int)
-		settled int // rows the batch reply answers; the rest must cost one /run each
+		settled int    // rows the batch reply answers; the rest must cost one batch of one each
+		errRows int    // leading rows that must be error rows
+		errText string // what each error row must say
 	}{
-		{"whole reply", func(w http.ResponseWriter, n int) { fmt.Fprint(w, strings.Repeat(ok, n)) }, 6},
+		{"whole reply", func(w http.ResponseWriter, n int) { fmt.Fprint(w, strings.Repeat(ok, n)) }, 6, 0, ""},
 		{"terminal 503 record", func(w http.ResponseWriter, n int) {
 			fmt.Fprint(w, ok+ok+frame(503, "-", 1, `{"error":"service shutting down"}`))
-		}, 2},
+		}, 2, 0, ""},
 		{"saturation 503 record", func(w http.ResponseWriter, n int) {
 			fmt.Fprint(w, ok+frame(503, "-", 0, `{"error":"run queue saturated; retry"}`)+ok)
-		}, 1},
-		{"short reply", func(w http.ResponseWriter, n int) { fmt.Fprint(w, ok+ok+ok+ok[:len(ok)-5]) }, 3},
-		{"malformed reply", func(w http.ResponseWriter, n int) { fmt.Fprint(w, "<html>hello</html>\n") }, 0},
-		{"more records than lines", func(w http.ResponseWriter, n int) { fmt.Fprint(w, strings.Repeat(ok, n+3)) }, 6},
+		}, 1, 0, ""},
+		{"short reply", func(w http.ResponseWriter, n int) { fmt.Fprint(w, ok+ok+ok+ok[:len(ok)-5]) }, 3, 0, ""},
+		{"malformed reply", func(w http.ResponseWriter, n int) { fmt.Fprint(w, "<html>hello</html>\n") }, 0, 0, ""},
+		{"more records than lines", func(w http.ResponseWriter, n int) { fmt.Fprint(w, strings.Repeat(ok, n+3)) }, 6, 0, ""},
 		{"deterministic error record", func(w http.ResponseWriter, n int) {
 			fmt.Fprint(w, frame(400, "-", 0, `{"error":"spec x: bad"}`)+strings.Repeat(ok, n-1))
-		}, 6},
-		{"backend without the route", nil, 0},
-		{"connection killed", func(w http.ResponseWriter, n int) { panic(http.ErrAbortHandler) }, 0},
+		}, 6, 1, "spec x: bad"},
+		// A whole-request 400 is the same on every shard: final, one
+		// call, and every row carries the backend's own message.
+		{"whole-request 400", func(w http.ResponseWriter, n int) {
+			http.Error(w, `{"error":"X-Tenant \"a b\" is not a tenant"}`, http.StatusBadRequest)
+		}, 6, 6, `X-Tenant "a b" is not a tenant`},
+		// A 404 or 5xx settles nothing and walks on uncharged: with no
+		// shard that has the route, every row is the "no live shard"
+		// error row.
+		{"backend without the route", nil, 0, 6, "no live shard"},
+		{"whole-request 500", func(w http.ResponseWriter, n int) {
+			http.Error(w, `{"error":"internal"}`, http.StatusInternalServerError)
+		}, 0, 0, ""},
+		{"connection killed", func(w http.ResponseWriter, n int) { panic(http.ErrAbortHandler) }, 0, 0, ""},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -308,16 +324,19 @@ func TestUnsettledBatchLinesGoDownTheRankWalk(t *testing.T) {
 				if row.Index != run[i].Index {
 					t.Fatalf("row %d is variant %d, want %d", i, row.Index, run[i].Index)
 				}
-				wantErr := c.name == "deterministic error record" && i == 0
-				if (row.Error != "") != wantErr {
+				if wantErr := i < c.errRows; (row.Error != "") != wantErr || wantErr && !strings.Contains(row.Error, c.errText) {
 					t.Fatalf("row %d: %+v", i, row)
 				}
-				if want := `{"cycles":9}`; i < c.settled && !wantErr && string(row.Result) != want {
+				if want := `{"cycles":9}`; i < c.settled && i >= c.errRows && string(row.Result) != want {
 					t.Fatalf("row %d result %s, want the batch record's %s", i, row.Result, want)
 				}
 			}
-			if got, want := fake.runs.Load(), int64(len(run)-c.settled); got != want {
-				t.Fatalf("%d /run calls after a batch that settled %d of %d, want %d", got, c.settled, len(run), want)
+			wantSingles := int64(len(run) - c.settled)
+			if c.batch == nil {
+				wantSingles = 0
+			}
+			if got := fake.singles.Load(); got != wantSingles {
+				t.Fatalf("%d batches of one after a batch that settled %d of %d, want %d", got, c.settled, len(run), wantSingles)
 			}
 			if c.batch != nil && fake.batches.Load() != 1 {
 				t.Fatalf("%d /batch calls, want 1", fake.batches.Load())
@@ -345,10 +364,7 @@ func TestUnsettledBatchLinesGoDownTheRankWalk(t *testing.T) {
 					t.Fatalf("repeat row %d was %q, want %q", row.Index, row.Cache, routerHit)
 				}
 			}
-			wantQueued := 0
-			if c.name == "deterministic error record" {
-				wantQueued = 1
-			}
+			wantQueued := c.errRows
 			if len(repeat.Ready) != len(run)-wantQueued || queued != wantQueued {
 				t.Fatalf("repeat planned %d ready rows and queued %d, want %d and %d", len(repeat.Ready), queued, len(run)-wantQueued, wantQueued)
 			}
@@ -360,17 +376,17 @@ func TestBatchOfKIsAllowedKAttemptTimeouts(t *testing.T) {
 	// With -attempt-timeout set, a run of K that takes longer than one
 	// attempt — K variants do — must not fail a healthy owner over: the
 	// call gets K times the bound. One bound is still what a run of one
-	// (a plain /run) gets.
+	// gets.
 	srv, err := service.New(service.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	in := &chaos.Injector{}
-	var runs atomic.Int64
+	var batches atomic.Int64
 	h := in.Middleware(srv.Handler())
 	owner := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/run" {
-			runs.Add(1)
+		if r.URL.Path == "/batch" {
+			batches.Add(1)
 		}
 		h.ServeHTTP(w, r)
 	}))
@@ -402,11 +418,191 @@ func TestBatchOfKIsAllowedKAttemptTimeouts(t *testing.T) {
 			t.Fatalf("row %+v, want a plain miss from the owner", row)
 		}
 	}
-	if n := runs.Load(); n != 0 {
-		t.Fatalf("a 450 ms batch of 4 under a 200 ms attempt bound fell back to %d /run calls", n)
+	if n := batches.Load(); n != 1 {
+		t.Fatalf("a 450 ms batch of 4 under a 200 ms attempt bound cost %d /batch calls, want 1", n)
 	}
 	if st := rt.view().shards[0].breaker.State(); st != breakerClosed {
 		t.Fatalf("owner's breaker %q after a slow but answered batch", st)
+	}
+}
+
+func TestAttemptTimeoutCutsASaturatedBatchWithoutABreakerCharge(t *testing.T) {
+	// Shard 0 is a live worker with one slot and one batch-class queue
+	// place, both held by another tenant's long lines, so the lines of
+	// a sweep it owns wait out its Retry-After (seconds) on the worker —
+	// longer than the router's attempt timeout. The cut attempts step
+	// on to shard 1 without a breaker charge: the rows land as
+	// failovers, no error row, and shard 0's circuit never opens even
+	// though it is cut more often than the breaker threshold.
+	_, busy := newBackend(t, service.Options{Workers: 1, Queue: 1})
+	_, idle := newBackend(t, service.Options{Workers: 2})
+	rt, err := New(Options{Backends: []string{busy.URL, idle.URL}, SweepConcurrency: 1,
+		AttemptTimeout: 400 * time.Millisecond, BreakerThreshold: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+
+	hogCtx, stopHog := context.WithCancel(context.Background())
+	hogs := make(chan struct{}, 2)
+	t.Cleanup(func() {
+		stopHog()
+		for range cap(hogs) {
+			<-hogs
+		}
+	})
+	// Each hog call is four fresh RTL lines of ~0.1 s: the worker
+	// submits a call's next line the moment one finishes, so the slot
+	// and the queue place are never free for long.
+	var salt atomic.Int64
+	hog := &service.Client{Base: busy.URL}
+	for range cap(hogs) {
+		go func() {
+			defer func() { hogs <- struct{}{} }()
+			for hogCtx.Err() == nil {
+				lines := make([][]byte, 4)
+				for i := range lines {
+					sp := testSpec(int(salt.Add(1)))
+					sp.Masters[0].Count, sp.Masters[0].WrapBytes = 50000, 0x40000
+					lines[i], _ = json.Marshal(map[string]any{"spec": sp, "model": "rtl"})
+				}
+				hog.RunBatch(hogCtx, false, lines, http.Header{service.TenantHeader: {"hog"}})
+			}
+		}()
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		if h, err := hog.FetchHealth(context.Background()); err == nil && h.InFlight == 1 && h.Queued == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the hog never filled shard 0's slot and queue")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	var run []sweep.Variant
+	for _, v := range expandStealGrid(t, 550) {
+		if OwnerID(v.Hash, rt.view().ids) == 0 && len(run) < 2 {
+			run = append(run, v)
+		}
+	}
+	planner, err := clusterTier{rt}.Begin(httptest.NewRequest(http.MethodPost, "/sweep", nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []Row
+	alive := planner(service.SweepModel{Name: "tl"}, nil).Resolve(context.Background(), run, 0, 0, func(l service.SweepLine) {
+		rows = append(rows, l.(Row))
+	})
+	if !alive || len(rows) != len(run) {
+		t.Fatalf("resolve emitted %d of %d rows (alive=%v)", len(rows), len(run), alive)
+	}
+	failovers := 0
+	for _, row := range rows {
+		if row.Error != "" {
+			t.Fatalf("error row under plain load: %+v", row)
+		}
+		if row.Failover == "0->1" {
+			failovers++
+		}
+	}
+	if failovers == 0 {
+		t.Fatal("no row failed over: the attempt timeout never cut a saturated batch")
+	}
+	if st := rt.view().byID[0].breaker.State(); st != breakerClosed {
+		t.Fatalf("saturated shard's breaker %q, want closed", st)
+	}
+	front := httptest.NewServer(rt.Handler())
+	t.Cleanup(front.Close)
+	_, _, body := get(t, front.URL+"/metrics")
+	fams, err := obs.ParseText(bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := obs.Find(fams, "simd_router_breaker_opens_total", "shard", "0"); len(v) != 1 || v[0] != "0" {
+		t.Fatalf("shard 0 breaker opens %v, want 0", v)
+	}
+}
+
+func TestEverySweepHopIsOneBatch(t *testing.T) {
+	// A run of one, a failover and a steal each reach a worker as
+	// exactly one POST /batch, and no sweep hop is a /run or a /compare.
+	// Shards 0 and 1 are real workers behind a call counter; shard 2 is
+	// dead, so what it owns fails over.
+	type counts struct{ runs, batches, lines atomic.Int64 }
+	live := make([]*counts, 2)
+	urls := []string{"", "", "http://127.0.0.1:1"}
+	for i := range live {
+		_, ts := newBackend(t, service.Options{Workers: 2})
+		c := &counts{}
+		live[i] = c
+		target := ts.Config.Handler
+		counted := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			switch r.URL.Path {
+			case "/run", "/compare":
+				c.runs.Add(1)
+			case "/batch":
+				body, _ := io.ReadAll(r.Body)
+				c.batches.Add(1)
+				c.lines.Add(int64(bytes.Count(body, []byte("\n")) + 1))
+				r.Body = io.NopCloser(bytes.NewReader(body))
+			}
+			target.ServeHTTP(w, r)
+		}))
+		t.Cleanup(counted.Close)
+		urls[i] = counted.URL
+	}
+	rt, err := New(Options{Backends: urls, SweepConcurrency: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	planner, err := clusterTier{rt}.Begin(httptest.NewRequest(http.MethodPost, "/sweep", nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resolve := planner(service.SweepModel{Name: "tl"}, nil).Resolve
+	owned := make(map[int][]sweep.Variant)
+	for _, v := range expandStealGrid(t, 590) {
+		id := OwnerID(v.Hash, ids(3))
+		owned[id] = append(owned[id], v)
+	}
+	if len(owned[0]) < 3 || len(owned[1]) < 1 || len(owned[2]) < 1 {
+		t.Fatalf("degenerate partition: %d/%d/%d", len(owned[0]), len(owned[1]), len(owned[2]))
+	}
+	// hop resolves run on lane (taken from lane from's queue) and wants
+	// its rows tagged as tag says, and exactly one more /batch of
+	// len(run) lines on shard at.
+	hop := func(what string, run []sweep.Variant, lane, from, at int, tag func(Row) string, want string) {
+		t.Helper()
+		before, lines := live[at].batches.Load(), live[at].lines.Load()
+		var rows []Row
+		if !resolve(context.Background(), run, lane, from, func(l service.SweepLine) { rows = append(rows, l.(Row)) }) || len(rows) != len(run) {
+			t.Fatalf("%s: %d of %d rows", what, len(rows), len(run))
+		}
+		for _, row := range rows {
+			if row.Error != "" || row.Shard != at || tag(row) != want {
+				t.Fatalf("%s: row %+v, want served by shard %d tagged %q", what, row, at, want)
+			}
+		}
+		if got := live[at].batches.Load() - before; got != 1 {
+			t.Fatalf("%s cost %d /batch calls on shard %d, want 1", what, got, at)
+		}
+		if got := live[at].lines.Load() - lines; got != int64(len(run)) {
+			t.Fatalf("%s sent %d lines, want %d", what, got, len(run))
+		}
+	}
+	failover := func(r Row) string { return r.Failover }
+	stolen := func(r Row) string { return r.Stolen }
+	hop("a run of one", owned[1][:1], 1, 1, 1, failover, "")
+	v := owned[2][0]
+	next := RankIDs(v.Hash, ids(3))[1]
+	hop("a failover", []sweep.Variant{v}, 2, 2, next, failover, fmt.Sprintf("2->%d", next))
+	hop("a steal", owned[0][:3], 1, 0, 1, stolen, "0->1")
+	for i, c := range live {
+		if n := c.runs.Load(); n != 0 {
+			t.Fatalf("shard %d received %d /run or /compare calls from a sweep", i, n)
+		}
 	}
 }
 

@@ -12,10 +12,11 @@
 //	            trial. Success closes the breaker, failure re-opens
 //	            it (and restarts the prober).
 //
-// "Failure" means a transport error or a terminal 503 (X-Terminal:
-// the backend is shutting down) — the two signals that retrying the
-// same backend is pointless. A saturation 503 is a LIVE backend
-// saying "later" and resets the failure streak.
+// "Failure" means a transport error or a terminal 503 (X-Terminal, or
+// a terminal /batch record: the backend is shutting down) — the two
+// signals that retrying the same backend is pointless. Any other
+// answer, a saturation 503 included, comes from a LIVE backend and
+// resets the failure streak.
 package shard
 
 import (

@@ -252,7 +252,7 @@ func TestRouterDoesNotFailOverDeterministicErrors(t *testing.T) {
 }
 
 func TestRouterSweepKillThenRecover(t *testing.T) {
-	// Satellite: the 502-then-recover path. Shard 1's /run connection
+	// Satellite: the 502-then-recover path. Shard 1's /batch connection
 	// is killed enough times to trip its breaker (healthz stays up, so
 	// the probe loop can see recovery); a first sweep fails its
 	// variants over to shard 0 with zero error rows. Once the breaker's
@@ -284,10 +284,10 @@ func TestRouterSweepKillThenRecover(t *testing.T) {
 		t.Fatalf("degenerate partition: shard 1 owns %d of %d", bOwned, len(variants))
 	}
 
-	// Exactly threshold kills: the first two /run attempts at shard 1
+	// Exactly threshold kills: the first two /batch attempts at shard 1
 	// die like a SIGKILLed process, the breaker opens, and every
 	// remaining B-owned variant fails over without paying a dial.
-	inB.ArmPath(chaos.Kill, 2, "/run")
+	inB.ArmPath(chaos.Kill, 2, "/batch")
 	_, rows, summary, done := readSweep(t, front.URL, gridRequest(47))
 	if !done || summary.Errors != 0 || len(rows) != 8 {
 		t.Fatalf("kill sweep: %d rows errors=%d done=%v", len(rows), summary.Errors, done)
@@ -349,8 +349,8 @@ func TestRouterSweepClientDisconnectAbortsFailover(t *testing.T) {
 	t.Cleanup(rt.Close)
 	front := httptest.NewServer(rt.Handler())
 	t.Cleanup(front.Close)
-	tsB.Close()                         // every B-owned variant fails over to A...
-	inA.ArmPath(chaos.Hang, -1, "/run") // ...where the fallback attempt wedges
+	tsB.Close()                           // every B-owned variant fails over to A...
+	inA.ArmPath(chaos.Hang, -1, "/batch") // ...where the fallback attempt wedges
 
 	transport := &http.Transport{}
 	t.Cleanup(transport.CloseIdleConnections)

@@ -2,7 +2,7 @@
 //
 // The router exposes two kinds of series from one endpoint: its own
 // simd_router_* families (request counts and latency, per-backend
-// attempt latency, failover/retry counters, breaker state and trips,
+// attempt latency, failover and steal counters, breaker state and trips,
 // topology epoch, result-cache traffic, migration counts, per-shard
 // restarts), and every live backend's simd_* families re-exposed
 // verbatim under a shard="<id>" label. One scrape of the router
@@ -48,7 +48,6 @@ func (rt *Router) initMetrics() {
 
 	rt.attemptsVec = reg.HistogramVec("simd_router_attempt_seconds", "Backend call latency (a /run, a /compare, or a sweep's /batch run) by shard (stable ID).", obs.DefTimeBuckets, "shard")
 	rt.failoversVec = reg.CounterVec("simd_router_failovers_total", "Requests served away from their owning shard, by owner (stable ID).", "shard")
-	rt.retriesVec = reg.CounterVec("simd_router_retries_total", "Saturation-503 retry waits against a live shard, by shard (stable ID).", "shard")
 	rt.stealsVec = reg.CounterVec("simd_router_steals_total", "Sweep variants work-stolen and computed by this (thief) shard (stable ID).", "shard")
 	rt.opensVec = reg.CounterVec("simd_router_breaker_opens_total", "Breaker trips into the open state, by shard (stable ID).", "shard")
 	rt.stateVec = reg.GaugeVec("simd_router_breaker_state", "Breaker state by shard (stable ID): 0 closed, 1 half-open, 2 open.", "shard")
@@ -83,7 +82,6 @@ func (rt *Router) bindShardMetrics(sh *shardState) {
 	label := strconv.Itoa(sh.id)
 	sh.attempts = rt.attemptsVec.With(label)
 	sh.failovers = rt.failoversVec.With(label)
-	sh.retries = rt.retriesVec.With(label)
 	sh.steals = rt.stealsVec.With(label)
 	trip := rt.opensVec.With(label)
 	sh.breaker.onTrip = trip.Inc

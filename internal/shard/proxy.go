@@ -1,11 +1,12 @@
 // The proxy plane: POST /run and /compare forwarded to the spec's
-// owner, and the backend attempt loop every per-spec hop of the router
-// — a client's own /run, a sweep variant's rank walk, a thief's stolen
-// variant — goes through.
+// owner, and the backend attempt loop every hop of the router to a
+// worker goes through — a client's own /run relayed, and every /batch
+// of a sweep: an owner's run, a variant's rank walk, a thief's misses.
 package shard
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -29,28 +30,6 @@ func (rt *Router) checkCycleCap(sp spec.Spec) error {
 		return fmt.Errorf("spec %s: max_cycles %d exceeds the cluster cap %d", sp.Name, sp.MaxCycles, rt.maxCycles)
 	}
 	return nil
-}
-
-// post sends one backend call, bounded by the per-attempt timeout
-// when configured. The attempt context is derived from the caller's,
-// so a vanished client still cancels the forward immediately. extra
-// (may be nil) carries per-request scheduling identity — the
-// tenant/class headers the backend's weighted-fair scheduler queues
-// by.
-func (rt *Router) post(ctx context.Context, sh *shardState, path string, body []byte, extra http.Header) (int, http.Header, []byte, error) {
-	if rt.attemptTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, rt.attemptTimeout)
-		defer cancel()
-	}
-	hdr := http.Header{"Content-Type": {"application/json"}}
-	for name, vals := range extra {
-		hdr[name] = vals
-	}
-	start := time.Now()
-	status, respHdr, respBody, err := sh.client.Do(ctx, http.MethodPost, path, body, hdr)
-	sh.attempts.Observe(time.Since(start).Seconds())
-	return status, respHdr, respBody, err
 }
 
 // cacheLookup probes the router result cache, counting the hit or
@@ -152,100 +131,110 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request, path strin
 		w.Write(cached)
 		return
 	}
-	ans, refused, alive := rt.attempt(r.Context(), vw, ranks, path, body, id.Header(), false)
+	hdr := id.Header()
+	hdr.Set("Content-Type", "application/json")
+	var shard, status int
+	var respHdr http.Header
+	var respBody []byte
+	served, refused, alive := rt.attempt(r.Context(), vw, ranks, 1, func(ctx context.Context, at int, cl *service.Client) (err error) {
+		status, respHdr, respBody, err = cl.Do(ctx, http.MethodPost, path, body, hdr)
+		switch {
+		case err != nil:
+			return err
+		case status == http.StatusServiceUnavailable && respHdr.Get("X-Terminal") != "":
+			return errShuttingDown
+		}
+		shard = at
+		return nil
+	})
 	if !alive {
 		return // client gone; nothing to say and no one to say it to
 	}
-	if ans.status == 0 {
+	if !served {
 		service.WriteError(w, r, http.StatusBadGateway, "no live shard for spec (owner %d): %s", owner, refused)
 		return
 	}
 	for _, name := range proxyHeaders {
-		if v := ans.hdr.Get(name); v != "" {
+		if v := respHdr.Get(name); v != "" {
 			w.Header().Set(name, v)
 		}
 	}
-	w.Header().Set("X-Shard", strconv.Itoa(ans.shard))
-	if ans.shard != owner {
-		w.Header().Set("X-Failover", fmt.Sprintf("%d->%d", owner, ans.shard))
+	w.Header().Set("X-Shard", strconv.Itoa(shard))
+	if shard != owner {
+		w.Header().Set("X-Failover", fmt.Sprintf("%d->%d", owner, shard))
 		vw.byID[owner].failovers.Inc()
 		log.Printf("failover endpoint=%s owner=%d served=%d rid=%s reason=%q",
-			path, owner, ans.shard, obs.RequestIDFrom(r.Context()), refused)
+			path, owner, shard, obs.RequestIDFrom(r.Context()), refused)
 	}
-	if ans.status == http.StatusOK {
-		rt.cacheFill(key, ans.body)
+	if status == http.StatusOK {
+		rt.cacheFill(key, respBody)
 	}
-	w.WriteHeader(ans.status)
-	w.Write(ans.body)
+	w.WriteHeader(status)
+	w.Write(respBody)
 }
 
-// answer is the backend response an attempt walk settled on; status 0
-// means every candidate refused.
-type answer struct {
-	shard  int // stable ID of the shard that answered
-	status int
-	hdr    http.Header
-	body   []byte
-}
+// errShuttingDown is a terminal 503 (X-Terminal, or a /batch record
+// marked terminal): the backend answered that it is going away.
+var errShuttingDown = errors.New("shutting down")
 
-// attempt is the router's one backend attempt loop: it offers a request
-// to candidates (stable shard IDs, in preference order) until one
-// answers. A candidate whose circuit is open is skipped; a transport
-// error or a terminal 503 (X-Terminal: the backend is shutting down)
-// charges its breaker and costs one step down the list. Anything else
-// is the answer — including a deterministic error (bad spec, simulation
-// failure): every shard computes the same one, so failing over would
-// just repeat it more expensively.
+// errAttemptCut is a /batch the per-attempt timeout cut while the
+// caller was still waiting: the worker may be live and waiting out its
+// saturation, so the cut is stepped past without a breaker charge.
+var errAttemptCut = errors.New("attempt timeout cut the batch")
+
+// attempt is the router's one backend attempt loop, the only place a
+// hop to a worker walks candidates and charges breakers: it makes call
+// on candidates (stable shard IDs, in preference order) until one
+// returns nil, and that is the answer, whatever it carries — a
+// deterministic error is the same on every shard, and a saturation 503
+// is relayed to a /run client or, on a /batch line, waited out by the
+// worker, where the queue is; the router never sleeps on a Retry-After.
+// An open circuit is skipped. Any error costs one step down the list:
+// a transport error (service.Unreachable) or errShuttingDown charges
+// the breaker, errAttemptCut leaves it be, and any other — a /batch
+// reply that settled no line — counts as a live answer.
 //
-// A saturation 503 comes from a LIVE backend asking for patience. With
-// patient set (sweep variants) the loop honors the advertised
-// Retry-After — through service.SleepRetryAfter, the clamp the backend's
-// own in-process sweep retries share — and stays on that shard: its
-// queue drains, and failing over a mere burst would shed the owner's
-// warm cache for nothing. Without it (a client's own /run) the 503 is
-// the answer.
+// Each call is bounded by n (the variants it carries) times the
+// per-attempt timeout, if one is set, so a batch of K does not fail a
+// healthy shard over sooner than K single calls would, and is timed
+// into the shard's attempt histogram.
 //
 // refused is the last refusal reason seen, whoever answered in the end;
-// alive=false means ctx ended first.
-func (rt *Router) attempt(ctx context.Context, vw *view, candidates []int, path string, body []byte, hdr http.Header, patient bool) (ans answer, refused string, alive bool) {
-candidates:
+// served=false means every candidate refused; alive=false means ctx
+// ended first.
+func (rt *Router) attempt(ctx context.Context, vw *view, candidates []int, n int, call func(ctx context.Context, id int, cl *service.Client) error) (served bool, refused string, alive bool) {
 	for _, id := range candidates {
+		if ctx.Err() != nil {
+			return false, refused, false
+		}
 		sh := vw.byID[id]
 		if !sh.breaker.allow() {
 			refused = fmt.Sprintf("shard %d (%s): circuit open", id, sh.client.Base)
 			continue
 		}
-		for {
-			if ctx.Err() != nil {
-				return answer{}, refused, false
-			}
-			status, respHdr, respBody, err := rt.post(ctx, sh, path, body, hdr)
-			saturated := status == http.StatusServiceUnavailable
-			switch {
-			case err != nil:
-				if ctx.Err() != nil {
-					return answer{}, refused, false
-				}
-				sh.breaker.failure()
-				refused = fmt.Sprintf("shard %d (%s) unreachable: %v", id, sh.client.Base, err)
-				continue candidates
-			case saturated && respHdr.Get("X-Terminal") != "":
-				sh.breaker.failure()
-				refused = fmt.Sprintf("shard %d (%s) shutting down", id, sh.client.Base)
-				continue candidates
-			case saturated && patient:
-				sh.breaker.success()
-				sh.retries.Inc()
-				if !service.SleepRetryAfter(ctx, respHdr.Get("Retry-After")) {
-					return answer{}, refused, false
-				}
-			default:
-				sh.breaker.success()
-				return answer{shard: id, status: status, hdr: respHdr, body: respBody}, refused, true
-			}
+		callCtx, cancel := ctx, context.CancelFunc(func() {})
+		if rt.attemptTimeout > 0 {
+			callCtx, cancel = context.WithTimeout(ctx, time.Duration(n)*rt.attemptTimeout)
 		}
+		start := time.Now()
+		err := call(callCtx, id, sh.client)
+		sh.attempts.Observe(time.Since(start).Seconds())
+		cancel()
+		switch {
+		case err == nil:
+			sh.breaker.success()
+			return true, refused, true
+		case errors.Is(err, errAttemptCut):
+		case !service.Unreachable(err) && !errors.Is(err, errShuttingDown):
+			sh.breaker.success()
+		case ctx.Err() != nil:
+			return false, refused, false
+		default:
+			sh.breaker.failure()
+		}
+		refused = fmt.Sprintf("shard %d (%s): %v", id, sh.client.Base, err)
 	}
-	return answer{}, refused, true
+	return false, refused, true
 }
 
 // handleScenarios serves GET /scenarios — the same library every

@@ -134,7 +134,6 @@ type shardState struct {
 	// a lock; the serving path must not).
 	attempts  *obs.Histogram // backend attempt latency
 	failovers *obs.Counter   // requests served away from THIS owner
-	retries   *obs.Counter   // saturation retry waits against this shard
 	steals    *obs.Counter   // sweep variants THIS shard stole and computed
 }
 
@@ -221,7 +220,6 @@ type Router struct {
 	// their own series under their stable ID label (bindShardMetrics).
 	attemptsVec  *obs.HistogramVec
 	failoversVec *obs.CounterVec
-	retriesVec   *obs.CounterVec
 	stealsVec    *obs.CounterVec
 	opensVec     *obs.CounterVec
 	stateVec     *obs.GaugeVec

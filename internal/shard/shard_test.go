@@ -10,10 +10,10 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/agg"
 	"repro/internal/config"
+	"repro/internal/obs"
 	"repro/internal/service"
 	"repro/internal/spec"
 	"repro/internal/sweep"
@@ -498,8 +498,10 @@ func TestRouterHealthzAggregates(t *testing.T) {
 }
 
 // flakyBackend is a scripted fake worker: statuses[i] answers the
-// i-th /run POST (clamped to the last entry), with Retry-After and
-// optional X-Terminal on 503s. /healthz reports one worker.
+// i-th POST (clamped to the last entry) — a /run or /compare as a
+// response, with Retry-After and optional X-Terminal on 503s, a /batch
+// as one record, marked terminal on a 503 when terminal is set.
+// /healthz reports one worker.
 type flakyBackend struct {
 	statuses   []int
 	retryAfter string
@@ -512,13 +514,14 @@ func (f *flakyBackend) handler() http.Handler {
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		json.NewEncoder(w).Encode(service.Health{OK: true, Workers: 1, RetryAfter: 1})
 	})
-	run := func(w http.ResponseWriter, r *http.Request) {
-		i := f.calls
-		if i >= len(f.statuses) {
-			i = len(f.statuses) - 1
-		}
+	next := func() int {
+		i := min(f.calls, len(f.statuses)-1)
 		f.calls++
-		status := f.statuses[i]
+		return f.statuses[i]
+	}
+	const saturated, result = `{"error":"run queue saturated; retry"}`, `{"name":"fake","cycles":1,"completed":true}`
+	run := func(w http.ResponseWriter, r *http.Request) {
+		status := next()
 		w.Header().Set("Content-Type", "application/json")
 		if status == http.StatusServiceUnavailable {
 			w.Header().Set("Retry-After", f.retryAfter)
@@ -526,15 +529,25 @@ func (f *flakyBackend) handler() http.Handler {
 				w.Header().Set("X-Terminal", "1")
 			}
 			w.WriteHeader(status)
-			w.Write([]byte(`{"error":"run queue saturated; retry"}`))
+			w.Write([]byte(saturated))
 			return
 		}
 		w.Header().Set("X-Cache", "miss")
 		w.WriteHeader(status)
-		w.Write([]byte(`{"name":"fake","cycles":1,"completed":true}`))
+		w.Write([]byte(result))
 	}
 	mux.HandleFunc("/run", run)
 	mux.HandleFunc("/compare", run)
+	mux.HandleFunc("/batch", func(w http.ResponseWriter, r *http.Request) {
+		switch status := next(); {
+		case status != http.StatusServiceUnavailable:
+			fmt.Fprint(w, frame(status, "miss", 0, result))
+		case f.terminal:
+			fmt.Fprint(w, frame(status, "-", 1, saturated))
+		default:
+			fmt.Fprint(w, frame(status, "-", 0, saturated))
+		}
+	})
 	return mux
 }
 
@@ -558,32 +571,46 @@ func TestRouterPropagatesBackpressure(t *testing.T) {
 }
 
 func TestRouterSweepRetriesSaturationButNotShutdown(t *testing.T) {
-	// Saturation 503s are retried (honoring Retry-After) until the
-	// variant lands...
-	fake := &flakyBackend{statuses: []int{503, 503, 200}, retryAfter: "0"}
-	ts := httptest.NewServer(fake.handler())
-	t.Cleanup(ts.Close)
-	rt, err := New(Options{Backends: []string{ts.URL}})
+	// Saturation is waited out where the queue is: four runs in flight
+	// against one worker with one batch-class queue slot, on variants
+	// long enough to hold it, overflow that queue, and every line the
+	// worker refused admission waits its class's backoff out on the
+	// worker. Every row lands; the router never saw a 503.
+	_, ts := newBackend(t, service.Options{Workers: 1, Queue: 1})
+	rt, err := New(Options{Backends: []string{ts.URL}, SweepConcurrency: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(rt.Close)
 	front := httptest.NewServer(rt.Handler())
 	t.Cleanup(front.Close)
-
-	req := map[string]any{
-		"base": testSpec(10), "model": "tl",
-		"axes": []map[string]any{{"param": "pipelining", "values": []bool{true}}},
+	base := testSpec(10)
+	counts := make([]any, 8)
+	for i := range counts {
+		counts[i] = 3000 + i
 	}
+	req := service.SweepRequest{Base: &base, Name: "grid/saturated", Model: "tl",
+		Axes: []service.SweepAxis{{Param: sweep.ParamCount, Values: counts}}}
 	_, rows, summary, done := readSweep(t, front.URL, req)
-	if !done || len(rows) != 1 || rows[0].Error != "" || summary.Errors != 0 {
-		t.Fatalf("retried sweep: done=%v rows=%+v", done, rows)
+	if !done || len(rows) != len(counts) || summary.Errors != 0 {
+		t.Fatalf("saturated sweep: done=%v rows=%d summary=%+v", done, len(rows), summary)
 	}
-	if fake.calls != 3 {
-		t.Fatalf("backend saw %d calls, want 3 (two 503s + success)", fake.calls)
+	for _, row := range rows {
+		if row.Error != "" || row.Cache != "miss" {
+			t.Fatalf("row %d: %+v", row.Index, row)
+		}
+	}
+	_, _, body := get(t, ts.URL+"/metrics")
+	fams, err := obs.ParseText(bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := obs.Find(fams, "simd_sched_rejections_total", "class", "batch"); len(v) != 1 || v[0] == "0" {
+		t.Fatalf("batch-class rejections %v: the sweep never saturated the worker", v)
 	}
 
-	// ...but a shutting-down backend (503 + X-Terminal) is terminal:
-	// an error row immediately, no retry spin.
+	// ...but a shutting-down backend (a terminal 503 record) is
+	// terminal: on a one-shard cluster, one call and an error row.
 	term := &flakyBackend{statuses: []int{503}, retryAfter: "0", terminal: true}
 	ts2 := httptest.NewServer(term.handler())
 	t.Cleanup(ts2.Close)
@@ -591,9 +618,14 @@ func TestRouterSweepRetriesSaturationButNotShutdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(rt2.Close)
 	front2 := httptest.NewServer(rt2.Handler())
 	t.Cleanup(front2.Close)
-	_, rows, summary, done = readSweep(t, front2.URL, req)
+	one := map[string]any{
+		"base": testSpec(10), "model": "tl",
+		"axes": []map[string]any{{"param": "pipelining", "values": []bool{true}}},
+	}
+	_, rows, summary, done = readSweep(t, front2.URL, one)
 	if !done || len(rows) != 1 || rows[0].Error == "" || summary.Errors != 1 {
 		t.Fatalf("terminal sweep: done=%v rows=%+v summary=%+v", done, rows, summary)
 	}
@@ -752,41 +784,6 @@ func TestRouterAnalyzeShapeErrors(t *testing.T) {
 		if status != http.StatusBadRequest || !strings.Contains(string(body), c.want) {
 			t.Errorf("req %v: %d %s", c.req, status, body)
 		}
-	}
-}
-
-func TestRouterSweepSurvivesUnparseableRetryAfter(t *testing.T) {
-	// A backend advertising a Retry-After the router cannot parse (an
-	// HTTP-date, garbage) must be treated as the DEFAULT backoff — the
-	// retry still happens and the variant still lands; it just paces
-	// at 1s instead of hammering at the 50ms floor. (The wait mapping
-	// itself is pinned by service.TestRetryWaitParsesAndClamps.)
-	fake := &flakyBackend{statuses: []int{503, 200}, retryAfter: "Wed, 21 Oct 2198 07:28:00 GMT"}
-	ts := httptest.NewServer(fake.handler())
-	t.Cleanup(ts.Close)
-	rt, err := New(Options{Backends: []string{ts.URL}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	front := httptest.NewServer(rt.Handler())
-	t.Cleanup(front.Close)
-
-	req := map[string]any{
-		"base": testSpec(15), "model": "tl",
-		"axes": []map[string]any{{"param": "pipelining", "values": []bool{true}}},
-	}
-	start := time.Now()
-	_, rows, summary, done := readSweep(t, front.URL, req)
-	if !done || len(rows) != 1 || rows[0].Error != "" || summary.Errors != 0 {
-		t.Fatalf("sweep with unparseable Retry-After: done=%v rows=%+v", done, rows)
-	}
-	if fake.calls != 2 {
-		t.Fatalf("backend saw %d calls, want 2", fake.calls)
-	}
-	// The default backoff (1s) was actually honored — the old code
-	// fell through to the 50ms floor here.
-	if waited := time.Since(start); waited < service.DefaultRetryWait {
-		t.Fatalf("retry after only %v, want >= %v", waited, service.DefaultRetryWait)
 	}
 }
 

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -93,9 +94,8 @@ func TestDeadThiefFallsBackWithoutASecondCacheProbe(t *testing.T) {
 		switch {
 		case r.Method == http.MethodGet && r.URL.Path == "/results":
 			http.Error(w, `{"error":"cold"}`, http.StatusNotFound)
-		case r.Method == http.MethodPost && r.URL.Path == "/run":
-			w.Header().Set("X-Cache", "miss")
-			w.Write([]byte(`{"cycles":7}`))
+		case r.Method == http.MethodPost && r.URL.Path == "/batch":
+			fmt.Fprint(w, frame(200, "miss", 0, `{"cycles":7}`))
 		default:
 			http.Error(w, "unexpected call", http.StatusInternalServerError)
 		}

@@ -397,7 +397,7 @@ func TestRouterSweepCheckpointsOnlyNewProgress(t *testing.T) {
 	// wherever in the stream it lands, is saved at the interval's last
 	// row and again by the final save.
 	const n = 256
-	var failing atomic.Pointer[[]byte] // the /run body answered 500 while set
+	var failing atomic.Pointer[[]byte] // the /batch line answered 500 while set
 	urls := make([]string, 2)
 	for i := range urls {
 		_, ts := newBackend(t, service.Options{Workers: 2})
@@ -407,16 +407,14 @@ func TestRouterSweepCheckpointsOnlyNewProgress(t *testing.T) {
 		}
 		backend := httputil.NewSingleHostReverseProxy(target)
 		proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if fail := failing.Load(); fail != nil {
-				if r.URL.Path == "/batch" {
-					http.NotFound(w, r) // every variant down the per-variant path
-					return
-				}
+			if fail := failing.Load(); fail != nil && r.URL.Path == "/batch" {
 				body, _ := io.ReadAll(r.Body)
-				if r.URL.Path == "/run" && bytes.Equal(body, *fail) {
-					w.Header().Set("Content-Type", "application/json")
-					w.WriteHeader(http.StatusInternalServerError)
-					w.Write([]byte(`{"error":"injected failure"}`))
+				switch {
+				case bytes.Contains(body, []byte("\n")):
+					http.NotFound(w, r) // every variant down the rank walk, one line a call
+					return
+				case bytes.Equal(body, *fail):
+					fmt.Fprint(w, frame(http.StatusInternalServerError, "-", 0, `{"error":"injected failure"}`))
 					return
 				}
 				r.Body = io.NopCloser(bytes.NewReader(body))

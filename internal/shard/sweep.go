@@ -4,26 +4,29 @@
 // A chunk's router-cache hits are answered as it is planned; the rest
 // runs on one lane per shard of a fresh topology snapshot, each variant
 // queued on the lane of its rendezvous owner, and the engine hands a
-// lane its queue in runs. The owner's lane sends a run to the owner in
-// ONE backend call (POST /batch, batch.go in internal/service), which runs
-// every line through the worker's own /run path; whatever that call
-// does not settle — and every run of one — walks its rank order variant
-// by variant (failover). Any other lane that takes a run from the
-// owner's queue is a thief: per variant, it probes the owner's store
-// first (stealing is for MISSES only — a warm replay stuck behind a
-// backlog stays an owner cache hit, untagged), computes a genuine miss
-// locally, and writes the body back to the owner's store, so ownership
-// keeps deciding cache placement, never who simulates. Manifests are
-// written through to a backend store in the sweep id's rank order, so
-// a sweep's identity and progress survive the death of the client, the
-// router AND any single shard.
+// lane its queue in runs. Every hop of a variant to a worker is a POST
+// /batch (batch.go in internal/service), which runs each line through
+// the worker's own /run path and waits out the worker's saturation
+// there; each goes through the router's one attempt loop (proxy.go).
+// The owner's lane sends its run to the owner in one call; whatever
+// that call does not settle — and a run of one — walks its rank order
+// variant by variant as a batch of one (failover). Any other lane that
+// takes a run from the owner's queue is a thief: per variant, it
+// probes the owner's store first (stealing is for MISSES only — a warm
+// replay stuck behind a backlog stays an owner cache hit, untagged),
+// computes the genuine misses in one call on its own shard, and writes
+// each body back to the owner's store, so ownership keeps deciding
+// cache placement, never who simulates. Manifests are written through
+// to a backend store in the sweep id's rank order, so a sweep's
+// identity and progress survive the death of the client, the router
+// AND any single shard.
 package shard
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
-	"time"
 
 	"repro/internal/sched"
 	"repro/internal/service"
@@ -59,10 +62,11 @@ func (t clusterTier) Begin(r *http.Request) (service.SweepPlanner, error) {
 	}
 	hdr := id.Header()
 	return func(m service.SweepModel, variants []sweep.Variant) service.SweepPlan {
-		// Per-variant forwarding as individual /run (or /compare) calls —
-		// rather than forwarding sub-grids — is what lets every variant
-		// share the backend's full cache/coalescing path with direct
-		// requests, and what makes failover per-variant.
+		// Forwarding each variant as its own /batch line — the body a
+		// direct request for it would carry, rather than a sub-grid — is
+		// what lets every variant share the backend's full cache and
+		// coalescing path with direct requests, and what makes failover
+		// per-variant.
 		vw := t.rt.view()
 		call := sweepCall{rt: t.rt, vw: vw, hdr: hdr, model: m}
 		pos := make(map[int]int, len(vw.shards))
@@ -94,7 +98,7 @@ func (t clusterTier) Begin(r *http.Request) (service.SweepPlanner, error) {
 
 // sweepCall is what every backend hop of one sweep chunk shares: the
 // membership snapshot it routes against, the caller's scheduling
-// identity, and the model that selects the per-variant endpoint.
+// identity, and the model every /batch line runs.
 type sweepCall struct {
 	rt    *Router
 	vw    *view
@@ -103,116 +107,138 @@ type sweepCall struct {
 }
 
 // resolve runs run — variants the router cache missed when the chunk
-// was planned — on the shard at position lane of the chunk's view. A
-// variant replayed from a sweep's list is built before it goes anywhere
-// (Variant.Full); one whose built hash is not the listed one goes down
-// its own rank walk, since the list placed it. The rest go, when the
-// lane took the run from its own queue (position from is always the
-// owner's), to the owner in one batch call, and down the rank walk one
-// by one for whatever that did not settle; a thief resolves them one by
-// one on the thief's path. false means the client's context ended.
+// was planned — on the shard at position lane of the chunk's view;
+// position from is their owner's. A variant replayed from a sweep's
+// list is built before it goes anywhere (Variant.Full); one whose built
+// hash is not the listed one walks its own rank order, since the list
+// placed it. A thief (lane != from) answers what the owner's store
+// already holds. The rest go to the lane's shard in one /batch, and
+// whatever that call does not settle walks its rank order; a run of one
+// on the owner's lane is that walk from the start. false means the
+// client's context ended.
 func (c sweepCall) resolve(ctx context.Context, run []sweep.Variant, lane, from int, emit func(service.SweepLine)) bool {
-	owner := c.vw.shards[from].id
-	var misses []sweep.Variant
-	var keys []string
+	owner, at := c.vw.shards[from].id, c.vw.shards[lane].id
+	misses := make([]sweep.Variant, 0, len(run))
 	for _, v := range run {
 		full, err := v.Full()
 		switch {
 		case err != nil:
 			emit(clusterTier{}.GridError(service.FailedRow(full, err)))
-			continue
 		case full.Hash != v.Hash:
-			row, alive := c.rankWalk(ctx, full, c.model.Key(full.Hash))
-			if !alive {
+			if !c.rankWalk(ctx, full, emit) {
 				return false
 			}
-			emit(row)
-			continue
+		case at != owner && c.heldByOwner(ctx, full, owner, emit):
+			// Answered from the owner's store: nothing to steal.
+		default:
+			misses = append(misses, full)
 		}
-		misses, keys = append(misses, full), append(keys, c.model.Key(full.Hash))
 	}
 	settled := 0
-	if lane == from && len(misses) > 1 {
-		settled = c.batch(ctx, owner, misses, keys, emit)
-	}
-	for i := settled; i < len(misses); i++ {
-		var row Row
+	if len(misses) > 1 || len(misses) == 1 && at != owner {
 		var alive bool
-		if lane == from {
-			row, alive = c.rankWalk(ctx, misses[i], keys[i])
-		} else {
-			row, alive = c.resolveStolen(ctx, misses[i], keys[i], owner, c.vw.shards[lane].id)
-		}
-		if !alive {
+		if settled, _, alive = c.batch(ctx, []int{at}, owner, at != owner, misses, emit); !alive {
 			return false
 		}
-		emit(row)
+	}
+	for _, v := range misses[settled:] {
+		if !c.rankWalk(ctx, v, emit) {
+			return false
+		}
 	}
 	return true
 }
 
-// batch offers run — misses that share an owner — to that owner in one
-// POST /batch and emits the row of every variant the reply settles. It
-// returns how many that is, always a prefix of run: zero when the
-// owner's circuit is open, the call fails or the backend has no such
-// route, short when the reply is, and cut at a 503 record (a worker
-// that began shutting down mid-run). The rest is the rank walk's, so
-// failover, retries and the error row stay in the one attempt loop.
-// The breaker is owed what one attempt owes it: a failure for a
-// transport error or a terminal 503, a success for any other answer.
-func (c sweepCall) batch(ctx context.Context, owner int, run []sweep.Variant, keys []string, emit func(service.SweepLine)) (settled int) {
-	sh := c.vw.byID[owner]
-	if !sh.breaker.allow() {
-		return 0
-	}
+// errSettledNone is a /batch reply, status 200, that settled no line:
+// empty, malformed, or led by a saturation 503 record (which a worker
+// never writes: it waits its saturation out).
+var errSettledNone = errors.New("batch reply settled no line")
+
+// batch offers run to candidates through the attempt loop, one POST
+// /batch per attempt, and emits the row of every variant the answering
+// shard's reply settles. It returns how many that is, always a prefix
+// of run: a reply settles its records up to the first 503 record, and
+// one marked terminal (the shard is shutting down) charges the shard as
+// a transport error would. A whole-request 4xx but 404 is final and
+// settles every line with its body. A reply that settles nothing, a
+// 404 or 5xx (a backend without the route), and a call the attempt
+// timeout cut — a live worker may be waiting out its saturation — are
+// walked past uncharged. A run of more than one is given one candidate:
+// what that shard does not settle is each variant's own rank walk,
+// never a shard in another variant's order.
+//
+// A 200 row served away from owner is tagged — Stolen when steal says
+// the candidate is a thief, whose result is then written back to the
+// owner's store, Failover otherwise.
+func (c sweepCall) batch(ctx context.Context, candidates []int, owner int, steal bool, run []sweep.Variant, emit func(service.SweepLine)) (settled int, refused string, alive bool) {
 	lines := make([][]byte, len(run))
 	for i, v := range run {
-		_, lines[i] = c.request(v)
+		lines[i] = c.line(v)
 	}
-	// A run of K may take as long as K attempts: batching must not fail
-	// a healthy shard over sooner than per-variant dispatch would.
-	callCtx := ctx
-	if c.rt.attemptTimeout > 0 {
-		var cancel context.CancelFunc
-		callCtx, cancel = context.WithTimeout(ctx, time.Duration(len(run))*c.rt.attemptTimeout)
-		defer cancel()
-	}
-	start := time.Now()
-	records, err := sh.client.RunBatch(callCtx, c.model.Compare, lines, c.hdr)
-	sh.attempts.Observe(time.Since(start).Seconds())
-	if service.Unreachable(err) {
-		if ctx.Err() == nil {
-			sh.breaker.failure()
-		}
-		return 0
-	}
-	for _, rec := range records {
-		if rec.Status == http.StatusServiceUnavailable {
-			if rec.Terminal {
-				sh.breaker.failure()
-				return settled
+	var records []service.BatchRecord
+	var at int
+	_, refused, alive = c.rt.attempt(ctx, c.vw, candidates, len(run), func(ctx context.Context, id int, cl *service.Client) error {
+		reply, err := cl.RunBatch(ctx, c.model.Compare, lines, c.hdr)
+		var refusal *service.StatusError
+		switch {
+		case errors.As(err, &refusal) && refusal.Status/100 == 4 && refusal.Status != http.StatusNotFound:
+			// A whole-request 4xx (a malformed identity, a body over
+			// the bound) is the same on every shard: it answers every line.
+			reply = make([]service.BatchRecord, len(lines))
+			for i := range reply {
+				reply[i] = service.BatchRecord{Status: refusal.Status, Body: refusal.Body}
 			}
-			break
+		case err != nil && errors.Is(ctx.Err(), context.DeadlineExceeded):
+			return errAttemptCut
+		case err != nil:
+			return err
 		}
-		row := Row{SweepRow: service.NewSweepRow(run[settled]), Shard: owner}
+		n := 0
+		for n < len(reply) && reply[n].Status != http.StatusServiceUnavailable {
+			n++
+		}
+		records, at = reply[:n], id
+		switch {
+		case n < len(reply) && reply[n].Terminal:
+			return errShuttingDown
+		case n == 0:
+			return errSettledNone
+		}
+		return nil
+	})
+	if !alive {
+		return 0, refused, false
+	}
+	for i, rec := range records {
+		row := Row{SweepRow: service.NewSweepRow(run[i]), Shard: at}
 		row.Settle(rec.Cache, rec.Status, rec.Body)
 		if rec.Status == http.StatusOK {
-			c.rt.cacheFill(keys[settled], rec.Body)
+			key := c.model.Key(run[i].Hash)
+			c.rt.cacheFill(key, rec.Body)
+			switch {
+			case at == owner:
+			case steal:
+				row.Stolen = fmt.Sprintf("%d->%d", owner, at)
+				c.vw.byID[at].steals.Inc()
+				c.writeBack(ctx, owner, at, key, rec.Body)
+			default:
+				row.Failover = fmt.Sprintf("%d->%d", owner, at)
+				c.vw.byID[owner].failovers.Inc()
+			}
 		}
 		emit(row)
-		settled++
 	}
-	sh.breaker.success()
-	return settled
+	return len(records), refused, true
 }
 
-// request is the backend call that runs one variant: POST /compare, or
-// POST /run with the model selector as the client spelled it.
-func (c sweepCall) request(v sweep.Variant) (path string, body []byte) {
+// line is the /batch line that runs v: the body of the /compare, or of
+// the /run with the model selector as the client spelled it, that a
+// direct request for v would carry.
+func (c sweepCall) line(v sweep.Variant) []byte {
 	if c.model.Compare {
-		return "/compare", variantRequest(v, "")
+		return variantRequest(v, "")
 	}
-	return "/run", variantRequest(v, c.model.Name)
+	return variantRequest(v, c.model.Name)
 }
 
 // variantRequest renders the service.RunRequest that runs one variant:
@@ -229,52 +255,29 @@ func variantRequest(v sweep.Variant, runModel string) []byte {
 }
 
 // rankWalk offers one variant to the shards in its rendezvous rank
-// order, starting at its owner, through the attempt loop — saturation
-// waited out on the live shard, a dead shard costing one step down the
-// order, a deterministic error final. A row served by a non-owner
-// carries the Failover tag; the error row exists only when every shard
-// refused.
-func (c sweepCall) rankWalk(ctx context.Context, v sweep.Variant, key string) (Row, bool) {
+// order, starting at its owner, as a batch of one: a dead or shutting-
+// down shard costs one step down the order, a deterministic error is
+// final, and the error row exists only when every shard refused. A row
+// served by a non-owner carries the Failover tag.
+func (c sweepCall) rankWalk(ctx context.Context, v sweep.Variant, emit func(service.SweepLine)) bool {
 	ranks := RankIDs(v.Hash, c.vw.ids)
-	owner := ranks[0]
-	row := Row{SweepRow: service.NewSweepRow(v), Shard: owner}
-	path, body := c.request(v)
-	ans, refused, alive := c.rt.attempt(ctx, c.vw, ranks, path, body, c.hdr, true)
-	switch {
-	case !alive:
-		return Row{}, false
-	case ans.status == 0:
-		row.Error = fmt.Sprintf("no live shard for variant (owner %d): %s", owner, refused)
-		return row, true
+	settled, refused, alive := c.batch(ctx, ranks, ranks[0], false, []sweep.Variant{v}, emit)
+	if alive && settled == 0 {
+		row := Row{SweepRow: service.NewSweepRow(v), Shard: ranks[0]}
+		row.Error = fmt.Sprintf("no live shard for variant (owner %d): %s", ranks[0], refused)
+		emit(row)
 	}
-	row.Shard = ans.shard
-	row.Settle(ans.hdr.Get("X-Cache"), ans.status, ans.body)
-	if ans.status == http.StatusOK {
-		if ans.shard != owner {
-			row.Failover = fmt.Sprintf("%d->%d", owner, ans.shard)
-			c.vw.byID[owner].failovers.Inc()
-		}
-		c.rt.cacheFill(key, ans.body)
-	}
-	return row, true
+	return alive
 }
 
-// resolveStolen computes one variant on a shard that is NOT its owner.
-// Before the thief spends a worker the owner's store is probed: a
-// queued variant already held is answered from the held bytes as a
-// cache hit, untagged, because nothing was stolen. Only a genuine miss
-// is simulated on the thief, driven exactly like an owner would be (the
-// same attempt loop, with the thief as its only candidate); on success
-// the row is tagged Stolen and the result body is written back to the
-// owner's store. A dead or terminal thief sends the variant down the
-// ordinary rank walk — stealing may change who computes, never whether
-// the row appears.
-func (c sweepCall) resolveStolen(ctx context.Context, v sweep.Variant, key string, owner, thief int) (Row, bool) {
-	row := Row{SweepRow: service.NewSweepRow(v), Shard: owner}
-	// Any owner trouble — open circuit, transport error, 404, anything
-	// unexpected — is a clean miss: the probe is an optimization, never a
-	// gate, so the steal proceeds (its attempt loop notices a client that
-	// has gone) and correctness rests on the thief as before.
+// heldByOwner is a thief's probe of the owner's store before it spends
+// a worker on v: a variant already held is emitted from the held bytes
+// as the owner's cache hit, untagged, because nothing was stolen. Any
+// owner trouble — open circuit, transport error, 404, anything
+// unexpected — is a clean miss: the probe is an optimization, never a
+// gate, so the steal proceeds and correctness rests on the thief.
+func (c sweepCall) heldByOwner(ctx context.Context, v sweep.Variant, owner int, emit func(service.SweepLine)) bool {
+	key := c.model.Key(v.Hash)
 	var held []byte
 	var hit bool
 	c.vw.byID[owner].storeCall(ctx, func(ctx context.Context, cl *service.Client) (err error) {
@@ -283,26 +286,11 @@ func (c sweepCall) resolveStolen(ctx context.Context, v sweep.Variant, key strin
 	})
 	if hit {
 		c.rt.cacheFill(key, held)
+		row := Row{SweepRow: service.NewSweepRow(v), Shard: owner}
 		row.Settle("hit", http.StatusOK, held)
-		return row, true
+		emit(row)
 	}
-	path, body := c.request(v)
-	ans, _, alive := c.rt.attempt(ctx, c.vw, []int{thief}, path, body, c.hdr, true)
-	switch {
-	case !alive:
-		return Row{}, false
-	case ans.status == 0:
-		return c.rankWalk(ctx, v, key)
-	}
-	row.Shard = thief
-	row.Settle(ans.hdr.Get("X-Cache"), ans.status, ans.body)
-	if ans.status == http.StatusOK {
-		row.Stolen = fmt.Sprintf("%d->%d", owner, thief)
-		c.vw.byID[thief].steals.Inc()
-		c.rt.cacheFill(key, ans.body)
-		c.writeBack(ctx, owner, thief, key, ans.body)
-	}
-	return row, true
+	return hit
 }
 
 // storeCall makes one store side-channel call to sh — a result probe or
