@@ -29,19 +29,6 @@ import (
 	"repro/internal/farm"
 )
 
-// better folds b into best, keeping the faster wall-clock per model.
-func better(best *core.SpeedComparison, sc core.SpeedComparison) {
-	if sc.TLM.Wall < best.TLM.Wall {
-		best.TLM = sc.TLM
-	}
-	if sc.RTL.Wall < best.RTL.Wall {
-		best.RTL = sc.RTL
-	}
-	if sc.SingleTLM.Wall < best.SingleTLM.Wall {
-		best.SingleTLM = sc.SingleTLM
-	}
-}
-
 func main() {
 	txns := flag.Int("txns", 3000, "transactions per master")
 	repeat := flag.Int("repeat", 3, "serial repetitions (best run reported)")
@@ -59,17 +46,14 @@ func main() {
 		})
 		best = all[0]
 		for _, sc := range all[1:] {
-			better(&best, sc)
+			best.KeepFaster(sc)
 		}
 		fmt.Printf("note: %d repetitions farm-sharded across cores; absolute Kcycles/s are conservative\n\n", *reps)
 	} else {
 		best = core.MeasureSpeed(multi, single)
 		for i := 1; i < *repeat; i++ {
-			better(&best, core.MeasureSpeed(multi, single))
+			best.KeepFaster(core.MeasureSpeed(multi, single))
 		}
-	}
-	if r := best.RTL.KCyclesPerSec(); r > 0 {
-		best.Speedup = best.TLM.KCyclesPerSec() / r
 	}
 
 	fmt.Println("Simulation speed experiment (paper §4)")
@@ -77,7 +61,7 @@ func main() {
 	core.WriteSpeedReport(os.Stdout, best)
 	fmt.Println()
 	switch {
-	case best.Speedup < 2:
+	case best.Speedup() < 2:
 		fmt.Println("shape check FAILED: TL not meaningfully faster than the pin-accurate model")
 		os.Exit(1)
 	case best.SingleTLM.KCyclesPerSec() <= best.TLM.KCyclesPerSec():

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/spec"
@@ -27,6 +28,11 @@ func TestRTLRunAllocationCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
+	// The backing store recycles its pages through sync.Pools, which a
+	// collection empties: a GC between the measured runs would make the
+	// next run allocate its pages again. Hold the GC off so the count is
+	// the run's own whenever the collector happens to run.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	multi, _ := SpeedWorkloads(1000)
 	randWH, err := spec.ByName("rand/write-heavy")
 	if err != nil {

@@ -18,6 +18,7 @@ import (
 // request is simultaneously announced to the DDRC over BI so the
 // controller can prepare the target bank.
 type arbiterComp struct {
+	k          *sim.Kernel
 	w          *Wires
 	pipe       *arb.Pipeline
 	link       *bi.Link
@@ -36,9 +37,10 @@ type arbiterComp struct {
 	totalServed uint64
 }
 
-func newArbiter(bank *sim.RegBank, w *Wires, pl *platform.Platform, p config.Params, chk *check.Checker) *arbiterComp {
+func newArbiter(k *sim.Kernel, w *Wires, pl *platform.Platform, p config.Params, chk *check.Checker) *arbiterComp {
+	bank := k.Bank()
 	a := &arbiterComp{
-		w: w, pipe: pl.Pipeline, link: pl.Link, chk: chk, pipelining: p.Pipelining,
+		k: k, w: w, pipe: pl.Pipeline, link: pl.Link, chk: chk, pipelining: p.Pipelining,
 		grantedTo: -1, lastGrant: -1,
 		served: make([]uint64, w.NMasters+1),
 	}
@@ -60,7 +62,11 @@ func newArbiter(bank *sim.RegBank, w *Wires, pl *platform.Platform, p config.Par
 // Name implements sim.Component.
 func (a *arbiterComp) Name() string { return "arbiter" }
 
-// Eval implements sim.Component.
+// Eval implements sim.Component. The arbiter sleeps when no request
+// line is asserted, no grant is outstanding and the bus is unowned once
+// the cycle commits. Commits on any HBUSREQ line (wired in New) wake
+// it, so it evaluates again on exactly the cycle a request first
+// becomes visible, and drop a request made in the cycle a line moves.
 func (a *arbiterComp) Eval(now sim.Cycle) {
 	w := a.w
 
@@ -102,6 +108,9 @@ func (a *arbiterComp) Eval(now sim.Cycle) {
 	owner := w.BusOwner.Get()
 	busyWindow := a.pipelining && owner >= 0 && !a.arbDone && now+1 >= a.ldSeen
 	if owner >= 0 && !busyWindow {
+		if w.busFreeAfter(now) && !w.requested() {
+			a.k.Sleep(sim.CycleMax)
+		}
 		return
 	}
 
@@ -125,6 +134,9 @@ func (a *arbiterComp) Eval(now sim.Cycle) {
 	}
 	a.reqsBuf, a.portsBuf = reqs, ports
 	if len(reqs) == 0 {
+		if w.busFreeAfter(now) {
+			a.k.Sleep(sim.CycleMax)
+		}
 		return
 	}
 	ctx := &a.ctx
@@ -158,20 +170,4 @@ func (a *arbiterComp) Eval(now sim.Cycle) {
 		Write:  reqs[win].Write,
 		Beats:  reqs[win].Beats,
 	})
-}
-
-// Quiescent implements sim.Sleeper: the arbiter idles when no request
-// line is asserted, no grant is outstanding and the bus is unowned.
-// Commits on any HBUSREQ line (wired in New) wake it, so it evaluates
-// again on exactly the cycle a request first becomes visible.
-func (a *arbiterComp) Quiescent(now sim.Cycle) (sim.Cycle, bool) {
-	if a.grantedTo >= 0 || a.w.BusOwner.Get() >= 0 {
-		return 0, false
-	}
-	for i := 0; i <= a.w.NMasters; i++ {
-		if a.w.HBusReq[i].Get() {
-			return 0, false
-		}
-	}
-	return sim.CycleMax, true
 }

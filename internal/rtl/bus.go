@@ -28,31 +28,33 @@ func New(cfg platform.Config) *Bus {
 	w := newWires(n)
 
 	b := &Bus{plat: pl, kernel: sim.NewKernel()}
-	bank := b.kernel.Bank()
+	k := b.kernel
 	for i, g := range cfg.Gens {
-		m := newMaster(bank, w, i, g, size, cfg.Checker)
+		m := newMaster(k, w, i, g, size, cfg.Checker)
 		b.masters = append(b.masters, m)
 		b.kernel.Register(m)
 	}
-	b.wbm = newWBMaster(bank, w, cfg.Checker)
+	b.wbm = newWBMaster(k, w, cfg.Checker)
 	b.kernel.Register(b.wbm)
 	// The arbiter registers before the fabric: a zero-latency BI hint
 	// sent on the grant cycle is delivered by the fabric's Eval later
 	// in that same cycle.
-	b.arb = newArbiter(bank, w, &b.plat, cfg.Params, cfg.Checker)
+	b.arb = newArbiter(k, w, &b.plat, cfg.Params, cfg.Checker)
 	b.kernel.Register(b.arb)
-	b.fabric = newFabric(bank, w, &b.plat, cfg.Checker, size, cfg.Params.WriteBufferDepth, cfg.Params.SRAM)
+	b.fabric = newFabric(k, w, &b.plat, cfg.Checker, size, cfg.Params.WriteBufferDepth, cfg.Params.SRAM)
 	b.kernel.Register(b.fabric)
-	ddrfsm := newDDRFSM(bank, pl.Engine, cfg.Checker, w, pl.Link)
+	ddrfsm := newDDRFSM(k, pl.Engine, cfg.Checker, w, pl.Link)
 	b.kernel.Register(ddrfsm)
 	if cfg.Waveform != nil {
 		b.wave = newWave(w, cfg.Waveform)
 		b.kernel.Register(b.wave)
 	}
 
-	// Clock-gating wake wiring. Every component above implements
-	// sim.Sleeper; these register watches wake a gated component on the
-	// exact cycle the input becomes visible to an always-evaluated one:
+	// Clock-gating wake wiring. Every component above but the waveform
+	// asks to sleep from its Eval (sim.Kernel.Sleep); these register
+	// watches wake a gated component on the exact cycle the input
+	// becomes visible to an always-evaluated one, and drop a request
+	// made in the cycle the input moves:
 	//   - a request line wakes the arbiter (new round), the fabric
 	//     (same-cycle BI hint delivery on the eventual grant) and the
 	//     controller FSM (the round's permission probe touches the
@@ -96,6 +98,10 @@ func (b *Bus) Run(limit sim.Cycle) platform.Result {
 	}
 	return b.plat.Finish(b.kernel.Now(), ok)
 }
+
+// Work returns the cycles the kernel stepped and the Eval calls it
+// made: the modelled work, which clock gating must not move.
+func (b *Bus) Work() (steps, evals uint64) { return b.kernel.Steps(), b.kernel.Evals() }
 
 // Step advances the simulation a single cycle; exposed for directed
 // protocol tests.

@@ -15,9 +15,10 @@ import (
 // purely as a timing oracle and skips this work — one of the structural
 // sources of its speedup.
 type ddrFSMComp struct {
+	k    *sim.Kernel
 	eng  *ddr.Engine
 	chk  *check.Checker
-	w    *Wires   // observed for the clock-gating quiescence test
+	w    *Wires   // observed for the sleep decision
 	link *bi.Link // in-flight hints force the FSM to keep sampling
 	prev []ddr.BankState
 
@@ -35,8 +36,10 @@ type ddrFSMComp struct {
 	maxPhase int
 }
 
-func newDDRFSM(bank *sim.RegBank, eng *ddr.Engine, chk *check.Checker, w *Wires, link *bi.Link) *ddrFSMComp {
+func newDDRFSM(k *sim.Kernel, eng *ddr.Engine, chk *check.Checker, w *Wires, link *bi.Link) *ddrFSMComp {
+	bank := k.Bank()
 	d := &ddrFSMComp{
+		k:       k,
 		eng:     eng,
 		chk:     chk,
 		w:       w,
@@ -144,36 +147,29 @@ func (d *ddrFSMComp) Eval(now sim.Cycle) {
 			}
 		}
 	}
+	d.sleepIfSettled(now)
 }
 
-// Quiescent implements sim.Sleeper. The controller FSM may stop
-// sampling only when nothing can move a bank: no request is visible
-// (requests lead to arbitration, whose permission probe and eventual
-// access touch the engine), no grant or transaction is in flight, no BI
-// hint is still travelling, and every bank sits in a settled state from
-// the next cycle on. Bank state then holds still until the next
-// engine call — which the conditions above exclude — or the refresh
-// timer, so the FSM asks to be woken exactly when the next refresh
-// becomes due. Skipped cycles are provably observation-free: the
-// legality checker sees the same transition sequence, merely without
-// the self-loop samples in between.
-func (d *ddrFSMComp) Quiescent(now sim.Cycle) (sim.Cycle, bool) {
-	if d.w.GrantIdx.Get() >= 0 || d.w.BusOwner.Get() >= 0 {
-		return 0, false
-	}
-	for i := 0; i <= d.w.NMasters; i++ {
-		if d.w.HBusReq[i].Get() {
-			return 0, false
-		}
-	}
-	if d.link.Pending() > 0 {
-		return 0, false
+// sleepIfSettled sleeps until the next refresh when nothing can move a
+// bank: no request is visible (requests lead to arbitration, whose
+// permission probe and eventual access touch the engine), no grant or
+// transaction is in flight once the cycle commits, no BI hint is still
+// travelling, and every bank is settled from the next cycle on. Bank
+// state then holds still until the next engine call — which the
+// conditions above exclude — or the refresh timer. The legality checker
+// sees the same transition sequence, merely without the self-loop
+// samples in between. The FSM evaluates after the arbiter and the
+// fabric, the only users of the BI link and the engine; GrantIdx and
+// the request lines are watched (New), BusOwner is predicted.
+func (d *ddrFSMComp) sleepIfSettled(now sim.Cycle) {
+	if d.w.GrantIdx.Get() >= 0 || !d.w.busFreeAfter(now) || d.w.requested() || d.link.Pending() > 0 {
+		return
 	}
 	for b := 0; b < d.eng.Banks(); b++ {
 		switch d.eng.BankState(b, now+1) {
 		case ddr.BankActivating, ddr.BankPrecharging:
-			return 0, false
+			return
 		}
 	}
-	return d.eng.NextRefresh(), true
+	d.k.Sleep(d.eng.NextRefresh())
 }

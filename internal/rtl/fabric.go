@@ -32,6 +32,7 @@ type curTxn struct {
 // drives HREADY/HRDATA, hosts the write buffer, and delivers BI hints
 // to the controller.
 type fabricComp struct {
+	k       *sim.Kernel
 	w       *Wires
 	plat    *platform.Platform
 	chk     *check.Checker
@@ -59,12 +60,13 @@ type wbSlot struct {
 	valid bool
 }
 
-func newFabric(bank *sim.RegBank, w *Wires, pl *platform.Platform, chk *check.Checker,
+func newFabric(k *sim.Kernel, w *Wires, pl *platform.Platform, chk *check.Checker,
 	size amba.Size, wbDepth int, sram config.SRAMCfg) *fabricComp {
 	f := &fabricComp{
-		w: w, plat: pl, chk: chk, size: size, wbDepth: wbDepth,
+		k: k, w: w, plat: pl, chk: chk, size: size, wbDepth: wbDepth,
 		sram: sram, ddrCap: pl.Engine.Map.Capacity(),
 	}
+	bank := k.Bank()
 	bank.Add(w.HReady)
 	bank.Add(w.HResp)
 	bank.Add(w.HRData)
@@ -146,6 +148,18 @@ func (f *fabricComp) Eval(now sim.Cycle) {
 	// re-driven with its own value commits the same state.
 	if f.queueMoved {
 		f.publishQueue()
+	}
+
+	// 6. Sleep when idle: no transaction in flight, the write buffer
+	// empty, no BI hint still travelling (the arbiter, the only sender,
+	// evaluates before the fabric), no grant awaiting its address phase
+	// and no request line asserted. The request-line condition keeps
+	// the fabric awake through arbitration so a zero-latency BI hint
+	// sent on the grant cycle is delivered on that exact cycle, as an
+	// always-evaluated fabric would. GrantIdx and the request lines are
+	// watched (New): a commit on either drops the request.
+	if f.idle() && f.plat.Link.Pending() == 0 && w.GrantIdx.Get() < 0 && !w.requested() {
+		f.k.Sleep(sim.CycleMax)
 	}
 }
 
@@ -304,28 +318,6 @@ func (f *fabricComp) finish() {
 // idle reports whether the fabric has no transaction in flight and no
 // pending write-buffer work.
 func (f *fabricComp) idle() bool { return !f.cur.active && len(f.queue) == 0 }
-
-// Quiescent implements sim.Sleeper: the fabric idles when no
-// transaction is in flight, the write buffer is empty, no BI hint is
-// still travelling, no grant awaits its address phase, and no request
-// line is asserted. The request-line condition keeps the fabric awake
-// through arbitration so a zero-latency BI hint sent on the grant cycle
-// is delivered on that exact cycle, as an always-evaluated fabric
-// would.
-func (f *fabricComp) Quiescent(now sim.Cycle) (sim.Cycle, bool) {
-	if f.cur.active || len(f.queue) > 0 || f.plat.Link.Pending() > 0 {
-		return 0, false
-	}
-	if f.w.GrantIdx.Get() >= 0 {
-		return 0, false
-	}
-	for i := 0; i <= f.w.NMasters; i++ {
-		if f.w.HBusReq[i].Get() {
-			return 0, false
-		}
-	}
-	return sim.CycleMax, true
-}
 
 // String aids debugging.
 func (f *fabricComp) String() string {

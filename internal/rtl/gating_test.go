@@ -90,3 +90,38 @@ func TestClockGatingDataIntegrity(t *testing.T) {
 		}
 	}
 }
+
+// TestClockGatingWork pins the gated kernel's work on the gating
+// workload with request pipelining on and off, and on a plain AHB: the
+// cycles stepped and the Eval calls made, as measured with the kernel
+// that polled its sleepers after every commit. The components now ask
+// to sleep from Eval, judging on values the commit has not yet made
+// visible; a wrong judgement evaluates a component on a cycle the poll
+// skipped (or the reverse), which no result byte shows but these
+// totals do. The non-pipelined arbiter, for one, must predict that the
+// fabric releases the bus on a transaction's last cycle.
+func TestClockGatingWork(t *testing.T) {
+	for _, c := range []struct {
+		name         string
+		mod          func(*config.Params)
+		steps, evals uint64
+	}{
+		{"pipelined", func(*config.Params) {}, 2889, 12053},
+		{"not pipelined", func(p *config.Params) { p.Pipelining = false }, 3046, 12727},
+		{"plain AHB", func(p *config.Params) {
+			*p = config.PlainAHB(3)
+			p.Masters[2].RealTime = true
+			p.Masters[2].QoSObjective = 200
+		}, 3053, 12496},
+	} {
+		p, gens := gatingConfig()
+		c.mod(&p)
+		b := New(platform.Config{Params: p, Gens: gens()})
+		if res := b.Run(0); !res.Completed {
+			t.Fatalf("%s: did not drain", c.name)
+		}
+		if steps, evals := b.Work(); steps != c.steps || evals != c.evals {
+			t.Errorf("%s: stepped %d cycles and made %d Evals, want %d and %d", c.name, steps, evals, c.steps, c.evals)
+		}
+	}
+}

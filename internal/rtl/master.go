@@ -22,6 +22,7 @@ const (
 // generator: it requests the bus, waits for grant, drives its address
 // phase bundle and counts HREADY data beats.
 type masterComp struct {
+	k    *sim.Kernel
 	w    *Wires
 	idx  int
 	gen  traffic.Generator
@@ -39,8 +40,9 @@ type masterComp struct {
 	lastRead []byte
 }
 
-func newMaster(bank *sim.RegBank, w *Wires, idx int, gen traffic.Generator, size amba.Size, chk *check.Checker) *masterComp {
-	m := &masterComp{w: w, idx: idx, gen: gen, size: size, chk: chk}
+func newMaster(k *sim.Kernel, w *Wires, idx int, gen traffic.Generator, size amba.Size, chk *check.Checker) *masterComp {
+	m := &masterComp{k: k, w: w, idx: idx, gen: gen, size: size, chk: chk}
+	bank := k.Bank()
 	bank.Add(w.HBusReq[idx])
 	bank.Add(w.HTransM[idx])
 	bank.Add(w.HAddrM[idx])
@@ -77,10 +79,11 @@ func (m *masterComp) Eval(now sim.Cycle) {
 	w := m.w
 	switch m.st {
 	case mDone:
-		return
+		m.idle()
 
 	case mIdle:
 		if now < m.wantAt {
+			m.idle()
 			return
 		}
 		w.HBusReq[m.idx].Set(true)
@@ -131,6 +134,7 @@ func (m *masterComp) Eval(now sim.Cycle) {
 				// The default slave terminated an unmapped access with a
 				// single ERROR beat; abandon the transfer.
 				m.fetch(now)
+				m.idle()
 				return
 			}
 			m.chk.PropertyOK()
@@ -151,24 +155,23 @@ func (m *masterComp) Eval(now sim.Cycle) {
 					m.lastRead = append(m.lastRead[:0], w.RDataBuf...)
 				}
 				m.fetch(now)
+				m.idle()
 			}
 		}
 	}
 }
 
-// Quiescent implements sim.Sleeper: a master idles between the
-// completion of one transaction and the request time of the next (and
-// forever once its workload drains). Both states are purely
-// time-driven, so no watched signal is needed — the kernel wakes the
-// master at its own request time.
-func (m *masterComp) Quiescent(now sim.Cycle) (sim.Cycle, bool) {
-	switch m.st {
-	case mDone:
-		return sim.CycleMax, true
-	case mIdle:
-		return m.wantAt, true
+// idle asks the kernel to sleep through an idle state (mIdle or mDone):
+// a master idles between the completion of one transaction and the
+// request time of the next, and forever once its workload drains. Both
+// are purely time-driven, so no watched signal is needed — the kernel
+// wakes the master at its own request time.
+func (m *masterComp) idle() {
+	if m.st == mDone {
+		m.k.Sleep(sim.CycleMax)
+	} else {
+		m.k.Sleep(m.wantAt)
 	}
-	return 0, false
 }
 
 // finished reports whether the workload is exhausted.

@@ -12,6 +12,7 @@ import (
 // front entry. The fabric itself pops the queue when it captures the
 // drain's address phase.
 type wbMasterComp struct {
+	k   *sim.Kernel
 	w   *Wires
 	idx int
 	chk *check.Checker
@@ -21,8 +22,9 @@ type wbMasterComp struct {
 	beatsSeen int
 }
 
-func newWBMaster(bank *sim.RegBank, w *Wires, chk *check.Checker) *wbMasterComp {
-	m := &wbMasterComp{w: w, idx: w.wbIndex(), chk: chk}
+func newWBMaster(k *sim.Kernel, w *Wires, chk *check.Checker) *wbMasterComp {
+	m := &wbMasterComp{k: k, w: w, idx: w.wbIndex(), chk: chk}
+	bank := k.Bank()
 	bank.Add(w.HBusReq[m.idx])
 	bank.Add(w.HTransM[m.idx])
 	bank.Add(w.HAddrM[m.idx])
@@ -35,12 +37,18 @@ func newWBMaster(bank *sim.RegBank, w *Wires, chk *check.Checker) *wbMasterComp 
 // Name implements sim.Component.
 func (m *wbMasterComp) Name() string { return "writebuffer-master" }
 
-// Eval implements sim.Component.
+// Eval implements sim.Component. The pseudo-master sleeps while idle
+// with the fabric-published occupancy register reading empty; a commit
+// on WBUsed (wired via Reg.Notify in New) wakes it the cycle the first
+// posted write becomes visible — exactly the cycle an always-evaluated
+// instance would first see it — and drops a request made in the cycle
+// WBUsed changes.
 func (m *wbMasterComp) Eval(now sim.Cycle) {
 	w := m.w
 	switch m.st {
 	case mIdle, mDone:
 		if w.WBUsed.Get() == 0 {
+			m.k.Sleep(sim.CycleMax)
 			return
 		}
 		w.HBusReq[m.idx].Set(true)
@@ -81,19 +89,10 @@ func (m *wbMasterComp) Eval(now sim.Cycle) {
 			m.beatsSeen++
 			if m.beatsSeen == m.beats {
 				m.st = mIdle
+				if w.WBUsed.Get() == 0 {
+					m.k.Sleep(sim.CycleMax)
+				}
 			}
 		}
 	}
-}
-
-// Quiescent implements sim.Sleeper: the pseudo-master sleeps while the
-// fabric-published occupancy register reads empty; a commit on WBUsed
-// (wired via Reg.Notify in New) wakes it the cycle the first posted
-// write becomes visible — exactly the cycle an always-evaluated
-// instance would first see it.
-func (m *wbMasterComp) Quiescent(now sim.Cycle) (sim.Cycle, bool) {
-	if (m.st == mIdle || m.st == mDone) && m.w.WBUsed.Get() == 0 {
-		return sim.CycleMax, true
-	}
-	return 0, false
 }

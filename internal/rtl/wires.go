@@ -74,7 +74,7 @@ type Wires struct {
 	BusLastData *sim.Reg[sim.Cycle]
 
 	// Write-buffer state published by the fabric for the WB
-	// pseudo-master and the arbitration write-buffer gate.
+	// pseudo-master and the arbiter's write-buffer filter.
 	WBUsed     *sim.Reg[int]
 	WBFrontA   *sim.Reg[uint32]
 	WBFrontLen *sim.Reg[int]
@@ -122,3 +122,21 @@ func newWires(n int) *Wires {
 
 // wbIndex returns the write-buffer pseudo-master index.
 func (w *Wires) wbIndex() int { return w.NMasters }
+
+// requested reports whether any request line is asserted.
+func (w *Wires) requested() bool {
+	for _, r := range w.HBusReq {
+		if r.Get() {
+			return true
+		}
+	}
+	return false
+}
+
+// busFreeAfter predicts, for an Eval that sees no grant (GrantIdx
+// reads -1), whether BusOwner reads -1 once cycle now commits: with no
+// grant nothing is captured, and a transaction completing at now is
+// released, there being no grant to hand off to.
+func (w *Wires) busFreeAfter(now sim.Cycle) bool {
+	return w.BusOwner.Get() < 0 || now == w.BusLastData.Get()
+}

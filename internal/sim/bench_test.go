@@ -24,12 +24,15 @@ func (c *tickComp) Name() string   { return "tick" }
 func (c *tickComp) Eval(now Cycle) { c.n++ }
 
 // gatedComp sleeps with a long timed wake, modeling an idle block.
-type gatedComp struct{ n int }
+type gatedComp struct {
+	k *Kernel
+	n int
+}
 
-func (c *gatedComp) Name() string   { return "gated" }
-func (c *gatedComp) Eval(now Cycle) { c.n++ }
-func (c *gatedComp) Quiescent(now Cycle) (Cycle, bool) {
-	return now + 1000, true
+func (c *gatedComp) Name() string { return "gated" }
+func (c *gatedComp) Eval(now Cycle) {
+	c.n++
+	c.k.Sleep(now + 1000)
 }
 
 // BenchmarkKernelTickBusy is the per-cycle cost with every component
@@ -85,7 +88,7 @@ func BenchmarkKernelTickRegs(b *testing.B) {
 func BenchmarkKernelTickGated(b *testing.B) {
 	k := NewKernel()
 	for i := 0; i < 8; i++ {
-		k.Register(&gatedComp{})
+		k.Register(&gatedComp{k: k})
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

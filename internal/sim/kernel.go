@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"errors"
 	"fmt"
 	"math/bits"
 )
@@ -19,75 +18,59 @@ type Component interface {
 	// Eval computes the component's next state from currently visible
 	// signal values. Its register writes go through Reg.Set on
 	// registers in the kernel's bank (Kernel.Bank), which the kernel
-	// commits once every awake component has evaluated.
+	// commits once every awake component has evaluated. An Eval whose
+	// next state is quiescent may ask for clock gating with
+	// Kernel.Sleep.
 	Eval(now Cycle)
 }
 
-// Sleeper is an optional Component extension enabling clock gating: a
-// component that reports itself quiescent is skipped (its Eval does not
-// run) until either its reported wake cycle arrives or a watched
-// register (see Reg.Notify) commits a new value. Quiescence must be
-// conservative: a sleeping component is promised bit-identical
-// behaviour to an always-evaluated one, so a component may only report
-// quiescent when, absent a watched-signal change, every future Eval up
-// to the wake cycle would be a no-op.
-type Sleeper interface {
-	Component
-	// Quiescent is polled after the commit phase. ok reports whether
-	// the component may be gated; wakeAt is the first future cycle at
-	// which it has time-driven work again (CycleMax when only a watched
-	// signal can wake it).
-	Quiescent(now Cycle) (wakeAt Cycle, ok bool)
-}
-
-// compSet is 64 components' membership of the kernel's two sets.
-type compSet struct{ awake, gateable uint64 }
+// compSet is 64 components' membership of the kernel's two sets: the
+// awake components, and those whose Eval this cycle called Sleep.
+type compSet struct{ awake, asked uint64 }
 
 // kcomp is a registered component plus its gating state.
 type kcomp struct {
 	c        Component
-	sl       Sleeper // nil when the component cannot be gated
-	wakeAt   Cycle   // valid while the component sleeps
-	signaled Cycle   // last cycle a watched register committed a change
+	wakeAt   Cycle // asked for by Sleep; valid while the component sleeps
+	signaled Cycle // last cycle a watched register committed a change
 }
 
 // Kernel is the two-phase cycle-based simulation kernel used by the
 // pin-accurate model. Awake components are evaluated in registration
 // order, then the kernel's one RegBank commits every register Set in
 // the cycle; because phase-1 reads only see committed values,
-// registration order does not affect results. Components implementing
-// Sleeper are clock gated while quiescent, and when every registered
-// component sleeps the kernel fast-forwards the cycle counter to the
-// earliest wake — the cycle count and all visible state remain exactly
-// as if every cycle had been stepped. A cycle costs the awake
-// components and the registers that changed, not the components and
-// registers that exist.
+// registration order does not affect results. A component clock gates
+// itself by calling Sleep from its Eval; the kernel applies the request
+// after the commit, unless a watched register committed for the
+// component in that same cycle. When every registered component sleeps
+// the kernel fast-forwards the cycle counter to the earliest wake — the
+// cycle count and all visible state remain exactly as if every cycle
+// had been stepped. A cycle costs the awake components and the
+// registers that changed, not the components and registers that exist.
 type Kernel struct {
-	// GateDisabled turns clock gating off: every component is evaluated
-	// every cycle, exactly as the pre-gating kernel behaved. Gating is
-	// required to be observation-equivalent, so this exists for
-	// differential tests and debugging, not configuration.
+	// GateDisabled turns clock gating off: Sleep is a no-op, so every
+	// component is evaluated every cycle, exactly as the pre-gating
+	// kernel behaved. Gating is required to be observation-equivalent,
+	// so this exists for differential tests and debugging, not
+	// configuration.
 	GateDisabled bool
 
 	comps []kcomp
 	// sets holds one bit per component, in registration order: which
-	// components Eval runs on, and which are Sleepers.
+	// components Eval runs on, and which asked to sleep this cycle.
 	sets     []compSet
 	regs     RegBank
 	now      Cycle
+	cur      int   // the component being evaluated, -1 outside Eval
 	nextWake Cycle // no sleeper's wakeAt is earlier (it may be stale-early)
-	stopped  bool
-	stopMsg  string
 	sleeping int
+	steps    uint64
+	evals    uint64
 }
-
-// ErrStopped is returned by Run when a component requested a stop via
-// Kernel.Stop before the requested cycle count elapsed.
-var ErrStopped = errors.New("sim: stopped by component request")
 
 // NewKernel returns an empty kernel at cycle 0.
 func NewKernel() *Kernel {
-	return &Kernel{nextWake: CycleMax}
+	return &Kernel{cur: -1, nextWake: CycleMax}
 }
 
 // Register adds a component to the kernel, awake. Registering the same
@@ -103,12 +86,7 @@ func (k *Kernel) Register(c Component) {
 	if i>>6 == len(k.sets) {
 		k.sets = append(k.sets, compSet{})
 	}
-	set := &k.sets[i>>6]
-	set.awake |= 1 << (i & 63)
-	if sl, ok := c.(Sleeper); ok {
-		kc.sl = sl
-		set.gateable |= 1 << (i & 63)
-	}
+	k.sets[i>>6].awake |= 1 << (i & 63)
 	k.comps = append(k.comps, kc)
 }
 
@@ -135,9 +113,9 @@ type Waker struct {
 }
 
 // Wake marks the component's watched input as changed this cycle: a
-// sleeping component resumes evaluation next cycle, and an awake one is
-// prevented from gating itself at the end of this cycle (it has not yet
-// observed the new value).
+// sleeping component resumes evaluation next cycle, and an awake one's
+// Sleep request of this cycle is dropped (it has not yet observed the
+// new value).
 func (w *Waker) Wake() {
 	k := w.k
 	k.comps[w.idx].signaled = k.now
@@ -152,43 +130,61 @@ func (k *Kernel) wake(i int) {
 	}
 }
 
+// Sleep, called from an Eval, stops evaluating that component after
+// this cycle's commit until cycle wakeAt, or until a watched register
+// (Reg.Notify) wakes it. The request is dropped if the component's
+// Waker fires this cycle (a watched register commits: the component has
+// not seen the new value), if wakeAt <= now+1, and under GateDisabled.
+//
+// A sleeping component is promised bit-identical behaviour to an
+// always-evaluated one: it may ask only when, absent a watched-signal
+// change, every Eval before wakeAt would be a no-op, judged on the
+// state it leaves for the commit. A register it does not watch must be
+// shown not to change in this commit, or be predicted.
+func (k *Kernel) Sleep(wakeAt Cycle) {
+	i := k.cur
+	cs := &k.comps[i] // k.cur is -1 outside Eval: such a call panics
+	if k.GateDisabled || wakeAt <= k.now+1 {
+		return
+	}
+	cs.wakeAt = wakeAt
+	k.sets[i>>6].asked |= 1 << (i & 63)
+}
+
 // Sleeping returns the number of currently gated components.
 func (k *Kernel) Sleeping() int { return k.sleeping }
+
+// Steps returns the number of cycles stepped (not fast-forwarded).
+func (k *Kernel) Steps() uint64 { return k.steps }
+
+// Evals returns the number of Eval calls made.
+func (k *Kernel) Evals() uint64 { return k.evals }
 
 // Now returns the current simulation cycle. During Eval callbacks it is
 // the cycle being simulated.
 func (k *Kernel) Now() Cycle { return k.now }
 
-// Stop requests that the simulation stop after the current cycle
-// completes (both phases still run). The message is reported through
-// StopReason.
-func (k *Kernel) Stop(msg string) {
-	k.stopped = true
-	k.stopMsg = msg
-}
-
-// StopReason returns the message passed to Stop, or "" if no stop was
-// requested.
-func (k *Kernel) StopReason() string { return k.stopMsg }
-
 // Step simulates exactly one cycle: sleepers whose wake cycle arrived
 // join the awake set, phase 1 (Eval) runs over the awake set, phase 2
-// commits the bank, awake sleepers are polled for gating, and the cycle
-// counter advances.
+// commits the bank, the Sleep requests of phase 1 are applied, and the
+// cycle counter advances.
 func (k *Kernel) Step() {
 	now := k.now
 	if now >= k.nextWake {
 		k.wakeDue(now)
 	}
 	for wi, set := range k.sets {
+		k.evals += uint64(bits.OnesCount64(set.awake))
 		for word := set.awake; word != 0; word &= word - 1 {
-			k.comps[wi<<6|bits.TrailingZeros64(word)].c.Eval(now)
+			i := wi<<6 | bits.TrailingZeros64(word)
+			k.cur = i
+			k.comps[i].c.Eval(now)
 		}
 	}
+	k.cur = -1
 	k.regs.CommitAll()
-	if !k.GateDisabled {
-		k.gate(now)
-	}
+	k.applySleeps(now)
+	k.steps++
 	k.now++
 }
 
@@ -209,26 +205,21 @@ func (k *Kernel) wakeDue(now Cycle) {
 	k.nextWake = next
 }
 
-// gate polls every awake sleeper not signaled this cycle and puts the
-// quiescent ones to sleep. A watched register that committed this cycle
-// stamps its watchers, which keeps them awake: they have not yet
-// observed the new value.
-func (k *Kernel) gate(now Cycle) {
+// applySleeps puts to sleep every component whose Eval asked this
+// cycle, except those a watched register stamped: they have not yet
+// observed the value it committed.
+func (k *Kernel) applySleeps(now Cycle) {
 	for wi := range k.sets {
 		set := &k.sets[wi]
-		for word := set.awake & set.gateable; word != 0; word &= word - 1 {
+		for word := set.asked; word != 0; word &= word - 1 {
 			i := wi<<6 | bits.TrailingZeros64(word)
-			cs := &k.comps[i]
-			if cs.signaled == now {
-				continue
-			}
-			if wakeAt, ok := cs.sl.Quiescent(now); ok && wakeAt > now+1 {
+			if cs := &k.comps[i]; cs.signaled != now {
 				set.awake &^= 1 << (i & 63)
-				cs.wakeAt = wakeAt
 				k.sleeping++
-				k.nextWake = min(k.nextWake, wakeAt)
+				k.nextWake = min(k.nextWake, cs.wakeAt)
 			}
 		}
+		set.asked = 0
 	}
 }
 
@@ -252,23 +243,11 @@ func (k *Kernel) fastForward(horizon Cycle) {
 	}
 }
 
-// Run simulates n cycles, or fewer if a component calls Stop. It returns
-// the number of cycles actually simulated and ErrStopped if the run was
-// cut short.
-func (k *Kernel) Run(n Cycle) (Cycle, error) {
-	start := k.now
-	end := start.AddSat(n)
-	for k.now < end {
-		k.fastForward(end)
-		if k.now >= end {
-			break
-		}
-		k.Step()
-		if k.stopped {
-			return k.now - start, ErrStopped
-		}
-	}
-	return k.now - start, nil
+// Run simulates n cycles (fewer only when the cycle counter saturates)
+// and returns the number simulated.
+func (k *Kernel) Run(n Cycle) Cycle {
+	ran, _ := k.RunUntil(func() bool { return false }, n)
+	return ran
 }
 
 // RunUntil simulates cycles until pred returns true (checked after each
@@ -287,9 +266,6 @@ func (k *Kernel) RunUntil(pred func() bool, limit Cycle) (Cycle, bool) {
 		k.Step()
 		if pred() {
 			return k.now - start, true
-		}
-		if k.stopped {
-			return k.now - start, false
 		}
 	}
 	return k.now - start, false

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -20,14 +21,13 @@ func (p *pulser) Eval(now Cycle) {
 }
 
 // listener counts the cycles it evaluated and the pulses it observed.
-// The gated variant sleeps whenever its input is low and relies on the
-// register watch to wake it.
+// It sleeps whenever its input is low and relies on the register watch
+// to wake it: a pulse committed in the cycle it asks drops the request.
 type listener struct {
-	in      *Reg[bool]
-	gated   bool
-	evals   int
-	pulses  []Cycle
-	wakeLog []Cycle
+	k      *Kernel
+	in     *Reg[bool]
+	evals  int
+	pulses []Cycle
 }
 
 func (l *listener) Name() string { return "listener" }
@@ -35,21 +35,15 @@ func (l *listener) Eval(now Cycle) {
 	l.evals++
 	if l.in.Get() {
 		l.pulses = append(l.pulses, now)
+	} else {
+		l.k.Sleep(CycleMax)
 	}
-}
-func (l *listener) Quiescent(now Cycle) (Cycle, bool) {
-	if !l.gated {
-		return 0, false
-	}
-	if l.in.Get() {
-		return 0, false // pulse visible next cycle: stay awake to see it
-	}
-	return CycleMax, true
 }
 
 // alarm is purely time-driven: it records its evaluations and sleeps
 // until a fixed next-work cycle.
 type alarm struct {
+	k     *Kernel
 	every Cycle
 	seen  []Cycle
 }
@@ -59,10 +53,44 @@ func (a *alarm) Eval(now Cycle) {
 	if now%a.every == 0 {
 		a.seen = append(a.seen, now)
 	}
+	a.k.Sleep((now/a.every + 1) * a.every)
 }
-func (a *alarm) Quiescent(now Cycle) (Cycle, bool) {
-	next := (now/a.every + 1) * a.every
-	return next, true
+
+// probe logs the cycles it is evaluated on and runs a test's script in
+// each Eval.
+type probe struct {
+	ran []Cycle
+	on  func(now Cycle)
+}
+
+func (p *probe) Name() string { return "probe" }
+func (p *probe) Eval(now Cycle) {
+	p.ran = append(p.ran, now)
+	if p.on != nil {
+		p.on(now)
+	}
+}
+
+// cycles returns the cycles from..to-1.
+func cycles(from, to Cycle) []Cycle {
+	var cs []Cycle
+	for c := from; c < to; c++ {
+		cs = append(cs, c)
+	}
+	return cs
+}
+
+// wantCycles fails t unless got equals want.
+func wantCycles(t *testing.T, what string, got, want []Cycle) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %v, want %v", what, got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: %v, want %v", what, got, want)
+		}
+	}
 }
 
 // TestKernelGatingObservationEquivalence runs the same pulser/listener
@@ -75,7 +103,7 @@ func TestKernelGatingObservationEquivalence(t *testing.T) {
 		out := NewReg(false)
 		p := &pulser{out: out, period: 37}
 		k.Bank().Add(out)
-		l := &listener{in: out, gated: true}
+		l := &listener{k: k, in: out}
 		k.Register(p)
 		k.Register(l)
 		out.Notify(k.Waker(l))
@@ -105,11 +133,10 @@ func TestKernelGatingObservationEquivalence(t *testing.T) {
 // its requested cycle, including across all-asleep fast-forwards.
 func TestKernelTimedWake(t *testing.T) {
 	k := NewKernel()
-	a := &alarm{every: 100}
+	a := &alarm{k: k, every: 100}
 	k.Register(a)
-	n, err := k.Run(1000)
-	if err != nil || n != 1000 {
-		t.Fatalf("Run = %d, %v", n, err)
+	if n := k.Run(1000); n != 1000 {
+		t.Fatalf("Run = %d", n)
 	}
 	want := []Cycle{0, 100, 200, 300, 400, 500, 600, 700, 800, 900}
 	if len(a.seen) != len(want) {
@@ -127,7 +154,7 @@ func TestKernelTimedWake(t *testing.T) {
 // fast-forwarded stretch.
 func TestKernelFastForwardRunUntil(t *testing.T) {
 	k := NewKernel()
-	a := &alarm{every: 5000}
+	a := &alarm{k: k, every: 5000}
 	k.Register(a)
 	n, ok := k.RunUntil(func() bool { return len(a.seen) >= 2 }, 100000)
 	if !ok {
@@ -140,15 +167,15 @@ func TestKernelFastForwardRunUntil(t *testing.T) {
 	}
 }
 
-// TestKernelSignalWakeDuringUpdate ensures a component that would gate
-// itself at the end of a cycle stays awake when a watched register
-// committed that same cycle (the value is only visible next cycle).
+// TestKernelSignalWakeDuringUpdate ensures a component that asks to
+// sleep in a cycle stays awake when a watched register committed that
+// same cycle (the value is only visible next cycle).
 func TestKernelSignalWakeDuringUpdate(t *testing.T) {
 	k := NewKernel()
 	out := NewReg(false)
 	p := &pulser{out: out, period: 2} // pulses at 0,2,4,...
 	k.Bank().Add(out)
-	l := &listener{in: out, gated: true}
+	l := &listener{k: k, in: out}
 	k.Register(p)
 	k.Register(l)
 	out.Notify(k.Waker(l))
@@ -168,7 +195,7 @@ func TestKernelSignalWakeDuringUpdate(t *testing.T) {
 
 func TestKernelSleepingCount(t *testing.T) {
 	k := NewKernel()
-	a := &alarm{every: 50}
+	a := &alarm{k: k, every: 50}
 	k.Register(a)
 	if k.Sleeping() != 0 {
 		t.Fatal("nothing should sleep before the first step")
@@ -187,4 +214,129 @@ func TestKernelWakerUnregisteredPanics(t *testing.T) {
 		}
 	}()
 	k.Waker(&alarm{every: 1})
+}
+
+// TestSleepCancelledByWatchedCommit: a request made in a cycle where a
+// watched register commits is dropped, because the component has not
+// yet observed the new value; without the commit the same request
+// holds.
+func TestSleepCancelledByWatchedCommit(t *testing.T) {
+	for _, set := range []bool{false, true} {
+		k := NewKernel()
+		r := NewReg(0)
+		k.Bank().Add(r)
+		d := &probe{on: func(now Cycle) {
+			if set && now == 3 {
+				r.Set(1)
+			}
+		}}
+		l := &probe{on: func(now Cycle) {
+			if now == 3 {
+				k.Sleep(CycleMax)
+			}
+		}}
+		k.Register(d)
+		k.Register(l)
+		r.Notify(k.Waker(l))
+		k.Run(6)
+		want := cycles(0, 4)
+		if set {
+			want = cycles(0, 6)
+		}
+		wantCycles(t, fmt.Sprintf("watched register Set at 3: %v: listener ran", set), l.ran, want)
+	}
+}
+
+// TestSleepTooSoonIsIgnored: a wake cycle at or before the next one is
+// no reason to sleep; the component stays in the awake set.
+func TestSleepTooSoonIsIgnored(t *testing.T) {
+	k := NewKernel()
+	c := &probe{on: func(now Cycle) { k.Sleep(now + Cycle(now%2)) }}
+	k.Register(c)
+	for range 6 {
+		k.Step()
+		if k.Sleeping() != 0 {
+			t.Fatalf("cycle %v: a request for now or now+1 put the component to sleep", k.Now()-1)
+		}
+	}
+	wantCycles(t, "ran", c.ran, cycles(0, 6))
+}
+
+// TestSleepUnderGateDisabledIsNoOp: with gating off every component
+// runs every cycle, whatever it asks.
+func TestSleepUnderGateDisabledIsNoOp(t *testing.T) {
+	k := NewKernel()
+	k.GateDisabled = true
+	c := &probe{on: func(now Cycle) { k.Sleep(CycleMax) }}
+	k.Register(c)
+	k.Run(5)
+	if k.Sleeping() != 0 {
+		t.Fatalf("Sleeping = %d with gating disabled", k.Sleeping())
+	}
+	wantCycles(t, "ran", c.ran, cycles(0, 5))
+}
+
+// TestSleepAndWakeInOneCycleStaysAwake: a Waker fired in the cycle a
+// component asks to sleep, before or after the request, keeps it
+// awake.
+func TestSleepAndWakeInOneCycleStaysAwake(t *testing.T) {
+	for _, wakeFirst := range []bool{false, true} {
+		k := NewKernel()
+		var w *Waker
+		c := &probe{on: func(now Cycle) {
+			if now == 2 {
+				k.Sleep(CycleMax)
+			}
+		}}
+		waker := &probe{on: func(now Cycle) {
+			if now == 2 {
+				w.Wake()
+			}
+		}}
+		if wakeFirst {
+			k.Register(waker)
+			k.Register(c)
+		} else {
+			k.Register(c)
+			k.Register(waker)
+		}
+		w = k.Waker(c)
+		k.Run(5)
+		wantCycles(t, fmt.Sprintf("wake first %v: ran", wakeFirst), c.ran, cycles(0, 5))
+	}
+}
+
+// TestTimedWakeFastForwardsWhenAllSleep: with every component asleep on
+// a timed wake the kernel steps only the wake cycles, and counts only
+// those as work.
+func TestTimedWakeFastForwardsWhenAllSleep(t *testing.T) {
+	k := NewKernel()
+	a := &alarm{k: k, every: 100}
+	b := &alarm{k: k, every: 250}
+	k.Register(a)
+	k.Register(b)
+	if n := k.Run(1000); n != 1000 {
+		t.Fatalf("Run(1000) simulated %d cycles", n)
+	}
+	// Wake cycles: 0 (both), 100, 200, 250, 300, 400, 500 (both), 600,
+	// 700, 750, 800, 900.
+	if k.Steps() != 12 || k.Evals() != 14 {
+		t.Fatalf("stepped %d cycles and made %d Evals, want 12 and 14", k.Steps(), k.Evals())
+	}
+	wantCycles(t, "fast alarm", a.seen, []Cycle{0, 100, 200, 300, 400, 500, 600, 700, 800, 900})
+	wantCycles(t, "slow alarm", b.seen, []Cycle{0, 250, 500, 750})
+}
+
+// TestSleepOutsideEvalPanics: only an Eval can name the component that
+// asks.
+func TestSleepOutsideEvalPanics(t *testing.T) {
+	k := NewKernel()
+	k.Register(&probe{})
+	k.Step()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
+		}
+	}()
+	k.Sleep(CycleMax)
 }

@@ -8,9 +8,12 @@ import (
 
 // refKernel is the reference the awake-set Kernel is held to: the plain
 // three-loop Step the kernel had while each component committed its own
-// registers. Eval sweeps every component and wakes a due sleeper in
-// place; Update sweeps every awake component, each committing its own
-// bank; the gating poll sweeps every awake sleeper.
+// registers and the kernel polled its sleepers. Eval sweeps every
+// component and wakes a due sleeper in place; Update sweeps every awake
+// component, each committing its own bank; the gating poll sweeps every
+// awake polled component, asking it after the commit whether it may
+// sleep. The Kernel's components ask from their own Eval instead
+// (Kernel.Sleep); the two protocols must agree cycle for cycle.
 type refKernel struct {
 	GateDisabled bool
 
@@ -26,15 +29,16 @@ type refComponent interface {
 	Update(now Cycle)
 }
 
-// refSleeper is the reference kernel's Sleeper.
-type refSleeper interface {
+// refPolled is a reference component that may sleep: the kernel polls
+// it after the commit, and ok reports that it may sleep until wakeAt.
+type refPolled interface {
 	refComponent
-	Quiescent(now Cycle) (wakeAt Cycle, ok bool)
+	Poll(now Cycle) (wakeAt Cycle, ok bool)
 }
 
 type refKcomp struct {
 	c        refComponent
-	sl       refSleeper
+	sl       refPolled
 	asleep   bool
 	wakeAt   Cycle
 	signaled Cycle
@@ -42,7 +46,7 @@ type refKcomp struct {
 
 func (k *refKernel) register(c refComponent) {
 	kc := refKcomp{c: c, signaled: CycleMax}
-	kc.sl, _ = c.(refSleeper)
+	kc.sl, _ = c.(refPolled)
 	k.comps = append(k.comps, kc)
 }
 
@@ -82,7 +86,7 @@ func (k *refKernel) step() {
 			if cs.sl == nil || cs.asleep || cs.signaled == now {
 				continue
 			}
-			if wakeAt, ok := cs.sl.Quiescent(now); ok && wakeAt > now+1 {
+			if wakeAt, ok := cs.sl.Poll(now); ok && wakeAt > now+1 {
 				cs.asleep = true
 				cs.wakeAt = wakeAt
 				k.sleeping++
@@ -215,9 +219,9 @@ func (g *graph) eval(c int, now Cycle, acc *uint64, get func(int) uint64, set fu
 	return seen
 }
 
-// quiescent is component c's gating answer: stay awake, a wake cycle
-// too soon to gate, a timed wake, or a wake on a watched signal only.
-func (g *graph) quiescent(c int, now Cycle, acc uint64) (Cycle, bool) {
+// sleep is component c's gating answer: stay awake, a wake cycle too
+// soon to sleep, a timed wake, or a wake on a watched signal only.
+func (g *graph) sleep(c int, now Cycle, acc uint64) (Cycle, bool) {
 	h := mix(acc ^ uint64(now)*0x9e3779b97f4a7c15 ^ uint64(c))
 	switch p := h % 20; {
 	case p < 5:
@@ -254,9 +258,18 @@ func (n *node) Eval(now Cycle) {
 	*n.log = append(*n.log, evalEntry{now, n.id, seen})
 }
 
-type sleeperNode struct{ node }
+// sleeperNode is a node that asks to sleep at the end of its Eval.
+type sleeperNode struct {
+	node
+	k *Kernel
+}
 
-func (n *sleeperNode) Quiescent(now Cycle) (Cycle, bool) { return n.g.quiescent(n.id, now, n.acc) }
+func (n *sleeperNode) Eval(now Cycle) {
+	n.node.Eval(now)
+	if wakeAt, ok := n.g.sleep(n.id, now, n.acc); ok {
+		n.k.Sleep(wakeAt)
+	}
+}
 
 // refSignal is a register of the reference kernel: two-phase state and
 // the components its commit wakes.
@@ -303,9 +316,10 @@ func (n *refNode) Update(now Cycle) {
 	n.pending = n.pending[:0]
 }
 
-type refSleeperNode struct{ refNode }
+// refPolledNode is a node the reference kernel polls.
+type refPolledNode struct{ refNode }
 
-func (n *refSleeperNode) Quiescent(now Cycle) (Cycle, bool) { return n.g.quiescent(n.id, now, n.acc) }
+func (n *refPolledNode) Poll(now Cycle) (Cycle, bool) { return n.g.sleep(n.id, now, n.acc) }
 
 // TestKernelMatchesReference runs seeded random component graphs —
 // random Sets, watched registers, timed and signal wakes, stretches
@@ -313,103 +327,129 @@ func (n *refSleeperNode) Quiescent(now Cycle) (Cycle, bool) { return n.g.quiesce
 // refKernel, in random Run and RunUntil chunks (mostly single cycles).
 // Both must evaluate the same components on the same cycles, reading
 // the same values, and hold the same committed values, cycle count and
-// sleeper count after every chunk.
+// sleeper count after every chunk. Its seeds are the fuzz corpus of
+// FuzzKernelMatchesReference.
 func TestKernelMatchesReference(t *testing.T) {
-	const cycles = 1500
 	var stepped, simulated Cycle
 	for seed := int64(1); seed <= 60; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		g := randomGraph(rng)
-		gateOff := rng.Intn(5) == 0
-
-		k := NewKernel()
-		k.GateDisabled = gateOff
-		var log []evalEntry
-		regs := make([]*Reg[uint64], g.nRegs)
-		for r := range regs {
-			regs[r] = NewReg[uint64](0)
-			k.Bank().Add(regs[r])
-		}
-		nodes := make([]Component, len(g.drives))
-		for c := range nodes {
-			n := node{g: g, id: c, regs: regs, log: &log}
-			if g.sleeper[c] {
-				nodes[c] = &sleeperNode{n}
-			} else {
-				nodes[c] = &n
-			}
-			k.Register(nodes[c])
-		}
-
-		ref := &refKernel{GateDisabled: gateOff}
-		var refLog []evalEntry
-		sigs := make([]refSignal, g.nRegs)
-		for c := range g.drives {
-			n := refNode{k: ref, g: g, id: c, regs: sigs, log: &refLog}
-			if g.sleeper[c] {
-				ref.register(&refSleeperNode{n})
-			} else {
-				ref.register(&n)
-			}
-		}
-		for c, ws := range g.watches {
-			for _, r := range ws {
-				regs[r].Notify(k.Waker(nodes[c]))
-				sigs[r].watchers = append(sigs[r].watchers, c)
-			}
-		}
-
-		for chunk := 0; k.Now() < cycles; chunk++ {
-			var what string
-			switch p := rng.Intn(10); {
-			case p < 6:
-				n, _ := k.Run(1)
-				what = fmt.Sprintf("Run(1)=%d", n)
-				if rn := ref.run(1); rn != n {
-					t.Fatalf("seed %d chunk %d: Run(1) simulated %d cycles, reference %d", seed, chunk, n, rn)
-				}
-			case p < 9 || g.nRegs == 0:
-				d := Cycle(1 + rng.Intn(50))
-				n, _ := k.Run(d)
-				what = fmt.Sprintf("Run(%d)=%d", d, n)
-				if rn := ref.run(d); rn != n {
-					t.Fatalf("seed %d chunk %d: Run(%d) simulated %d cycles, reference %d", seed, chunk, d, n, rn)
-				}
-			default:
-				r, want, limit := rng.Intn(g.nRegs), uint64(rng.Intn(4)), Cycle(1+rng.Intn(200))
-				n, ok := k.RunUntil(func() bool { return regs[r].Get() == want }, limit)
-				what = fmt.Sprintf("RunUntil(reg %d == %d, %d)=%d,%v", r, want, limit, n, ok)
-				rn, rok := ref.runUntil(func() bool { return sigs[r].cur == want }, limit)
-				if rn != n || rok != ok {
-					t.Fatalf("seed %d chunk %d: %s, reference %d,%v", seed, chunk, what, rn, rok)
-				}
-			}
-			if k.Now() != ref.now || k.Sleeping() != ref.sleeping {
-				t.Fatalf("seed %d chunk %d %s: now %v sleeping %d, reference now %v sleeping %d",
-					seed, chunk, what, k.Now(), k.Sleeping(), ref.now, ref.sleeping)
-			}
-			if i := firstDiff(log, refLog); i >= 0 {
-				t.Fatalf("seed %d chunk %d %s: Eval logs differ at entry %d:\n kernel    %v\n reference %v",
-					seed, chunk, what, i, log[i:min(i+3, len(log))], refLog[i:min(i+3, len(refLog))])
-			}
-			for r := range regs {
-				if regs[r].Get() != sigs[r].cur {
-					t.Fatalf("seed %d chunk %d %s: register %d reads %d, reference %d", seed, chunk, what, r, regs[r].Get(), sigs[r].cur)
-				}
-			}
-		}
-		simulated += k.Now()
-		for i, e := range log {
-			if i == 0 || e.now != log[i-1].now {
-				stepped++
-			}
-		}
+		st, n := matchReference(t, seed)
+		stepped += st
+		simulated += n
 	}
 	// The graphs must exercise gating: some cycles are skipped whole.
 	if stepped >= simulated {
 		t.Fatalf("every one of %d cycles evaluated a component: no all-asleep stretch was exercised", simulated)
 	}
 	t.Logf("%d of %d cycles evaluated a component", stepped, simulated)
+}
+
+// FuzzKernelMatchesReference is TestKernelMatchesReference over any
+// seed of the random-graph generator.
+func FuzzKernelMatchesReference(f *testing.F) {
+	for seed := int64(1); seed <= 60; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) { matchReference(t, seed) })
+}
+
+// matchReference runs the random graph of one seed through both
+// kernels, failing t at the first divergence, and returns how many
+// cycles evaluated a component and how many were simulated.
+func matchReference(t *testing.T, seed int64) (stepped, simulated Cycle) {
+	t.Helper()
+	const cycles = 1500
+	rng := rand.New(rand.NewSource(seed))
+	g := randomGraph(rng)
+	gateOff := rng.Intn(5) == 0
+
+	k := NewKernel()
+	k.GateDisabled = gateOff
+	var log []evalEntry
+	regs := make([]*Reg[uint64], g.nRegs)
+	for r := range regs {
+		regs[r] = NewReg[uint64](0)
+		k.Bank().Add(regs[r])
+	}
+	nodes := make([]Component, len(g.drives))
+	for c := range nodes {
+		n := node{g: g, id: c, regs: regs, log: &log}
+		if g.sleeper[c] {
+			nodes[c] = &sleeperNode{n, k}
+		} else {
+			nodes[c] = &n
+		}
+		k.Register(nodes[c])
+	}
+
+	ref := &refKernel{GateDisabled: gateOff}
+	var refLog []evalEntry
+	sigs := make([]refSignal, g.nRegs)
+	for c := range g.drives {
+		n := refNode{k: ref, g: g, id: c, regs: sigs, log: &refLog}
+		if g.sleeper[c] {
+			ref.register(&refPolledNode{n})
+		} else {
+			ref.register(&n)
+		}
+	}
+	for c, ws := range g.watches {
+		for _, r := range ws {
+			regs[r].Notify(k.Waker(nodes[c]))
+			sigs[r].watchers = append(sigs[r].watchers, c)
+		}
+	}
+
+	for chunk := 0; k.Now() < cycles; chunk++ {
+		var what string
+		switch p := rng.Intn(10); {
+		case p < 6:
+			n := k.Run(1)
+			what = fmt.Sprintf("Run(1)=%d", n)
+			if rn := ref.run(1); rn != n {
+				t.Fatalf("seed %d chunk %d: Run(1) simulated %d cycles, reference %d", seed, chunk, n, rn)
+			}
+		case p < 9 || g.nRegs == 0:
+			d := Cycle(1 + rng.Intn(50))
+			n := k.Run(d)
+			what = fmt.Sprintf("Run(%d)=%d", d, n)
+			if rn := ref.run(d); rn != n {
+				t.Fatalf("seed %d chunk %d: Run(%d) simulated %d cycles, reference %d", seed, chunk, d, n, rn)
+			}
+		default:
+			r, want, limit := rng.Intn(g.nRegs), uint64(rng.Intn(4)), Cycle(1+rng.Intn(200))
+			n, ok := k.RunUntil(func() bool { return regs[r].Get() == want }, limit)
+			what = fmt.Sprintf("RunUntil(reg %d == %d, %d)=%d,%v", r, want, limit, n, ok)
+			rn, rok := ref.runUntil(func() bool { return sigs[r].cur == want }, limit)
+			if rn != n || rok != ok {
+				t.Fatalf("seed %d chunk %d: %s, reference %d,%v", seed, chunk, what, rn, rok)
+			}
+		}
+		if k.Now() != ref.now || k.Sleeping() != ref.sleeping {
+			t.Fatalf("seed %d chunk %d %s: now %v sleeping %d, reference now %v sleeping %d",
+				seed, chunk, what, k.Now(), k.Sleeping(), ref.now, ref.sleeping)
+		}
+		if i := firstDiff(log, refLog); i >= 0 {
+			t.Fatalf("seed %d chunk %d %s: Eval logs differ at entry %d:\n kernel    %v\n reference %v",
+				seed, chunk, what, i, log[i:min(i+3, len(log))], refLog[i:min(i+3, len(refLog))])
+		}
+		for r := range regs {
+			if regs[r].Get() != sigs[r].cur {
+				t.Fatalf("seed %d chunk %d %s: register %d reads %d, reference %d", seed, chunk, what, r, regs[r].Get(), sigs[r].cur)
+			}
+		}
+	}
+	// The work counters agree with the Eval log: every stepped cycle
+	// evaluates a component.
+	for i, e := range log {
+		if i == 0 || e.now != log[i-1].now {
+			stepped++
+		}
+	}
+	if k.Steps() != uint64(stepped) || k.Evals() != uint64(len(log)) {
+		t.Fatalf("seed %d: Steps %d Evals %d, the Eval log holds %d cycles and %d Evals",
+			seed, k.Steps(), k.Evals(), stepped, len(log))
+	}
+	return stepped, k.Now()
 }
 
 // firstDiff returns the first index at which a and b differ, or -1.

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"errors"
-	"testing"
-)
+import "testing"
 
 // counter increments a registered value every cycle; its committed value
 // therefore equals the number of completed cycles.
@@ -81,8 +78,8 @@ func TestKernelRegistrationOrderInvariance(t *testing.T) {
 			k.Register(c)
 			k.Register(f)
 		}
-		if _, err := k.Run(25); err != nil {
-			t.Fatalf("Run: %v", err)
+		if n := k.Run(25); n != 25 {
+			t.Fatalf("Run(25) simulated %d cycles", n)
 		}
 		return f.v.Get()
 	}
@@ -101,36 +98,6 @@ func TestKernelDuplicateRegistrationPanics(t *testing.T) {
 	c := newCounter(k)
 	k.Register(c)
 	k.Register(c)
-}
-
-type stopper struct {
-	k     *Kernel
-	at    Cycle
-	evals int
-}
-
-func (s *stopper) Name() string { return "stopper" }
-func (s *stopper) Eval(now Cycle) {
-	s.evals++
-	if now == s.at {
-		s.k.Stop("reached target")
-	}
-}
-
-func TestKernelStop(t *testing.T) {
-	k := NewKernel()
-	s := &stopper{k: k, at: 4}
-	k.Register(s)
-	n, err := k.Run(100)
-	if !errors.Is(err, ErrStopped) {
-		t.Fatalf("Run err = %v, want ErrStopped", err)
-	}
-	if n != 5 { // cycles 0..4 inclusive
-		t.Fatalf("ran %d cycles, want 5", n)
-	}
-	if k.StopReason() != "reached target" {
-		t.Fatalf("StopReason = %q", k.StopReason())
-	}
 }
 
 func TestKernelRunUntil(t *testing.T) {

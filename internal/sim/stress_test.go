@@ -41,8 +41,8 @@ func TestKernelOrderInvarianceProperty(t *testing.T) {
 				k.Bank().Add(comps[idx].v)
 				k.Register(comps[idx])
 			}
-			if _, err := k.Run(50); err != nil {
-				t.Fatal(err)
+			if n := k.Run(50); n != 50 {
+				t.Fatalf("Run(50) simulated %d cycles", n)
 			}
 			var h uint64
 			for _, c := range comps {
@@ -141,8 +141,8 @@ func TestKernelLongRun(t *testing.T) {
 	k := NewKernel()
 	c := newCounter(k)
 	k.Register(c)
-	if _, err := k.Run(1_000_000); err != nil {
-		t.Fatal(err)
+	if n := k.Run(1_000_000); n != 1_000_000 {
+		t.Fatalf("Run(1e6) simulated %d cycles", n)
 	}
 	if k.Now() != 1_000_000 || c.Value() != 1_000_000 {
 		t.Fatalf("drift: now=%v counter=%d", k.Now(), c.Value())
